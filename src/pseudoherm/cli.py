@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dynamics, metric, models, stokes, weyl
 from .metric import MetricConvergenceError, TerminationError
-from .models import GridSpec, QuadratureAccuracyError, SpikedHOModel
+from .models import GridSpec, SpikedHOModel
 from .weyl import ExpPolySymbol, WeylSymbol
 
 
@@ -49,15 +49,22 @@ class Param:
     help: str = ""
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_value(param, raw):
     kind = param.kind
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "optfloat":
-            return None if raw == "" else float(raw)
+            return None if raw == "" else _finite(raw)
         if kind in ("str", "path"):
             if raw == "":
                 raise ValueError("empty value")
@@ -67,16 +74,16 @@ def _parse_value(param, raw):
                 raise ValueError(f"must be one of {', '.join(param.choices)}")
             return raw
         if kind == "floatlist":
-            vals = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+            vals = [_finite(tok) for tok in raw.split(",") if tok.strip() != ""]
             if not vals:
                 raise ValueError("empty list")
             return vals
         if kind == "range":
             lo_s, hi_s, n_s = raw.split(":")
-            return (float(lo_s), float(hi_s), int(n_s))
+            return (_finite(lo_s), _finite(hi_s), int(n_s))
         if kind == "grid":
             lo_s, hi_s, n_s = raw.split(",")
-            return (float(lo_s), float(hi_s), int(n_s))
+            return (_finite(lo_s), _finite(hi_s), int(n_s))
         if kind == "pairs":
             pairs = []
             for chunk in raw.split(";"):
@@ -95,7 +102,7 @@ def _parse_value(param, raw):
                 key, _, val = chunk.partition("=")
                 if not _:
                     raise ValueError(f"expected key=value, got {chunk!r}")
-                out[key.strip()] = float(val)
+                out[key.strip()] = _finite(val)
             return out
     except CliUsageError:
         raise
@@ -306,12 +313,14 @@ def _run_transition(v, canon, rng):
     curves = dynamics.transition_sweep(
         model, v["n"], v["m"], v["E0"], lo, hi, steps, v["tau"], xi_sorted
     )
-    rows = []
-    for i in range(steps):
-        for curve in curves:
-            rows.append(
-                f"{_fmt(curve.omega[i])},{_fmt(curve.xi)},{_fmt(curve.probability[i])}"
-            )
+    # omega and xi repeat across rows; format each value once
+    omegas = [_fmt(w) for w in curves[0].omega.tolist()]
+    columns = [(f",{_fmt(curve.xi)},", curve.probability.tolist()) for curve in curves]
+    rows = [
+        omegas[i] + prefix + _fmt(probs[i])
+        for i in range(steps)
+        for prefix, probs in columns
+    ]
     return [], "omega,xi,probability", rows, 0
 
 
@@ -909,14 +918,20 @@ _SUBCOMMANDS = {
     "spiked": Subcommand(
         params=[
             Param("lambda", "float", "0.5"),
-            Param("alpha", "float", "0.2"),
+            Param(
+                "alpha",
+                "float",
+                "0.2",
+                help="x needs alpha > -1; p (and p_squared mapped_position) alpha > -1/2",
+            ),
             Param("n", "int"),
             Param("m", "int"),
             Param("xi", "float", "0"),
             Param("variant", "choice", "p_squared", choices=("p_squared", "p_shift")),
         ],
         run=_run_spiked,
-        help="spiked-oscillator matrix elements",
+        help="spiked-oscillator matrix elements by exact Gauss-Laguerre sums "
+        "((n+m)//2+1 nodes for x, (n+m+1)//2+1 for p)",
     ),
     "x4": Subcommand(
         params=[
@@ -1094,7 +1109,6 @@ def run(argv=None):
         RuntimeError,
         TerminationError,
         MetricConvergenceError,
-        QuadratureAccuracyError,
         np.linalg.LinAlgError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

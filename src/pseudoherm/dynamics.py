@@ -14,10 +14,7 @@ position coupling or the raw-x coupling mediated by the metric.
 
 from __future__ import annotations
 
-import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +25,6 @@ from .models import (
     spiked_energy,
     spiked_matrix_element,
 )
-
-_ENV_THREADS = "PSEUDOHERM_THREADS"
 
 
 @dataclass(frozen=True)
@@ -45,6 +40,9 @@ class Pulse:
     width: float | None = None
 
     def __post_init__(self):
+        values = (self.E0, self.omega, self.tau, self.center, self.width)
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise ValueError("pulse parameters must be finite")
         if self.E0 < 0:
             raise ValueError("E0 must be non-negative")
         if self.omega <= 0:
@@ -144,9 +142,18 @@ def gauge_residual(h0, pulse, t):
 
 
 def _phase_integral_flat(mu, tc):
-    if abs(mu) < 1e-12:
-        return complex(tc)
-    return (cmath.exp(1j * mu * tc) - 1.0) / (1j * mu)
+    """int_0^tc exp(i mu s) ds for scalar or array mu, continuous through mu = 0."""
+    half = 0.5 * np.asarray(mu, dtype=float) * tc
+    return tc * np.exp(1j * half) * np.sinc(half / math.pi)
+
+
+def _rectangular_field_integral(E0, omega, phase_kind, delta, tc):
+    """int_0^tc exp(i delta s) E0 trig(omega s) ds; omega may be an array."""
+    plus = _phase_integral_flat(delta + omega, tc)
+    minus = _phase_integral_flat(delta - omega, tc)
+    if phase_kind == "sine":
+        return E0 / 2j * (plus - minus)
+    return 0.5 * E0 * (plus + minus)
 
 
 def _oscillatory_field_integral(pulse, delta, t):
@@ -155,16 +162,17 @@ def _oscillatory_field_integral(pulse, delta, t):
     if tc <= 0:
         return 0j
     if pulse.envelope == "rectangular":
-        plus = _phase_integral_flat(delta + pulse.omega, tc)
-        minus = _phase_integral_flat(delta - pulse.omega, tc)
-        if pulse.phase_kind == "sine":
-            return pulse.E0 / 2j * (plus - minus)
-        return 0.5 * pulse.E0 * (plus + minus)
+        return _rectangular_field_integral(pulse.E0, pulse.omega, pulse.phase_kind, delta, tc)
     from scipy.integrate import quad
 
     re = quad(lambda s: field_value(pulse, s) * math.cos(delta * s), 0.0, tc, limit=400)[0]
     im = quad(lambda s: field_value(pulse, s) * math.sin(delta * s), 0.0, tc, limit=400)[0]
     return complex(re, im)
+
+
+def _first_order_probability(diagonal, element, integral):
+    """|delta_nm - i <n|X|m> int exp(i delta s) E(s) ds|^2, broadcasting."""
+    return np.abs((1.0 if diagonal else 0.0) - 1j * element * integral) ** 2
 
 
 def first_order_transition(model, n, m, pulse, t, coupling="canonical_X"):
@@ -182,8 +190,7 @@ def first_order_transition(model, n, m, pulse, t, coupling="canonical_X"):
         raise ValueError(f"unknown coupling {coupling!r}")
     delta = spiked_energy(model, n) - spiked_energy(model, m)
     integral = _oscillatory_field_integral(pulse, delta, t)
-    amplitude = (1.0 if n == m else 0.0) - 1j * element * integral
-    return abs(amplitude) ** 2
+    return float(_first_order_probability(n == m, element, integral))
 
 
 @dataclass(frozen=True)
@@ -199,44 +206,37 @@ class TransitionCurve:
     alpha: float
 
 
-def _sweep_workers():
-    raw = os.environ.get(_ENV_THREADS)
-    if raw is None:
-        return 1
-    workers = int(raw)
-    if workers < 1:
-        raise ValueError(f"{_ENV_THREADS} must be a positive integer, got {raw!r}")
-    return workers
-
-
 def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     """Frequency sweep of the raw-x first-order probability per xi.
 
-    The xi-independent position and momentum elements are computed once;
-    each curve reuses them through the p_squared dressing
-    x + 2 i xi p.  Output order follows xi_list; the frequency grid is
-    ascending.
+    A rectangular sine pulse of amplitude E0 and duration tau is swept
+    over steps ascending frequencies in [omega_lo, omega_hi].  The
+    xi-independent position and momentum elements are computed once (so
+    alpha > -1/2, see spiked_matrix_element), the closed-form field
+    integral once over the frequency grid, and P(omega, xi) for all
+    curves as one numpy broadcast over (len(xi_list), steps) through the
+    p_squared dressing x + 2 i xi p.  The sweep runs in the calling
+    thread and is deterministic.  Output order follows xi_list.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    if not omega_lo < omega_hi:
-        raise ValueError("need omega_lo < omega_hi")
+    if not omega_lo < omega_hi or not math.isfinite(omega_hi):
+        raise ValueError("need omega_lo < omega_hi, both finite")
+    Pulse(E0=E0, omega=omega_lo, tau=tau)  # E0 >= 0, tau > 0, omega_lo > 0, all finite
+    xis = np.asarray(xi_list, dtype=float)
+    if not np.all(np.isfinite(xis)):
+        raise ValueError("xi values must be finite")
     omegas = np.linspace(omega_lo, omega_hi, steps)
     delta = spiked_energy(model, n) - spiked_energy(model, m)
     position = spiked_matrix_element(model, "position", n, m)
     momentum = spiked_matrix_element(model, "momentum", n, m)
-    kron = 1.0 if n == m else 0.0
-
-    def curve(xi):
-        element = position + 2j * xi * momentum
-        probs = np.empty(steps)
-        for i, w in enumerate(omegas):
-            pulse = Pulse(E0=E0, omega=float(w), tau=tau)
-            amplitude = kron - 1j * element * _oscillatory_field_integral(pulse, delta, tau)
-            probs[i] = abs(amplitude) ** 2
-        return TransitionCurve(
+    integral = _rectangular_field_integral(E0, omegas, "sine", delta, tau)
+    element = position + 2j * xis[:, None] * momentum
+    probs = _first_order_probability(n == m, element, integral)
+    return [
+        TransitionCurve(
             omega=omegas.copy(),
-            probability=probs,
+            probability=row,
             n=n,
             m=m,
             xi=float(xi),
@@ -245,12 +245,8 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
             lam=model.lam,
             alpha=model.alpha,
         )
-
-    workers = _sweep_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(curve, xi_list))
-    return [curve(xi) for xi in xi_list]
+        for xi, row in zip(xis, probs)
+    ]
 
 
 # -- grid propagators ------------------------------------------------------

@@ -20,15 +20,6 @@ from .metric import SimilarityPair, hermitian_pair_from_q, metric_residual, nfol
 from .weyl import ExpPolySymbol, WeylSymbol, star_commutator
 
 
-class QuadratureAccuracyError(RuntimeError):
-    """Numerical quadrature failed to reach the requested accuracy."""
-
-    def __init__(self, message, value=None, estimate=None):
-        super().__init__(message)
-        self.value = value
-        self.estimate = estimate
-
-
 def power_potential_symbol(N, g):
     """Symbol p^2 - g(ix)^N of the power-law family."""
     if N < 1:
@@ -101,6 +92,8 @@ class SpikedHOModel:
     variant: str = "p_squared"
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.lam, self.alpha, self.xi)):
+            raise ValueError("lam, alpha and xi must be finite")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.alpha <= -1:
@@ -177,17 +170,17 @@ def spiked_wavefunction_derivative(model, n, x):
     return out
 
 
-def _quad_halfline(f, scale_hint=1.0):
-    from scipy.integrate import quad
+def _gauss_laguerre(weight_exponent, degree, polynomial):
+    """int_0^inf u^weight_exponent e^(-u) polynomial(u) du for a polynomial
+    of the given degree, by the smallest exact Gauss-Laguerre rule.
 
-    value, estimate = quad(f, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
-    if estimate > 1e-8 * max(1.0, abs(value), scale_hint):
-        raise QuadratureAccuracyError(
-            f"matrix-element quadrature reached only {estimate:.2e}",
-            value=value,
-            estimate=estimate,
-        )
-    return value
+    k nodes integrate degree <= 2k - 1 exactly, so degree//2 + 1 nodes
+    reproduce the integral up to rounding.
+    """
+    from scipy.special import roots_genlaguerre
+
+    nodes, weights = roots_genlaguerre(degree // 2 + 1, weight_exponent)
+    return float(weights @ polynomial(nodes))
 
 
 def spiked_matrix_element(model, op_kind, n, m):
@@ -196,17 +189,50 @@ def spiked_matrix_element(model, op_kind, n, m):
     op_kind "position" is plain x, "momentum" is -i d/dx, and
     "mapped_position" is the metric-dressed position observable of the
     model variant: x + 2i xi p for p_squared, x + i xi for p_shift.
+
+    With u = lam x^2, a = alpha and N_k the level normalization,
+
+        <n|x|m> = (-1)^(n+m) N_n N_m / (2 lam^(a+3/2))
+                  int u^(a+1/2) e^(-u) L_n^a L_m^a du,
+        <n|p|m> = -i (-1)^(n+m) N_n N_m / (2 lam^(a+1/2))
+                  int u^(a-1/2) e^(-u) L_n^a [(a+1/2-u) L_m^a + 2u dL_m^a/du] du.
+
+    The polynomial parts have degree n+m and n+m+1, so Gauss-Laguerre
+    rules with (n+m)//2 + 1 and (n+m+1)//2 + 1 nodes are exact and the
+    sums equal the integrals up to rounding.  The position element exists
+    on the whole model domain alpha > -1.  The momentum element (and the
+    p_squared mapped position) needs alpha > -1/2: below that the integral
+    diverges at x = 0, and at alpha = -1/2 the boundary term
+    phi_n(0) phi_m(0) keeps p from being Hermitian; ValueError otherwise.
+    The momentum diagonal is exactly 0 because the levels are real.
     """
+    if n < 0 or m < 0:
+        raise ValueError("levels must be non-negative")
+    a = model.alpha
+    sign = -1.0 if (n + m) % 2 else 1.0
+    scale = 0.5 * sign * _spiked_norm(model, n) * _spiked_norm(model, m)
     if op_kind == "position":
-        val = _quad_halfline(
-            lambda s: spiked_wavefunction(model, n, s) * s * spiked_wavefunction(model, m, s)
+        total = _gauss_laguerre(
+            a + 0.5, n + m, lambda u: _genlaguerre(n, a, u) * _genlaguerre(m, a, u)
         )
-        return complex(val)
+        return complex(scale * total / model.lam ** (a + 1.5))
     if op_kind == "momentum":
-        overlap = _quad_halfline(
-            lambda s: spiked_wavefunction(model, n, s) * spiked_wavefunction_derivative(model, m, s)
-        )
-        return -1j * overlap
+        if a <= -0.5:
+            raise ValueError(
+                f"the momentum element needs alpha > -1/2, got alpha={a:g}: the "
+                "integral diverges at x = 0 below -1/2 and p is not Hermitian at -1/2"
+            )
+        if n == m:
+            return 0j
+
+        def polynomial(u):
+            # d/du L_m^a(u) = -L_(m-1)^(a+1)(u)
+            slope = -_genlaguerre(m - 1, a + 1.0, u) if m else 0.0
+            bracket = (a + 0.5 - u) * _genlaguerre(m, a, u) + 2.0 * u * slope
+            return _genlaguerre(n, a, u) * bracket
+
+        total = _gauss_laguerre(a - 0.5, n + m + 1, polynomial)
+        return complex(0.0, -scale * total / model.lam ** (a + 0.5))
     if op_kind == "mapped_position":
         position = spiked_matrix_element(model, "position", n, m)
         if model.variant == "p_shift":

@@ -152,12 +152,38 @@ def test_byte_determinism(capsys):
     assert first == second
 
 
-def test_sweep_bytes_independent_of_threads(capsys, monkeypatch):
+def test_transition_byte_determinism(capsys):
     argv = ["transition", "--omega", "1.9:2.1:5", "--xi", "0,1", "--tau", "30"]
-    _, serial, _ = invoke(capsys, argv)
-    monkeypatch.setenv("PSEUDOHERM_THREADS", "2")
-    _, threaded, _ = invoke(capsys, argv)
-    assert serial == threaded
+    code, first, _ = invoke(capsys, argv)
+    assert code == 0
+    _, second, _ = invoke(capsys, argv)
+    assert first == second
+    # the xi list is sorted before the sweep, so its order never shows
+    _, reordered, _ = invoke(capsys, argv[:4] + ["1,0"] + argv[5:])
+    assert reordered == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transition", "--E0", "nan"],
+        ["transition", "--tau", "inf"],
+        ["transition", "--omega", "1.5:inf:20"],
+        ["transition", "--xi", "0,-inf"],
+        ["spectrum", "--model", "xt4", "--params", "g=inf", "--grid", "-6,6,200", "--levels", "2"],
+        ["spectrum", "--model", "xt4", "--grid", "-6,nan,200", "--levels", "2"],
+        ["swanson", "--n", "2", "--m", "2", "--alpha", "nan", "--g", "0.5"],
+        ["swanson", "--n", "2", "--m", "2", "--alpha", "1", "--g", "inf"],
+        ["x4", "--alpha", "1", "--g", "nan"],
+        ["contour", "--kind", "z1", "--N", "4", "--a", "inf"],
+        ["propagate", "--T", "1e400"],
+    ],
+)
+def test_non_finite_values_are_usage_errors(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "not a finite number" in err
 
 
 # -- frozen subcommand values ----------------------------------------------
@@ -318,6 +344,17 @@ def test_spiked_subcommand(capsys):
     assert table["position"] == pytest.approx(x23, rel=1e-10)
     assert table["momentum"] == pytest.approx(-1j * x23.real, rel=1e-10)
     assert table["mapped_position"] == pytest.approx(2.0 * x23.real, rel=1e-10)
+
+
+def test_spiked_subcommand_momentum_domain(capsys):
+    code, out, err = invoke(capsys, ["spiked", "--n", "0", "--m", "1", "--alpha", "-0.7"])
+    assert code == 1
+    assert out == ""
+    assert "diverges" in err and "quadrature" not in err
+    # the momentum diagonal prints as an exact zero
+    code, out, _ = invoke(capsys, ["spiked", "--n", "2", "--m", "2"])
+    assert code == 0
+    assert "momentum,0,0" in data_rows(out)[1]
 
 
 def test_spectrum_subcommand(capsys):

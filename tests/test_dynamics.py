@@ -85,6 +85,15 @@ def test_pulse_validation():
         Pulse(E0=0.1, omega=1.0, tau=1.0, envelope="gaussian", center=0.5, width=0.0)
     with pytest.raises(ValueError):
         Pulse(E0=0.1, omega=1.0, tau=1.0, envelope="sech")
+    for bad in (
+        {"E0": math.nan},
+        {"omega": math.inf},
+        {"tau": math.inf},
+        {"envelope": "gaussian", "center": math.nan, "width": 1.0},
+        {"envelope": "gaussian", "center": 0.5, "width": math.inf},
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            Pulse(**{"E0": 0.1, "omega": 1.0, "tau": 1.0, **bad})
 
 
 def test_field_value_windowing():
@@ -234,25 +243,27 @@ def test_sweep_output_order_and_metadata():
     assert curves[0].lam == 0.5 and curves[0].alpha == 0.2
 
 
-def test_sweep_threaded_determinism(monkeypatch):
+@pytest.mark.parametrize("n, m", [(3, 2), (2, 3)])
+def test_sweep_resonant_point_matches_pointwise(n, m):
+    # the grid holds omega = |E_n - E_m| = 2 exactly, where delta -+ omega = 0
     model = SpikedHOModel(lam=0.5, alpha=0.2)
-    serial = transition_sweep(model, 3, 2, 0.01, 1.7, 2.3, 9, 30.0, [0.0, 0.5, 1.0])
-    monkeypatch.setenv("PSEUDOHERM_THREADS", "3")
-    threaded = transition_sweep(model, 3, 2, 0.01, 1.7, 2.3, 9, 30.0, [0.0, 0.5, 1.0])
-    for a, b in zip(serial, threaded):
-        assert a.xi == b.xi
-        assert np.array_equal(a.probability, b.probability)
-        assert np.array_equal(a.omega, b.omega)
-
-
-def test_sweep_environment_validation(monkeypatch):
-    model = SpikedHOModel(lam=0.5, alpha=0.2)
-    monkeypatch.setenv("PSEUDOHERM_THREADS", "abc")
-    with pytest.raises(ValueError):
-        transition_sweep(model, 3, 2, 0.01, 1.7, 2.3, 5, 30.0, [0.0])
-    monkeypatch.setenv("PSEUDOHERM_THREADS", "0")
-    with pytest.raises(ValueError):
-        transition_sweep(model, 3, 2, 0.01, 1.7, 2.3, 5, 30.0, [0.0])
+    curves = transition_sweep(model, n, m, 0.01, 1.0, 3.0, 5, 30.0, [0.0, 0.6])
+    assert 2.0 in curves[0].omega
+    for curve in curves:
+        pointwise_model = SpikedHOModel(lam=0.5, alpha=0.2, xi=curve.xi)
+        for w, prob in zip(curve.omega, curve.probability):
+            pulse = Pulse(E0=0.01, omega=float(w), tau=30.0)
+            ref = first_order_transition(
+                pointwise_model, n, m, pulse, 30.0, coupling="raw_x_via_eta"
+            )
+            assert prob == pytest.approx(ref, rel=1e-12)
+    # on resonance int_0^tau exp(+-i w s) sin(w s) ds has the modulus of
+    # ((exp(2 i w tau) - 1)/(2 i w) - tau)/(2 i)
+    w, tau = 2.0, 30.0
+    integral = 0.01 * ((np.exp(2j * w * tau) - 1.0) / (2j * w) - tau) / 2j
+    x = models.spiked_matrix_element(model, "position", n, m)
+    resonant = curves[0].probability[list(curves[0].omega).index(2.0)]
+    assert resonant == pytest.approx(abs(x * integral) ** 2, rel=1e-12)
 
 
 def test_sweep_validation():
@@ -261,6 +272,22 @@ def test_sweep_validation():
         transition_sweep(model, 3, 2, 0.01, 1.7, 2.3, 1, 30.0, [0.0])
     with pytest.raises(ValueError):
         transition_sweep(model, 3, 2, 0.01, 2.3, 1.7, 5, 30.0, [0.0])
+    # the pulse parameters are validated once for the whole sweep
+    for E0, lo, hi, tau, match in (
+        (-0.01, 1.7, 2.3, 30.0, "E0"),
+        (math.nan, 1.7, 2.3, 30.0, "finite"),
+        (0.01, 1.7, 2.3, math.inf, "finite"),
+        (0.01, 1.7, 2.3, 0.0, "tau"),
+        (0.01, 0.0, 2.3, 30.0, "omega"),
+        (0.01, 1.7, math.inf, 30.0, "finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            transition_sweep(model, 3, 2, E0, lo, hi, 5, tau, [0.0])
+    with pytest.raises(ValueError, match="finite"):
+        transition_sweep(model, 3, 2, 0.01, 1.7, 2.3, 5, 30.0, [0.0, math.nan])
+    below_half = SpikedHOModel(lam=0.5, alpha=-0.7)
+    with pytest.raises(ValueError, match="alpha > -1/2"):
+        transition_sweep(below_half, 3, 2, 0.01, 1.7, 2.3, 5, 30.0, [0.0])
 
 
 # -- implicit midpoint grid propagation -----------------------------------

@@ -1,11 +1,13 @@
 """Model families: closed-form ladders, half-line oscillator, grid spectra.
 
 Wavefunction oracles come from the scipy Laguerre evaluator and direct
-quadrature; grid eigensolvers are cross-checked against dense matrices
+quadrature; matrix elements from 30-digit mpmath gamma sums of the
+levels expanded in monomials of x; grid eigensolvers are cross-checked against dense matrices
 assembled independently in this file.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -191,11 +193,16 @@ def test_spiked_model_validation():
         SpikedHOModel(lam=1.0, alpha=-1.0)
     with pytest.raises(ValueError):
         SpikedHOModel(lam=1.0, alpha=0.2, variant="q_shift")
+    for bad in ({"lam": math.inf}, {"alpha": math.nan}, {"xi": -math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            SpikedHOModel(**{"lam": 1.0, "alpha": 0.2, **bad})
     model = SpikedHOModel(lam=0.5, alpha=0.2)
     with pytest.raises(ValueError):
         models.spiked_energy(model, -1)
     with pytest.raises(ValueError):
         models.spiked_wavefunction(model, 0, -0.5)
+    with pytest.raises(ValueError):
+        models.spiked_matrix_element(model, "position", -1, 0)
 
 
 def test_spiked_wavefunction_matches_reference():
@@ -276,7 +283,7 @@ def test_spiked_matrix_elements_frozen():
     assert i32 == pytest.approx(np.conj(i23), abs=1e-10)
     # momentum diagonal vanishes for real bound states
     i22 = models.spiked_matrix_element(model, "momentum", 2, 2)
-    assert abs(i22) < 1e-10
+    assert i22 == 0j
 
 
 def test_spiked_mapped_elements():
@@ -295,6 +302,82 @@ def test_spiked_mapped_elements():
     assert diag == pytest.approx(plain + 0.7j, abs=1e-9)
     with pytest.raises(ValueError):
         models.spiked_matrix_element(shift, "charge", 0, 0)
+
+
+def mp_spiked_elements(lam, alpha, n, m):
+    """<n|x|m> and <n|p|m> as 30-digit gamma sums.
+
+    Each level is expanded in monomials, phi_k = (-1)^k N_k sum_i c_ki
+    lam^i x^(2i + alpha + 1/2) e^(-lam x^2/2), differentiated term by
+    term, and every product integrated with int_0^inf x^q e^(-lam x^2) dx
+    = Gamma((q+1)/2) / (2 lam^((q+1)/2)).  The momentum sum is the
+    integral only for alpha > -1/2 (None otherwise).
+    """
+    with mpmath.workdps(30):
+        lam, a = mpmath.mpf(lam), mpmath.mpf(alpha)
+        half = mpmath.mpf(1) / 2
+
+        def coeffs(k):
+            return [
+                (-1) ** i * mpmath.binomial(k + a, k - i) / mpmath.factorial(i)
+                for i in range(k + 1)
+            ]
+
+        def norm(k):
+            return mpmath.sqrt(2 * lam ** (a + 1) * mpmath.factorial(k) / mpmath.gamma(a + k + 1))
+
+        def moment(q):
+            return mpmath.gamma((q + 1) / 2) / (2 * lam ** ((q + 1) / 2))
+
+        pref = (-1) ** (n + m) * norm(n) * norm(m)
+        pos = mom = mpmath.mpf(0)
+        for i, ci in enumerate(coeffs(n)):
+            for j, cj in enumerate(coeffs(m)):
+                c = pref * ci * cj * lam ** (i + j)
+                q = 2 * i + 2 * j + 2 * a
+                pos += c * moment(q + 2)
+                mom += c * ((2 * j + a + half) * moment(q) - lam * moment(q + 2))
+        return complex(pos), (-1j * complex(mom) if alpha > -0.5 else None)
+
+
+@pytest.mark.parametrize("alpha", [-0.99, -0.7, -0.49, 0.0, 0.2, 1.0])
+def test_spiked_matrix_elements_match_gamma_sums(alpha):
+    for lam in (0.3, 1.5):
+        model = SpikedHOModel(lam=lam, alpha=alpha)
+        for n in range(6):
+            for m in range(6):
+                pos, mom = mp_spiked_elements(lam, alpha, n, m)
+                got = models.spiked_matrix_element(model, "position", n, m)
+                assert abs(got - pos) <= 1e-13 * abs(pos), (lam, n, m)
+                if mom is None:
+                    continue
+                got = models.spiked_matrix_element(model, "momentum", n, m)
+                if n == m:
+                    # exactly zero: the levels are real
+                    assert got == 0j and abs(mom) < 1e-25
+                    continue
+                assert abs(got - mom) <= 1e-13 * abs(mom), (lam, n, m)
+                # second oracle: [H, x] = -2i p gives <n|p|m> = 2i lam (n - m) <n|x|m>
+                assert mom == pytest.approx(2j * lam * (n - m) * pos, rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, -0.7])
+def test_spiked_momentum_rejects_alpha_at_or_below_minus_half(alpha):
+    model = SpikedHOModel(lam=0.5, alpha=alpha, xi=0.3)
+    with pytest.raises(ValueError, match="alpha > -1/2"):
+        models.spiked_matrix_element(model, "momentum", 0, 1)
+    with pytest.raises(ValueError, match="alpha > -1/2"):
+        models.spiked_matrix_element(model, "mapped_position", 0, 1)
+
+
+def test_spiked_p_shift_mapped_position_below_minus_half():
+    # the p_shift dressing x + i xi never needs the momentum element
+    model = SpikedHOModel(lam=0.5, alpha=-0.7, xi=0.4, variant="p_shift")
+    pos, _ = mp_spiked_elements(0.5, -0.7, 0, 1)
+    off = models.spiked_matrix_element(model, "mapped_position", 0, 1)
+    assert off == pytest.approx(pos, rel=1e-13)
+    diag = models.spiked_matrix_element(model, "mapped_position", 1, 1)
+    assert diag == pytest.approx(mp_spiked_elements(0.5, -0.7, 1, 1)[0] + 0.4j, rel=1e-13)
 
 
 # -- grid spectra ----------------------------------------------------------
