@@ -25,6 +25,7 @@ from .models import (
     spiked_energy,
     spiked_matrix_element,
 )
+from .weyl import ExpPolySymbol, WeylSymbol, star
 
 
 @dataclass(frozen=True)
@@ -113,31 +114,64 @@ def field_integrals(pulse, t):
         return FieldIntegrals(b=0.0, c=0.0, d=0.0)
     if pulse.envelope == "rectangular":
         return _rectangular_integrals(pulse, t)
+    b, c, d = _cascade(pulse, t)[:, -1]
+    return FieldIntegrals(b=float(b), c=float(c), d=float(d))
+
+
+def _cascade(pulse, t_end, t_eval=None):
+    """(b, c, d) rows from one DOP853 solve of the cascade over [0, t_end]."""
     from scipy.integrate import solve_ivp
 
     def rhs(s, y):
         e = field_value(pulse, s)
         return [e, y[0], 0.5 * y[0] ** 2]
 
-    sol = solve_ivp(rhs, (0.0, t), [0.0, 0.0, 0.0], method="DOP853", rtol=1e-12, atol=1e-14)
+    sol = solve_ivp(
+        rhs, (0.0, t_end), [0.0, 0.0, 0.0], method="DOP853", t_eval=t_eval,
+        rtol=1e-12, atol=1e-14,
+    )
     if not sol.success:
         raise RuntimeError(f"field integral integration failed: {sol.message}")
-    b, c, d = sol.y[:, -1]
-    return FieldIntegrals(b=float(b), c=float(c), d=float(d))
+    return sol.y
+
+
+def _field_integral_table(pulse, times):
+    """field_integrals at each time >= 0, in the given order.
+
+    Rectangular envelopes evaluate the closed form per time; other
+    envelopes take all times from one cascade solve (t_eval at the
+    distinct times, read off its dense output).
+    """
+    times = np.asarray(times, dtype=float)
+    if pulse.envelope == "rectangular":
+        return [field_integrals(pulse, s) for s in times.tolist()]
+    if np.any(times < 0):
+        raise ValueError("field integrals are defined for t >= 0")
+    distinct, where = np.unique(times, return_inverse=True)
+    rows = _cascade(pulse, distinct[-1], t_eval=distinct).T[where]
+    return [FieldIntegrals(b=b, c=c, d=d) for b, c, d in rows.tolist()]
 
 
 def gauge_residual(h0, pulse, t):
-    """Residual symbols of the velocity- and KH-frame identities.
+    """Residuals of the two gauge intertwining identities at time t.
 
-    For h_l = h0 + x E(t), the velocity-frame Hamiltonian evaluated at
-    p + b(t) and the KH-frame Hamiltonian evaluated at x + c(t) must
-    both reproduce h_l - x E(t) = h0.  Returns the two differences.
+    With b = b(t) and c = c(t) from field_integrals, the operators
+    exp(i b x) and exp(-i c p) translate momentum and position:
+
+        h0 * exp(i b x)  = exp(i b x)  * h0(x, p + b),
+        h0 * exp(-i c p) = exp(-i c p) * h0(x + c, p),
+
+    which carry the length-frame Hamiltonian into the velocity and
+    Kramers-Henneberger frames.  Each side is an independent Moyal
+    product (polynomial times exponential against exponential times
+    polynomial), so the returned ExpPolySymbol differences vanish only
+    if the translations have the right sign and size.
     """
     ints = field_integrals(pulse, t)
-    velocity = h0.shift_p(-ints.b)
-    kramers = h0.shift_x(-ints.c)
-    res_velocity = h0 - velocity.shift_p(ints.b)
-    res_kramers = h0 - kramers.shift_x(ints.c)
+    velocity_gauge = ExpPolySymbol.exp(WeylSymbol.monomial(1, 0, 1j * ints.b))
+    kramers_gauge = ExpPolySymbol.exp(WeylSymbol.monomial(0, 1, -1j * ints.c))
+    res_velocity = star(h0, velocity_gauge) - star(velocity_gauge, h0.shift_p(ints.b))
+    res_kramers = star(h0, kramers_gauge) - star(kramers_gauge, h0.shift_x(ints.c))
     return res_velocity, res_kramers
 
 
@@ -256,11 +290,17 @@ def crank_nicolson_propagate(h0_spec, pulse, grid, psi0, dt, T, t0=0.0):
     """Implicit-midpoint evolution of h0 + x E(t) on the Dirichlet grid.
 
     T is divided into round(T/dt) uniform steps with the field sampled
-    at midpoints.  t0 offsets the pulse clock, so a long run can be
-    split into segments.  Returns psi(t0 + T); the grid norm is
-    conserved.
+    at midpoints (one field_value call for all of them).  t0 offsets the
+    pulse clock, so a long run can be split into segments.  Returns
+    psi(t0 + T); the grid norm is conserved.
+
+    Each step solves (1 + i dt/2 H) psi' = (1 - i dt/2 H) psi with LAPACK
+    directly: gtsv for a tridiagonal band, gbsv for a pentadiagonal one
+    (p^4 term).  The constant off-diagonals are built once; the diagonal
+    and the right-hand side are written in place into two state buffers
+    that swap roles each step, so the loop allocates nothing per step.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg import LinAlgError, get_lapack_funcs
 
     psi = np.asarray(psi0, dtype=complex).copy()
     if psi.shape != (grid.points,):
@@ -275,24 +315,54 @@ def crank_nicolson_propagate(h0_spec, pulse, grid, psi0, dt, T, t0=0.0):
     n_steps = max(1, round(T / dt))
     step = T / n_steps
     half = 0.5j * step
+    fields = field_value(pulse, t0 + (np.arange(n_steps) + 0.5) * step)
 
     n = grid.points
-    ab = np.zeros((2 * u + 1, n), dtype=complex)
-    for r in range(1, u + 1):
-        off = half * band[u - r, r:]
-        ab[u - r, r:] = off
-        ab[u + r, : n - r] = off
-    offs = [band[u - r, r:] for r in range(1, u + 1)]
+    # i dt/2 times the r-th off-diagonal, shared by both sides of the step
+    offs = [half * band[u - r, r:] for r in range(1, u + 1)]
+    lhs_diag = np.empty(n, dtype=complex)
+    if u == 1:
+        gtsv, = get_lapack_funcs(("gtsv",), (psi,))
 
-    for j in range(n_steps):
-        t_mid = t0 + (j + 0.5) * step
-        diag = band[u] + coords * field_value(pulse, t_mid)
-        ab[u] = 1.0 + half * diag
-        rhs = (1.0 - half * diag) * psi
+        def solve(rhs):
+            # overwrites lhs_diag (rewritten every step) and solves in place
+            return gtsv(offs[0], lhs_diag, offs[0], rhs, overwrite_d=1, overwrite_b=1)[3:]
+    else:
+        gbsv, = get_lapack_funcs(("gbsv",), (psi,))
+        # gbsv layout: u rows of LU fill-in above the band, diagonal in row 2u
+        lhs_template = np.zeros((3 * u + 1, n), dtype=complex)
         for r, off in enumerate(offs, start=1):
-            rhs[: n - r] -= half * off * psi[r:]
-            rhs[r:] -= half * off * psi[: n - r]
-        psi = solve_banded((u, u), ab, rhs)
+            lhs_template[2 * u - r, r:] = off
+            lhs_template[2 * u + r, : n - r] = off
+        lhs = np.empty_like(lhs_template)
+
+        def solve(rhs):
+            # the factorization overwrites lhs, so restore the band first
+            np.copyto(lhs, lhs_template)
+            lhs[2 * u] = lhs_diag
+            return gbsv(u, u, lhs, rhs, overwrite_ab=1, overwrite_b=1)[2:]
+
+    diag = np.empty(n)
+    half_diag = np.empty(n, dtype=complex)
+    coupled = np.empty(n, dtype=complex)
+    rhs = np.empty(n, dtype=complex)
+    for field in fields:
+        np.multiply(coords, field, out=diag)
+        np.add(band[u], diag, out=diag)
+        np.multiply(half, diag, out=half_diag)
+        np.add(1.0, half_diag, out=lhs_diag)
+        np.subtract(1.0, half_diag, out=rhs)
+        np.multiply(rhs, psi, out=rhs)
+        for r, off in enumerate(offs, start=1):
+            # the r-th off-diagonal is one constant, so psi_j couples to
+            # both neighbours j -+ r through the same product
+            np.multiply(off[0], psi, out=coupled)
+            np.subtract(rhs[: n - r], coupled[r:], out=rhs[: n - r])
+            np.subtract(rhs[r:], coupled[: n - r], out=rhs[r:])
+        solved, info = solve(rhs)
+        if info != 0:
+            raise LinAlgError(f"Crank-Nicolson step: LAPACK info={info}")
+        psi, rhs = solved, psi
     return psi
 
 
@@ -337,19 +407,24 @@ def gordon_volkov_propagate(psi, pulse, grid, t, t_prime):
     Fourier basis; half-line grids use Dirichlet sine modes with
     displacements in the odd periodic extension.
     """
-    from scipy import fft as sfft
-
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (grid.points,):
         raise ValueError(f"psi must have shape ({grid.points},)")
-    coords = grid.coordinates()
     at_start = field_integrals(pulse, t_prime)
     at_end = field_integrals(pulse, t)
+    return _gordon_volkov(psi, grid, t - t_prime, at_start, at_end)
+
+
+def _gordon_volkov(psi, grid, elapsed, at_start, at_end):
+    """Gordon-Volkov step over elapsed time between two tabulated
+    FieldIntegrals; see gordon_volkov_propagate."""
+    from scipy import fft as sfft
+
+    coords = grid.coordinates()
     halfline = grid.x_min >= 0
 
     out = psi * np.exp(1j * at_start.b * coords)
 
-    elapsed = t - t_prime
     if halfline:
         modes = math.pi * np.arange(1, grid.points + 1) / (grid.step * (grid.points + 1))
         coeffs = sfft.dst(out, type=1)
@@ -372,22 +447,32 @@ def first_order_strong_field(psi0, potential_on_grid, pulse, grid, t, n_quad=128
     """Laser-exact, potential-first-order propagation to time t.
 
     psi(t) = U_GV(t,0) psi0 - i int_0^t U_GV(t,s) V U_GV(s,0) psi0 ds
-    with the time integral by composite Simpson on n_quad intervals.
+    with the time integral by composite Simpson on n_quad intervals
+    (rounded up to even).  The field integrals (b, c, d) are tabulated
+    once at the n_quad + 1 nodes and at t: closed forms for a
+    rectangular envelope, one DOP853 cascade solve with t_eval at the
+    nodes otherwise, so a gaussian pulse costs one solve_ivp per call
+    instead of one per propagator.  Every U_GV is one Gordon-Volkov step
+    between two table entries, 2 (n_quad + 1) + 1 in all.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     potential = np.asarray(potential_on_grid, dtype=float)
     if potential.shape != (grid.points,):
         raise ValueError(f"potential must have shape ({grid.points},)")
+    if psi0.shape != (grid.points,):
+        raise ValueError(f"psi0 must have shape ({grid.points},)")
     if t == 0:
         return psi0.copy()
     if n_quad % 2:
         n_quad += 1
-    base = gordon_volkov_propagate(psi0, pulse, grid, t, 0.0)
     ds = t / n_quad
+    nodes = [j * ds for j in range(n_quad + 1)]
+    *at_nodes, at_t = _field_integral_table(pulse, nodes + [t])
+    start = at_nodes[0]
+    base = _gordon_volkov(psi0, grid, t, start, at_t)
     acc = np.zeros_like(psi0)
-    for j in range(n_quad + 1):
-        s = j * ds
+    for j, (s, at_s) in enumerate(zip(nodes, at_nodes)):
         weight = 1.0 if j in (0, n_quad) else (4.0 if j % 2 else 2.0)
-        inner = gordon_volkov_propagate(psi0, pulse, grid, s, 0.0)
-        acc = acc + weight * gordon_volkov_propagate(potential * inner, pulse, grid, t, s)
+        inner = _gordon_volkov(psi0, grid, s, start, at_s)
+        acc = acc + weight * _gordon_volkov(potential * inner, grid, t - s, at_s, at_t)
     return base - 1j * (ds / 3.0) * acc

@@ -12,6 +12,7 @@ symbols and for the spiked 1/x^2 special form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -325,6 +326,10 @@ class GridSpec:
     kinetic_coefficient: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError("grid ends must be finite")
+        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"grid points must be an integer, got {self.points!r}")
         if self.points < 16:
             raise ValueError("grid needs at least 16 points")
         if not self.x_min < self.x_max:
@@ -381,11 +386,20 @@ def banded_hamiltonian(hamiltonian, grid):
     Returns an array of shape (2, N) (tridiagonal) or (3, N)
     (pentadiagonal, when a p^4 term is present) in the scipy upper-band
     layout whose last row is the main diagonal.
+
+    The spiked potential depends on alpha^2 only and the Dirichlet end
+    picks the regular solution x^(|alpha|+1/2), so a grid can represent
+    the model only for alpha >= 0; ValueError for alpha < 0.
     """
     coords = grid.coordinates()
     if isinstance(hamiltonian, SpikedHOModel):
         if grid.x_min < 0:
             raise ValueError("the spiked model lives on the half line; use x_min >= 0")
+        if hamiltonian.alpha < 0:
+            raise ValueError(
+                f"the grid spiked model needs alpha >= 0, got alpha={hamiltonian.alpha:g}: "
+                "the Dirichlet grid solves the model at |alpha|"
+            )
         c2 = grid.kinetic_coefficient
         c4 = 0.0
         potential = (
@@ -414,15 +428,29 @@ def hermitian_spectrum(hamiltonian, grid, k):
     Accepts an even-momentum WeylSymbol (x-polynomial potential plus p^2
     and optionally p^4) or a SpikedHOModel for the 1/x^2 special form.
     Eigenvectors are normalized in the grid inner product h * sum(v^2).
+
+    A tridiagonal band goes straight to bisection and inverse iteration
+    (eigh_tridiagonal: stebz + stein) with the absolute tolerance that
+    eig_banded passes to sbevx, so it needs O(n k) memory and no n x n
+    workspace.  The result is bit for bit eig_banded's: sbevx runs the
+    same pair, after a trivial reduction whose n x n orthogonal factor
+    (the identity) it builds and multiplies into the eigenvectors at
+    O(n^2 k) cost.  A pentadiagonal band (p^4 term) keeps eig_banded.
     """
-    from scipy.linalg import eig_banded
+    from scipy.linalg import eig_banded, eigh_tridiagonal, lapack
 
     if k < 1:
         raise ValueError("k must be positive")
     if k > grid.points:
         raise ValueError(f"requested {k} levels from a {grid.points}-point grid")
     band = banded_hamiltonian(hamiltonian, grid)
-    values, vectors = eig_banded(band, lower=False, select="i", select_range=(0, k - 1))
+    if band.shape[0] == 2:
+        values, vectors = eigh_tridiagonal(
+            band[1], band[0, 1:], select="i", select_range=(0, k - 1),
+            tol=2.0 * lapack.dlamch("S"),
+        )
+    else:
+        values, vectors = eig_banded(band, lower=False, select="i", select_range=(0, k - 1))
     vectors = vectors / math.sqrt(grid.step)
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, grid=grid)
 

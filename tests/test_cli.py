@@ -377,6 +377,45 @@ def test_spectrum_subcommand(capsys):
     assert "omega" in err
 
 
+def test_spectrum_spiked_negative_alpha_is_rejected(capsys):
+    # the grid would print the alpha = 0.7 levels for alpha = -0.7
+    code, out, err = invoke(
+        capsys,
+        ["spectrum", "--model", "spiked", "--params", "lambda=1,alpha=-0.7",
+         "--grid", "0,10,400", "--levels", "3"],
+    )
+    assert code == 1
+    assert out == ""
+    assert "alpha >= 0" in err
+    code, out, _ = invoke(
+        capsys,
+        ["spectrum", "--model", "spiked", "--params", "lambda=1,alpha=0",
+         "--grid", "0,10,400", "--levels", "3"],
+    )
+    assert code == 0
+    _, rows = data_rows(out)
+    assert len(rows) == 3
+
+
+def test_propagate_negative_alpha_is_rejected(capsys):
+    code, out, err = invoke(
+        capsys,
+        ["propagate", "--alpha", "-0.3", "--grid", "0,12,300", "--dt", "0.01",
+         "--T", "0.1", "--snapshots", "1"],
+    )
+    assert code == 1
+    assert out == ""
+    assert "alpha >= 0" in err
+    code, out, _ = invoke(
+        capsys,
+        ["propagate", "--alpha", "0", "--grid", "0,12,300", "--dt", "0.01",
+         "--T", "0.1", "--snapshots", "1"],
+    )
+    assert code == 0
+    _, rows = data_rows(out)
+    assert len(rows) == 2
+
+
 def test_spectrum_model_parameter_override(capsys):
     code, out, _ = invoke(
         capsys,

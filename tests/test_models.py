@@ -3,7 +3,8 @@
 Wavefunction oracles come from the scipy Laguerre evaluator and direct
 quadrature; matrix elements from 30-digit mpmath gamma sums of the
 levels expanded in monomials of x; grid eigensolvers are cross-checked against dense matrices
-assembled independently in this file.
+assembled independently in this file, and bit for bit against scipy's
+band-storage driver eig_banded.
 """
 import math
 
@@ -396,6 +397,20 @@ def test_grid_spec_interior_nodes():
         GridSpec(1.0, -1.0, 100)
 
 
+@pytest.mark.parametrize(
+    "x_min, x_max, points",
+    [(-math.inf, 1.0, 100), (0.0, math.inf, 100), (math.nan, 1.0, 100), (0.0, 1.0, 100.5),
+     (0.0, 1.0, 100.0), (0.0, 1.0, "100"), (0.0, 1.0, True)],
+)
+def test_grid_spec_rejects_non_finite_ends_and_non_integral_points(x_min, x_max, points):
+    with pytest.raises(ValueError):
+        GridSpec(x_min, x_max, points)
+
+
+def test_grid_spec_accepts_numpy_integer_points():
+    assert GridSpec(0.0, 1.0, np.int64(100)).coordinates().size == 100
+
+
 def test_banded_matches_dense_tridiagonal():
     grid = GridSpec(-6.0, 6.0, 160)
     ho = WeylSymbol.p(2) + WeylSymbol.x(2)
@@ -464,6 +479,46 @@ def test_spiked_grid_spectrum():
     assert np.max(np.abs(refined - exact)) < 5e-3
     with pytest.raises(ValueError):
         models.banded_hamiltonian(model, GridSpec(-1.0, 12.0, 100))
+
+
+def test_spiked_grid_rejects_negative_alpha():
+    # the grid potential depends on alpha^2 only, so alpha < 0 would
+    # silently give the levels of -alpha
+    grid = GridSpec(0.0, 10.0, 400)
+    with pytest.raises(ValueError, match="alpha >= 0"):
+        models.banded_hamiltonian(SpikedHOModel(lam=1.0, alpha=-0.7), grid)
+    with pytest.raises(ValueError, match="alpha >= 0"):
+        models.hermitian_spectrum(SpikedHOModel(lam=1.0, alpha=-1e-9), grid, 3)
+    # alpha = 0 (potential -1/(4 x^2)) still solves; the x^(1/2) edge
+    # behaviour converges slowly, but the level spacing 4 lam is sharp
+    zero = SpikedHOModel(lam=1.0, alpha=0.0)
+    levels = models.hermitian_spectrum(zero, GridSpec(0.0, 10.0, 800), 3).eigenvalues
+    exact = [models.spiked_energy(zero, n) for n in range(3)]
+    assert levels == pytest.approx(exact, abs=0.35)
+    assert np.diff(levels) == pytest.approx([4.0, 4.0], abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, grid, k",
+    [
+        (SpikedHOModel(lam=0.7, alpha=0.3), GridSpec(0.0, 14.0, 1400), 4),
+        (SpikedHOModel(lam=0.4, alpha=0.0), GridSpec(0.0, 20.0, 4000), 5),
+        (SpikedHOModel(lam=1.0, alpha=0.9), GridSpec(0.0, 8.0, 4003), 10),
+        (models.x4_isospectral_quartic(0.6), GridSpec(-6.0, 6.0, 4000), 6),
+        (models.x4_isospectral_quartic(1.3), GridSpec(-5.0, 5.0, 1000), 10),
+        (fourier_swap(models.x4_hermitian_symbol(1.0, 0.3)), GridSpec(-8.0, 8.0, 600), 5),
+    ],
+)
+def test_hermitian_spectrum_matches_eig_banded_bitwise(hamiltonian, grid, k):
+    # second method: the band-storage expert driver sbevx, with the
+    # absolute tolerance eig_banded picks for a selected range
+    from scipy.linalg import eig_banded
+
+    band = models.banded_hamiltonian(hamiltonian, grid)
+    values, vectors = eig_banded(band, lower=False, select="i", select_range=(0, k - 1))
+    got = models.hermitian_spectrum(hamiltonian, grid, k)
+    assert np.array_equal(got.eigenvalues, values)
+    assert np.array_equal(got.eigenvectors, vectors / math.sqrt(grid.step))
 
 
 def test_fourier_swap_preserves_spectrum():
