@@ -23,10 +23,6 @@ import numpy as np
 
 from .weyl import ExpPolySymbol, WeylSymbol, hermitian_conjugate, star, star_commutator
 
-_EULER_REFERENCE = (1, 5, 61, 1385)
-_KAPPA_REFERENCE = (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 2), Fraction(-17, 8))
-
-
 class TerminationError(RuntimeError):
     """A commutator chain required to terminate did not."""
 
@@ -71,28 +67,6 @@ def kappa(n):
     for m in range(1, top + 1):
         total += (-1) ** (n + m) * math.comb(n, 2 * m - 1) * eulers[m - 1]
     return Fraction(total, 2 ** n)
-
-
-@dataclass(frozen=True)
-class KappaTable:
-    """Euler numbers E_1..E_k and kappa_1, kappa_3, ..., kappa_(2k-1)."""
-
-    euler: tuple
-    kappa: tuple
-
-    @classmethod
-    def build(cls, count):
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        eulers = tuple(euler_numbers(count))
-        kappas = tuple(kappa(2 * n - 1) for n in range(1, count + 1))
-        for i, ref in enumerate(_EULER_REFERENCE[: min(4, count)]):
-            if eulers[i] != ref:
-                raise RuntimeError(f"euler number {i + 1} mismatch: {eulers[i]} != {ref}")
-        for i, ref in enumerate(_KAPPA_REFERENCE[: min(4, count)]):
-            if kappas[i] != ref:
-                raise RuntimeError(f"kappa_{2 * i + 1} mismatch: {kappas[i]} != {ref}")
-        return cls(euler=eulers, kappa=kappas)
 
 
 def nfold_commutator(q, operator, n):

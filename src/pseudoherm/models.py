@@ -46,14 +46,6 @@ def swanson_generator(m, g):
     return WeylSymbol({(m, 0): 2.0 * g / m})
 
 
-@dataclass(frozen=True)
-class SwansonFamily:
-    n: int
-    m: int
-    alpha: float
-    g: float
-
-
 def swanson_pair(n, m, alpha, g):
     """Similarity pair for the generalized Swanson family.
 

