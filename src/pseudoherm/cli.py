@@ -16,6 +16,7 @@ verification failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -529,7 +530,9 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree for every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="pseudoherm",
         description="metric operators and laser-driven dynamics, as reproducible CSV",

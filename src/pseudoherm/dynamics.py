@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (
-    SpikedHOModel,
     banded_hamiltonian,
     spiked_energy,
     spiked_matrix_element,

@@ -24,7 +24,7 @@ from .models import GridSpec, SpikedHOModel
 from .weyl import ExpPolySymbol, WeylSymbol
 
 def _max_coeff_diff(a, b):
-    return (a - b).max_abs()
+    return a.distance(b)
 
 
 def _random_symbol(rng, degree=2, complex_coeffs=True):

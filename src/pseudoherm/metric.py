@@ -204,12 +204,8 @@ def solve_metric_ansatz(H, exponent_monomials, initial=None, tol=1e-10, max_trie
         combined = WeylSymbol.zero()
         for prefactor, _ in residual.terms:
             combined = combined + prefactor
-        vals = np.zeros(2 * n_pts)
-        for i, (xv, pv) in enumerate(pts):
-            v = combined.evaluate(xv, pv)
-            vals[2 * i] = v.real
-            vals[2 * i + 1] = v.imag
-        return vals
+        vals = np.asarray(combined.evaluate(pts[:, 0], pts[:, 1]), dtype=complex)
+        return np.column_stack([vals.real, vals.imag]).ravel()
 
     scale = max(1.0, H.max_abs())
     x0 = np.zeros(len(keys)) if initial is None else np.asarray(initial, dtype=float)

@@ -13,44 +13,266 @@ so star commutators reproduce canonical commutators, in particular
 star_commutator(x, p) = i.  Everything is dimensionless (hbar = 1) and
 coupling constants enter as plain complex coefficients.
 
-Symbols are immutable; every operation returns a new canonicalized
-instance.  Canonicalization drops terms whose magnitude is below
-ZERO_THRESHOLD relative to the largest coefficient, which leaves exact
-integer-coefficient cancellations at exact zero.  A NaN or infinite
-coefficient raises ValueError.
+Symbols are immutable; every operation returns a new instance.  A symbol
+stores its coefficients as a dense complex array indexed by
+(deg_x, deg_p), trimmed to the box that holds its nonzero terms.
+
+Rounding floors are per coefficient.  An operation that sums terms (+,
+-, the pointwise product, star, star_commutator, shifts) also sums their
+magnitudes, and drops a result coefficient only when it is at most
+RESIDUE_ULPS machine epsilons times the summed magnitude of the terms
+that fed it: such a value is rounding residue of a cancellation, not
+physics.  A genuine coefficient survives however small it is next to the
+others, and a coefficient that cancels in exact arithmetic ends at exact
+zero, so is_zero() detects terminating series.  Constructors, scalar multiples and
+derivatives drop only exact zeros.  ZERO_THRESHOLD is a tolerance for
+comparisons (isclose, is_hermitian, is_pt_symmetric), never for storage.
+A NaN or infinite coefficient raises ValueError, as does a degree above
+MAX_DEGREE (its factorial weights overflow double precision) or a product
+whose (deg_x, deg_p, deg_x, deg_p) work tensor would exceed MAX_TENSOR
+entries.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
+import threading
 from itertools import combinations
 
+import numpy as np
+
 ZERO_THRESHOLD = 1e-12
+RESIDUE_ULPS = 64
+MAX_DEGREE = 170
+MAX_TENSOR = 2**20
+_RESIDUE = RESIDUE_ULPS * np.finfo(float).eps
 
-_VAR_X = "x"
-_VAR_P = "p"
+_EMPTY = np.zeros((0, 0), dtype=complex)
+_EMPTY.flags.writeable = False
 
 
-def _canonicalize(raw):
-    terms = {}
-    for key, coeff in raw.items():
-        c = complex(coeff)
-        if c != 0:
-            if not cmath.isfinite(c):
-                raise ValueError(f"non-finite coefficient {c} at degrees {key}")
-            terms[key] = terms.get(key, 0j) + c
-    if not terms:
-        return {}
-    scale = max(abs(c) for c in terms.values())
-    cutoff = ZERO_THRESHOLD * scale
-    return {k: c for k, c in terms.items() if abs(c) > cutoff}
+# -- coefficient arrays ------------------------------------------------------
+
+
+def _check_finite(c):
+    if not np.isfinite(c).all():
+        dx, dp = (int(i) for i in np.argwhere(~np.isfinite(c))[0])
+        raise ValueError(f"non-finite coefficient {complex(c[dx, dp])} at degrees {(dx, dp)}")
+
+
+def _trim(c):
+    """The smallest leading box of c that holds all its nonzero entries."""
+    if c.size and c[-1].any() and c[:, -1].any():
+        return c
+    nz = c != 0
+    rows = np.flatnonzero(nz.any(axis=1))
+    if rows.size == 0:
+        return _EMPTY
+    cols = np.flatnonzero(nz.any(axis=0))
+    return c[: rows[-1] + 1, : cols[-1] + 1]
+
+
+def _settle(values, mags):
+    """Drop rounding residue (|c| <= RESIDUE_ULPS eps * summed magnitude) and wrap."""
+    _check_finite(values)
+    return WeylSymbol._wrap(_trim(np.where(np.abs(values) > _RESIDUE * mags, values, 0)))
+
+
+@functools.lru_cache(maxsize=None)
+def _falling(n):
+    """t[i, k] = i!/(i-k)!, the factor d^k/dy^k puts on y^i, for i, k < n (zero for k > i)."""
+    return np.array([[math.perm(i, k) for k in range(n)] for i in range(n)], dtype=float)
+
+
+def _derivative(c, u, v):
+    """Coefficients of d_x^u d_p^v of the symbol with coefficient array c."""
+    na, nb = c.shape
+    if u >= na or v >= nb:
+        return _EMPTY
+    return c[u:, v:] * _falling(na)[u:, u, None] * _falling(nb)[v:, v]
+
+
+def _padded_sum(a, b):
+    """a + b over the union of their boxes, with the summed magnitudes |a| + |b|."""
+    if a.shape == b.shape:
+        return a + b, np.abs(a) + np.abs(b)
+    shape = (max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1]))
+    out = np.zeros(shape, dtype=complex)
+    mag = np.zeros(shape)
+    for c in (a, b):
+        out[: c.shape[0], : c.shape[1]] += c
+        mag[: c.shape[0], : c.shape[1]] += np.abs(c)
+    return out, mag
+
+
+def _scatter(t):
+    """Sum the entries of a 4-D (a, b, c, d) tensor into the 2-D array at (a + c, b + d)."""
+    na, nb, nc, nd = t.shape
+    by_p = np.zeros((na, nc, nb + nd - 1), dtype=t.dtype)
+    for b in range(nb):
+        by_p[:, :, b : b + nd] += t[:, b]
+    out = np.zeros((na + nc - 1, nb + nd - 1), dtype=t.dtype)
+    for a in range(na):
+        out[a : a + nc] += by_p[a]
+    return out
+
+
+def _check_tensor(na, nb, nc, nd):
+    if na * nb * nc * nd > MAX_TENSOR:
+        raise ValueError(
+            f"product of a {na}x{nb} and a {nc}x{nd} coefficient box exceeds "
+            f"{MAX_TENSOR} tensor entries"
+        )
+
+
+def _convolve(a, b):
+    """Pointwise product of two coefficient arrays (a 2-D convolution)."""
+    if a.size == 0 or b.size == 0:
+        return _EMPTY
+    _check_tensor(*a.shape, *b.shape)
+    return _scatter(np.multiply.outer(a, b))
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_factorials(n):
+    return np.array([1.0 / math.factorial(k) for k in range(n)])
+
+
+_SCRATCH = threading.local()
+
+
+def _scratch(shape, count):
+    """`count` float arrays of `shape`, carved from this thread's reusable buffer.
+
+    A tensor-sized array that is freed goes back to the operating system
+    and faults its pages in again at the next allocation; at degree 16
+    that costs as much as the arithmetic, so the kernel reuses one buffer.
+    It keeps the size of the largest product computed, at most
+    9 * MAX_TENSOR doubles (72 MiB).
+    """
+    size = math.prod(shape)
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < count * size:
+        buf = _SCRATCH.buf = np.empty(count * size)
+    return [buf[i * size : (i + 1) * size].reshape(shape) for i in range(count)]
+
+
+# Multiplying a complex value held as the channels (re, mag, im) by i^k:
+# odd k swaps re and im (a reversed channel axis keeps mag in place),
+# then each channel takes a sign.
+_TURN_SIGNS = np.array([[1, 1, 1], [-1, 1, 1], [-1, 1, -1], [1, 1, -1]], dtype=float)
+
+
+@functools.lru_cache(maxsize=64)
+def _moyal_plan(na, nb, nc, nd):
+    """Gathers and weights of the Moyal kernel for one pair of coefficient boxes.
+
+    The order-(u, v) Moyal term pairs d_x^u d_p^v f with d_x^v d_p^u g at
+    weight (i/2)^u/u! (-i/2)^v/v!.  The u part is a contraction over u of
+    f_(a'+u, b) (a'+u)!/a'! with g_(c, d'+u) (d'+u)!/d'! (i/2)^u/u!: one
+    matrix product of gathered Hankel windows.  The v part shifts
+    (b, c) -> (b - v, c - v) with the weight
+    (b'+v)!/b'! (c'+v)!/c'! (-i/2)^v/v!, one (b', c', channel) array per v.
+    Order (0, 0) carries weight 1 throughout, so a product with a constant
+    is exact.
+    """
+    nu = min(na, nd)
+    ia, ib, ic, id_, iu = (np.arange(n) for n in (na, nb, nc, nd, nu))
+    # lhs[b, a', u] = f[a' + u, b] * mult_f[a', u], zero past the box
+    src_a = np.add.outer(ia, iu)
+    take_f = np.minimum(src_a, na - 1)
+    mult_f = np.where(src_a < na, _falling(na)[take_f, iu], 0.0)
+    # rhs[u, c, d'] = g[c, d' + u] * mult_g[u, d']
+    src_d = np.add.outer(iu, id_)
+    take_g = np.minimum(src_d, nd - 1)
+    mult_g = np.where(
+        src_d < nd,
+        _falling(nd)[take_g, iu[:, None]] * ((0.5j) ** iu * _inverse_factorials(nu))[:, None],
+        0.0,
+    )
+    gathers = (take_f, mult_f, ic[None, :, None], take_g[:, None, :], mult_g[:, None, :])
+
+    sweep = []
+    for v in range(min(nb, nc)):
+        scale = np.outer(_falling(nb)[v:, v], _falling(nc)[v:, v]) * 0.5**v / math.factorial(v)
+        sweep.append((scale[:, :, None] * _TURN_SIGNS[-v % 4])[:, :, :, None, None])
+    return gathers, sweep
+
+
+def _moyal(f, g, odd_only=False):
+    """Moyal product of two coefficient arrays, with per-coefficient summed magnitudes.
+
+    f * g = exp((i/2) d_x1 d_p2) exp(-(i/2) d_p1 d_x2) f(x1, p1) g(x2, p2)
+    at x1 = x2, p1 = p2.  The u factor is one matrix product of Hankel
+    windows of f and g, laid out as the (b, c, a, d) tensor; the v factor
+    is one shift-and-weight sweep over its two leading axes, each shifted
+    slice a run of contiguous blocks; slice sums over b and then over c
+    scatter it to (a + c, b + d).  The real part, the magnitude |f| x |g|
+    and the imaginary part ride through the sweep as three channels of
+    one real tensor, so the magnitudes feeding each coefficient come from
+    the same pass.
+
+    With odd_only only the odd orders u + v are kept, doubled: that is
+    f * g - g * f, which never forms the even orders that cancel in the
+    difference.  Even and odd u then take turns in the same buffers.
+    """
+    na, nb = f.shape
+    nc, nd = g.shape
+    if not (na and nc):
+        return _EMPTY, np.zeros((0, 0))
+    _check_tensor(na, nb, nc, nd)
+    (take_f, mult_f, rows_g, take_g, mult_g), sweep = _moyal_plan(na, nb, nc, nd)
+    nu = take_f.shape[1]
+    lhs = (f.T[:, take_f] * mult_f).reshape(nb * na, nu)  # rows (b, a'), columns u
+    rhs = (g[rows_g, take_g] * mult_g).reshape(nu, nc * nd)  # rows u, columns (c, d')
+
+    size = na * nb * nc * nd
+    part, out, scratch = _scratch((nb, nc, 3, na, nd), 3)
+    product = scratch.reshape(-1)[: 2 * size].view(complex).reshape(nb * na, nc * nd)
+    magnitude = scratch.reshape(-1)[2 * size :].reshape(nb * na, nc * nd)
+    n_v = len(sweep)
+    # (u orders, v orders) per pass: all of them, or those with u + v odd
+    if odd_only:
+        passes = ((slice(1, None, 2), range(0, n_v, 2)), (slice(0, None, 2), range(1, n_v, 2)))
+    else:
+        passes = ((slice(None), range(n_v)),)
+    out[...] = 0.0
+    for us, vs in passes:
+        np.matmul(lhs[:, us], rhs[us], out=product)
+        np.matmul(np.abs(lhs[:, us]), np.abs(rhs[us]), out=magnitude)
+        y = product.reshape(nb, na, nc, nd).transpose(0, 2, 1, 3)
+        part[:, :, 0], part[:, :, 2] = y.real, y.imag
+        part[:, :, 1] = magnitude.reshape(nb, na, nc, nd).transpose(0, 2, 1, 3)
+        for v in vs:
+            if v == 0:
+                out += part
+                continue
+            tmp = scratch[: nb - v, : nc - v]
+            src = part[v:, v:]
+            np.multiply(src[:, :, ::-1] if v % 2 else src, sweep[v], out=tmp)
+            out[: nb - v, : nc - v] += tmp
+
+    # scatter: (b, d) -> b + d, then (a, c) -> a + c
+    width = nb + nd - 1
+    by_p = np.zeros((nc, 3, na, width))
+    for b in range(nb):
+        by_p[..., b : b + nd] += out[b]
+    r = np.zeros((3, na + nc - 1, width))
+    for c in range(nc):
+        r[:, c : c + na] += by_p[c]
+    if odd_only:
+        r *= 2.0
+    return r[0] + 1j * r[2], r[1]
+
+
+# -- polynomial symbols ------------------------------------------------------
 
 
 class WeylSymbol:
-    """Polynomial phase-space symbol, terms keyed by (deg_x, deg_p)."""
+    """Polynomial phase-space symbol, coefficients indexed by (deg_x, deg_p)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_c", "_terms")
 
     def __init__(self, terms=None):
         raw = {}
@@ -60,8 +282,27 @@ class WeylSymbol:
                 dx, dp = key
                 if dx < 0 or dp < 0 or dx != int(dx) or dp != int(dp):
                     raise ValueError(f"invalid degree key {key!r}")
-                raw[(int(dx), int(dp))] = raw.get((int(dx), int(dp)), 0j) + complex(coeff)
-        self._terms = _canonicalize(raw)
+                if max(dx, dp) > MAX_DEGREE:
+                    raise ValueError(f"degree key {key!r} exceeds MAX_DEGREE = {MAX_DEGREE}")
+                k = (int(dx), int(dp))
+                raw[k] = raw.get(k, 0j) + complex(coeff)
+        c = np.zeros(
+            (max((k[0] + 1 for k in raw), default=0), max((k[1] + 1 for k in raw), default=0)),
+            dtype=complex,
+        )
+        for k, v in raw.items():
+            c[k] = v
+        _check_finite(c)
+        self._c = _trim(c)
+        self._terms = None
+
+    @classmethod
+    def _wrap(cls, c):
+        """A symbol on a finite, trimmed coefficient array, taken as is."""
+        obj = cls.__new__(cls)
+        obj._c = c
+        obj._terms = None
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -93,37 +334,43 @@ class WeylSymbol:
 
     @property
     def terms(self):
-        return dict(self._terms)
+        return dict(self.items())
 
     def items(self):
+        """The nonzero terms ((deg_x, deg_p), coefficient), sorted by degrees."""
+        if self._terms is None:
+            dx, dp = np.nonzero(self._c)
+            self._terms = dict(zip(zip(dx.tolist(), dp.tolist()), self._c[dx, dp].tolist()))
         return self._terms.items()
 
     def coefficient(self, deg_x, deg_p):
-        return self._terms.get((deg_x, deg_p), 0j)
+        na, nb = self._c.shape
+        if 0 <= deg_x < na and 0 <= deg_p < nb:
+            return complex(self._c[deg_x, deg_p])
+        return 0j
 
     def total_degree(self):
-        if not self._terms:
-            return 0
-        return max(dx + dp for dx, dp in self._terms)
+        dx, dp = np.nonzero(self._c)
+        return int((dx + dp).max(initial=0))
 
     def max_abs(self):
-        if not self._terms:
-            return 0.0
-        return max(abs(c) for c in self._terms.values())
+        return float(np.abs(self._c).max(initial=0.0))
 
     def is_zero(self, tol=0.0):
-        if not self._terms:
-            return True
-        return self.max_abs() <= tol
+        return self._c.size == 0 or self.max_abs() <= tol
 
     def is_hermitian(self, tol=ZERO_THRESHOLD):
         scale = max(1.0, self.max_abs())
-        return all(abs(c.imag) <= tol * scale for c in self._terms.values())
+        return float(np.abs(self._c.imag).max(initial=0.0)) <= tol * scale
+
+    def distance(self, other):
+        """Largest coefficientwise |self - other|, with no rounding floor applied."""
+        diff, _ = _padded_sum(self._c, -other._c)
+        return float(np.abs(diff).max(initial=0.0))
 
     def isclose(self, other, tol=ZERO_THRESHOLD):
-        diff = self - other
         scale = max(1.0, self.max_abs(), other.max_abs())
-        return diff.max_abs() <= tol * scale
+        return self.distance(other) <= tol * scale
 
     # -- arithmetic --------------------------------------------------------
 
@@ -132,10 +379,11 @@ class WeylSymbol:
             other = WeylSymbol.constant(other)
         if not isinstance(other, WeylSymbol):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0j) + c
-        return WeylSymbol(out)
+        if other._c.size == 0:
+            return self
+        if self._c.size == 0:
+            return other
+        return _settle(*_padded_sum(self._c, other._c))
 
     __radd__ = __add__
 
@@ -146,19 +394,17 @@ class WeylSymbol:
         return (-self) + other
 
     def __neg__(self):
-        return WeylSymbol({k: -c for k, c in self._terms.items()})
+        return WeylSymbol._wrap(-self._c)
 
     def __mul__(self, other):
         """Pointwise (commutative) product; use star() for operator products."""
         if isinstance(other, (int, float, complex)):
-            return WeylSymbol({k: c * other for k, c in self._terms.items()})
+            c = self._c * complex(other)
+            _check_finite(c)
+            return WeylSymbol._wrap(_trim(c))
         if isinstance(other, WeylSymbol):
-            out = {}
-            for (ax, ap), ca in self._terms.items():
-                for (bx, bp), cb in other._terms.items():
-                    k = (ax + bx, ap + bp)
-                    out[k] = out.get(k, 0j) + ca * cb
-            return WeylSymbol(out)
+            a, b = self._c, other._c
+            return _settle(_convolve(a, b), _convolve(np.abs(a), np.abs(b)).real)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -169,51 +415,38 @@ class WeylSymbol:
     def __eq__(self, other):
         if not isinstance(other, WeylSymbol):
             return NotImplemented
-        return self._terms == other._terms
+        return self._c.shape == other._c.shape and bool(np.all(self._c == other._c))
 
     __hash__ = None
 
     # -- calculus ----------------------------------------------------------
 
     def diff_x(self, order=1):
-        out = self._terms
-        for _ in range(order):
-            nxt = {}
-            for (dx, dp), c in out.items():
-                if dx > 0:
-                    nxt[(dx - 1, dp)] = nxt.get((dx - 1, dp), 0j) + c * dx
-            out = nxt
-        return WeylSymbol(out)
+        return WeylSymbol._wrap(_trim(_derivative(self._c, order, 0)))
 
     def diff_p(self, order=1):
-        out = self._terms
-        for _ in range(order):
-            nxt = {}
-            for (dx, dp), c in out.items():
-                if dp > 0:
-                    nxt[(dx, dp - 1)] = nxt.get((dx, dp - 1), 0j) + c * dp
-            out = nxt
-        return WeylSymbol(out)
+        return WeylSymbol._wrap(_trim(_derivative(self._c, 0, order)))
+
+    def _shift(self, a, axis):
+        n = self._c.shape[axis]
+        i = np.arange(n)
+        gap = np.subtract.outer(i, i)  # source degree minus target degree
+        binom = np.array([[math.comb(s, t) for s in range(n)] for t in range(n)], dtype=float)
+        # binom[t, s] * a^(s - t): the weight of degree s in the shifted degree t
+        m = np.where(gap.T >= 0, binom * complex(a) ** np.maximum(gap.T, 0), 0)
+        c = self._c if axis == 0 else self._c.T
+        out, mag = m @ c, np.abs(m) @ np.abs(c)
+        if axis == 1:
+            out, mag = out.T, mag.T
+        return _settle(out, mag)
 
     def shift_x(self, a):
         """Substitute x -> x + a."""
-        a = complex(a)
-        out = {}
-        for (dx, dp), c in self._terms.items():
-            for j in range(dx + 1):
-                k = (j, dp)
-                out[k] = out.get(k, 0j) + c * math.comb(dx, j) * a ** (dx - j)
-        return WeylSymbol(out)
+        return self._shift(a, 0)
 
     def shift_p(self, b):
         """Substitute p -> p + b."""
-        b = complex(b)
-        out = {}
-        for (dx, dp), c in self._terms.items():
-            for j in range(dp + 1):
-                k = (dx, j)
-                out[k] = out.get(k, 0j) + c * math.comb(dp, j) * b ** (dp - j)
-        return WeylSymbol(out)
+        return self._shift(b, 1)
 
     def conjugate(self):
         """Hermitian conjugate: complex-conjugate coefficients.
@@ -222,22 +455,21 @@ class WeylSymbol:
         self-adjoint, so conjugating an operator only conjugates its
         symbol coefficients.
         """
-        return WeylSymbol({k: c.conjugate() for k, c in self._terms.items()})
+        return WeylSymbol._wrap(self._c.conj())
 
     def evaluate(self, x, p):
-        result = 0j
-        for (dx, dp), c in self._terms.items():
-            result = result + c * x ** dx * p ** dp
-        return result
+        """Value at the point (x, p); arrays of points broadcast."""
+        x, p = np.asarray(x), np.asarray(p)
+        na, nb = self._c.shape
+        xs = x[..., None] ** np.arange(na)
+        ps = p[..., None] ** np.arange(nb)
+        return np.einsum("...a,ab,...b->...", xs, self._c, ps)[()]
 
     # -- serialization -----------------------------------------------------
 
     def to_text(self):
         """One term per line: 'deg_x deg_p re im', sorted by degrees."""
-        lines = []
-        for (dx, dp) in sorted(self._terms):
-            c = self._terms[(dx, dp)]
-            lines.append(f"{dx} {dp} {c.real:.17g} {c.imag:.17g}")
+        lines = [f"{dx} {dp} {c.real:.17g} {c.imag:.17g}" for (dx, dp), c in self.items()]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -259,11 +491,10 @@ class WeylSymbol:
         return cls(terms)
 
     def __str__(self):
-        if not self._terms:
+        if self._c.size == 0:
             return "0"
         parts = []
-        for (dx, dp) in sorted(self._terms):
-            c = self._terms[(dx, dp)]
+        for (dx, dp), c in self.items():
             if c.imag == 0:
                 cs = f"{c.real:g}"
             elif c.real == 0:
@@ -358,7 +589,7 @@ class ExpPolySymbol:
     def evaluate(self, x, p):
         total = 0j
         for pref, expo in self._terms:
-            total += pref.evaluate(x, p) * cmath.exp(expo.evaluate(x, p))
+            total = total + pref.evaluate(x, p) * np.exp(expo.evaluate(x, p))
         return total
 
     def __str__(self):
@@ -377,92 +608,64 @@ def hermitian_conjugate(f):
     return f.conjugate()
 
 
-def _deriv_table(sym, smax):
-    tab = {(0, 0): sym}
-    for total in range(1, smax + 1):
-        for a in range(total + 1):
-            b = total - a
-            if b > 0:
-                tab[(a, b)] = tab[(a, b - 1)].diff_p()
-            else:
-                tab[(a, b)] = tab[(a - 1, 0)].diff_x()
-    return tab
-
-
-def _star_poly_poly(f, g):
-    smax = min(f.total_degree(), g.total_degree())
-    ftab = _deriv_table(f, smax)
-    gtab = _deriv_table(g, smax)
-    out = {}
-    for s in range(smax + 1):
-        base = (-0.5j) ** s / math.factorial(s)
-        for t in range(s + 1):
-            df = ftab[(t, s - t)]
-            if df.is_zero():
-                continue
-            dg = gtab[(s - t, t)]
-            if dg.is_zero():
-                continue
-            w = base * ((-1) ** t) * math.comb(s, t)
-            for (ax, ap), ca in df.items():
-                for (bx, bp), cb in dg.items():
-                    k = (ax + bx, ap + bp)
-                    out[k] = out.get(k, 0j) + w * ca * cb
-    return WeylSymbol(out)
-
-
 def _exp_deriv_table(prefactor, exponent, smax):
-    wx = exponent.diff_x()
-    wp = exponent.diff_p()
+    """e^-E d_x^a d_p^b (P e^E) for a + b <= smax, as coefficient arrays keyed (a, b)."""
+    wx = _derivative(exponent, 1, 0)
+    wp = _derivative(exponent, 0, 1)
     tab = {(0, 0): prefactor}
     for total in range(1, smax + 1):
         for a in range(total + 1):
             b = total - a
             if b > 0:
                 q = tab[(a, b - 1)]
-                tab[(a, b)] = q.diff_p() + q * wp
+                tab[(a, b)] = _padded_sum(_derivative(q, 0, 1), _convolve(q, wp))[0]
             else:
                 q = tab[(a - 1, 0)]
-                tab[(a, b)] = q.diff_x() + q * wx
+                tab[(a, b)] = _padded_sum(_derivative(q, 1, 0), _convolve(q, wx))[0]
     return tab
 
 
-def _star_poly_exp(f, g):
-    smax = f.total_degree()
-    ftab = _deriv_table(f, smax)
+def _star_with_exp(poly, factor, poly_left):
+    """poly * factor (poly_left) or factor * poly, for an ExpPolySymbol factor.
+
+    Each exponential term P e^E keeps its exponent; its prefactor becomes
+    sum_uv w_uv (d_x^u d_p^v left)(d_x^v d_p^u right) with the derivatives
+    of P e^E taken from the table, all (u, v) in one weighted batch of
+    pointwise products.
+    """
+    smax = poly.total_degree()
+    orders = [(u, s - u) for s in range(smax + 1) for u in range(s + 1)]
     out_terms = []
-    for prefactor, exponent in g.terms:
-        gtab = _exp_deriv_table(prefactor, exponent, smax)
-        acc = WeylSymbol.zero()
-        for s in range(smax + 1):
-            base = (-0.5j) ** s / math.factorial(s)
-            for t in range(s + 1):
-                df = ftab[(t, s - t)]
-                if df.is_zero():
-                    continue
-                w = base * ((-1) ** t) * math.comb(s, t)
-                acc = acc + w * (df * gtab[(s - t, t)])
-        out_terms.append((acc, exponent))
+    for prefactor, exponent in factor.terms:
+        tab = _exp_deriv_table(prefactor._c, exponent._c, smax)
+        weights, left, right = [], [], []
+        for u, v in orders:
+            d = _derivative(poly._c, *((u, v) if poly_left else (v, u)))
+            if not d.any():
+                continue
+            weights.append((0.5j) ** u * (-0.5j) ** v / (math.factorial(u) * math.factorial(v)))
+            left.append(d)
+            right.append(tab[(v, u) if poly_left else (u, v)])
+        out_terms.append((_weighted_products(weights, left, right), exponent))
     return ExpPolySymbol(out_terms)
 
 
-def _star_exp_poly(f, g):
-    smax = g.total_degree()
-    gtab = _deriv_table(g, smax)
-    out_terms = []
-    for prefactor, exponent in f.terms:
-        ftab = _exp_deriv_table(prefactor, exponent, smax)
-        acc = WeylSymbol.zero()
-        for s in range(smax + 1):
-            base = (-0.5j) ** s / math.factorial(s)
-            for t in range(s + 1):
-                dg = gtab[(s - t, t)]
-                if dg.is_zero():
-                    continue
-                w = base * ((-1) ** t) * math.comb(s, t)
-                acc = acc + w * (ftab[(t, s - t)] * dg)
-        out_terms.append((acc, exponent))
-    return ExpPolySymbol(out_terms)
+def _stack(arrays):
+    shape = (max(a.shape[0] for a in arrays), max(a.shape[1] for a in arrays))
+    out = np.zeros((len(arrays),) + shape, dtype=complex)
+    for k, a in enumerate(arrays):
+        out[k, : a.shape[0], : a.shape[1]] = a
+    return out
+
+
+def _weighted_products(weights, left, right):
+    """sum_k w_k left_k right_k (pointwise products), floored per coefficient."""
+    if not weights:
+        return WeylSymbol.zero()
+    w, a, b = np.array(weights), _stack(left), _stack(right)
+    values = _scatter(np.einsum("k,kab,kcd->abcd", w, a, b))
+    mags = _scatter(np.einsum("k,kab,kcd->abcd", np.abs(w), np.abs(a), np.abs(b)))
+    return _settle(values, mags)
 
 
 def star(f, g):
@@ -476,18 +679,17 @@ def star(f, g):
     f_exp = isinstance(f, ExpPolySymbol)
     g_exp = isinstance(g, ExpPolySymbol)
     if not f_exp and not g_exp:
-        return _star_poly_poly(f, g)
+        return _settle(*_moyal(f._c, g._c))
     if f_exp and g_exp:
         raise TypeError("star product of two exponential symbols is not supported")
     if f_exp:
-        return _star_exp_poly(f, g)
-    return _star_poly_exp(f, g)
+        return _star_with_exp(g, f, poly_left=False)
+    return _star_with_exp(f, g, poly_left=True)
 
 
 def star_commutator(f, g):
-    a = star(f, g)
-    b = star(g, f)
-    return a - b
+    """f * g - g * f of two polynomial symbols, from the odd Moyal orders only."""
+    return _settle(*_moyal(f._c, g._c, odd_only=True))
 
 
 def compose_weyl(poly, x_symbol, p_symbol):
@@ -498,8 +700,6 @@ def compose_weyl(poly, x_symbol, p_symbol):
     `p_symbol` and n copies of `x_symbol`, preserving the symmetrized
     operator ordering.
     """
-    import functools
-
     out = WeylSymbol.zero()
     for (nx, npow), c in poly.items():
         count = nx + npow
@@ -516,9 +716,14 @@ def compose_weyl(poly, x_symbol, p_symbol):
     return out
 
 
+def _parity_x(c):
+    """Coefficients with x -> -x: row dx times (-1)^dx."""
+    return c * np.where(np.arange(c.shape[0]) % 2, -1.0, 1.0)[:, None]
+
+
 def pt_transform(f):
     """Simultaneous parity flip of x and complex conjugation of coefficients."""
-    return WeylSymbol({(dx, dp): ((-1) ** dx) * c.conjugate() for (dx, dp), c in f.items()})
+    return WeylSymbol._wrap(_parity_x(f._c).conj())
 
 
 def is_pt_symmetric(f, tol=ZERO_THRESHOLD):
@@ -532,7 +737,4 @@ def fourier_swap(f):
     it and the transformed symbol represents a unitarily equivalent
     (isospectral) operator.
     """
-    out = {}
-    for (dx, dp), c in f.items():
-        out[(dp, dx)] = out.get((dp, dx), 0j) + c * (-1) ** dx
-    return WeylSymbol(out)
+    return WeylSymbol._wrap(np.ascontiguousarray(_parity_x(f._c).T))

@@ -6,11 +6,14 @@ harmonic wedge, a star product computed three independent ways in the
 algebra tests).
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from pseudoherm import dynamics, identities, models
+from pseudoherm import cli, dynamics, identities, models
 from pseudoherm.cli import run
 from pseudoherm.models import SpikedHOModel
 from pseudoherm.weyl import WeylSymbol
@@ -47,6 +50,48 @@ def write_symbol(path, terms):
 def test_no_subcommand_is_usage_error(capsys):
     code, _, _ = invoke(capsys, [])
     assert code == 2
+
+
+def test_parser_is_built_once_and_reused(capsys, tmp_path):
+    # a usage error, --help and a valid star in one process give the bytes
+    # and exit codes of a freshly built parser, in any order and repeated
+    f = write_symbol(tmp_path / "f.sym", {(2, 1): 1.0, (0, 0): 0.5j})
+    g = write_symbol(tmp_path / "g.sym", {(1, 2): 1.0})
+    argvs = [
+        ["wedges", "--N", "4", "--bogus", "1"],
+        ["star", "--help"],
+        ["star", "--f", f, "--g", g],
+    ]
+
+    def outcome(argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh] == [2, 0, 0]
+    assert "usage:" in fresh[0][2] and "--op" in fresh[1][1]
+    for argv, expected in list(zip(argvs, fresh)) * 2 + list(zip(argvs, fresh))[::-1]:
+        assert outcome(argv) == expected
+    assert cli._build_parser.cache_info().currsize == 1
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy submodules are imported lazily by the commands that need them,
+    # so a new kernel cannot silently lengthen start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, pseudoherm.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

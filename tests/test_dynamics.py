@@ -15,7 +15,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad, solve_ivp
 
-from pseudoherm import dynamics, models
+from pseudoherm import models
 from pseudoherm.dynamics import (
     Pulse,
     crank_nicolson_propagate,

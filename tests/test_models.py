@@ -108,9 +108,9 @@ def test_swanson_validation():
 
 def test_power_potential_symbols():
     sym = models.power_potential_symbol(4, 0.7)
-    assert (sym - WeylSymbol({(0, 2): 1.0, (4, 0): -0.7})).max_abs() < 1e-15
+    assert sym.distance(WeylSymbol({(0, 2): 1.0, (4, 0): -0.7})) < 1e-15
     sym = models.power_potential_symbol(2, 0.7)
-    assert (sym - WeylSymbol({(0, 2): 1.0, (2, 0): 0.7})).max_abs() < 1e-15
+    assert sym.distance(WeylSymbol({(0, 2): 1.0, (2, 0): 0.7})) < 1e-15
     for N in range(1, 7):
         assert is_pt_symmetric(models.power_potential_symbol(N, 0.5))
     with pytest.raises(ValueError):
@@ -134,8 +134,39 @@ def test_x4_chain_closed_forms():
     assert h.coefficient(0, 0) == pytest.approx(-alpha + g * g * alpha, abs=1e-14)
     # metric exponent is the generator itself
     pref, expo = chain.eta_squared.terms[0]
-    assert (expo - chain.pair.q).max_abs() == 0.0
-    assert (pref - WeylSymbol.one()).max_abs() == 0.0
+    assert expo.distance(chain.pair.q) == 0.0
+    assert pref.distance(WeylSymbol.one()) == 0.0
+
+
+def _relative_floor(sym, rel=1e-12):
+    """A symbol without its terms below rel times its largest coefficient."""
+    return WeylSymbol({k: c for k, c in sym.items() if abs(c) > rel * sym.max_abs()})
+
+
+def test_small_coupling_keeps_the_induced_terms(monkeypatch):
+    # at g = 1e-7 the induced g^2 terms sit 1e-14 below the O(1) seed
+    h = models.x4_hermitian_symbol(1.0, 1e-7)
+    assert h.coefficient(0, 4) == pytest.approx(2.5e-15, rel=1e-15)
+    assert h.coefficient(0, 2) == pytest.approx(1.0 - 1e-14, rel=1e-15)
+    assert h.coefficient(0, 0) == pytest.approx(-1.0 + 1e-14, rel=1e-15)
+    chain = models.minus_x4_chain(1.0, 1e-7)
+    assert chain.pair.h.coefficient(0, 4) == pytest.approx(2.5e-15, rel=1e-14)
+    pair = models.swanson_pair(2, 3, 0.5, 1e-7)
+    assert pair.h.coefficient(4, 0) == pytest.approx(5e-15, rel=1e-14)
+    # a pair that lost them (a storage floor relative to the largest
+    # coefficient did) no longer passes the coefficientwise closed-form check
+    bch = models.hermitian_pair_from_q
+
+    def floored(h0, q, ell):
+        pair = bch(h0, q, ell)
+        return metric.SimilarityPair(h=_relative_floor(pair.h), H=pair.H, q=q, ell=ell)
+
+    monkeypatch.setattr(models, "hermitian_pair_from_q", floored)
+    assert _relative_floor(chain.pair.h).coefficient(0, 4) == 0
+    with pytest.raises(RuntimeError, match="Hermitian symbol deviates"):
+        models.minus_x4_chain(1.0, 1e-7)
+    with pytest.raises(RuntimeError, match="Swanson pair deviates"):
+        models.swanson_pair(2, 3, 0.5, 1e-7)
 
 
 def test_x4_zero_coupling():
@@ -158,7 +189,7 @@ def test_x4_partner_symbol():
     g = 0.5
     sym = models.x4_isospectral_quartic(g)
     expect = WeylSymbol({(0, 2): 1.0, (4, 0): 4 * g * g, (1, 0): -2 * g})
-    assert (sym - expect).max_abs() < 1e-15
+    assert sym.distance(expect) < 1e-15
     with pytest.raises(ValueError):
         models.x4_isospectral_quartic(0.0)
 

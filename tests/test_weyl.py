@@ -106,18 +106,18 @@ def test_canonical_commutator():
     # half-commutator convention that goes with it
     x = WeylSymbol.x()
     p = WeylSymbol.p()
-    assert (star(x, p) - WeylSymbol({(1, 1): 1.0, (0, 0): 0.5j})).max_abs() == 0.0
-    assert (star(p, x) - WeylSymbol({(1, 1): 1.0, (0, 0): -0.5j})).max_abs() == 0.0
+    assert star(x, p).distance(WeylSymbol({(1, 1): 1.0, (0, 0): 0.5j})) == 0.0
+    assert star(p, x).distance(WeylSymbol({(1, 1): 1.0, (0, 0): -0.5j})) == 0.0
 
 
 def test_star_frozen_cubic_pair():
     # hand-checked against the operator engine
     fg = star(WeylSymbol.monomial(2, 1), WeylSymbol.monomial(1, 2))
     expect = WeylSymbol({(0, 0): 0.25j, (1, 1): 0.5, (2, 2): 1.5j, (3, 3): 1.0})
-    assert (fg - expect).max_abs() < 1e-15
+    assert fg.distance(expect) < 1e-15
     gf = star(WeylSymbol.monomial(1, 2), WeylSymbol.monomial(2, 1))
     expect = WeylSymbol({(0, 0): -0.25j, (1, 1): 0.5, (2, 2): -1.5j, (3, 3): 1.0})
-    assert (gf - expect).max_abs() < 1e-15
+    assert gf.distance(expect) < 1e-15
 
 
 def test_star_matches_operator_product():
@@ -164,7 +164,7 @@ def test_compose_linear_momentum_shift():
         WeylSymbol.p() - WeylSymbol.monomial(1, 0, 1j * g),
     )
     expect = WeylSymbol({(1, 1): 1.0, (2, 0): -1j * g})
-    assert (shifted - expect).max_abs() < 1e-15
+    assert shifted.distance(expect) < 1e-15
 
 
 def test_conjugation_antihomomorphism():
@@ -231,29 +231,45 @@ def test_calculus_and_shifts():
     assert f.diff_x().terms == {(2, 2): 6.0 + 0j}
     assert f.diff_p(2).terms == {(3, 0): 4.0 + 0j}
     shifted = WeylSymbol.x(2).shift_x(1.0)
-    assert (shifted - WeylSymbol({(2, 0): 1.0, (1, 0): 2.0, (0, 0): 1.0})).max_abs() == 0.0
+    assert shifted.distance(WeylSymbol({(2, 0): 1.0, (1, 0): 2.0, (0, 0): 1.0})) == 0.0
     shifted_p = WeylSymbol.p().shift_p(-2.5)
-    assert (shifted_p - WeylSymbol({(0, 1): 1.0, (0, 0): -2.5})).max_abs() == 0.0
+    assert shifted_p.distance(WeylSymbol({(0, 1): 1.0, (0, 0): -2.5})) == 0.0
 
 
-def test_canonicalization_is_relative():
-    sym = WeylSymbol({(0, 0): 1.0, (1, 0): 5e-13})
-    assert sym.terms == {(0, 0): 1.0 + 0j}
-    tiny = WeylSymbol({(0, 0): 1e-30})
-    assert tiny.terms == {(0, 0): 1e-30 + 0j}
+def test_rounding_floor_is_per_coefficient():
+    # constructors keep every nonzero coefficient, however small next to the rest
+    sym = WeylSymbol({(0, 0): 1.0, (1, 0): 5e-13, (2, 0): 0.0})
+    assert sym.terms == {(0, 0): 1.0 + 0j, (1, 0): 5e-13 + 0j}
+    assert WeylSymbol({(0, 0): 1e-30}).terms == {(0, 0): 1e-30 + 0j}
+    # a sum keeps a small genuine term beside a large one ...
+    assert (WeylSymbol.one() + WeylSymbol.x() * 1e-20).coefficient(1, 0) == 1e-20
+    # ... and drops what is at most RESIDUE_ULPS eps of the magnitudes that fed it
+    a = WeylSymbol({(0, 0): 0.1 + 0.2, (1, 0): 1.0})
+    b = WeylSymbol({(0, 0): -0.3, (1, 0): 1e-14})
+    assert (a + b).terms == {(1, 0): 1.0 + 1e-14 + 0j}
+    assert (a - a).is_zero()
+    # distance() compares without the floor, so it still sees such residue
+    tenths = WeylSymbol.constant(0.1 + 0.2)
+    assert (tenths - WeylSymbol.constant(0.3)).is_zero()
+    assert tenths.distance(WeylSymbol.constant(0.3)) == 0.1 + 0.2 - 0.3
+    small = WeylSymbol({(0, 0): 0.3 + 1e-13})
+    assert (small - WeylSymbol.constant(0.3)).coefficient(0, 0) != 0
+    # the floor scales with each coefficient's own feeders, not with the largest
+    big = WeylSymbol({(0, 0): 1e12, (1, 0): 1e-3})
+    assert star(big, WeylSymbol.p()).coefficient(1, 1) == 1e-3
 
 
 def test_serialization_round_trip():
     rng = np.random.default_rng(19)
     f = random_symbol(rng, max_deg=4, n_terms=6)
     back = WeylSymbol.from_text(f.to_text())
-    assert (back - f).max_abs() == 0.0
+    assert back.distance(f) == 0.0
 
 
 def test_from_text_tolerates_csv():
     text = "deg_x,deg_p,re,im\n1,0,2.0,0.0\n0,1,0.0,-1.0\n# comment\n"
     sym = WeylSymbol.from_text(text)
-    assert (sym - WeylSymbol({(1, 0): 2.0, (0, 1): -1j})).max_abs() == 0.0
+    assert sym.distance(WeylSymbol({(1, 0): 2.0, (0, 1): -1j})) == 0.0
     with pytest.raises(ValueError):
         WeylSymbol.from_text("1 0 2.0\n")
 
@@ -279,16 +295,16 @@ def test_exp_symbol_star_closed_forms():
     res = star(x, E)
     assert len(res.terms) == 1
     pref, expo = res.terms[0]
-    assert (pref - x).max_abs() < 1e-15
+    assert pref.distance(x) < 1e-15
 
     res = star(p, E)
     pref, expo = res.terms[0]
-    assert (pref - (p - WeylSymbol.monomial(1, 0, 1j * g))).max_abs() < 1e-15
-    assert (expo - WeylSymbol.monomial(2, 0, g)).max_abs() == 0.0
+    assert pref.distance(p - WeylSymbol.monomial(1, 0, 1j * g)) < 1e-15
+    assert expo.distance(WeylSymbol.monomial(2, 0, g)) == 0.0
 
     res = star(E, p)
     pref, _ = res.terms[0]
-    assert (pref - (p + WeylSymbol.monomial(1, 0, 1j * g))).max_abs() < 1e-15
+    assert pref.distance(p + WeylSymbol.monomial(1, 0, 1j * g)) < 1e-15
 
     res = star(WeylSymbol.p(2), E)
     pref, _ = res.terms[0]
@@ -298,7 +314,7 @@ def test_exp_symbol_star_closed_forms():
         - WeylSymbol.monomial(2, 0, g * g)
         - WeylSymbol.constant(0.5 * g)
     )
-    assert (pref - expect).max_abs() < 1e-14
+    assert pref.distance(expect) < 1e-14
 
 
 def test_exp_symbol_term_merging():
