@@ -128,9 +128,37 @@ def _genlaguerre(n, alpha, u):
     return cur
 
 
+# 170! is the largest factorial a double holds
+_MAX_LEVEL = 170
+
+
+def _spiked_factor(model, what, compute):
+    """compute() as a finite nonzero float.
+
+    ValueError naming what when it leaves double precision (an extreme
+    lam or alpha), instead of a 0 that later divides or an OverflowError.
+    """
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < abs(value) < math.inf:
+        raise ValueError(
+            f"{what} leaves double precision at lam={model.lam:g}, alpha={model.alpha:g}"
+        )
+    return value
+
+
 def _spiked_norm(model, n):
+    if n > _MAX_LEVEL:
+        raise ValueError(f"level {n} is above {_MAX_LEVEL}: n! overflows double precision")
     return math.sqrt(
-        2.0 * model.lam ** (model.alpha + 1) * math.factorial(n) / math.gamma(model.alpha + n + 1)
+        _spiked_factor(
+            model,
+            f"the level-{n} normalization",
+            lambda: 2.0 * model.lam ** (model.alpha + 1) * math.factorial(n)
+            / math.gamma(model.alpha + n + 1),
+        )
     )
 
 
@@ -222,7 +250,8 @@ def spiked_matrix_element(model, op_kind, n, m):
         total = _gauss_laguerre(
             a + 0.5, n + m, lambda u: _genlaguerre(n, a, u) * _genlaguerre(m, a, u)
         )
-        return complex(scale * total / model.lam ** (a + 1.5))
+        lam_power = _spiked_factor(model, "lam^(alpha+3/2)", lambda: model.lam ** (a + 1.5))
+        return complex(scale * total / lam_power)
     if op_kind == "momentum":
         if a <= -0.5:
             raise ValueError(
@@ -239,7 +268,8 @@ def spiked_matrix_element(model, op_kind, n, m):
             return _genlaguerre(n, a, u) * bracket
 
         total = _gauss_laguerre(a - 0.5, n + m + 1, polynomial)
-        return complex(0.0, -scale * total / model.lam ** (a + 0.5))
+        lam_power = _spiked_factor(model, "lam^(alpha+1/2)", lambda: model.lam ** (a + 0.5))
+        return complex(0.0, -scale * total / lam_power)
     if op_kind == "mapped_position":
         position = spiked_matrix_element(model, "position", n, m)
         if model.variant == "p_shift":
@@ -272,8 +302,9 @@ def x4_nonhermitian_symbol(alpha, g):
 
 def x4_hermitian_symbol(alpha, g):
     """Seed plus the induced quartic momentum term g^2 (p^2-2 alpha)^2/(4 alpha)."""
+    seed = x4_seed(alpha)  # checks alpha > 0 before it divides
     c = g * g / (4.0 * alpha)
-    return x4_seed(alpha) + WeylSymbol(
+    return seed + WeylSymbol(
         {(0, 4): c, (0, 2): -g * g, (0, 0): g * g * alpha}
     )
 
@@ -396,7 +427,9 @@ def banded_hamiltonian(hamiltonian, grid):
 
     The spiked potential depends on alpha^2 only and the Dirichlet end
     picks the regular solution x^(|alpha|+1/2), so a grid can represent
-    the model only for alpha >= 0; ValueError for alpha < 0.
+    the model only for alpha >= 0; ValueError for alpha < 0.  ValueError
+    also when an entry leaves double precision (a huge span, coupling or
+    alpha, or a step so small that 1/h^2 overflows).
     """
     coords = grid.coordinates()
     if isinstance(hamiltonian, SpikedHOModel):
@@ -407,30 +440,39 @@ def banded_hamiltonian(hamiltonian, grid):
                 f"the grid spiked model needs alpha >= 0, got alpha={hamiltonian.alpha:g}: "
                 "the Dirichlet grid solves the model at |alpha|"
             )
-        c2 = grid.kinetic_coefficient
-        c4 = 0.0
-        potential = (
-            hamiltonian.lam ** 2 * coords ** 2
-            + (hamiltonian.alpha ** 2 - 0.25) / coords ** 2
-        )
-    else:
-        c2, c4, potential = _symbol_grid_parts(hamiltonian, grid)
-    h = grid.step
+    # numpy scalars overflow to inf (checked below) where Python floats raise
+    h = np.float64(grid.step)
     n = grid.points
-    if c4 != 0.0:
-        band = np.zeros((3, n))
-        band[2] = c2 * 2.0 / h ** 2 + c4 * 6.0 / h ** 4 + potential
-        band[1, 1:] = -c2 / h ** 2 - c4 * 4.0 / h ** 4
-        band[0, 2:] = c4 / h ** 4
-    else:
-        band = np.zeros((2, n))
-        band[1] = c2 * 2.0 / h ** 2 + potential
-        band[0, 1:] = -c2 / h ** 2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if isinstance(hamiltonian, SpikedHOModel):
+            c2 = grid.kinetic_coefficient
+            c4 = 0.0
+            potential = (
+                np.float64(hamiltonian.lam) ** 2 * coords ** 2
+                + (np.float64(hamiltonian.alpha) ** 2 - 0.25) / coords ** 2
+            )
+        else:
+            c2, c4, potential = _symbol_grid_parts(hamiltonian, grid)
+        if c4 != 0.0:
+            band = np.zeros((3, n))
+            band[2] = c2 * 2.0 / h ** 2 + c4 * 6.0 / h ** 4 + potential
+            band[1, 1:] = -c2 / h ** 2 - c4 * 4.0 / h ** 4
+            band[0, 2:] = c4 / h ** 4
+        else:
+            band = np.zeros((2, n))
+            band[1] = c2 * 2.0 / h ** 2 + potential
+            band[0, 1:] = -c2 / h ** 2
+    if not np.all(np.isfinite(band)):
+        raise ValueError(
+            f"the grid Hamiltonian on [{grid.x_min:g}, {grid.x_max:g}] with "
+            f"{grid.points} points leaves double precision"
+        )
     return band
 
 
-def hermitian_spectrum(hamiltonian, grid, k):
-    """Lowest k Dirichlet eigenpairs of the discretized Hamiltonian.
+def hermitian_spectrum(hamiltonian, grid, k, first=0):
+    """Lowest k Dirichlet eigenpairs of the discretized Hamiltonian, or
+    levels first..k-1 of them.
 
     Accepts an even-momentum WeylSymbol (x-polynomial potential plus p^2
     and optionally p^4) or a SpikedHOModel for the 1/x^2 special form.
@@ -448,16 +490,18 @@ def hermitian_spectrum(hamiltonian, grid, k):
 
     if k < 1:
         raise ValueError("k must be positive")
+    if not 0 <= first < k:
+        raise ValueError("need 0 <= first < k")
     if k > grid.points:
         raise ValueError(f"requested {k} levels from a {grid.points}-point grid")
     band = banded_hamiltonian(hamiltonian, grid)
     if band.shape[0] == 2:
         values, vectors = eigh_tridiagonal(
-            band[1], band[0, 1:], select="i", select_range=(0, k - 1),
+            band[1], band[0, 1:], select="i", select_range=(first, k - 1),
             tol=2.0 * lapack.dlamch("S"),
         )
     else:
-        values, vectors = eig_banded(band, lower=False, select="i", select_range=(0, k - 1))
+        values, vectors = eig_banded(band, lower=False, select="i", select_range=(first, k - 1))
     vectors = vectors / math.sqrt(grid.step)
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, grid=grid)
 

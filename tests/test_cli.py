@@ -528,6 +528,75 @@ def test_propagate_subcommand(capsys):
     assert float(rows[-1].split(",")[0]) == 0.5
 
 
+def test_propagate_starts_from_the_exact_level(capsys):
+    code, out, _ = invoke(
+        capsys, ["propagate", "--grid", "0,12,300", "--T", "0.5", "--snapshots", "1"]
+    )
+    assert code == 0
+    _, rows = data_rows(out)
+    assert rows[0] == "0,1,0"
+
+
+@pytest.mark.parametrize("flag", ["--n", "--m", "--snapshots", "--seed"])
+def test_propagate_negative_counts_are_usage_errors(capsys, flag):
+    # a negative level index would read another level (or the truncation
+    # probe) from the end of the coefficient vector
+    code, out, err = invoke(
+        capsys, ["propagate", "--grid", "0,12,300", "--T", "0.1", flag, "-1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be non-negative" in err
+
+
+def test_propagate_zero_step_is_rejected_before_rounding(capsys):
+    code, out, err = invoke(capsys, ["propagate", "--dt", "0", "--T", "0.1"])
+    assert code == 1
+    assert out == ""
+    assert "dt > 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spiked", "--n", "2", "--m", "3", "--lambda", "1e-300"],
+         "normalization leaves double precision at lam=1e-300"),
+        (["spiked", "--n", "2", "--m", "3", "--alpha", "1e6"],
+         "normalization leaves double precision at lam=0.5, alpha=1e+06"),
+        (["spiked", "--n", "400", "--m", "3"], "level 400 is above 170"),
+        (["spectrum", "--model", "x4h", "--params", "alpha=0", "--grid", "-6,6,400",
+          "--levels", "2"], "alpha must be positive"),
+    ],
+)
+def test_unrepresentable_model_parameters_exit_1(capsys, argv, message):
+    code, out, err = invoke(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_spectrum_negative_refine_is_usage_error(capsys):
+    code, out, err = invoke(
+        capsys,
+        ["spectrum", "--model", "spiked", "--grid", "0,10,200", "--levels", "2",
+         "--refine", "-1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "--refine must be non-negative" in err
+
+
+def test_transition_beyond_first_order_exits_1(capsys):
+    code, out, err = invoke(
+        capsys, ["transition", "--E0", "5", "--omega", "1.9:2.1:3", "--xi", "0"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "27771.5" in err and "P <= 1" in err
+    code, _, _ = invoke(capsys, ["transition", "--omega", "1.9:2.1:3", "--xi", "0"])
+    assert code == 0
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = invoke(capsys, ["verify-all"])
     assert code == 0

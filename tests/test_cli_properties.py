@@ -1,0 +1,90 @@
+"""Property test of the `propagate` command line.
+
+Uses Hypothesis (MacIver et al., "Hypothesis: A new approach to
+property-based testing", JOSS 4 (2019) 1891) with a derandomized, fixed
+example budget, so every run draws the same argvs.  Each parameter is left
+at its default or drawn from the edges of its kind: 0, +-1e-300, +-1e300,
+negative numbers and huge integers.  T stays at or below 0.05 and grids at
+or below 200 points, so an accepted run is short.  Whatever the draw,
+`cli.run` returns 0, 1 or 2 without raising (numpy warnings are errors
+under the test configuration); an error prints nothing on stdout; exit 0
+prints only finite numbers, with every population in [0, 1]; and the same
+argv prints the same bytes twice.
+"""
+import contextlib
+import io
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pseudoherm import cli
+
+EDGE_FLOATS = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "-1", "-0.5")
+EDGE_INTS = ("0", "-1", "-3", str(10**20), str(2**63))
+FINAL_TIMES = ("0.05", "0.02", "0", "1e-300", "-1e-300", "-1", "-1e300")
+GRID_ENDS = ("0", "14", "1e-300", "-1e-300", "1e300", "-1e300", "-1")
+GRID_POINTS = ("16", "64", "200", "15", "0", "-1")
+
+
+def _flag(kind):
+    if kind == "float":
+        return st.sampled_from(EDGE_FLOATS)
+    if kind == "int":
+        return st.sampled_from(EDGE_INTS)
+    if kind == "optfloat":
+        return st.sampled_from(FINAL_TIMES)
+    assert kind == "grid", kind
+    edges = st.builds(
+        lambda lo, hi, points: f"{lo},{hi},{points}",
+        st.sampled_from(GRID_ENDS), st.sampled_from(GRID_ENDS), st.sampled_from(GRID_POINTS),
+    )
+    return st.one_of(st.sampled_from(("0,14,64", "0,8,200", "0,14,16")), edges)
+
+
+PARAMS = {p.name: p for p in cli._SUBCOMMANDS["propagate"].params + cli._COMMON}
+
+
+@st.composite
+def propagate_argvs(draw):
+    # T and the grid are always set (their defaults are a long run); up to
+    # three other flags take an edge value and the rest keep their defaults,
+    # so that some draws pass every check and the accepted edges (E0 = 1e300,
+    # dt = 1e300, lambda = 1e-300, ...) reach the propagator
+    others = sorted(set(PARAMS) - {"T", "grid"})
+    names = ["T", "grid"] + draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+    argv = ["propagate"]
+    for name in names:
+        argv += [f"--{name}", draw(_flag(PARAMS[name].kind))]
+    return argv
+
+
+def _invoke(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(propagate_argvs())
+# accepted edges, each run on every pass
+@example(["propagate", "--T", "0.05", "--grid", "0,14,64", "--E0", "1e300"])
+@example(["propagate", "--T", "0.05", "--grid", "0,8,200", "--dt", "1e300", "--lambda", "1e-300"])
+@example(["propagate", "--T", "1e-300", "--grid", "0,14,16", "--alpha", "0", "--omega", "1e300"])
+@example(["propagate", "--T", "0.02", "--grid", "1e-300,14,64", "--tau", "1e-300",
+          "--snapshots", "0"])
+def test_propagate_never_raises_and_prints_only_valid_rows(argv):
+    code, out = _invoke(argv)
+    assert code in (0, 1, 2)
+    assert _invoke(argv) == (code, out)
+    if code != 0:
+        assert out == ""
+        return
+    assert "nan" not in out and "inf" not in out
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "t,norm,population_n"
+    for row in lines[1:]:
+        t, norm, population = (float(cell) for cell in row.split(","))
+        assert math.isfinite(t) and math.isfinite(norm)
+        assert 0.0 <= population <= 1.0

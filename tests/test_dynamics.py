@@ -6,8 +6,11 @@ quadrature for the first Born term, closed-form Gaussian spreading, and
 Ehrenfest relations for the laser-only propagator.  The implicit
 midpoint grid propagator is played against the spectral laser propagator,
 which pins the dynamical phase, and against a Strang split-step
-propagator in a driven harmonic well.
+propagator in a driven harmonic well.  The eigenbasis propagator is
+checked against the Crank-Nicolson Richardson limit, the first-order
+amplitude on the grid's own levels, and exact zero-field level phases.
 """
+import functools
 import math
 
 import numpy as np
@@ -17,14 +20,17 @@ from scipy.integrate import quad, solve_ivp
 
 from pseudoherm import models
 from pseudoherm.dynamics import (
+    TRUNCATION_POPULATION,
     Pulse,
     crank_nicolson_propagate,
+    eigenbasis_propagate,
     field_integrals,
     field_value,
     first_order_strong_field,
     first_order_transition,
     gauge_residual,
     gordon_volkov_propagate,
+    propagate_level,
     transition_sweep,
 )
 from pseudoherm.models import GridSpec, SpikedHOModel
@@ -320,6 +326,19 @@ def test_sweep_validation():
         transition_sweep(below_half, 3, 2, 0.01, 1.7, 2.3, 5, 30.0, [0.0])
 
 
+def test_sweep_rejects_results_beyond_first_order():
+    model = SpikedHOModel(lam=0.5, alpha=0.2)
+    # on resonance the first-order "probability" reaches 27771 at E0 = 5
+    for E0 in (5.0, 1e200):
+        with pytest.raises(ValueError, match="P <= 1"):
+            transition_sweep(model, 2, 3, E0, 1.9, 2.1, 3, 20.0 * math.pi, [0.0])
+    # on the diagonal the bound applies to the first-order term, not to |1 - i term|^2
+    curves = transition_sweep(model, 2, 2, 0.005, 1.0, 1.5, 3, 30.0, [0.0])
+    assert np.all(curves[0].probability > 1.0)
+    with pytest.raises(ValueError, match="P <= 1"):
+        transition_sweep(model, 2, 2, 5.0, 1.0, 1.5, 3, 30.0, [0.0])
+
+
 # -- implicit midpoint grid propagation -----------------------------------
 
 
@@ -484,6 +503,147 @@ def test_crank_nicolson_matches_strang_split_step():
         diffs.append(math.sqrt(grid_norm(stepped - split, grid)))
     assert diffs[1] < 2e-3
     assert 3.8 < diffs[0] / diffs[1] < 4.2
+
+
+# -- eigenbasis propagation ------------------------------------------------
+
+SPIKED = SpikedHOModel(lam=0.5, alpha=0.2)
+ORACLE_GRID = GridSpec(0.0, 14.0, 400)
+
+
+@functools.lru_cache(maxsize=None)
+def cn_richardson(E0, omega, T, m=2, n=3):
+    """Crank-Nicolson population of level n after driving level m.
+
+    Runs dt = 0.002, 0.001 and 0.0005 on ORACLE_GRID and returns the
+    Richardson limit of the two finest with the ratio of successive
+    differences (4 for a second-order method).
+    """
+    system = models.hermitian_spectrum(SPIKED, ORACLE_GRID, max(m, n) + 1)
+    pulse = Pulse(E0=E0, omega=omega, tau=T)
+    start = system.eigenvectors[:, m].astype(complex)
+    pops = []
+    for dt in (0.002, 0.001, 0.0005):
+        psi = crank_nicolson_propagate(SPIKED, pulse, ORACLE_GRID, start, dt, T)
+        pops.append(abs(ORACLE_GRID.step * np.vdot(system.eigenvectors[:, n], psi)) ** 2)
+    ratio = (pops[0] - pops[1]) / (pops[1] - pops[2])
+    return pops[2] + (pops[2] - pops[1]) / 3.0, ratio
+
+
+@pytest.mark.parametrize("omega, bound", [(1.8, 1e-7), (2.0, 2e-7)])
+def test_eigenbasis_matches_crank_nicolson_richardson_limit(omega, bound):
+    # the propagate defaults' weak field, off resonance (omega = 1.8) and on
+    # it.  Most of the gap is truncation: the rule's top level at <= 1e-10
+    # leaves the monitored population about 1e-7 off (K = 12 here)
+    limit, ratio = cn_richardson(0.005, omega, 5.0)
+    assert abs(ratio - 4.0) < 0.01
+    pulse = Pulse(E0=0.005, omega=omega, tau=5.0)
+    _, c = propagate_level(SPIKED, pulse, ORACLE_GRID, 2, 3, 0.001, 5.0)
+    assert abs(abs(c[-1, 3]) ** 2 - limit) <= bound * limit
+
+
+def test_truncation_rule_grows_the_basis_under_a_strong_field():
+    limit, ratio = cn_richardson(1.0, 1.8, 5.0)
+    assert abs(ratio - 4.0) < 0.01
+    pulse = Pulse(E0=1.0, omega=1.8, tau=5.0)
+    _, c = propagate_level(SPIKED, pulse, ORACLE_GRID, 2, 3, 0.001, 5.0)
+    assert c.shape[1] > 8
+    assert np.max(np.abs(c[:, -1]) ** 2) <= TRUNCATION_POPULATION
+    assert abs(abs(c[-1, 3]) ** 2 - limit) <= 1e-6 * limit
+    # the rule's first try, a fixed max(n, m) + 5 levels, misses the same
+    # bound, and its top level shows it
+    system = models.hermitian_spectrum(SPIKED, ORACLE_GRID, 8)
+    fixed = eigenbasis_propagate(system, pulse, np.eye(8)[2], 0.001, [0.0, 5.0])
+    assert np.max(np.abs(fixed[:, -1]) ** 2) > TRUNCATION_POPULATION
+    assert abs(abs(fixed[-1, 3]) ** 2 - limit) > 1e-6 * limit
+
+
+def test_eigenbasis_weak_field_matches_first_order_on_grid_levels():
+    # c_n(T) = -i exp(-i E_n T) <n|x|m> int_0^T exp(i delta s) E(s) ds to
+    # first order, with the grid's own levels and element; the remainder
+    # is first order in E0 relative (the diagonal elements shift phases)
+    E0, omega, T = 1e-5, 1.8, 5.0
+    system = models.hermitian_spectrum(SPIKED, ORACLE_GRID, 4)
+    vectors, energies = system.eigenvectors, system.eigenvalues
+    x = ORACLE_GRID.step * vectors[:, 3] @ (ORACLE_GRID.coordinates() * vectors[:, 2])
+    delta = energies[3] - energies[2]
+    plus = (np.exp(1j * (delta + omega) * T) - 1.0) / (1j * (delta + omega))
+    minus = (np.exp(1j * (delta - omega) * T) - 1.0) / (1j * (delta - omega))
+    expected = -1j * x * E0 * (plus - minus) / 2j
+    _, c = propagate_level(SPIKED, Pulse(E0=E0, omega=omega, tau=T), ORACLE_GRID, 2, 3, 0.001, T)
+    assert abs(c[-1, 3] * np.exp(1j * energies[3] * T) - expected) <= 1e-4 * abs(expected)
+    assert abs(abs(c[-1, 3]) ** 2 - abs(expected) ** 2) <= 1e-6 * abs(expected) ** 2
+    assert abs(c[-1, 2] * np.exp(1j * energies[2] * T) - 1.0) <= 1e-4
+
+
+def test_eigenbasis_zero_field_keeps_exact_level_phases():
+    system = models.hermitian_spectrum(SPIKED, ORACLE_GRID, 6)
+    off = Pulse(E0=0.0, omega=1.0, tau=1.0)
+    c0 = (np.arange(6) + 1.0) * np.exp(0.3j * np.arange(6))
+    c0 /= np.linalg.norm(c0)
+    times = np.array([0.0, 0.7, 5.0])
+    c = eigenbasis_propagate(system, off, c0, 1e-3, times)
+    expected = c0 * np.exp(-1j * np.outer(times, system.eigenvalues))
+    assert np.max(np.abs(c - expected)) < 1e-12
+
+
+def test_eigenbasis_split_clock_matches_one_run():
+    # the pulse ends inside the run, and the second leg starts its clock
+    # at times[0] = 1.2
+    pulse = Pulse(E0=0.05, omega=1.9, tau=1.5)
+    system = models.hermitian_spectrum(SPIKED, ORACLE_GRID, 10)
+    c0 = np.eye(10)[2]
+    whole = eigenbasis_propagate(system, pulse, c0, 1e-3, [0.0, 2.0])
+    first = eigenbasis_propagate(system, pulse, c0, 1e-3, [0.0, 1.2])
+    second = eigenbasis_propagate(system, pulse, first[-1], 1e-3, [1.2, 2.0])
+    snapshots = eigenbasis_propagate(system, pulse, c0, 1e-3, [0.0, 1.2, 2.0])
+    assert np.array_equal(snapshots[1:], np.vstack([first[-1], second[-1]]))
+    assert np.max(np.abs(whole[-1] - second[-1])) < 1e-12
+    assert abs(whole[-1, 3]) > 1e-3
+
+
+def test_eigenbasis_norm_drift_on_the_default_grid():
+    grid = GridSpec(0.0, 14.0, 1400)
+    pulse = Pulse(E0=0.005, omega=1.8, tau=20.0 * 2.0 * math.pi / 1.8)
+    times, c = propagate_level(SPIKED, pulse, grid, 2, 3, 0.001, 20.0, 50)
+    assert times[-1] == 20.0 and len(times) == 51
+    assert c[0, 3] == 0.0 and np.linalg.norm(c[0]) == 1.0
+    assert np.max(np.abs(np.linalg.norm(c, axis=1) - 1.0)) <= 1e-10
+
+
+def test_eigenbasis_validation():
+    grid = GridSpec(0.0, 14.0, 100)
+    system = models.hermitian_spectrum(SPIKED, grid, 6)
+    pulse = Pulse(E0=0.01, omega=2.0, tau=1.0)
+    c0 = np.eye(6)[0]
+    for dt in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="dt > 0"):
+            eigenbasis_propagate(system, pulse, c0, dt, [0.0, 1.0])
+        with pytest.raises(ValueError, match="dt > 0"):
+            propagate_level(SPIKED, pulse, grid, 0, 1, dt, 0.1)
+    for times in ([1.0, 0.5], [-1.0, 0.0], [0.0, math.inf], []):
+        with pytest.raises(ValueError, match="times"):
+            eigenbasis_propagate(system, pulse, c0, 1e-3, times)
+    with pytest.raises(ValueError, match="shape"):
+        eigenbasis_propagate(system, pulse, c0[:-1], 1e-3, [0.0, 1.0])
+    with pytest.raises(ValueError, match="steps"):
+        eigenbasis_propagate(system, pulse, c0, 1e-12, [0.0, 1e3])
+    for T in (-1.0, math.inf):
+        with pytest.raises(ValueError, match="T >= 0"):
+            propagate_level(SPIKED, pulse, grid, 0, 1, 1e-3, T)
+    with pytest.raises(ValueError, match="non-negative"):
+        propagate_level(SPIKED, pulse, grid, 0, -1, 1e-3, 0.1)
+    with pytest.raises(ValueError, match="grid size"):
+        propagate_level(SPIKED, pulse, grid, 100, 1, 1e-3, 0.1)
+    for dt, snapshots in ((1e-300, 1), (1e-3, 10**20)):
+        with pytest.raises(ValueError, match="steps"):
+            propagate_level(SPIKED, pulse, grid, 0, 1, dt, 0.1, snapshots)
+    huge = Pulse(E0=1e300, omega=2.0, tau=1.0)
+    with pytest.raises(ValueError, match="overflow"):
+        propagate_level(SPIKED, huge, grid, 0, 1, 1e300, 1e300)
+    # a zero-length run leaves every snapshot at the initial level
+    times, c = propagate_level(SPIKED, pulse, grid, 0, 1, 1e-3, 0.0, 3)
+    assert np.array_equal(times, np.zeros(4)) and np.array_equal(c, np.tile(np.eye(6)[0], (4, 1)))
 
 
 # -- laser-only spectral propagation --------------------------------------

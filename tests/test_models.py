@@ -578,3 +578,57 @@ def test_grid_hamiltonian_validation():
         models.hermitian_spectrum(WeylSymbol.p(2), grid, 101)
     with pytest.raises(ValueError):
         models.refined_eigenvalues(WeylSymbol.p(2), grid, 2, refinements=0)
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, grid",
+    [
+        (SpikedHOModel(lam=0.7, alpha=0.3), GridSpec(0.0, 14.0, 1400)),
+        (WeylSymbol.p(2) * 0.5 + WeylSymbol.p(4) * 0.02 + WeylSymbol.x(2) * 0.5,
+         GridSpec(-8.0, 8.0, 400)),
+    ],
+)
+def test_hermitian_spectrum_upper_levels_match_the_full_solve(hamiltonian, grid):
+    full = models.hermitian_spectrum(hamiltonian, grid, 9)
+    upper = models.hermitian_spectrum(hamiltonian, grid, 9, first=5)
+    assert upper.eigenvalues == pytest.approx(full.eigenvalues[5:], rel=1e-14)
+    # the same vectors up to sign
+    signs = np.sign(np.sum(upper.eigenvectors * full.eigenvectors[:, 5:], axis=0))
+    assert np.max(np.abs(upper.eigenvectors * signs - full.eigenvectors[:, 5:])) < 1e-9
+    for first in (-1, 9):
+        with pytest.raises(ValueError, match="first"):
+            models.hermitian_spectrum(hamiltonian, grid, 9, first=first)
+
+
+@pytest.mark.parametrize(
+    "model, grid",
+    [
+        (SpikedHOModel(lam=1e300, alpha=0.2), GridSpec(0.0, 14.0, 100)),
+        (SpikedHOModel(lam=0.5, alpha=1e300), GridSpec(0.0, 14.0, 100)),
+        (SpikedHOModel(lam=0.5, alpha=0.2), GridSpec(0.0, 1e300, 100)),
+        (SpikedHOModel(lam=0.5, alpha=0.2), GridSpec(0.0, 1e-300, 100)),
+        (WeylSymbol.p(2) + WeylSymbol.x(8), GridSpec(-1e50, 1e50, 100)),
+    ],
+)
+def test_grid_hamiltonian_outside_double_precision_is_rejected(model, grid):
+    with pytest.raises(ValueError, match="leaves double precision"):
+        models.banded_hamiltonian(model, grid)
+
+
+@pytest.mark.parametrize(
+    "lam, alpha, n, message",
+    [
+        (1e-300, 0.2, 2, "level-2 normalization"),
+        (1e-250, 0.2, 2, "lam\\^\\(alpha\\+3/2\\)"),
+        (1e300, 0.2, 2, "level-2 normalization"),
+        (0.5, 1e6, 2, "level-2 normalization"),
+        (0.5, 0.2, 171, "above 170"),
+    ],
+)
+def test_spiked_elements_outside_double_precision_are_rejected(lam, alpha, n, message):
+    model = SpikedHOModel(lam=lam, alpha=alpha)
+    with pytest.raises(ValueError, match=message):
+        models.spiked_matrix_element(model, "position", n, 3)
+    # the largest level whose factorial a double holds still works
+    edge = models.spiked_matrix_element(SpikedHOModel(lam=0.5, alpha=0.2), "position", 170, 3)
+    assert math.isfinite(edge.real) and edge.real != 0.0
