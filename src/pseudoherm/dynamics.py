@@ -500,9 +500,10 @@ def propagate_level(h0_spec, pulse, grid, m, n, dt, T, snapshots=1):
         margin *= 2
         kept, K = K, min(need + margin, grid.points)
         more = hermitian_spectrum(h0_spec, grid, K, first=kept)
-        # separate inverse iterations leave the new vectors orthogonal to
-        # the kept ones only to about eps |H| / gap (1e-13 to 1e-12 on the
-        # benchmark grids), far inside the truncation error
+        # each solve is orthonormal within itself (its Rayleigh-Ritz step),
+        # but the new vectors are orthogonal to the kept ones only to the
+        # residual over the gap, about eps |H| / gap (1e-13 at 1400 points
+        # and 6e-11 at 4000 on [0, 14]), far inside the truncation error
         system = replace(
             system,
             eigenvalues=np.concatenate([system.eigenvalues, more.eigenvalues]),

@@ -347,6 +347,13 @@ def minus_x4_chain(alpha, g):
 # -- finite-difference spectra --------------------------------------------
 
 
+# Grids of more points are refused before any array is built.  Each grid
+# array holds 8 bytes a point, and a finer grid buys nothing in double
+# precision: the rounding error eps |T| ~ 4 eps / h^2 of a level already
+# exceeds the O(h^2) discretization error long before this size.
+MAX_POINTS = 10**7
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform Dirichlet grid of interior points.
@@ -355,7 +362,7 @@ class GridSpec:
     the wavefunction vanishes at both ends.  kinetic_coefficient supplies
     the p^2 coefficient when the Hamiltonian itself carries no momentum
     terms (1 for p^2, 0.5 for p^2/2); symbols with explicit p^2 or p^4
-    terms override it.
+    terms override it.  points must lie in [16, MAX_POINTS].
     """
 
     x_min: float
@@ -370,6 +377,11 @@ class GridSpec:
             raise ValueError(f"grid points must be an integer, got {self.points!r}")
         if self.points < 16:
             raise ValueError("grid needs at least 16 points")
+        if self.points > MAX_POINTS:
+            raise ValueError(
+                f"grid of {self.points} points is above MAX_POINTS = {MAX_POINTS}: "
+                "a finer grid gains nothing in double precision"
+            )
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
 
@@ -478,15 +490,18 @@ def hermitian_spectrum(hamiltonian, grid, k, first=0):
     and optionally p^4) or a SpikedHOModel for the 1/x^2 special form.
     Eigenvectors are normalized in the grid inner product h * sum(v^2).
 
-    A tridiagonal band goes straight to bisection and inverse iteration
-    (eigh_tridiagonal: stebz + stein) with the absolute tolerance that
-    eig_banded passes to sbevx, so it needs O(n k) memory and no n x n
-    workspace.  The result is bit for bit eig_banded's: sbevx runs the
-    same pair, after a trivial reduction whose n x n orthogonal factor
-    (the identity) it builds and multiplies into the eigenvectors at
-    O(n^2 k) cost.  A pentadiagonal band (p^4 term) keeps eig_banded.
+    A tridiagonal band T (every spiked and xt4 grid, and the swapped x4h
+    form) is solved in O(n k) memory by _tridiagonal_eigenpairs: LAPACK
+    bisection (stebz) to an absolute tolerance of 1e-8 |T|, inverse
+    iteration (stein) for the vectors and one Rayleigh-Ritz step on their
+    span.  The pairs are accepted when every residual |T v - theta v| is
+    at most RESIDUAL_ULPS * eps * |T|, the accuracy a backward-stable
+    solver can promise (|T| is the largest absolute row sum); otherwise
+    the three steps run once more at LAPACK's own tolerance ulp * |T|.
+    The eigenvalues agree with full-precision bisection to about
+    eps * |T|.  A pentadiagonal band (p^4 term) goes to eig_banded.
     """
-    from scipy.linalg import eig_banded, eigh_tridiagonal, lapack
+    from scipy.linalg import eig_banded
 
     if k < 1:
         raise ValueError("k must be positive")
@@ -496,14 +511,62 @@ def hermitian_spectrum(hamiltonian, grid, k, first=0):
         raise ValueError(f"requested {k} levels from a {grid.points}-point grid")
     band = banded_hamiltonian(hamiltonian, grid)
     if band.shape[0] == 2:
-        values, vectors = eigh_tridiagonal(
-            band[1], band[0, 1:], select="i", select_range=(first, k - 1),
-            tol=2.0 * lapack.dlamch("S"),
-        )
+        values, vectors = _tridiagonal_eigenpairs(band[1], band[0, 1:], first, k)
     else:
         values, vectors = eig_banded(band, lower=False, select="i", select_range=(first, k - 1))
     vectors = vectors / math.sqrt(grid.step)
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, grid=grid)
+
+
+# Residual gate of _tridiagonal_eigenpairs, in units of eps * |T|.
+RESIDUAL_ULPS = 16
+
+
+def _tridiagonal_eigenpairs(d, e, first, k):
+    """Levels first..k-1 of the symmetric tridiagonal T = (d, e), with
+    unit 2-norm vectors as columns, at the accuracy eps * |T| allows.
+
+    Bisection to 1e-8 |T| leaves each Ritz value off by far less than the
+    level spacings of a grid Hamiltonian, and inverse iteration plus the
+    Rayleigh-Ritz step on the k - first vectors brings the pairs to the
+    rounding level.  Levels closer together than the coarse tolerance
+    can leave a residual above the gate; then bisection runs to LAPACK's
+    own tolerance (abstol 0 means ulp * |T|_1).  LinAlgError when stebz
+    fails or stein does not converge at that tolerance.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
+    off = np.abs(e)
+    rows = np.abs(d)
+    rows[:-1] += off
+    rows[1:] += off
+    norm = float(np.max(rows))
+    for tol in (1e-8 * norm, 0.0):
+        m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, first + 1, k, tol, "B")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"stebz failed (info={info})")
+        vectors, info = stein(d, e, w[:m], iblock, isplit)
+        if info < 0:
+            raise np.linalg.LinAlgError(f"stein: illegal argument {-info}")
+        if info > 0:
+            if tol == 0.0:
+                raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
+            continue
+        applied = d[:, None] * vectors
+        applied[:-1] += e[:, None] * vectors[1:]
+        applied[1:] += e[:, None] * vectors[:-1]
+        values, rotation = np.linalg.eigh(vectors.T @ applied)
+        # each Ritz vector keeps the sign of the stein vector it mostly
+        # comes from, so a level's vector does not depend on k or first
+        pivots = np.abs(rotation).argmax(axis=0)
+        rotation *= np.sign(rotation[pivots, np.arange(m)])
+        vectors = vectors @ rotation
+        applied = applied @ rotation
+        residual = np.max(np.linalg.norm(applied - vectors * values, axis=0))
+        if residual <= RESIDUAL_ULPS * np.finfo(float).eps * norm:
+            break
+    return values, vectors
 
 
 def refined_eigenvalues(hamiltonian, grid, k, refinements=2):
@@ -511,14 +574,15 @@ def refined_eigenvalues(hamiltonian, grid, k, refinements=2):
 
     Solves on grids with step h, h/2, ... (refinements extra solves),
     estimates the observed convergence order per level, and extrapolates.
+    Every grid is built before the first solve, so a finest grid above
+    MAX_POINTS is refused up front.
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")
-    levels = []
-    spec = grid
-    for _ in range(refinements + 1):
-        levels.append(hermitian_spectrum(hamiltonian, spec, k).eigenvalues)
-        spec = replace(spec, points=2 * spec.points + 1)
+    specs = [grid]
+    for _ in range(refinements):
+        specs.append(replace(specs[-1], points=2 * specs[-1].points + 1))
+    levels = [hermitian_spectrum(hamiltonian, spec, k).eigenvalues for spec in specs]
     if refinements == 1:
         coarse, fine = levels
         return fine + (fine - coarse) / 3.0

@@ -516,7 +516,9 @@ class ExpPolySymbol:
 
     Closed under differentiation, multiplication by a WeylSymbol, and
     star products with a WeylSymbol on either side.  Canonical form
-    merges terms with coinciding exponents and drops zero prefactors.
+    merges terms whose exponents are equal coefficient for coefficient
+    (exponents that differ only by rounding stay separate terms) and
+    drops zero prefactors.
     """
 
     __slots__ = ("_terms",)
@@ -531,7 +533,7 @@ class ExpPolySymbol:
             if prefactor.is_zero():
                 continue
             for entry in merged:
-                if entry[1].isclose(exponent):
+                if entry[1] == exponent:
                     entry[0] = entry[0] + prefactor
                     break
             else:

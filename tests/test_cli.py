@@ -586,6 +586,22 @@ def test_spectrum_negative_refine_is_usage_error(capsys):
     assert "--refine must be non-negative" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--model", "spiked", "--grid", f"0,14,{10**12}", "--levels", "3"],
+        ["spectrum", "--model", "xt4", "--grid", "-6,6,200", "--levels", "2",
+         "--refine", str(10**20)],
+        ["propagate", "--grid", f"0,14,{10**12}", "--T", "0.1"],
+    ],
+)
+def test_grid_above_max_points_exits_1(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "MAX_POINTS" in err
+
+
 def test_transition_beyond_first_order_exits_1(capsys):
     code, out, err = invoke(
         capsys, ["transition", "--E0", "5", "--omega", "1.9:2.1:3", "--xi", "0"]

@@ -1,15 +1,16 @@
-"""Property test of the `propagate` command line.
+"""Property tests of the `propagate` and `spectrum` command lines.
 
 Uses Hypothesis (MacIver et al., "Hypothesis: A new approach to
 property-based testing", JOSS 4 (2019) 1891) with a derandomized, fixed
 example budget, so every run draws the same argvs.  Each parameter is left
 at its default or drawn from the edges of its kind: 0, +-1e-300, +-1e300,
-negative numbers and huge integers.  T stays at or below 0.05 and grids at
-or below 200 points, so an accepted run is short.  Whatever the draw,
-`cli.run` returns 0, 1 or 2 without raising (numpy warnings are errors
-under the test configuration); an error prints nothing on stdout; exit 0
-prints only finite numbers, with every population in [0, 1]; and the same
-argv prints the same bytes twice.
+negative numbers and huge integers.  T stays at or below 0.05 and accepted
+grids at or below 200 points, so an accepted run is short.  Whatever the
+draw, `cli.run` returns 0, 1 or 2 without raising (numpy warnings are
+errors under the test configuration); an error prints nothing on stdout;
+exit 0 prints only finite numbers (for `propagate` every population in
+[0, 1], for `spectrum` one ascending energy per level); and the same argv
+prints the same bytes twice.
 """
 import contextlib
 import io
@@ -43,6 +44,9 @@ def _flag(kind):
 
 
 PARAMS = {p.name: p for p in cli._SUBCOMMANDS["propagate"].params + cli._COMMON}
+# half the --levels and --refine draws are accepted values, half edges
+LEVELS = st.one_of(st.sampled_from(("1", "3", "6")), st.sampled_from(EDGE_INTS))
+REFINE = st.one_of(st.sampled_from(("1", "2")), st.sampled_from(EDGE_INTS))
 
 
 @st.composite
@@ -88,3 +92,47 @@ def test_propagate_never_raises_and_prints_only_valid_rows(argv):
         t, norm, population = (float(cell) for cell in row.split(","))
         assert math.isfinite(t) and math.isfinite(norm)
         assert 0.0 <= population <= 1.0
+
+
+@st.composite
+def spectrum_argvs(draw):
+    # model, grid and levels are required; --refine and one --params entry
+    # (a known key, or an unknown one) are drawn or left at their defaults
+    model = draw(st.sampled_from(sorted(cli._SPECTRUM_DEFAULTS)))
+    accepted = ("0,14,64", "0,8,200", "0,14,16") if model == "spiked" else (
+        "-6,6,64", "-8,8,200", "-5,5,16")
+    grid = draw(st.one_of(st.sampled_from(accepted), _flag("grid")))
+    argv = ["spectrum", "--model", model, "--grid", grid,
+            "--levels", draw(LEVELS)]
+    if draw(st.booleans()):
+        argv += ["--refine", draw(REFINE)]
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(cli._SPECTRUM_DEFAULTS[model]) + ["omega"]))
+        argv += ["--params", f"{key}={draw(st.sampled_from(EDGE_FLOATS))}"]
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(spectrum_argvs())
+# accepted runs of every model, two refined, each run on every pass
+@example(["spectrum", "--model", "spiked", "--grid", "0,14,200", "--levels", "6",
+          "--refine", "2"])
+@example(["spectrum", "--model", "x4h", "--grid", "-8,8,200", "--levels", "3",
+          "--refine", "1", "--params", "g=1e-300"])
+@example(["spectrum", "--model", "xt4", "--grid", "-5,5,16", "--levels", "1",
+          "--params", "g=1e-300"])
+def test_spectrum_never_raises_and_prints_ascending_levels(argv):
+    code, out = _invoke(argv)
+    assert code in (0, 1, 2)
+    assert _invoke(argv) == (code, out)
+    if code != 0:
+        assert out == ""
+        return
+    assert "nan" not in out and "inf" not in out
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "n,energy"
+    levels = int(argv[argv.index("--levels") + 1])
+    assert [row.split(",")[0] for row in lines[1:]] == [str(n) for n in range(levels)]
+    energies = [float(row.split(",")[1]) for row in lines[1:]]
+    assert all(math.isfinite(value) for value in energies)
+    assert energies == sorted(energies)

@@ -3,8 +3,9 @@
 Wavefunction oracles come from the scipy Laguerre evaluator and direct
 quadrature; matrix elements from 30-digit mpmath gamma sums of the
 levels expanded in monomials of x; grid eigensolvers are cross-checked against dense matrices
-assembled independently in this file, and bit for bit against scipy's
-band-storage driver eig_banded.
+assembled independently in this file, and against scipy's band-storage
+driver eig_banded and full-precision bisection to a few eps times the
+band norm.
 """
 import math
 
@@ -442,6 +443,22 @@ def test_grid_spec_accepts_numpy_integer_points():
     assert GridSpec(0.0, 1.0, np.int64(100)).coordinates().size == 100
 
 
+def test_grid_spec_refuses_points_above_max_points(monkeypatch):
+    # refused in the constructor, before coordinates() builds any array
+    with pytest.raises(ValueError, match="MAX_POINTS"):
+        GridSpec(0.0, 14.0, 10**12)
+    with pytest.raises(ValueError, match="MAX_POINTS"):
+        GridSpec(0.0, 14.0, models.MAX_POINTS + 1)
+    assert GridSpec(0.0, 14.0, models.MAX_POINTS).points == models.MAX_POINTS
+    # a refinement whose finest grid is too large solves nothing
+    solves = []
+    monkeypatch.setattr(models, "hermitian_spectrum", lambda *args: solves.append(args))
+    for refinements in (30, 10**20):
+        with pytest.raises(ValueError, match="MAX_POINTS"):
+            models.refined_eigenvalues(WeylSymbol.p(2), GridSpec(0.0, 14.0, 200), 2, refinements)
+    assert solves == []
+
+
 def test_banded_matches_dense_tridiagonal():
     grid = GridSpec(-6.0, 6.0, 160)
     ho = WeylSymbol.p(2) + WeylSymbol.x(2)
@@ -529,6 +546,14 @@ def test_spiked_grid_rejects_negative_alpha():
     assert np.diff(levels) == pytest.approx([4.0, 4.0], abs=0.05)
 
 
+def tridiagonal_residuals(d, e, values, vectors):
+    """|T v_j - theta_j v_j| per column, T with diagonal d and off-diagonal e."""
+    from scipy.sparse import diags
+
+    T = diags([e, d, e], [-1, 0, 1])
+    return np.linalg.norm(T @ vectors - vectors * values, axis=0)
+
+
 @pytest.mark.parametrize(
     "hamiltonian, grid, k",
     [
@@ -541,15 +566,62 @@ def test_spiked_grid_rejects_negative_alpha():
     ],
 )
 def test_hermitian_spectrum_matches_eig_banded_bitwise(hamiltonian, grid, k):
-    # second method: the band-storage expert driver sbevx, with the
-    # absolute tolerance eig_banded picks for a selected range
-    from scipy.linalg import eig_banded
+    # Two second methods: scipy's band-storage expert driver (sbevx, the
+    # absolute tolerance eig_banded picks for a selected range) and
+    # bisection to full precision.  The bounds are in units of eps |T|,
+    # |T| the largest absolute row sum of the band: the eigenvalues agree
+    # to 2 (measured <= 0.13), every residual meets the 16 of the solver's
+    # gate (measured <= 3; sbevx's own pairs read up to 1.7), the grid
+    # Gram matrix is the identity to 64 eps (measured <= 16.5 eps) and
+    # each vector has sbevx's sign and lies within 0.1 eps |T| / gap of it
+    # (measured <= 0.016), gap the smallest level spacing.
+    from scipy.linalg import eig_banded, eigvalsh_tridiagonal, lapack
 
     band = models.banded_hamiltonian(hamiltonian, grid)
+    assert band.shape[0] == 2
+    d, e = band[1], band[0, 1:]
+    rows = np.abs(d)
+    rows[:-1] += np.abs(e)
+    rows[1:] += np.abs(e)
+    unit = np.finfo(float).eps * np.max(rows)
     values, vectors = eig_banded(band, lower=False, select="i", select_range=(0, k - 1))
+    bisected = eigvalsh_tridiagonal(
+        d, e, select="i", select_range=(0, k - 1), tol=2.0 * lapack.dlamch("S")
+    )
     got = models.hermitian_spectrum(hamiltonian, grid, k)
-    assert np.array_equal(got.eigenvalues, values)
-    assert np.array_equal(got.eigenvectors, vectors / math.sqrt(grid.step))
+    assert np.max(np.abs(got.eigenvalues - values)) <= 2.0 * unit
+    assert np.max(np.abs(got.eigenvalues - bisected)) <= 2.0 * unit
+    unit_vectors = got.eigenvectors * math.sqrt(grid.step)
+    residuals = tridiagonal_residuals(d, e, got.eigenvalues, unit_vectors)
+    assert np.max(residuals) <= models.RESIDUAL_ULPS * unit
+    gram = grid.step * got.eigenvectors.T @ got.eigenvectors
+    assert np.max(np.abs(gram - np.eye(k))) <= 64 * np.finfo(float).eps
+    gap = np.min(np.diff(bisected))
+    assert np.max(np.abs(unit_vectors - vectors)) <= 0.1 * unit / gap
+
+
+def test_tridiagonal_solve_falls_back_to_full_bisection_for_close_levels():
+    # six levels 1.25e-5 apart under a norm of 1e10: bisection to 1e-8 |T|
+    # cannot tell them apart (the coarse pass leaves a residual of about
+    # 650 eps |T| and levels 2.3e-3 off), so the gate must send the solve
+    # to LAPACK's own tolerance, which agrees with full-precision
+    # bisection to 3e-13
+    from scipy.linalg import eigvalsh_tridiagonal, lapack
+
+    n, k = 200, 6
+    d = 2e-3 + 1e-8 * np.arange(n) ** 2.0
+    d[-1] = 1e10
+    e = np.full(n - 1, -1e-3)
+    norm = 1e10 + 1e-3
+    exact = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, k - 1),
+                                 tol=2.0 * lapack.dlamch("S"))
+    coarse = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, k - 1), tol=1e-8 * norm)
+    assert np.max(np.abs(coarse - exact)) > 1e-4
+    values, vectors = models._tridiagonal_eigenpairs(d, e, 0, k)
+    assert np.max(np.abs(values - exact)) <= 1e-12
+    residuals = tridiagonal_residuals(d, e, values, vectors)
+    assert np.max(residuals) <= models.RESIDUAL_ULPS * np.finfo(float).eps * norm
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(k))) <= 64 * np.finfo(float).eps
 
 
 def test_fourier_swap_preserves_spectrum():

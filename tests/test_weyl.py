@@ -327,6 +327,16 @@ def test_exp_symbol_term_merging():
     assert c.terms[0][0].terms == {(0, 0): 5.0 + 0j}
 
 
+def test_exp_symbol_keeps_exponents_that_differ_by_rounding():
+    # exp(0.3 x^2) + exp((0.3 + 1e-13) x^2) is not 2 exp(0.3 x^2): the two
+    # differ by a relative 4.5e-11 at x = 30, and without bound as x grows
+    near = WeylSymbol.monomial(2, 0, 0.3 + 1e-13)
+    s = ExpPolySymbol.exp(WeylSymbol.monomial(2, 0, 0.3)) + ExpPolySymbol.exp(near)
+    assert len(s.terms) == 2
+    assert [e.coefficient(2, 0) for _, e in s.terms] == [0.3, 0.3 + 1e-13]
+    assert all(p.terms == {(0, 0): 1.0 + 0j} for p, _ in s.terms)
+
+
 def test_exp_exp_star_unsupported():
     E = ExpPolySymbol.exp(WeylSymbol.monomial(2, 0, 0.1))
     with pytest.raises(TypeError):
