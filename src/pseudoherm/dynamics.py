@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import (
+    MAX_POINTS,
     banded_hamiltonian,
     hermitian_spectrum,
     spiked_energy,
@@ -256,7 +257,7 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     thread and is deterministic.  Output order follows xi_list.  A
     first-order term |<n|X|m> int exp(i delta s) E(s) ds|^2 above 1
     anywhere (or not finite) is outside perturbation theory and raises
-    ValueError.
+    ValueError, as do more than MAX_POINTS (omega, xi) points.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -266,6 +267,8 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     xis = np.asarray(xi_list, dtype=float)
     if not np.all(np.isfinite(xis)):
         raise ValueError("xi values must be finite")
+    if steps * xis.size > MAX_POINTS:
+        raise ValueError(f"the sweep holds more than {MAX_POINTS} (omega, xi) points")
     omegas = np.linspace(omega_lo, omega_hi, steps)
     delta = spiked_energy(model, n) - spiked_energy(model, m)
     position = spiked_matrix_element(model, "position", n, m)
@@ -511,81 +514,76 @@ def propagate_level(h0_spec, pulse, grid, m, n, dt, T, snapshots=1):
         )
 
 
-def _fourier_modes(grid):
+def _to_k(values, grid):
+    """FFT on the last axis: of the values on a full-line grid (x_min < 0),
+    of their odd extension of size 2 (n + 1), i.e. DST-I, on the half line."""
     from scipy import fft as sfft
 
-    return 2.0 * math.pi * sfft.fftfreq(grid.points, d=grid.step)
+    if grid.x_min >= 0:
+        zero = np.zeros(values.shape[:-1] + (1,))
+        values = np.concatenate([zero, values, zero, -values[..., ::-1]], axis=-1)
+    return sfft.fft(values, axis=-1)
 
 
-def _periodic_shift(values, amount, k):
+def _from_k(coeffs, grid):
     from scipy import fft as sfft
 
-    if amount == 0.0:
-        return values
-    return sfft.ifft(sfft.fft(values) * np.exp(1j * k * amount))
+    start = int(grid.x_min >= 0)
+    return sfft.ifft(coeffs, axis=-1)[..., start : start + grid.points]
 
 
-def _halfline_shift(values, amount, grid):
-    # displacement in the odd periodic extension; accurate while the
-    # wavepacket stays away from both ends
+def _unit_phase(angle):
+    # exp(i angle) as cos and sin in place: cheaper than a complex exp
+    out = np.empty(np.shape(angle), dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+def _volkov_phase(grid, elapsed, shift, scalar=0.0):
+    """exp(-i k^2 elapsed/2 + i k shift - i scalar) on the wavenumbers of
+    _to_k: free evolution, displacement by -shift and a scalar phase."""
     from scipy import fft as sfft
 
-    if amount == 0.0:
-        return values
-    n = grid.points
-    ext = np.zeros(2 * (n + 1), dtype=complex)
-    ext[1 : n + 1] = values
-    ext[n + 2 :] = -values[::-1]
-    k = 2.0 * math.pi * sfft.fftfreq(ext.size, d=grid.step)
-    ext = sfft.ifft(sfft.fft(ext) * np.exp(1j * k * amount))
-    return ext[1 : n + 1]
+    size = grid.points if grid.x_min < 0 else 2 * (grid.points + 1)
+    k = 2.0 * math.pi * sfft.fftfreq(size, d=grid.step)
+    return _unit_phase(k * (shift - 0.5 * elapsed * k) - scalar)
+
+
+def _check_finite(name, values):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+
+
+# The strong-field node table is formed in blocks of at most this many
+# entries (16 MiB of phases), which bounds its memory on large grids.
+_NODE_BLOCK_ENTRIES = 2**20
 
 
 def gordon_volkov_propagate(psi, pulse, grid, t, t_prime):
     """Exact laser-only propagator from t_prime to t in the length frame.
 
     Enter the velocity frame with exp(i b(t') x); there the Hamiltonian
-    is (p - b(s))^2 / 2, diagonal in momentum, giving free evolution
-    exp(-i p^2 (t - t_prime)/2) followed by the displacement by
-    -(c(t) - c(t')) and the accumulated phase -(d(t) - d(t')); exit with
-    exp(-i b(t) x).  Full-line grids (x_min < 0) use the periodic
-    Fourier basis; half-line grids use Dirichlet sine modes with
-    displacements in the odd periodic extension.
+    is (p - b(s))^2 / 2, so the free evolution exp(-i p^2 (t - t')/2),
+    the displacement by -(c(t) - c(t')) and the phase -(d(t) - d(t'))
+    are one multiplier in k space; exit with exp(-i b(t) x).  The k
+    representation is the FFT on a full-line grid (x_min < 0) and the FFT
+    of the odd extension on a half-line grid (Dirichlet sine modes), where
+    the displacement holds while the packet stays away from both ends.
+    ValueError for non-finite t, t_prime or psi, and for t or t' below 0.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (grid.points,):
         raise ValueError(f"psi must have shape ({grid.points},)")
+    if not (math.isfinite(t) and math.isfinite(t_prime)):
+        raise ValueError("t and t_prime must be finite")
+    _check_finite("psi", psi)
     at_start = field_integrals(pulse, t_prime)
     at_end = field_integrals(pulse, t)
-    return _gordon_volkov(psi, grid, t - t_prime, at_start, at_end)
-
-
-def _gordon_volkov(psi, grid, elapsed, at_start, at_end):
-    """Gordon-Volkov step over elapsed time between two tabulated
-    FieldIntegrals; see gordon_volkov_propagate."""
-    from scipy import fft as sfft
-
     coords = grid.coordinates()
-    halfline = grid.x_min >= 0
-
-    out = psi * np.exp(1j * at_start.b * coords)
-
-    if halfline:
-        modes = math.pi * np.arange(1, grid.points + 1) / (grid.step * (grid.points + 1))
-        coeffs = sfft.dst(out, type=1)
-        coeffs = coeffs * np.exp(-0.5j * modes ** 2 * elapsed)
-        out = sfft.idst(coeffs, type=1)
-    else:
-        k = _fourier_modes(grid)
-        out = sfft.ifft(sfft.fft(out) * np.exp(-0.5j * k ** 2 * elapsed))
-
-    shift = at_end.c - at_start.c
-    if halfline:
-        out = _halfline_shift(out, shift, grid)
-    else:
-        out = _periodic_shift(out, shift, k)
-    phase = at_end.d - at_start.d
-    return out * np.exp(-1j * (phase + at_end.b * coords))
+    coeffs = _to_k(psi * _unit_phase(at_start.b * coords), grid)
+    coeffs *= _volkov_phase(grid, t - t_prime, at_end.c - at_start.c, at_end.d - at_start.d)
+    return _from_k(coeffs, grid) * _unit_phase(-at_end.b * coords)
 
 
 def first_order_strong_field(psi0, potential_on_grid, pulse, grid, t, n_quad=128):
@@ -593,12 +591,21 @@ def first_order_strong_field(psi0, potential_on_grid, pulse, grid, t, n_quad=128
 
     psi(t) = U_GV(t,0) psi0 - i int_0^t U_GV(t,s) V U_GV(s,0) psi0 ds
     with the time integral by composite Simpson on n_quad intervals
-    (rounded up to even).  The field integrals (b, c, d) are tabulated
-    once at the n_quad + 1 nodes and at t: closed forms for a
-    rectangular envelope, one DOP853 cascade solve with t_eval at the
-    nodes otherwise, so a gaussian pulse costs one solve_ivp per call
-    instead of one per propagator.  Every U_GV is one Gordon-Volkov step
-    between two table entries, 2 (n_quad + 1) + 1 in all.
+    (rounded up to even), weights w_j.  The field integrals are tabulated
+    once (closed forms, or one cascade solve with t_eval at the nodes).
+    In the k representation of gordon_volkov_propagate, b, c and d vanish
+    at 0, so U_GV(s_j,0) is exp(-i b_j x - i d_j) F^-1 Q_j F with
+    Q_j = exp(-i k^2 s_j/2 + i k c_j), and U_GV(t,s_j) is
+    exp(-i b_t x) F^-1 P_t conj(Q_j) F exp(i b_j x + i d_j) with
+    P_t = exp(-i k^2 t/2 + i k c_t - i d_t).  The b_j phases cancel around
+    V and the d_j cancel too, so one table Q serves both steps:
+
+        psi(t) = e^{-i b_t x} F^-1 P_t (F psi0 - i (ds/3) sum_j w_j conj(Q_j) F V F^-1 Q_j F psi0)
+
+    One forward transform, one batched inverse and one batched forward
+    transform over the nodes, taken in blocks of at most
+    _NODE_BLOCK_ENTRIES table entries, and one inverse transform.
+    ValueError for non-finite t, psi0 or potential, t < 0 and n_quad < 1.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     potential = np.asarray(potential_on_grid, dtype=float)
@@ -606,18 +613,27 @@ def first_order_strong_field(psi0, potential_on_grid, pulse, grid, t, n_quad=128
         raise ValueError(f"potential must have shape ({grid.points},)")
     if psi0.shape != (grid.points,):
         raise ValueError(f"psi0 must have shape ({grid.points},)")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    if n_quad < 1:
+        raise ValueError("n_quad must be at least 1")
+    _check_finite("psi0", psi0)
+    _check_finite("potential", potential)
     if t == 0:
         return psi0.copy()
-    if n_quad % 2:
-        n_quad += 1
+    n_quad += n_quad % 2
     ds = t / n_quad
-    nodes = [j * ds for j in range(n_quad + 1)]
-    *at_nodes, at_t = _field_integral_table(pulse, nodes + [t])
-    start = at_nodes[0]
-    base = _gordon_volkov(psi0, grid, t, start, at_t)
-    acc = np.zeros_like(psi0)
-    for j, (s, at_s) in enumerate(zip(nodes, at_nodes)):
-        weight = 1.0 if j in (0, n_quad) else (4.0 if j % 2 else 2.0)
-        inner = _gordon_volkov(psi0, grid, s, start, at_s)
-        acc = acc + weight * _gordon_volkov(potential * inner, grid, t - s, at_s, at_t)
-    return base - 1j * (ds / 3.0) * acc
+    nodes = ds * np.arange(n_quad + 1)
+    *at_nodes, at_t = _field_integral_table(pulse, nodes.tolist() + [t])
+    shifts = np.array([f.c for f in at_nodes])
+    weights = np.where(np.arange(n_quad + 1) % 2, 4.0, 2.0)
+    weights[[0, -1]] = 1.0
+    initial = _to_k(psi0, grid)
+    acc = np.zeros_like(initial)
+    block = max(1, _NODE_BLOCK_ENTRIES // initial.size)
+    for j in range(0, n_quad + 1, block):
+        table = _volkov_phase(grid, nodes[j : j + block, None], shifts[j : j + block, None])
+        scattered = _to_k(potential * _from_k(table * initial, grid), grid)
+        acc += weights[j : j + block] @ (scattered * np.conj(table, out=table))
+    coeffs = (initial - 1j * (ds / 3.0) * acc) * _volkov_phase(grid, t, at_t.c, at_t.d)
+    return _from_k(coeffs, grid) * _unit_phase(-at_t.b * grid.coordinates())

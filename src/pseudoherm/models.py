@@ -499,10 +499,11 @@ def hermitian_spectrum(hamiltonian, grid, k, first=0):
     solver can promise (|T| is the largest absolute row sum); otherwise
     the three steps run once more at LAPACK's own tolerance ulp * |T|.
     The eigenvalues agree with full-precision bisection to about
-    eps * |T|.  A pentadiagonal band (p^4 term) goes to eig_banded.
+    eps * |T|.  A pentadiagonal band (p^4 term) is solved in O(n k)
+    memory as well, by _pentadiagonal_eigenpairs: eig_banded for the
+    values alone, shifted inverse iteration with a banded LU for the
+    vectors, and the same Rayleigh-Ritz step and residual gate.
     """
-    from scipy.linalg import eig_banded
-
     if k < 1:
         raise ValueError("k must be positive")
     if not 0 <= first < k:
@@ -513,13 +514,42 @@ def hermitian_spectrum(hamiltonian, grid, k, first=0):
     if band.shape[0] == 2:
         values, vectors = _tridiagonal_eigenpairs(band[1], band[0, 1:], first, k)
     else:
-        values, vectors = eig_banded(band, lower=False, select="i", select_range=(first, k - 1))
+        values, vectors = _pentadiagonal_eigenpairs(band, first, k)
     vectors = vectors / math.sqrt(grid.step)
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, grid=grid)
 
 
-# Residual gate of _tridiagonal_eigenpairs, in units of eps * |T|.
+# Residual gate of the banded eigensolvers, in units of eps * |A|.
 RESIDUAL_ULPS = 16
+
+
+def _band_norm(diagonals):
+    """Largest absolute row sum of the symmetric band whose main diagonal
+    is diagonals[0] and whose r-th off-diagonal is diagonals[r]."""
+    rows = np.abs(diagonals[0])
+    for r, off in enumerate(diagonals[1:], start=1):
+        rows[:-r] += np.abs(off)
+        rows[r:] += np.abs(off)
+    return float(np.max(rows))
+
+
+def _rayleigh_ritz(diagonals, vectors):
+    """One Rayleigh-Ritz step of the symmetric band (as in _band_norm) on
+    the span of the orthonormal columns: the Ritz values, the Ritz
+    vectors and the largest residual |A v - theta v|.  Each Ritz vector
+    keeps the sign of the column it mostly comes from, so a level's
+    vector does not depend on which other levels were solved with it."""
+    applied = diagonals[0][:, None] * vectors
+    for r, off in enumerate(diagonals[1:], start=1):
+        applied[:-r] += off[:, None] * vectors[r:]
+        applied[r:] += off[:, None] * vectors[:-r]
+    values, rotation = np.linalg.eigh(vectors.T @ applied)
+    pivots = np.abs(rotation).argmax(axis=0)
+    rotation *= np.sign(rotation[pivots, np.arange(values.size)])
+    vectors = vectors @ rotation
+    applied = applied @ rotation
+    residual = float(np.max(np.linalg.norm(applied - vectors * values, axis=0)))
+    return values, vectors, residual
 
 
 def _tridiagonal_eigenpairs(d, e, first, k):
@@ -537,11 +567,7 @@ def _tridiagonal_eigenpairs(d, e, first, k):
     from scipy.linalg import get_lapack_funcs
 
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
-    off = np.abs(e)
-    rows = np.abs(d)
-    rows[:-1] += off
-    rows[1:] += off
-    norm = float(np.max(rows))
+    norm = _band_norm([d, e])
     for tol in (1e-8 * norm, 0.0):
         m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, first + 1, k, tol, "B")
         if info != 0:
@@ -553,19 +579,62 @@ def _tridiagonal_eigenpairs(d, e, first, k):
             if tol == 0.0:
                 raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
             continue
-        applied = d[:, None] * vectors
-        applied[:-1] += e[:, None] * vectors[1:]
-        applied[1:] += e[:, None] * vectors[:-1]
-        values, rotation = np.linalg.eigh(vectors.T @ applied)
-        # each Ritz vector keeps the sign of the stein vector it mostly
-        # comes from, so a level's vector does not depend on k or first
-        pivots = np.abs(rotation).argmax(axis=0)
-        rotation *= np.sign(rotation[pivots, np.arange(m)])
-        vectors = vectors @ rotation
-        applied = applied @ rotation
-        residual = np.max(np.linalg.norm(applied - vectors * values, axis=0))
+        values, vectors, residual = _rayleigh_ritz([d, e], vectors)
         if residual <= RESIDUAL_ULPS * np.finfo(float).eps * norm:
             break
+    return values, vectors
+
+
+def _pentadiagonal_eigenpairs(band, first, k):
+    """Levels first..k-1 of the symmetric five-band matrix A in scipy's
+    upper layout (shape (3, n)), unit 2-norm vectors as columns, in
+    O(n k) memory.
+
+    eig_banded returns the values alone (sbevx forms no n x n factor when
+    no vectors are asked for).  Each vector is three steps of inverse
+    iteration from one fixed start vector, with the banded LU (gbtrf) of
+    A - theta I, each iterate orthogonalized against the vectors already
+    found so that close levels span their own subspace; an exactly zero
+    pivot is replaced by eps |A|.  One Rayleigh-Ritz step rotates the
+    vectors; the values stay eig_banded's.  LinAlgError when a residual
+    |A v - lambda v| can exceed RESIDUAL_ULPS * eps * |A|.
+    """
+    from scipy.linalg import eig_banded, get_lapack_funcs
+
+    n = band.shape[1]
+    diagonals = [band[2], band[1, 1:], band[0, 2:]]
+    norm = _band_norm(diagonals)
+    values = eig_banded(band, lower=False, eigvals_only=True, select="i",
+                        select_range=(first, k - 1))
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+    # gbtrf layout: two rows of LU fill-in, then the band with the
+    # diagonal in row 4 and the subdiagonals below it
+    full = np.zeros((7, n))
+    full[2:5] = band
+    full[5, :-1] = diagonals[1]
+    full[6, :-2] = diagonals[2]
+    start = np.random.default_rng(0).standard_normal(n)
+    vectors = np.empty((n, values.size))
+    for i, theta in enumerate(values.tolist()):
+        shifted = full.copy()
+        shifted[4] -= theta
+        lu, pivots, _ = gbtrf(shifted, 2, 2, overwrite_ab=1)
+        lu[4][lu[4] == 0.0] = np.finfo(float).eps * norm
+        found = vectors[:, :i]
+        x = start
+        for _ in range(3):
+            x, _ = gbtrs(lu, 2, 2, x, pivots)
+            x -= found @ (found.T @ x)
+            x /= np.linalg.norm(x)
+        vectors[:, i] = x
+    ritz, vectors, residual = _rayleigh_ritz(diagonals, vectors)
+    # the bisection values are kept (they do not depend on first); their
+    # residual is at most the Ritz residual plus the distance to the Ritz value
+    residual += float(np.max(np.abs(ritz - values)))
+    if residual > RESIDUAL_ULPS * np.finfo(float).eps * norm:
+        raise np.linalg.LinAlgError(
+            f"inverse iteration left a residual of {residual:.3g} on a band of norm {norm:.3g}"
+        )
     return values, vectors
 
 

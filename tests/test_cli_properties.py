@@ -1,16 +1,18 @@
-"""Property tests of the `propagate` and `spectrum` command lines.
+"""Property tests of the `propagate`, `spectrum`, `spiked` and `transition`
+command lines.
 
 Uses Hypothesis (MacIver et al., "Hypothesis: A new approach to
 property-based testing", JOSS 4 (2019) 1891) with a derandomized, fixed
 example budget, so every run draws the same argvs.  Each parameter is left
 at its default or drawn from the edges of its kind: 0, +-1e-300, +-1e300,
-negative numbers and huge integers.  T stays at or below 0.05 and accepted
-grids at or below 200 points, so an accepted run is short.  Whatever the
-draw, `cli.run` returns 0, 1 or 2 without raising (numpy warnings are
-errors under the test configuration); an error prints nothing on stdout;
-exit 0 prints only finite numbers (for `propagate` every population in
-[0, 1], for `spectrum` one ascending energy per level); and the same argv
-prints the same bytes twice.
+negative numbers and huge integers.  T stays at or below 0.05, accepted
+grids at or below 200 points and accepted sweeps at or below 40
+frequencies, so an accepted run is short.  Whatever the draw, `cli.run`
+returns 0, 1 or 2 without raising (numpy warnings are errors under the
+test configuration); an error prints nothing on stdout; exit 0 prints only
+finite numbers (for `propagate` every population and for `transition`
+every probability in [0, 1], for `spectrum` one ascending energy per
+level); and the same argv prints the same bytes twice.
 """
 import contextlib
 import io
@@ -26,21 +28,48 @@ EDGE_INTS = ("0", "-1", "-3", str(10**20), str(2**63))
 FINAL_TIMES = ("0.05", "0.02", "0", "1e-300", "-1e-300", "-1", "-1e300")
 GRID_ENDS = ("0", "14", "1e-300", "-1e-300", "1e300", "-1e300", "-1")
 GRID_POINTS = ("16", "64", "200", "15", "0", "-1")
+SWEEP_ENDS = ("1.5", "2.5") + EDGE_FLOATS
+SWEEP_STEPS = ("2", "3", "40", "1", "0", "-1", str(10**20), str(2**63))
+# accepted matrix-element levels, or edges
+LEVEL_INTS = st.one_of(st.sampled_from(("0", "1", "2", "3", "7")), st.sampled_from(EDGE_INTS))
 
 
-def _flag(kind):
+def _flag(kind, choices=()):
     if kind == "float":
         return st.sampled_from(EDGE_FLOATS)
     if kind == "int":
         return st.sampled_from(EDGE_INTS)
     if kind == "optfloat":
         return st.sampled_from(FINAL_TIMES)
+    if kind == "choice":
+        return st.sampled_from(tuple(choices) + ("none",))
+    if kind == "floatlist":
+        return st.one_of(
+            st.sampled_from(("0,0.5,1", "0")),
+            st.lists(st.sampled_from(EDGE_FLOATS), min_size=1, max_size=3).map(",".join),
+        )
+    if kind == "range":
+        return st.one_of(
+            st.sampled_from(("1.5:2.5:40", "1.9:2.1:3")),
+            st.builds(
+                lambda lo, hi, steps: f"{lo}:{hi}:{steps}",
+                st.sampled_from(SWEEP_ENDS), st.sampled_from(SWEEP_ENDS),
+                st.sampled_from(SWEEP_STEPS),
+            ),
+        )
     assert kind == "grid", kind
     edges = st.builds(
         lambda lo, hi, points: f"{lo},{hi},{points}",
         st.sampled_from(GRID_ENDS), st.sampled_from(GRID_ENDS), st.sampled_from(GRID_POINTS),
     )
     return st.one_of(st.sampled_from(("0,14,64", "0,8,200", "0,14,16")), edges)
+
+
+def _edge_flags(draw, params, names):
+    argv = []
+    for name in names:
+        argv += [f"--{name}", draw(_flag(params[name].kind, params[name].choices))]
+    return argv
 
 
 PARAMS = {p.name: p for p in cli._SUBCOMMANDS["propagate"].params + cli._COMMON}
@@ -57,10 +86,7 @@ def propagate_argvs(draw):
     # dt = 1e300, lambda = 1e-300, ...) reach the propagator
     others = sorted(set(PARAMS) - {"T", "grid"})
     names = ["T", "grid"] + draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
-    argv = ["propagate"]
-    for name in names:
-        argv += [f"--{name}", draw(_flag(PARAMS[name].kind))]
-    return argv
+    return ["propagate"] + _edge_flags(draw, PARAMS, names)
 
 
 def _invoke(argv):
@@ -136,3 +162,66 @@ def test_spectrum_never_raises_and_prints_ascending_levels(argv):
     energies = [float(row.split(",")[1]) for row in lines[1:]]
     assert all(math.isfinite(value) for value in energies)
     assert energies == sorted(energies)
+
+
+SPIKED = {p.name: p for p in cli._SUBCOMMANDS["spiked"].params + cli._COMMON}
+TRANSITION = {p.name: p for p in cli._SUBCOMMANDS["transition"].params + cli._COMMON}
+
+
+@st.composite
+def spiked_argvs(draw):
+    # the levels are required; up to three other flags take an edge value
+    others = sorted(set(SPIKED) - {"n", "m"})
+    argv = ["spiked", "--n", draw(LEVEL_INTS), "--m", draw(LEVEL_INTS)]
+    names = draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+    return argv + _edge_flags(draw, SPIKED, names)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(spiked_argvs())
+# accepted edges, each run on every pass
+@example(["spiked", "--n", "7", "--m", "0", "--alpha", "0", "--variant", "p_shift"])
+@example(["spiked", "--n", "3", "--m", "3", "--xi", "1e300"])
+def test_spiked_never_raises_and_prints_finite_elements(argv):
+    code, out = _invoke(argv)
+    assert code in (0, 1, 2)
+    assert _invoke(argv) == (code, out)
+    if code != 0:
+        assert out == ""
+        return
+    assert "nan" not in out and "inf" not in out
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "op_kind,re,im"
+    assert [row.split(",")[0] for row in lines[1:]] == ["position", "momentum", "mapped_position"]
+    for row in lines[1:]:
+        assert all(math.isfinite(float(cell)) for cell in row.split(",")[1:])
+
+
+@st.composite
+def transition_argvs(draw):
+    # every flag has a default (a 200 x 3 sweep); up to three take an edge value
+    names = draw(st.lists(st.sampled_from(sorted(TRANSITION)), unique=True, max_size=3))
+    return ["transition"] + _edge_flags(draw, TRANSITION, names)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(transition_argvs())
+# accepted edges, each run on every pass
+@example(["transition", "--E0", "0", "--omega", "1e-300:1e300:3"])
+@example(["transition", "--n", "3", "--m", "3", "--xi", "-1e300", "--tau", "1e-300"])
+# a sweep too large to hold is refused before anything is allocated
+@example(["transition", "--omega", f"1.5:2.5:{2**63}"])
+def test_transition_never_raises_and_prints_probabilities(argv):
+    code, out = _invoke(argv)
+    assert code in (0, 1, 2)
+    assert _invoke(argv) == (code, out)
+    if code != 0:
+        assert out == ""
+        return
+    assert "nan" not in out and "inf" not in out
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "omega,xi,probability"
+    for row in lines[1:]:
+        omega, xi, probability = (float(cell) for cell in row.split(","))
+        assert math.isfinite(omega) and math.isfinite(xi)
+        assert 0.0 <= probability <= 1.0

@@ -11,6 +11,7 @@ checked against the Crank-Nicolson Richardson limit, the first-order
 amplitude on the grid's own levels, and exact zero-field level phases.
 """
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -769,44 +770,62 @@ def test_strong_field_zero_potential_reduces_to_laser_only():
 
 
 def test_strong_field_matches_dense_dyson_oracle():
-    grid = GridSpec(-40.0, 40.0, 512)
-    xs = grid.coordinates()
-    psi0 = np.exp(-(xs**2) / (2.0 * 1.5**2)).astype(complex)
-    psi0 /= math.sqrt(grid_norm(psi0, grid))
-    potential = -0.5 * np.exp(-(xs**2) / 4.0)
+    # zero field, so U_GV is free evolution: dense Fourier matrices on a
+    # full-line grid, dense Dirichlet sine modes (from np.sin) on a
+    # half-line grid, with Gauss-Legendre in time.  The half-line state
+    # x exp(-x^2/4.5) sits against the wall at 0 and is smooth only when
+    # continued as an odd function, so the wall condition matters
     off = Pulse(E0=0.0, omega=1.0, tau=10.0)
     t = 1.5
-    got = first_order_strong_field(psi0, potential, off, grid, t, n_quad=256)
+    for grid in (GridSpec(-40.0, 40.0, 512), GridSpec(0.0, 40.0, 511)):
+        n = grid.points
+        xs = grid.coordinates()
+        psi0 = np.exp(-(xs**2) / (2.0 * 1.5**2)).astype(complex)
+        if grid.x_min >= 0:
+            psi0 *= xs
+        psi0 /= math.sqrt(grid_norm(psi0, grid))
+        potential = -0.5 * np.exp(-(xs**2) / 4.0)
+        got = first_order_strong_field(psi0, potential, off, grid, t, n_quad=256)
 
-    k = 2.0 * math.pi * np.fft.fftfreq(grid.points, d=grid.step)
-    fwd = np.fft.fft(np.eye(grid.points), axis=0)
-    inv = np.conj(fwd).T / grid.points
+        if grid.x_min < 0:
+            k = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.step)
+            fwd = np.fft.fft(np.eye(n), axis=0)
+            inv = np.conj(fwd).T / n
+        else:
+            modes = np.arange(1, n + 1)
+            k = math.pi * modes / (grid.step * (n + 1))
+            fwd = inv = math.sqrt(2.0 / (n + 1)) * np.sin(math.pi * np.outer(modes, modes) / (n + 1))
 
-    def free(dt):
-        return inv @ (np.exp(-0.5j * k * k * dt)[:, None] * fwd)
+        def free(dt):
+            return inv @ (np.exp(-0.5j * k * k * dt)[:, None] * fwd)
 
-    nodes, weights = leggauss(48)
-    correction = np.zeros_like(psi0)
-    for node, weight in zip(nodes, weights):
-        s = 0.5 * t * (node + 1.0)
-        w = 0.5 * t * weight
-        correction += w * (free(t - s) @ (potential * (free(s) @ psi0)))
-    oracle = free(t) @ psi0 - 1j * correction
-    err = np.sqrt(np.sum(np.abs(got - oracle) ** 2) * grid.step)
-    assert err < 1e-8
+        nodes, weights = leggauss(48)
+        correction = np.zeros_like(psi0)
+        for node, weight in zip(nodes, weights):
+            s = 0.5 * t * (node + 1.0)
+            w = 0.5 * t * weight
+            correction += w * (free(t - s) @ (potential * (free(s) @ psi0)))
+        oracle = free(t) @ psi0 - 1j * correction
+        err = np.sqrt(np.sum(np.abs(got - oracle) ** 2) * grid.step)
+        assert err < 1e-8
 
 
 def test_strong_field_gaussian_matches_simpson_over_public_propagator():
-    # the tabulated field integrals (one cascade solve) against the same
-    # Simpson sum assembled from gordon_volkov_propagate, which solves the
-    # cascade afresh for every endpoint
-    grid = GridSpec(-40.0, 40.0, 512)
-    xs = grid.coordinates()
-    psi0 = gaussian_packet(xs, 1.5, 1.0, 0.3)
-    potential = 0.03 - 0.2 * np.exp(-(xs**2) / 4.0)
-    for phase_kind in ("sine", "cosine"):
+    # the batched k-space pass (one node table for the inner and outer
+    # steps, the b_j and d_j phases cancelled) against the same Simpson sum
+    # assembled from gordon_volkov_propagate, one call per step, which for
+    # a gaussian pulse solves the cascade afresh for every endpoint; both
+    # envelopes, both phase kinds, full-line and half-line grids
+    grids = ((GridSpec(-40.0, 40.0, 512), 1.0), (GridSpec(0.0, 40.0, 511), 20.0))
+    for (grid, center), envelope, phase_kind in itertools.product(
+        grids, ("rectangular", "gaussian"), ("sine", "cosine")
+    ):
+        xs = grid.coordinates()
+        psi0 = gaussian_packet(xs, 1.5, center, 0.3)
+        potential = 0.03 - 0.2 * np.exp(-((xs - center) ** 2) / 4.0)
+        shape = {"center": 1.5, "width": 0.5} if envelope == "gaussian" else {}
         pulse = Pulse(E0=0.3, omega=1.2, tau=3.0, phase_kind=phase_kind,
-                      envelope="gaussian", center=1.5, width=0.5)
+                      envelope=envelope, **shape)
         t, n_quad = 3.7, 8
         got = first_order_strong_field(psi0, potential, pulse, grid, t, n_quad=n_quad)
         ds = t / n_quad
@@ -818,6 +837,69 @@ def test_strong_field_gaussian_matches_simpson_over_public_propagator():
             acc += weight * gordon_volkov_propagate(potential * inner, pulse, grid, t, s)
         oracle = gordon_volkov_propagate(psi0, pulse, grid, t, 0.0) - 1j * ds / 3.0 * acc
         assert np.max(np.abs(got - oracle)) < 1e-12
+
+
+def test_strong_field_transform_count_does_not_grow_with_the_nodes(monkeypatch):
+    # one transform of psi0, one batched inverse and one batched forward
+    # transform over all nodes, one inverse: a loop over the nodes (or
+    # over per-node propagator calls) would scale with n_quad
+    import scipy.fft
+
+    calls = []
+
+    def counted(real):
+        def transform(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return transform
+
+    for name in ("fft", "ifft", "dst", "idst", "rfft", "irfft"):
+        monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+    grid = GridSpec(-30.0, 30.0, 512)
+    xs = grid.coordinates()
+    psi0 = gaussian_packet(xs, 1.5, 0.0, 0.5)
+    potential = -0.2 * np.exp(-(xs**2) / 4.0)
+    pulse = Pulse(E0=0.3, omega=1.4, tau=8.0)
+    counts = []
+    for n_quad in (8, 64):
+        calls.clear()
+        first_order_strong_field(psi0, potential, pulse, grid, 1.2, n_quad=n_quad)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize(
+    "entry, change, message",
+    [
+        ("strong", {"t": math.nan}, "t must be finite"),
+        ("strong", {"t": math.inf}, "t must be finite"),
+        ("strong", {"t": -0.5}, "t >= 0"),
+        ("strong", {"n_quad": 0}, "n_quad"),
+        ("strong", {"n_quad": -4}, "n_quad"),
+        ("strong", {"psi": math.inf}, "psi0 must be finite"),
+        ("strong", {"psi": complex(0.0, math.nan)}, "psi0 must be finite"),
+        ("strong", {"potential": math.nan}, "potential must be finite"),
+        ("volkov", {"t": math.nan}, "t and t_prime must be finite"),
+        ("volkov", {"t_prime": -math.inf}, "t and t_prime must be finite"),
+        ("volkov", {"t": -0.5}, "t >= 0"),
+        ("volkov", {"t_prime": -0.5}, "t >= 0"),
+        ("volkov", {"psi": math.nan}, "psi must be finite"),
+    ],
+)
+def test_strong_field_entry_points_refuse_inputs_outside_their_domain(entry, change, message):
+    change = dict(change)
+    grid = GridSpec(-20.0, 20.0, 128)
+    xs = grid.coordinates()
+    psi = gaussian_packet(xs, 1.5, 0.0, 0.3)
+    psi[5] += change.pop("psi", 0.0)
+    potential = -0.2 * np.exp(-(xs**2) / 4.0)
+    potential[7] += change.pop("potential", 0.0)
+    pulse = Pulse(E0=0.3, omega=1.2, tau=3.0)
+    with pytest.raises(ValueError, match=message):
+        if entry == "strong":
+            first_order_strong_field(psi, potential, pulse, grid, **{"t": 1.0, "n_quad": 8, **change})
+        else:
+            gordon_volkov_propagate(psi, pulse, grid, **{"t": 1.0, "t_prime": 0.0, **change})
 
 
 def test_strong_field_agrees_with_grid_propagator_to_second_order():

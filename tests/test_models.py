@@ -624,6 +624,40 @@ def test_tridiagonal_solve_falls_back_to_full_bisection_for_close_levels():
     assert np.max(np.abs(vectors.T @ vectors - np.eye(k))) <= 64 * np.finfo(float).eps
 
 
+def test_pentadiagonal_eigenpairs_take_memory_linear_in_the_grid(monkeypatch):
+    # eig_banded with vectors forms an n x n orthogonal factor (8 n^2
+    # bytes, 122 MiB here); values alone plus inverse iteration need
+    # O(n k) (measured peak 1.6 MiB).  The pairs are checked with an
+    # independent sparse product
+    import tracemalloc
+
+    from scipy.sparse import diags
+
+    h0 = WeylSymbol.p(2) * 0.5 + WeylSymbol.p(4) * 0.02 + WeylSymbol.x(2) * 0.5
+    grid = GridSpec(-8.0, 8.0, 4000)
+    band = models.banded_hamiltonian(h0, grid)
+    assert band.shape[0] == 3
+    tracemalloc.start()
+    try:
+        es = models.hermitian_spectrum(h0, grid, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    offsets = [band[2], band[1, 1:], band[0, 2:]]
+    A = diags([offsets[2], offsets[1], offsets[0], offsets[1], offsets[2]], [-2, -1, 0, 1, 2])
+    unit = np.finfo(float).eps * np.max(np.abs(A).sum(axis=1))
+    vectors = es.eigenvectors * math.sqrt(grid.step)
+    residuals = np.linalg.norm(A @ vectors - vectors * es.eigenvalues, axis=0)
+    assert np.max(residuals) <= models.RESIDUAL_ULPS * unit
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(5))) <= 64 * np.finfo(float).eps
+    assert np.all(np.diff(es.eigenvalues) > 0)
+    # the gate can refuse: with no tolerance at all it does
+    monkeypatch.setattr(models, "RESIDUAL_ULPS", 0)
+    with pytest.raises(np.linalg.LinAlgError, match="residual"):
+        models.hermitian_spectrum(h0, GridSpec(-8.0, 8.0, 400), 5)
+
+
 def test_fourier_swap_preserves_spectrum():
     # anisotropic oscillator and its momentum-space relabeling
     grid = GridSpec(-8.0, 8.0, 600)
