@@ -6,6 +6,14 @@ significant digits, so identical invocations produce identical bytes.
 Parameters may come from a `key=value` config file (`--config`), with
 command-line flags taking precedence; unknown keys are rejected.
 
+Floats print as Python's `'%.12g'` (`_fmt`, the one definition of the
+format), with -0 printed as 0.  The `transition` and `contour` tables,
+whose row counts scale with a flag, go through `_float_cells`, an array
+kernel that prints the same bytes as `_fmt` for every float64.  The small
+tables (`spectrum`, `propagate`, symbol rows, `verify-all`, the config
+block) call `_fmt` per value: the kernel's fixed cost, some 70 numpy
+calls, is more than `_fmt` spends on a few dozen values.
+
 `verify-all` runs the ordered identity checks of `pseudoherm.identities`
 (the table the test suite also runs) and prints one PASS/FAIL row each.
 
@@ -35,10 +43,134 @@ class CliUsageError(Exception):
 
 
 def _fmt(value):
+    """The one definition of how the CLI prints a float."""
     value = float(value)
     if value == 0.0:
         value = 0.0  # normalize -0
     return f"{value:.12g}"
+
+
+# -- array formatting ------------------------------------------------------
+#
+# `_float_cells` prints a float64 array with the bytes `_fmt` gives each
+# value.  A finite |v| in (1e-280, 1e280) with decimal exponent e is
+# scaled to q = |v| 10^(11-e) in [1e11, 1e12) and rounded to the 12-digit
+# mantissa m = rint(q).  The power of ten is correctly rounded, and so is
+# the product, so q is within 2.3e-4 of the exact |v| 10^(11-e), and m is
+# the mantissa of Python's correctly rounded dtoa (Gay, AT&T NA Manuscript
+# 90-10, 1990) unless q lies that close to a half-integer.  Values within
+# _TIE_BAND of a half-integer, zeros (-0 prints "0"), non-finite values
+# and |v| outside that range go through `_fmt` itself.  The digits of m
+# are then placed by tables keyed by e and the index of m's last nonzero
+# digit, after the sign.
+
+_CELL = 36  # bytes per value: sign (4), head (12), tail (12), exponent (8)
+_ROW_BLOCK = 8192  # table rows built per pass, so memory does not grow with the table
+_TIE_BAND = 1e-3  # covers the 2.3e-4 scaling error with room to spare
+_E_LO, _E_HI = -300, 300
+_POW10 = np.array([float(f"1e{k}") for k in range(_E_LO, _E_HI + 1)])
+
+
+def _digit_tables():
+    """Masks and literals of the head and tail byte ranges, by layout key.
+
+    Digit j of the mantissa sits at byte j of both 12-byte ranges.  Key
+    12 (p + 4) + keep stands for a point after digit p (p = -4..11) and a
+    last printed digit keep.  The head holds digits 0..p and then "." if
+    a digit follows; for p < 0 (fixed form below 1) it holds the lead "0."
+    and -p - 1 zeros instead.  The tail holds digits p + 1..keep.  Each
+    table is (3, 192) uint32: four digits to a word, one column per key.
+    """
+    j = np.arange(12)
+    p = np.arange(-4, 12)[:, None, None]
+    keep = np.arange(12)[None, :, None]
+    head = np.where(j <= p, 0xFF, 0)
+    lead = np.where(j == 1, ord("."), ord("0"))
+    text = np.where(p < 0, np.where(j <= -p, lead, 0), np.where((j == p + 1) & (keep > p), ord("."), 0))
+    tail = np.where((j > p) & (j <= keep), 0xFF, 0)
+    return tuple(
+        np.ascontiguousarray(table.reshape(-1, 12).astype(np.uint8).view(np.uint32).T)
+        for table in np.broadcast_arrays(head, text, tail)
+    )
+
+
+_HEAD_MASK, _HEAD_TEXT, _TAIL_MASK = _digit_tables()
+_groups = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+_DIGITS4 = (_groups + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+# entry 10000 k + g: index in the mantissa of the last nonzero digit of g as
+# its group k of four digits, or -1 for g = 0
+_LAST4 = np.where(_groups.any(1), 3 - np.argmax(_groups[:, ::-1] != 0, axis=1), -1)
+_LAST4 = np.where(_LAST4 >= 0, _LAST4 + np.array([[0], [4], [8]]), -1).astype(np.int8).ravel()
+_GROUP_BASE = np.array([[0], [10000], [20000]])
+del _groups
+_EXPONENT_TEXT = np.array(
+    [f"e{e:+03d}" if e < -4 or e >= 12 else "" for e in range(_E_LO, _E_HI + 1)],
+    dtype="S8",
+).view(np.uint32).reshape(-1, 2)
+
+
+def _float_cells(values):
+    """`_fmt` of each float64 in `values` (flattened), as rows of _CELL
+    NUL-padded bytes."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(v)
+    fast = (a > 1e-280) & (a < 1e280)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    q = a * np.take(_POW10, 11 - _E_LO - e)
+    off = np.flatnonzero((q < 1e11) | (q >= 1e12))  # log10 one off near 10^k
+    if off.size:
+        e[off] += np.where(q[off] < 1e11, -1, 1)
+        q[off] = a[off] * np.take(_POW10, 11 - _E_LO - e[off])
+    m = np.rint(q)
+    fast &= np.abs(q - np.floor(q) - 0.5) > _TIE_BAND
+    carry = np.flatnonzero(m == 1e12)  # rounded up to the next power of ten
+    if carry.size:
+        e[carry] += 1
+        m[carry] = 1e11
+    # m's digits in three groups of four, and the index of its last nonzero one
+    groups = np.empty((3, v.size))
+    groups[0] = np.floor(m / 1e8)
+    m -= groups[0] * 1e8
+    groups[1] = np.floor(m / 1e4)
+    groups[2] = m - groups[1] * 1e4
+    groups = groups.astype(np.intp)
+    last = np.take(_LAST4, groups + _GROUP_BASE).max(axis=0)
+    # '%.12g' layout: fixed form for -4 <= e < 12 with the point after digit
+    # e, else d.ddd and an exponent; the integer digits always print
+    p = np.where((e >= -4) & (e < 12), e, 0)
+    key = np.maximum(last, p) + 12 * (p + 4)
+
+    digits = np.take(_DIGITS4, groups)
+    head = digits & np.take(_HEAD_MASK, key, axis=1) | np.take(_HEAD_TEXT, key, axis=1)
+    tail = digits & np.take(_TAIL_MASK, key, axis=1)
+    out = np.empty((v.size, _CELL // 4), np.uint32)
+    out[:, 0] = (v < 0).view(np.uint8) * np.uint8(ord("-"))
+    for k in range(3):
+        out[:, 1 + k] = head[k]
+        out[:, 4 + k] = tail[k]
+    out[:, 7:] = np.take(_EXPONENT_TEXT, e - _E_LO, axis=0)
+    out = out.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        unique, inverse = np.unique(v[slow], return_inverse=True)
+        text = np.array([_fmt(x) for x in unique.tolist()], dtype=f"S{_CELL}")
+        out[slow] = text.view(np.uint8).reshape(-1, _CELL)[inverse]
+    return out
+
+
+def _csv_text(columns):
+    """CSV rows, joined by newlines, from NUL-padded uint8 cell matrices
+    (one per column, one row per table row)."""
+    buf = np.zeros((columns[0].shape[0], sum(c.shape[1] + 1 for c in columns)), np.uint8)
+    end = 0
+    for column in columns:
+        start, end = end, end + column.shape[1]
+        buf[:, start:end] = column
+        buf[:, end] = ord(",")
+        end += 1
+    buf[:, -1] = ord("\n")
+    return buf[buf != 0].tobytes()[:-1].decode("ascii")
 
 
 # -- parameter table -------------------------------------------------------
@@ -172,15 +304,22 @@ def _run_wedges(v, canon, rng):
 
 
 def _run_contour(v, canon, rng):
+    if not 1 <= v["samples"] <= models.MAX_POINTS:
+        raise CliUsageError(f"--samples must lie in [1, {models.MAX_POINTS}]")
     if v["kind"] == "z1":
         contour = stokes.Contour.hyperbola(a=v["a"], N=v["N"])
     else:
         contour = stokes.Contour.sqrt_bend()
-    xs = np.linspace(-v["xspan"], v["xspan"], v["samples"])
+    with np.errstate(over="ignore", invalid="ignore"):  # contour_point refuses the nan
+        xs = np.linspace(-v["xspan"], v["xspan"], v["samples"])
     zs = stokes.contour_point(contour, xs)
     admissible = stokes.contour_admissible(contour, v["N"])
     extra = [f"# admissible={'true' if admissible else 'false'}"]
-    rows = [f"{_fmt(x)},{_fmt(z.real)},{_fmt(z.imag)}" for x, z in zip(xs, zs)]
+    points = np.stack([xs, zs.real, zs.imag], axis=1)
+    rows = []
+    for i in range(0, xs.size, _ROW_BLOCK):
+        cells = _float_cells(points[i:i + _ROW_BLOCK]).reshape(-1, 3, _CELL)
+        rows.append(_csv_text([cells[:, 0], cells[:, 1], cells[:, 2]]))
     return extra, "x,re_z,im_z", rows, 0
 
 
@@ -319,14 +458,22 @@ def _run_transition(v, canon, rng):
     curves = dynamics.transition_sweep(
         model, v["n"], v["m"], v["E0"], lo, hi, steps, v["tau"], xi_sorted
     )
-    # omega and xi repeat across rows; format each value once
-    omegas = [_fmt(w) for w in curves[0].omega.tolist()]
-    columns = [(f",{_fmt(curve.xi)},", curve.probability.tolist()) for curve in curves]
-    rows = [
-        omegas[i] + prefix + _fmt(probs[i])
-        for i in range(steps)
-        for prefix, probs in columns
-    ]
+    # row i * width + c is (omega_i, xi_c, P_c(omega_i)): a block formats
+    # its omegas once, with their probabilities, and tiles the xi cells
+    width = len(curves)
+    xi_cells = np.array([_fmt(curve.xi) for curve in curves], dtype="S")
+    xi_cells = xi_cells.view(np.uint8).reshape(width, -1)
+    per_block = max(1, _ROW_BLOCK // width)
+    rows = []
+    for i in range(0, steps, per_block):
+        block = [curves[0].omega[i:i + per_block]]
+        block += [curve.probability[i:i + per_block] for curve in curves]
+        cells = _float_cells(np.column_stack(block)).reshape(block[0].size, width + 1, _CELL)
+        rows.append(_csv_text([
+            np.repeat(cells[:, 0], width, axis=0),
+            np.tile(xi_cells, (block[0].size, 1)),
+            cells[:, 1:].reshape(-1, _CELL),
+        ]))
     return [], "omega,xi,probability", rows, 0
 
 
@@ -389,7 +536,7 @@ _SUBCOMMANDS = {
             Param("kind", "choice", choices=("z1", "z2"), help="contour family"),
             Param("N", "int", help="potential exponent"),
             Param("a", "float", "1", help="hyperbola scale (z1 only)"),
-            Param("samples", "int", "201", help="number of sample points"),
+            Param("samples", "int", "201", help="number of sample points, 1 to 10^7"),
             Param("xspan", "float", "10", help="parameter range half-width"),
         ],
         run=_run_contour,

@@ -123,13 +123,20 @@ class Contour:
 
 
 def contour_point(contour, x):
-    """Complex contour point for real parameter x (scalar or array)."""
+    """Complex contour point for real parameter x (scalar or array).
+
+    Raises ValueError when a point is not finite: x is not, or
+    sqrt(a^2 + x^2) overflows.
+    """
     x = np.asarray(x, dtype=float)
-    if contour.kind == "hyperbola":
-        theta = anti_stokes(contour.N).right
-        z = x * math.cos(theta) + 1j * math.sin(theta) * np.sqrt(contour.a ** 2 + x ** 2)
-    else:
-        z = -2j * np.sqrt(1.0 + 1j * x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if contour.kind == "hyperbola":
+            theta = anti_stokes(contour.N).right
+            z = x * math.cos(theta) + 1j * math.sin(theta) * np.hypot(contour.a, x)
+        else:
+            z = -2j * np.sqrt(1.0 + 1j * x)
+    if not np.isfinite(z).all():
+        raise ValueError("contour point is not finite (the parameter or the scale a is too large)")
     if z.ndim == 0:
         return complex(z)
     return z

@@ -668,6 +668,23 @@ def test_contour_subcommand(capsys):
     assert comment_map(out)["admissible"] == "false"
 
 
+def test_contour_refuses_bad_sample_counts_and_overflowing_points(capsys):
+    for samples in ("0", "-1", str(10**7 + 1)):
+        code, out, err = invoke(capsys, ["contour", "--kind", "z2", "--N", "4", "--samples", samples])
+        assert code == 2 and out == "" and "--samples" in err
+    # sqrt(a^2 + x^2) stays finite where a^2 alone overflows
+    code, out, _ = invoke(capsys, ["contour", "--kind", "z1", "--N", "4", "--a", "1e300",
+                                   "--samples", "3"])
+    assert code == 0
+    _, rows = data_rows(out)
+    assert [row.split(",")[0] for row in rows] == ["-10", "0", "10"]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+    # a point whose modulus overflows is refused
+    code, out, err = invoke(capsys, ["contour", "--kind", "z1", "--N", "4", "--a", "1.5e308",
+                                     "--xspan", "1e308", "--samples", "3"])
+    assert code == 1 and out == "" and "not finite" in err
+
+
 def test_negative_flag_values_parse(capsys):
     code, out, _ = invoke(
         capsys,

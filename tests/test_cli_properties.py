@@ -1,5 +1,5 @@
-"""Property tests of the `propagate`, `spectrum`, `spiked` and `transition`
-command lines.
+"""Property tests of the `propagate`, `spectrum`, `spiked`, `transition`,
+`contour` and `wedges` command lines.
 
 Uses Hypothesis (MacIver et al., "Hypothesis: A new approach to
 property-based testing", JOSS 4 (2019) 1891) with a derandomized, fixed
@@ -12,7 +12,9 @@ returns 0, 1 or 2 without raising (numpy warnings are errors under the
 test configuration); an error prints nothing on stdout; exit 0 prints only
 finite numbers (for `propagate` every population and for `transition`
 every probability in [0, 1], for `spectrum` one ascending energy per
-level); and the same argv prints the same bytes twice.
+level); and the same argv prints the same bytes twice.  Every number of a
+`transition` or `contour` table, which the array formatter prints, reads
+back to the same string through `cli._fmt`.
 """
 import contextlib
 import io
@@ -225,3 +227,76 @@ def test_transition_never_raises_and_prints_probabilities(argv):
         omega, xi, probability = (float(cell) for cell in row.split(","))
         assert math.isfinite(omega) and math.isfinite(xi)
         assert 0.0 <= probability <= 1.0
+
+
+def _assert_canonical(rows):
+    # a 12-digit %g string reads back to itself, whatever printed it
+    for row in rows:
+        for cell in row.split(","):
+            assert cli._fmt(float(cell)) == cell, row
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(transition_argvs())
+@example(["transition", "--E0", "0", "--omega", "1e-300:1e300:3"])
+@example(["transition", "--n", "3", "--m", "3", "--xi", "-1e300", "--tau", "1e-300"])
+def test_transition_prints_canonical_cells(argv):
+    code, out = _invoke(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        _assert_canonical([line for line in out.splitlines() if not line.startswith("#")][1:])
+
+
+CONTOUR = {p.name: p for p in cli._SUBCOMMANDS["contour"].params + cli._COMMON}
+# accepted potential exponents and sample counts, or edges
+ORDERS = st.one_of(st.sampled_from(("2", "3", "4", "12")), st.sampled_from(EDGE_INTS))
+SAMPLES = st.one_of(st.sampled_from(("1", "2", "201")), st.sampled_from(EDGE_INTS))
+
+
+@st.composite
+def contour_argvs(draw):
+    # kind and N are required; up to three other flags take an edge value
+    argv = ["contour", "--kind", draw(_flag("choice", ("z1", "z2"))), "--N", draw(ORDERS)]
+    for name in draw(st.lists(st.sampled_from(("a", "samples", "xspan", "seed")), unique=True,
+                              max_size=3)):
+        argv += [f"--{name}", draw(SAMPLES if name == "samples" else _flag(CONTOUR[name].kind))]
+    return argv
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(contour_argvs())
+# the parameter and the scale at 1e300, where sqrt(a^2 + x^2) once overflowed
+@example(["contour", "--kind", "z1", "--N", "4", "--a", "1", "--xspan", "1e300", "--samples", "3"])
+@example(["contour", "--kind", "z1", "--N", "4", "--a", "1e300"])
+def test_contour_never_raises_and_prints_finite_points(argv):
+    code, out = _invoke(argv)
+    assert code in (0, 1, 2)
+    assert _invoke(argv) == (code, out)
+    if code != 0:
+        assert out == ""
+        return
+    assert "nan" not in out and "inf" not in out
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "x,re_z,im_z"
+    samples = argv[argv.index("--samples") + 1] if "--samples" in argv else "201"
+    assert len(lines) - 1 == int(samples)
+    for row in lines[1:]:
+        assert all(math.isfinite(float(cell)) for cell in row.split(","))
+    _assert_canonical(lines[1:])
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(st.builds(lambda N: ["wedges", "--N", N], ORDERS))
+def test_wedges_never_raises_and_prints_finite_angles(argv):
+    code, out = _invoke(argv)
+    assert code in (0, 1, 2)
+    assert _invoke(argv) == (code, out)
+    if code != 0:
+        assert out == ""
+        return
+    assert "nan" not in out and "inf" not in out
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "side,theta_lo,theta_hi,theta_anti_stokes"
+    assert [row.split(",")[0] for row in lines[1:]] == ["left", "right"]
+    for row in lines[1:]:
+        assert all(math.isfinite(float(cell)) for cell in row.split(",")[1:])

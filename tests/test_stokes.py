@@ -113,6 +113,17 @@ def test_hyperbola_contour_points():
     assert contour_point(z1, 0.0) == pytest.approx(-1j * math.sqrt(2.0), abs=1e-14)
 
 
+def test_contour_points_stay_finite_or_are_refused():
+    # the hyperbola's modulus is hypot(a, x): finite where a^2 overflows
+    z1 = Contour.hyperbola(1e300, 4)
+    assert contour_point(z1, 0.0) == pytest.approx(-0.5e300j, rel=1e-15)
+    assert np.isfinite(contour_point(Contour.hyperbola(1.0, 4), [-1e300, 1e300])).all()
+    with pytest.raises(ValueError, match="not finite"):
+        contour_point(Contour.hyperbola(1.5e308, 4), 1.5e308)
+    with pytest.raises(ValueError, match="not finite"):
+        contour_point(Contour.sqrt_bend(), [0.0, math.nan])
+
+
 def test_hyperbola_tracks_anti_stokes_rays():
     for N in (3, 4, 7, 10):
         z1 = Contour.hyperbola(1.3, N)
