@@ -433,7 +433,7 @@ def _run_spectrum(v, canon, rng):
     if v["model"] == "spiked":
         hamiltonian = SpikedHOModel(lam=defaults["lambda"], alpha=defaults["alpha"])
     elif v["model"] == "x4h":
-        # the swapped form has even momentum content, same spectrum
+        # the Fourier image alpha p^2 + V(x) is tridiagonal on the grid, same spectrum
         hamiltonian = weyl.fourier_swap(
             models.x4_hermitian_symbol(defaults["alpha"], defaults["g"])
         )
@@ -645,7 +645,7 @@ _SUBCOMMANDS = {
             Param("tau", "float", _TAU_DEFAULT),
         ],
         run=_run_transition,
-        help="first-order transition-probability sweep",
+        help="first-order transition-probability sweep between levels n != m",
     ),
     "propagate": Subcommand(
         params=[
@@ -690,9 +690,6 @@ def _build_parser():
             p.add_argument(f"--{param.name}", dest=param.name, help=param.help)
         p.add_argument("--out", dest="out", help="output file (default stdout)")
         p.add_argument("--config", dest="config", help="key=value parameter file")
-        p.add_argument(
-            "--format", dest="format", help="output format (csv is the only choice)"
-        )
     return parser
 
 
@@ -722,7 +719,7 @@ def _fold_flag_values(argv):
     if not argv or argv[0] not in _SUBCOMMANDS:
         return argv
     names = {p.name for p in _SUBCOMMANDS[argv[0]].params + _COMMON}
-    names |= {"out", "config", "format"}
+    names |= {"out", "config"}
     folded = [argv[0]]
     i = 1
     while i < len(argv):
@@ -757,13 +754,10 @@ def run(argv=None):
 
     try:
         config = _read_config(flags["config"]) if flags.get("config") else {}
-        known = {p.name for p in params} | {"out", "format"}
+        known = {p.name for p in params} | {"out"}
         for key in config:
             if key not in known:
                 raise CliUsageError(f"unknown config key {key!r} for subcommand {name}")
-        fmt_choice = flags.get("format") or config.get("format") or "csv"
-        if fmt_choice != "csv":
-            raise CliUsageError(f"unsupported format {fmt_choice!r}; csv is the only choice")
         out_path = flags.get("out") or config.get("out")
 
         values = {}

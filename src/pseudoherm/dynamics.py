@@ -255,10 +255,14 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     curves as one numpy broadcast over (len(xi_list), steps) through the
     p_squared dressing x + 2 i xi p.  The sweep runs in the calling
     thread and is deterministic.  Output order follows xi_list.  A
-    first-order term |<n|X|m> int exp(i delta s) E(s) ds|^2 above 1
-    anywhere (or not finite) is outside perturbation theory and raises
-    ValueError, as do more than MAX_POINTS (omega, xi) points.
+    probability |<n|X|m> int exp(i delta s) E(s) ds|^2 above 1 anywhere
+    (or not finite) is outside perturbation theory and raises ValueError,
+    as do n == m (on the diagonal first order gives a survival
+    probability, which can exceed 1; first_order_transition returns it)
+    and more than MAX_POINTS (omega, xi) points.
     """
+    if n == m:
+        raise ValueError(f"the sweep needs two distinct levels, got n = m = {n}")
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if not omega_lo < omega_hi or not math.isfinite(omega_hi):
@@ -276,10 +280,8 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     integral = _rectangular_field_integral(E0, omegas, "sine", delta, tau)
     element = position + 2j * xis[:, None] * momentum
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = _first_order_probability(n == m, element, integral)
-        # off the diagonal P is the first-order term itself; on it, P = 1 + term
-        term = probs if n != m else np.abs(element * integral) ** 2
-        worst = float(np.max(term))
+        probs = _first_order_probability(False, element, integral)
+        worst = float(np.max(probs))
     if not worst <= 1.0:
         raise ValueError(
             f"first-order probability {worst:.6g} breaks the perturbative bound P <= 1; "
@@ -312,11 +314,11 @@ def crank_nicolson_propagate(h0_spec, pulse, grid, psi0, dt, T, t0=0.0):
     pulse clock, so a long run can be split into segments.  Returns
     psi(t0 + T); the grid norm is conserved.
 
-    Each step solves (1 + i dt/2 H) psi' = (1 - i dt/2 H) psi with LAPACK
-    directly: gtsv for a tridiagonal band, gbsv for a pentadiagonal one
-    (p^4 term).  The constant off-diagonals are built once; the diagonal
-    and the right-hand side are written in place into two state buffers
-    that swap roles each step, so the loop allocates nothing per step.
+    Each step solves (1 + i dt/2 H) psi' = (1 - i dt/2 H) psi on the
+    tridiagonal band with LAPACK gtsv directly.  The constant
+    off-diagonal is built once; the diagonal and the right-hand side are
+    written in place into two state buffers that swap roles each step, so
+    the loop allocates nothing per step.
     """
     from scipy.linalg import LinAlgError, get_lapack_funcs
 
@@ -329,55 +331,33 @@ def crank_nicolson_propagate(h0_spec, pulse, grid, psi0, dt, T, t0=0.0):
         raise ValueError("need T > 0 and dt > 0")
     coords = grid.coordinates()
     band = banded_hamiltonian(h0_spec, grid)
-    u = band.shape[0] - 1
     n_steps = max(1, round(T / dt))
     step = T / n_steps
     half = 0.5j * step
     fields = field_value(pulse, t0 + (np.arange(n_steps) + 0.5) * step)
 
     n = grid.points
-    # i dt/2 times the r-th off-diagonal, shared by both sides of the step
-    offs = [half * band[u - r, r:] for r in range(1, u + 1)]
-    lhs_diag = np.empty(n, dtype=complex)
-    if u == 1:
-        gtsv, = get_lapack_funcs(("gtsv",), (psi,))
-
-        def solve(rhs):
-            # overwrites lhs_diag (rewritten every step) and solves in place
-            return gtsv(offs[0], lhs_diag, offs[0], rhs, overwrite_d=1, overwrite_b=1)[3:]
-    else:
-        gbsv, = get_lapack_funcs(("gbsv",), (psi,))
-        # gbsv layout: u rows of LU fill-in above the band, diagonal in row 2u
-        lhs_template = np.zeros((3 * u + 1, n), dtype=complex)
-        for r, off in enumerate(offs, start=1):
-            lhs_template[2 * u - r, r:] = off
-            lhs_template[2 * u + r, : n - r] = off
-        lhs = np.empty_like(lhs_template)
-
-        def solve(rhs):
-            # the factorization overwrites lhs, so restore the band first
-            np.copyto(lhs, lhs_template)
-            lhs[2 * u] = lhs_diag
-            return gbsv(u, u, lhs, rhs, overwrite_ab=1, overwrite_b=1)[2:]
-
+    # i dt/2 times the off-diagonal, shared by both sides of the step
+    off = half * band[0, 1:]
+    gtsv, = get_lapack_funcs(("gtsv",), (psi,))
     diag = np.empty(n)
     half_diag = np.empty(n, dtype=complex)
+    lhs_diag = np.empty(n, dtype=complex)
     coupled = np.empty(n, dtype=complex)
     rhs = np.empty(n, dtype=complex)
     for field in fields:
         np.multiply(coords, field, out=diag)
-        np.add(band[u], diag, out=diag)
+        np.add(band[1], diag, out=diag)
         np.multiply(half, diag, out=half_diag)
         np.add(1.0, half_diag, out=lhs_diag)
         np.subtract(1.0, half_diag, out=rhs)
         np.multiply(rhs, psi, out=rhs)
-        for r, off in enumerate(offs, start=1):
-            # the r-th off-diagonal is one constant, so psi_j couples to
-            # both neighbours j -+ r through the same product
-            np.multiply(off[0], psi, out=coupled)
-            np.subtract(rhs[: n - r], coupled[r:], out=rhs[: n - r])
-            np.subtract(rhs[r:], coupled[: n - r], out=rhs[r:])
-        solved, info = solve(rhs)
+        # one constant off-diagonal: psi_j reaches both neighbours through one product
+        np.multiply(off[0], psi, out=coupled)
+        np.subtract(rhs[:-1], coupled[1:], out=rhs[:-1])
+        np.subtract(rhs[1:], coupled[:-1], out=rhs[1:])
+        # overwrites lhs_diag (rewritten every step) and solves in place
+        solved, info = gtsv(off, lhs_diag, off, rhs, overwrite_d=1, overwrite_b=1)[3:]
         if info != 0:
             raise LinAlgError(f"Crank-Nicolson step: LAPACK info={info}")
         psi, rhs = solved, psi

@@ -130,9 +130,10 @@ def conjugate_by_exp(q, operator, max_order=32):
 
     Sums c_q^(n)(operator)/n! until a chain entry vanishes identically
     (terminated=True) or max_order is reached (terminated=False).
+    max_order lies in [0, 170]: 1/n! leaves double precision above 170.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be non-negative")
+    if not 0 <= max_order <= 170:
+        raise ValueError(f"max_order must lie in [0, 170], got {max_order}")
     total = operator
     term = operator
     for n in range(1, max_order + 1):
@@ -211,7 +212,9 @@ def solve_metric_ansatz(H, exponent_monomials, initial=None, tol=1e-10, max_trie
     x0 = np.zeros(len(keys)) if initial is None else np.asarray(initial, dtype=float)
     best = None
     for attempt in range(max_tries):
-        sol = least_squares(resid_vec, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        # an overflowing residual runs on quietly; the coefficientwise check below refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = least_squares(resid_vec, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
         c = sol.x
         residual = metric_residual(H, build(c))
         norm = residual.max_abs_coeff()

@@ -4,9 +4,10 @@ Three families are covered: the generalized Swanson models (x^n
 oscillator seed with an x^m similarity generator), the spiked harmonic
 oscillator on the half line with closed-form Laguerre eigenfunctions,
 and the quartic chain that connects a shifted harmonic seed through a
-p^3 generator to a Hamiltonian with a -x^4 interaction.  A banded
-finite-difference eigensolver provides spectra for even-momentum
-symbols and for the spiked 1/x^2 special form.
+p^3 generator to a Hamiltonian with a -x^4 interaction.  A tridiagonal
+finite-difference eigensolver provides spectra for symbols c p^2 + V(x)
+and for the spiked 1/x^2 special form; a symbol polynomial in p goes to
+the grid through its weyl.fourier_swap image.
 """
 
 from __future__ import annotations
@@ -359,16 +360,13 @@ class GridSpec:
     """Uniform Dirichlet grid of interior points.
 
     points nodes at x_min + j h, j = 1..points, with h = span/(points+1);
-    the wavefunction vanishes at both ends.  kinetic_coefficient supplies
-    the p^2 coefficient when the Hamiltonian itself carries no momentum
-    terms (1 for p^2, 0.5 for p^2/2); symbols with explicit p^2 or p^4
-    terms override it.  points must lie in [16, MAX_POINTS].
+    the wavefunction vanishes at both ends, and p^2 becomes the
+    three-point second difference.  points must lie in [16, MAX_POINTS].
     """
 
     x_min: float
     x_max: float
     points: int
-    kinetic_coefficient: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
@@ -402,12 +400,10 @@ class EigenSystem:
 
 
 def _symbol_grid_parts(hamiltonian, grid):
-    """Split an even-momentum symbol into (c2, c4, V array)."""
+    """Split a symbol c p^2 + V(x) into (c, V array)."""
     coords = grid.coordinates()
     c2 = 0.0
-    c4 = 0.0
     potential = np.zeros_like(coords)
-    saw_momentum = False
     for (dx, dp), coeff in hamiltonian.items():
         if abs(coeff.imag) > 1e-12 * max(1.0, abs(coeff)):
             raise ValueError("grid Hamiltonian symbols must have real coefficients")
@@ -415,27 +411,22 @@ def _symbol_grid_parts(hamiltonian, grid):
         if dp == 0:
             potential = potential + c * coords ** dx
         elif dx == 0 and dp == 2:
-            c2 += c
-            saw_momentum = True
-        elif dx == 0 and dp == 4:
-            c4 += c
-            saw_momentum = True
+            c2 = c
         else:
+            swap = "; a symbol polynomial in p plus c x^2 goes as its weyl.fourier_swap image"
             raise ValueError(
-                "grid Hamiltonians support only x-polynomial terms plus even "
-                f"momentum powers p^2 and p^4; got term x^{dx} p^{dp}"
+                "the grid is tridiagonal and takes x-polynomial terms plus p^2 only; "
+                f"got term x^{dx} p^{dp}{swap if dx == 0 else ''}"
             )
-    if not saw_momentum:
-        c2 = grid.kinetic_coefficient
-    return c2, c4, potential
+    if c2 == 0.0:
+        raise ValueError("grid Hamiltonian symbols need a p^2 term")
+    return c2, potential
 
 
 def banded_hamiltonian(hamiltonian, grid):
-    """Upper-banded symmetric FD matrix for a symbol or spiked model.
-
-    Returns an array of shape (2, N) (tridiagonal) or (3, N)
-    (pentadiagonal, when a p^4 term is present) in the scipy upper-band
-    layout whose last row is the main diagonal.
+    """Upper-banded symmetric tridiagonal FD matrix for a symbol or spiked
+    model: shape (2, N) in the scipy upper-band layout, off-diagonal
+    (constant) in row 0 from column 1, main diagonal in row 1.
 
     The spiked potential depends on alpha^2 only and the Dirichlet end
     picks the regular solution x^(|alpha|+1/2), so a grid can represent
@@ -457,23 +448,16 @@ def banded_hamiltonian(hamiltonian, grid):
     n = grid.points
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if isinstance(hamiltonian, SpikedHOModel):
-            c2 = grid.kinetic_coefficient
-            c4 = 0.0
+            c2 = 1.0  # the model's kinetic term is p^2
             potential = (
                 np.float64(hamiltonian.lam) ** 2 * coords ** 2
                 + (np.float64(hamiltonian.alpha) ** 2 - 0.25) / coords ** 2
             )
         else:
-            c2, c4, potential = _symbol_grid_parts(hamiltonian, grid)
-        if c4 != 0.0:
-            band = np.zeros((3, n))
-            band[2] = c2 * 2.0 / h ** 2 + c4 * 6.0 / h ** 4 + potential
-            band[1, 1:] = -c2 / h ** 2 - c4 * 4.0 / h ** 4
-            band[0, 2:] = c4 / h ** 4
-        else:
-            band = np.zeros((2, n))
-            band[1] = c2 * 2.0 / h ** 2 + potential
-            band[0, 1:] = -c2 / h ** 2
+            c2, potential = _symbol_grid_parts(hamiltonian, grid)
+        band = np.zeros((2, n))
+        band[1] = c2 * 2.0 / h ** 2 + potential
+        band[0, 1:] = -c2 / h ** 2
     if not np.all(np.isfinite(band)):
         raise ValueError(
             f"the grid Hamiltonian on [{grid.x_min:g}, {grid.x_max:g}] with "
@@ -486,23 +470,13 @@ def hermitian_spectrum(hamiltonian, grid, k, first=0):
     """Lowest k Dirichlet eigenpairs of the discretized Hamiltonian, or
     levels first..k-1 of them.
 
-    Accepts an even-momentum WeylSymbol (x-polynomial potential plus p^2
-    and optionally p^4) or a SpikedHOModel for the 1/x^2 special form.
+    Accepts a WeylSymbol c p^2 + V(x) with an x-polynomial V, or a
+    SpikedHOModel for the 1/x^2 special form (see banded_hamiltonian).
     Eigenvectors are normalized in the grid inner product h * sum(v^2).
-
-    A tridiagonal band T (every spiked and xt4 grid, and the swapped x4h
-    form) is solved in O(n k) memory by _tridiagonal_eigenpairs: LAPACK
-    bisection (stebz) to an absolute tolerance of 1e-8 |T|, inverse
-    iteration (stein) for the vectors and one Rayleigh-Ritz step on their
-    span.  The pairs are accepted when every residual |T v - theta v| is
-    at most RESIDUAL_ULPS * eps * |T|, the accuracy a backward-stable
-    solver can promise (|T| is the largest absolute row sum); otherwise
-    the three steps run once more at LAPACK's own tolerance ulp * |T|.
-    The eigenvalues agree with full-precision bisection to about
-    eps * |T|.  A pentadiagonal band (p^4 term) is solved in O(n k)
-    memory as well, by _pentadiagonal_eigenpairs: eig_banded for the
-    values alone, shifted inverse iteration with a banded LU for the
-    vectors, and the same Rayleigh-Ritz step and residual gate.
+    The tridiagonal band is solved in O(n k) memory by
+    _tridiagonal_eigenpairs, whose pairs meet a residual gate of
+    RESIDUAL_ULPS * eps * |T|, the accuracy a backward-stable solver can
+    promise (|T| is the largest absolute row sum), or raise LinAlgError.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -511,38 +485,32 @@ def hermitian_spectrum(hamiltonian, grid, k, first=0):
     if k > grid.points:
         raise ValueError(f"requested {k} levels from a {grid.points}-point grid")
     band = banded_hamiltonian(hamiltonian, grid)
-    if band.shape[0] == 2:
-        values, vectors = _tridiagonal_eigenpairs(band[1], band[0, 1:], first, k)
-    else:
-        values, vectors = _pentadiagonal_eigenpairs(band, first, k)
+    values, vectors = _tridiagonal_eigenpairs(band[1], band[0, 1:], first, k)
     vectors = vectors / math.sqrt(grid.step)
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, grid=grid)
 
 
-# Residual gate of the banded eigensolvers, in units of eps * |A|.
+# Residual gate of the tridiagonal eigensolver, in units of eps * |T|.
 RESIDUAL_ULPS = 16
 
 
-def _band_norm(diagonals):
-    """Largest absolute row sum of the symmetric band whose main diagonal
-    is diagonals[0] and whose r-th off-diagonal is diagonals[r]."""
-    rows = np.abs(diagonals[0])
-    for r, off in enumerate(diagonals[1:], start=1):
-        rows[:-r] += np.abs(off)
-        rows[r:] += np.abs(off)
+def _band_norm(d, e):
+    """Largest absolute row sum of the symmetric tridiagonal T = (d, e)."""
+    rows = np.abs(d)
+    rows[:-1] += np.abs(e)
+    rows[1:] += np.abs(e)
     return float(np.max(rows))
 
 
-def _rayleigh_ritz(diagonals, vectors):
-    """One Rayleigh-Ritz step of the symmetric band (as in _band_norm) on
+def _rayleigh_ritz(d, e, vectors):
+    """One Rayleigh-Ritz step of the symmetric tridiagonal T = (d, e) on
     the span of the orthonormal columns: the Ritz values, the Ritz
-    vectors and the largest residual |A v - theta v|.  Each Ritz vector
+    vectors and the largest residual |T v - theta v|.  Each Ritz vector
     keeps the sign of the column it mostly comes from, so a level's
     vector does not depend on which other levels were solved with it."""
-    applied = diagonals[0][:, None] * vectors
-    for r, off in enumerate(diagonals[1:], start=1):
-        applied[:-r] += off[:, None] * vectors[r:]
-        applied[r:] += off[:, None] * vectors[:-r]
+    applied = d[:, None] * vectors
+    applied[:-1] += e[:, None] * vectors[1:]
+    applied[1:] += e[:, None] * vectors[:-1]
     values, rotation = np.linalg.eigh(vectors.T @ applied)
     pivots = np.abs(rotation).argmax(axis=0)
     rotation *= np.sign(rotation[pivots, np.arange(values.size)])
@@ -562,12 +530,14 @@ def _tridiagonal_eigenpairs(d, e, first, k):
     rounding level.  Levels closer together than the coarse tolerance
     can leave a residual above the gate; then bisection runs to LAPACK's
     own tolerance (abstol 0 means ulp * |T|_1).  LinAlgError when stebz
-    fails or stein does not converge at that tolerance.
+    fails, or when stein does not converge or the residual stays above
+    the gate at that tolerance.
     """
     from scipy.linalg import get_lapack_funcs
 
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
-    norm = _band_norm([d, e])
+    norm = _band_norm(d, e)
+    unit = np.finfo(float).eps * norm
     for tol in (1e-8 * norm, 0.0):
         m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, first + 1, k, tol, "B")
         if info != 0:
@@ -579,63 +549,13 @@ def _tridiagonal_eigenpairs(d, e, first, k):
             if tol == 0.0:
                 raise np.linalg.LinAlgError(f"stein: {info} eigenvectors failed to converge")
             continue
-        values, vectors, residual = _rayleigh_ritz([d, e], vectors)
-        if residual <= RESIDUAL_ULPS * np.finfo(float).eps * norm:
-            break
-    return values, vectors
-
-
-def _pentadiagonal_eigenpairs(band, first, k):
-    """Levels first..k-1 of the symmetric five-band matrix A in scipy's
-    upper layout (shape (3, n)), unit 2-norm vectors as columns, in
-    O(n k) memory.
-
-    eig_banded returns the values alone (sbevx forms no n x n factor when
-    no vectors are asked for).  Each vector is three steps of inverse
-    iteration from one fixed start vector, with the banded LU (gbtrf) of
-    A - theta I, each iterate orthogonalized against the vectors already
-    found so that close levels span their own subspace; an exactly zero
-    pivot is replaced by eps |A|.  One Rayleigh-Ritz step rotates the
-    vectors; the values stay eig_banded's.  LinAlgError when a residual
-    |A v - lambda v| can exceed RESIDUAL_ULPS * eps * |A|.
-    """
-    from scipy.linalg import eig_banded, get_lapack_funcs
-
-    n = band.shape[1]
-    diagonals = [band[2], band[1, 1:], band[0, 2:]]
-    norm = _band_norm(diagonals)
-    values = eig_banded(band, lower=False, eigvals_only=True, select="i",
-                        select_range=(first, k - 1))
-    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
-    # gbtrf layout: two rows of LU fill-in, then the band with the
-    # diagonal in row 4 and the subdiagonals below it
-    full = np.zeros((7, n))
-    full[2:5] = band
-    full[5, :-1] = diagonals[1]
-    full[6, :-2] = diagonals[2]
-    start = np.random.default_rng(0).standard_normal(n)
-    vectors = np.empty((n, values.size))
-    for i, theta in enumerate(values.tolist()):
-        shifted = full.copy()
-        shifted[4] -= theta
-        lu, pivots, _ = gbtrf(shifted, 2, 2, overwrite_ab=1)
-        lu[4][lu[4] == 0.0] = np.finfo(float).eps * norm
-        found = vectors[:, :i]
-        x = start
-        for _ in range(3):
-            x, _ = gbtrs(lu, 2, 2, x, pivots)
-            x -= found @ (found.T @ x)
-            x /= np.linalg.norm(x)
-        vectors[:, i] = x
-    ritz, vectors, residual = _rayleigh_ritz(diagonals, vectors)
-    # the bisection values are kept (they do not depend on first); their
-    # residual is at most the Ritz residual plus the distance to the Ritz value
-    residual += float(np.max(np.abs(ritz - values)))
-    if residual > RESIDUAL_ULPS * np.finfo(float).eps * norm:
-        raise np.linalg.LinAlgError(
-            f"inverse iteration left a residual of {residual:.3g} on a band of norm {norm:.3g}"
-        )
-    return values, vectors
+        values, vectors, residual = _rayleigh_ritz(d, e, vectors)
+        if residual <= RESIDUAL_ULPS * unit:
+            return values, vectors
+    raise np.linalg.LinAlgError(
+        f"full-precision bisection left a residual of {residual / unit:.3g} eps |T| "
+        f"(gate {RESIDUAL_ULPS}) on a band of norm {norm:.3g}"
+    )
 
 
 def refined_eigenvalues(hamiltonian, grid, k, refinements=2):
@@ -644,7 +564,8 @@ def refined_eigenvalues(hamiltonian, grid, k, refinements=2):
     Solves on grids with step h, h/2, ... (refinements extra solves),
     estimates the observed convergence order per level, and extrapolates.
     Every grid is built before the first solve, so a finest grid above
-    MAX_POINTS is refused up front.
+    MAX_POINTS is refused up front.  ValueError when the extrapolated
+    levels are out of order: the grids do not resolve the levels.
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")
@@ -654,13 +575,19 @@ def refined_eigenvalues(hamiltonian, grid, k, refinements=2):
     levels = [hermitian_spectrum(hamiltonian, spec, k).eigenvalues for spec in specs]
     if refinements == 1:
         coarse, fine = levels
-        return fine + (fine - coarse) / 3.0
-    coarse, mid, fine = levels[-3:]
-    num = coarse - mid
-    den = mid - fine
-    out = np.array(fine, dtype=float)
-    for i in range(k):
-        if den[i] != 0 and num[i] / den[i] > 1.0:
-            order = math.log2(num[i] / den[i])
-            out[i] = fine[i] + (fine[i] - mid[i]) / (2 ** order - 1.0)
+        out = fine + (fine - coarse) / 3.0
+    else:
+        coarse, mid, fine = levels[-3:]
+        num = coarse - mid
+        den = mid - fine
+        out = np.array(fine, dtype=float)
+        for i in range(k):
+            if den[i] != 0 and num[i] / den[i] > 1.0:
+                order = math.log2(num[i] / den[i])
+                out[i] = fine[i] + (fine[i] - mid[i]) / (2 ** order - 1.0)
+    if np.any(np.diff(out) < 0):
+        raise ValueError(
+            f"Richardson extrapolation puts the levels out of order on {grid.points} to "
+            f"{specs[-1].points} points: the grids do not resolve them"
+        )
     return out

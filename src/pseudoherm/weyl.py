@@ -30,7 +30,8 @@ comparisons (isclose, is_hermitian, is_pt_symmetric), never for storage.
 A NaN or infinite coefficient raises ValueError, as does a degree above
 MAX_DEGREE (its factorial weights overflow double precision) or a product
 whose (deg_x, deg_p, deg_x, deg_p) work tensor would exceed MAX_TENSOR
-entries.
+entries.  A coefficient that overflows in an operation is refused by that
+ValueError alone: the operations run with numpy's warnings off.
 """
 
 from __future__ import annotations
@@ -51,14 +52,22 @@ _RESIDUE = RESIDUE_ULPS * np.finfo(float).eps
 _EMPTY = np.zeros((0, 0), dtype=complex)
 _EMPTY.flags.writeable = False
 
+# operations on coefficients overflow quietly to inf or nan, which _check_finite refuses
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 # -- coefficient arrays ------------------------------------------------------
 
 
+@_quiet
 def _check_finite(c):
-    if not np.isfinite(c).all():
-        dx, dp = (int(i) for i in np.argwhere(~np.isfinite(c))[0])
-        raise ValueError(f"non-finite coefficient {complex(c[dx, dp])} at degrees {(dx, dp)}")
+    """ValueError for a coefficient whose modulus is NaN or infinite: a
+    modulus above the double range has no rounding floor to hold it to."""
+    finite = np.isfinite(np.abs(c))
+    if not finite.all():
+        dx, dp = (int(i) for i in np.argwhere(~finite)[0])
+        why = ": its modulus overflows" if np.isfinite(c[dx, dp]) else ""
+        raise ValueError(f"non-finite coefficient {complex(c[dx, dp])} at degrees {(dx, dp)}{why}")
 
 
 def _trim(c):
@@ -363,6 +372,7 @@ class WeylSymbol:
         scale = max(1.0, self.max_abs())
         return float(np.abs(self._c.imag).max(initial=0.0)) <= tol * scale
 
+    @_quiet
     def distance(self, other):
         """Largest coefficientwise |self - other|, with no rounding floor applied."""
         diff, _ = _padded_sum(self._c, -other._c)
@@ -374,6 +384,7 @@ class WeylSymbol:
 
     # -- arithmetic --------------------------------------------------------
 
+    @_quiet
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = WeylSymbol.constant(other)
@@ -396,6 +407,7 @@ class WeylSymbol:
     def __neg__(self):
         return WeylSymbol._wrap(-self._c)
 
+    @_quiet
     def __mul__(self, other):
         """Pointwise (commutative) product; use star() for operator products."""
         if isinstance(other, (int, float, complex)):
@@ -427,6 +439,7 @@ class WeylSymbol:
     def diff_p(self, order=1):
         return WeylSymbol._wrap(_trim(_derivative(self._c, 0, order)))
 
+    @_quiet
     def _shift(self, a, axis):
         n = self._c.shape[axis]
         i = np.arange(n)
@@ -670,6 +683,7 @@ def _weighted_products(weights, left, right):
     return _settle(values, mags)
 
 
+@_quiet
 def star(f, g):
     """Moyal star product.
 
@@ -689,6 +703,7 @@ def star(f, g):
     return _star_with_exp(f, g, poly_left=True)
 
 
+@_quiet
 def star_commutator(f, g):
     """f * g - g * f of two polynomial symbols, from the odd Moyal orders only."""
     return _settle(*_moyal(f._c, g._c, odd_only=True))

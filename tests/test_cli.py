@@ -116,12 +116,16 @@ def test_bad_parameter_value(capsys):
     assert "invalid value" in err
 
 
-def test_format_csv_only(capsys):
-    code, _, _ = invoke(capsys, ["wedges", "--N", "4", "--format", "csv"])
-    assert code == 0
-    code, _, err = invoke(capsys, ["wedges", "--N", "4", "--format", "json"])
-    assert code == 2
-    assert "format" in err
+def test_format_csv_only(capsys, tmp_path):
+    # csv is the only output, so neither a flag nor a config key selects it
+    code, out, err = invoke(capsys, ["wedges", "--N", "4", "--format", "csv"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --format" in err
+    config = tmp_path / "run.cfg"
+    config.write_text("N=4\nformat=csv\n")
+    code, out, err = invoke(capsys, ["wedges", "--config", str(config)])
+    assert (code, out) == (2, "")
+    assert "unknown config key 'format'" in err
 
 
 def test_domain_error_exit_code(capsys):

@@ -1,5 +1,6 @@
 """Property tests of the `propagate`, `spectrum`, `spiked`, `transition`,
-`contour` and `wedges` command lines.
+`contour` and `wedges` command lines, the symbol subcommands (`star`, `bch`,
+`metric-verify`, `metric-solve`, `swanson`, `x4`, `kappa`) and `verify-all`.
 
 Uses Hypothesis (MacIver et al., "Hypothesis: A new approach to
 property-based testing", JOSS 4 (2019) 1891) with a derandomized, fixed
@@ -14,12 +15,19 @@ finite numbers (for `propagate` every population and for `transition`
 every probability in [0, 1], for `spectrum` one ascending energy per
 level); and the same argv prints the same bytes twice.  Every number of a
 `transition` or `contour` table, which the array formatter prints, reads
-back to the same string through `cli._fmt`.
+back to the same string through `cli._fmt`.  Symbol files are drawn into a
+temporary directory: up to four terms of degree <= 3 with ordinary or
+overflowing coefficients, and at times a NaN, inf, degree-171 or malformed
+line; `kappa --upto` stays at or below 201.
 """
 import contextlib
+import hashlib
 import io
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -210,9 +218,11 @@ def transition_argvs(draw):
 @given(transition_argvs())
 # accepted edges, each run on every pass
 @example(["transition", "--E0", "0", "--omega", "1e-300:1e300:3"])
-@example(["transition", "--n", "3", "--m", "3", "--xi", "-1e300", "--tau", "1e-300"])
+@example(["transition", "--n", "3", "--m", "2", "--xi", "-1e300", "--tau", "1e-300"])
 # a sweep too large to hold is refused before anything is allocated
 @example(["transition", "--omega", f"1.5:2.5:{2**63}"])
+# on the diagonal first order prints survival probabilities above 1: refused
+@example(["transition", "--n", "0", "--m", "0"])
 def test_transition_never_raises_and_prints_probabilities(argv):
     code, out = _invoke(argv)
     assert code in (0, 1, 2)
@@ -239,7 +249,7 @@ def _assert_canonical(rows):
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(transition_argvs())
 @example(["transition", "--E0", "0", "--omega", "1e-300:1e300:3"])
-@example(["transition", "--n", "3", "--m", "3", "--xi", "-1e300", "--tau", "1e-300"])
+@example(["transition", "--n", "3", "--m", "2", "--xi", "-1e300", "--tau", "1e-300"])
 def test_transition_prints_canonical_cells(argv):
     code, out = _invoke(argv)
     assert code in (0, 1, 2)
@@ -300,3 +310,159 @@ def test_wedges_never_raises_and_prints_finite_angles(argv):
     assert [row.split(",")[0] for row in lines[1:]] == ["left", "right"]
     for row in lines[1:]:
         assert all(math.isfinite(float(cell)) for cell in row.split(",")[1:])
+
+
+# -- symbol subcommands and verify-all ---------------------------------------
+
+
+@dataclass(frozen=True)
+class SymbolFile:
+    """A symbol file argument: the text is written out when the test runs."""
+
+    text: str
+
+
+# ordinary coefficients, or edges whose products underflow or overflow
+COEFFICIENTS = st.one_of(
+    st.sampled_from(("1", "-0.5", "2.5", "0")),
+    st.sampled_from(("1e-300", "1e200", "-1e250", "1e308", "1.5e308")),
+)
+DEGREES = st.sampled_from(("0", "1", "2", "3"))
+TERM_LINES = st.builds("{} {} {} {}".format, DEGREES, DEGREES, COEFFICIENTS, COEFFICIENTS)
+# NaN and inf, degree-171 terms (above weyl.MAX_DEGREE), malformed lines,
+# and lines the reader skips
+ODD_LINES = st.sampled_from((
+    "1 1 nan 0", "0 0 1 inf", "171 0 1 0", "0 171 1 0", "1 2 3", "x 0 1 0", "1.5 0 1 0",
+    "-1 0 1 0", "1 1 1 0 0", "deg_x,deg_p,re,im", "# comment", "",
+))
+# up to four terms, and in one file of three an odd line
+SYMBOL_FILES = st.builds(
+    lambda terms, odd: SymbolFile("\n".join(terms + odd) + "\n"),
+    st.lists(TERM_LINES, max_size=4),
+    st.one_of(st.just([]), st.just([]), st.lists(ODD_LINES, min_size=1, max_size=1)),
+)
+# coefficients 1e200 to 1e308, whose products overflow inside the kernels
+HUGE = SymbolFile("0 2 1e300 0\n2 0 1e308 0\n1 1 1e200 1e250\n")
+HUGE_CUBIC = SymbolFile("3 0 1e300 0\n1 1 1e300 0\n")
+HUGE_COUPLING = SymbolFile("0 2 1 0\n2 0 1 0\n1 1 0 1e200\n")
+# finite parts whose modulus 2.1e308 is not a double
+HUGE_MODULUS = SymbolFile("0 2 1.5e308 1.5e308\n0 0 1 0\n")
+ORDERS_BCH = st.one_of(st.sampled_from(("0", "1", "8")),
+                      st.sampled_from(("-1", "-3", "171", str(10**20))))
+MONOMIALS = st.sampled_from(("0,1;1,0", "2,0", "1,1", "0,2;2,0", "0,0", "171,0", "-1,0", ""))
+UPTO = st.sampled_from(("1", "2", "3", "201", "0", "-1", "-3"))
+PARAM_FLOATS = st.one_of(st.sampled_from(("0.5", "1", "-2")), st.sampled_from(EDGE_FLOATS))
+PARAM_INTS = st.one_of(st.sampled_from(("1", "2", "3", "6")), st.sampled_from(EDGE_INTS))
+TOLERANCES = st.sampled_from(("1e-10", "1e-3", "0", "-1", "1e300"))
+
+
+@st.composite
+def symbol_argvs(draw):
+    command = draw(st.sampled_from(
+        ("star", "bch", "metric-verify", "metric-solve", "swanson", "x4", "kappa")))
+    if command == "star":
+        argv = ["star", "--f", draw(SYMBOL_FILES), "--g", draw(SYMBOL_FILES)]
+        return argv + ["--op", draw(st.sampled_from(("star", "commutator")))]
+    if command == "bch":
+        return ["bch", "--generator", draw(SYMBOL_FILES), "--operand", draw(SYMBOL_FILES),
+                "--max_order", draw(ORDERS_BCH)]
+    if command == "metric-verify":
+        return ["metric-verify", "--hamiltonian", draw(SYMBOL_FILES),
+                "--exponent", draw(SYMBOL_FILES), "--tol", draw(TOLERANCES)]
+    if command == "metric-solve":
+        return ["metric-solve", "--hamiltonian", draw(SYMBOL_FILES),
+                "--monomials", draw(MONOMIALS), "--tol", draw(TOLERANCES)]
+    if command == "swanson":
+        return ["swanson", "--n", draw(PARAM_INTS), "--m", draw(PARAM_INTS),
+                "--alpha", draw(PARAM_FLOATS), "--g", draw(PARAM_FLOATS),
+                "--which", draw(st.sampled_from(("h", "H", "q")))]
+    if command == "x4":
+        return ["x4", "--alpha", draw(PARAM_FLOATS), "--g", draw(PARAM_FLOATS),
+                "--which", draw(st.sampled_from(("h", "H", "q", "eta2_exponent")))]
+    return ["kappa", "--upto", draw(UPTO)]
+
+
+HEADERS = {
+    "star": "deg_x,deg_p,re,im",
+    "bch": "deg_x,deg_p,re,im",
+    "swanson": "deg_x,deg_p,re,im",
+    "x4": "deg_x,deg_p,re,im",
+    "metric-verify": "term,deg_x,deg_p,re,im",
+    "metric-solve": "deg_x,deg_p,coefficient",
+    "kappa": "n,kappa",
+}
+
+
+@pytest.fixture(scope="module")
+def symbol_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("symbols")
+
+
+def _written(argv, directory):
+    """argv with each SymbolFile written into directory and replaced by its path."""
+    out = []
+    for arg in argv:
+        if isinstance(arg, SymbolFile):
+            path = directory / f"{hashlib.sha256(arg.text.encode()).hexdigest()[:16]}.txt"
+            path.write_text(arg.text)
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(argv=symbol_argvs())
+# kernel overflows, refused with one error line instead of numpy warnings
+@example(argv=["star", "--f", HUGE, "--g", HUGE, "--op", "star"])
+@example(argv=["star", "--f", HUGE, "--g", HUGE_CUBIC, "--op", "commutator"])
+@example(argv=["bch", "--generator", HUGE_CUBIC, "--operand", HUGE, "--max_order", "8"])
+@example(argv=["metric-verify", "--hamiltonian", HUGE, "--exponent", HUGE_CUBIC,
+               "--tol", "1e-10"])
+@example(argv=["metric-solve", "--hamiltonian", HUGE, "--monomials", "0,1;1,0",
+               "--tol", "1e-10"])
+@example(argv=["metric-solve", "--hamiltonian", HUGE_COUPLING, "--monomials", "0,1;1,0",
+               "--tol", "1e-10"])
+@example(argv=["swanson", "--n", "2", "--m", "2", "--alpha", "1e300", "--g", "1e300",
+               "--which", "H"])
+# a series that never terminates, summed past 1/170!: it raised OverflowError
+@example(argv=["bch", "--generator", SymbolFile("1 1 1 0\n"), "--operand", SymbolFile("1 0 1 0\n"),
+               "--max_order", "171"])
+# a term whose modulus overflows, once dropped from the product without a word
+@example(argv=["star", "--f", HUGE_MODULUS, "--g", SymbolFile("0 0 1 0\n"), "--op", "star"])
+# accepted runs
+@example(argv=["x4", "--alpha", "1", "--g", "0.5", "--which", "eta2_exponent"])
+@example(argv=["kappa", "--upto", "201"])
+def test_symbol_commands_never_raise_and_print_finite_rows(symbol_dir, argv):
+    argv = _written(argv, symbol_dir)
+    code, out = _invoke(argv)
+    assert code in (0, 1, 2)
+    assert _invoke(argv) == (code, out)
+    # metric-verify prints its residual and exits 1 when the candidate fails
+    if code != 0 and not (argv[0] == "metric-verify" and "# passed=false" in out):
+        assert out == ""
+        return
+    lines = out.splitlines()
+    rows = [line for line in lines if not line.startswith("#")]
+    assert rows[0] == HEADERS[argv[0]]
+    for line in lines:
+        if line.startswith("# residual"):
+            assert math.isfinite(float(line.split("=", 1)[1]))
+    for row in rows[1:]:
+        if argv[0] == "kappa":
+            n, kappa = row.split(",")
+            assert int(n) % 2 == 1 and Fraction(kappa) != 0
+        else:
+            assert all(math.isfinite(float(cell)) for cell in row.split(","))
+
+
+@settings(derandomize=True, max_examples=3, deadline=None, database=None)
+@given(st.builds(lambda seed: ["verify-all", "--seed", seed], st.sampled_from(("0", "1", "7"))))
+@example(["verify-all"])
+def test_verify_all_passes_every_check_for_any_seed(argv):
+    code, out = _invoke(argv)
+    assert _invoke(argv) == (code, out)
+    assert code == 0
+    assert "nan" not in out and "inf" not in out
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert rows[0] == "check,status,detail"
+    assert len(rows) > 1 and all(row.split(",")[1] == "PASS" for row in rows[1:])

@@ -196,6 +196,10 @@ def test_conjugate_by_exp_unterminated():
     assert series.order == 6
     with pytest.raises(ValueError):
         conjugate_by_exp(q, WeylSymbol.x(), max_order=-2)
+    # 1/n! leaves double precision above order 170: order 171 raised OverflowError
+    assert conjugate_by_exp(q, WeylSymbol.x(), max_order=170).order == 170
+    with pytest.raises(ValueError, match="170"):
+        conjugate_by_exp(q, WeylSymbol.x(), max_order=171)
 
 
 def test_observable_map_examples():

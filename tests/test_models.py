@@ -475,25 +475,6 @@ def test_banded_matches_dense_tridiagonal():
     assert np.max(np.abs(ref - got)) < 1e-8
 
 
-def test_banded_matches_dense_pentadiagonal():
-    grid = GridSpec(-6.0, 6.0, 160)
-    quart = WeylSymbol.p(4) + WeylSymbol.x(2)
-    xs = grid.coordinates()
-    h = grid.step
-    n = grid.points
-    c = 1.0 / h**4
-    dense = np.zeros((n, n))
-    for i in range(n):
-        dense[i, i] = 6.0 * c + xs[i] ** 2
-        if i + 1 < n:
-            dense[i, i + 1] = dense[i + 1, i] = -4.0 * c
-        if i + 2 < n:
-            dense[i, i + 2] = dense[i + 2, i] = c
-    ref = np.linalg.eigvalsh(dense)[:4]
-    got = models.hermitian_spectrum(quart, grid, 4).eigenvalues
-    assert np.max(np.abs(ref - got)) < 1e-8
-
-
 def test_harmonic_levels_and_refinement():
     grid = GridSpec(-8.0, 8.0, 600)
     ho = WeylSymbol.p(2) + WeylSymbol.x(2)
@@ -624,38 +605,26 @@ def test_tridiagonal_solve_falls_back_to_full_bisection_for_close_levels():
     assert np.max(np.abs(vectors.T @ vectors - np.eye(k))) <= 64 * np.finfo(float).eps
 
 
-def test_pentadiagonal_eigenpairs_take_memory_linear_in_the_grid(monkeypatch):
-    # eig_banded with vectors forms an n x n orthogonal factor (8 n^2
-    # bytes, 122 MiB here); values alone plus inverse iteration need
-    # O(n k) (measured peak 1.6 MiB).  The pairs are checked with an
-    # independent sparse product
-    import tracemalloc
-
-    from scipy.sparse import diags
-
-    h0 = WeylSymbol.p(2) * 0.5 + WeylSymbol.p(4) * 0.02 + WeylSymbol.x(2) * 0.5
-    grid = GridSpec(-8.0, 8.0, 4000)
-    band = models.banded_hamiltonian(h0, grid)
-    assert band.shape[0] == 3
-    tracemalloc.start()
-    try:
-        es = models.hermitian_spectrum(h0, grid, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
-    offsets = [band[2], band[1, 1:], band[0, 2:]]
-    A = diags([offsets[2], offsets[1], offsets[0], offsets[1], offsets[2]], [-2, -1, 0, 1, 2])
-    unit = np.finfo(float).eps * np.max(np.abs(A).sum(axis=1))
-    vectors = es.eigenvectors * math.sqrt(grid.step)
-    residuals = np.linalg.norm(A @ vectors - vectors * es.eigenvalues, axis=0)
-    assert np.max(residuals) <= models.RESIDUAL_ULPS * unit
-    assert np.max(np.abs(vectors.T @ vectors - np.eye(5))) <= 64 * np.finfo(float).eps
-    assert np.all(np.diff(es.eigenvalues) > 0)
-    # the gate can refuse: with no tolerance at all it does
+def test_tridiagonal_residual_gate_can_refuse(monkeypatch):
+    # with no tolerance at all the full-precision pass misses the gate as
+    # well, and the solve raises instead of returning its pairs
+    model, grid = SpikedHOModel(lam=0.5, alpha=0.2), GridSpec(0.0, 14.0, 400)
+    assert models.hermitian_spectrum(model, grid, 5).eigenvalues.size == 5
     monkeypatch.setattr(models, "RESIDUAL_ULPS", 0)
     with pytest.raises(np.linalg.LinAlgError, match="residual"):
-        models.hermitian_spectrum(h0, GridSpec(-8.0, 8.0, 400), 5)
+        models.hermitian_spectrum(model, grid, 5)
+
+
+def test_refined_eigenvalues_refuse_levels_put_out_of_order():
+    # at alpha = 1e-300 the kinetic term of the swapped x4h form is below
+    # rounding on the grid, each level sits on one grid point of the
+    # 2.5e297 x^4 wall, and extrapolating between grids whose points differ
+    # reorders them (it printed -6.05e292, 1.82e293, -4.66e294)
+    h = fourier_swap(models.x4_hermitian_symbol(1e-300, 0.1))
+    grid = GridSpec(-6.0, 6.0, 64)
+    assert np.all(np.diff(models.hermitian_spectrum(h, grid, 3).eigenvalues) > 0)
+    with pytest.raises(ValueError, match="out of order"):
+        models.refined_eigenvalues(h, grid, 3, refinements=1)
 
 
 def test_fourier_swap_preserves_spectrum():
@@ -687,11 +656,38 @@ def test_grid_hamiltonian_validation():
 
 
 @pytest.mark.parametrize(
+    "symbol, message",
+    [
+        (WeylSymbol.p(4) + WeylSymbol.x(2), "fourier_swap"),
+        (WeylSymbol.p(2) * 0.5 + WeylSymbol.p(4) * 0.02 + WeylSymbol.x(2) * 0.5, "fourier_swap"),
+        (WeylSymbol.p(6) + WeylSymbol.p(2), "fourier_swap"),
+        (WeylSymbol.x(2), "p\\^2 term"),
+        (WeylSymbol.x(4) - WeylSymbol.x(1), "p\\^2 term"),
+    ],
+)
+def test_grid_hamiltonian_takes_p_squared_and_a_potential_only(symbol, message):
+    # the band is tridiagonal: any momentum power but p^2 is refused, and
+    # so is a symbol without p^2 (no kinetic term is supplied for it)
+    grid = GridSpec(-8.0, 8.0, 100)
+    with pytest.raises(ValueError, match=message):
+        models.banded_hamiltonian(symbol, grid)
+    with pytest.raises(ValueError, match=message):
+        models.hermitian_spectrum(symbol, grid, 2)
+
+
+def test_quartic_momentum_symbol_solves_through_its_fourier_image():
+    h = models.x4_hermitian_symbol(1.0, 0.3)
+    grid = GridSpec(-8.0, 8.0, 400)
+    with pytest.raises(ValueError, match="fourier_swap"):
+        models.hermitian_spectrum(h, grid, 3)
+    levels = models.hermitian_spectrum(fourier_swap(h), grid, 3).eigenvalues
+    assert np.all(np.diff(levels) > 0)
+
+
+@pytest.mark.parametrize(
     "hamiltonian, grid",
     [
         (SpikedHOModel(lam=0.7, alpha=0.3), GridSpec(0.0, 14.0, 1400)),
-        (WeylSymbol.p(2) * 0.5 + WeylSymbol.p(4) * 0.02 + WeylSymbol.x(2) * 0.5,
-         GridSpec(-8.0, 8.0, 400)),
     ],
 )
 def test_hermitian_spectrum_upper_levels_match_the_full_solve(hamiltonian, grid):

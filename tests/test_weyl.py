@@ -358,3 +358,15 @@ def test_non_finite_coefficient_rejected(slot, bad, part):
     terms[slot] = complex(bad, 0.0) if part == "re" else complex(0.0, bad)
     with pytest.raises(ValueError, match="non-finite"):
         WeylSymbol(terms)
+
+
+def test_coefficient_whose_modulus_overflows_is_rejected():
+    # both parts are finite, but |c| = 2.1e308 is not a double: the rounding
+    # floor compared inf with inf and a product dropped the term silently
+    huge = complex(1.5e308, 1.5e308)
+    with pytest.raises(ValueError, match="modulus overflows"):
+        WeylSymbol({(0, 2): huge, (0, 0): 1.0})
+    edge = WeylSymbol({(0, 0): complex(1e308, 1e308)})
+    assert star(edge, WeylSymbol.one()) == edge
+    with pytest.raises(ValueError, match="modulus overflows"):
+        star(WeylSymbol.constant(1e308), WeylSymbol.constant(complex(1.5, 1.5)))
