@@ -334,9 +334,10 @@ def _run_star(v, canon, rng):
 
 
 def _run_kappa(v, canon, rng):
-    if v["upto"] < 1:
-        raise CliUsageError("--upto must be at least 1")
-    rows = [f"{n},{metric.kappa(n)}" for n in range(1, v["upto"] + 1, 2)]
+    if not 1 <= v["upto"] <= 401:  # about 0.2 s of exact arithmetic at the top
+        raise CliUsageError("--upto must lie in [1, 401]")
+    eulers = metric.euler_numbers((v["upto"] + 1) // 2)  # once for every row
+    rows = [f"{n},{metric._kappa(n, eulers)}" for n in range(1, v["upto"] + 1, 2)]
     return [], "n,kappa", rows, 0
 
 
@@ -552,7 +553,7 @@ _SUBCOMMANDS = {
         help="star product or star commutator of two symbol files",
     ),
     "kappa": Subcommand(
-        params=[Param("upto", "int", help="largest odd order")],
+        params=[Param("upto", "int", help="largest odd order, at most 401")],
         run=_run_kappa,
         help="exact odd-order series coefficients",
     ),

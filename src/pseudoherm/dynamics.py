@@ -17,6 +17,7 @@ grid propagator is the independent second method.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -103,57 +104,58 @@ def _rectangular_integrals(pulse, t):
         rest = t - pulse.tau
         c += b * rest
         d += 0.5 * b * b * rest
-    return FieldIntegrals(b=b, c=c, d=d)
+    return b, c, d
 
 
 def field_integrals(pulse, t):
-    """Running integrals (b, c, d) of the field up to time t >= 0.
-
-    Rectangular envelopes use closed forms (with the free continuation
-    past tau); other envelopes integrate the cascade numerically.
-    """
-    if t < 0:
-        raise ValueError("field integrals are defined for t >= 0")
-    if t == 0:
-        return FieldIntegrals(b=0.0, c=0.0, d=0.0)
-    if pulse.envelope == "rectangular":
-        return _rectangular_integrals(pulse, t)
-    b, c, d = _cascade(pulse, t)[:, -1]
-    return FieldIntegrals(b=float(b), c=float(c), d=float(d))
+    """Running integrals (b, c, d) of the field up to time t >= 0."""
+    return FieldIntegrals(*_field_integral_table(pulse, [t])[:, 0].tolist())
 
 
-def _cascade(pulse, t_end, t_eval=None):
-    """(b, c, d) rows from one DOP853 solve of the cascade over [0, t_end]."""
-    from scipy.integrate import solve_ivp
-
-    def rhs(s, y):
-        e = field_value(pulse, s)
-        return [e, y[0], 0.5 * y[0] ** 2]
-
-    sol = solve_ivp(
-        rhs, (0.0, t_end), [0.0, 0.0, 0.0], method="DOP853", t_eval=t_eval,
-        rtol=1e-12, atol=1e-14,
-    )
-    if not sol.success:
-        raise RuntimeError(f"field integral integration failed: {sol.message}")
-    return sol.y
+_MAX_PANELS, _PANEL_BLOCK = 2**16, 2**12  # gaussian c, d panels: refused above, run per block
 
 
+@functools.cache
+def _gauss_panel():
+    """16-node Gauss-Legendre rule; on a panel of width h exact for exp(i k s) while k h <= 12."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(16)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def _field_integral_table(pulse, times):
-    """field_integrals at each time >= 0, in the given order.
+    """(b, c, d) rows at each of the finite times >= 0, in the given order.
 
-    Rectangular envelopes evaluate the closed form per time; other
-    envelopes take all times from one cascade solve (t_eval at the
-    distinct times, read off its dense output).
-    """
+    Closed forms, but a gaussian envelope's c and d take _gauss_panel on b, b^2
+    over the window of [0, tau] within 8.5 widths of the center (env > eps; b
+    is constant outside it), (omega/6 + 1/width) panels per unit time."""
     times = np.asarray(times, dtype=float)
+    if not np.all((times >= 0) & (times < math.inf)):
+        raise ValueError("field integrals are defined for finite t >= 0")
     if pulse.envelope == "rectangular":
-        return [field_integrals(pulse, s) for s in times.tolist()]
-    if np.any(times < 0):
-        raise ValueError("field integrals are defined for t >= 0")
-    distinct, where = np.unique(times, return_inverse=True)
-    rows = _cascade(pulse, distinct[-1], t_eval=distinct).T[where]
-    return [FieldIntegrals(b=b, c=c, d=d) for b, c, d in rows.tolist()]
+        table = np.array([_rectangular_integrals(pulse, s) for s in times.tolist()]).T
+    else:
+        def b_at(s):  # env is real, so the wavenumbers +-omega give conjugate integrals
+            area = pulse.E0 * _gaussian_phase_integral(pulse, pulse.omega, s)
+            return area.imag if pulse.phase_kind == "sine" else area.real
+        b = b_at(np.minimum(times, pulse.tau))
+        lo, hi = np.clip(pulse.center + 8.5 * pulse.width * np.array([-1.0, 1.0]), 0.0, pulse.tau)
+        panels = (hi - lo) * (pulse.omega / 6.0 + 1.0 / pulse.width)
+        if not panels <= _MAX_PANELS:
+            raise ValueError(f"the gaussian pulse needs more than {_MAX_PANELS} quadrature panels")
+        inside = np.clip(times, lo, hi)
+        edges = np.sort(np.concatenate([np.linspace(lo, hi, math.ceil(panels) + 1), inside]))
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        nodes, weights = _gauss_panel()
+        sums = np.zeros((2, edges.size))
+        for i in range(0, mid.size, _PANEL_BLOCK):
+            part = slice(i, i + _PANEL_BLOCK)
+            at = b_at(mid[part, None] + half[part, None] * nodes)
+            sums[:, 1:][:, part] = half[part] * (np.stack([at, at * at]) @ weights)
+        c, twice_d = np.cumsum(sums, axis=1)[:, np.searchsorted(edges, inside)]
+        after = np.maximum(times - hi, 0.0)
+        table = np.array([b, c + b * after, 0.5 * (twice_d + b * b * after)])
+    return _check_finite("field integrals", table)
 
 
 def gauge_residual(h0, pulse, t):
@@ -185,13 +187,29 @@ def _phase_integral_flat(mu, tc):
     return tc * np.exp(1j * half) * np.sinc(half / math.pi)
 
 
-def _rectangular_field_integral(E0, omega, phase_kind, delta, tc):
-    """int_0^tc exp(i delta s) E0 trig(omega s) ds; omega may be an array."""
-    plus = _phase_integral_flat(delta + omega, tc)
-    minus = _phase_integral_flat(delta - omega, tc)
+def _carrier_field_integral(E0, omega, phase_kind, delta, tc, envelope=_phase_integral_flat):
+    """int_0^tc exp(i delta s) E(s) ds from envelope(mu, tc) = int_0^tc exp(i mu s) env(s) ds."""
+    plus = envelope(delta + omega, tc)
+    minus = envelope(delta - omega, tc)
     if phase_kind == "sine":
         return E0 / 2j * (plus - minus)
     return 0.5 * E0 * (plus + minus)
+
+
+def _gaussian_phase_integral(pulse, kappa, s):
+    """int_0^s exp(i kappa u) env(u) du under the gaussian envelope, s in [0, tau].
+
+    -sqrt(pi/2) width exp(i kappa u) env(u) w(y + i x) is an antiderivative
+    (x = (u - center)/(sqrt2 width), y = kappa width/sqrt2, w the Faddeeva
+    function); w(z) = 2 exp(-z^2) - w(-z) keeps every term bounded for x < 0
+    (Poppe and Wijers, ACM TOMS 16 (1990) 38).  env(u) is 0 where |x| >= 40."""
+    from scipy.special import wofz
+    y, u = kappa * pulse.width / math.sqrt(2.0), np.append(0.0, s)
+    x = np.clip((u - pulse.center) / (math.sqrt(2.0) * pulse.width), -40.0, 40.0)
+    sign = np.where(x < 0.0, -1.0, 1.0)
+    edge = np.exp(1j * kappa * u - x * x) * wofz(sign * (y + 1j * x))
+    T = (1.0 - sign) * np.exp(1j * kappa * pulse.center - y * y) + sign * edge
+    return (math.sqrt(0.5 * math.pi) * pulse.width * (T[0] - T[1:])).reshape(np.shape(s))
 
 
 def _oscillatory_field_integral(pulse, delta, t):
@@ -199,13 +217,9 @@ def _oscillatory_field_integral(pulse, delta, t):
     tc = min(t, pulse.tau)
     if tc <= 0:
         return 0j
-    if pulse.envelope == "rectangular":
-        return _rectangular_field_integral(pulse.E0, pulse.omega, pulse.phase_kind, delta, tc)
-    from scipy.integrate import quad
-
-    re = quad(lambda s: field_value(pulse, s) * math.cos(delta * s), 0.0, tc, limit=400)[0]
-    im = quad(lambda s: field_value(pulse, s) * math.sin(delta * s), 0.0, tc, limit=400)[0]
-    return complex(re, im)
+    gaussian = functools.partial(_gaussian_phase_integral, pulse)
+    envelope = gaussian if pulse.envelope == "gaussian" else _phase_integral_flat
+    return _carrier_field_integral(pulse.E0, pulse.omega, pulse.phase_kind, delta, tc, envelope)
 
 
 def _first_order_probability(diagonal, element, integral):
@@ -213,6 +227,7 @@ def _first_order_probability(diagonal, element, integral):
     return np.abs((1.0 if diagonal else 0.0) - 1j * element * integral) ** 2
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def first_order_transition(model, n, m, pulse, t, coupling="canonical_X"):
     """First-order probability of the m -> n transition at time t.
 
@@ -228,7 +243,8 @@ def first_order_transition(model, n, m, pulse, t, coupling="canonical_X"):
         raise ValueError(f"unknown coupling {coupling!r}")
     delta = spiked_energy(model, n) - spiked_energy(model, m)
     integral = _oscillatory_field_integral(pulse, delta, t)
-    return float(_first_order_probability(n == m, element, integral))
+    probability = float(_first_order_probability(n == m, element, integral))
+    return _check_finite("the first-order probability", probability)
 
 
 @dataclass(frozen=True)
@@ -277,7 +293,7 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     delta = spiked_energy(model, n) - spiked_energy(model, m)
     position = spiked_matrix_element(model, "position", n, m)
     momentum = spiked_matrix_element(model, "momentum", n, m)
-    integral = _rectangular_field_integral(E0, omegas, "sine", delta, tau)
+    integral = _carrier_field_integral(E0, omegas, "sine", delta, tau)
     element = position + 2j * xis[:, None] * momentum
     with np.errstate(over="ignore", invalid="ignore"):
         probs = _first_order_probability(False, element, integral)
@@ -533,6 +549,7 @@ def _volkov_phase(grid, elapsed, shift, scalar=0.0):
 def _check_finite(name, values):
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} must be finite")
+    return values
 
 
 # The strong-field node table is formed in blocks of at most this many
@@ -572,7 +589,7 @@ def first_order_strong_field(psi0, potential_on_grid, pulse, grid, t, n_quad=128
     psi(t) = U_GV(t,0) psi0 - i int_0^t U_GV(t,s) V U_GV(s,0) psi0 ds
     with the time integral by composite Simpson on n_quad intervals
     (rounded up to even), weights w_j.  The field integrals are tabulated
-    once (closed forms, or one cascade solve with t_eval at the nodes).
+    once, at the nodes and t, by _field_integral_table.
     In the k representation of gordon_volkov_propagate, b, c and d vanish
     at 0, so U_GV(s_j,0) is exp(-i b_j x - i d_j) F^-1 Q_j F with
     Q_j = exp(-i k^2 s_j/2 + i k c_j), and U_GV(t,s_j) is
@@ -604,8 +621,8 @@ def first_order_strong_field(psi0, potential_on_grid, pulse, grid, t, n_quad=128
     n_quad += n_quad % 2
     ds = t / n_quad
     nodes = ds * np.arange(n_quad + 1)
-    *at_nodes, at_t = _field_integral_table(pulse, nodes.tolist() + [t])
-    shifts = np.array([f.c for f in at_nodes])
+    b, c, d = _field_integral_table(pulse, np.append(nodes, t))
+    shifts = c[:-1]
     weights = np.where(np.arange(n_quad + 1) % 2, 4.0, 2.0)
     weights[[0, -1]] = 1.0
     initial = _to_k(psi0, grid)
@@ -615,5 +632,5 @@ def first_order_strong_field(psi0, potential_on_grid, pulse, grid, t, n_quad=128
         table = _volkov_phase(grid, nodes[j : j + block, None], shifts[j : j + block, None])
         scattered = _to_k(potential * _from_k(table * initial, grid), grid)
         acc += weights[j : j + block] @ (scattered * np.conj(table, out=table))
-    coeffs = (initial - 1j * (ds / 3.0) * acc) * _volkov_phase(grid, t, at_t.c, at_t.d)
-    return _from_k(coeffs, grid) * _unit_phase(-at_t.b * grid.coordinates())
+    coeffs = (initial - 1j * (ds / 3.0) * acc) * _volkov_phase(grid, t, c[-1], d[-1])
+    return _from_k(coeffs, grid) * _unit_phase(-b[-1] * grid.coordinates())

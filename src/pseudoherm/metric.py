@@ -61,12 +61,13 @@ def kappa(n):
     """Exact expansion coefficient kappa_n (odd n only), as a Fraction."""
     if n < 1 or n % 2 == 0:
         raise ValueError(f"kappa is defined for odd n >= 1, got {n}")
-    top = (n + 1) // 2
-    eulers = euler_numbers(top)
-    total = 0
-    for m in range(1, top + 1):
-        total += (-1) ** (n + m) * math.comb(n, 2 * m - 1) * eulers[m - 1]
-    return Fraction(total, 2 ** n)
+    return _kappa(n, euler_numbers((n + 1) // 2))
+
+
+def _kappa(n, eulers):
+    """kappa_n from the secant numbers S_1, S_2, ... (at least (n + 1)/2 of them)."""
+    terms = enumerate(eulers[: (n + 1) // 2], start=1)
+    return Fraction(sum((-1) ** (n + m) * math.comb(n, 2 * m - 1) * s for m, s in terms), 2 ** n)
 
 
 def nfold_commutator(q, operator, n):

@@ -266,8 +266,9 @@ def test_kappa_exact_rational_rows(capsys):
     header, rows = data_rows(out)
     assert header == "n,kappa"
     assert rows == ["1,1/2", "3,-1/4", "5,1/2", "7,-17/8"]
-    code, _, _ = invoke(capsys, ["kappa", "--upto", "0"])
-    assert code == 2
+    for bad in ("0", "403"):
+        code, out, _ = invoke(capsys, ["kappa", "--upto", bad])
+        assert code == 2 and out == ""
 
 
 def test_star_subcommand(capsys, tmp_path):

@@ -18,7 +18,7 @@ level); and the same argv prints the same bytes twice.  Every number of a
 back to the same string through `cli._fmt`.  Symbol files are drawn into a
 temporary directory: up to four terms of degree <= 3 with ordinary or
 overflowing coefficients, and at times a NaN, inf, degree-171 or malformed
-line; `kappa --upto` stays at or below 201.
+line; `kappa --upto` is drawn up to its bound 401 and beyond it.
 """
 import contextlib
 import hashlib
@@ -157,6 +157,9 @@ def spectrum_argvs(draw):
           "--refine", "1", "--params", "g=1e-300"])
 @example(["spectrum", "--model", "xt4", "--grid", "-5,5,16", "--levels", "1",
           "--params", "g=1e-300"])
+# refinement that puts the levels out of order is refused, whatever else is drawn
+@example(["spectrum", "--model", "x4h", "--grid", "-6,6,64", "--levels", "3",
+          "--refine", "1", "--params", "alpha=1e-300"])
 def test_spectrum_never_raises_and_prints_ascending_levels(argv):
     code, out = _invoke(argv)
     assert code in (0, 1, 2)
@@ -350,7 +353,7 @@ HUGE_MODULUS = SymbolFile("0 2 1.5e308 1.5e308\n0 0 1 0\n")
 ORDERS_BCH = st.one_of(st.sampled_from(("0", "1", "8")),
                       st.sampled_from(("-1", "-3", "171", str(10**20))))
 MONOMIALS = st.sampled_from(("0,1;1,0", "2,0", "1,1", "0,2;2,0", "0,0", "171,0", "-1,0", ""))
-UPTO = st.sampled_from(("1", "2", "3", "201", "0", "-1", "-3"))
+UPTO = st.sampled_from(("1", "2", "3", "201", "401", "0", "-1", "-3", "403", str(10**20)))
 PARAM_FLOATS = st.one_of(st.sampled_from(("0.5", "1", "-2")), st.sampled_from(EDGE_FLOATS))
 PARAM_INTS = st.one_of(st.sampled_from(("1", "2", "3", "6")), st.sampled_from(EDGE_INTS))
 TOLERANCES = st.sampled_from(("1e-10", "1e-3", "0", "-1", "1e300"))
@@ -431,7 +434,9 @@ def _written(argv, directory):
 @example(argv=["star", "--f", HUGE_MODULUS, "--g", SymbolFile("0 0 1 0\n"), "--op", "star"])
 # accepted runs
 @example(argv=["x4", "--alpha", "1", "--g", "0.5", "--which", "eta2_exponent"])
-@example(argv=["kappa", "--upto", "201"])
+@example(argv=["kappa", "--upto", "401"])
+# beyond the bound, once unbounded work (each odd n recomputed its secant numbers)
+@example(argv=["kappa", "--upto", "403"])
 def test_symbol_commands_never_raise_and_print_finite_rows(symbol_dir, argv):
     argv = _written(argv, symbol_dir)
     code, out = _invoke(argv)

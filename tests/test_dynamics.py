@@ -1,7 +1,8 @@
 """Driven dynamics: field bookkeeping, perturbative amplitudes, propagators.
 
-Oracles: scipy.quad cascades for the running field integrals, an
-independently assembled dense free propagator with Gauss-Legendre time
+Oracles: scipy.quad cascades for the running field integrals, mpmath.quad
+at 30 digits for the gaussian ones (and the pulse-area limit of a narrow
+pulse), an independently assembled dense free propagator with Gauss-Legendre time
 quadrature for the first Born term, closed-form Gaussian spreading, and
 Ehrenfest relations for the laser-only propagator.  The implicit
 midpoint grid propagator is played against the spectral laser propagator,
@@ -14,8 +15,11 @@ import functools
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad, solve_ivp
 
@@ -168,6 +172,159 @@ def test_field_integrals_edge_cases():
     assert later.d == pytest.approx(end.d + 0.5 * end.b**2 * 2.0, abs=1e-12)
 
 
+def _mp_field_integrals(pulse, times, delta):
+    """(b, c, d) at each time and int_0^min(t,tau) exp(i delta s) E ds, by
+    Gauss-Legendre mpmath.quad at 30 digits, cut at center +- k widths and
+    at each min(t, tau); each quad must report an error below 1e-25.
+
+    b, c and the phase integral integrate the field itself.  d integrates
+    the square of b in erf form at complex argument, checked against b."""
+    with mpmath.workdps(30):
+        E0, omega, tau, center, width = (
+            mpmath.mpf(v) for v in (pulse.E0, pulse.omega, pulse.tau, pulse.center, pulse.width)
+        )
+        trig = mpmath.sin if pulse.phase_kind == "sine" else mpmath.cos
+
+        def field(s):
+            return E0 * trig(omega * s) * mpmath.exp(-((s - center) / width) ** 2 / 2)
+
+        # int_0^s exp(i omega u) env(u) du = weight (erf(s/scale - z) - erf(-z)); the
+        # carrier takes its imaginary (sine) or real (cosine) part
+        scale = mpmath.sqrt(2) * width
+        z = (center + 1j * omega * width**2) / scale
+        weight = scale * mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(1j * omega * center - (omega * width) ** 2 / 2)
+        at_zero = mpmath.erf(-z)
+
+        def b_erf(s):
+            value = E0 * weight * (mpmath.erf(s / scale - z) - at_zero)
+            return value.imag if pulse.phase_kind == "sine" else value.real
+
+        def integral(f, lo, hi):
+            inner = {center + k * width for k in (-12, -6, -3, 0, 3, 6, 12)}
+            cuts = sorted({lo, hi} | {v for v in inner if lo < v < hi})
+            value, error = mpmath.quad(f, cuts, method="gauss-legendre", error=True)
+            assert error < 1e-25
+            return value
+
+        ends = sorted({min(mpmath.mpf(t), tau) for t in times})
+        totals = [mpmath.mpf(0)] * 3 + [mpmath.mpc(0)]
+        at_end = {mpmath.mpf(0): list(totals)}
+        for lo, hi in zip([mpmath.mpf(0)] + ends, ends):
+            pieces = (field, lambda s: s * field(s), lambda s: b_erf(s) ** 2,
+                      lambda s: mpmath.exp(1j * delta * s) * field(s))
+            totals = [total + integral(f, lo, hi) for total, f in zip(totals, pieces)]
+            at_end[hi] = list(totals)
+        rows = []
+        for t in times:
+            t = mpmath.mpf(t)
+            tc = min(t, tau)
+            b, moment, b_squared, phase = at_end[tc]
+            assert abs(b - b_erf(tc)) <= 1e-25 * (abs(b) + E0 * width)
+            d = b_squared / 2 + b**2 * (t - tc) / 2
+            rows.append((float(b), float(t * b - moment), float(d), complex(phase)))
+        return rows
+
+
+def _oracle_bound(pulse):
+    return 1e-14 * pulse.E0 * max(pulse.width, 1.0 / pulse.omega)
+
+
+GAUSSIAN_MODEL = SpikedHOModel(lam=0.5, alpha=0.2)
+GAUSSIAN_GRID = GridSpec(-20.0, 20.0, 64)
+
+
+def _check_first_order_3_2(pulse, t, phase, bound):
+    """P(2 -> 3) = |<3|X|2> I|^2 against the oracle I = phase: an error of at
+    most bound in I moves P by at most 2 |<3|X|2>|^2 |I| bound + (|<3|X|2>| bound)^2."""
+    element = models.spiked_matrix_element(GAUSSIAN_MODEL, "position", 3, 2)
+    allowed = 2.0 * abs(element) ** 2 * abs(phase) * bound + (abs(element) * bound) ** 2
+    probability = first_order_transition(GAUSSIAN_MODEL, 3, 2, pulse, t)
+    assert abs(probability - abs(element * phase) ** 2) <= allowed
+    return probability
+
+
+def _delta_3_2():
+    return models.spiked_energy(GAUSSIAN_MODEL, 3) - models.spiked_energy(GAUSSIAN_MODEL, 2)
+
+
+@pytest.mark.parametrize(
+    "phase_kind, center, width",
+    [
+        ("sine", 1.5, 3e-6),        # narrow, centre inside [0, tau]
+        ("cosine", 1.5, 0.9),
+        ("sine", -0.9, 0.9),        # centre before the switch-on
+        ("cosine", 3.6, 0.9),       # centre after the switch-off
+        ("sine", 3.6, 30.0),        # ten times wider than the window
+        ("cosine", -0.9, 30.0),
+        ("sine", 1.5, 0.15),
+        ("cosine", -0.9, 3e-6),     # entirely outside: every integral is 0
+    ],
+)
+def test_gaussian_field_integrals_match_mpmath(phase_kind, center, width):
+    pulse = Pulse(E0=0.3, omega=1.2, tau=3.0, phase_kind=phase_kind,
+                  envelope="gaussian", center=center, width=width)
+    bound = _oracle_bound(pulse)
+    times = (2.1, 4.8)  # below and above tau
+    for t, (b, c, d, phase) in zip(times, _mp_field_integrals(pulse, times, _delta_3_2())):
+        got = field_integrals(pulse, t)
+        assert abs(got.b - b) <= bound
+        assert abs(got.c - c) <= bound
+        assert abs(got.d - d) <= bound
+        _check_first_order_3_2(pulse, t, phase, bound)
+
+
+@pytest.mark.parametrize("width", [0.05, 0.005, 1e-4, 1e-6])
+def test_narrow_gaussian_pulse_keeps_its_area(width):
+    # a pulse much narrower than its distance from 0 and tau transfers its
+    # full-line area E0 sin(omega center) width sqrt(2 pi) exp(-(omega width)^2/2);
+    # an adaptive step can stride over it and return b = 0
+    pulse = Pulse(E0=0.3, omega=1.2, tau=3.0, envelope="gaussian", center=1.5, width=width)
+    area = 0.3 * math.sin(1.2 * 1.5) * width * math.sqrt(2.0 * math.pi) * math.exp(-((1.2 * width) ** 2) / 2)
+    bound = _oracle_bound(pulse)
+    times = (2.0, 4.0)
+    for t, (b, c, d, phase) in zip(times, _mp_field_integrals(pulse, times, _delta_3_2())):
+        got = field_integrals(pulse, t)
+        assert abs(got.b - area) <= bound
+        assert abs(got.c - c) <= bound
+        assert abs(got.d - d) <= bound
+        assert _check_first_order_3_2(pulse, t, phase, bound) > 0.0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    phase_kind=st.sampled_from(("sine", "cosine")),
+    E0=st.sampled_from((0.3, 0.0, 1e-300, 1e300)),
+    omega=st.sampled_from((1.2, 1e-300, 1e300, 1e6 / 3.0)),
+    tau=st.sampled_from((3.0, 1e-300, 1e300)),
+    center=st.sampled_from((1.5, 0.0, -2.0, -1e300, 1e300)),
+    width=st.sampled_from((0.5, 1e-6, 30.0, 1e-300, 1e300)),
+    t=st.sampled_from((2.0, 0.0, 4.0, 1e6, 1e300)),
+)
+@example(phase_kind="sine", E0=0.3, omega=1.2, tau=3.0, center=1.5, width=1e-300, t=2.0)
+@example(phase_kind="cosine", E0=0.3, omega=1.2, tau=3.0, center=1e300, width=0.5, t=2.0)
+@example(phase_kind="sine", E0=0.3, omega=1.2, tau=3.0, center=-1e300, width=0.5, t=4.0)
+@example(phase_kind="sine", E0=0.3, omega=1e6 / 3.0, tau=3.0, center=1.5, width=0.5, t=2.0)
+@example(phase_kind="cosine", E0=0.3, omega=100.0, tau=1e4, center=5e3, width=0.5, t=6e3)
+@example(phase_kind="sine", E0=0.3, omega=1.2, tau=3.0, center=1.5, width=0.5, t=1e300)
+def test_gaussian_pulse_results_are_finite_or_refused(phase_kind, E0, omega, tau, center, width, t):
+    # whatever the pulse, each entry point returns finite numbers or raises
+    # ValueError: never NaN, an OverflowError, a MemoryError or a numpy warning
+    pulse = Pulse(E0=E0, omega=omega, tau=tau, phase_kind=phase_kind,
+                  envelope="gaussian", center=center, width=width)
+    psi = gaussian_packet(GAUSSIAN_GRID.coordinates(), 1.5, 0.0, 0.3)
+    calls = (
+        lambda: list(vars(field_integrals(pulse, t)).values()),
+        lambda: first_order_transition(GAUSSIAN_MODEL, 3, 2, pulse, t),
+        lambda: gordon_volkov_propagate(psi, pulse, GAUSSIAN_GRID, t, 0.5 * t),
+    )
+    for call in calls:
+        try:
+            result = call()
+        except ValueError:
+            continue
+        assert np.all(np.isfinite(result))
+
+
 def _gauge_scale(h0, pulse, t):
     # the translated symbols carry coefficients up to c(t)^deg
     return max(1.0, h0.shift_x(field_integrals(pulse, t).c).max_abs())
@@ -175,15 +332,18 @@ def _gauge_scale(h0, pulse, t):
 
 def test_gauge_residuals_vanish():
     rng = np.random.default_rng(7)
-    pulse = Pulse(E0=0.6, omega=1.7, tau=12.0)
+    pulses = (
+        Pulse(E0=0.6, omega=1.7, tau=12.0),
+        Pulse(E0=0.6, omega=1.7, tau=12.0, phase_kind="cosine",
+              envelope="gaussian", center=5.0, width=2.0),
+    )
     harmonic = WeylSymbol.p(2) * 0.5 + WeylSymbol.x(2) * 0.8
     quartic = WeylSymbol.p(2) * 0.5 + WeylSymbol.x(4) * 0.3 + WeylSymbol.x(1) * 0.1
-    for t in rng.uniform(0.0, 15.0, 10):
-        for h0 in (harmonic, quartic):
-            scale = _gauge_scale(h0, pulse, float(t))
-            res_v, res_k = gauge_residual(h0, pulse, float(t))
-            assert res_v.max_abs_coeff() < 1e-12 * scale
-            assert res_k.max_abs_coeff() < 1e-12 * scale
+    for pulse, t, h0 in itertools.product(pulses, rng.uniform(0.0, 15.0, 10), (harmonic, quartic)):
+        scale = _gauge_scale(h0, pulse, float(t))
+        res_v, res_k = gauge_residual(h0, pulse, float(t))
+        assert res_v.max_abs_coeff() < 1e-12 * scale
+        assert res_k.max_abs_coeff() < 1e-12 * scale
 
 
 def test_gauge_identity_fails_with_flipped_translation():
@@ -811,9 +971,10 @@ def test_strong_field_matches_dense_dyson_oracle():
 def test_strong_field_gaussian_matches_simpson_over_public_propagator():
     # the batched k-space pass (one node table for the inner and outer
     # steps, the b_j and d_j phases cancelled) against the same Simpson sum
-    # assembled from gordon_volkov_propagate, one call per step, which for
-    # a gaussian pulse solves the cascade afresh for every endpoint; both
-    # envelopes, both phase kinds, full-line and half-line grids
+    # assembled from gordon_volkov_propagate, one call per step, which
+    # takes the field integrals afresh for every endpoint (one table per
+    # call instead of one for all nodes); both envelopes, both phase kinds,
+    # full-line and half-line grids
     grids = ((GridSpec(-40.0, 40.0, 512), 1.0), (GridSpec(0.0, 40.0, 511), 20.0))
     for (grid, center), envelope, phase_kind in itertools.product(
         grids, ("rectangular", "gaussian"), ("sine", "cosine")
