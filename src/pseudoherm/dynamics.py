@@ -11,8 +11,9 @@ first-order step.  Transition probabilities for the spiked oscillator
 come from the first-order amplitude with either the canonical dressed
 position coupling or the raw-x coupling mediated by the metric.  Driven
 grid propagation runs in the grid Hamiltonian's lowest levels with exact
-level phases (eigenbasis_propagate, propagate_level); the Crank-Nicolson
-grid propagator is the independent second method.
+level phases (eigenbasis_propagate, propagate_level).  No command runs
+crank_nicolson_propagate: it is the tests' independent second method, and
+it stays public because the benchmark tracer counts its steps.
 """
 
 from __future__ import annotations
@@ -87,24 +88,22 @@ def field_value(pulse, t):
     return out
 
 
-def _rectangular_integrals(pulse, t):
-    E0, w = pulse.E0, pulse.omega
-    tc = min(t, pulse.tau)
+def _rectangular_integrals(pulse, times):
+    """(b, c, d) rows of the rectangular pulse at the times, in float64: an overflow is inf."""
+    E0, w = np.float64(pulse.E0), np.float64(pulse.omega)
+    tc = np.minimum(times, pulse.tau)
     if pulse.phase_kind == "sine":
-        b = E0 * (1.0 - math.cos(w * tc)) / w
-        c = E0 * (tc - math.sin(w * tc) / w) / w
+        b = E0 * (1.0 - np.cos(w * tc)) / w
+        c = E0 * (tc - np.sin(w * tc) / w) / w
         d = 0.5 * (E0 / w) ** 2 * (
-            1.5 * tc - 2.0 * math.sin(w * tc) / w + math.sin(2.0 * w * tc) / (4.0 * w)
+            1.5 * tc - 2.0 * np.sin(w * tc) / w + np.sin(2.0 * w * tc) / (4.0 * w)
         )
     else:
-        b = E0 * math.sin(w * tc) / w
-        c = E0 * (1.0 - math.cos(w * tc)) / w ** 2
-        d = 0.5 * (E0 / w) ** 2 * (0.5 * tc - math.sin(2.0 * w * tc) / (4.0 * w))
-    if t > pulse.tau:
-        rest = t - pulse.tau
-        c += b * rest
-        d += 0.5 * b * b * rest
-    return b, c, d
+        b = E0 * np.sin(w * tc) / w
+        c = E0 * (1.0 - np.cos(w * tc)) / w ** 2
+        d = 0.5 * (E0 / w) ** 2 * (0.5 * tc - np.sin(2.0 * w * tc) / (4.0 * w))
+    rest = np.maximum(times - pulse.tau, 0.0)
+    return np.array([b, c + b * rest, d + 0.5 * b * b * rest])
 
 
 def field_integrals(pulse, t):
@@ -122,7 +121,7 @@ def _gauss_panel():
     return leggauss(16)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf and NaN are refused below
 def _field_integral_table(pulse, times):
     """(b, c, d) rows at each of the finite times >= 0, in the given order.
 
@@ -133,7 +132,7 @@ def _field_integral_table(pulse, times):
     if not np.all((times >= 0) & (times < math.inf)):
         raise ValueError("field integrals are defined for finite t >= 0")
     if pulse.envelope == "rectangular":
-        table = np.array([_rectangular_integrals(pulse, s) for s in times.tolist()]).T
+        table = _rectangular_integrals(pulse, times)
     else:
         def b_at(s):  # env is real, so the wavenumbers +-omega give conjugate integrals
             area = pulse.E0 * _gaussian_phase_integral(pulse, pulse.omega, s)
@@ -322,64 +321,6 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
 # -- grid propagators ------------------------------------------------------
 
 
-def crank_nicolson_propagate(h0_spec, pulse, grid, psi0, dt, T, t0=0.0):
-    """Implicit-midpoint evolution of h0 + x E(t) on the Dirichlet grid.
-
-    T is divided into round(T/dt) uniform steps with the field sampled
-    at midpoints (one field_value call for all of them).  t0 offsets the
-    pulse clock, so a long run can be split into segments.  Returns
-    psi(t0 + T); the grid norm is conserved.
-
-    Each step solves (1 + i dt/2 H) psi' = (1 - i dt/2 H) psi on the
-    tridiagonal band with LAPACK gtsv directly.  The constant
-    off-diagonal is built once; the diagonal and the right-hand side are
-    written in place into two state buffers that swap roles each step, so
-    the loop allocates nothing per step.
-    """
-    from scipy.linalg import LinAlgError, get_lapack_funcs
-
-    psi = np.asarray(psi0, dtype=complex).copy()
-    if psi.shape != (grid.points,):
-        raise ValueError(f"psi0 must have shape ({grid.points},)")
-    if T == 0:
-        return psi
-    if T < 0 or dt <= 0:
-        raise ValueError("need T > 0 and dt > 0")
-    coords = grid.coordinates()
-    band = banded_hamiltonian(h0_spec, grid)
-    n_steps = max(1, round(T / dt))
-    step = T / n_steps
-    half = 0.5j * step
-    fields = field_value(pulse, t0 + (np.arange(n_steps) + 0.5) * step)
-
-    n = grid.points
-    # i dt/2 times the off-diagonal, shared by both sides of the step
-    off = half * band[0, 1:]
-    gtsv, = get_lapack_funcs(("gtsv",), (psi,))
-    diag = np.empty(n)
-    half_diag = np.empty(n, dtype=complex)
-    lhs_diag = np.empty(n, dtype=complex)
-    coupled = np.empty(n, dtype=complex)
-    rhs = np.empty(n, dtype=complex)
-    for field in fields:
-        np.multiply(coords, field, out=diag)
-        np.add(band[1], diag, out=diag)
-        np.multiply(half, diag, out=half_diag)
-        np.add(1.0, half_diag, out=lhs_diag)
-        np.subtract(1.0, half_diag, out=rhs)
-        np.multiply(rhs, psi, out=rhs)
-        # one constant off-diagonal: psi_j reaches both neighbours through one product
-        np.multiply(off[0], psi, out=coupled)
-        np.subtract(rhs[:-1], coupled[1:], out=rhs[:-1])
-        np.subtract(rhs[1:], coupled[:-1], out=rhs[1:])
-        # overwrites lhs_diag (rewritten every step) and solves in place
-        solved, info = gtsv(off, lhs_diag, off, rhs, overwrite_d=1, overwrite_b=1)[3:]
-        if info != 0:
-            raise LinAlgError(f"Crank-Nicolson step: LAPACK info={info}")
-        psi, rhs = solved, psi
-    return psi
-
-
 # Truncation rule of propagate_level: the basis holds levels 0..max(n, m)
 # plus a margin of 4, 8, 16, ... levels (capped at the grid size) until the
 # top kept level's population stays at or below this at every snapshot.
@@ -388,6 +329,45 @@ TRUNCATION_POPULATION = 1e-10
 _PHASE_BLOCK = 4096
 # Runs of more steps (or snapshots) than this are rejected up front.
 MAX_STEPS = 10**8
+
+
+def crank_nicolson_propagate(h0_spec, pulse, grid, psi0, dt, T):
+    """Implicit-midpoint evolution of h0 + x E(t) on the Dirichlet grid.
+
+    T is divided into round(T/dt) uniform steps with the field sampled
+    at the step midpoints; returns psi(T).  Each step solves the
+    tridiagonal (1 + i s/2 H) psi' = (1 - i s/2 H) psi with LAPACK gtsv,
+    so the grid norm is conserved.  ValueError for a non-finite psi0, T
+    or dt, for T < 0 or dt <= 0, and for more than MAX_STEPS steps.
+    """
+    from scipy.linalg import LinAlgError, get_lapack_funcs
+
+    psi = np.array(psi0, dtype=complex)
+    if psi.shape != (grid.points,):
+        raise ValueError(f"psi0 must have shape ({grid.points},)")
+    _check_finite("psi0", psi)
+    if not (math.isfinite(T) and T >= 0 and math.isfinite(dt) and dt > 0):
+        raise ValueError("need a finite T >= 0 and a finite dt > 0")
+    if T / dt > MAX_STEPS:
+        raise ValueError(f"more than {MAX_STEPS} steps; raise dt or shorten the run")
+    if T == 0:
+        return psi
+    coords = grid.coordinates()
+    band = banded_hamiltonian(h0_spec, grid)
+    n_steps = max(1, round(T / dt))
+    step = T / n_steps
+    half = 0.5j * step
+    off = half * band[0, 1:]
+    gtsv, = get_lapack_funcs(("gtsv",), (psi,))
+    for field in field_value(pulse, (np.arange(n_steps) + 0.5) * step):
+        diag = half * (band[1] + coords * field)
+        rhs = (1.0 - diag) * psi
+        rhs[:-1] -= off * psi[1:]
+        rhs[1:] -= off * psi[:-1]
+        psi, info = gtsv(off, 1.0 + diag, off, rhs)[3:]
+        if info != 0:
+            raise LinAlgError(f"Crank-Nicolson step: LAPACK info={info}")
+    return psi
 
 
 def eigenbasis_propagate(system, pulse, c0, dt, times):
@@ -421,6 +401,7 @@ def eigenbasis_propagate(system, pulse, c0, dt, times):
     c = np.array(c0, dtype=complex)
     if c.shape != (K,):
         raise ValueError(f"c0 must have shape ({K},)")
+    _check_finite("c0", c)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D array")

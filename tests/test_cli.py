@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pseudoherm import cli, dynamics, identities, models
@@ -649,6 +650,31 @@ def test_verify_all_reports_failing_and_crashing_checks(capsys, monkeypatch):
         "crashes,FAIL,raised ZeroDivisionError: division by zero",
         "passes,PASS,max_err=0",
     ]
+
+
+@pytest.mark.parametrize(
+    "factor, failing",
+    [
+        (1.0 + 1e-9, {"eigenbasis_norm", "eigenbasis_stationary_state"}),
+        (complex(math.cos(1e-9), math.sin(1e-9)), {"eigenbasis_stationary_state"}),
+    ],
+    ids=["norm", "phase"],
+)
+def test_verify_all_eigenbasis_rows_catch_a_drifting_propagator(capsys, monkeypatch, factor, failing):
+    # a propagator whose norm or phase is off by 1e-9 per step: the norm row
+    # sees a growing norm, the stationary row any drift from exp(-i E_0 T)
+    exact = dynamics.eigenbasis_propagate
+
+    def drifting(system, pulse, c0, dt, times):
+        out = exact(system, pulse, c0, dt, times)
+        steps = [round((t - times[0]) / dt) for t in times]
+        return out * np.power(factor, steps)[:, None]
+
+    monkeypatch.setattr(dynamics, "eigenbasis_propagate", drifting)
+    code, out, _ = invoke(capsys, ["verify-all"])
+    assert code == 1
+    _, rows = data_rows(out)
+    assert {row.split(",")[0] for row in rows if row.split(",")[1] == "FAIL"} == failing
 
 
 def test_contour_subcommand(capsys):

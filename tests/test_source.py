@@ -27,3 +27,29 @@ def test_library_imports_nothing_from_scipy_integrate(path):
         if name == "scipy.integrate" or name.startswith("scipy.integrate.")
     ]
     assert adaptive == []
+
+
+def _identifiers(tree):
+    """Every name, attribute, import alias and definition in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from (node.name, node.asname)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(SOURCE.glob("*.py")) if path.name not in ("dynamics.py", "__init__.py")],
+    ids=lambda path: path.name,
+)
+def test_no_library_path_runs_crank_nicolson(path):
+    # Crank-Nicolson is the tests' oracle: dynamics defines it and the
+    # package exports it (the benchmark tracer counts its steps), and no
+    # other module may call it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "crank_nicolson_propagate" not in set(_identifiers(tree))
