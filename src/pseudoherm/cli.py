@@ -226,7 +226,10 @@ def _parse_value(param, raw):
                 if chunk.strip() == "":
                     continue
                 dx_s, dp_s = chunk.split(",")
-                pairs.append((int(dx_s), int(dp_s)))
+                pair = (int(dx_s), int(dp_s))
+                if pair in pairs:
+                    raise ValueError(f"repeated pair {dx_s.strip()},{dp_s.strip()}")
+                pairs.append(pair)
             if not pairs:
                 raise ValueError("empty pair list")
             return pairs
@@ -352,7 +355,13 @@ def _run_bch(v, canon, rng):
     return extra, "deg_x,deg_p,re,im", _symbol_rows(series.value), 0
 
 
+def _check_tol(v):
+    if v["tol"] < 0:
+        raise CliUsageError("--tol must be non-negative")
+
+
 def _run_metric_verify(v, canon, rng):
+    _check_tol(v)
     H = _read_symbol(v["hamiltonian"])
     exponent = _read_symbol(v["exponent"])
     residual = metric.metric_residual(H, ExpPolySymbol.exp(exponent))
@@ -371,6 +380,7 @@ def _run_metric_verify(v, canon, rng):
 
 
 def _run_metric_solve(v, canon, rng):
+    _check_tol(v)
     H = _read_symbol(v["hamiltonian"])
     solution = metric.solve_metric_ansatz(H, v["monomials"], tol=v["tol"])
     extra = [f"# residual_norm={_fmt(solution.residual_norm)}"]

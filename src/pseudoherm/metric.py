@@ -176,21 +176,93 @@ class MetricAnsatzSolution:
     residual_norm: float
 
 
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
+
+
+def _levenberg_marquardt(fun, c, max_evals):
+    """Levenberg-Marquardt descent on |fun(c)|^2 from c; returns the last accepted point.
+
+    A step solves (J^T J + mu diag(J^T J)) delta = -J^T r, as the least
+    squares problem it is the normal equations of.  mu starts at 0 (a
+    Gauss-Newton step), and a step is accepted only if the cost falls and
+    stays finite; otherwise mu grows (to 1e-3, then tenfold) and the step
+    is solved again.  An accepted step divides mu by ten.  The descent ends
+    at an exactly zero cost, when the cost stops falling (an accepted step
+    that lowers it by at most eps of itself, or a damped step too small to
+    move c), at the first non-finite residual, or after max_evals calls of
+    fun.
+    """
+    r = fun(c)
+    cost = r @ r
+    evals = 1
+    mu = 0.0
+    while math.isfinite(cost) and cost > 0 and evals + c.size < max_evals:
+        # forward differences; sqrt(eps) max(1, |c_j|) balances truncation against rounding
+        jac = np.empty((r.size, c.size))
+        for j in range(c.size):
+            shifted = c.copy()
+            shifted[j] += _SQRT_EPS * max(1.0, abs(c[j]))
+            jac[:, j] = (fun(shifted) - r) / (shifted[j] - c[j])
+        evals += c.size
+        col_norms = np.linalg.norm(jac, axis=0)  # sqrt(diag(J^T J))
+        if not np.isfinite(col_norms).all():
+            break
+        rhs = np.concatenate([-r, np.zeros(c.size)])
+        while True:
+            system = np.vstack([jac, np.diag(math.sqrt(mu) * col_norms)])
+            trial = c + np.linalg.lstsq(system, rhs, rcond=None)[0]
+            if evals >= max_evals or np.array_equal(trial, c):
+                return c
+            r_trial = fun(trial)
+            evals += 1
+            cost_trial = r_trial @ r_trial
+            if not math.isfinite(cost_trial):
+                return c
+            if cost_trial < cost:
+                break
+            mu = 10.0 * mu if mu else 1e-3
+        falling = cost - cost_trial > _EPS * cost
+        c, r, cost = trial, r_trial, cost_trial
+        mu /= 10.0
+        if not falling:
+            break
+    return c
+
+
 def solve_metric_ansatz(H, exponent_monomials, initial=None, tol=1e-10, max_tries=5):
     """Find real coefficients c_k with eta^2 = exp(sum c_k m_k) killing the residual.
 
     The residual prefactor is evaluated on a fixed seeded set of sample
-    points and driven to zero with damped least squares; the returned
-    solution is re-verified coefficientwise through metric_residual.
+    points and driven to zero by Levenberg-Marquardt (Moré, LNM 630, 1978)
+    with a forward-difference Jacobian, step sqrt(eps) max(1, |c_k|).  An
+    attempt stops at an exactly zero sampled residual, when the cost stops
+    falling, at a non-finite residual, or after 20 (K + 1) residual
+    evaluations for K monomials.  Its end point is re-verified
+    coefficientwise through metric_residual; a failed attempt restarts
+    from a seeded normal draw, and after max_tries attempts
+    MetricConvergenceError reports the best one.
     """
-    from scipy.optimize import least_squares
-
     keys = []
     for key in exponent_monomials:
         dx, dp = key
         keys.append((int(dx), int(dp)))
     if not keys:
         raise ValueError("ansatz needs at least one exponent monomial")
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"ansatz repeats an exponent monomial: {keys}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
+    if initial is None:
+        x0 = np.zeros(len(keys))
+    else:
+        x0 = np.asarray(initial, dtype=float)
+        if x0.shape != (len(keys),):
+            raise ValueError(f"initial needs {len(keys)} coefficients, got shape {x0.shape}")
+        if not np.isfinite(x0).all():
+            raise ValueError("initial coefficients must be finite")
 
     rng = np.random.default_rng(20240817)
     n_pts = max(10, 3 * len(keys) + 6)
@@ -210,13 +282,12 @@ def solve_metric_ansatz(H, exponent_monomials, initial=None, tol=1e-10, max_trie
         return np.column_stack([vals.real, vals.imag]).ravel()
 
     scale = max(1.0, H.max_abs())
-    x0 = np.zeros(len(keys)) if initial is None else np.asarray(initial, dtype=float)
+    max_evals = 20 * (len(keys) + 1)
     best = None
     for attempt in range(max_tries):
-        # an overflowing residual runs on quietly; the coefficientwise check below refuses it
+        # an overflowing residual ends the descent quietly; the check below refuses it
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = least_squares(resid_vec, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        c = sol.x
+            c = _levenberg_marquardt(resid_vec, x0, max_evals)
         residual = metric_residual(H, build(c))
         norm = residual.max_abs_coeff()
         if best is None or norm < best[0]:

@@ -95,6 +95,43 @@ def test_importing_the_cli_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_symbol_commands_load_no_scipy(tmp_path):
+    # one fresh interpreter runs every symbol subcommand: none of them may
+    # import scipy, whose optimize package alone once doubled metric-solve's cold start
+    pair = models.swanson_pair(2, 2, 1.3, 0.4)
+    ham = tmp_path / "H.sym"
+    ham.write_text(pair.H.to_text())
+    exponent = write_symbol(tmp_path / "eta.sym", {(2, 0): 0.4})
+    f = write_symbol(tmp_path / "f.sym", {(2, 1): 1.0, (0, 0): 0.5j})
+    g = write_symbol(tmp_path / "g.sym", {(1, 2): 1.0})
+    argvs = [
+        ["star", "--f", f, "--g", g],
+        ["star", "--f", f, "--g", g, "--op", "commutator"],
+        ["bch", "--generator", exponent, "--operand", g],
+        ["metric-verify", "--hamiltonian", str(ham), "--exponent", exponent],
+        ["metric-solve", "--hamiltonian", str(ham), "--monomials", "2,0"],
+        ["swanson", "--n", "2", "--m", "3", "--alpha", "0.9", "--g", "0.25"],
+        ["x4", "--alpha", "1.2", "--g", "0.3"],
+        ["kappa", "--upto", "9"],
+        ["wedges", "--N", "4"],
+        ["contour", "--kind", "z1", "--N", "4"],
+    ]
+    probe = (
+        "import io, sys, contextlib\n"
+        "from pseudoherm import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = invoke(capsys, ["eigenzap"])
     assert code == 2
@@ -354,6 +391,26 @@ def test_metric_solve_recovers_gaussian(capsys, tmp_path):
     assert (dx, dp) == ("2", "0")
     assert float(coeff) == pytest.approx(0.4, abs=1e-8)
     assert float(comment_map(out)["residual_norm"]) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric-solve", "--monomials", "2,0", "--tol", "-1"],
+        ["metric-verify", "--exponent", "H.sym", "--tol", "-1"],
+        ["metric-solve", "--monomials", "2,0;2,0"],
+        ["metric-solve", "--monomials", "2,0; 2 ,0;0,2"],
+    ],
+)
+def test_metric_commands_refuse_negative_tol_and_repeated_monomials(capsys, tmp_path, argv, monkeypatch):
+    # a negative tolerance once failed every candidate (exit 1), and a
+    # repeated monomial silently kept only its last coefficient
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "H.sym").write_text(models.swanson_pair(2, 2, 1.3, 0.4).H.to_text())
+    code, out, err = invoke(capsys, argv + ["--hamiltonian", "H.sym"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
 
 
 def test_swanson_subcommand(capsys):

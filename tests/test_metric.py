@@ -8,10 +8,13 @@ commutator chain p^5 with generator g x^2 exercises three odd and two
 even weights at once and closes under conjugation round trips.
 """
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from pseudoherm import metric, models
 from pseudoherm.metric import (
     BchSeries,
     MetricConvergenceError,
@@ -277,3 +280,118 @@ def test_solve_metric_ansatz_failure_reports_residual():
     assert info.value.best_residual > 1e-6
     with pytest.raises(ValueError):
         solve_metric_ansatz(H, [])
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tol": -1.0}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+        ({"max_tries": 0}, "max_tries"),
+        ({"initial": [1.0, 2.0]}, "initial"),
+        ({"initial": [float("nan")]}, "finite"),
+        ({"initial": [float("inf")]}, "finite"),
+        ({"exponent_monomials": [(2, 0), (2, 0)]}, "repeats"),
+    ],
+)
+def test_solve_metric_ansatz_refuses_bad_arguments(kwargs, message):
+    # each once ran on: a negative tol failed every attempt, max_tries = 0
+    # raised TypeError, a surplus initial entry was fitted and dropped, a nan
+    # initial died inside the fit, a repeated monomial kept its last value
+    H = _gauged_hamiltonian(1.3, 0.4)
+    kwargs = {"exponent_monomials": [(2, 0)], **kwargs}
+    with pytest.raises(ValueError, match=message):
+        solve_metric_ansatz(H, **kwargs)
+
+
+def _counting(fun):
+    """fun wrapped to record the arguments of each call, and the list they go to."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fun(*args)
+
+    return counted, calls
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """The metric_residual calls solve_metric_ansatz makes."""
+    counted, calls = _counting(metric_residual)
+    monkeypatch.setattr(metric, "metric_residual", counted)
+    return calls
+
+
+def _swanson_cases():
+    rng = np.random.default_rng(2718)
+    for n in (2, 3, 4):
+        for m in (2, 3):
+            alpha, g = rng.uniform(0.1, 2.0, size=2)
+            yield n, m, float(alpha), float(g)
+
+
+@pytest.mark.parametrize("n, m, alpha, g", list(_swanson_cases()))
+def test_solve_metric_ansatz_recovers_swanson_closed_forms(n, m, alpha, g, residual_calls):
+    # the position metric exp((2g/m) x^m) for every (n, m), the momentum
+    # metric exp(-g p^2/alpha) at n = m = 2; at most 7 residual calls per
+    # solve, the final coefficientwise check included
+    H = models.swanson_pair(n, m, alpha, g).H
+    cases = [((m, 0), 2.0 * g / m)] + ([((0, 2), -g / alpha)] if n == m == 2 else [])
+    for monomial, expect in cases:
+        residual_calls.clear()
+        sol = solve_metric_ansatz(H, [monomial])
+        assert sol.coefficients[monomial] == pytest.approx(expect, rel=1e-10, abs=1e-10)
+        assert sol.residual_norm <= 1e-10 * max(1.0, H.max_abs())
+        assert len(residual_calls) <= 7
+
+
+def test_solve_metric_ansatz_two_monomials():
+    # q = a x + b p on the oscillator closes at order two, and eta^2 = exp(q)
+    # is the only metric of the ansatz exp(c1 x + c2 p)
+    a, b = 0.7, -0.4
+    h0 = WeylSymbol({(0, 2): 0.5, (2, 0): 0.5})
+    pair = hermitian_pair_from_q(h0, WeylSymbol({(1, 0): a, (0, 1): b}), 2)
+    sol = solve_metric_ansatz(pair.H, [(1, 0), (0, 1)])
+    assert sol.coefficients[(1, 0)] == pytest.approx(a, abs=1e-10)
+    assert sol.coefficients[(0, 1)] == pytest.approx(b, abs=1e-10)
+    assert metric_residual(pair.H, sol.eta_squared).is_zero(tol=1e-10)
+
+
+def test_levenberg_marquardt_damps_a_diverging_gauss_newton_step():
+    # plain Gauss-Newton on arctan from c = 3 overshoots further each step;
+    # refusing every step that raises the cost brings it to the root
+    fun, calls = _counting(np.arctan)
+    c = metric._levenberg_marquardt(fun, np.array([3.0]), 40)
+    assert abs(c[0]) < 1e-12
+    assert len(calls) <= 40
+
+
+def test_levenberg_marquardt_stops_at_its_evaluation_budget():
+    # exp(-c) falls forever without a root; at the kink of |c| + 1 every
+    # step is refused, down to the budget; a non-finite residual ends the
+    # descent where it stands
+    fun, calls = _counting(lambda c: np.exp(-c))
+    c = metric._levenberg_marquardt(fun, np.zeros(1), 25)
+    assert len(calls) <= 25 and c[0] > 5.0
+    fun, calls = _counting(lambda c: np.abs(c) + 1.0)
+    assert metric._levenberg_marquardt(fun, np.zeros(1), 10).tolist() == [0.0]
+    assert len(calls) == 10
+    fun, calls = _counting(lambda c: np.full(3, np.inf))
+    assert metric._levenberg_marquardt(fun, np.ones(2), 25).tolist() == [1.0, 1.0]
+    assert len(calls) == 1
+
+
+def test_solve_metric_ansatz_overflow_ends_in_convergence_error(residual_calls):
+    # the CLI property test's HUGE_COUPLING symbol: an anti-Hermitian x p
+    # coupling of 1e200 overflows the sampled residual; each attempt ends
+    # quietly within its budget of 20 (K + 1) evaluations plus the check
+    huge = WeylSymbol.from_text("0 2 1 0\n2 0 1 0\n1 1 0 1e200\n")
+    monomials = [(0, 1), (1, 0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricConvergenceError) as info:
+            solve_metric_ansatz(huge, monomials)
+    assert info.value.best_residual > 1e100
+    assert set(info.value.best_coefficients) == set(monomials)
+    assert len(residual_calls) <= 5 * (20 * (len(monomials) + 1) + 1)

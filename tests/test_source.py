@@ -29,6 +29,18 @@ def test_library_imports_nothing_from_scipy_integrate(path):
     assert adaptive == []
 
 
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
+def test_library_imports_nothing_from_scipy_optimize(path):
+    # metric-solve's least-squares fit is a short numpy Levenberg-Marquardt;
+    # importing scipy.optimize for it more than doubled the symbolic cold start
+    tree = ast.parse(path.read_text(), filename=str(path))
+    optimize = [
+        name for name in _imported_modules(tree)
+        if name == "scipy.optimize" or name.startswith("scipy.optimize.")
+    ]
+    assert optimize == []
+
+
 def _identifiers(tree):
     """Every name, attribute, import alias and definition in a module."""
     for node in ast.walk(tree):
