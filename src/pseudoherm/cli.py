@@ -296,7 +296,7 @@ def _symbol_rows(sym):
 # -- subcommand runners ----------------------------------------------------
 
 
-def _run_wedges(v, canon, rng):
+def _run_wedges(v, canon):
     pair = stokes.wedges(v["N"])
     anti = stokes.anti_stokes(v["N"])
     rows = [
@@ -306,7 +306,7 @@ def _run_wedges(v, canon, rng):
     return [], "side,theta_lo,theta_hi,theta_anti_stokes", rows, 0
 
 
-def _run_contour(v, canon, rng):
+def _run_contour(v, canon):
     if not 1 <= v["samples"] <= models.MAX_POINTS:
         raise CliUsageError(f"--samples must lie in [1, {models.MAX_POINTS}]")
     if v["kind"] == "z1":
@@ -326,7 +326,7 @@ def _run_contour(v, canon, rng):
     return extra, "x,re_z,im_z", rows, 0
 
 
-def _run_star(v, canon, rng):
+def _run_star(v, canon):
     f_sym = _read_symbol(v["f"])
     g_sym = _read_symbol(v["g"])
     if v["op"] == "star":
@@ -336,7 +336,7 @@ def _run_star(v, canon, rng):
     return [], "deg_x,deg_p,re,im", _symbol_rows(out), 0
 
 
-def _run_kappa(v, canon, rng):
+def _run_kappa(v, canon):
     if not 1 <= v["upto"] <= 401:  # about 0.2 s of exact arithmetic at the top
         raise CliUsageError("--upto must lie in [1, 401]")
     eulers = metric.euler_numbers((v["upto"] + 1) // 2)  # once for every row
@@ -344,7 +344,7 @@ def _run_kappa(v, canon, rng):
     return [], "n,kappa", rows, 0
 
 
-def _run_bch(v, canon, rng):
+def _run_bch(v, canon):
     q = _read_symbol(v["generator"])
     operand = _read_symbol(v["operand"])
     series = metric.conjugate_by_exp(q, operand, v["max_order"])
@@ -360,7 +360,7 @@ def _check_tol(v):
         raise CliUsageError("--tol must be non-negative")
 
 
-def _run_metric_verify(v, canon, rng):
+def _run_metric_verify(v, canon):
     _check_tol(v)
     H = _read_symbol(v["hamiltonian"])
     exponent = _read_symbol(v["exponent"])
@@ -379,7 +379,7 @@ def _run_metric_verify(v, canon, rng):
     return extra, "term,deg_x,deg_p,re,im", rows, 0 if passed else 1
 
 
-def _run_metric_solve(v, canon, rng):
+def _run_metric_solve(v, canon):
     _check_tol(v)
     H = _read_symbol(v["hamiltonian"])
     solution = metric.solve_metric_ansatz(H, v["monomials"], tol=v["tol"])
@@ -391,13 +391,13 @@ def _run_metric_solve(v, canon, rng):
     return extra, "deg_x,deg_p,coefficient", rows, 0
 
 
-def _run_swanson(v, canon, rng):
+def _run_swanson(v, canon):
     pair = models.swanson_pair(v["n"], v["m"], v["alpha"], v["g"])
     sym = {"h": pair.h, "H": pair.H, "q": pair.q}[v["which"]]
     return [], "deg_x,deg_p,re,im", _symbol_rows(sym), 0
 
 
-def _run_x4(v, canon, rng):
+def _run_x4(v, canon):
     chain = models.minus_x4_chain(v["alpha"], v["g"])
     if v["which"] == "eta2_exponent":
         sym = chain.eta_squared.terms[0][1]
@@ -406,7 +406,7 @@ def _run_x4(v, canon, rng):
     return [], "deg_x,deg_p,re,im", _symbol_rows(sym), 0
 
 
-def _run_spiked(v, canon, rng):
+def _run_spiked(v, canon):
     model = SpikedHOModel(
         lam=v["lambda"], alpha=v["alpha"], xi=v["xi"], variant=v["variant"]
     )
@@ -428,7 +428,7 @@ _SPECTRUM_DEFAULTS = {
 }
 
 
-def _run_spectrum(v, canon, rng):
+def _run_spectrum(v, canon):
     if v["refine"] < 0:
         raise CliUsageError("--refine must be non-negative")
     defaults = dict(_SPECTRUM_DEFAULTS[v["model"]])
@@ -461,7 +461,7 @@ def _run_spectrum(v, canon, rng):
     return [], "n,energy", rows, 0
 
 
-def _run_transition(v, canon, rng):
+def _run_transition(v, canon):
     model = SpikedHOModel(lam=v["lambda"], alpha=v["alpha"])
     lo, hi, steps = v["omega"]
     xi_sorted = sorted(v["xi"])
@@ -488,7 +488,7 @@ def _run_transition(v, canon, rng):
     return [], "omega,xi,probability", rows, 0
 
 
-def _run_propagate(v, canon, rng):
+def _run_propagate(v, canon):
     for name in ("m", "n", "snapshots"):
         if v[name] < 0:
             raise CliUsageError(f"--{name} must be non-negative")
@@ -509,7 +509,9 @@ def _run_propagate(v, canon, rng):
     return [], "t,norm,population_n", rows, 0
 
 
-def _run_verify_all(v, canon, rng):
+def _run_verify_all(v, canon):
+    # the only subcommand that draws: its property checks sample with --seed
+    rng = np.random.default_rng(v["seed"])
     rows = []
     failures = 0
     for name, fn in identities.CHECKS:
@@ -675,9 +677,11 @@ _SUBCOMMANDS = {
         run=_run_propagate,
         help="driven grid propagation with norm and population tracking: Strang "
         "steps in the grid's lowest K levels (exact level phases, field phases in "
-        "the eigenbasis of the x coupling); K = max(n, m) + 1 + margin, margin = "
-        "4, 8, 16, ... up to the grid size, until the top level's population stays "
-        "<= 1e-10 at every snapshot",
+        "the eigenbasis of the x coupling), multiplied over one field period and "
+        "raised to the number of whole periods, with exact level phases after tau; "
+        "needs omega dt < pi; K = max(n, m) + 1 + margin, margin = 4, 8, 16, ... up "
+        "to the grid size, until the top level's population stays <= 1e-10 at every "
+        "snapshot",
     ),
     "verify-all": Subcommand(
         params=[],
@@ -789,9 +793,8 @@ def run(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
-    rng = np.random.default_rng(values["seed"])
     try:
-        extra, header, rows, code = spec.run(values, canon, rng)
+        extra, header, rows, code = spec.run(values, canon)
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

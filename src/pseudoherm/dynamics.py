@@ -10,8 +10,11 @@ factors assemble the Gordon-Volkov propagator used by the strong-field
 first-order step.  Transition probabilities for the spiked oscillator
 come from the first-order amplitude with either the canonical dressed
 position coupling or the raw-x coupling mediated by the metric.  Driven
-grid propagation runs in the grid Hamiltonian's lowest levels with exact
-level phases (eigenbasis_propagate, propagate_level).  No command runs
+grid propagation runs Strang steps in the grid Hamiltonian's lowest levels
+with exact level phases (eigenbasis_propagate, propagate_level): the steps
+of one field period are multiplied into step operators by a pairwise tree,
+whole periods are jumped by powers of the period's operator (Floquet), and
+after the pulse the levels only turn by their phases.  No command runs
 crank_nicolson_propagate: it is the tests' independent second method, and
 it stays public because the benchmark tracer counts its steps.
 """
@@ -19,6 +22,7 @@ it stays public because the benchmark tracer counts its steps.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -325,8 +329,10 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
 # plus a margin of 4, 8, 16, ... levels (capped at the grid size) until the
 # top kept level's population stays at or below this at every snapshot.
 TRUNCATION_POPULATION = 1e-10
-# Field phases are formed for at most this many steps at a time.
-_PHASE_BLOCK = 4096
+# Step matrices are multiplied in blocks of at most this many entries (1 MiB).
+_TREE_ENTRIES = 2**16
+# A period's segment matrices are held for its powers up to this many entries.
+_HELD_ENTRIES = 2**20
 # Runs of more steps (or snapshots) than this are rejected up front.
 MAX_STEPS = 10**8
 
@@ -370,6 +376,103 @@ def crank_nicolson_propagate(h0_spec, pulse, grid, psi0, dt, T):
     return psi
 
 
+def _tree_product(mats, spare):
+    """mats[..., -1, :, :] @ ... @ mats[..., 0, :, :] as a pairwise tree, one
+    batched product per level; the levels overwrite mats and spare (of the same shape)."""
+    size, source, target = mats.shape[-3], mats, spare
+    while size > 1:
+        pairs = size // 2
+        np.matmul(source[..., 1 : 2 * pairs : 2, :, :], source[..., 0 : 2 * pairs : 2, :, :],
+                  out=target[..., :pairs, :, :])
+        if size % 2:
+            target[..., pairs, :, :] = source[..., size - 1, :, :]
+        size, source, target = pairs + size % 2, target, source
+    return source[..., 0, :, :]
+
+
+def _segment_operators(energies, Q, xi, pulse, starts, lengths, counts):
+    """Each segment's Strang steps as one matrix on the level coefficients, shape (segments, K, K).
+
+    Segment i takes n = counts[i] steps of size s = lengths[i]/n from
+    starts[i], with the field phases D_j = diag(exp(-i s E(t_j) xi)) at the
+    step midpoints t_j.  With G = Q^T diag(exp(-i E s)) Q and h =
+    diag(exp(-i E s/2)) the n steps are h Q B Q^T h = h Q (B G) Q^T h*, where
+
+        B G = D_(n-1) G ... D_1 G D_0 G = (D_(n-1) G) W_(k-1) ... W_0
+
+    (the first factor only for odd n) and W_i = (D_(2i+1) G D_(2i)) G: the W
+    of a chunk of steps are one product of their stacked left factors with
+    G, and _tree_product multiplies them.  A segment's steps are cut into
+    chunks of at most _TREE_ENTRIES matrix entries, counted from its own
+    start, and the chunks are packed in order into blocks of at most that
+    size; the chunks of one size in a block are multiplied as one batch.  So
+    a segment's matrix does not depend on the other segments.
+    """
+    K = energies.size
+    steps = lengths / counts
+    half = np.exp(-0.5j * np.multiply.outer(steps, energies))
+    G = (Q.T * (half * half)[:, None, :]) @ Q
+    block = max(2, _TREE_ENTRIES // (K * K))
+    packed, filled = [[]], 0
+    for i, n in enumerate(counts.tolist()):
+        for first in range(0, n, block):
+            size = min(block, n - first)
+            if filled + size > block:
+                packed.append([])
+                filled = 0
+            packed[-1].append((i, first, size))
+            filled += size
+    work = np.empty((2, block // 2, K, K), dtype=complex)
+    BG = np.empty_like(G)
+    for chunks in packed:
+        ids, firsts, sizes = np.array(chunks).T
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        segment = np.repeat(ids, sizes)
+        local = np.arange(offsets[-1]) + np.repeat(firsts - offsets[:-1], sizes)
+        midpoints = starts[segment] + (local + 0.5) * steps[segment]
+        phases = _unit_phase(-steps[segment, None] * np.multiply.outer(field_value(pulse, midpoints), xi))
+        groups = np.flatnonzero(np.concatenate(([True], sizes[1:] != sizes[:-1], [True])))
+        for g0, g1 in zip(groups[:-1].tolist(), groups[1:].tolist()):
+            size, count, run = int(sizes[g0]), g1 - g0, ids[g0:g1]
+            p = phases[offsets[g0] : offsets[g1]].reshape(count, size, K)
+            k = size // 2
+            if k:
+                left = work[0, : count * k].reshape(count, k, K, K)
+                np.multiply(p[:, 1 : 2 * k : 2, :, None], G[run, None], out=left)
+                left *= p[:, 0 : 2 * k : 2, None, :]
+                W = work[1, : count * k].reshape(count, k, K, K)
+                np.matmul(left.reshape(count, k * K, K), G[run], out=W.reshape(count, k * K, K))
+                part = _tree_product(W, left)
+            if size % 2:
+                last = p[:, -1, :, None] * G[run]
+                part = last @ part if k else last
+            if g0 == 0 and firsts[0] > 0:  # only a block's first chunk can continue its segment
+                part[0] = part[0] @ BG[run[0]]
+            BG[run] = part
+    S = (half[:, :, None] * Q) @ BG @ (Q.T * half.conj()[:, None, :])
+    # one Newton-Schulz step to the nearest unitary: the rounding the tree
+    # leaves, about n eps, would otherwise build up in the norm
+    return S @ (1.5 * np.eye(K) - 0.5 * (S.conj().transpose(0, 2, 1) @ S))
+
+
+def _period_cuts(ends, period):
+    """Where a run over the ascending ends is cut when its field repeats with the period.
+
+    Returns (whole, index, bounds): end k lies whole[k] periods and
+    index[k] segments past ends[0], and bounds are the segments' ends in the
+    first period: every end's phase (t - ends[0]) mod period, and the
+    period's end once some end lies past it.  The ends of the first period
+    are taken as they are; period = inf cuts at the ends alone.
+    """
+    start = ends[0]
+    whole, phase = np.divmod(ends - start, period)
+    cuts = np.where(whole > 0, start + phase, ends)
+    wrap = cuts == start + period  # a phase that rounds up to the period starts the next one
+    whole += wrap
+    bounds = np.unique(np.append(cuts, start + period) if whole[-1] > 0 else cuts)
+    return whole, np.where(wrap, 0, np.searchsorted(bounds, cuts)), bounds
+
+
 def eigenbasis_propagate(system, pulse, c0, dt, times):
     """Strang steps of h0 + x E(t) in the span of a grid's lowest levels.
 
@@ -381,19 +484,41 @@ def eigenbasis_propagate(system, pulse, c0, dt, times):
     the ascending times, one row each.
 
     The coupling X = h V^T diag(x) V is diagonalized once, X = Q diag(xi)
-    Q^T.  Each span between two times is cut into round(span/dt) (at
-    least one) steps of size s, and each step is the Strang product
+    Q^T, and a step of size s is the Strang product
 
         exp(-i E s/2) Q exp(-i s E(t_mid) xi) Q^T exp(-i E s/2)
 
     with the field at the step midpoint: the level phases are exact, and
     the splitting error is O(s^2) and vanishes with the field (it comes
-    from commutators of diag(E) with E(t) X).  Between
-    snapshots the state is kept as d = Q^T exp(-i E s/2) c, where a step
-    is one elementwise field phase and one product with the fixed
-    unitary G = Q^T diag(exp(-i E s)) Q.  The norm |c| is conserved up
-    to rounding (about 1e-11 over 1e5 steps).
+    from commutators of diag(E) with E(t) X).
+
+    The steps are multiplied into step operators.  The field is off from
+    tau on (from times[0] if E0 = 0), and there the state only turns by
+    the exact level phases exp(-i E (t - tau)).  Up to tau the run is cut
+    into segments, each of max(1, round(length/dt)) steps, whose products
+    _segment_operators forms.  A rectangular pulse repeats with the period
+    P = 2 pi / omega (Floquet; Shirley, Phys. Rev. 138 (1965) B979), so the
+    cuts lie in its first period: at every time's phase (t - times[0]) mod
+    P, at tau, and at P once the run is longer than that.  The segments of
+    that period serve every period, and whole periods are jumped with the
+    power U_P^q of their product, taken from its complex Schur form U_P =
+    Z T Z^H: U_P is unitary, so T is diagonal to rounding and U_P^q = Z
+    diag(exp(i q arg T_kk)) Z^H.  That pays while the period holds at least
+    two steps per segment and its segment matrices fit in _HELD_ENTRIES;
+    otherwise, and for a gaussian envelope, P = inf: the cuts are the times
+    and tau, and each segment is formed when the state reaches it.  The
+    state is advanced segment by segment, so a run within its first period
+    takes the steps of one span per pair of times and differs from stepping
+    them one by one only by rounding.  The norm |c| is conserved to rounding
+    (each segment is put back on the unitary group).
+
+    ValueError for a c0 of the wrong shape or not finite, times that are
+    empty, not finite, negative or descending, dt <= 0, more than
+    MAX_STEPS steps, phases that overflow, and, with E0 > 0, omega dt >= pi
+    (fewer than two steps per field period), in that order.
     """
+    from scipy.linalg import schur
+
     energies = np.asarray(system.eigenvalues, dtype=float)
     vectors = system.eigenvectors
     grid = system.grid
@@ -414,32 +539,69 @@ def eigenbasis_propagate(system, pulse, c0, dt, times):
         raise ValueError(f"more than {MAX_STEPS} steps; raise dt or shorten the run")
     coupling = grid.step * (vectors.T * grid.coordinates()) @ vectors
     xi, Q = np.linalg.eigh(coupling)
-    # |E_k| + |E(t) xi_k| stays below this, since |E(t)| <= E0
-    rate = float(np.max(np.abs(energies))) + float(np.max(np.abs(xi))) * pulse.E0
+
+    start = times[0]
+    stop = min(max(pulse.tau if pulse.E0 > 0 else 0.0, start), times[-1])
+    driven = times[times <= stop]
+    ends = driven if driven[-1] == stop else np.append(driven, stop)
+    period = 2.0 * math.pi / pulse.omega if pulse.envelope == "rectangular" else math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # too many periods or an overflow are refused below
+        whole, index, bounds = _period_cuts(ends, period)
+        counts = np.maximum(1.0, np.round(np.diff(bounds) / dt))
+        # jumping whole periods pays while the period holds at least two steps
+        # per segment (past that, walking its segments costs more than
+        # stepping) and its segment matrices fit in _HELD_ENTRIES
+        n_segments = bounds.size - 1
+        if whole[-1] > 0 and (2 * n_segments > counts.sum() or n_segments * K * K > _HELD_ENTRIES):
+            whole, index, bounds = _period_cuts(ends, math.inf)
+            counts = np.maximum(1.0, np.round(np.diff(bounds) / dt))
+        lengths = np.diff(bounds)
+        # the segments' steps and the free tail are the phases formed; the
+        # steps of one span per pair of times keep the refusals of that rule
+        spans = spans[spans > 0]
+        sizes = np.concatenate([spans / np.maximum(1.0, np.round(spans / dt)), lengths / counts])
+        # |E_k| + |E(t) xi_k| stays below this, since |E(t)| <= E0
+        rate = float(np.max(np.abs(energies))) + float(np.max(np.abs(xi))) * pulse.E0
+        tail = (times[-1] - stop) * float(np.max(np.abs(energies)))
+        if not (math.isfinite(tail) and np.all(np.isfinite(sizes * rate))):
+            raise ValueError("the step phases dt (E_k + E(t) xi_k) overflow double precision")
+    if pulse.E0 > 0 and not pulse.omega * dt < math.pi:
+        raise ValueError(
+            f"omega dt = {pulse.omega * dt:.6g} >= pi: fewer than two steps per field period; lower dt"
+        )
+
+    build = functools.partial(_segment_operators, energies, Q, xi, pulse)
+    if whole[-1] > 0:
+        # every period reuses the segments: hold them all, and jump whole
+        # periods with the power of their product
+        segments = build(bounds[:-1], lengths, counts.astype(int))
+        schur_form, Z = schur(functools.reduce(lambda acc, S: S @ acc, segments), output="complex")
+        angles = np.angle(np.diag(schur_form))
+        stream = itertools.cycle(segments)
+    else:
+        # each segment is used once, in order: form them a batch at a time
+        batch = max(1, _TREE_ENTRIES // (K * K))
+        stream = itertools.chain.from_iterable(
+            build(bounds[i : i + batch], lengths[i : i + batch], counts[i : i + batch].astype(int))
+            for i in range(0, lengths.size, batch)
+        )
 
     out = np.empty((times.size, K), dtype=complex)
-    out[0] = c
-    scaled = np.empty(K, dtype=complex)
-    for i, span in enumerate(spans.tolist()):
-        if span > 0:
-            n_steps = max(1, round(span / dt))
-            step = span / n_steps
-            if not math.isfinite(step * rate):
-                raise ValueError("the step phases dt (E_k + E(t) xi_k) overflow double precision")
-            half = np.exp(-0.5j * step * energies)
-            G = (Q.T * (half * half)) @ Q
-            # one Newton-Schulz step to the nearest unitary: the rounding
-            # left in G would otherwise build up linearly in the steps
-            G = G @ (1.5 * np.eye(K) - 0.5 * (G.conj().T @ G))
-            d = Q.T @ (half * c)
-            for start in range(0, n_steps, _PHASE_BLOCK):
-                block = np.arange(start, min(start + _PHASE_BLOCK, n_steps))
-                fields = field_value(pulse, times[i] + (block + 0.5) * step)
-                for phase in np.exp(-1j * step * np.multiply.outer(fields, xi)):
-                    np.multiply(phase, d, out=scaled)
-                    np.dot(G, scaled, out=d)
-            c = half.conj() * (Q @ d)
-        out[i + 1] = c
+    at_period, at_cut = 0, 0  # c is the state after at_period periods and at_cut segments
+    for row, (q, j) in enumerate(zip(whole.astype(int).tolist(), index.tolist())):
+        if q > at_period and at_cut > 0:
+            for S in itertools.islice(stream, lengths.size - at_cut):
+                c = S @ c
+            at_period, at_cut = at_period + 1, 0
+        if q > at_period:
+            c = Z @ (np.exp(1j * (q - at_period) * angles) * (Z.conj().T @ c))
+            at_period = q
+        for S in itertools.islice(stream, j - at_cut):
+            c = S @ c
+        at_cut = j
+        if row < driven.size:
+            out[row] = c
+    out[driven.size :] = np.exp(-1j * np.multiply.outer(times[driven.size :] - stop, energies)) * c
     return out
 
 
@@ -448,7 +610,10 @@ def propagate_level(h0_spec, pulse, grid, m, n, dt, T, snapshots=1):
 
     Returns (times, coefficients): the snapshots + 1 uniform times in
     [0, T] and the level coefficients there from eigenbasis_propagate,
-    whose dt is the Strang step.  The basis size K follows one rule:
+    whose dt is the Strang step; it multiplies the steps of one field
+    period into step operators, takes powers of the period's product and
+    turns the state by the exact level phases once the pulse is over.  The
+    basis size K follows one rule:
     K = max(n, m) + 1 + margin with margin = 4, 8, 16, ... (capped at
     the grid size), grown until the top kept level's population
     |c_(K-1)|^2 is at most TRUNCATION_POPULATION at every snapshot.  At
@@ -494,19 +659,15 @@ def propagate_level(h0_spec, pulse, grid, m, n, dt, T, snapshots=1):
 def _to_k(values, grid):
     """FFT on the last axis: of the values on a full-line grid (x_min < 0),
     of their odd extension of size 2 (n + 1), i.e. DST-I, on the half line."""
-    from scipy import fft as sfft
-
     if grid.x_min >= 0:
         zero = np.zeros(values.shape[:-1] + (1,))
         values = np.concatenate([zero, values, zero, -values[..., ::-1]], axis=-1)
-    return sfft.fft(values, axis=-1)
+    return np.fft.fft(values, axis=-1)
 
 
 def _from_k(coeffs, grid):
-    from scipy import fft as sfft
-
     start = int(grid.x_min >= 0)
-    return sfft.ifft(coeffs, axis=-1)[..., start : start + grid.points]
+    return np.fft.ifft(coeffs, axis=-1)[..., start : start + grid.points]
 
 
 def _unit_phase(angle):
@@ -520,10 +681,8 @@ def _unit_phase(angle):
 def _volkov_phase(grid, elapsed, shift, scalar=0.0):
     """exp(-i k^2 elapsed/2 + i k shift - i scalar) on the wavenumbers of
     _to_k: free evolution, displacement by -shift and a scalar phase."""
-    from scipy import fft as sfft
-
     size = grid.points if grid.x_min < 0 else 2 * (grid.points + 1)
-    k = 2.0 * math.pi * sfft.fftfreq(size, d=grid.step)
+    k = 2.0 * math.pi * np.fft.fftfreq(size, d=grid.step)
     return _unit_phase(k * (shift - 0.5 * elapsed * k) - scalar)
 
 

@@ -619,6 +619,39 @@ def test_propagate_zero_step_is_rejected_before_rounding(capsys):
     assert "dt > 0" in err
 
 
+def test_propagate_refuses_a_carrier_the_step_cannot_resolve(capsys):
+    # omega dt >= pi leaves fewer than two Strang steps per field period
+    argv = ["propagate", "--grid", "0,12,300", "--T", "0.1", "--dt", "0.001"]
+    code, out, err = invoke(capsys, argv + ["--omega", "3142"])
+    assert code == 1
+    assert out == ""
+    assert "omega dt = 3.142 >= pi" in err
+    code, out, _ = invoke(capsys, argv + ["--omega", "3141"])
+    assert code == 0
+    _, rows = data_rows(out)
+    assert all(0.0 <= float(row.split(",")[2]) <= 1.0 for row in rows)
+    # without a field there is no carrier to resolve
+    code, _, _ = invoke(capsys, argv + ["--omega", "3142", "--E0", "0"])
+    assert code == 0
+
+
+def test_only_verify_all_builds_the_random_generator(capsys, monkeypatch, tmp_path):
+    f = write_symbol(tmp_path / "f.sym", {(2, 1): 1.0, (0, 0): 0.5j})
+    g = write_symbol(tmp_path / "g.sym", {(1, 2): 1.0})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for argv in (["star", "--f", f, "--g", g],
+                 ["propagate", "--grid", "0,12,300", "--T", "0.1", "--seed", "7"]):
+        code, out, _ = invoke(capsys, argv)
+        assert code == 0
+        assert "# seed=" in out
+    with pytest.raises(AssertionError, match="default_rng called"):
+        run(["verify-all"])
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -4,7 +4,13 @@
 
 Uses Hypothesis (MacIver et al., "Hypothesis: A new approach to
 property-based testing", JOSS 4 (2019) 1891) with a derandomized, fixed
-example budget, so every run draws the same argvs.  Each parameter is left
+example budget.  Derandomized does not mean frozen: Hypothesis 6.155.2
+also draws, with probability 0.05 per choice, one of the literals of every
+loaded module outside site-packages
+(hypothesis/internal/conjecture/providers.py, _get_local_constants), so a
+new literal anywhere in src/ or tests/ can change what these tests draw.
+Each fault a draw has found is therefore pinned as an @example, which runs
+on every pass whatever the draws.  Each parameter is left
 at its default or drawn from the edges of its kind: 0, +-1e-300, +-1e300,
 negative numbers and huge integers.  T stays at or below 0.05, accepted
 grids at or below 200 points and accepted sweeps at or below 40
@@ -110,10 +116,15 @@ def _invoke(argv):
 @given(propagate_argvs())
 # accepted edges, each run on every pass
 @example(["propagate", "--T", "0.05", "--grid", "0,14,64", "--E0", "1e300"])
-@example(["propagate", "--T", "0.05", "--grid", "0,8,200", "--dt", "1e300", "--lambda", "1e-300"])
-@example(["propagate", "--T", "1e-300", "--grid", "0,14,16", "--alpha", "0", "--omega", "1e300"])
+@example(["propagate", "--T", "0.05", "--grid", "0,8,200", "--dt", "1e300", "--lambda", "1e-300",
+          "--E0", "0"])
+@example(["propagate", "--T", "1e-300", "--grid", "0,14,16", "--alpha", "0", "--omega", "1e300",
+          "--E0", "0"])
 @example(["propagate", "--T", "0.02", "--grid", "1e-300,14,64", "--tau", "1e-300",
           "--snapshots", "0"])
+# a driven run whose step cannot resolve the carrier (omega dt >= pi) exits 1
+@example(["propagate", "--T", "0.05", "--grid", "0,8,200", "--dt", "1e300", "--lambda", "1e-300"])
+@example(["propagate", "--T", "1e-300", "--grid", "0,14,16", "--alpha", "0", "--omega", "1e300"])
 def test_propagate_never_raises_and_prints_only_valid_rows(argv):
     code, out = _invoke(argv)
     assert code in (0, 1, 2)

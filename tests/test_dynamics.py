@@ -9,11 +9,15 @@ midpoint grid propagator is played against the spectral laser propagator,
 which pins the dynamical phase, and against a Strang split-step
 propagator in a driven harmonic well.  The eigenbasis propagator is
 checked against the Crank-Nicolson Richardson limit, the first-order
-amplitude on the grid's own levels, and exact zero-field level phases.
+amplitude on the grid's own levels, exact zero-field level phases, and
+its own Strang steps taken one at a time (direct_loop): on the old step
+grid within a period and over many periods, and on the cuts it documents
+(cut_times) for drawn pulses, snapshots and switch-off times.
 """
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -23,7 +27,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad, solve_ivp
 
-from pseudoherm import models
+from pseudoherm import dynamics, models
 from pseudoherm.dynamics import (
     TRUNCATION_POPULATION,
     Pulse,
@@ -766,6 +770,223 @@ def test_eigenbasis_validation():
     assert np.array_equal(times, np.zeros(4)) and np.array_equal(c, np.tile(np.eye(6)[0], (4, 1)))
 
 
+def direct_loop(system, pulse, c0, dt, times):
+    """Oracle of eigenbasis_propagate: its Strang steps taken one at a time.
+
+    max(1, round(span/dt)) steps per span between the times, with the field
+    at the step midpoints; in the frame d = Q^T exp(-i E s/2) c each step is
+    one elementwise field phase and one product with G = Q^T exp(-i E s) Q.
+    This is the kernel as it ran before it multiplied step operators.
+    """
+    energies, vectors, grid = system.eigenvalues, system.eigenvectors, system.grid
+    xi, Q = np.linalg.eigh(grid.step * (vectors.T * grid.coordinates()) @ vectors)
+    c = np.array(c0, dtype=complex)
+    out = [c]
+    for start, span in zip(times[:-1], np.diff(times)):
+        if span > 0:
+            n_steps = max(1, round(span / dt))
+            step = span / n_steps
+            half = np.exp(-0.5j * step * energies)
+            G = (Q.T * (half * half)) @ Q
+            G = G @ (1.5 * np.eye(len(c)) - 0.5 * (G.conj().T @ G))
+            d = Q.T @ (half * c)
+            for field in field_value(pulse, start + (np.arange(n_steps) + 0.5) * step):
+                d = G @ (np.exp(-1j * step * field * xi) * d)
+            c = half.conj() * (Q @ d)
+        out.append(c)
+    return np.array(out)
+
+
+def cut_times(pulse, times, dt):
+    """The times, and where eigenbasis_propagate cuts the run between them.
+
+    The field ends at stop = tau (clipped to the run).  Before it, a
+    rectangular pulse of period P is cut in every period at each time's
+    phase (t - t0) mod P and at the period's start, if the run passes its
+    first period and the cuts leave that period at least two steps of about
+    dt per segment; otherwise the run is cut at the times and stop alone.
+    (The kernel also drops the period when its segment matrices would not
+    fit in _HELD_ENTRIES, which no run here comes near.)
+    """
+    start = times[0]
+    stop = min(max(pulse.tau if pulse.E0 > 0 else 0.0, start), times[-1])
+    period = 2.0 * math.pi / pulse.omega if pulse.envelope == "rectangular" else math.inf
+    driven = [t for t in times if t <= stop] + [stop]
+    phases = sorted({(t - start) % period for t in driven} | {0.0})
+    periodic = stop - start >= period
+    if periodic:
+        edges = [start + phase for phase in phases] + [start + period]
+        periodic = 2 * (len(edges) - 1) <= sum(max(1, round((b - a) / dt)) for a, b in zip(edges, edges[1:]))
+    if not periodic:
+        period = math.inf
+    cuts = set(times) | {stop}
+    q = 0
+    while start + q * period < stop:
+        cuts |= {start + q * period + phase for phase in phases if start + q * period + phase < stop}
+        q += 1
+    return sorted(cuts)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_levels(K):
+    """The lowest K levels on ORACLE_GRID, cut from one solve of twelve."""
+    system = models.hermitian_spectrum(SPIKED, ORACLE_GRID, 12)
+    return replace(system, eigenvalues=system.eigenvalues[:K], eigenvectors=system.eigenvectors[:, :K])
+
+
+def test_eigenbasis_matches_the_direct_loop_within_the_first_period():
+    # no time lies past the first period, so the kernel takes the loop's
+    # steps, pulse on throughout, and only the rounding differs
+    pulse = Pulse(E0=0.05, omega=1.8, tau=100.0)
+    c0 = np.eye(8)[2]
+    times = np.linspace(0.3, 0.3 + 0.95 * 2.0 * math.pi / 1.8, 11)
+    c = eigenbasis_propagate(oracle_levels(8), pulse, c0, 1e-3, times)
+    assert np.max(np.abs(c - direct_loop(oracle_levels(8), pulse, c0, 1e-3, times))) <= 1e-12
+
+
+@pytest.mark.parametrize("periods, tau_periods", [(20.0, 20.0), (12.5, 20.0), (12.5, 7.3)])
+def test_eigenbasis_populations_match_the_direct_loop_over_many_periods(periods, tau_periods):
+    # the propagate defaults (tau = T = 20 periods, 50 snapshots on the
+    # default grid), a run that stops mid-period and a pulse that ends
+    # mid-run; the loop's own step grid differs, so only the O(s^2)
+    # splitting error of the cuts separates the two
+    grid = GridSpec(0.0, 14.0, 1400)
+    system = models.hermitian_spectrum(SPIKED, grid, 12)
+    period = 2.0 * math.pi / 1.8
+    pulse = Pulse(E0=0.005, omega=1.8, tau=tau_periods * period)
+    times = np.linspace(0.0, periods * period, 51)
+    c0 = np.eye(12)[2]
+    got = np.abs(eigenbasis_propagate(system, pulse, c0, 1e-3, times)[1:, 3]) ** 2
+    loop_times = np.unique(np.append(times, min(pulse.tau, times[-1])))
+    loop = direct_loop(system, pulse, c0, 1e-3, loop_times)[np.searchsorted(loop_times, times[1:])]
+    expected = np.abs(loop[:, 3]) ** 2
+    assert np.max(np.abs(got - expected) / expected) <= 1e-9
+
+
+def test_eigenbasis_period_power_is_unitary():
+    # a run of whole periods takes the power of the period operator U_P; a
+    # run with a time at half a period (the same steps) multiplies the two
+    # halves, and a run of three periods is U_P cubed
+    pulse = Pulse(E0=0.3, omega=2.0, tau=100.0)
+    period = 2.0 * math.pi / 2.0
+    system = oracle_levels(8)
+
+    def propagator(times):
+        return np.array([eigenbasis_propagate(system, pulse, e, 1e-3, times)[-1] for e in np.eye(8)]).T
+
+    U = propagator([0.0, period])
+    assert np.max(np.abs(U.conj().T @ U - np.eye(8))) <= 1e-12
+    assert np.max(np.abs(U - propagator([0.0, 0.5 * period, period]))) <= 1e-12
+    assert np.max(np.abs(propagator([0.0, 3.0 * period]) - U @ U @ U)) <= 1e-12
+    assert np.max(np.abs(U - np.diag(np.diag(U)))) > 1e-2  # the field mixes the levels
+
+
+def test_eigenbasis_free_tail_is_the_exact_level_phases():
+    pulse = Pulse(E0=0.2, omega=1.9, tau=1.3)
+    system = oracle_levels(10)
+    times = np.array([0.0, 0.4, 1.3, 1.7, 4.0, 60.0])
+    c = eigenbasis_propagate(system, pulse, np.eye(10)[2], 1e-3, times)
+    phases = np.exp(-1j * np.outer(times[3:] - 1.3, system.eigenvalues))
+    assert np.max(np.abs(c[3:] - phases * c[2])) <= 1e-15
+    assert abs(c[2, 3]) > 1e-3
+    # a tail whose phases E_k (t - tau) overflow is refused, though its
+    # steps of dt would not overflow
+    with pytest.raises(ValueError, match="overflow"):
+        eigenbasis_propagate(system, Pulse(E0=0.0, omega=1.9, tau=1.3), np.eye(10)[2], 1.1e300, [0.0, 1e308])
+
+
+@pytest.mark.parametrize("periods", [0.9, 2.6])
+def test_eigenbasis_small_blocks_and_batches_keep_the_result(monkeypatch, periods):
+    # blocks of two step matrices and batches of two segments: each segment
+    # runs over many blocks, and a run within its first period over many
+    # batches; only the order of the rounding changes
+    monkeypatch.setattr(dynamics, "_TREE_ENTRIES", 2 * 5 * 5)
+    pulse = Pulse(E0=0.3, omega=1.8, tau=100.0)
+    system, c0 = oracle_levels(5), np.eye(5)[1]
+    times = np.linspace(0.0, periods * 2.0 * math.pi / 1.8, 12).tolist()
+    cuts = cut_times(pulse, times, 0.01)
+    expected = direct_loop(system, pulse, c0, 0.01, cuts)[np.searchsorted(cuts, times)]
+    assert np.max(np.abs(eigenbasis_propagate(system, pulse, c0, 0.01, times) - expected)) <= 1e-12
+
+
+def test_eigenbasis_drops_the_period_when_its_segments_would_not_fit(monkeypatch):
+    # with no room to hold a segment matrix, a run over several periods is
+    # cut at its times alone and takes the direct loop's steps
+    pulse = Pulse(E0=0.3, omega=2.0, tau=100.0)
+    system, c0 = oracle_levels(6), np.eye(6)[1]
+    times = [0.0, 0.7 * math.pi, 2.3 * math.pi]
+    periodic = eigenbasis_propagate(system, pulse, c0, 0.01, times)
+    monkeypatch.setattr(dynamics, "_HELD_ENTRIES", 0)
+    plain = eigenbasis_propagate(system, pulse, c0, 0.01, times)
+    assert np.max(np.abs(plain - direct_loop(system, pulse, c0, 0.01, times))) <= 1e-12
+    # the period's cuts give another step grid
+    assert np.max(np.abs(periodic - plain)) > 1e-9
+
+
+@st.composite
+def driven_runs(draw):
+    """A rectangular pulse's omega, tau and Strang step with 2 to 9 times over 0 to 5 periods."""
+    omega = draw(st.floats(0.5, 4.0))
+    period = 2.0 * math.pi / omega
+    start = draw(st.floats(0.0, 2.0 * period))
+    span = period * (draw(st.integers(0, 4)) + draw(st.floats(0.0, 1.0)))
+    times = np.linspace(start, start + span, draw(st.integers(1, 8)) + 1).tolist()
+    where = draw(st.sampled_from(["before", "inside", "after"]))
+    if where == "before":
+        tau = draw(st.floats(0.0, start))
+    elif where == "inside":
+        tau = start + draw(st.floats(0.0, 1.0)) * span
+    else:
+        tau = start + span + draw(st.floats(0.0, period))
+    return {"omega": omega, "tau": max(tau, 1e-3), "dt": period / draw(st.floats(2.2, 80.0)),
+            "times": times}
+
+
+_P2 = 2.0  # the period at omega = pi
+_NEXT_BELOW_P2 = math.nextafter(_P2, 0.0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    phase_kind=st.sampled_from(["sine", "cosine"]),
+    K=st.integers(2, 12),
+    E0=st.floats(0.01, 0.5),
+    run=driven_runs(),
+)
+# 3.5 periods, the pulse ending between two times
+@example(phase_kind="sine", K=8, E0=0.3, run={"omega": 1.8, "tau": 9.0, "dt": 0.01,
+                                               "times": np.linspace(0.0, 3.5 * 2.0 * math.pi / 1.8, 5).tolist()})
+# a time exactly at tau, which is also a period's end
+@example(phase_kind="cosine", K=6, E0=0.3, run={"omega": math.pi, "tau": 2.0 * _P2, "dt": 0.01,
+                                                 "times": [0.0, 1.0, 2.0 * _P2, 5.5, 3.0 * _P2]})
+# a phase one ulp below P, then two whole periods
+@example(phase_kind="sine", K=8, E0=0.3, run={"omega": math.pi, "tau": 50.0, "dt": 0.01,
+                                               "times": [0.0, _NEXT_BELOW_P2, 2.0 * _P2]})
+# a phase two ulps below P in the second period, whose cut t0 + phase rounds up to t0 + P
+@example(phase_kind="cosine", K=8, E0=0.3, run={"omega": 1.8, "tau": 50.0, "dt": 0.01,
+                                                 "times": [4.966651753267135, 11.947968761244452, 13.0]})
+# eight phases in a period of three steps: cut at the times alone
+@example(phase_kind="sine", K=6, E0=0.3, run={"omega": 1.8, "tau": 100.0, "dt": 2.0 * math.pi / 1.8 / 3.0,
+                                               "times": np.linspace(0.2, 0.2 + 3.7 * 2.0 * math.pi / 1.8, 9).tolist()})
+# fewer than two steps per field period: refused
+@example(phase_kind="sine", K=4, E0=0.3, run={"omega": 1.8, "tau": 9.0, "dt": 2.0, "times": [0.0, 5.0]})
+def test_eigenbasis_matches_the_direct_loop_on_its_cuts(phase_kind, K, E0, run):
+    # the direct loop stepped over the kernel's cuts takes the same steps in
+    # every period, so the Floquet powers, the segment products and the
+    # free tail must reproduce it to rounding
+    pulse = Pulse(E0=E0, omega=run["omega"], tau=run["tau"], phase_kind=phase_kind)
+    system, times, dt = oracle_levels(K), run["times"], run["dt"]
+    c0 = np.full(K, 1.0 / math.sqrt(K))
+    if run["omega"] * dt >= math.pi:
+        with pytest.raises(ValueError, match="fewer than two steps per field period"):
+            eigenbasis_propagate(system, pulse, c0, dt, times)
+        return
+    got = eigenbasis_propagate(system, pulse, c0, dt, times)
+    cuts = cut_times(pulse, times, dt)
+    expected = direct_loop(system, pulse, c0, dt, cuts)[np.searchsorted(cuts, times)]
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
 # -- laser-only spectral propagation --------------------------------------
 
 
@@ -963,8 +1184,6 @@ def test_strong_field_transform_count_does_not_grow_with_the_nodes(monkeypatch):
     # one transform of psi0, one batched inverse and one batched forward
     # transform over all nodes, one inverse: a loop over the nodes (or
     # over per-node propagator calls) would scale with n_quad
-    import scipy.fft
-
     calls = []
 
     def counted(real):
@@ -973,8 +1192,8 @@ def test_strong_field_transform_count_does_not_grow_with_the_nodes(monkeypatch):
             return real(*args, **kwargs)
         return transform
 
-    for name in ("fft", "ifft", "dst", "idst", "rfft", "irfft"):
-        monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     grid = GridSpec(-30.0, 30.0, 512)
     xs = grid.coordinates()
     psi0 = gaussian_packet(xs, 1.5, 0.0, 0.5)

@@ -41,6 +41,18 @@ def test_library_imports_nothing_from_scipy_optimize(path):
     assert optimize == []
 
 
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
+def test_library_imports_nothing_from_scipy_fft(path):
+    # numpy.fft gives the same bits for the strong-field transforms, and
+    # importing scipy.fft cost every cold start of the strong-field step 35-105 ms
+    tree = ast.parse(path.read_text(), filename=str(path))
+    fft = [
+        name for name in _imported_modules(tree)
+        if name == "scipy.fft" or name.startswith("scipy.fft.")
+    ]
+    assert fft == []
+
 def _identifiers(tree):
     """Every name, attribute, import alias and definition in a module."""
     for node in ast.walk(tree):
