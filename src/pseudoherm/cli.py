@@ -280,17 +280,16 @@ _COMMON = [
 
 def _read_symbol(path):
     try:
-        text = Path(path).read_text()
+        return WeylSymbol.from_text(Path(path).read_text())
     except OSError as exc:
         raise RuntimeError(f"cannot read symbol file {path}: {exc}") from None
-    return WeylSymbol.from_text(text)
+    except ValueError as exc:
+        raise ValueError(f"symbol file {path}: {exc}") from None
 
 
 def _symbol_rows(sym):
-    return [
-        f"{dx},{dp},{_fmt(c.real)},{_fmt(c.imag)}"
-        for (dx, dp), c in sorted(sym.items())
-    ]
+    """One CSV row per term, in the (deg_x, deg_p) order items() keeps."""
+    return [f"{dx},{dp},{_fmt(c.real)},{_fmt(c.imag)}" for (dx, dp), c in sym.items()]
 
 
 # -- subcommand runners ----------------------------------------------------
@@ -309,6 +308,8 @@ def _run_wedges(v, canon):
 def _run_contour(v, canon):
     if not 1 <= v["samples"] <= models.MAX_POINTS:
         raise CliUsageError(f"--samples must lie in [1, {models.MAX_POINTS}]")
+    if not v["xspan"] > 0:
+        raise CliUsageError("--xspan must be positive")
     if v["kind"] == "z1":
         contour = stokes.Contour.hyperbola(a=v["a"], N=v["N"])
     else:
@@ -374,7 +375,7 @@ def _run_metric_verify(v, canon):
     ]
     rows = []
     for idx, (prefactor, _) in enumerate(residual.terms):
-        for (dx, dp), c in sorted(prefactor.items()):
+        for (dx, dp), c in prefactor.items():
             rows.append(f"{idx},{dx},{dp},{_fmt(c.real)},{_fmt(c.imag)}")
     return extra, "term,deg_x,deg_p,re,im", rows, 0 if passed else 1
 
@@ -550,7 +551,7 @@ _SUBCOMMANDS = {
             Param("N", "int", help="potential exponent"),
             Param("a", "float", "1", help="hyperbola scale (z1 only)"),
             Param("samples", "int", "201", help="number of sample points, 1 to 10^7"),
-            Param("xspan", "float", "10", help="parameter range half-width"),
+            Param("xspan", "float", "10", help="parameter range half-width, > 0"),
         ],
         run=_run_contour,
         help="sample a complex contour between the wedges",

@@ -486,22 +486,51 @@ class WeylSymbol:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
+    @_quiet
     def from_text(cls, text):
-        terms = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            body = line.split("#", 1)[0].replace(",", " ").strip()
-            if not body:
-                continue
-            fields = body.split()
-            if fields[0] == "deg_x":
-                # tolerate a column-header row so CSV output re-parses
-                continue
-            if len(fields) != 4:
-                raise ValueError(f"line {lineno}: expected 'deg_x deg_p re im', got {line!r}")
-            dx, dp = int(fields[0]), int(fields[1])
-            c = complex(float(fields[2]), float(fields[3]))
-            terms[(dx, dp)] = terms.get((dx, dp), 0j) + c
-        return cls(terms)
+        """Parse a symbol file: one term 'deg_x deg_p re im' per line, as to_text writes.
+
+        Fields are separated by whitespace or commas.  A '#' starts a
+        comment that runs to the end of its line; blank lines and rows whose
+        first field is 'deg_x' (the header of the CLI's CSV) are skipped.  A
+        degree is anything int() takes ('7', '+7', '1_0') and a part
+        anything float() takes ('2.5e-3', 'nan', 'inf').  Terms of equal
+        degrees add up, in file order.
+
+        The text is parsed column by column: one split per line, then int()
+        and float() mapped over whole columns and one np.add.at into the
+        coefficient array.  Refused with a ValueError:
+        - 'line N: expected ...', a row without exactly four fields;
+        - 'line N: <the int() or float() message>', a field those refuse;
+        - 'line N: invalid degree key (dx, dp)', a negative degree;
+        - 'line N: degree key (dx, dp) exceeds MAX_DEGREE', a degree above it;
+        - 'non-finite coefficient ... at degrees (dx, dp)', a summed
+          coefficient that is NaN or infinite or whose modulus overflows.
+        N is the first line at fault, and a row of the first two kinds
+        anywhere is reported before a degree out of range.
+        """
+        lines = text.replace(",", " ").splitlines()
+        if "#" in text:
+            lines = [line.partition("#")[0] for line in lines]
+        rows = [fields for fields in map(str.split, lines) if fields and fields[0] != "deg_x"]
+        if not rows:
+            return cls._wrap(_EMPTY)
+        try:
+            if set(map(len, rows)) != {4}:
+                raise ValueError
+            dx, dp, re, im = zip(*rows)
+            dx, dp = list(map(int, dx)), list(map(int, dp))
+            # complex(re, im) sets the parts as they are; re + 1j * im would turn
+            # an infinite im into a NaN re
+            values = np.array(list(map(complex, map(float, re), map(float, im))))
+            if min(dx) < 0 or min(dp) < 0 or max(dx) > MAX_DEGREE or max(dp) > MAX_DEGREE:
+                raise ValueError
+        except ValueError:
+            raise _refusal(text, lines, rows) from None
+        c = np.zeros((max(dx) + 1, max(dp) + 1), dtype=complex)
+        np.add.at(c, (dx, dp), values)
+        _check_finite(c)
+        return cls._wrap(_trim(c))
 
     def __str__(self):
         if self._c.size == 0:
@@ -524,6 +553,26 @@ class WeylSymbol:
         return f"WeylSymbol({self})"
 
 
+def _refusal(text, lines, rows):
+    """The ValueError of from_text for the first row of `rows` at fault, naming its line."""
+    split = enumerate(map(str.split, lines), 1)
+    numbers = [n for n, fields in split if fields and fields[0] != "deg_x"]
+    for n, fields in zip(numbers, rows):
+        try:
+            if len(fields) != 4:
+                raise ValueError(f"expected 'deg_x deg_p re im', got {text.splitlines()[n - 1]!r}")
+            int(fields[0]), int(fields[1]), float(fields[2]), float(fields[3])
+        except ValueError as exc:
+            return ValueError(f"line {n}: {exc}")
+    for n, fields in zip(numbers, rows):
+        key = (int(fields[0]), int(fields[1]))
+        if min(key) < 0:
+            return ValueError(f"line {n}: invalid degree key {key!r}")
+        if max(key) > MAX_DEGREE:
+            return ValueError(f"line {n}: degree key {key!r} exceeds MAX_DEGREE = {MAX_DEGREE}")
+    raise AssertionError("from_text refused a text without a fault")
+
+
 class ExpPolySymbol:
     """Sum of terms (polynomial prefactor) * exp(polynomial exponent).
 
@@ -534,7 +583,7 @@ class ExpPolySymbol:
     drops zero prefactors.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_tables")
 
     def __init__(self, terms):
         merged = []
@@ -552,6 +601,14 @@ class ExpPolySymbol:
             else:
                 merged.append([prefactor, exponent])
         self._terms = tuple((p, e) for p, e in merged if not p.is_zero())
+        self._tables = {}
+
+    def _deriv_tables(self, smax):
+        """Each term's _exp_deriv_table up to total order smax, built once per smax
+        (metric_residual multiplies one exponential from both sides)."""
+        if smax not in self._tables:
+            self._tables[smax] = [_exp_deriv_table(p._c, e._c, smax) for p, e in self._terms]
+        return self._tables[smax]
 
     @classmethod
     def exp(cls, exponent, prefactor=1.0):
@@ -651,8 +708,7 @@ def _star_with_exp(poly, factor, poly_left):
     smax = poly.total_degree()
     orders = [(u, s - u) for s in range(smax + 1) for u in range(s + 1)]
     out_terms = []
-    for prefactor, exponent in factor.terms:
-        tab = _exp_deriv_table(prefactor._c, exponent._c, smax)
+    for (_, exponent), tab in zip(factor.terms, factor._deriv_tables(smax)):
         weights, left, right = [], [], []
         for u, v in orders:
             d = _derivative(poly._c, *((u, v) if poly_left else (v, u)))

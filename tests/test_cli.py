@@ -814,3 +814,30 @@ def test_negative_flag_values_parse(capsys):
     assert code == 0
     _, rows = data_rows(out)
     assert len(rows) == 2
+
+
+def test_contour_refuses_a_non_positive_xspan(capsys):
+    for xspan in ("-3", "0", "-0", "-1e-300"):
+        code, out, err = invoke(capsys, ["contour", "--kind", "z2", "--N", "4", "--xspan", xspan])
+        assert code == 2 and out == "" and "--xspan" in err
+    code, out, _ = invoke(capsys, ["contour", "--kind", "z2", "--N", "4", "--samples", "3",
+                                   "--xspan", "1e-300"])
+    assert code == 0
+    assert [row.split(",")[0] for row in data_rows(out)[1]] == ["-1e-300", "0", "1e-300"]
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("0 0 1 0\nx 0 1 1\n", "line 2: invalid literal for int() with base 10: 'x'"),
+        ("1 0 abc 0\n", "line 1: could not convert string to float: 'abc'"),
+        ("0 0 1 0\n\n171 0 1 0\n", "line 3: degree key (171, 0) exceeds"),
+    ],
+)
+def test_symbol_file_refusals_name_the_file_and_the_line(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.sym"
+    bad.write_text(text)
+    good = write_symbol(tmp_path / "good.sym", {(1, 0): 1.0})
+    code, out, err = invoke(capsys, ["star", "--f", good, "--g", str(bad)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: symbol file {bad}: {message}")

@@ -1,0 +1,230 @@
+"""Oracles of the symbol request path, kept from the code they replaced.
+
+`loop_from_text` is the per-line, dict-accumulating parser that
+`WeylSymbol.from_text` replaced with a column parse, and
+`uncached_star_with_exp` the exponential star that builds its derivative
+table for each product, where an `ExpPolySymbol` now keeps the table for
+the next product with a polynomial of the same degree.  Each new path must
+give the same bits as its oracle: the coefficient arrays here, and the
+stdout bytes of whole `cli.run` requests.
+
+The property test is derandomized; see `test_cli_properties.py` for why
+its draws still move with literals elsewhere, and why each input it has
+to cover is pinned as an @example.
+"""
+import contextlib
+import io
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pseudoherm import cli, metric, models, weyl
+from pseudoherm.weyl import ExpPolySymbol, WeylSymbol
+
+# -- the per-line parser -----------------------------------------------------
+
+
+def loop_from_text(text):
+    terms = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        body = line.split("#", 1)[0].replace(",", " ").strip()
+        if not body:
+            continue
+        fields = body.split()
+        if fields[0] == "deg_x":
+            continue
+        if len(fields) != 4:
+            raise ValueError(f"line {lineno}: expected 'deg_x deg_p re im', got {line!r}")
+        dx, dp = int(fields[0]), int(fields[1])
+        c = complex(float(fields[2]), float(fields[3]))
+        terms[(dx, dp)] = terms.get((dx, dp), 0j) + c
+    return WeylSymbol(terms)
+
+
+def parsed(parse, text):
+    """The coefficient array, or None for a ValueError."""
+    try:
+        return parse(text)._c
+    except ValueError:
+        return None
+
+
+DEGREES = st.sampled_from(("0", "1", "2", "3", "+1", "1_0", "-1", "171", "2.0", "x", "٣"))
+PARTS = st.sampled_from((
+    "1", "-2.5", "0", "-0.0", "0.1", "1e308", "-1e308", "1.5e308", "1e-320",
+    "inf", "-inf", "nan", "1_0.5", "abc", "",
+))
+SEPARATORS = st.sampled_from((" ", ",", "\t", " , ", "  "))
+
+
+@st.composite
+def symbol_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(("", "  ", "deg_x,deg_p,re,im", "# note", "deg_x 1"))))
+        elif kind == 1:
+            lines.append(draw(st.text(max_size=10)))
+        else:
+            fields = [draw(DEGREES), draw(DEGREES), draw(PARTS), draw(PARTS)]
+            if kind == 2:
+                fields = fields[: draw(st.integers(0, 3))] + [draw(PARTS)] * draw(st.integers(0, 2))
+            line = draw(SEPARATORS).join(fields)
+            lines.append(line + draw(st.sampled_from(("", "", " # c", "#"))))
+    ending = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return ending.join(lines) + draw(st.sampled_from((ending, "")))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(symbol_texts())
+@example("3 3 1e308 1\n3 3 1e308 1\n")  # the sum overflows to inf inside np.add.at
+@example("2.0 0 1 0\n")
+@example("1_0 0 1 0\n")  # int() reads 10
+@example("-1 0 1 0\n")
+@example("0 171 1 0\n")
+@example("1 1 -0.0 -0.0\n1 1 -0.0 -0.0\n2 0 1.5 -2\n2 0 -1.5 2\n")  # sums at -0 and 0
+@example("deg_x,deg_p,re,im\r\n1,0,2.0,0.0\r\n# comment\r\n0,1,0.0,-1.0  # trailing\r\n")
+@example("")
+@example("0 0 1 inf\n")  # an infinite part stays out of the other part
+def test_column_parse_matches_the_line_loop(text):
+    old, new = parsed(loop_from_text, text), parsed(WeylSymbol.from_text, text)
+    assert (old is None) == (new is None)
+    if old is not None:
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("0 0 1 0\nx 0 1 1\n", "line 2: invalid literal for int() with base 10: 'x'"),
+        ("# head\n\n1 0 abc 0\n", "line 3: could not convert string to float: 'abc'"),
+        ("1 2 3\n", "line 1: expected 'deg_x deg_p re im', got '1 2 3'"),
+        ("0 -1 1 0\n1 1 1\n", "line 2: expected"),  # a malformed row before a bad degree
+        ("0 0 1 0\n0 -1 1 0\n", "line 2: invalid degree key (0, -1)"),
+        ("deg_x,deg_p,re,im\n171 0 1 0\n", "line 2: degree key (171, 0) exceeds MAX_DEGREE = 170"),
+        ("0 1 1e308 0\n0 1 1e308 0\n", "non-finite coefficient (inf+0j) at degrees (0, 1)"),
+    ],
+)
+def test_refusals_name_the_line(text, message):
+    with pytest.raises(ValueError) as info:
+        WeylSymbol.from_text(text)
+    assert str(info.value).startswith(message)
+    with pytest.raises(ValueError):
+        loop_from_text(text)
+
+
+# -- the exponential star without a shared table -----------------------------
+
+_star_with_exp = weyl._star_with_exp
+
+
+def uncached_star_with_exp(poly, factor, poly_left):
+    """_star_with_exp on a fresh copy of the factor, whose derivative table is
+    built for this product alone."""
+    return _star_with_exp(poly, ExpPolySymbol(factor.terms), poly_left)
+
+
+def _random(rng, shape, mask=None):
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return c if mask is None else c * mask
+
+
+# -- whole requests ------------------------------------------------------------
+
+
+def _symbol_file(path, c):
+    rows = zip(*np.nonzero(c), c[np.nonzero(c)].tolist())
+    path.write_text("".join(f"{a} {b} {v.real!r} {v.imag!r}\n" for a, b, v in rows))
+    return str(path)
+
+
+def _dense(rng, degree):
+    """All monomials of total degree <= degree, with complex normal coefficients."""
+    n = np.arange(degree + 1)
+    return _random(rng, (degree + 1, degree + 1), np.add.outer(n, n) <= degree)
+
+
+def _requests(tmp_path):
+    rng = np.random.default_rng(2006)
+    files = itertools.count()
+
+    def sym(c):
+        return _symbol_file(tmp_path / f"s{next(files)}.txt", np.asarray(c, dtype=complex))
+
+    def terms(entries):
+        box = (max(k[0] for k in entries) + 1, max(k[1] for k in entries) + 1)
+        c = np.zeros(box, dtype=complex)
+        for k, v in entries.items():
+            c[k] = v
+        return sym(c)
+
+    argvs = []
+    for degree in (2, 3, 4, 6, 8, 10, 12, 14, 16):
+        f, g = sym(_dense(rng, degree)), sym(_dense(rng, degree))
+        argvs += [["star", "--f", f, "--g", g], ["star", "--f", f, "--g", g, "--op", "commutator"]]
+    odd = tmp_path / "odd.txt"
+    odd.write_text("deg_x,deg_p,re,im\r\n# comment\r\n1,0,2.0,0.0\r\n0 2 1 -1 # tail\r\n1 0 -0.5 0\r\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 0 1 0\nx 0 1 1\n")
+    argvs += [["star", "--f", str(odd), "--g", str(odd)], ["star", "--f", str(odd), "--g", str(bad)]]
+    for m in (1, 2, 3):
+        argvs.append(["bch", "--generator", terms({(m, 0): 0.7 / m}), "--operand", sym(_dense(rng, 3))])
+    q = terms({(0, 3): 0.2, (0, 1): -1.4})
+    argvs.append(["bch", "--generator", q, "--operand", sym(_dense(rng, 2))])
+    for n, m, alpha, g in ((2, 1, 0.8, 0.3), (2, 2, 1.1, 0.6), (3, 3, 0.7, 0.9), (4, 2, 1.6, 0.25)):
+        H = terms({(0, 2): 0.5, (n, 0): 0.5 * alpha, (m - 1, 1): -1j * g})
+        # the closed-form metric, a wrong one, and one in both x and p
+        wrong = {(2, 0): 0.3, (0, 2): -0.2, (1, 1): 0.1j}
+        for exponent in ({(m, 0): 2 * g / m}, {(m, 0): 4 * g / m}, wrong):
+            argvs.append(["metric-verify", "--hamiltonian", H, "--exponent", terms(exponent)])
+        for monomials in (f"{m},0", "0,2", "1,0;2,0"):
+            argvs.append(["metric-solve", "--hamiltonian", H, "--monomials", monomials])
+    for alpha, g in ((1.3, 0.7), (0.4, 1.9)):
+        for which in ("h", "H", "q", "eta2_exponent"):
+            argvs.append(["x4", "--alpha", str(alpha), "--g", str(g), "--which", which])
+    return argvs
+
+
+def _outputs(argvs):
+    out = []
+    for argv in argvs:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(argv)
+        out.append((code, stdout.getvalue().encode()))
+    return out
+
+
+def loop_symbol_rows(sym):
+    return [f"{dx},{dp},{cli._fmt(c.real)},{cli._fmt(c.imag)}" for (dx, dp), c in sorted(sym.items())]
+
+
+def test_requests_print_the_bytes_of_the_replaced_paths(tmp_path, monkeypatch):
+    argvs = _requests(tmp_path)
+    new = _outputs(argvs)
+    monkeypatch.setattr(WeylSymbol, "from_text", classmethod(lambda cls, text: loop_from_text(text)))
+    monkeypatch.setattr(weyl, "_star_with_exp", uncached_star_with_exp)
+    monkeypatch.setattr(cli, "_symbol_rows", loop_symbol_rows)
+    old = _outputs(argvs)
+    assert [code for code, _ in new].count(0) > len(argvs) * 3 // 4
+    for argv, a, b in zip(argvs, new, old):
+        assert a == b, argv
+
+
+def test_metric_residual_builds_one_derivative_table(monkeypatch):
+    # star(H^dag, eta^2) and star(eta^2, H) share the derivatives of eta^2
+    degrees = []
+    table = weyl._exp_deriv_table
+    monkeypatch.setattr(weyl, "_exp_deriv_table",
+                        lambda p, e, smax: degrees.append(smax) or table(p, e, smax))
+    H = models.x4_nonhermitian_symbol(1.3, 0.7)
+    eta_squared = ExpPolySymbol.exp(models.x4_generator(1.3, 0.7) * 2)  # a wrong metric
+    residual = metric.metric_residual(H, eta_squared)
+    assert degrees == [H.total_degree()]
+    expected = (uncached_star_with_exp(H.conjugate(), eta_squared, True)
+                - uncached_star_with_exp(H, eta_squared, False))
+    assert residual.terms and [p for p, _ in residual.terms] == [p for p, _ in expected.terms]
