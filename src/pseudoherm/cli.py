@@ -416,8 +416,9 @@ def _run_spiked(v, canon):
         f"# energy_m={_fmt(models.spiked_energy(model, v['m']))}",
     ]
     rows = []
+    position = models.spiked_matrix_element(model, "position", v["n"], v["m"])
     for op_kind in ("position", "momentum", "mapped_position"):
-        val = models.spiked_matrix_element(model, op_kind, v["n"], v["m"])
+        val = models.spiked_matrix_element(model, op_kind, v["n"], v["m"], position)
         rows.append(f"{op_kind},{_fmt(val.real)},{_fmt(val.imag)}")
     return extra, "op_kind,re,im", rows, 0
 
@@ -623,8 +624,8 @@ _SUBCOMMANDS = {
             Param("variant", "choice", "p_squared", choices=("p_squared", "p_shift")),
         ],
         run=_run_spiked,
-        help="spiked-oscillator matrix elements by exact Gauss-Laguerre sums "
-        "((n+m)//2+1 nodes for x, (n+m+1)//2+1 for p)",
+        help="spiked-oscillator matrix elements: x by the exact (n+m)//2+1 point "
+        "Gauss-Laguerre rule, p = 2i lambda (n-m) x from [H, x] = -2ip",
     ),
     "x4": Subcommand(
         params=[
@@ -692,21 +693,61 @@ _SUBCOMMANDS = {
 }
 
 
+def _add_flags(parser, spec):
+    """Add the flags of one subcommand to its argparse parser."""
+    for param in spec.params + _COMMON:
+        parser.add_argument(f"--{param.name}", dest=param.name, help=param.help)
+    parser.add_argument("--out", dest="out", help="output file (default stdout)")
+    parser.add_argument("--config", dest="config", help="key=value parameter file")
+    return parser
+
+
+class _Parsers:
+    """The argparse parsers of one process, each built on first use.
+
+    A command line naming a subcommand is parsed by that subcommand's own
+    parser, prog "pseudoherm <name>", so a request builds one parser, not
+    the whole tree.  The top-level tree with every subcommand under it is
+    built only for the command lines no subcommand parser takes: no
+    subcommand, an unknown one, or a top-level flag such as --help.
+    """
+
+    def __init__(self):
+        self._subcommands = {}
+        self._top = None
+
+    def subcommand(self, name):
+        if name not in self._subcommands:
+            spec = _SUBCOMMANDS[name]
+            parser = argparse.ArgumentParser(prog=f"pseudoherm {name}", description=spec.help)
+            self._subcommands[name] = _add_flags(parser, spec)
+        return self._subcommands[name]
+
+    def top(self):
+        if self._top is None:
+            parser = argparse.ArgumentParser(
+                prog="pseudoherm",
+                description="metric operators and laser-driven dynamics, as reproducible CSV",
+            )
+            sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
+            for name, spec in _SUBCOMMANDS.items():
+                _add_flags(sub.add_parser(name, help=spec.help, description=spec.help), spec)
+            self._top = parser
+        return self._top
+
+    def parse(self, argv):
+        """(subcommand name, flag dict) of a command line; SystemExit on
+        --help and on usage errors, as argparse exits."""
+        if argv and argv[0] in _SUBCOMMANDS:
+            return argv[0], vars(self.subcommand(argv[0]).parse_args(argv[1:]))
+        flags = vars(self.top().parse_args(argv))
+        return flags.pop("command"), flags
+
+
 @functools.cache
 def _build_parser():
-    """The argparse tree for every subcommand, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="pseudoherm",
-        description="metric operators and laser-driven dynamics, as reproducible CSV",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-    for name, spec in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=spec.help, description=spec.help)
-        for param in spec.params + _COMMON:
-            p.add_argument(f"--{param.name}", dest=param.name, help=param.help)
-        p.add_argument("--out", dest="out", help="output file (default stdout)")
-        p.add_argument("--config", dest="config", help="key=value parameter file")
-    return parser
+    """The argparse parsers, one set per process."""
+    return _Parsers()
 
 
 def _read_config(path):
@@ -758,13 +799,10 @@ def run(argv=None):
     """Entry point; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(_fold_flag_values(list(argv)))
+        name, flags = _build_parser().parse(_fold_flag_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
-    flags = vars(ns)
-    name = flags.pop("command")
     spec = _SUBCOMMANDS[name]
     params = spec.params + _COMMON
 

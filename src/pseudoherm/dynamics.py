@@ -30,6 +30,7 @@ import numpy as np
 
 from .models import (
     MAX_POINTS,
+    _dressed_position,
     banded_hamiltonian,
     hermitian_spectrum,
     spiked_energy,
@@ -267,18 +268,20 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     """Frequency sweep of the raw-x first-order probability per xi.
 
     A rectangular sine pulse of amplitude E0 and duration tau is swept
-    over steps ascending frequencies in [omega_lo, omega_hi].  The
-    xi-independent position and momentum elements are computed once (so
-    alpha > -1/2, see spiked_matrix_element), the closed-form field
-    integral once over the frequency grid, and P(omega, xi) for all
-    curves as one numpy broadcast over (len(xi_list), steps) through the
-    p_squared dressing x + 2 i xi p.  The sweep runs in the calling
-    thread and is deterministic.  Output order follows xi_list.  A
-    probability |<n|X|m> int exp(i delta s) E(s) ds|^2 above 1 anywhere
-    (or not finite) is outside perturbation theory and raises ValueError,
-    as do n == m (on the diagonal first order gives a survival
-    probability, which can exceed 1; first_order_transition returns it)
-    and more than MAX_POINTS (omega, xi) points.
+    over steps ascending frequencies in [omega_lo, omega_hi].  There is
+    one integral, <n|x|m> (see spiked_matrix_element); the commutator
+    [H, x] = -2ip gives <n|p|m> = 2i lam (n - m) <n|x|m>, so every curve's
+    p_squared dressed element <n|x + 2i xi p|m> = (1 - 4 lam (n - m) xi)
+    <n|x|m> follows from it, for alpha > -1/2 only.  The closed-form field
+    integral is taken once over the frequency grid, and P(omega, xi) for
+    all curves as one numpy broadcast over (len(xi_list), steps).  The
+    sweep runs in the calling thread and is deterministic.  Output order
+    follows xi_list.  A probability |<n|X|m> int exp(i delta s) E(s) ds|^2
+    above 1 anywhere (or not finite) is outside perturbation theory and
+    raises ValueError, as do n == m (on the diagonal first order gives a
+    survival probability, which can exceed 1; first_order_transition
+    returns it), a dressed element that leaves double precision, and more
+    than MAX_POINTS (omega, xi) points.
     """
     if n == m:
         raise ValueError(f"the sweep needs two distinct levels, got n = m = {n}")
@@ -294,10 +297,9 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
         raise ValueError(f"the sweep holds more than {MAX_POINTS} (omega, xi) points")
     omegas = np.linspace(omega_lo, omega_hi, steps)
     delta = spiked_energy(model, n) - spiked_energy(model, m)
-    position = spiked_matrix_element(model, "position", n, m)
-    momentum = spiked_matrix_element(model, "momentum", n, m)
+    position = spiked_matrix_element(model, "position", n, m).real
+    element = _dressed_position(model, n, m, position, xis[:, None])
     integral = _carrier_field_integral(E0, omegas, "sine", delta, tau)
-    element = position + 2j * xis[:, None] * momentum
     with np.errstate(over="ignore", invalid="ignore"):
         probs = _first_order_probability(False, element, integral)
         worst = float(np.max(probs))

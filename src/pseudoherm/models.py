@@ -183,101 +183,128 @@ def spiked_wavefunction(model, n, x):
     return value
 
 
-def spiked_wavefunction_derivative(model, n, x):
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise ValueError("spiked wavefunctions are defined for x > 0 only")
-    u = model.lam * x_arr ** 2
-    phi = spiked_wavefunction(model, n, x_arr)
-    out = ((model.alpha + 0.5) / x_arr - model.lam * x_arr) * phi
-    if n >= 1:
-        # d/du L_n^a(u) = -L_(n-1)^(a+1)(u)
-        tail = (
-            (-1) ** n
-            * _spiked_norm(model, n)
-            * x_arr ** (model.alpha + 0.5)
-            * np.exp(-0.5 * u)
-            * (-2.0 * model.lam * x_arr)
-            * _genlaguerre(n - 1, model.alpha + 1.0, u)
-        )
-        out = out + tail
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+def _laguerre_jacobi(k, weight_exponent):
+    """Jacobi matrix of the weight u^b e^(-u) on (0, inf), b = weight_exponent.
 
+    The k diagonal entries are 2j + b + 1 and the k - 1 off-diagonal entries
+    sqrt(j (j + b)), j = 0, 1, ... and 1, 2, ...  Its eigenvalues are the
+    k Gauss-Laguerre nodes and Gamma(b + 1) times the squared first
+    components of its eigenvectors are the weights, so for a polynomial q of
+    degree <= 2k - 1
 
-def _gauss_laguerre(weight_exponent, degree, polynomial):
-    """int_0^inf u^weight_exponent e^(-u) polynomial(u) du for a polynomial
-    of the given degree, by the smallest exact Gauss-Laguerre rule.
+        int_0^inf u^b e^(-u) q(u) du = Gamma(b + 1) e1' q(J) e1
 
-    k nodes integrate degree <= 2k - 1 exactly, so degree//2 + 1 nodes
-    reproduce the integral up to rounding.
+    (Golub and Welsch, Math. Comp. 23 (1969) 221).
     """
-    from scipy.special import roots_genlaguerre
-
-    nodes, weights = roots_genlaguerre(degree // 2 + 1, weight_exponent)
-    return float(weights @ polynomial(nodes))
+    j = np.arange(k, dtype=float)
+    return 2.0 * j + (weight_exponent + 1.0), np.sqrt(j[1:] * (j[1:] + weight_exponent))
 
 
-def spiked_matrix_element(model, op_kind, n, m):
-    """Matrix element between closed-form levels n and m.
+def _laguerre_product(n, m, a, weight_exponent):
+    """int_0^inf u^b e^(-u) L_n^a L_m^a du / Gamma(b + 1), b = weight_exponent,
+    exactly.
 
-    op_kind "position" is plain x, "momentum" is -i d/dx, and
-    "mapped_position" is the metric-dressed position observable of the
-    model variant: x + 2i xi p for p_squared, x + i xi for p_shift.
+    L_n^a(J) e1 and L_m^a(J) e1 come from the three-term recurrence with
+    tridiagonal matrix-vector products on the (n+m)//2 + 1 point Jacobi
+    matrix J of u^b e^(-u), which makes e1' L_n^a(J) L_m^a(J) e1 the Gauss
+    rule of a degree n + m polynomial: no nodes, weights or eigensolve.
+    """
+    d, e = _laguerre_jacobi((n + m) // 2 + 1, weight_exponent)
+    prev, cur = np.zeros(d.size), np.zeros(d.size)
+    cur[0] = 1.0
+    levels = [cur]
+    for j in range(max(n, m)):
+        # L_(j+1) = ((2j + 1 + a - u) L_j - (j + a) L_(j-1)) / (j + 1)
+        applied = d * cur
+        applied[:-1] += e * cur[1:]
+        applied[1:] += e * cur[:-1]
+        prev, cur = cur, ((2 * j + 1 + a) * cur - applied - (j + a) * prev) / (j + 1)
+        levels.append(cur)
+    return float(levels[n] @ levels[m])
+
+
+def _spiked_position(model, n, m):
+    """<n|x|m> as a float, the one integral every spiked element comes from.
 
     With u = lam x^2, a = alpha and N_k the level normalization,
 
         <n|x|m> = (-1)^(n+m) N_n N_m / (2 lam^(a+3/2))
                   int u^(a+1/2) e^(-u) L_n^a L_m^a du,
-        <n|p|m> = -i (-1)^(n+m) N_n N_m / (2 lam^(a+1/2))
-                  int u^(a-1/2) e^(-u) L_n^a [(a+1/2-u) L_m^a + 2u dL_m^a/du] du.
 
-    The polynomial parts have degree n+m and n+m+1, so Gauss-Laguerre
-    rules with (n+m)//2 + 1 and (n+m+1)//2 + 1 nodes are exact and the
-    sums equal the integrals up to rounding.  The position element exists
-    on the whole model domain alpha > -1.  The momentum element (and the
-    p_squared mapped position) needs alpha > -1/2: below that the integral
-    diverges at x = 0, and at alpha = -1/2 the boundary term
-    phi_n(0) phi_m(0) keeps p from being Hermitian; ValueError otherwise.
-    The momentum diagonal is exactly 0 because the levels are real.
+    and the integral is Gamma(a + 3/2) times _laguerre_product.
     """
     if n < 0 or m < 0:
         raise ValueError("levels must be non-negative")
     a = model.alpha
     sign = -1.0 if (n + m) % 2 else 1.0
     scale = 0.5 * sign * _spiked_norm(model, n) * _spiked_norm(model, m)
-    if op_kind == "position":
-        total = _gauss_laguerre(
-            a + 0.5, n + m, lambda u: _genlaguerre(n, a, u) * _genlaguerre(m, a, u)
+    mass = _spiked_factor(model, "Gamma(alpha+3/2)", lambda: math.gamma(a + 1.5))
+    lam_power = _spiked_factor(model, "lam^(alpha+3/2)", lambda: model.lam ** (a + 1.5))
+    return scale * mass * _laguerre_product(n, m, a, a + 0.5) / lam_power
+
+
+def _momentum_rate(model, n, m):
+    """<n|p|m> / (i <n|x|m>) = 2 lam (n - m), from [H, x] = -2ip.
+
+    Between levels, (E_n - E_m) <n|x|m> = <n|[H, x]|m> = -2i <n|p|m> with
+    E_n - E_m = 4 lam (n - m).  That needs p Hermitian on the levels: for
+    alpha <= -1/2 ValueError, since below -1/2 the integral diverges at
+    x = 0 and at -1/2 the boundary term phi_n(0) phi_m(0) survives.
+    """
+    if model.alpha <= -0.5:
+        raise ValueError(
+            f"the momentum element needs alpha > -1/2, got alpha={model.alpha:g}: the "
+            "integral diverges at x = 0 below -1/2 and p is not Hermitian at -1/2"
         )
-        lam_power = _spiked_factor(model, "lam^(alpha+3/2)", lambda: model.lam ** (a + 1.5))
-        return complex(scale * total / lam_power)
+    return 2.0 * model.lam * (n - m)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite element is refused below
+def _dressed_position(model, n, m, position, xi):
+    """The p_squared dressing <n|x + 2i xi p|m> = (1 - 4 lam (n - m) xi) <n|x|m>,
+    real, for a float or an array of xi.  ValueError naming xi when it
+    leaves double precision."""
+    xi = np.asarray(xi, dtype=float)
+    # <n|p|m> = 0 on the diagonal, so no xi can spoil x there
+    element = position - (2.0 * _momentum_rate(model, n, m) * position) * xi
+    finite = np.isfinite(element)
+    if not finite.all():
+        raise ValueError(
+            f"the dressed element x + 2i xi p leaves double precision at xi={xi[~finite].flat[0]:g}"
+        )
+    return element
+
+
+def spiked_matrix_element(model, op_kind, n, m, position=None):
+    """Matrix element between closed-form levels n and m.
+
+    op_kind "position" is plain x, "momentum" is -i d/dx, and
+    "mapped_position" is the metric-dressed position observable of the
+    model variant: x + 2i xi p for p_squared, x + i xi for p_shift.
+
+    There is one integral, <n|x|m> (see _spiked_position), summed exactly
+    by the Jacobi matrix of its Gauss-Laguerre rule; it exists on the whole
+    model domain alpha > -1.  Everything else follows from it.  The
+    commutator [H, x] = -2ip gives <n|p|m> = 2i lam (n - m) <n|x|m>, which
+    is exactly 0 on the diagonal and holds for alpha > -1/2: below that the
+    momentum integral diverges at x = 0, and at alpha = -1/2 the boundary
+    term phi_n(0) phi_m(0) keeps p from being Hermitian, so the momentum
+    element and the p_squared mapped position raise ValueError there.  A
+    caller that already holds <n|x|m> passes it as position, and no
+    integral is done.
+    """
+    if op_kind not in ("position", "momentum", "mapped_position"):
+        raise ValueError(f"unknown op_kind {op_kind!r}")
+    if position is None:
+        position = _spiked_position(model, n, m)
+    position = complex(position).real
+    if op_kind == "position":
+        return complex(position)
     if op_kind == "momentum":
-        if a <= -0.5:
-            raise ValueError(
-                f"the momentum element needs alpha > -1/2, got alpha={a:g}: the "
-                "integral diverges at x = 0 below -1/2 and p is not Hermitian at -1/2"
-            )
-        if n == m:
-            return 0j
-
-        def polynomial(u):
-            # d/du L_m^a(u) = -L_(m-1)^(a+1)(u)
-            slope = -_genlaguerre(m - 1, a + 1.0, u) if m else 0.0
-            bracket = (a + 0.5 - u) * _genlaguerre(m, a, u) + 2.0 * u * slope
-            return _genlaguerre(n, a, u) * bracket
-
-        total = _gauss_laguerre(a - 0.5, n + m + 1, polynomial)
-        lam_power = _spiked_factor(model, "lam^(alpha+1/2)", lambda: model.lam ** (a + 0.5))
-        return complex(0.0, -scale * total / lam_power)
-    if op_kind == "mapped_position":
-        position = spiked_matrix_element(model, "position", n, m)
-        if model.variant == "p_shift":
-            return position + 1j * model.xi * (1.0 if n == m else 0.0)
-        momentum = spiked_matrix_element(model, "momentum", n, m)
-        return position + 2j * model.xi * momentum
-    raise ValueError(f"unknown op_kind {op_kind!r}")
+        return complex(0.0, _momentum_rate(model, n, m) * position)
+    if model.variant == "p_shift":
+        return complex(position, model.xi if n == m else 0.0)
+    return complex(_dressed_position(model, n, m, position, model.xi))
 
 
 # -- quartic (-x^4) chain --------------------------------------------------

@@ -95,6 +95,24 @@ def test_importing_the_cli_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def _scipy_modules_after(argvs):
+    """The scipy modules a fresh interpreter holds after cli.run of each argv."""
+    probe = (
+        "import io, sys, contextlib\n"
+        "from pseudoherm import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
 def test_symbol_commands_load_no_scipy(tmp_path):
     # one fresh interpreter runs every symbol subcommand: none of them may
     # import scipy, whose optimize package alone once doubled metric-solve's cold start
@@ -116,20 +134,14 @@ def test_symbol_commands_load_no_scipy(tmp_path):
         ["wedges", "--N", "4"],
         ["contour", "--kind", "z1", "--N", "4"],
     ]
-    probe = (
-        "import io, sys, contextlib\n"
-        "from pseudoherm import cli\n"
-        f"for argv in {argvs!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.run(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "[]"
+    assert _scipy_modules_after(argvs) == "[]"
+
+
+def test_spiked_and_transition_load_no_scipy():
+    # the matrix elements come from a Jacobi matrix in numpy; scipy.special's
+    # Gauss-Laguerre nodes once cost a one-shot transition about 340 ms of import
+    argvs = [["spiked", "--n", "2", "--m", "3"], ["transition"]]
+    assert _scipy_modules_after(argvs) == "[]"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -138,8 +150,11 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_unknown_flag_is_usage_error(capsys):
-    code, _, _ = invoke(capsys, ["wedges", "--N", "4", "--bogus", "1"])
+    code, _, err = invoke(capsys, ["wedges", "--N", "4", "--bogus", "1"])
     assert code == 2
+    # the subcommand's own parser reports it, with its usage line
+    assert err.startswith("usage: pseudoherm wedges [-h] [--N N]")
+    assert "pseudoherm wedges: error: unrecognized arguments: --bogus 1" in err
 
 
 def test_missing_required_parameter(capsys):
@@ -474,6 +489,28 @@ def test_spiked_subcommand_momentum_domain(capsys):
     code, out, _ = invoke(capsys, ["spiked", "--n", "2", "--m", "2"])
     assert code == 0
     assert "momentum,0,0" in data_rows(out)[1]
+
+
+@pytest.mark.parametrize("xi", ["1e308", "-1e308"])
+def test_spiked_dressed_element_overflow_exits_1(capsys, xi):
+    # x + 2i xi p leaves double precision: one error naming xi, no row, and
+    # no numpy warning (the suite turns RuntimeWarning into an error)
+    code, out, err = invoke(capsys, ["spiked", "--n", "2", "--m", "3", "--xi", xi])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"xi={float(xi):g}" in err
+    assert len(err.splitlines()) == 1
+    # p vanishes on the diagonal, so there the dressed element is x itself
+    code, out, _ = invoke(capsys, ["spiked", "--n", "2", "--m", "2", "--xi", xi])
+    assert code == 0
+    rows = dict(row.split(",", 1) for row in data_rows(out)[1])
+    assert rows["mapped_position"] == rows["position"]
+
+
+def test_transition_dressed_element_overflow_exits_1(capsys):
+    code, out, err = invoke(capsys, ["transition", "--xi", "0,1e308"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "xi=1e+308" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_spectrum_subcommand(capsys):

@@ -496,6 +496,10 @@ def test_sweep_validation():
     below_half = SpikedHOModel(lam=0.5, alpha=-0.7)
     with pytest.raises(ValueError, match="alpha > -1/2"):
         transition_sweep(below_half, 3, 2, 0.01, 1.7, 2.3, 5, 30.0, [0.0])
+    # a dressed element x + 2i xi p that overflows is refused by its xi,
+    # before any probability is formed (and warns of nothing)
+    with pytest.raises(ValueError, match=r"x \+ 2i xi p .* xi=-1e\+308"):
+        transition_sweep(model, 3, 2, 0.01, 1.7, 2.3, 5, 30.0, [-1e308, 0.0, 1e308])
 
 
 def test_sweep_rejects_results_beyond_first_order():

@@ -53,6 +53,21 @@ def test_library_imports_nothing_from_scipy_fft(path):
     ]
     assert fft == []
 
+def test_only_dynamics_imports_scipy_special():
+    # wofz (the gaussian pulse's Faddeeva primitive) is the one special
+    # function the library takes from scipy; the spiked elements use a
+    # numpy Jacobi matrix, so spiked and transition load no scipy at all
+    users = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(
+            name == "scipy.special" or name.startswith("scipy.special.")
+            for name in _imported_modules(tree)
+        ):
+            users.add(path.name)
+    assert users == {"dynamics.py"}
+
+
 def _identifiers(tree):
     """Every name, attribute, import alias and definition in a module."""
     for node in ast.walk(tree):
