@@ -9,8 +9,9 @@ command-line flags taking precedence; unknown keys are rejected.
 Floats print as Python's `'%.12g'` (`_fmt`, the one definition of the
 format), with -0 printed as 0.  The `transition` and `contour` tables,
 whose row counts scale with a flag, go through `_float_cells`, an array
-kernel that prints the same bytes as `_fmt` for every float64.  The small
-tables (`spectrum`, `propagate`, symbol rows, `verify-all`, the config
+kernel that prints the same bytes as `_fmt` for every float64; so do
+symbol tables of at least `_ARRAY_ROWS` terms.  The small tables
+(`spectrum`, `propagate`, smaller symbol tables, `verify-all`, the config
 block) call `_fmt` per value: the kernel's fixed cost, some 70 numpy
 calls, is more than `_fmt` spends on a few dozen values.
 
@@ -241,6 +242,8 @@ def _parse_value(param, raw):
                 key, _, val = chunk.partition("=")
                 if not _:
                     raise ValueError(f"expected key=value, got {chunk!r}")
+                if key.strip() in out:
+                    raise ValueError(f"repeated key {key.strip()}")
                 out[key.strip()] = _finite(val)
             return out
     except CliUsageError:
@@ -287,9 +290,22 @@ def _read_symbol(path):
         raise ValueError(f"symbol file {path}: {exc}") from None
 
 
+# Symbol tables of at least _ARRAY_ROWS terms print through _float_cells, whose
+# fixed cost is more than _fmt spends on fewer rows (the two cross at 65-100
+# rows on a 2-vCPU x86-64).  Degrees print from a table of their text.
+_ARRAY_ROWS = 80
+_DEGREE_CELLS = np.array([str(k) for k in range(2 * weyl.MAX_DEGREE + 1)], dtype="S3")
+_DEGREE_CELLS = _DEGREE_CELLS.view(np.uint8).reshape(-1, 3)
+
+
 def _symbol_rows(sym):
-    """One CSV row per term, in the (deg_x, deg_p) order items() keeps."""
-    return [f"{dx},{dp},{_fmt(c.real)},{_fmt(c.imag)}" for (dx, dp), c in sym.items()]
+    """One CSV row per term, in (deg_x, deg_p) order."""
+    dx, dp, c = sym.arrays()
+    if dx.size < _ARRAY_ROWS or max(dx[-1], dp.max()) >= len(_DEGREE_CELLS):
+        terms = zip(dx.tolist(), dp.tolist(), c.tolist())
+        return [f"{a},{b},{_fmt(v.real)},{_fmt(v.imag)}" for a, b, v in terms]
+    cells = _float_cells(np.column_stack([c.real, c.imag])).reshape(-1, 2, _CELL)
+    return [_csv_text([_DEGREE_CELLS[dx], _DEGREE_CELLS[dp], cells[:, 0], cells[:, 1]])]
 
 
 # -- subcommand runners ----------------------------------------------------

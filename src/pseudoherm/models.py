@@ -22,15 +22,6 @@ from .metric import SimilarityPair, hermitian_pair_from_q, metric_residual
 from .weyl import ExpPolySymbol, WeylSymbol
 
 
-def power_potential_symbol(N, g):
-    """Symbol p^2 - g(ix)^N of the power-law family."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if g <= 0:
-        raise ValueError("coupling g must be positive")
-    return WeylSymbol({(0, 2): 1.0, (N, 0): -g * 1j ** N})
-
-
 # -- generalized Swanson family -------------------------------------------
 
 

@@ -428,6 +428,16 @@ def test_metric_commands_refuse_negative_tol_and_repeated_monomials(capsys, tmp_
     assert err.startswith("usage error:")
 
 
+
+@pytest.mark.parametrize("params", ["lambda=1,lambda=2", "lambda=1, lambda =1"])
+def test_params_refuse_a_repeated_key(capsys, params):
+    # a repeated key once solved the model at its last value and exited 0
+    argv = ["spectrum", "--model", "spiked", "--params", params, "--grid", "0,10,200", "--levels", "2"]
+    code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "repeated key lambda" in err
+
 def test_swanson_subcommand(capsys):
     code, out, _ = invoke(
         capsys,

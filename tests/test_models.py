@@ -111,19 +111,6 @@ def test_swanson_validation():
         models.swanson_generator(0, 0.1)
 
 
-def test_power_potential_symbols():
-    sym = models.power_potential_symbol(4, 0.7)
-    assert sym.distance(WeylSymbol({(0, 2): 1.0, (4, 0): -0.7})) < 1e-15
-    sym = models.power_potential_symbol(2, 0.7)
-    assert sym.distance(WeylSymbol({(0, 2): 1.0, (2, 0): 0.7})) < 1e-15
-    for N in range(1, 7):
-        assert is_pt_symmetric(models.power_potential_symbol(N, 0.5))
-    with pytest.raises(ValueError):
-        models.power_potential_symbol(0, 1.0)
-    with pytest.raises(ValueError):
-        models.power_potential_symbol(4, -1.0)
-
-
 # -- quartic chain ---------------------------------------------------------
 
 

@@ -133,6 +133,118 @@ def _random(rng, shape, mask=None):
     return c if mask is None else c * mask
 
 
+
+# -- the slice-sum scatters and the Moyal kernels ------------------------------
+
+
+def loop_scatter(t):
+    """Sum a 4-D (a, b, c, d) tensor into the 2-D array at (a + c, b + d), by
+    slice sums over b and then over a."""
+    na, nb, nc, nd = t.shape
+    by_p = np.zeros((na, nc, nb + nd - 1), dtype=t.dtype)
+    for b in range(nb):
+        by_p[:, :, b : b + nd] += t[:, b]
+    out = np.zeros((na + nc - 1, nb + nd - 1), dtype=t.dtype)
+    for a in range(na):
+        out[a : a + nc] += by_p[a]
+    return out
+
+
+def loop_moyal_scatter(out):
+    """The (b, c, channel, a, d) tensor of the Moyal tensor kernel summed into
+    (channel, a + c, b + d), by slice sums over b and then over c."""
+    nb, nc, _, na, nd = out.shape
+    width = nb + nd - 1
+    by_p = np.zeros((nc, 3, na, width))
+    for b in range(nb):
+        by_p[..., b : b + nd] += out[b]
+    r = np.zeros((3, na + nc - 1, width))
+    for c in range(nc):
+        r[:, c : c + na] += by_p[c]
+    return r
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 1, 1, 4), (2, 5, 3, 1), (4, 4, 4, 4), (7, 2, 3, 6)])
+def test_bincount_scatters_match_the_slice_loops(shape):
+    # integer-valued entries add up exactly in any order: the sums must agree bit for bit
+    rng = np.random.default_rng(sum(shape))
+    real = rng.integers(-1000, 1000, shape).astype(float)
+    for t in (real, real + 1j * rng.integers(-1000, 1000, shape)):
+        got = weyl._scatter(t)
+        assert got.dtype == t.dtype
+        assert np.array_equal(got, loop_scatter(t))
+    # the Moyal tensor kernel holds its channels first and scatters each alone
+    na, nb, nc, nd = shape
+    h, w = na + nc - 1, nb + nd - 1
+    out = rng.integers(-1000, 1000, (3, nb, nc, na, nd)).astype(float)
+    got = [weyl._scatter_add(channel, (1, w, w, 1), h * w).reshape(h, w) for channel in out]
+    assert np.array_equal(got, loop_moyal_scatter(np.moveaxis(out, 0, 2)))
+
+
+# pairs of boxes on both sides of MAX_MAP: 5x5 * 5x5 is the largest square
+# one within it, and the lopsided pairs straddle its edge
+KERNEL_SHAPES = [(3, 3, 3, 3), (5, 5, 5, 5), (5, 5, 5, 6), (6, 6, 6, 6), (4, 1, 7, 4),
+                 (2, 2, 2, 30), (2, 2, 2, 60), (1, 16, 16, 1), (1, 17, 17, 1), (16, 1, 1, 16)]
+
+
+def test_kernel_shapes_straddle_max_map():
+    entries = [na * nb * nc * nd * (na + nc - 1) * (nb + nd - 1) for na, nb, nc, nd in KERNEL_SHAPES]
+    assert [n <= weyl.MAX_MAP for n in entries] == [1, 1, 0, 0, 1, 1, 0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+@pytest.mark.parametrize("odd_only", [False, True])
+def test_map_and_tensor_kernels_agree(shape, odd_only, monkeypatch):
+    rng = np.random.default_rng(sum(shape) + odd_only)
+    f, g = _random(rng, shape[:2]), _random(rng, shape[2:])
+    values, mags = weyl._moyal_by_map(f, g, odd_only)
+    tensor_values, tensor_mags = weyl._moyal_by_tensor(f, g, odd_only)
+    assert np.all(np.abs(values - tensor_values) <= weyl._RESIDUE * tensor_mags)
+    np.testing.assert_allclose(mags, tensor_mags, rtol=1e-14, atol=0)
+    # _moyal takes the map exactly when it has at most MAX_MAP entries
+    taken = []
+    monkeypatch.setattr(weyl, "_moyal_by_map", lambda *args: taken.append("map"))
+    monkeypatch.setattr(weyl, "_moyal_by_tensor", lambda *args: taken.append("tensor"))
+    weyl._moyal(f, g, odd_only)
+    na, nb, nc, nd = shape
+    small = na * nb * nc * nd * (na + nc - 1) * (nb + nd - 1) <= weyl.MAX_MAP
+    assert taken == ["map" if small else "tensor"]
+
+
+def test_array_cache_keeps_at_most_its_limit():
+    cache = weyl._ArrayCache(3000)
+    build = np.zeros  # n doubles, 8 n bytes
+    first = cache(build, 100)
+    cache(build, 150)
+    assert cache(build, 100) is first  # a hit, now the most recently used
+    cache(build, 125)
+    cache(build, 50)  # 3400 bytes: the least recently used (150) goes
+    assert [key[1:] for key in cache._entries] == [(100,), (125,), (50,)]
+    assert cache.nbytes == 2200
+    assert cache(build, 1000).size == 1000  # larger than the limit: built, not kept
+    assert cache.nbytes == 2200 and len(cache._entries) == 3
+
+
+def test_kernel_caches_hold_at_most_16_mib():
+    # the maps, plans and scatter indices of every product share one cache
+    assert weyl.CACHE_BYTES == 16 * 2**20
+    rng = np.random.default_rng(16)
+    shapes = [(na, nb, nc, nd) for na in (4, 5) for nb in (4, 5) for nc in (4, 5) for nd in (4, 5)]
+    shapes += [(n, n, n, n) for n in (6, 9, 12, 17)] + [(1, 1, 1, 171), (16, 1, 1, 16)]
+    for na, nb, nc, nd in shapes:
+        f = WeylSymbol._wrap(_random(rng, (na, nb)))
+        g = WeylSymbol._wrap(_random(rng, (nc, nd)))
+        weyl.star(f, g)
+        weyl.star_commutator(f, g)
+        f * g
+    cache = weyl._CACHE
+    held = [value if isinstance(value, tuple) else (value,) for value, _ in cache._entries.values()]
+    assert cache.nbytes == sum(a.nbytes for arrays in held for a in arrays) <= weyl.CACHE_BYTES
+    assert cache.nbytes > weyl.CACHE_BYTES // 2  # the shapes above fill it past half
+    # one map is two real (h w, na nb nc nd) matrices of at most MAX_MAP entries each
+    assert sum(a.nbytes for a in weyl._moyal_map(5, 5, 5, 5, False)[:2]) <= 16 * weyl.MAX_MAP
+
+
 # -- whole requests ------------------------------------------------------------
 
 
@@ -202,6 +314,17 @@ def _outputs(argvs):
 def loop_symbol_rows(sym):
     return [f"{dx},{dp},{cli._fmt(c.real)},{cli._fmt(c.imag)}" for (dx, dp), c in sorted(sym.items())]
 
+
+
+@pytest.mark.parametrize("shape", [(1, 79), (9, 9), (400, 1)])
+def test_symbol_rows_print_the_bytes_of_the_fmt_rows(shape):
+    # below _ARRAY_ROWS, past it, and past the table of degree texts
+    c = _random(np.random.default_rng(shape[0]), shape)
+    c[-1, -1] = complex(-0.0, 1e-300)
+    rows = cli._symbol_rows(WeylSymbol._wrap(c))
+    assert "\n".join(rows) == "\n".join(loop_symbol_rows(WeylSymbol._wrap(c)))
+    by_array = c.size >= cli._ARRAY_ROWS and max(shape) <= len(cli._DEGREE_CELLS)
+    assert len(rows) == (1 if by_array else c.size)
 
 def test_requests_print_the_bytes_of_the_replaced_paths(tmp_path, monkeypatch):
     argvs = _requests(tmp_path)

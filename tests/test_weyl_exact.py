@@ -11,14 +11,15 @@ land within RESIDUE_ULPS machine epsilons of the exact value times that
 magnitude, and must keep every coefficient that is exactly nonzero.
 Inputs are dyadic rationals, so the float symbols hold them exactly.
 """
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pseudoherm import metric, models
-from pseudoherm.weyl import RESIDUE_ULPS, WeylSymbol, star, star_commutator
+from pseudoherm import metric, models, weyl
+from pseudoherm.weyl import MAX_MAP, RESIDUE_ULPS, WeylSymbol, star, star_commutator
 
 EPS = np.finfo(float).eps
 TOL = RESIDUE_ULPS * EPS
@@ -237,3 +238,87 @@ def test_x4_ladder_exact(alpha, g):
     assert_pair_matches(chain_f.pair, h0)
     # the induced quartic term is there at any coupling, to the rounding of q
     assert chain_f.pair.h.coefficient(0, 4) == pytest.approx(float(g * g / (4 * alpha)), rel=1e-14)
+
+
+# -- the small-product map -------------------------------------------------
+
+
+def map_entries(na, nb, nc, nd):
+    return na * nb * nc * nd * (na + nc - 1) * (nb + nd - 1)
+
+
+def lopsided_shapes():
+    """The corners of the map region, the products the CLI forms past 5x5
+    boxes, and a seeded sample of the rest of the region."""
+    shapes = [(1, 1, 1, 171), (171, 1, 1, 1), (1, 171, 1, 1), (1, 1, 171, 1), (16, 1, 1, 16),
+              (1, 16, 16, 1), (4, 1, 7, 4), (4, 1, 9, 3), (1, 4, 3, 9), (2, 2, 2, 30)]
+    rng = np.random.default_rng(19)
+    while len(shapes) < 40:
+        shape = tuple(int(n) for n in np.exp(rng.uniform(0, np.log(40), 4)).astype(int) + 1)
+        if max(shape) > 5 and map_entries(*shape) <= MAX_MAP:
+            shapes.append(shape)
+    return shapes
+
+
+MAP_SHAPES = list(itertools.product(range(1, 6), repeat=4)) + lopsided_shapes()
+
+
+def test_map_shapes_lie_in_the_map_region():
+    assert all(map_entries(*shape) <= MAX_MAP for shape in MAP_SHAPES)
+    assert map_entries(5, 5, 5, 5) <= MAX_MAP < map_entries(5, 5, 5, 6)
+
+
+@pytest.mark.parametrize("odd_only", [False, True])
+def test_map_products_match_exact_oracle(odd_only):
+    # every pair of boxes up to 5x5 * 5x5, and lopsided pairs across the region
+    rng = np.random.default_rng(3000 + odd_only)
+    for na, nb, nc, nd in MAP_SHAPES:
+        f = dyadic_symbol(rng, na - 1, nb - 1)
+        g = dyadic_symbol(rng, nc - 1, nd - 1)
+        assert f._c.shape == (na, nb) and g._c.shape == (nc, nd)
+        values, mags = weyl._moyal_by_map(f._c, g._c, odd_only)
+        fg = exact_moyal(exact(f), exact(g))
+        if odd_only:
+            reference = exact_commutator(exact(f), exact(g))
+            magnitude = {k: 2 * v[3] for k, v in fg.items()}
+        else:
+            reference = {k: v[:2] for k, v in fg.items()}
+            magnitude = {k: v[2] + v[3] for k, v in fg.items()}
+        for key in np.ndindex(values.shape):
+            err = abs(values[key] - to_complex(reference.get(key, (0, 0))))
+            assert err <= TOL * magnitude.get(key, 0.0), (na, nb, nc, nd, key)
+            assert mags[key] == pytest.approx(magnitude.get(key, 0.0), rel=8 * EPS, abs=0.0)
+
+
+def exact_map(na, nb, nc, nd, odd_only):
+    """The real maps of weyl._moyal_map as Fractions, summed from the
+    weights (i/2)^u/u! (-i/2)^v/v! of the double sum with the phase i^(u+v)
+    taken out, which leaves (-1)^v."""
+    h, w = na + nc - 1, nb + nd - 1
+    values = [[Fraction(0)] * (na * nb * nc * nd) for _ in range(h * w)]
+    mags = [[Fraction(0)] * (na * nb * nc * nd) for _ in range(h * w)]
+    for j, (a, b, c, d) in enumerate(itertools.product(range(na), range(nb), range(nc), range(nd))):
+        for u in range(min(a, d) + 1):
+            for v in range(min(b, c) + 1):
+                if odd_only and (u + v) % 2 == 0:
+                    continue
+                weight = Fraction(
+                    math.perm(a, u) * math.perm(d, u) * math.perm(b, v) * math.perm(c, v),
+                    2 ** (u + v) * math.factorial(u) * math.factorial(v),
+                ) * (2 if odd_only else 1)
+                k = (a + c - u - v) * w + b + d - u - v
+                values[k][j] += (-1) ** v * weight
+                mags[k][j] += weight
+    return values, mags
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3), (2, 4, 5, 1), (16, 1, 1, 16), (1, 16, 16, 1), (5, 3, 2, 4)])
+@pytest.mark.parametrize("odd_only", [False, True])
+def test_map_is_exact(shape, odd_only):
+    values, mags, turn_f, turn_g, turn_out = weyl._moyal_map(*shape, odd_only)
+    exact_values, exact_mags = exact_map(*shape, odd_only)
+    assert values.tolist() == [[float(x) for x in row] for row in exact_values]
+    assert mags.tolist() == [[float(x) for x in row] for row in exact_mags]
+    for turn, n in ((turn_f, shape[0]), (turn_g, shape[2])):
+        assert turn.ravel().tolist() == [1j**k for k in range(n)]
+    assert turn_out.ravel().tolist() == [(-1j) ** k for k in range(shape[0] + shape[2] - 1)]
