@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from pseudoherm import weyl
 from pseudoherm.weyl import (
     ExpPolySymbol,
     WeylSymbol,
@@ -257,6 +258,9 @@ def test_rounding_floor_is_per_coefficient():
     # the floor scales with each coefficient's own feeders, not with the largest
     big = WeylSymbol({(0, 0): 1e12, (1, 0): 1e-3})
     assert star(big, WeylSymbol.p()).coefficient(1, 1) == 1e-3
+    # a NaN magnitude (0 * inf in a small product's matrix product) keeps its value
+    kept = weyl._settle(np.array([[1.0 + 0j, 2.0]]), np.array([[np.nan, 1.0]]))
+    assert kept.terms == {(0, 0): 1.0 + 0j, (0, 1): 2.0 + 0j}
 
 
 def test_serialization_round_trip():
