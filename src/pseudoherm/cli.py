@@ -6,14 +6,27 @@ significant digits, so identical invocations produce identical bytes.
 Parameters may come from a `key=value` config file (`--config`), with
 command-line flags taking precedence; unknown keys are rejected.
 
-Floats print as Python's `'%.12g'` (`_fmt`, the one definition of the
-format), with -0 printed as 0.  The `transition` and `contour` tables,
-whose row counts scale with a flag, go through `_float_cells`, an array
-kernel that prints the same bytes as `_fmt` for every float64; so do
-symbol tables of at least `_ARRAY_ROWS` terms.  The small tables
-(`spectrum`, `propagate`, smaller symbol tables, `verify-all`, the config
-block) call `_fmt` per value: the kernel's fixed cost, some 70 numpy
-calls, is more than `_fmt` spends on a few dozen values.
+A request goes from argv to bytes in a few fixed steps, kept cheap
+because symbol requests are many and small:
+- Flags.  A command line whose tokens after the subcommand are all exact
+  `--name value` or `--name=value` pairs of its flags is read in one pass
+  (`_flag_pairs`) into the dict argparse would return.  Every other
+  command line (-h/--help, an abbreviated or unknown flag, a flag without
+  a value, no subcommand) goes to argparse, imported only then, which
+  prints the help and the usage errors.
+- Files.  Symbol and config files are read with a plain open(); pathlib
+  reads a file again only when that fails, so messages name the path as
+  before (`_read_text`).
+- Rows.  Floats print as Python's `'%.12g'` (`_fmt`, the one definition of
+  the format), with -0 printed as 0.  A symbol table of fewer than
+  `_ARRAY_ROWS` terms prints with one `"%d,%d,%.12g,%.12g"` format per row
+  (adding 0.0 first turns -0 into 0).  The `transition` and `contour`
+  tables, whose row counts scale with a flag, and larger symbol tables go
+  through `_float_cells`, an array kernel that prints the same bytes as
+  `_fmt` for every float64.  The other small tables (`spectrum`,
+  `propagate`, `verify-all`, the config block) call `_fmt` per value: the
+  kernel's fixed cost, some 70 numpy calls, is more than `_fmt` spends on
+  a few dozen values.
 
 `verify-all` runs the ordered identity checks of `pseudoherm.identities`
 (the table the test suite also runs) and prints one PASS/FAIL row each.
@@ -24,7 +37,6 @@ verification failure, 2 on usage errors.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
@@ -281,9 +293,23 @@ _COMMON = [
 ]
 
 
+def _read_text(path):
+    """The text of a file, as `Path(path).read_text()` gives it.
+
+    A plain open() does the work; only when it fails does Path read the
+    file again, so that a failure names the normalized path in its message
+    and a trailing '/' after a file name is dropped, as Path drops it.
+    """
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError:
+        return Path(path).read_text()
+
+
 def _read_symbol(path):
     try:
-        return WeylSymbol.from_text(Path(path).read_text())
+        return WeylSymbol.from_text(_read_text(path))
     except OSError as exc:
         raise RuntimeError(f"cannot read symbol file {path}: {exc}") from None
     except ValueError as exc:
@@ -291,19 +317,22 @@ def _read_symbol(path):
 
 
 # Symbol tables of at least _ARRAY_ROWS terms print through _float_cells, whose
-# fixed cost is more than _fmt spends on fewer rows (the two cross at 65-100
-# rows on a 2-vCPU x86-64).  Degrees print from a table of their text.
-_ARRAY_ROWS = 80
-_DEGREE_CELLS = np.array([str(k) for k in range(2 * weyl.MAX_DEGREE + 1)], dtype="S3")
+# fixed cost is more than one "%.12g" format per row spends on fewer rows (the
+# two cross at 150-190 rows on a 2-vCPU x86-64).  Degrees print from a table
+# of their text; no symbol holds a degree above MAX_DEGREE.
+_ARRAY_ROWS = 160
+_SYMBOL_ROW = "%d,%d,%.12g,%.12g"
+_DEGREE_CELLS = np.array([str(k) for k in range(weyl.MAX_DEGREE + 1)], dtype="S3")
 _DEGREE_CELLS = _DEGREE_CELLS.view(np.uint8).reshape(-1, 3)
 
 
 def _symbol_rows(sym):
     """One CSV row per term, in (deg_x, deg_p) order."""
     dx, dp, c = sym.arrays()
-    if dx.size < _ARRAY_ROWS or max(dx[-1], dp.max()) >= len(_DEGREE_CELLS):
-        terms = zip(dx.tolist(), dp.tolist(), c.tolist())
-        return [f"{a},{b},{_fmt(v.real)},{_fmt(v.imag)}" for a, b, v in terms]
+    if dx.size < _ARRAY_ROWS:
+        c = c + 0.0  # -0 prints as 0, as in _fmt
+        terms = zip(dx.tolist(), dp.tolist(), c.real.tolist(), c.imag.tolist())
+        return [_SYMBOL_ROW % term for term in terms]
     cells = _float_cells(np.column_stack([c.real, c.imag])).reshape(-1, 2, _CELL)
     return [_csv_text([_DEGREE_CELLS[dx], _DEGREE_CELLS[dp], cells[:, 0], cells[:, 1]])]
 
@@ -734,6 +763,8 @@ class _Parsers:
 
     def subcommand(self, name):
         if name not in self._subcommands:
+            import argparse
+
             spec = _SUBCOMMANDS[name]
             parser = argparse.ArgumentParser(prog=f"pseudoherm {name}", description=spec.help)
             self._subcommands[name] = _add_flags(parser, spec)
@@ -741,6 +772,8 @@ class _Parsers:
 
     def top(self):
         if self._top is None:
+            import argparse
+
             parser = argparse.ArgumentParser(
                 prog="pseudoherm",
                 description="metric operators and laser-driven dynamics, as reproducible CSV",
@@ -768,7 +801,7 @@ def _build_parser():
 
 def _read_config(path):
     try:
-        text = Path(path).read_text()
+        text = _read_text(path)
     except OSError as exc:
         raise CliUsageError(f"cannot read config file {path}: {exc}") from None
     out = {}
@@ -783,16 +816,50 @@ def _read_config(path):
     return out
 
 
+# each subcommand's flags, by the names argparse stores them under
+_FLAGS = {
+    name: tuple(p.name for p in spec.params + _COMMON) + ("out", "config")
+    for name, spec in _SUBCOMMANDS.items()
+}
+
+
+def _flag_pairs(argv):
+    """(subcommand name, flag dict) as argparse returns them for a command
+    line whose tokens after the subcommand are all `--name value` or
+    `--name=value` pairs of its flags, in one pass; None for every other
+    command line.
+
+    Exact names only, as _fold_flag_values folds them: abbreviations,
+    -h/--help, unknown flags, a flag without a value and a value of '--'
+    (which argparse drops) are left to argparse, with its messages.
+    """
+    if not argv or argv[0] not in _FLAGS:
+        return None
+    flags = dict.fromkeys(_FLAGS[argv[0]])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name[:2] != "--" or name[2:] not in flags:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        if value == "--":
+            return None
+        flags[name[2:]] = value
+    return argv[0], flags
+
+
 def _fold_flag_values(argv):
     """Join known `--flag value` pairs into `--flag=value`.
 
     Lets values with a leading dash (negative grid bounds, symbol files
     named -foo) pass through the parser unambiguously.
     """
-    if not argv or argv[0] not in _SUBCOMMANDS:
+    if not argv or argv[0] not in _FLAGS:
         return argv
-    names = {p.name for p in _SUBCOMMANDS[argv[0]].params + _COMMON}
-    names |= {"out", "config"}
+    names = _FLAGS[argv[0]]
     folded = [argv[0]]
     i = 1
     while i < len(argv):
@@ -813,10 +880,9 @@ def _fold_flag_values(argv):
 
 def run(argv=None):
     """Entry point; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        name, flags = _build_parser().parse(_fold_flag_values(list(argv)))
+        name, flags = _flag_pairs(argv) or _build_parser().parse(_fold_flag_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     spec = _SUBCOMMANDS[name]

@@ -280,8 +280,9 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     above 1 anywhere (or not finite) is outside perturbation theory and
     raises ValueError, as do n == m (on the diagonal first order gives a
     survival probability, which can exceed 1; first_order_transition
-    returns it), a dressed element that leaves double precision, and more
-    than MAX_POINTS (omega, xi) points.
+    returns it), a dressed element that leaves double precision, a carrier
+    phase (omega_hi + |E_n - E_m|) tau that does, and more than MAX_POINTS
+    (omega, xi) points.
     """
     if n == m:
         raise ValueError(f"the sweep needs two distinct levels, got n = m = {n}")
@@ -299,8 +300,13 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     delta = spiked_energy(model, n) - spiked_energy(model, m)
     position = spiked_matrix_element(model, "position", n, m).real
     element = _dressed_position(model, n, m, position, xis[:, None])
-    integral = _carrier_field_integral(E0, omegas, "sine", delta, tau)
+    if not math.isfinite((omega_hi + abs(delta)) * tau):
+        raise ValueError(
+            f"the carrier phase (omega + |E_n - E_m|) tau overflows at omega_hi = "
+            f"{omega_hi:.6g}, tau = {tau:.6g}; lower omega_hi or tau"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
+        integral = _carrier_field_integral(E0, omegas, "sine", delta, tau)
         probs = _first_order_probability(False, element, integral)
         worst = float(np.max(probs))
     if not worst <= 1.0:

@@ -28,10 +28,12 @@ zero, so is_zero() detects terminating series.  Constructors, scalar multiples a
 derivatives drop only exact zeros.  ZERO_THRESHOLD is a tolerance for
 comparisons (isclose, is_hermitian, is_pt_symmetric), never for storage.
 A NaN or infinite coefficient raises ValueError, as does a degree above
-MAX_DEGREE (its factorial weights overflow double precision) or a product
-whose (deg_x, deg_p, deg_x, deg_p) work tensor would exceed MAX_TENSOR
-entries.  A coefficient that overflows in an operation is refused by that
-ValueError alone: the operations run with numpy's warnings off.
+MAX_DEGREE (its factorial weights overflow double precision), whether in
+a symbol built or parsed or in the result of an operation, so that every
+symbol prints to a file that parses back; so does a product whose (deg_x,
+deg_p, deg_x, deg_p) work tensor would exceed MAX_TENSOR entries.  A
+coefficient that overflows in an operation is refused by that ValueError
+alone: the operations run with numpy's warnings off.
 
 The Moyal product has two kernels, chosen by the size of the boxes.  When
 its linear map of f (x) g has at most MAX_MAP entries (every product up to
@@ -83,14 +85,12 @@ def _check_finite(c):
 
 def _trim(c):
     """The smallest leading box of c that holds all its nonzero entries."""
-    if c.size and c[-1].any() and c[:, -1].any():
+    if c.size and np.count_nonzero(c[-1]) and np.count_nonzero(c[:, -1]):
         return c
-    nz = c != 0
-    rows = np.flatnonzero(nz.any(axis=1))
+    rows, cols = np.nonzero(c)
     if rows.size == 0:
         return _EMPTY
-    cols = np.flatnonzero(nz.any(axis=0))
-    return c[: rows[-1] + 1, : cols[-1] + 1]
+    return c[: rows[-1] + 1, : cols.max() + 1]
 
 
 def _settle(values, mags):
@@ -98,9 +98,23 @@ def _settle(values, mags):
 
     A NaN magnitude keeps its coefficient: a map's matrix product turns an
     infinite |f_ab| |g_cd| into 0 * inf = NaN in every output it does not feed.
+    A result with a degree above MAX_DEGREE is refused, so that every
+    symbol an operation returns is one a symbol file can hold.  Runs under
+    the caller's quiet errstate: the largest modulus is inf or NaN exactly
+    when _check_finite refuses the values.
     """
-    _check_finite(values)
-    return WeylSymbol._wrap(_trim(np.where(np.abs(values) <= _RESIDUE * mags, 0, values)))
+    if values.size == 0:
+        return WeylSymbol._wrap(_EMPTY)
+    moduli = np.abs(values)
+    if not math.isfinite(np.maximum.reduce(moduli, axis=None)):
+        _check_finite(values)
+    c = _trim(np.where(moduli <= _RESIDUE * mags, 0, values))
+    if max(c.shape) > MAX_DEGREE + 1:
+        raise ValueError(
+            f"result degrees up to {(c.shape[0] - 1, c.shape[1] - 1)} exceed "
+            f"MAX_DEGREE = {MAX_DEGREE}"
+        )
+    return WeylSymbol._wrap(c)
 
 
 @functools.lru_cache(maxsize=None)
@@ -623,7 +637,6 @@ class WeylSymbol:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    @_quiet
     def from_text(cls, text):
         """Parse a symbol file: one term 'deg_x deg_p re im' per line, as to_text writes.
 
@@ -635,8 +648,10 @@ class WeylSymbol:
         degrees add up, in file order.
 
         The text is parsed column by column: one split per line, then int()
-        and float() mapped over whole columns and one np.add.at into the
-        coefficient array.  Refused with a ValueError:
+        and float() mapped over whole columns and one np.bincount of the
+        parts into the coefficient array, which adds up equal degrees in
+        file order as the line loop did (and quietly: an overflow is
+        refused below).  Refused with a ValueError:
         - 'line N: expected ...', a row without exactly four fields;
         - 'line N: <the int() or float() message>', a field those refuse;
         - 'line N: invalid degree key (dx, dp)', a negative degree;
@@ -657,16 +672,20 @@ class WeylSymbol:
                 raise ValueError
             dx, dp, re, im = zip(*rows)
             dx, dp = list(map(int, dx)), list(map(int, dp))
-            # complex(re, im) sets the parts as they are; re + 1j * im would turn
-            # an infinite im into a NaN re
-            values = np.array(list(map(complex, map(float, re), map(float, im))))
-            if min(dx) < 0 or min(dp) < 0 or max(dx) > MAX_DEGREE or max(dp) > MAX_DEGREE:
+            parts = list(map(float, re + im))
+            h, w = max(dx) + 1, max(dp) + 1
+            if min(dx) < 0 or min(dp) < 0 or max(h, w) > MAX_DEGREE + 1:
                 raise ValueError
         except ValueError:
             raise _refusal(text, lines, rows) from None
-        c = np.zeros((max(dx) + 1, max(dp) + 1), dtype=complex)
-        np.add.at(c, (dx, dp), values)
-        _check_finite(c)
+        # the real part of term (a, b) lands at 2 (a w + b) and its imaginary part after it
+        cells = [2 * (a * w + b) for a, b in zip(dx, dp)]
+        c = np.bincount(cells + [k + 1 for k in cells], parts, 2 * h * w)
+        c = c.view(complex).reshape(h, w)
+        # terms of distinct degrees are finite with finite moduli when the
+        # 2-norm of all their parts is
+        if len(set(cells)) < len(cells) or not math.isfinite(math.hypot(*parts)):
+            _check_finite(c)
         return cls._wrap(_trim(c))
 
     def __str__(self):

@@ -95,27 +95,34 @@ def test_importing_the_cli_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def _scipy_modules_after(argvs):
-    """The scipy modules a fresh interpreter holds after cli.run of each argv."""
+def _modules_after(argvs):
+    """What a fresh interpreter holds after cli.run of each argv (each must
+    exit 0): its scipy modules as a printed list, whether it has imported
+    argparse, and the stdout of the runs."""
     probe = (
         "import io, sys, contextlib\n"
         "from pseudoherm import cli\n"
+        "out = io.StringIO()\n"
         f"for argv in {argvs!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    with contextlib.redirect_stdout(out):\n"
         "        assert cli.run(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print('argparse' in sys.modules)\n"
+        "print(out.getvalue(), end='')\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    return result.stdout.strip()
+    scipy_modules, argparse_loaded, out = result.stdout.split("\n", 2)
+    return scipy_modules, argparse_loaded == "True", out
 
 
 def test_symbol_commands_load_no_scipy(tmp_path):
     # one fresh interpreter runs every symbol subcommand: none of them may
-    # import scipy, whose optimize package alone once doubled metric-solve's cold start
+    # import scipy, whose optimize package alone once doubled metric-solve's cold start;
+    # and as every command line is made of exact flag pairs, none imports argparse
     pair = models.swanson_pair(2, 2, 1.3, 0.4)
     ham = tmp_path / "H.sym"
     ham.write_text(pair.H.to_text())
@@ -124,7 +131,7 @@ def test_symbol_commands_load_no_scipy(tmp_path):
     g = write_symbol(tmp_path / "g.sym", {(1, 2): 1.0})
     argvs = [
         ["star", "--f", f, "--g", g],
-        ["star", "--f", f, "--g", g, "--op", "commutator"],
+        ["star", f"--f={f}", "--g", g, "--op", "commutator"],
         ["bch", "--generator", exponent, "--operand", g],
         ["metric-verify", "--hamiltonian", str(ham), "--exponent", exponent],
         ["metric-solve", "--hamiltonian", str(ham), "--monomials", "2,0"],
@@ -134,14 +141,63 @@ def test_symbol_commands_load_no_scipy(tmp_path):
         ["wedges", "--N", "4"],
         ["contour", "--kind", "z1", "--N", "4"],
     ]
-    assert _scipy_modules_after(argvs) == "[]"
+    assert _modules_after(argvs)[:2] == ("[]", False)
 
 
 def test_spiked_and_transition_load_no_scipy():
     # the matrix elements come from a Jacobi matrix in numpy; scipy.special's
     # Gauss-Laguerre nodes once cost a one-shot transition about 340 ms of import
-    argvs = [["spiked", "--n", "2", "--m", "3"], ["transition"]]
-    assert _scipy_modules_after(argvs) == "[]"
+    argvs = [["spiked", "--n", "2", "--m", "3"], ["transition"], ["transition", "--tau=40"]]
+    assert _modules_after(argvs)[:2] == ("[]", False)
+
+
+def test_help_imports_argparse_on_demand():
+    # argparse is imported only for the command lines the one-pass flag
+    # parser leaves to it, and --help still prints the subcommand's usage
+    _, argparse_loaded, out = _modules_after([["star", "--help"]])
+    assert argparse_loaded
+    assert out.startswith("usage: pseudoherm star [-h] [--f F] [--g G]")
+    assert "star product or star commutator of two symbol files" in out
+
+
+@pytest.mark.parametrize(
+    ("argv", "same_as"),
+    [
+        # an abbreviation argparse expands
+        (["spiked", "--n", "1", "--m", "2", "--lam", "0.75"],
+         ["spiked", "--n", "1", "--m", "2", "--lambda", "0.75"]),
+        (["spiked", "--n", "1", "--m", "2", "--lam=0.75"],
+         ["spiked", "--n", "1", "--m", "2", "--lambda", "0.75"]),
+        # a value of '--' argparse drops, leaving an empty list
+        (["wedges", "--N", "--"], None),
+    ],
+)
+def test_command_lines_outside_the_flag_pairs_take_argparse(capsys, argv, same_as):
+    assert cli._flag_pairs(argv) is None
+    outcome = invoke(capsys, argv)
+    if same_as is not None:
+        assert outcome == invoke(capsys, same_as) and outcome[0] == 0
+    else:
+        assert outcome[0] == 2 and "invalid value for --N: []" in outcome[2]
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "needle"),
+    [
+        (["spiked", "-h"], 0, "usage: pseudoherm spiked [-h]"),
+        (["spiked", "--help"], 0, "usage: pseudoherm spiked [-h]"),
+        (["spiked", "--n", "1", "--m", "2", "--bogus", "1"], 2,
+         "pseudoherm spiked: error: unrecognized arguments: --bogus 1"),
+        (["spiked", "--n", "1", "--m"], 2, "argument --m: expected one argument"),
+        (["spiked", "1"], 2, "unrecognized arguments: 1"),
+        (["--help"], 0, "usage: pseudoherm [-h] subcommand"),
+    ],
+)
+def test_help_and_usage_errors_keep_argparse_output(capsys, argv, code, needle):
+    assert cli._flag_pairs(argv) is None
+    got, out, err = invoke(capsys, argv)
+    assert got == code
+    assert needle in (out if code == 0 else err)
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -349,6 +405,41 @@ def test_star_missing_file(capsys, tmp_path):
     f = write_symbol(tmp_path / "x.sym", {(1, 0): 1.0})
     code, _, _ = invoke(capsys, ["star", "--f", f, "--g", str(tmp_path / "nope")])
     assert code == 1
+
+
+def test_symbol_file_paths_read_as_pathlib_reads_them(capsys, tmp_path):
+    # a plain open() reads the file; on a failure pathlib reads it again, so
+    # a trailing slash after a file name is still dropped and a missing
+    # file is still named by its normalized path
+    f = write_symbol(tmp_path / "x.sym", {(1, 0): 1.0})
+    expected = invoke(capsys, ["star", "--f", f, "--g", f])
+    assert expected[0] == 0
+    assert invoke(capsys, ["star", "--f", f + "/", "--g", f])[1:] == (
+        expected[1].replace(f"# f={f}\n", f"# f={f}/\n"), "")
+    missing = f"{tmp_path}/./nope"
+    code, out, err = invoke(capsys, ["star", "--f", f, "--g", missing])
+    assert (code, out) == (1, "")
+    assert err == (f"error: cannot read symbol file {missing}: [Errno 2] No such file or "
+                   f"directory: '{tmp_path / 'nope'}'\n")
+    code, _, err = invoke(capsys, ["wedges", "--config", missing])
+    assert code == 2 and err.endswith(f"directory: '{tmp_path / 'nope'}'\n")
+
+
+def test_products_past_max_degree_exit_1(capsys, tmp_path):
+    # a printed symbol must parse back, so neither a product nor a BCH chain
+    # may return a degree above MAX_DEGREE = 170
+    top = write_symbol(tmp_path / "p170.sym", {(0, 170): 1.0})
+    code, out, err = invoke(capsys, ["star", "--f", top, "--g", top])
+    assert (code, out) == (1, "")
+    assert err == "error: result degrees up to (0, 340) exceed MAX_DEGREE = 170\n"
+    generator = write_symbol(tmp_path / "xp3.sym", {(1, 3): 1.0})  # {x p^3, p^k} = k p^(k+2)
+    operand = write_symbol(tmp_path / "p168.sym", {(0, 168): 1.0})
+    code, out, err = invoke(capsys, ["bch", "--generator", generator, "--operand", operand])
+    assert (code, out) == (1, "")
+    assert err == "error: result degrees up to (0, 172) exceed MAX_DEGREE = 170\n"
+    code, out, _ = invoke(capsys, ["bch", "--generator", generator, "--operand", operand,
+                                   "--max_order", "0"])
+    assert code == 0 and out.endswith("\n0,168,1,0\n")
 
 
 def test_star_non_finite_coefficient_exits_1(capsys, tmp_path):
@@ -743,6 +834,18 @@ def test_grid_above_max_points_exits_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert "MAX_POINTS" in err
+
+
+def test_transition_phase_overflow_exits_1(capsys):
+    # (omega + |E_n - E_m|) tau overflows: refused by name, before numpy's
+    # sin sees an infinite phase (a RuntimeWarning, an error under pytest)
+    code, out, err = invoke(capsys, ["transition", "--omega", "1:1e308:3", "--tau", "40"])
+    assert (code, out) == (1, "")
+    assert err == ("error: the carrier phase (omega + |E_n - E_m|) tau overflows at "
+                   "omega_hi = 1e+308, tau = 40; lower omega_hi or tau\n")
+    assert "Warning" not in err
+    code, _, _ = invoke(capsys, ["transition", "--omega", "1:1e306:3", "--tau", "40"])
+    assert code == 0
 
 
 def test_transition_beyond_first_order_exits_1(capsys):

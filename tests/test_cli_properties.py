@@ -12,7 +12,8 @@ new literal anywhere in src/ or tests/ can change what these tests draw.
 Each fault a draw has found is therefore pinned as an @example, which runs
 on every pass whatever the draws.  Each parameter is left
 at its default or drawn from the edges of its kind: 0, +-1e-300, +-1e300,
-negative numbers and huge integers.  T stays at or below 0.05, accepted
+negative numbers and huge integers; `transition`'s omega and tau
+also reach 1e308 and the largest double.  T stays at or below 0.05, accepted
 grids at or below 200 points and accepted sweeps at or below 40
 frequencies, so an accepted run is short.  Whatever the draw, `cli.run`
 returns 0, 1 or 2 without raising (numpy warnings are errors under the
@@ -38,13 +39,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudoherm import cli
+from pseudoherm.weyl import WeylSymbol
 
 EDGE_FLOATS = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "-1", "-0.5")
 EDGE_INTS = ("0", "-1", "-3", str(10**20), str(2**63))
 FINAL_TIMES = ("0.05", "0.02", "0", "1e-300", "-1e-300", "-1", "-1e300")
 GRID_ENDS = ("0", "14", "1e-300", "-1e-300", "1e300", "-1e300", "-1")
 GRID_POINTS = ("16", "64", "200", "15", "0", "-1")
-SWEEP_ENDS = ("1.5", "2.5") + EDGE_FLOATS
+# transition's omega and tau reach the top of the double range, where the
+# carrier phase (omega + |E_n - E_m|) tau overflows
+DOUBLE_TOP = ("1e308", "1.7976931348623157e308")
+SWEEP_ENDS = ("1.5", "2.5") + EDGE_FLOATS + DOUBLE_TOP
 SWEEP_STEPS = ("2", "3", "40", "1", "0", "-1", str(10**20), str(2**63))
 # accepted matrix-element levels, or edges
 LEVEL_INTS = st.one_of(st.sampled_from(("0", "1", "2", "3", "7")), st.sampled_from(EDGE_INTS))
@@ -223,9 +228,13 @@ def test_spiked_never_raises_and_prints_finite_elements(argv):
 
 @st.composite
 def transition_argvs(draw):
-    # every flag has a default (a 200 x 3 sweep); up to three take an edge value
+    # every flag has a default (a 200 x 3 sweep); up to three take an edge
+    # value, tau one up to the top of the double range
     names = draw(st.lists(st.sampled_from(sorted(TRANSITION)), unique=True, max_size=3))
-    return ["transition"] + _edge_flags(draw, TRANSITION, names)
+    argv = ["transition"] + _edge_flags(draw, TRANSITION, [n for n in names if n != "tau"])
+    if "tau" in names:
+        argv += ["--tau", draw(st.sampled_from(EDGE_FLOATS + DOUBLE_TOP))]
+    return argv
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -237,6 +246,9 @@ def transition_argvs(draw):
 @example(["transition", "--omega", f"1.5:2.5:{2**63}"])
 # on the diagonal first order prints survival probabilities above 1: refused
 @example(["transition", "--n", "0", "--m", "0"])
+# a carrier phase past the double range, once a RuntimeWarning from sin
+@example(["transition", "--omega", "1:1e308:3", "--tau", "40"])
+@example(["transition", "--tau", "1.7976931348623157e308"])
 def test_transition_never_raises_and_prints_probabilities(argv):
     code, out = _invoke(argv)
     assert code in (0, 1, 2)
@@ -443,7 +455,14 @@ def _written(argv, directory):
                "--max_order", "171"])
 # a term whose modulus overflows, once dropped from the product without a word
 @example(argv=["star", "--f", HUGE_MODULUS, "--g", SymbolFile("0 0 1 0\n"), "--op", "star"])
+# products past MAX_DEGREE, refused so that every printed symbol parses back
+@example(argv=["star", "--f", SymbolFile("0 170 1 0\n"), "--g", SymbolFile("0 170 1 0\n"),
+               "--op", "star"])
+@example(argv=["bch", "--generator", SymbolFile("1 3 1 0\n"), "--operand",
+               SymbolFile("0 168 1 0\n"), "--max_order", "8"])
 # accepted runs
+@example(argv=["star", "--f", SymbolFile("0 170 1 0\n"), "--g", SymbolFile("2 0 1 0\n"),
+               "--op", "commutator"])
 @example(argv=["x4", "--alpha", "1", "--g", "0.5", "--which", "eta2_exponent"])
 @example(argv=["kappa", "--upto", "401"])
 # beyond the bound, once unbounded work (each odd n recomputed its secant numbers)
@@ -469,6 +488,8 @@ def test_symbol_commands_never_raise_and_print_finite_rows(symbol_dir, argv):
             assert int(n) % 2 == 1 and Fraction(kappa) != 0
         else:
             assert all(math.isfinite(float(cell)) for cell in row.split(","))
+    if HEADERS[argv[0]] == "deg_x,deg_p,re,im":
+        WeylSymbol.from_text(out)  # a printed symbol parses back
 
 
 @settings(derandomize=True, max_examples=3, deadline=None, database=None)
@@ -482,3 +503,47 @@ def test_verify_all_passes_every_check_for_any_seed(argv):
     rows = [line for line in out.splitlines() if not line.startswith("#")]
     assert rows[0] == "check,status,detail"
     assert len(rows) > 1 and all(row.split(",")[1] == "PASS" for row in rows[1:])
+
+
+# -- the one-pass flag parser against argparse --------------------------------
+
+# values with '=' inside, a leading '-' or '--', empty, '--' itself (which
+# argparse drops), flag names, and arbitrary text
+FLAG_VALUES = st.one_of(
+    st.sampled_from(("", "-", "--", "---", "-1", "-1e300", "--f", "--help", "-h", "a=b", "=",
+                     "--seed=3", "==", " ", "-0,14,64", "1.5:2.5:3", "x y")),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def flag_pair_lines(draw):
+    """A subcommand and `--name value` / `--name=value` pairs of the flags of
+    its Param table (plus --out and --config), names repeated at will; with
+    the values drawn."""
+    name = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    names = [p.name for p in cli._SUBCOMMANDS[name].params + cli._COMMON] + ["out", "config"]
+    argv, values = [name], []
+    for _ in range(draw(st.integers(0, 6))):
+        flag, value = draw(st.sampled_from(names)), draw(FLAG_VALUES)
+        argv += [f"--{flag}={value}"] if draw(st.booleans()) else [f"--{flag}", value]
+        values.append(value)
+    return argv, values
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(flag_pair_lines())
+@example((["star", "--f", "--g", "--g", "-x"], ["--g", "-x"]))
+@example((["star", "--f=a=b", "--f", "=", "--op="], ["a=b", "=", ""]))
+@example((["wedges", "--N", "--"], ["--"]))
+@example((["bch", "--generator", "--", "--generator", ""], ["--", ""]))
+@example((["verify-all", "--seed", "-1", "--out=", "--config", "--config"], ["-1", "", "--config"]))
+def test_flag_pairs_return_the_argparse_flag_dict(line):
+    argv, values = line
+    fast = cli._flag_pairs(argv)
+    name, flags = cli._build_parser().parse(cli._fold_flag_values(argv))
+    assert name == argv[0]
+    # a value of '--', which argparse drops, is the one pair left to argparse
+    assert (fast is None) == ("--" in values)
+    if fast is not None:
+        assert fast == (name, flags)

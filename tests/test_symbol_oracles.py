@@ -1,10 +1,12 @@
 """Oracles of the symbol request path, kept from the code they replaced.
 
 `loop_from_text` is the per-line, dict-accumulating parser that
-`WeylSymbol.from_text` replaced with a column parse, and
+`WeylSymbol.from_text` replaced with a column parse,
 `uncached_star_with_exp` the exponential star that builds its derivative
 table for each product, where an `ExpPolySymbol` now keeps the table for
-the next product with a polynomial of the same degree.  Each new path must
+the next product with a polynomial of the same degree, and `loop_settle`
+the rounding floor before it checked finiteness by one largest modulus
+and trimmed by counting nonzeros.  Each new path must
 give the same bits as its oracle: the coefficient arrays here, and the
 stdout bytes of whole `cli.run` requests.
 
@@ -245,6 +247,60 @@ def test_kernel_caches_hold_at_most_16_mib():
     assert sum(a.nbytes for a in weyl._moyal_map(5, 5, 5, 5, False)[:2]) <= 16 * weyl.MAX_MAP
 
 
+# -- settling a result ---------------------------------------------------------
+
+
+def loop_trim(c):
+    nz = c != 0
+    rows = np.flatnonzero(nz.any(axis=1))
+    if rows.size == 0:
+        return weyl._EMPTY
+    cols = np.flatnonzero(nz.any(axis=0))
+    return c[: rows[-1] + 1, : cols[-1] + 1]
+
+
+def loop_settle(values, mags):
+    """_settle as it was: refuse a non-finite modulus, floor, trim, wrap."""
+    weyl._check_finite(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        floored = np.where(np.abs(values) <= weyl._RESIDUE * mags, 0, values)
+    return WeylSymbol._wrap(loop_trim(floored))
+
+
+def settled(settle, values, mags):
+    """The coefficient array of settle(values, mags), or its ValueError text."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return settle(values.copy(), mags.copy())._c
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (3, 4), (6, 1), (9, 9)])
+@pytest.mark.parametrize("seed", range(6))
+def test_settle_matches_the_old_settle(shape, seed):
+    # residue at the floor and just above it, zero and -0 entries on the edges
+    # of the box, NaN magnitudes, and non-finite values or moduli
+    rng = np.random.default_rng([seed, *shape])
+    values = _random(rng, shape)
+    mags = np.abs(values) * rng.choice([1.0, 2.0, 1e15], shape)
+    if values.size:
+        values[rng.integers(0, shape[0]), :] *= rng.choice([0.0, -0.0, 1.0])
+        values[:, -1] *= rng.choice([0.0, -0.0, 1.0])
+        at = tuple(rng.integers(0, n) for n in shape)
+        if seed == 1:
+            mags[at] = np.nan
+        if seed == 2:
+            values[at] = rng.choice([np.nan, np.inf, complex(1.5e308, 1.5e308)])
+        if seed == 3:
+            mags[...] = np.abs(values) / weyl._RESIDUE  # every value exactly at its floor
+    old, new = settled(loop_settle, values, mags), settled(weyl._settle, values, mags)
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
 # -- whole requests ------------------------------------------------------------
 
 
@@ -316,15 +372,15 @@ def loop_symbol_rows(sym):
 
 
 
-@pytest.mark.parametrize("shape", [(1, 79), (9, 9), (400, 1)])
+@pytest.mark.parametrize("shape", [(1, cli._ARRAY_ROWS - 1), (13, 13), (weyl.MAX_DEGREE + 1, 1)])
 def test_symbol_rows_print_the_bytes_of_the_fmt_rows(shape):
-    # below _ARRAY_ROWS, past it, and past the table of degree texts
+    # below _ARRAY_ROWS, past it, and up to the last degree a symbol can hold
     c = _random(np.random.default_rng(shape[0]), shape)
     c[-1, -1] = complex(-0.0, 1e-300)
+    c[0, 0] = complex(1.5, -0.0)
     rows = cli._symbol_rows(WeylSymbol._wrap(c))
     assert "\n".join(rows) == "\n".join(loop_symbol_rows(WeylSymbol._wrap(c)))
-    by_array = c.size >= cli._ARRAY_ROWS and max(shape) <= len(cli._DEGREE_CELLS)
-    assert len(rows) == (1 if by_array else c.size)
+    assert len(rows) == (1 if c.size >= cli._ARRAY_ROWS else c.size)
 
 def test_requests_print_the_bytes_of_the_replaced_paths(tmp_path, monkeypatch):
     argvs = _requests(tmp_path)
@@ -332,6 +388,7 @@ def test_requests_print_the_bytes_of_the_replaced_paths(tmp_path, monkeypatch):
     monkeypatch.setattr(WeylSymbol, "from_text", classmethod(lambda cls, text: loop_from_text(text)))
     monkeypatch.setattr(weyl, "_star_with_exp", uncached_star_with_exp)
     monkeypatch.setattr(cli, "_symbol_rows", loop_symbol_rows)
+    monkeypatch.setattr(weyl, "_settle", loop_settle)
     old = _outputs(argvs)
     assert [code for code, _ in new].count(0) > len(argvs) * 3 // 4
     for argv, a, b in zip(argvs, new, old):

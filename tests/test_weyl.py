@@ -8,6 +8,7 @@ check compares two completely different algorithms.
 """
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,6 +351,23 @@ def test_exp_exp_star_unsupported():
 def test_invalid_degree_keys():
     with pytest.raises(ValueError):
         WeylSymbol({(-1, 0): 1.0})
+
+
+def test_results_past_max_degree_are_refused():
+    # every operation's result is a symbol a file can hold: degrees <= MAX_DEGREE
+    top, x = WeylSymbol.p(weyl.MAX_DEGREE), WeylSymbol.x()
+    cases = [
+        (star, top, top, (0, 340)),
+        (lambda f, g: f * g, top, top, (0, 340)),
+        (weyl.star_commutator, top, WeylSymbol({(1, 2): 1.0}), (0, 171)),  # -170i p^171
+    ]
+    for product, f, g, degrees in cases:
+        with pytest.raises(ValueError, match=re.escape(f"degrees up to {degrees} exceed")):
+            product(f, g)
+    # the box is judged after exact cancellations are trimmed
+    assert star(top, x).coefficient(1, weyl.MAX_DEGREE) == 1
+    assert weyl.star_commutator(top, top).is_zero()
+    assert (top * x).terms == {(1, weyl.MAX_DEGREE): 1}
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
