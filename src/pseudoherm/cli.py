@@ -8,12 +8,14 @@ command-line flags taking precedence; unknown keys are rejected.
 
 A request goes from argv to bytes in a few fixed steps, kept cheap
 because symbol requests are many and small:
-- Flags.  A command line whose tokens after the subcommand are all exact
-  `--name value` or `--name=value` pairs of its flags is read in one pass
-  (`_flag_pairs`) into the dict argparse would return.  Every other
-  command line (-h/--help, an abbreviated or unknown flag, a flag without
-  a value, no subcommand) goes to argparse, imported only then, which
-  prints the help and the usage errors.
+- Flags.  One pass over the tokens after the subcommand (`_flag_pairs`)
+  reads `--name value` and `--name=value` pairs of its flags (its `Param`
+  table, `--out` and `--config`) into a dict; the value is the next token,
+  whatever it holds, except that `--` is no value.  A unique prefix names a
+  flag, an exact name beats a prefix, and a repeated flag keeps its last
+  value.  `-h`/`--help` prints the help built from the `Param` table
+  (`_help`).  Any other token, and a flag that is unknown, ambiguous or
+  without a value, is a usage error.
 - Files.  Symbol and config files are read with a plain open(); pathlib
   reads a file again only when that fails, so messages name the path as
   before (`_read_text`).
@@ -37,7 +39,6 @@ verification failure, 2 on usage errors.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -214,7 +215,7 @@ def _parse_value(param, raw):
             return _finite(raw)
         if kind == "optfloat":
             return None if raw == "" else _finite(raw)
-        if kind in ("str", "path"):
+        if kind == "path":
             if raw == "":
                 raise ValueError("empty value")
             return raw
@@ -273,7 +274,7 @@ def _canonical(param, value):
         return _fmt(value)
     if kind == "optfloat":
         return "" if value is None else _fmt(value)
-    if kind in ("str", "path", "choice"):
+    if kind in ("path", "choice"):
         return value
     if kind == "floatlist":
         return ",".join(_fmt(v) for v in value)
@@ -286,11 +287,6 @@ def _canonical(param, value):
     if kind == "kv":
         return ",".join(f"{k}={_fmt(v)}" for k, v in sorted(value.items()))
     raise CliUsageError(f"unknown parameter kind {kind!r}")
-
-
-_COMMON = [
-    Param("seed", "int", "12345", help="seed for randomized property sampling"),
-]
 
 
 def _read_text(path):
@@ -558,6 +554,8 @@ def _run_propagate(v, canon):
 
 def _run_verify_all(v, canon):
     # the only subcommand that draws: its property checks sample with --seed
+    if v["seed"] < 0:
+        raise CliUsageError("--seed must be non-negative")
     rng = np.random.default_rng(v["seed"])
     rows = []
     failures = 0
@@ -694,7 +692,6 @@ _SUBCOMMANDS = {
     ),
     "transition": Subcommand(
         params=[
-            Param("model", "choice", "spiked", choices=("spiked",)),
             Param("n", "int", "2"),
             Param("m", "int", "3"),
             Param("lambda", "float", "0.5"),
@@ -731,72 +728,41 @@ _SUBCOMMANDS = {
         "snapshot",
     ),
     "verify-all": Subcommand(
-        params=[],
+        params=[Param("seed", "int", "12345", help="seed for randomized property sampling")],
         run=_run_verify_all,
         help="run every identity check of pseudoherm.identities and report PASS/FAIL",
     ),
 }
 
 
-def _add_flags(parser, spec):
-    """Add the flags of one subcommand to its argparse parser."""
-    for param in spec.params + _COMMON:
-        parser.add_argument(f"--{param.name}", dest=param.name, help=param.help)
-    parser.add_argument("--out", dest="out", help="output file (default stdout)")
-    parser.add_argument("--config", dest="config", help="key=value parameter file")
-    return parser
-
-
-class _Parsers:
-    """The argparse parsers of one process, each built on first use.
-
-    A command line naming a subcommand is parsed by that subcommand's own
-    parser, prog "pseudoherm <name>", so a request builds one parser, not
-    the whole tree.  The top-level tree with every subcommand under it is
-    built only for the command lines no subcommand parser takes: no
-    subcommand, an unknown one, or a top-level flag such as --help.
-    """
-
-    def __init__(self):
-        self._subcommands = {}
-        self._top = None
-
-    def subcommand(self, name):
-        if name not in self._subcommands:
-            import argparse
-
-            spec = _SUBCOMMANDS[name]
-            parser = argparse.ArgumentParser(prog=f"pseudoherm {name}", description=spec.help)
-            self._subcommands[name] = _add_flags(parser, spec)
-        return self._subcommands[name]
-
-    def top(self):
-        if self._top is None:
-            import argparse
-
-            parser = argparse.ArgumentParser(
-                prog="pseudoherm",
-                description="metric operators and laser-driven dynamics, as reproducible CSV",
-            )
-            sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-            for name, spec in _SUBCOMMANDS.items():
-                _add_flags(sub.add_parser(name, help=spec.help, description=spec.help), spec)
-            self._top = parser
-        return self._top
-
-    def parse(self, argv):
-        """(subcommand name, flag dict) of a command line; SystemExit on
-        --help and on usage errors, as argparse exits."""
-        if argv and argv[0] in _SUBCOMMANDS:
-            return argv[0], vars(self.subcommand(argv[0]).parse_args(argv[1:]))
-        flags = vars(self.top().parse_args(argv))
-        return flags.pop("command"), flags
-
-
-@functools.cache
-def _build_parser():
-    """The argparse parsers, one set per process."""
-    return _Parsers()
+def _help(name):
+    """The help text of a subcommand, or of the whole command for None."""
+    if name is None:
+        head = [
+            "usage: pseudoherm [-h] subcommand ...",
+            "",
+            "metric operators and laser-driven dynamics, as reproducible CSV",
+            "",
+            "subcommands:",
+        ]
+        rows = [(sub, spec.help) for sub, spec in _SUBCOMMANDS.items()]
+    else:
+        spec = _SUBCOMMANDS[name]
+        rows = []
+        for p in spec.params:
+            notes = [p.help] if p.help else []
+            if p.choices:
+                notes.append(f"one of {', '.join(p.choices)}")
+            notes.append("required" if p.default is None else f"default {p.default or '(none)'}")
+            rows.append((f"--{p.name} {p.name.upper()}", "; ".join(notes)))
+        rows += [
+            ("--out OUT", "output file (default stdout)"),
+            ("--config CONFIG", "key=value parameter file"),
+        ]
+        usage = " ".join(f"[{flag}]" for flag, _ in rows)
+        head = [f"usage: pseudoherm {name} [-h] {usage}", "", spec.help, "", "flags:"]
+    width = max(len(left) for left, _ in rows)
+    return "\n".join(head + [f"  {left:<{width}}  {text}" for left, text in rows]) + "\n"
 
 
 def _read_config(path):
@@ -816,90 +782,79 @@ def _read_config(path):
     return out
 
 
-# each subcommand's flags, by the names argparse stores them under
+# each subcommand's flags: its Param table, then --out and --config
 _FLAGS = {
-    name: tuple(p.name for p in spec.params + _COMMON) + ("out", "config")
+    name: tuple(p.name for p in spec.params) + ("out", "config")
     for name, spec in _SUBCOMMANDS.items()
 }
 
 
-def _flag_pairs(argv):
-    """(subcommand name, flag dict) as argparse returns them for a command
-    line whose tokens after the subcommand are all `--name value` or
-    `--name=value` pairs of its flags, in one pass; None for every other
-    command line.
+def _flag_name(name, token):
+    """The flag that a token other than an exact `--flag` of subcommand
+    `name` names: a unique prefix of one of its flags, or 'help' for
+    -h, --help and the prefixes of --help no flag shares."""
+    if token == "-h":
+        return "help"
+    flag = token.partition("=")[0]
+    if flag[:2] != "--" or flag == "--":
+        raise CliUsageError(f"unexpected argument {token!r} for {name}")
+    matches = [key for key in _FLAGS[name] + ("help",) if key.startswith(flag[2:])]
+    if not matches:
+        raise CliUsageError(f"unknown flag {flag} for {name}")
+    if len(matches) > 1:
+        raise CliUsageError(f"ambiguous flag {flag} for {name} (--{', --'.join(matches)})")
+    return matches[0]
 
-    Exact names only, as _fold_flag_values folds them: abbreviations,
-    -h/--help, unknown flags, a flag without a value and a value of '--'
-    (which argparse drops) are left to argparse, with its messages.
-    """
+
+def _flag_pairs(argv):
+    """(subcommand name, flag dict) of a command line, in one pass: every
+    flag of the subcommand, with its last value or None.  The dict is None
+    when the line asks for help, and so is the name when the help asked
+    for is the whole command's.  Raises CliUsageError for every other
+    line."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None, None
     if not argv or argv[0] not in _FLAGS:
-        return None
-    flags = dict.fromkeys(_FLAGS[argv[0]])
+        got = f"unknown subcommand {argv[0]!r}" if argv else "missing subcommand"
+        raise CliUsageError(f"{got} (one of {', '.join(_FLAGS)})")
+    name = argv[0]
+    flags = dict.fromkeys(_FLAGS[name])
     tokens = iter(argv[1:])
     for token in tokens:
-        name, eq, value = token.partition("=")
-        if name[:2] != "--" or name[2:] not in flags:
-            return None
+        flag, eq, value = token.partition("=")
+        key = flag[2:]
+        if flag[:2] != "--" or key not in flags:
+            key = _flag_name(name, token)
+            if key == "help":
+                return name, None
         if not eq:
-            value = next(tokens, None)
-            if value is None:
-                return None
+            value = next(tokens, "--")  # at the line's end, refused as '--' is
         if value == "--":
-            return None
-        flags[name[2:]] = value
-    return argv[0], flags
-
-
-def _fold_flag_values(argv):
-    """Join known `--flag value` pairs into `--flag=value`.
-
-    Lets values with a leading dash (negative grid bounds, symbol files
-    named -foo) pass through the parser unambiguously.
-    """
-    if not argv or argv[0] not in _FLAGS:
-        return argv
-    names = _FLAGS[argv[0]]
-    folded = [argv[0]]
-    i = 1
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and tok[2:] in names
-            and i + 1 < len(argv)
-        ):
-            folded.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            folded.append(tok)
-            i += 1
-    return folded
+            raise CliUsageError(f"--{key} needs a value")
+        flags[key] = value
+    return name, flags
 
 
 def run(argv=None):
     """Entry point; returns the process exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        name, flags = _flag_pairs(argv) or _build_parser().parse(_fold_flag_values(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    spec = _SUBCOMMANDS[name]
-    params = spec.params + _COMMON
-
-    try:
-        config = _read_config(flags["config"]) if flags.get("config") else {}
-        known = {p.name for p in params} | {"out"}
+        name, flags = _flag_pairs(argv)
+        if flags is None:
+            sys.stdout.write(_help(name))
+            return 0
+        spec = _SUBCOMMANDS[name]
+        config = _read_config(flags["config"]) if flags["config"] else {}
+        known = {p.name for p in spec.params} | {"out"}
         for key in config:
             if key not in known:
                 raise CliUsageError(f"unknown config key {key!r} for subcommand {name}")
-        out_path = flags.get("out") or config.get("out")
+        out_path = flags["out"] or config.get("out")
 
         values = {}
         canon = {}
-        for param in params:
-            raw = flags.get(param.name)
+        for param in spec.params:
+            raw = flags[param.name]
             if raw is None:
                 raw = config.get(param.name)
             if raw is None:
@@ -908,8 +863,6 @@ def run(argv=None):
                 raise CliUsageError(f"missing required parameter --{param.name}")
             values[param.name] = _parse_value(param, raw)
             canon[param.name] = _canonical(param, values[param.name])
-        if values["seed"] < 0:
-            raise CliUsageError("--seed must be non-negative")
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -53,33 +53,6 @@ def test_no_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
-def test_parser_is_built_once_and_reused(capsys, tmp_path):
-    # a usage error, --help and a valid star in one process give the bytes
-    # and exit codes of a freshly built parser, in any order and repeated
-    f = write_symbol(tmp_path / "f.sym", {(2, 1): 1.0, (0, 0): 0.5j})
-    g = write_symbol(tmp_path / "g.sym", {(1, 2): 1.0})
-    argvs = [
-        ["wedges", "--N", "4", "--bogus", "1"],
-        ["star", "--help"],
-        ["star", "--f", f, "--g", g],
-    ]
-
-    def outcome(argv):
-        code = run(argv)
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    fresh = []
-    for argv in argvs:
-        cli._build_parser.cache_clear()
-        fresh.append(outcome(argv))
-    assert [code for code, _, _ in fresh] == [2, 0, 0]
-    assert "usage:" in fresh[0][2] and "--op" in fresh[1][1]
-    for argv, expected in list(zip(argvs, fresh)) * 2 + list(zip(argvs, fresh))[::-1]:
-        assert outcome(argv) == expected
-    assert cli._build_parser.cache_info().currsize == 1
-
-
 def test_importing_the_cli_loads_no_scipy():
     # scipy submodules are imported lazily by the commands that need them,
     # so a new kernel cannot silently lengthen start-up
@@ -98,7 +71,12 @@ def test_importing_the_cli_loads_no_scipy():
 def _modules_after(argvs):
     """What a fresh interpreter holds after cli.run of each argv (each must
     exit 0): its scipy modules as a printed list, whether it has imported
-    argparse, and the stdout of the runs."""
+    argparse, and the stdout of the runs.
+
+    Every subcommand but three is probed for both.  `spectrum`, `propagate`
+    and `verify-all` load scipy.linalg, whose array-API shim imports
+    numpy.testing, and with it unittest and argparse, so neither probe can
+    tell anything about the CLI there."""
     probe = (
         "import io, sys, contextlib\n"
         "from pseudoherm import cli\n"
@@ -151,34 +129,47 @@ def test_spiked_and_transition_load_no_scipy():
     assert _modules_after(argvs)[:2] == ("[]", False)
 
 
-def test_help_imports_argparse_on_demand():
-    # argparse is imported only for the command lines the one-pass flag
-    # parser leaves to it, and --help still prints the subcommand's usage
-    _, argparse_loaded, out = _modules_after([["star", "--help"]])
-    assert argparse_loaded
-    assert out.startswith("usage: pseudoherm star [-h] [--f F] [--g G]")
-    assert "star product or star commutator of two symbol files" in out
+def test_help_loads_neither_argparse_nor_scipy():
+    # help is built from the Param tables; its usage lines keep argparse's form
+    scipy_modules, argparse_loaded, out = _modules_after([["star", "--help"], ["spiked", "-h"], ["--help"]])
+    assert (scipy_modules, argparse_loaded) == ("[]", False)
+    star, spiked, top = out.split("usage: ")[1:]
+    assert star.startswith("pseudoherm star [-h] [--f F] [--g G] [--op OP] [--out OUT] [--config CONFIG]\n")
+    assert "star product or star commutator of two symbol files" in star
+    assert "--op OP          one of star, commutator; default star" in star
+    assert "--n N" in spiked and "required" in spiked and "default p_squared" in spiked
+    assert top.startswith("pseudoherm [-h] subcommand")
+    assert all(name in top for name in cli._SUBCOMMANDS)
 
 
 @pytest.mark.parametrize(
     ("argv", "same_as"),
     [
-        # an abbreviation argparse expands
         (["spiked", "--n", "1", "--m", "2", "--lam", "0.75"],
          ["spiked", "--n", "1", "--m", "2", "--lambda", "0.75"]),
         (["spiked", "--n", "1", "--m", "2", "--lam=0.75"],
          ["spiked", "--n", "1", "--m", "2", "--lambda", "0.75"]),
-        # a value of '--' argparse drops, leaving an empty list
-        (["wedges", "--N", "--"], None),
+        # a repeated flag keeps its last value
+        (["wedges", "--N", "3", "--N", "4"], ["wedges", "--N", "4"]),
     ],
 )
-def test_command_lines_outside_the_flag_pairs_take_argparse(capsys, argv, same_as):
-    assert cli._flag_pairs(argv) is None
+def test_unique_prefixes_and_repeated_flags(capsys, argv, same_as):
+    assert cli._flag_pairs(argv) == cli._flag_pairs(same_as)
     outcome = invoke(capsys, argv)
-    if same_as is not None:
-        assert outcome == invoke(capsys, same_as) and outcome[0] == 0
-    else:
-        assert outcome[0] == 2 and "invalid value for --N: []" in outcome[2]
+    assert outcome == invoke(capsys, same_as) and outcome[0] == 0
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["star", "--f", "--", "--g", "g.sym"], "--f"),  # a path
+        (["star", "--f", "f.sym", "--g", "g.sym", "--op", "--"], "--op"),  # a choice
+        (["wedges", "--N", "--"], "--N"),  # an int
+        (["wedges", "--N=--"], "--N"),
+    ],
+)
+def test_a_dash_dash_value_is_no_value(capsys, argv, flag):
+    assert invoke(capsys, argv) == (2, "", f"usage error: {flag} needs a value\n")
 
 
 @pytest.mark.parametrize(
@@ -186,18 +177,25 @@ def test_command_lines_outside_the_flag_pairs_take_argparse(capsys, argv, same_a
     [
         (["spiked", "-h"], 0, "usage: pseudoherm spiked [-h]"),
         (["spiked", "--help"], 0, "usage: pseudoherm spiked [-h]"),
+        (["spiked", "--he"], 0, "usage: pseudoherm spiked [-h]"),
         (["spiked", "--n", "1", "--m", "2", "--bogus", "1"], 2,
-         "pseudoherm spiked: error: unrecognized arguments: --bogus 1"),
-        (["spiked", "--n", "1", "--m"], 2, "argument --m: expected one argument"),
-        (["spiked", "1"], 2, "unrecognized arguments: 1"),
+         "usage error: unknown flag --bogus for spiked"),
+        (["spiked", "--n", "1", "--m"], 2, "usage error: --m needs a value"),
+        (["spiked", "1"], 2, "usage error: unexpected argument '1' for spiked"),
+        (["star", "--o", "x"], 2, "usage error: ambiguous flag --o for star (--op, --out)"),
+        (["transition", "--o=x"], 2,
+         "usage error: ambiguous flag --o for transition (--omega, --out)"),
+        (["transition", "--model", "spiked"], 2, "usage error: unknown flag --model for transition"),
+        (["metric-verify", "--h"], 2,
+         "usage error: ambiguous flag --h for metric-verify (--hamiltonian, --help)"),
         (["--help"], 0, "usage: pseudoherm [-h] subcommand"),
     ],
 )
-def test_help_and_usage_errors_keep_argparse_output(capsys, argv, code, needle):
-    assert cli._flag_pairs(argv) is None
+def test_help_and_usage_errors(capsys, argv, code, needle):
     got, out, err = invoke(capsys, argv)
     assert got == code
-    assert needle in (out if code == 0 else err)
+    assert (out if code == 0 else err).startswith(needle)
+    assert (err if code == 0 else out) == ""
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -206,11 +204,8 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_unknown_flag_is_usage_error(capsys):
-    code, _, err = invoke(capsys, ["wedges", "--N", "4", "--bogus", "1"])
-    assert code == 2
-    # the subcommand's own parser reports it, with its usage line
-    assert err.startswith("usage: pseudoherm wedges [-h] [--N N]")
-    assert "pseudoherm wedges: error: unrecognized arguments: --bogus 1" in err
+    code, out, err = invoke(capsys, ["wedges", "--N", "4", "--bogus", "1"])
+    assert (code, out, err) == (2, "", "usage error: unknown flag --bogus for wedges\n")
 
 
 def test_missing_required_parameter(capsys):
@@ -229,7 +224,7 @@ def test_format_csv_only(capsys, tmp_path):
     # csv is the only output, so neither a flag nor a config key selects it
     code, out, err = invoke(capsys, ["wedges", "--N", "4", "--format", "csv"])
     assert (code, out) == (2, "")
-    assert "unrecognized arguments: --format" in err
+    assert "unknown flag --format for wedges" in err
     config = tmp_path / "run.cfg"
     config.write_text("N=4\nformat=csv\n")
     code, out, err = invoke(capsys, ["wedges", "--config", str(config)])
@@ -301,7 +296,7 @@ def test_config_echo_block(capsys):
     assert code == 0
     assert out.startswith("# command=wedges\n")
     cm = comment_map(out)
-    assert cm["N"] == "4" and cm["seed"] == "12345"
+    assert cm == {"command": "wedges", "N": "4"}
 
 
 def test_byte_determinism(capsys):
@@ -693,7 +688,7 @@ def test_transition_subcommand_ordering_and_values(capsys):
         ["transition", "--omega", "1.9:2.1:5", "--xi", "1,0", "--tau", "30"],
     )
     assert code == 0
-    assert comment_map(out)["xi"] == "0,1"
+    assert comment_map(out)["xi"] == "0,1" and "model" not in comment_map(out)
     header, rows = data_rows(out)
     assert header == "omega,xi,probability"
     assert len(rows) == 10
@@ -738,7 +733,7 @@ def test_propagate_starts_from_the_exact_level(capsys):
     assert rows[0] == "0,1,0"
 
 
-@pytest.mark.parametrize("flag", ["--n", "--m", "--snapshots", "--seed"])
+@pytest.mark.parametrize("flag", ["--n", "--m", "--snapshots"])
 def test_propagate_negative_counts_are_usage_errors(capsys, flag):
     # a negative level index would read another level (or the truncation
     # probe) from the end of the coefficient vector
@@ -781,13 +776,23 @@ def test_only_verify_all_builds_the_random_generator(capsys, monkeypatch, tmp_pa
         raise AssertionError("default_rng called")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    for argv in (["star", "--f", f, "--g", g],
-                 ["propagate", "--grid", "0,12,300", "--T", "0.1", "--seed", "7"]):
+    for argv in (["star", "--f", f, "--g", g], ["propagate", "--grid", "0,12,300", "--T", "0.1"]):
         code, out, _ = invoke(capsys, argv)
         assert code == 0
-        assert "# seed=" in out
+        assert "# seed=" not in out
     with pytest.raises(AssertionError, match="default_rng called"):
         run(["verify-all"])
+
+
+def test_only_verify_all_takes_a_seed(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("N=4\nseed=3\n")
+    assert invoke(capsys, ["wedges", "--N", "4", "--seed", "3"]) == (
+        2, "", "usage error: unknown flag --seed for wedges\n")
+    assert invoke(capsys, ["wedges", "--config", str(config)]) == (
+        2, "", "usage error: unknown config key 'seed' for subcommand wedges\n")
+    assert invoke(capsys, ["verify-all", "--seed", "-1"]) == (
+        2, "", "usage error: --seed must be non-negative\n")
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ temporary directory: up to four terms of degree <= 3 with ordinary or
 overflowing coefficients, and at times a NaN, inf, degree-171 or malformed
 line; `kappa --upto` is drawn up to its bound 401 and beyond it.
 """
+import argparse
 import contextlib
 import hashlib
 import io
@@ -93,7 +94,7 @@ def _edge_flags(draw, params, names):
     return argv
 
 
-PARAMS = {p.name: p for p in cli._SUBCOMMANDS["propagate"].params + cli._COMMON}
+PARAMS = {p.name: p for p in cli._SUBCOMMANDS["propagate"].params}
 # half the --levels and --refine draws are accepted values, half edges
 LEVELS = st.one_of(st.sampled_from(("1", "3", "6")), st.sampled_from(EDGE_INTS))
 REFINE = st.one_of(st.sampled_from(("1", "2")), st.sampled_from(EDGE_INTS))
@@ -193,8 +194,8 @@ def test_spectrum_never_raises_and_prints_ascending_levels(argv):
     assert energies == sorted(energies)
 
 
-SPIKED = {p.name: p for p in cli._SUBCOMMANDS["spiked"].params + cli._COMMON}
-TRANSITION = {p.name: p for p in cli._SUBCOMMANDS["transition"].params + cli._COMMON}
+SPIKED = {p.name: p for p in cli._SUBCOMMANDS["spiked"].params}
+TRANSITION = {p.name: p for p in cli._SUBCOMMANDS["transition"].params}
 
 
 @st.composite
@@ -283,7 +284,7 @@ def test_transition_prints_canonical_cells(argv):
         _assert_canonical([line for line in out.splitlines() if not line.startswith("#")][1:])
 
 
-CONTOUR = {p.name: p for p in cli._SUBCOMMANDS["contour"].params + cli._COMMON}
+CONTOUR = {p.name: p for p in cli._SUBCOMMANDS["contour"].params}
 # accepted potential exponents and sample counts, or edges
 ORDERS = st.one_of(st.sampled_from(("2", "3", "4", "12")), st.sampled_from(EDGE_INTS))
 SAMPLES = st.one_of(st.sampled_from(("1", "2", "201")), st.sampled_from(EDGE_INTS))
@@ -293,7 +294,7 @@ SAMPLES = st.one_of(st.sampled_from(("1", "2", "201")), st.sampled_from(EDGE_INT
 def contour_argvs(draw):
     # kind and N are required; up to three other flags take an edge value
     argv = ["contour", "--kind", draw(_flag("choice", ("z1", "z2"))), "--N", draw(ORDERS)]
-    for name in draw(st.lists(st.sampled_from(("a", "samples", "xspan", "seed")), unique=True,
+    for name in draw(st.lists(st.sampled_from(("a", "samples", "xspan")), unique=True,
                               max_size=3)):
         argv += [f"--{name}", draw(SAMPLES if name == "samples" else _flag(CONTOUR[name].kind))]
     return argv
@@ -508,7 +509,7 @@ def test_verify_all_passes_every_check_for_any_seed(argv):
 # -- the one-pass flag parser against argparse --------------------------------
 
 # values with '=' inside, a leading '-' or '--', empty, '--' itself (which
-# argparse drops), flag names, and arbitrary text
+# argparse turns into an empty list), flag names, and arbitrary text
 FLAG_VALUES = st.one_of(
     st.sampled_from(("", "-", "--", "---", "-1", "-1e300", "--f", "--help", "-h", "a=b", "=",
                      "--seed=3", "==", " ", "-0,14,64", "1.5:2.5:3", "x y")),
@@ -518,32 +519,55 @@ FLAG_VALUES = st.one_of(
 
 @st.composite
 def flag_pair_lines(draw):
-    """A subcommand and `--name value` / `--name=value` pairs of the flags of
-    its Param table (plus --out and --config), names repeated at will; with
-    the values drawn."""
-    name = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
-    names = [p.name for p in cli._SUBCOMMANDS[name].params + cli._COMMON] + ["out", "config"]
-    argv, values = [name], []
+    """A subcommand and `--name value` / `--name=value` pairs of its flags,
+    each name whole or cut to a prefix (which may be ambiguous) and repeated
+    at will, with the values drawn; and the (name, value) pairs."""
+    name = draw(st.sampled_from(sorted(cli._FLAGS)))
+    argv, pairs = [name], []
     for _ in range(draw(st.integers(0, 6))):
-        flag, value = draw(st.sampled_from(names)), draw(FLAG_VALUES)
+        flag = draw(st.sampled_from(cli._FLAGS[name]))
+        flag, value = flag[:draw(st.integers(1, len(flag)))], draw(FLAG_VALUES)
         argv += [f"--{flag}={value}"] if draw(st.booleans()) else [f"--{flag}", value]
-        values.append(value)
-    return argv, values
+        pairs.append((flag, value))
+    return argv, pairs
+
+
+def _argparse_flags(name, argv):
+    """The flag dict argparse returns for the flags of subcommand `name`,
+    or the code it exits with."""
+    parser = argparse.ArgumentParser(prog=f"pseudoherm {name}", allow_abbrev=True)
+    for flag in cli._FLAGS[name]:
+        parser.add_argument(f"--{flag}")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(flag_pair_lines())
-@example((["star", "--f", "--g", "--g", "-x"], ["--g", "-x"]))
-@example((["star", "--f=a=b", "--f", "=", "--op="], ["a=b", "=", ""]))
-@example((["wedges", "--N", "--"], ["--"]))
-@example((["bch", "--generator", "--", "--generator", ""], ["--", ""]))
-@example((["verify-all", "--seed", "-1", "--out=", "--config", "--config"], ["-1", "", "--config"]))
+@example((["star", "--f", "--g", "--g", "-x"], [("f", "--g"), ("g", "-x")]))
+@example((["star", "--f=a=b", "--f", "=", "--op="], [("f", "a=b"), ("f", "="), ("op", "")]))
+@example((["wedges", "--N", "--"], [("N", "--")]))
+@example((["bch", "--generator", "--", "--generator", ""], [("generator", "--"), ("generator", "")]))
+@example((["verify-all", "--seed", "-1", "--out=", "--config", "--config"],
+          [("seed", "-1"), ("out", ""), ("config", "--config")]))
+@example((["spiked", "--lam", "0.75", "--n=1"], [("lam", "0.75"), ("n", "1")]))
+# ambiguous prefixes: argparse exits 2 on both
+@example((["star", "--o", "x"], [("o", "x")]))
+@example((["transition", "--o=x"], [("o", "x")]))
 def test_flag_pairs_return_the_argparse_flag_dict(line):
-    argv, values = line
-    fast = cli._flag_pairs(argv)
-    name, flags = cli._build_parser().parse(cli._fold_flag_values(argv))
-    assert name == argv[0]
-    # a value of '--', which argparse drops, is the one pair left to argparse
-    assert (fast is None) == ("--" in values)
-    if fast is not None:
-        assert fast == (name, flags)
+    # argparse reads each pair joined as --name=value, so that it takes every
+    # value as given; it then differs only on a value of '--', which it turns
+    # into an empty list and the one-pass parser refuses
+    argv, pairs = line
+    expected = _argparse_flags(argv[0], [f"--{flag}={value}" for flag, value in pairs])
+    try:
+        got = cli._flag_pairs(argv)
+    except cli.CliUsageError:
+        got = 2
+    if any(value == "--" for _, value in pairs):
+        assert got == 2
+    else:
+        assert got == (expected if expected == 2 else (argv[0], expected))

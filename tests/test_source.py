@@ -68,6 +68,16 @@ def test_only_dynamics_imports_scipy_special():
     assert users == {"dynamics.py"}
 
 
+def test_no_module_imports_argparse():
+    # the CLI reads its flags in one pass over the Param tables; argparse
+    # once cost a help or usage error its import and a parser per subcommand
+    users = [
+        path.name for path in sorted(SOURCE.glob("*.py"))
+        if "argparse" in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert users == []
+
+
 def _identifiers(tree):
     """Every name, attribute, import alias and definition in a module."""
     for node in ast.walk(tree):
