@@ -21,7 +21,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .weyl import ExpPolySymbol, WeylSymbol, hermitian_conjugate, star, star_commutator
+from .weyl import (
+    ExpPolySymbol,
+    WeylSymbol,
+    _check_finite,
+    _trim,
+    hermitian_conjugate,
+    star,
+    star_commutator,
+)
 
 class TerminationError(RuntimeError):
     """A commutator chain required to terminate did not."""
@@ -230,6 +238,25 @@ def _levenberg_marquardt(fun, c, max_evals):
     return c
 
 
+def _exponent_builder(keys):
+    """c -> exp(sum_k c_k x^dx_k p^dp_k) over distinct monomials keys, as the
+    dict constructor builds its exponent: one scatter into the box of the
+    monomials, checked finite and trimmed.  The keys are refused once, with
+    the constructor's messages, and c + 0.0 stores -0 as the constructor's
+    sum does."""
+    WeylSymbol(dict.fromkeys(keys, 1.0))
+    rows, cols = np.array(keys).T
+    shape = (rows.max() + 1, cols.max() + 1)
+
+    def build(c):
+        exponent = np.zeros(shape, dtype=complex)
+        exponent[rows, cols] = c + 0.0
+        _check_finite(exponent)
+        return ExpPolySymbol.exp(WeylSymbol._wrap(_trim(exponent)))
+
+    return build
+
+
 def solve_metric_ansatz(H, exponent_monomials, initial=None, tol=1e-10, max_tries=5):
     """Find real coefficients c_k with eta^2 = exp(sum c_k m_k) killing the residual.
 
@@ -268,8 +295,7 @@ def solve_metric_ansatz(H, exponent_monomials, initial=None, tol=1e-10, max_trie
     n_pts = max(10, 3 * len(keys) + 6)
     pts = rng.uniform(-1.6, 1.6, size=(n_pts, 2))
 
-    def build(c):
-        return ExpPolySymbol.exp(WeylSymbol({k: v for k, v in zip(keys, c)}))
+    build = _exponent_builder(keys)
 
     def resid_vec(c):
         # a single-exponent ansatz leaves a single-exponent residual, so

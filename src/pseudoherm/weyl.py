@@ -231,8 +231,8 @@ def _inverse_factorials(n):
 _SCRATCH = threading.local()
 
 
-def _scratch(shape, count):
-    """`count` float arrays of `shape`, carved from this thread's reusable buffer.
+def _scratch(size):
+    """`size` doubles, carved from this thread's reusable buffer.
 
     A tensor-sized array that is freed goes back to the operating system
     and faults its pages in again at the next allocation; at degree 16
@@ -240,11 +240,10 @@ def _scratch(shape, count):
     It keeps the size of the largest product computed, at most
     9 * MAX_TENSOR doubles (72 MiB).
     """
-    size = math.prod(shape)
     buf = getattr(_SCRATCH, "buf", None)
-    if buf is None or buf.size < count * size:
-        buf = _SCRATCH.buf = np.empty(count * size)
-    return [buf[i * size : (i + 1) * size].reshape(shape) for i in range(count)]
+    if buf is None or buf.size < size:
+        buf = _SCRATCH.buf = np.empty(size)
+    return buf[:size]
 
 
 # i^k for k mod 4
@@ -300,99 +299,141 @@ def _moyal_by_map(f, g, odd_only):
     return out, (magnitudes @ np.abs(fg)).reshape(out.shape)
 
 
-# Multiplying a complex value held as the channels (re, mag, im) by i^k:
-# odd k swaps re and im (a reversed channel axis keeps mag in place),
-# then each channel takes a sign.
-_TURN_SIGNS = np.array([[1, 1, 1], [-1, 1, 1], [-1, 1, -1], [1, 1, -1]], dtype=float)
-_TURN_SIGNS = _TURN_SIGNS[:, :, None, None]
+def _cells(nb, nc):
+    """The (b, c) cells of an (nb, nc) box as (class, row) arrays.
+
+    Class k holds the cells with b - c = k mod n1, n1 = max(nb, nc): one or
+    two whole diagonals, n2 = min(nb, nc) cells in all, in rows r ordered
+    along them, so the shift (b, c) -> (b - v, c - v) takes row r of a class
+    to its row r - v.
+    """
+    n1, n2 = max(nb, nc), min(nb, nc)
+    k, r = np.ogrid[:n1, :n2]
+    if nb >= nc:
+        return (r + k) % n1, r + 0 * k
+    return r + 0 * k, (r - k) % n1
 
 
 def _moyal_plan(na, nb, nc, nd):
-    """Gathers and weights of the Moyal tensor kernel for one pair of coefficient boxes.
+    """Gathers, phases and indices of the Moyal tensor kernel for one pair of boxes.
 
     The order-(u, v) Moyal term pairs d_x^u d_p^v f with d_x^v d_p^u g at
     weight (i/2)^u/u! (-i/2)^v/v!.  The u part is a contraction over u of
     f_(a'+u, b) (a'+u)!/a'! with g_(c, d'+u) (d'+u)!/d'! (i/2)^u/u!: one
-    matrix product of gathered Hankel windows.  The v part shifts
-    (b, c) -> (b - v, c - v) with the weight
-    (b'+v)!/b'! (c'+v)!/c'! (-i/2)^v/v!, one (channel, b', c') array per v.
-    Order (0, 0) carries weight 1 throughout, so a product with a constant
-    is exact.  Returns the gathers (take_f, mult_f, rows_g, take_g, mult_g)
-    followed by the sweep weights of v = 0, 1, ...
+    matrix product of gathered Hankel windows, which leaves the tensor
+    (b, c, a', d').  The v part takes cell (b, c) to (b', c') = (b - v, c - v)
+    with weight (b'+v)!/b'! (c'+v)!/c'! (-i/2)^v/v!, and the term lands at
+    degrees (a' + c', b' + d').
+
+    The phase of the v part leaves the contraction: (-i)^v = (-i)^b i^b',
+    and i^b' = i^P (-i)^d' at output column P = b' + d'.  So column b of f
+    takes (-i)^b (turn_f), the gathered g takes (-i)^d' (in mult_g) and
+    output column P takes i^P (turn_out), all exact turns from _TURNS, and
+    what is left of the v part is real (_moyal_blocks).  `gather` takes the
+    (b a', c d') entries of the u product to the (row, class, a' d') layout
+    of the cells of _cells, and `scatter` takes that layout to the flat
+    (a' + c') w + b' + d' index of the result.  Order (0, 0) carries weight
+    1 throughout, so a product with a constant is exact.
+
+    Returns (take_f, mult_f, rows_g, take_g, mult_g, turn_f, turn_out,
+    gather, scatter).
     """
     nu = min(na, nd)
-    ia, ib, ic, id_, iu = (np.arange(n) for n in (na, nb, nc, nd, nu))
+    ia, ic, id_, iu = (np.arange(n) for n in (na, nc, nd, nu))
     # lhs[b, a', u] = f[a' + u, b] * mult_f[a', u], zero past the box
     src_a = np.add.outer(ia, iu)
     take_f = np.minimum(src_a, na - 1)
     mult_f = np.where(src_a < na, _falling(na)[take_f, iu], 0.0)
-    # rhs[u, c, d'] = g[c, d' + u] * mult_g[u, d']
-    src_d = np.add.outer(iu, id_)
+    # rhs[c, d', u] = g[c, d' + u] * mult_g[d', u]
+    src_d = np.add.outer(id_, iu)
     take_g = np.minimum(src_d, nd - 1)
     mult_g = np.where(
         src_d < nd,
-        _falling(nd)[take_g, iu[:, None]] * ((0.5j) ** iu * _inverse_factorials(nu))[:, None],
+        _falling(nd)[take_g, iu] * ((0.5j) ** iu * _inverse_factorials(nu)) * _TURNS[-id_ % 4, None],
         0.0,
     )
-    gathers = (take_f, mult_f, ic[None, :, None], take_g[:, None, :], mult_g[:, None, :])
+    turn_f = _TURNS[-np.arange(nb) % 4]
+    turn_out = _TURNS[np.arange(nb + nd - 1) % 4]
 
-    sweep = []
-    for v in range(min(nb, nc)):
-        scale = np.outer(_falling(nb)[v:, v], _falling(nc)[v:, v]) * 0.5**v / math.factorial(v)
-        sweep.append((scale * _TURN_SIGNS[-v % 4])[..., None, None])
-    return (*gathers, *sweep)
+    w = nb + nd - 1
+    b, c = (cell.T[:, :, None, None] for cell in _cells(nb, nc))
+    gather = ((b * na + ia[:, None]) * nc + c) * nd + id_
+    scatter = (ia[:, None] + c) * w + b + id_
+    return (take_f, mult_f, ic[:, None, None], take_g, mult_g,
+            turn_f, turn_out, gather.ravel(), scatter.ravel())
+
+
+def _moyal_blocks(nb, nc, odd_only):
+    """The v part of the Moyal tensor kernel: one real block per class of _cells.
+
+    blocks[k, r - v, r] = C(b, v) c!/(c - v)! 2^-v for the cell (b, c) in
+    row r of class k, zero for v > min(b, c).  With the phase turned out
+    (_moyal_plan) these weights are real and nonnegative, so one block
+    serves the real part, the imaginary part and the magnitude, and every
+    weight of a box up to 17 x 17 is exact.  With odd_only a block is
+    (n2, 2 n2), doubled: the even-v weights, which pair with the odd-u
+    product, then the odd-v weights, which pair with the even-u product.
+    """
+    b, c = _cells(nb, nc)
+    n1, n2 = b.shape
+    binom = _falling(nb)[:, :n2] / np.diagonal(_falling(n2))
+    shift = _falling(nc)[:, :n2] * 2.0 ** (odd_only - np.arange(n2))
+    blocks = np.zeros((n1, n2, (1 + odd_only) * n2))
+    for v in range(n2):
+        rows = np.arange(n2 - v)
+        blocks[:, rows, rows + v + odd_only * (v % 2) * n2] = (binom[b, v] * shift[c, v])[:, v:]
+    return blocks
 
 
 def _moyal_by_tensor(f, g, odd_only):
-    """The Moyal product of two coefficient boxes through the (channel, b, c, a, d) tensor.
+    """The Moyal product of two coefficient boxes through the packed (b, c, a, d) tensor.
 
-    The u factor is one matrix product of Hankel windows of f and g, laid
-    out as the (b, c, a, d) tensor; the v factor is one shift-and-weight
-    sweep over the (b, c) axes, each shifted slice a run of contiguous
-    blocks; one bincount per channel scatters it to (a + c, b + d).  The
-    real part, the magnitude |f| x |g| and the imaginary part ride through
-    the sweep as three channels of one real tensor, so the magnitudes
-    feeding each coefficient come from the same pass.  With odd_only,
-    even and odd u take turns in the same buffers.
+    Four steps: the u part as one matrix product of Hankel windows of f and
+    g (odd and even u in turn with odd_only), giving the real part, the
+    imaginary part and the magnitude |f| x |g| as three planes; one take
+    per plane into the (row, class, a' d') layout; one real matrix product
+    of the v blocks with it; one bincount per plane to (a + c, b + d).  The
+    planes live in a reused scratch buffer, 3 (1 + k) na nb nc nd doubles
+    for k u products, and the blocks' output overwrites the u product.
     """
     na, nb = f.shape
     nc, nd = g.shape
     _check_tensor(na, nb, nc, nd)
-    take_f, mult_f, rows_g, take_g, mult_g, *sweep = _CACHE(_moyal_plan, na, nb, nc, nd)
+    take_f, mult_f, rows_g, take_g, mult_g, turn_f, turn_out, gather, scatter = _CACHE(
+        _moyal_plan, na, nb, nc, nd
+    )
+    blocks = _CACHE(_moyal_blocks, nb, nc, odd_only)
     nu = take_f.shape[1]
-    lhs = (f.T[:, take_f] * mult_f).reshape(nb * na, nu)  # rows (b, a'), columns u
-    rhs = (g[rows_g, take_g] * mult_g).reshape(nu, nc * nd)  # rows u, columns (c, d')
+    lhs = ((f * turn_f).T[:, take_f] * mult_f).reshape(nb * na, nu)  # rows (b, a'), columns u
+    rhs = (g[rows_g, take_g] * mult_g).reshape(nc * nd, nu)  # rows (c, d'), columns u
 
+    # u orders of each product: all of them, or the odd then the even ones
+    orders = (slice(1, None, 2), slice(0, None, 2)) if odd_only else (slice(None),)
     size = na * nb * nc * nd
-    part, out, scratch = _scratch((3, nb, nc, na, nd), 3)
-    product = scratch.reshape(-1)[: 2 * size].view(complex).reshape(nb * na, nc * nd)
-    magnitude = scratch.reshape(-1)[2 * size :].reshape(nb * na, nc * nd)
-    n_v = len(sweep)
-    # (u orders, v orders) per pass: all of them, or those with u + v odd
-    if odd_only:
-        passes = ((slice(1, None, 2), range(0, n_v, 2)), (slice(0, None, 2), range(1, n_v, 2)))
-    else:
-        passes = ((slice(None), range(n_v)),)
-    out[...] = 0.0
-    for us, vs in passes:
-        np.matmul(lhs[:, us], rhs[us], out=product)
-        np.matmul(np.abs(lhs[:, us]), np.abs(rhs[us]), out=magnitude)
-        y = product.reshape(nb, na, nc, nd).transpose(0, 2, 1, 3)
-        part[0], part[2] = y.real, y.imag
-        part[1] = magnitude.reshape(nb, na, nc, nd).transpose(0, 2, 1, 3)
-        for v in vs:
-            if v == 0:
-                out += part
-                continue
-            tmp = scratch[:, : nb - v, : nc - v]
-            src = part[:, v:, v:]
-            np.multiply(src[::-1] if v % 2 else src, sweep[v], out=tmp)
-            out[:, : nb - v, : nc - v] += tmp
+    work = _scratch(3 * (1 + len(orders)) * size)
+    planes = work[: 3 * size].reshape(3, size)  # re, im, magnitude
+    packed = work[3 * size :].reshape(3, len(orders), size)
+    for half, us in enumerate(orders):
+        left, right = lhs[:, us].conj(), np.ascontiguousarray(rhs[:, us])
+        # over (re, im) pairs, conj(L) gives Re(L R) and i conj(L) gives Im(L R)
+        np.matmul(
+            np.concatenate((left, 1j * left)).view(float),
+            right.view(float).T,
+            out=planes[:2].reshape(2 * nb * na, nc * nd),
+        )
+        np.matmul(np.abs(left), np.abs(right).T, out=planes[2].reshape(nb * na, nc * nd))
+        for plane, into in zip(planes, packed):
+            np.take(plane, gather, out=into[half], mode="clip")
 
+    n1, n2 = blocks.shape[:2]
+    np.matmul(
+        blocks,
+        packed.reshape(3, -1, n1, na * nd).transpose(0, 2, 1, 3),
+        out=planes.reshape(3, n2, n1, na * nd).transpose(0, 2, 1, 3),
+    )
     h, w = na + nc - 1, nb + nd - 1
-    re, mag, im = (_scatter_add(channel, (1, w, w, 1), h * w).reshape(h, w) for channel in out)
-    values = re + 1j * im
-    return (2.0 * values, 2.0 * mag) if odd_only else (values, mag)
+    re, im, mag = (np.bincount(scatter, plane, h * w).reshape(h, w) for plane in planes)
+    return (re + 1j * im) * turn_out, mag
 
 
 def _moyal(f, g, odd_only=False):
@@ -404,9 +445,11 @@ def _moyal(f, g, odd_only=False):
     up to 5x5 * 5x5) is one cached linear map (_moyal_map) applied as two
     matrix products; larger boxes go through the tensor kernel
     (_moyal_by_tensor), whose work grows as na nb nc nd rather than as the
-    map.  On a 2-vCPU x86-64, 5x5 * 5x5 took 31-41 us by the map against
-    71-119 us by the tensor; at 6x6 * 6x6 the map was 10-20% faster, but
-    its two matrices take 2.4 MiB, so MAX_MAP keeps one map within 1 MiB.
+    map.  On a 2-vCPU x86-64 with OpenBLAS on one thread, 4x4 * 4x4 took
+    17-18 us by the map against 48 us by the tensor, 5x5 * 5x5 31-39 us
+    against 58-59 us, and 6x6 * 6x6 105-139 us against 74-96 us: the
+    tensor kernel wins from 6x6, where MAX_MAP ends (one 6x6 map would
+    take 2.4 MiB; MAX_MAP keeps one within 1 MiB).
 
     With odd_only only the odd orders u + v are kept, doubled: that is
     f * g - g * f, which never forms the even orders that cancel in the

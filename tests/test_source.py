@@ -68,6 +68,16 @@ def test_only_dynamics_imports_scipy_special():
     assert users == {"dynamics.py"}
 
 
+@pytest.mark.parametrize("name", ["weyl.py", "metric.py"])
+def test_symbol_modules_import_no_scipy(name):
+    # the symbol path's cold start is numpy alone: symbol requests start in
+    # about half the time of those that load scipy.linalg, so the Moyal
+    # kernels take their matrix products from np.matmul, not scipy.linalg.blas
+    tree = ast.parse((SOURCE / name).read_text(), filename=name)
+    scipy = [module for module in _imported_modules(tree) if module.split(".")[0] == "scipy"]
+    assert scipy == []
+
+
 def test_no_module_imports_argparse():
     # the CLI reads its flags in one pass over the Param tables; argparse
     # once cost a help or usage error its import and a parser per subcommand

@@ -8,7 +8,10 @@ the next product with a polynomial of the same degree, and `loop_settle`
 the rounding floor before it checked finiteness by one largest modulus
 and trimmed by counting nonzeros.  Each new path must
 give the same bits as its oracle: the coefficient arrays here, and the
-stdout bytes of whole `cli.run` requests.
+stdout bytes of whole `cli.run` requests.  `sweep_moyal_by_tensor` is the
+Moyal tensor kernel that shifted and weighted the (b, c) cells once per
+order v, where the kernel now multiplies them by real blocks; it sums in
+another order, so the two agree within the rounding floor.
 
 The property test is derandomized; see `test_cli_properties.py` for why
 its draws still move with literals elsewhere, and why each input it has
@@ -17,6 +20,7 @@ to cover is pinned as an @example.
 import contextlib
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -184,14 +188,16 @@ def test_bincount_scatters_match_the_slice_loops(shape):
 
 
 # pairs of boxes on both sides of MAX_MAP: 5x5 * 5x5 is the largest square
-# one within it, and the lopsided pairs straddle its edge
+# one within it, and the lopsided pairs straddle its edge; past it, boxes
+# with nb > nc, nb < nc and nb = nc
 KERNEL_SHAPES = [(3, 3, 3, 3), (5, 5, 5, 5), (5, 5, 5, 6), (6, 6, 6, 6), (4, 1, 7, 4),
-                 (2, 2, 2, 30), (2, 2, 2, 60), (1, 16, 16, 1), (1, 17, 17, 1), (16, 1, 1, 16)]
+                 (2, 2, 2, 30), (2, 2, 2, 60), (1, 16, 16, 1), (1, 17, 17, 1), (16, 1, 1, 16),
+                 (6, 3, 9, 6)]
 
 
 def test_kernel_shapes_straddle_max_map():
     entries = [na * nb * nc * nd * (na + nc - 1) * (nb + nd - 1) for na, nb, nc, nd in KERNEL_SHAPES]
-    assert [n <= weyl.MAX_MAP for n in entries] == [1, 1, 0, 0, 1, 1, 0, 1, 0, 1]
+    assert [n <= weyl.MAX_MAP for n in entries] == [1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0]
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
@@ -211,6 +217,102 @@ def test_map_and_tensor_kernels_agree(shape, odd_only, monkeypatch):
     na, nb, nc, nd = shape
     small = na * nb * nc * nd * (na + nc - 1) * (nb + nd - 1) <= weyl.MAX_MAP
     assert taken == ["map" if small else "tensor"]
+
+
+# Multiplying a complex value held as the channels (re, mag, im) by i^k:
+# odd k swaps re and im (a reversed channel axis keeps mag in place),
+# then each channel takes a sign.
+_TURN_SIGNS = np.array([[1, 1, 1], [-1, 1, 1], [-1, 1, -1], [1, 1, -1]], dtype=float)[:, :, None, None]
+
+
+def sweep_moyal_by_tensor(f, g, odd_only):
+    """The Moyal product through the (channel, b, c, a, d) tensor, one v at a time.
+
+    The u factor is one matrix product of Hankel windows of f and g, laid
+    out as the (b, c, a', d') tensor; the v factor shifts (b, c) to
+    (b - v, c - v) with the weight (b'+v)!/b'! (c'+v)!/c'! (-i/2)^v/v!, one
+    shifted slice per v; one bincount per channel scatters the sum to
+    (a + c, b + d).  The real part, the magnitude and the imaginary part
+    ride through the sweep as three channels of one real tensor.  With
+    odd_only, even and odd u take turns.
+    """
+    na, nb = f.shape
+    nc, nd = g.shape
+    nu = min(na, nd)
+    ia, ic, id_, iu = (np.arange(n) for n in (na, nc, nd, nu))
+    src_a = np.add.outer(ia, iu)
+    take_f = np.minimum(src_a, na - 1)
+    mult_f = np.where(src_a < na, weyl._falling(na)[take_f, iu], 0.0)
+    src_d = np.add.outer(iu, id_)
+    take_g = np.minimum(src_d, nd - 1)
+    mult_g = np.where(
+        src_d < nd,
+        weyl._falling(nd)[take_g, iu[:, None]] * ((0.5j) ** iu * weyl._inverse_factorials(nu))[:, None],
+        0.0,
+    )
+    sweep = []
+    for v in range(min(nb, nc)):
+        scale = np.outer(weyl._falling(nb)[v:, v], weyl._falling(nc)[v:, v]) * 0.5**v / math.factorial(v)
+        sweep.append((scale * _TURN_SIGNS[-v % 4])[..., None, None])
+    lhs = (f.T[:, take_f] * mult_f).reshape(nb * na, nu)
+    rhs = (g[ic[None, :, None], take_g[:, None, :]] * mult_g[:, None, :]).reshape(nu, nc * nd)
+
+    part, out = np.empty((3, nb, nc, na, nd)), np.zeros((3, nb, nc, na, nd))
+    if odd_only:
+        passes = ((slice(1, None, 2), range(0, len(sweep), 2)), (slice(0, None, 2), range(1, len(sweep), 2)))
+    else:
+        passes = ((slice(None), range(len(sweep))),)
+    for us, vs in passes:
+        y = (lhs[:, us] @ rhs[us]).reshape(nb, na, nc, nd).transpose(0, 2, 1, 3)
+        part[0], part[2] = y.real, y.imag
+        part[1] = (np.abs(lhs[:, us]) @ np.abs(rhs[us])).reshape(nb, na, nc, nd).transpose(0, 2, 1, 3)
+        for v in vs:
+            src = part[:, v:, v:]
+            out[:, : nb - v, : nc - v] += (src[::-1] if v % 2 else src) * sweep[v]
+
+    h, w = na + nc - 1, nb + nd - 1
+    re, mag, im = (weyl._scatter_add(channel, (1, w, w, 1), h * w).reshape(h, w) for channel in out)
+    values = re + 1j * im
+    return (2.0 * values, 2.0 * mag) if odd_only else (values, mag)
+
+
+def _tensor_boxes(rng, count):
+    """Random pairs of boxes past MAX_MAP, up to 17 x 17, with nb > nc,
+    nb < nc and nb = nc in turn."""
+    boxes = []
+    for relation in itertools.islice(itertools.cycle((np.greater, np.less, np.equal)), count):
+        while True:
+            na, nb, nc, nd = (int(n) for n in rng.integers(1, 18, 4))
+            nc = nb if relation is np.equal else nc
+            if relation(nb, nc) and na * nb * nc * nd * (na + nc - 1) * (nb + nd - 1) > weyl.MAX_MAP:
+                break
+        boxes.append((na, nb, nc, nd))
+    return boxes
+
+
+@pytest.mark.parametrize("odd_only", [False, True])
+def test_packed_kernel_matches_the_sweep(odd_only):
+    rng = np.random.default_rng(22 + odd_only)
+    boxes = _tensor_boxes(rng, 60) + [(17, 17, 17, 17), (1, 17, 17, 1)]
+    for shape in boxes:
+        f, g = _random(rng, shape[:2]), _random(rng, shape[2:])
+        values, mags = weyl._moyal_by_tensor(f, g, odd_only)
+        sweep_values, sweep_mags = sweep_moyal_by_tensor(f, g, odd_only)
+        assert np.all(np.abs(values - sweep_values) <= weyl._RESIDUE * mags), shape
+        np.testing.assert_allclose(mags, sweep_mags, rtol=1e-14, atol=0, err_msg=str(shape))
+
+
+def test_kernel_scratch_holds_at_most_nine_tensors(monkeypatch):
+    # the u product, then the blocks' output over it, and one packed copy per
+    # u product: 6 tensors of doubles for a product, 9 for a commutator
+    rng = np.random.default_rng(17)
+    f = WeylSymbol._wrap(_dense(rng, 16))
+    g = WeylSymbol._wrap(_dense(rng, 16))
+    monkeypatch.delattr(weyl._SCRATCH, "buf", raising=False)
+    weyl.star(f, g)
+    assert weyl._SCRATCH.buf.size <= 6 * 17**4
+    weyl.star_commutator(f, g)
+    assert weyl._SCRATCH.buf.size <= 9 * 17**4
 
 
 def test_array_cache_keeps_at_most_its_limit():

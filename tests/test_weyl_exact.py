@@ -161,6 +161,44 @@ def test_commutator_cancellations_end_at_exact_zero():
     assert star_commutator(q, term).is_zero()
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.5, -3.0, 0.75j])
+def test_tensor_products_with_a_constant_are_exact(scale):
+    # past MAX_MAP order (0, 0) carries weight 1 and every phase is an exact
+    # turn, so a product with a constant is the scaled symbol bit for bit
+    rng = np.random.default_rng(17)
+    f = rng.standard_normal((17, 17)) + 1j * rng.standard_normal((17, 17))
+    c = np.array([[scale]], dtype=complex)
+    assert map_entries(17, 17, 1, 1) > MAX_MAP
+    for values, mags in (weyl._moyal(f, c), weyl._moyal(c, f)):
+        assert np.array_equal(values, f * scale)
+        assert np.array_equal(mags, np.abs(f) * abs(scale))
+
+
+def test_tensor_commutators_of_x_only_symbols_are_exactly_zero():
+    # x-only symbols have no odd Moyal order: the commutator kernel must
+    # give exact zeros, before any rounding floor
+    rng = np.random.default_rng(33)
+    for na, nc in ((33, 33), (41, 33), (7, 171)):
+        assert map_entries(na, 1, nc, 1) > MAX_MAP
+        f, g = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)) for n in (na, nc))
+        values, mags = weyl._moyal(f, g, odd_only=True)
+        assert values.shape == (na + nc - 1, 1)
+        assert not values.any() and not mags.any()
+
+
+def test_tensor_weights_stay_finite_where_the_terms_are():
+    # p^n * x^n = sum_v (-i)^v C(n, v) P(n, v) / 2^v (x p)^(n - v): each term
+    # is finite at n = 100, though P(n, v)^2 / v! passes the double range
+    n = 100
+    f, g = WeylSymbol.p(n), WeylSymbol.x(n)
+    assert map_entries(1, n + 1, n + 1, 1) > MAX_MAP
+    product, commutator = star(f, g), star_commutator(f, g)
+    for v in range(n + 1):
+        term = float(Fraction(math.comb(n, v) * math.perm(n, v), 2**v)) * (1, -1j, -1, 1j)[v % 4]
+        assert product.coefficient(n - v, n - v) == pytest.approx(term, rel=1e-14)
+        assert commutator.coefficient(n - v, n - v) == pytest.approx(2 * term * (v % 2), rel=1e-14)
+
+
 # -- terminating ladders ---------------------------------------------------
 
 
