@@ -161,6 +161,26 @@ def test_commutator_cancellations_end_at_exact_zero():
     assert star_commutator(q, term).is_zero()
 
 
+@pytest.mark.parametrize("nb, nc", [(17, 17), (3, 9), (9, 3), (1, 17)])
+@pytest.mark.parametrize("odd_only", [False, True])
+def test_tensor_blocks_are_exact(nb, nc, odd_only):
+    # blocks[k, r', r] = C(b, v) c!/(c - v)! 2^-v, doubled for odd_only, for
+    # the shift by v = r - r' along the diagonal of cell (b, c) of class k
+    blocks = weyl._moyal_blocks(nb, nc, odd_only)
+    b, c = weyl._cells(nb, nc)
+    n1, n2 = b.shape
+    assert sorted(zip(b.ravel().tolist(), c.ravel().tolist())) == list(itertools.product(range(nb), range(nc)))
+    assert ((b - c) % n1 == np.arange(n1)[:, None]).all()
+    expected = np.zeros(blocks.shape)
+    for k, r, target in itertools.product(range(n1), range(n2), range(n2)):
+        v = r - target
+        if 0 <= v <= min(b[k, r], c[k, r]):
+            assert (b[k, target], c[k, target]) == (b[k, r] - v, c[k, r] - v)
+            weight = Fraction(math.comb(b[k, r], v) * math.perm(c[k, r], v), 2**v)
+            expected[k, target, r + odd_only * (v % 2) * n2] = float(weight * (1 + odd_only))
+    assert blocks.tolist() == expected.tolist()
+
+
 @pytest.mark.parametrize("scale", [1.0, 2.5, -3.0, 0.75j])
 def test_tensor_products_with_a_constant_are_exact(scale):
     # past MAX_MAP order (0, 0) carries weight 1 and every phase is an exact
