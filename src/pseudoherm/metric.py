@@ -21,15 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .weyl import (
-    ExpPolySymbol,
-    WeylSymbol,
-    _check_finite,
-    _trim,
-    hermitian_conjugate,
-    star,
-    star_commutator,
-)
+from .weyl import ExpPolySymbol, WeylSymbol, hermitian_conjugate, star, star_commutator
 
 class TerminationError(RuntimeError):
     """A commutator chain required to terminate did not."""
@@ -238,25 +230,6 @@ def _levenberg_marquardt(fun, c, max_evals):
     return c
 
 
-def _exponent_builder(keys):
-    """c -> exp(sum_k c_k x^dx_k p^dp_k) over distinct monomials keys, as the
-    dict constructor builds its exponent: one scatter into the box of the
-    monomials, checked finite and trimmed.  The keys are refused once, with
-    the constructor's messages, and c + 0.0 stores -0 as the constructor's
-    sum does."""
-    WeylSymbol(dict.fromkeys(keys, 1.0))
-    rows, cols = np.array(keys).T
-    shape = (rows.max() + 1, cols.max() + 1)
-
-    def build(c):
-        exponent = np.zeros(shape, dtype=complex)
-        exponent[rows, cols] = c + 0.0
-        _check_finite(exponent)
-        return ExpPolySymbol.exp(WeylSymbol._wrap(_trim(exponent)))
-
-    return build
-
-
 def solve_metric_ansatz(H, exponent_monomials, initial=None, tol=1e-10, max_tries=5):
     """Find real coefficients c_k with eta^2 = exp(sum c_k m_k) killing the residual.
 
@@ -269,13 +242,17 @@ def solve_metric_ansatz(H, exponent_monomials, initial=None, tol=1e-10, max_trie
     coefficientwise through metric_residual; a failed attempt restarts
     from a seeded normal draw, and after max_tries attempts
     MetricConvergenceError reports the best one.
+
+    Every trial exponent is built by the WeylSymbol constructor, so a
+    monomial is refused with its message before the fit starts (a degree
+    that is negative, fractional, not finite or above MAX_DEGREE), and a
+    trial coefficient that is not finite raises its ValueError.
     """
-    keys = []
-    for key in exponent_monomials:
-        dx, dp = key
-        keys.append((int(dx), int(dp)))
+    keys = list(exponent_monomials)
     if not keys:
         raise ValueError("ansatz needs at least one exponent monomial")
+    WeylSymbol([(key, 1.0) for key in keys])  # refuses a key before int() can round it
+    keys = [(int(dx), int(dp)) for dx, dp in keys]
     if len(set(keys)) < len(keys):
         raise ValueError(f"ansatz repeats an exponent monomial: {keys}")
     if not tol >= 0:
@@ -295,7 +272,8 @@ def solve_metric_ansatz(H, exponent_monomials, initial=None, tol=1e-10, max_trie
     n_pts = max(10, 3 * len(keys) + 6)
     pts = rng.uniform(-1.6, 1.6, size=(n_pts, 2))
 
-    build = _exponent_builder(keys)
+    def build(c):
+        return ExpPolySymbol.exp(WeylSymbol(zip(keys, c)))
 
     def resid_vec(c):
         # a single-exponent ansatz leaves a single-exponent residual, so

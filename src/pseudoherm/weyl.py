@@ -17,23 +17,26 @@ Symbols are immutable; every operation returns a new instance.  A symbol
 stores its coefficients as a dense complex array indexed by
 (deg_x, deg_p), trimmed to the box that holds its nonzero terms.
 
-Rounding floors are per coefficient.  An operation that sums terms (+,
--, the pointwise product, star, star_commutator, shifts) also sums their
-magnitudes, and drops a result coefficient only when it is at most
-RESIDUE_ULPS machine epsilons times the summed magnitude of the terms
-that fed it: such a value is rounding residue of a cancellation, not
-physics.  A genuine coefficient survives however small it is next to the
-others, and a coefficient that cancels in exact arithmetic ends at exact
-zero, so is_zero() detects terminating series.  Constructors, scalar multiples and
+Every coefficient array becomes a symbol through one gate, _settle: it
+refuses a NaN or infinite coefficient, or one whose modulus overflows;
+drops rounding residue when an operation passes summed magnitudes; trims;
+and refuses a degree above MAX_DEGREE (its factorial weights overflow
+double precision), so that every symbol, built, parsed or computed,
+prints to a file that parses back.  The operations that sum terms (+, -,
+the pointwise product, star, star_commutator, shifts) pass the summed
+magnitude of the terms that fed each coefficient, and the gate drops a
+coefficient only when it is at most RESIDUE_ULPS machine epsilons times
+that sum: rounding residue of a cancellation, not physics.  A genuine
+coefficient survives however small it is next to the others, and one
+that cancels in exact arithmetic ends at exact zero, so is_zero() detects
+terminating series.  The constructor, the parser, scalar multiples and
 derivatives drop only exact zeros.  ZERO_THRESHOLD is a tolerance for
 comparisons (isclose, is_hermitian, is_pt_symmetric), never for storage.
-A NaN or infinite coefficient raises ValueError, as does a degree above
-MAX_DEGREE (its factorial weights overflow double precision), whether in
-a symbol built or parsed or in the result of an operation, so that every
-symbol prints to a file that parses back; so does a product whose (deg_x,
-deg_p, deg_x, deg_p) work tensor would exceed MAX_TENSOR entries.  A
-coefficient that overflows in an operation is refused by that ValueError
-alone: the operations run with numpy's warnings off.
+The operations and the gate run with numpy's warnings off: an overflow
+is refused by the gate's ValueError alone.  A product whose (deg_x,
+deg_p, deg_x, deg_p) work tensor would exceed MAX_TENSOR entries raises
+ValueError too.  Negation, conjugation, pt_transform and fourier_swap
+only flip signs or relabel degrees, and wrap their arrays as they are.
 
 The Moyal product has two kernels, chosen by the size of the boxes.  When
 its linear map of f (x) g has at most MAX_MAP entries (every product up to
@@ -65,14 +68,13 @@ _RESIDUE = RESIDUE_ULPS * np.finfo(float).eps
 _EMPTY = np.zeros((0, 0), dtype=complex)
 _EMPTY.flags.writeable = False
 
-# operations on coefficients overflow quietly to inf or nan, which _check_finite refuses
+# operations on coefficients overflow quietly to inf or nan, which _settle refuses
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 # -- coefficient arrays ------------------------------------------------------
 
 
-@_quiet
 def _check_finite(c):
     """ValueError for a coefficient whose modulus is NaN or infinite: a
     modulus above the double range has no rounding floor to hold it to."""
@@ -93,28 +95,44 @@ def _trim(c):
     return c[: rows[-1] + 1, : cols.max() + 1]
 
 
-def _settle(values, mags):
-    """Drop rounding residue (|c| <= RESIDUE_ULPS eps * summed magnitude) and wrap.
+@_quiet
+def _settle(values, mags=None):
+    """The symbol on the coefficient array `values`: the one gate from an array to a symbol.
 
-    A NaN magnitude keeps its coefficient: a map's matrix product turns an
-    infinite |f_ab| |g_cd| into 0 * inf = NaN in every output it does not feed.
-    A result with a degree above MAX_DEGREE is refused, so that every
-    symbol an operation returns is one a symbol file can hold.  Runs under
-    the caller's quiet errstate: the largest modulus is inf or NaN exactly
-    when _check_finite refuses the values.
+    A NaN or infinite coefficient, or one whose modulus overflows, raises
+    ValueError, before the floor: an overflowed value beside an overflowed
+    magnitude would pass for residue.  With `mags`, the summed magnitudes
+    of the terms that fed each coefficient, rounding residue goes (|c| <=
+    RESIDUE_ULPS eps * mags); a NaN magnitude keeps its coefficient (a
+    map's matrix product turns an infinite |f_ab| |g_cd| into 0 * inf = NaN
+    in every output it does not feed).  The array is trimmed, so without
+    `mags` only exact zeros go, and a degree above MAX_DEGREE raises
+    ValueError, so that every symbol is one a symbol file can hold.
     """
     if values.size == 0:
         return WeylSymbol._wrap(_EMPTY)
     moduli = np.abs(values)
     if not math.isfinite(np.maximum.reduce(moduli, axis=None)):
         _check_finite(values)
-    c = _trim(np.where(moduli <= _RESIDUE * mags, 0, values))
+    c = _trim(values if mags is None else np.where(moduli <= _RESIDUE * mags, 0, values))
     if max(c.shape) > MAX_DEGREE + 1:
         raise ValueError(
             f"result degrees up to {(c.shape[0] - 1, c.shape[1] - 1)} exceed "
             f"MAX_DEGREE = {MAX_DEGREE}"
         )
     return WeylSymbol._wrap(c)
+
+
+def _gather(rows, cols, parts):
+    """The coefficient array of n terms parts[k] + i parts[n + k] at degrees (rows[k], cols[k]).
+
+    Equal degrees add up in order from 0, as Python complex sums from 0j do
+    (-0 sums to +0), and quietly: an overflow is left for _settle to refuse.
+    """
+    h, w = max(rows, default=-1) + 1, max(cols, default=-1) + 1
+    # the real part of term (a, b) lands at 2 (a w + b) and its imaginary part after it
+    cells = [2 * (a * w + b) for a, b in zip(rows, cols)]
+    return np.bincount(cells + [k + 1 for k in cells], parts, 2 * h * w).view(complex).reshape(h, w)
 
 
 @functools.lru_cache(maxsize=None)
@@ -470,36 +488,32 @@ def _moyal(f, g, odd_only=False):
 class WeylSymbol:
     """Polynomial phase-space symbol, coefficients indexed by (deg_x, deg_p)."""
 
-    __slots__ = ("_c", "_terms")
+    __slots__ = ("_c",)
 
     def __init__(self, terms=None):
-        raw = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for key, coeff in items:
-                dx, dp = key
-                if dx < 0 or dp < 0 or dx != int(dx) or dp != int(dp):
-                    raise ValueError(f"invalid degree key {key!r}")
-                if max(dx, dp) > MAX_DEGREE:
-                    raise ValueError(f"degree key {key!r} exceeds MAX_DEGREE = {MAX_DEGREE}")
-                k = (int(dx), int(dp))
-                raw[k] = raw.get(k, 0j) + complex(coeff)
-        c = np.zeros(
-            (max((k[0] + 1 for k in raw), default=0), max((k[1] + 1 for k in raw), default=0)),
-            dtype=complex,
-        )
-        for k, v in raw.items():
-            c[k] = v
-        _check_finite(c)
-        self._c = _trim(c)
-        self._terms = None
+        """The symbol with the ((deg_x, deg_p), coefficient) terms of a dict or of pairs.
+
+        Every key is checked before a coefficient is read; equal degrees add up.
+        """
+        pairs = list(terms.items() if hasattr(terms, "items") else terms or ())
+        rows, cols = [], []
+        for key, _ in pairs:
+            dx, dp = key
+            if not (0 <= dx < math.inf and 0 <= dp < math.inf) or dx != int(dx) or dp != int(dp):
+                raise ValueError(f"invalid degree key {key!r}")
+            if max(dx, dp) > MAX_DEGREE:
+                raise ValueError(f"degree key {key!r} exceeds MAX_DEGREE = {MAX_DEGREE}")
+            rows.append(int(dx))
+            cols.append(int(dp))
+        coeffs = [complex(coeff) for _, coeff in pairs]
+        parts = [c.real for c in coeffs] + [c.imag for c in coeffs]
+        self._c = _settle(_gather(rows, cols, parts))._c
 
     @classmethod
     def _wrap(cls, c):
         """A symbol on a finite, trimmed coefficient array, taken as is."""
         obj = cls.__new__(cls)
         obj._c = c
-        obj._terms = None
         return obj
 
     # -- constructors ------------------------------------------------------
@@ -536,10 +550,8 @@ class WeylSymbol:
 
     def items(self):
         """The nonzero terms ((deg_x, deg_p), coefficient), sorted by degrees."""
-        if self._terms is None:
-            dx, dp, c = self.arrays()
-            self._terms = dict(zip(zip(dx.tolist(), dp.tolist()), c.tolist()))
-        return self._terms.items()
+        dx, dp, c = self.arrays()
+        return list(zip(zip(dx.tolist(), dp.tolist()), c.tolist()))
 
     def arrays(self):
         """The nonzero terms as the arrays (deg_x, deg_p, coefficient), sorted by degrees."""
@@ -605,9 +617,7 @@ class WeylSymbol:
     def __mul__(self, other):
         """Pointwise (commutative) product; use star() for operator products."""
         if isinstance(other, (int, float, complex)):
-            c = self._c * complex(other)
-            _check_finite(c)
-            return WeylSymbol._wrap(_trim(c))
+            return _settle(self._c * complex(other))
         if isinstance(other, WeylSymbol):
             a, b = self._c, other._c
             return _settle(_convolve(a, b), _convolve(np.abs(a), np.abs(b)).real)
@@ -627,11 +637,13 @@ class WeylSymbol:
 
     # -- calculus ----------------------------------------------------------
 
+    @_quiet
     def diff_x(self, order=1):
-        return WeylSymbol._wrap(_trim(_derivative(self._c, order, 0)))
+        return _settle(_derivative(self._c, order, 0))
 
+    @_quiet
     def diff_p(self, order=1):
-        return WeylSymbol._wrap(_trim(_derivative(self._c, 0, order)))
+        return _settle(_derivative(self._c, 0, order))
 
     @_quiet
     def _shift(self, a, axis):
@@ -691,10 +703,10 @@ class WeylSymbol:
         degrees add up, in file order.
 
         The text is parsed column by column: one split per line, then int()
-        and float() mapped over whole columns and one np.bincount of the
-        parts into the coefficient array, which adds up equal degrees in
-        file order as the line loop did (and quietly: an overflow is
-        refused below).  Refused with a ValueError:
+        and float() mapped over whole columns, and the terms go through the
+        constructor's np.bincount gather and _settle, so a file and the
+        pairs of its terms give the same symbol, or the same refusal but for
+        its 'line N: ' prefix.  Refused with a ValueError:
         - 'line N: expected ...', a row without exactly four fields;
         - 'line N: <the int() or float() message>', a field those refuse;
         - 'line N: invalid degree key (dx, dp)', a negative degree;
@@ -709,27 +721,18 @@ class WeylSymbol:
             lines = [line.partition("#")[0] for line in lines]
         rows = [fields for fields in map(str.split, lines) if fields and fields[0] != "deg_x"]
         if not rows:
-            return cls._wrap(_EMPTY)
+            return cls()
         try:
             if set(map(len, rows)) != {4}:
                 raise ValueError
             dx, dp, re, im = zip(*rows)
             dx, dp = list(map(int, dx)), list(map(int, dp))
             parts = list(map(float, re + im))
-            h, w = max(dx) + 1, max(dp) + 1
-            if min(dx) < 0 or min(dp) < 0 or max(h, w) > MAX_DEGREE + 1:
+            if min(dx) < 0 or min(dp) < 0 or max(max(dx), max(dp)) > MAX_DEGREE:
                 raise ValueError
         except ValueError:
             raise _refusal(text, lines, rows) from None
-        # the real part of term (a, b) lands at 2 (a w + b) and its imaginary part after it
-        cells = [2 * (a * w + b) for a, b in zip(dx, dp)]
-        c = np.bincount(cells + [k + 1 for k in cells], parts, 2 * h * w)
-        c = c.view(complex).reshape(h, w)
-        # terms of distinct degrees are finite with finite moduli when the
-        # 2-norm of all their parts is
-        if len(set(cells)) < len(cells) or not math.isfinite(math.hypot(*parts)):
-            _check_finite(c)
-        return cls._wrap(_trim(c))
+        return _settle(_gather(dx, dp, parts))
 
     def __str__(self):
         if self._c.size == 0:

@@ -307,35 +307,11 @@ def test_solve_metric_ansatz_refuses_bad_arguments(kwargs, message):
 
 @pytest.mark.parametrize(
     "keys",
-    [[(2, 0)], [(0, 1), (1, 0)], [(3, 0), (0, 3), (1, 1)], [(0, 0), (170, 2)], [(4, 4), (1, 0), (0, 2)]],
+    [[(-1, 0)], [(2, 0), (0, 171)], [(2.5, 0)], [(2, 0), (math.inf, 0)], [(0, math.nan)]],
 )
-def test_exponent_builder_matches_the_dict_constructor(keys):
-    # the Levenberg-Marquardt trial exponents: the same bits as
-    # WeylSymbol({k: c_k}), -0 and trailing zeros included, and the same
-    # refusal of a non-finite coefficient
-    build = metric._exponent_builder(keys)
-    rng = np.random.default_rng(len(keys))
-    c = rng.normal(size=len(keys))
-    odd = np.arange(len(keys)) % 2 == 1
-    trials = [c, np.zeros(len(keys)), np.where(odd, -0.0, c), np.where(odd, 0.0, 1e-300)]
-    for c in trials:
-        (prefactor, exponent), = build(c).terms
-        expected = WeylSymbol(dict(zip(keys, c)))
-        assert prefactor == WeylSymbol.one()
-        assert exponent._c.shape == expected._c.shape
-        assert exponent._c.tobytes() == expected._c.tobytes()
-    bad = trials[0].copy()
-    bad[-1] = np.nan
-    messages = []
-    for make in (build, lambda c: WeylSymbol(dict(zip(keys, c)))):
-        with pytest.raises(ValueError) as info:
-            make(bad)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-
-
-@pytest.mark.parametrize("keys", [[(-1, 0)], [(2, 0), (0, 171)]])
-def test_exponent_builder_refuses_keys_as_the_constructor_does(keys):
+def test_solve_metric_ansatz_refuses_keys_as_the_constructor_does(keys):
+    # (2.5, 0) was once fitted as x^2, and a non-finite degree raised
+    # OverflowError or a message that did not name the key
     with pytest.raises(ValueError) as info:
         WeylSymbol(dict.fromkeys(keys, 1.0))
     with pytest.raises(ValueError, match=re.escape(str(info.value))):

@@ -112,3 +112,23 @@ def test_no_library_path_runs_crank_nicolson(path):
     # other module may call it
     tree = ast.parse(path.read_text(), filename=str(path))
     assert "crank_nicolson_propagate" not in set(_identifiers(tree))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(SOURCE.glob("*.py")) if path.name != "weyl.py"],
+    ids=lambda path: path.name,
+)
+def test_only_weyl_reaches_inside_a_symbol(path):
+    # the symbol invariant (finite, trimmed, degrees at most MAX_DEGREE)
+    # lives in one module: every coefficient array becomes a symbol through
+    # its one gate, so no other module may import a private weyl name or
+    # read a symbol's array or its unchecked _wrap
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reached = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("weyl", "pseudoherm.weyl"):
+            reached += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("_c", "_wrap"):
+            reached.append(node.attr)
+    assert reached == []

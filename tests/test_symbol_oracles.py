@@ -361,12 +361,13 @@ def loop_trim(c):
     return c[: rows[-1] + 1, : cols[-1] + 1]
 
 
-def loop_settle(values, mags):
-    """_settle as it was: refuse a non-finite modulus, floor, trim, wrap."""
-    weyl._check_finite(values)
+def loop_settle(values, mags=None):
+    """_settle as it was: refuse a non-finite modulus, floor (not without mags), trim, wrap."""
     with np.errstate(over="ignore", invalid="ignore"):
-        floored = np.where(np.abs(values) <= weyl._RESIDUE * mags, 0, values)
-    return WeylSymbol._wrap(loop_trim(floored))
+        weyl._check_finite(values)
+        if mags is not None:
+            values = np.where(np.abs(values) <= weyl._RESIDUE * mags, 0, values)
+    return WeylSymbol._wrap(loop_trim(values))
 
 
 def settled(settle, values, mags):

@@ -12,6 +12,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudoherm import weyl
 from pseudoherm.weyl import (
@@ -351,6 +353,65 @@ def test_exp_exp_star_unsupported():
 def test_invalid_degree_keys():
     with pytest.raises(ValueError):
         WeylSymbol({(-1, 0): 1.0})
+
+
+@pytest.mark.parametrize(
+    "key", [(math.inf, 0), (0, math.nan), (np.float64(np.inf), 1), (np.float64(np.nan), 1)]
+)
+def test_degree_keys_that_are_not_finite_are_refused_by_name(key):
+    # int() once ran first: inf raised OverflowError, nan a message without the key
+    with pytest.raises(ValueError, match=re.escape(f"invalid degree key {key!r}")):
+        WeylSymbol({key: 1.0})
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda: WeylSymbol({(170, 0): 1e300}).diff_x(100),
+        lambda: WeylSymbol({(0, 170): 1e300}).diff_p(100),
+        lambda: ExpPolySymbol.exp(WeylSymbol({(170, 0): 1e307})).diff_x(),
+        lambda: ExpPolySymbol.exp(WeylSymbol.x(), prefactor=WeylSymbol({(0, 170): 1e307})).diff_p(),
+    ],
+    ids=["diff_x", "diff_p", "exp_diff_x", "exp_diff_p"],
+)
+def test_derivatives_refuse_a_coefficient_that_overflows(derive):
+    # 1e300 * 170!/70! once came back as inf+nanj at degree (70, 0), which
+    # to_text wrote and from_text then refused
+    with pytest.raises(ValueError, match="non-finite"):
+        derive()
+
+
+DEGREES = st.tuples(st.sampled_from((0, 1, 2, -1, 171)), st.sampled_from((0, 1, 2)))
+PARTS = st.sampled_from(
+    (1.0, -2.5, 0.0, -0.0, 0.1, 1e308, -1e308, 1.5e308, 1e-320, math.inf, -math.inf, math.nan)
+)
+
+
+def _built(make):
+    """(shape, bytes) of the coefficient array make() stores, or its ValueError text
+    without the parser's 'line N: ' prefix."""
+    try:
+        c = make()._c
+    except ValueError as exc:
+        return re.sub(r"^line \d+: ", "", str(exc))
+    return c.shape, c.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(DEGREES, PARTS, PARTS), max_size=6))
+@example([((2, 0), -0.0, -0.0), ((2, 0), -0.0, 0.0), ((0, 1), 1.0, -0.0)])  # sums at -0 and +0
+@example([((1, 1), 1e308, 0.0), ((1, 1), 1e308, 0.0)])  # the sum overflows
+@example([((0, 2), 1.5e308, 1.5e308), ((0, 0), 1.0, 0.0)])  # the modulus overflows
+@example([((1, 0), 1.0, math.nan), ((0, 1), math.inf, 0.0)])
+@example([((1, 0), math.inf, 0.0), ((1, 0), -math.inf, 0.0)])  # inf - inf sums to nan
+@example([((0, 0), 1.0, 0.0), ((171, 0), 1.0, 0.0), ((-1, 0), 1.0, 0.0)])
+@example([])
+def test_constructor_and_parser_store_the_same_bits(terms):
+    # WeylSymbol(pairs) and WeylSymbol.from_text share one gather and one
+    # gate: the same coefficients, -0 included, or the same refusal
+    pairs = [(key, complex(re_, im)) for key, re_, im in terms]
+    text = "".join(f"{dx} {dp} {re_!r} {im!r}\n" for (dx, dp), re_, im in terms)
+    assert _built(lambda: WeylSymbol(pairs)) == _built(lambda: WeylSymbol.from_text(text))
 
 
 def test_results_past_max_degree_are_refused():
