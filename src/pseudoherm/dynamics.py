@@ -36,7 +36,7 @@ from .models import (
     spiked_energy,
     spiked_matrix_element,
 )
-from .weyl import ExpPolySymbol, WeylSymbol, star
+from .weyl import ExpPolySymbol, WeylSymbol, intertwining_residual
 
 
 @dataclass(frozen=True)
@@ -180,8 +180,8 @@ def gauge_residual(h0, pulse, t):
     ints = field_integrals(pulse, t)
     velocity_gauge = ExpPolySymbol.exp(WeylSymbol.monomial(1, 0, 1j * ints.b))
     kramers_gauge = ExpPolySymbol.exp(WeylSymbol.monomial(0, 1, -1j * ints.c))
-    res_velocity = star(h0, velocity_gauge) - star(velocity_gauge, h0.shift_p(ints.b))
-    res_kramers = star(h0, kramers_gauge) - star(kramers_gauge, h0.shift_x(ints.c))
+    res_velocity = intertwining_residual(h0, velocity_gauge, h0.shift_p(ints.b))
+    res_kramers = intertwining_residual(h0, kramers_gauge, h0.shift_x(ints.c))
     return res_velocity, res_kramers
 
 

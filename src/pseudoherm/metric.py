@@ -21,7 +21,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .weyl import ExpPolySymbol, WeylSymbol, hermitian_conjugate, star, star_commutator
+from .weyl import (
+    ExpPolySymbol,
+    WeylSymbol,
+    hermitian_conjugate,
+    intertwining_residual,
+    star_commutator,
+)
 
 class TerminationError(RuntimeError):
     """A commutator chain required to terminate did not."""
@@ -161,12 +167,15 @@ def observable_map(observable, q, max_order=32):
 
 
 def metric_residual(H, eta_squared):
-    """Pseudo-Hermiticity defect star(H^dag, eta^2) - star(eta^2, H)."""
+    """Pseudo-Hermiticity defect star(H^dag, eta^2) - star(eta^2, H).
+
+    Each term of eta^2 keeps its exponent, and its two prefactors subtract
+    as polynomials (weyl.intertwining_residual), so one residual builds one
+    derivative table of eta^2.
+    """
     if isinstance(eta_squared, WeylSymbol):
         raise TypeError("eta_squared must be an ExpPolySymbol; use ExpPolySymbol.exp")
-    left = star(hermitian_conjugate(H), eta_squared)
-    right = star(eta_squared, H)
-    return left - right
+    return intertwining_residual(hermitian_conjugate(H), eta_squared, H)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,13 @@ rather than with the map.  Coefficient scatters (a + c, b + d) are one
 np.bincount over a cached flat index.  Maps, tensor-kernel plans and
 indices share one least-recently-used cache of at most CACHE_BYTES
 (16 MiB); the tensor kernel's scratch buffer is apart from it.
+
+A polynomial times an exponential term P e^E is e^E times sum_k w_k D_k
+(x) T_k over the Moyal orders k: D_k a derivative of the polynomial, T_k
+one of e^-E d_x^a d_p^b (P e^E), held in one derivative table per term
+that the ExpPolySymbol keeps, and the sum over k is one einsum for the
+values and one for the magnitudes, for one product or for the two of
+intertwining_residual at once.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -115,12 +122,16 @@ def _settle(values, mags=None):
     if not math.isfinite(np.maximum.reduce(moduli, axis=None)):
         _check_finite(values)
     c = _trim(values if mags is None else np.where(moduli <= _RESIDUE * mags, 0, values))
-    if max(c.shape) > MAX_DEGREE + 1:
-        raise ValueError(
-            f"result degrees up to {(c.shape[0] - 1, c.shape[1] - 1)} exceed "
-            f"MAX_DEGREE = {MAX_DEGREE}"
-        )
+    _check_degrees(c.shape)
     return WeylSymbol._wrap(c)
+
+
+def _check_degrees(shape):
+    """ValueError for a coefficient box of `shape` that holds a degree above MAX_DEGREE."""
+    if max(shape) > MAX_DEGREE + 1:
+        raise ValueError(
+            f"result degrees up to {(shape[0] - 1, shape[1] - 1)} exceed MAX_DEGREE = {MAX_DEGREE}"
+        )
 
 
 def _gather(rows, cols, parts):
@@ -216,13 +227,20 @@ def _scatter_add(values, strides, size):
 
 
 def _scatter(t):
-    """Sum the entries of a 4-D (a, b, c, d) tensor into the 2-D array at (a + c, b + d)."""
-    na, nb, nc, nd = t.shape
+    """Sum the entries of a (..., a, b, c, d) tensor into the array (..., a + c, b + d).
+
+    Each output entry sums its terms in C order of (a, b, c, d), whatever
+    the leading axes.
+    """
+    *batch, na, nb, nc, nd = t.shape
     h, w = na + nc - 1, nb + nd - 1
+    n = math.prod(batch)
     if t.dtype == complex:  # the two parts as a trailing axis, landing side by side
-        parts = t.view(float).reshape(na, nb, nc, nd, 2)
-        return _scatter_add(parts, (2 * w, 2, 2 * w, 2, 1), 2 * h * w).view(complex).reshape(h, w)
-    return _scatter_add(t, (w, 1, w, 1), h * w).reshape(h, w)
+        parts = t.view(float).reshape(n, na, nb, nc, nd, 2)
+        flat = _scatter_add(parts, (2 * h * w, 2 * w, 2, 2 * w, 2, 1), 2 * n * h * w)
+        return flat.view(complex).reshape(*batch, h, w)
+    flat = _scatter_add(t.reshape(n, na, nb, nc, nd), (h * w, w, 1, w, 1), n * h * w)
+    return flat.reshape(*batch, h, w)
 
 
 def _check_tensor(na, nb, nc, nd):
@@ -639,11 +657,11 @@ class WeylSymbol:
 
     @_quiet
     def diff_x(self, order=1):
-        return _settle(_derivative(self._c, order, 0))
+        return _settle(_derivative(self._c, _order(order), 0))
 
     @_quiet
     def diff_p(self, order=1):
-        return _settle(_derivative(self._c, 0, order))
+        return _settle(_derivative(self._c, 0, _order(order)))
 
     @_quiet
     def _shift(self, a, axis):
@@ -783,6 +801,11 @@ class ExpPolySymbol:
     merges terms whose exponents are equal coefficient for coefficient
     (exponents that differ only by rounding stay separate terms) and
     drops zero prefactors.
+
+    Each term P e^E keeps the derivative tables of _exp_table that its star
+    products have built, one per set of derivative orders: the two products
+    of metric_residual, H^dag * e^q and e^q * H, read the same orders of
+    e^q, so they share one table.
     """
 
     __slots__ = ("_terms", "_tables")
@@ -805,12 +828,14 @@ class ExpPolySymbol:
         self._terms = tuple((p, e) for p, e in merged if not p.is_zero())
         self._tables = {}
 
-    def _deriv_tables(self, smax):
-        """Each term's _exp_deriv_table up to total order smax, built once per smax
-        (metric_residual multiplies one exponential from both sides)."""
-        if smax not in self._tables:
-            self._tables[smax] = [_exp_deriv_table(p._c, e._c, smax) for p, e in self._terms]
-        return self._tables[smax]
+    def _derivative_tables(self, heights):
+        """Each term's _exp_table for the column heights (an int array), built once per heights."""
+        key = heights.tobytes()
+        tables = self._tables.get(key)
+        if tables is None:
+            heights = heights.tolist()
+            tables = self._tables[key] = [_exp_table(p._c, e._c, heights) for p, e in self._terms]
+        return tables
 
     @classmethod
     def exp(cls, exponent, prefactor=1.0):
@@ -850,13 +875,13 @@ class ExpPolySymbol:
 
     def diff_x(self, order=1):
         terms = list(self._terms)
-        for _ in range(order):
+        for _ in range(_order(order)):
             terms = [(p.diff_x() + p * e.diff_x(), e) for p, e in terms]
         return ExpPolySymbol(terms)
 
     def diff_p(self, order=1):
         terms = list(self._terms)
-        for _ in range(order):
+        for _ in range(_order(order)):
             terms = [(p.diff_p() + p * e.diff_p(), e) for p, e in terms]
         return ExpPolySymbol(terms)
 
@@ -875,6 +900,13 @@ class ExpPolySymbol:
         return f"ExpPolySymbol({self})"
 
 
+def _order(order):
+    """A derivative order, refused with ValueError when negative."""
+    if order < 0:
+        raise ValueError(f"derivative order must be non-negative, got {order}")
+    return order
+
+
 # -- module-level operations ----------------------------------------------
 
 
@@ -882,63 +914,171 @@ def hermitian_conjugate(f):
     return f.conjugate()
 
 
-def _exp_deriv_table(prefactor, exponent, smax):
-    """e^-E d_x^a d_p^b (P e^E) for a + b <= smax, as coefficient arrays keyed (a, b)."""
-    wx = _derivative(exponent, 1, 0)
-    wp = _derivative(exponent, 0, 1)
-    tab = {(0, 0): prefactor}
-    for total in range(1, smax + 1):
-        for a in range(total + 1):
-            b = total - a
-            if b > 0:
-                q = tab[(a, b - 1)]
-                tab[(a, b)] = _padded_sum(_derivative(q, 0, 1), _convolve(q, wp))[0]
-            else:
-                q = tab[(a - 1, 0)]
-                tab[(a, b)] = _padded_sum(_derivative(q, 1, 0), _convolve(q, wx))[0]
-    return tab
+def _reach(c):
+    """reach[u, v]: whether d_x^u d_p^v of the symbol with coefficient array c is nonzero,
+    that is whether some term x^a p^b has a >= u and b >= v."""
+    nonzero = c[::-1, ::-1] != 0
+    return np.logical_or.accumulate(np.logical_or.accumulate(nonzero), axis=1)[::-1, ::-1]
 
 
-def _star_with_exp(poly, factor, poly_left):
-    """poly * factor (poly_left) or factor * poly, for an ExpPolySymbol factor.
+def _exp_step(q, w, ramp, out):
+    """out += (d + w) q for a stack q of (n, h, k) coefficient arrays, in their (h, k) box.
 
-    Each exponential term P e^E keeps its exponent; its prefactor becomes
-    sum_uv w_uv (d_x^u d_p^v left)(d_x^v d_p^u right) with the derivatives
-    of P e^E taken from the table, all (u, v) in one weighted batch of
-    pointwise products.
+    d is the first derivative along x, with ramp = [[1], [2], ..., [h - 1]],
+    or along p, with ramp = [1, 2, ..., k - 1]; w, given as its nonzero
+    terms (c, e, w_ce) in reverse C order, multiplies pointwise.  From a
+    zero `out`, each coefficient sums its product terms in the order
+    _convolve sums them and then adds the derivative.  The terms a product
+    would carry past the box are zero when the box holds the result.
     """
-    smax = poly.total_degree()
-    orders = [(u, s - u) for s in range(smax + 1) for u in range(s + 1)]
-    out_terms = []
-    for (_, exponent), tab in zip(factor.terms, factor._deriv_tables(smax)):
-        weights, left, right = [], [], []
-        for u, v in orders:
-            d = _derivative(poly._c, *((u, v) if poly_left else (v, u)))
-            if not d.any():
-                continue
-            weights.append((0.5j) ** u * (-0.5j) ** v / (math.factorial(u) * math.factorial(v)))
-            left.append(d)
-            right.append(tab[(v, u) if poly_left else (u, v)])
-        out_terms.append((_weighted_products(weights, left, right), exponent))
-    return ExpPolySymbol(out_terms)
+    h, k = q.shape[1:]
+    for c, e, w_ce in w:
+        out[:, c:, e:] += q[:, : h - c, : k - e] * w_ce
+    if ramp.ndim == 2:
+        out[:, :-1] += q[:, 1:] * ramp
+    else:
+        out[:, :, :-1] += q[:, :, 1:] * ramp
 
 
-def _stack(arrays):
-    shape = (max(a.shape[0] for a in arrays), max(a.shape[1] for a in arrays))
-    out = np.zeros((len(arrays),) + shape, dtype=complex)
-    for k, a in enumerate(arrays):
-        out[k, : a.shape[0], : a.shape[1]] = a
+def _exp_table(prefactor, exponent, heights):
+    """T[a, b] = e^-E d_x^a d_p^b (P e^E) for P = prefactor and E = exponent,
+    at every a < heights[b], as one (n, h, k) stack: column after column,
+    so that T[a, b] sits at a + heights[0] + ... + heights[b - 1].
+
+    The heights do not grow with b, so the entries form a down-set: with
+    (a, b) they hold every (a', b') <= (a, b).  Column b = 0 comes in
+    steps of d_x + E_x, one entry at a time; then each column comes from
+    the one before in one step of d_p + E_p over all its rows, so
+    T[a, b] = (d_p + E_p)^b (d_x + E_x)^a P.  The entries share the box of
+    the largest: a step grows a box by the degrees of E_x (or E_p).  A box
+    past MAX_DEGREE raises _settle's ValueError before the table is
+    allocated.
+    """
+    rows, cols = np.nonzero(exponent)
+    terms = list(zip(rows.tolist(), cols.tolist(), exponent[rows, cols].tolist()))[::-1]
+    # E_x and E_p as their nonzero terms (c, e, w_ce), in reverse C order
+    wx = [(i - 1, j, e * i) for i, j, e in terms if i]
+    wp = [(i, j - 1, e * j) for i, j, e in terms if j]
+    gx, gp = ([max(t[axis] for t in w) if w else 0 for axis in (0, 1)] for w in (wx, wp))
+    box = [
+        n + max((h - 1) * gx[axis] + b * gp[axis] for b, h in enumerate(heights))
+        for axis, n in enumerate(prefactor.shape)
+    ]
+    _check_degrees(box)
+    starts = [0, *accumulate(heights)]
+    table = np.zeros((starts[-1], *box), dtype=complex)
+    table[0, : prefactor.shape[0], : prefactor.shape[1]] = prefactor
+    ramp_x, ramp_p = np.arange(1.0, box[0])[:, None], np.arange(1.0, box[1])
+    # without E_x (E_p) a step only differentiates, and box[0] (box[1]) of them leave zero
+    for a in range(1, heights[0] if wx else min(heights[0], box[0])):
+        _exp_step(table[a - 1 : a], wx, ramp_x, table[a : a + 1])
+    for b in range(1, len(heights) if wp else min(len(heights), box[1])):
+        column = table[starts[b - 1] : starts[b - 1] + heights[b]]
+        _exp_step(column, wp, ramp_p, table[starts[b] : starts[b] + heights[b]])
+    return table
+
+
+def _exp_star_plan(*products):
+    """The gathers and weights of the exponential stars of one factor with
+    polynomials, each given as (na, nb, support, poly_left): its (na, nb)
+    box holds nonzero terms where `support` (the bytes of a bool array)
+    says, and it multiplies the factor from the left (poly_left) or from
+    the right.
+
+    The Moyal order (u, v) pairs d_x^u d_p^v of the left factor with
+    d_x^v d_p^u of the right one at weight (i/2)^u/u! (-i/2)^v/v!.  Product
+    s keeps the orders whose derivative of its polynomial is not zero, by
+    u + v and then u, padded with zero weights to the count K of the
+    longest: D[s, k], the derivative d_x^u d_p^v of its polynomial (d_x^v
+    d_p^u to the right of the factor), is coefficients[flat] * mult_x *
+    mult_p, where `coefficients` holds the raveled polynomials one after
+    the other, and it is zero past its box.  It meets the table entry
+    T[v, u] (T[u, v] to the right), which `entry` locates in the stack of
+    _exp_table.  A product reads the entries T[a, b] with
+    reach[b, a] (see _reach); heights[b] counts those of column b that
+    some product reads.
+
+    Returns (flat, mult_x, mult_p, weights, |weights|, entry, heights),
+    each with a leading axis over the products but heights.
+    """
+    na, nb = max(p[0] for p in products), max(p[1] for p in products)
+    reaches = [_reach(np.frombuffer(p[2], dtype=bool).reshape(p[:2])) for p in products]
+    heights = np.zeros(na, dtype=int)
+    for reach in reaches:
+        heights[: len(reach)] = np.maximum(heights[: len(reach)], reach.sum(axis=1))
+    starts = np.concatenate(([0], np.cumsum(heights)))
+    plans, offset = [], 0
+    for (n_a, n_b, _, poly_left), reach in zip(products, reaches):
+        u, v = np.array([(u, s - u) for s in range(n_a + n_b - 1) for u in range(s + 1)]).T
+        du, dv = (u, v) if poly_left else (v, u)
+        keep = (du < n_a) & (dv < n_b)
+        keep[keep] = reach[du[keep], dv[keep]]
+        u, v, du, dv = u[keep], v[keep], du[keep], dv[keep]
+        weights = np.array([
+            (0.5j) ** i * (-0.5j) ** j / (math.factorial(i) * math.factorial(j))
+            for i, j in zip(u.tolist(), v.tolist())
+        ])
+        rows = du[:, None, None] + np.arange(na)[:, None]
+        cols = dv[:, None, None] + np.arange(nb)
+        mult_x = np.where(rows < n_a, _falling(n_a)[np.minimum(rows, n_a - 1), du[:, None, None]], 0.0)
+        mult_p = np.where(cols < n_b, _falling(n_b)[np.minimum(cols, n_b - 1), dv[:, None, None]], 0.0)
+        flat = offset + np.minimum(rows, n_a - 1) * n_b + np.minimum(cols, n_b - 1)
+        offset += n_a * n_b
+        ta, tb = (v, u) if poly_left else (u, v)
+        plans.append((flat, mult_x, mult_p, weights, np.abs(weights), starts[tb] + ta))
+    size = max(plan[0].shape[0] for plan in plans)
+    stacked = []
+    for part in zip(*plans):
+        out = np.zeros((len(plans), size, *part[0].shape[1:]), dtype=part[0].dtype)
+        for s, a in enumerate(part):
+            out[s, : a.shape[0]] = a
+        stacked.append(out)
+    return (*stacked, heights)
+
+
+@_quiet
+def _star_with_exp(products, factor):
+    """The prefactors of the products of an ExpPolySymbol factor with
+    polynomials: for each (poly, poly_left) of products, those of
+    poly * factor (poly_left) or factor * poly, one WeylSymbol per term of
+    factor, zero ones kept.
+
+    Each term P e^E keeps its exponent; its prefactor becomes
+    sum_k w_k D_k (x) T_k over the Moyal orders of _exp_star_plan.  For all
+    products at once, the derivatives D_k of the polynomials come from one
+    gather and the entries T_k of the term's _exp_table from one take, and
+    the sum is one einsum over k for the values and one for the
+    magnitudes, each scattered to (a + c, b + d); _settle floors each
+    product's prefactor.
+    """
+    out = [[WeylSymbol._wrap(_EMPTY)] * len(factor.terms) for _ in products]
+    live = [(s, poly._c, poly_left) for s, (poly, poly_left) in enumerate(products) if poly._c.size]
+    if not live:
+        return out
+    flat, mult_x, mult_p, w, abs_w, entry, heights = _CACHE(
+        _exp_star_plan, *((*c.shape, (c != 0).tobytes(), poly_left) for _, c, poly_left in live)
+    )
+    d = np.concatenate([c.ravel() for _, c, _ in live])[flat] * mult_x * mult_p
+    abs_d = np.abs(d)
+    for term, table in enumerate(factor._derivative_tables(heights)):
+        t = table[entry]
+        values = _scatter(np.einsum("sk,skab,skcd->sabcd", w, d, t))
+        mags = _scatter(np.einsum("sk,skab,skcd->sabcd", abs_w, abs_d, np.abs(t)))
+        for (s, _, _), v, m in zip(live, values, mags):
+            out[s][term] = _settle(v, m)
     return out
 
 
-def _weighted_products(weights, left, right):
-    """sum_k w_k left_k right_k (pointwise products), floored per coefficient."""
-    if not weights:
-        return WeylSymbol.zero()
-    w, a, b = np.array(weights), _stack(left), _stack(right)
-    values = _scatter(np.einsum("k,kab,kcd->abcd", w, a, b))
-    mags = _scatter(np.einsum("k,kab,kcd->abcd", np.abs(w), np.abs(a), np.abs(b)))
-    return _settle(values, mags)
+def intertwining_residual(left, factor, right):
+    """left * factor - factor * right, for polynomials left and right and an ExpPolySymbol factor.
+
+    Both products keep each term's exponent, so each term's two prefactors
+    subtract as polynomials, with the floors of WeylSymbol addition.  The
+    two products run as one batch and read one derivative table of each
+    term of factor.
+    """
+    lefts, rights = _star_with_exp([(left, True), (right, False)], factor)
+    return ExpPolySymbol([(p - q, e) for p, q, (_, e) in zip(lefts, rights, factor.terms)])
 
 
 @_quiet
@@ -956,9 +1096,9 @@ def star(f, g):
         return _settle(*_moyal(f._c, g._c))
     if f_exp and g_exp:
         raise TypeError("star product of two exponential symbols is not supported")
-    if f_exp:
-        return _star_with_exp(g, f, poly_left=False)
-    return _star_with_exp(f, g, poly_left=True)
+    poly, factor = (g, f) if f_exp else (f, g)
+    prefactors, = _star_with_exp([(poly, not f_exp)], factor)
+    return ExpPolySymbol(zip(prefactors, (e for _, e in factor.terms)))
 
 
 @_quiet

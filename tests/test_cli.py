@@ -437,6 +437,16 @@ def test_products_past_max_degree_exit_1(capsys, tmp_path):
     assert code == 0 and out.endswith("\n0,168,1,0\n")
 
 
+def test_metric_verify_refuses_a_derivative_table_past_max_degree(capsys, tmp_path):
+    # the table of exp(x^100/2) reaches degree 198 at d_x^2, which p^2 needs;
+    # it once overflowed in a factorial table and printed a traceback
+    H = write_symbol(tmp_path / "H.sym", {(0, 2): 0.5, (4, 0): 0.5})
+    exponent = write_symbol(tmp_path / "E.sym", {(100, 0): 0.5})
+    code, out, err = invoke(capsys, ["metric-verify", "--hamiltonian", H, "--exponent", exponent])
+    assert (code, out) == (1, "")
+    assert err == "error: result degrees up to (198, 0) exceed MAX_DEGREE = 170\n"
+
+
 def test_star_non_finite_coefficient_exits_1(capsys, tmp_path):
     # a NaN behind the first term must not be dropped, leaving 1 * p^2
     f = tmp_path / "f.sym"

@@ -1,17 +1,20 @@
 """Oracles of the symbol request path, kept from the code they replaced.
 
 `loop_from_text` is the per-line, dict-accumulating parser that
-`WeylSymbol.from_text` replaced with a column parse,
-`uncached_star_with_exp` the exponential star that builds its derivative
-table for each product, where an `ExpPolySymbol` now keeps the table for
-the next product with a polynomial of the same degree, and `loop_settle`
-the rounding floor before it checked finiteness by one largest modulus
-and trimmed by counting nonzeros.  Each new path must
-give the same bits as its oracle: the coefficient arrays here, and the
-stdout bytes of whole `cli.run` requests.  `sweep_moyal_by_tensor` is the
-Moyal tensor kernel that shifted and weighted the (b, c) cells once per
-order v, where the kernel now multiplies them by real blocks; it sums in
-another order, so the two agree within the rounding floor.
+`WeylSymbol.from_text` replaced with a column parse, `_star_with_exp` the
+exponential star that built its derivative table entry by entry and
+gathered the Moyal orders in a Python loop, where the array kernel of
+`weyl._star_with_exp` now builds one stacked table and sums the orders in
+one einsum, and `loop_settle` the rounding floor before it checked
+finiteness by one largest modulus and trimmed by counting nonzeros.  Each
+new path must give the same bits as its oracle: the coefficient arrays
+here, and the stdout bytes of whole `cli.run` requests; the exponential
+star's own table may differ in the last bit, and agrees within the
+rounding floor (see test_array_star_matches_the_per_entry_star).
+`sweep_moyal_by_tensor` is the Moyal tensor kernel that shifted and
+weighted the (b, c) cells once per order v, where the kernel now
+multiplies them by real blocks; it sums in another order, so the two
+agree within the rounding floor.
 
 The property test is derandomized; see `test_cli_properties.py` for why
 its draws still move with literals elsewhere, and why each input it has
@@ -21,6 +24,7 @@ import contextlib
 import io
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,15 +127,179 @@ def test_refusals_name_the_line(text, message):
         loop_from_text(text)
 
 
-# -- the exponential star without a shared table -----------------------------
+# -- the per-entry exponential star ------------------------------------------
+#
+# The exponential star as it was before the array kernel, kept as its oracle:
+# a dict of derivative arrays, one entry at a time, and the orders of the
+# Moyal series gathered by a Python loop.  It builds its table for each
+# product (where the kernel keeps one on the ExpPolySymbol); otherwise it
+# is unchanged.
 
-_star_with_exp = weyl._star_with_exp
+
+def _exp_deriv_table(prefactor, exponent, smax):
+    """e^-E d_x^a d_p^b (P e^E) for a + b <= smax, as coefficient arrays keyed (a, b)."""
+    wx = weyl._derivative(exponent, 1, 0)
+    wp = weyl._derivative(exponent, 0, 1)
+    tab = {(0, 0): prefactor}
+    for total in range(1, smax + 1):
+        for a in range(total + 1):
+            b = total - a
+            if b > 0:
+                q = tab[(a, b - 1)]
+                tab[(a, b)] = weyl._padded_sum(weyl._derivative(q, 0, 1), weyl._convolve(q, wp))[0]
+            else:
+                q = tab[(a - 1, 0)]
+                tab[(a, b)] = weyl._padded_sum(weyl._derivative(q, 1, 0), weyl._convolve(q, wx))[0]
+    return tab
 
 
-def uncached_star_with_exp(poly, factor, poly_left):
-    """_star_with_exp on a fresh copy of the factor, whose derivative table is
-    built for this product alone."""
-    return _star_with_exp(poly, ExpPolySymbol(factor.terms), poly_left)
+def _star_with_exp(poly, factor, poly_left):
+    """poly * factor (poly_left) or factor * poly, for an ExpPolySymbol factor.
+
+    Each exponential term P e^E keeps its exponent; its prefactor becomes
+    sum_uv w_uv (d_x^u d_p^v left)(d_x^v d_p^u right) with the derivatives
+    of P e^E taken from the table, all (u, v) in one weighted batch of
+    pointwise products.
+    """
+    smax = poly.total_degree()
+    orders = [(u, s - u) for s in range(smax + 1) for u in range(s + 1)]
+    out_terms = []
+    tables = [_exp_deriv_table(p._c, e._c, smax) for p, e in factor.terms]
+    for (_, exponent), tab in zip(factor.terms, tables):
+        weights, left, right = [], [], []
+        for u, v in orders:
+            d = weyl._derivative(poly._c, *((u, v) if poly_left else (v, u)))
+            if not d.any():
+                continue
+            weights.append((0.5j) ** u * (-0.5j) ** v / (math.factorial(u) * math.factorial(v)))
+            left.append(d)
+            right.append(tab[(v, u) if poly_left else (u, v)])
+        out_terms.append((_weighted_products(weights, left, right), exponent))
+    return ExpPolySymbol(out_terms)
+
+
+def _stack(arrays):
+    shape = (max(a.shape[0] for a in arrays), max(a.shape[1] for a in arrays))
+    out = np.zeros((len(arrays),) + shape, dtype=complex)
+    for k, a in enumerate(arrays):
+        out[k, : a.shape[0], : a.shape[1]] = a
+    return out
+
+
+def _weighted_products(weights, left, right):
+    """sum_k w_k left_k right_k (pointwise products), floored per coefficient."""
+    if not weights:
+        return WeylSymbol.zero()
+    w, a, b = np.array(weights), _stack(left), _stack(right)
+    values = weyl._scatter(np.einsum("k,kab,kcd->abcd", w, a, b))
+    mags = weyl._scatter(np.einsum("k,kab,kcd->abcd", np.abs(w), np.abs(a), np.abs(b)))
+    return weyl._settle(values, mags)
+
+
+def oracle_prefactors(products, factor):
+    """The prefactors of the per-entry star for each (poly, poly_left) of
+    products, one per term of factor, zero ones kept: weyl._star_with_exp's
+    contract, for monkeypatching."""
+    out = []
+    for poly, poly_left in products:
+        prefactors = []
+        for term in factor.terms:
+            product = _star_with_exp(poly, ExpPolySymbol([term]), poly_left)
+            prefactors.append(product.terms[0][0] if product.terms else WeylSymbol.zero())
+        out.append(prefactors)
+    return out
+
+
+def oracle_table(prefactor, exponent, heights):
+    """_exp_deriv_table's entries in the layout of weyl._exp_table: T[a, b]
+    for a < heights[b], column after column."""
+    tab = _exp_deriv_table(prefactor, exponent, max(h - 1 + b for b, h in enumerate(heights)))
+    entries = [tab[a, b] for b, h in enumerate(heights) for a in range(h)]
+    box = (max(e.shape[0] for e in entries), max(e.shape[1] for e in entries))
+    table = np.zeros((len(entries), *box), dtype=complex)
+    for k, e in enumerate(entries):
+        table[k, : e.shape[0], : e.shape[1]] = e
+    return table
+
+
+def floored_sums(star, products, factor):
+    """The (values, magnitudes) that star(products, factor) passes to _settle,
+    one pair per product and term of factor."""
+    sums = []
+    settle = weyl._settle
+
+    def recording(values, mags=None):
+        if mags is not None:
+            sums.append((values, mags))
+        return settle(values, mags)
+
+    with mock.patch.object(weyl, "_settle", recording):
+        star(products, factor)
+    return sums
+
+
+def _exponent(rng, kind):
+    """A random exponent of degree <= 3: in x only, in p only, or with terms in both."""
+    degrees = {"x": [(1, 0), (2, 0), (3, 0)], "p": [(0, 1), (0, 2), (0, 3)],
+               "xp": [(1, 1), (0, 3), (2, 1), (1, 0), (0, 2)]}[kind]
+    keep = rng.random(len(degrees)) < 0.6
+    keep[rng.integers(len(degrees))] = True
+    return WeylSymbol({k: complex(*(0.4 * rng.standard_normal(2))) for k, use in zip(degrees, keep) if use})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 6), st.booleans()), min_size=1, max_size=2),
+    st.lists(st.sampled_from(("x", "p", "xp")), min_size=1, max_size=2),
+)
+@example(0, [(0, True)], ["x"])
+@example(1, [(1, True), (4, False)], ["p", "xp"])
+@example(2, [(2, False)], ["xp", "p"])
+@example(3, [(3, False), (3, True)], ["x"])
+@example(4, [(4, True)], ["xp"])
+@example(5, [(5, False)], ["x", "p"])
+@example(6, [(6, True), (2, False)], ["xp", "x"])
+@example(7, [(6, False)], ["p"])
+def test_array_star_matches_the_per_entry_star(seed, polys, kinds):
+    """The exponential star's array kernel against the per-entry star it replaced.
+
+    Each draw multiplies one or two polynomials, of degree 0 to 6, from
+    either side with an ExpPolySymbol of one or two terms whose exponents
+    lie in x, in p or in both; two products run as one batch of the kernel.
+    The polynomials' derivatives, the einsum over the Moyal orders, the
+    scatter and the floor keep the per-entry star's order of operations:
+    given the per-entry derivative table, the kernel gives its bits.  The
+    table itself rounds each complex product as numpy rounds it, and numpy
+    picks a different loop (with or without fused multiply-add) for
+    different array shapes, so a table in the kernel's layout may differ in
+    the last bit; with its own table the kernel agrees with the per-entry
+    star within the _settle floor, before the floor applies.
+    """
+    rng = np.random.default_rng(seed)
+    products = [(WeylSymbol._wrap(weyl._trim(_dense(rng, degree) * (rng.random((degree + 1,) * 2) < 0.7))),
+                 poly_left) for degree, poly_left in polys]
+    terms = [(WeylSymbol._wrap(_dense(rng, int(rng.integers(0, 3)))), _exponent(rng, kind))
+             for kind in kinds]
+    expected = oracle_prefactors(products, ExpPolySymbol(terms))
+
+    with mock.patch.object(weyl, "_exp_table", oracle_table):
+        same_table = weyl._star_with_exp(products, ExpPolySymbol(terms))
+    assert [[(p._c.shape, p._c.tobytes()) for p in ps] for ps in same_table] == \
+        [[(p._c.shape, p._c.tobytes()) for p in ps] for ps in expected]
+
+    own = floored_sums(weyl._star_with_exp, products, ExpPolySymbol(terms))
+    per_entry = floored_sums(oracle_prefactors, products, ExpPolySymbol(terms))
+    # a zero polynomial gives zero prefactors unfloored; the kernel floors
+    # term by term, the oracle product by product
+    live = sum(1 for poly, _ in products if poly._c.size)
+    assert len(own) == len(per_entry) == live * len(terms)
+    per_entry = [per_entry[s * len(terms) + term] for term in range(len(terms)) for s in range(live)]
+    for (values, mags), (old_values, _) in zip(own, per_entry):
+        h, w = (max(a, b) for a, b in zip(values.shape, old_values.shape))
+        diff, _ = weyl._padded_sum(values, -old_values)
+        bound, _ = weyl._padded_sum(mags, np.zeros((h, w)))
+        assert np.all(np.abs(diff) <= weyl._RESIDUE * bound.real)
 
 
 def _random(rng, shape, mask=None):
@@ -454,6 +622,14 @@ def _requests(tmp_path):
             argvs.append(["metric-verify", "--hamiltonian", H, "--exponent", terms(exponent)])
         for monomials in (f"{m},0", "0,2", "1,0;2,0"):
             argvs.append(["metric-solve", "--hamiltonian", H, "--monomials", monomials])
+    # a wrong candidate in x and p, whose residual rows print; the momentum
+    # metric of n = m = 2, found from a 0,2 monomial; and the identity checks
+    quartic = terms({(0, 2): 0.5, (4, 0): 0.5, (2, 1): -0.4326j})
+    argvs.append(["metric-verify", "--hamiltonian", quartic, "--exponent",
+                  terms({(3, 0): 0.2884, (1, 2): 0.05, (0, 1): -0.3j})])
+    argvs.append(["metric-solve", "--hamiltonian", terms({(0, 2): 0.5, (2, 0): 0.35, (1, 1): -0.45j}),
+                  "--monomials", "0,2"])
+    argvs.append(["verify-all"])
     for alpha, g in ((1.3, 0.7), (0.4, 1.9)):
         for which in ("h", "H", "q", "eta2_exponent"):
             argvs.append(["x4", "--alpha", str(alpha), "--g", str(g), "--which", which])
@@ -485,14 +661,27 @@ def test_symbol_rows_print_the_bytes_of_the_fmt_rows(shape):
     assert "\n".join(rows) == "\n".join(loop_symbol_rows(WeylSymbol._wrap(c)))
     assert len(rows) == (1 if c.size >= cli._ARRAY_ROWS else c.size)
 
+def counted(fn, calls):
+    """fn, appending its name to `calls` at each call."""
+    def wrapper(*args):
+        calls.append(fn.__name__)
+        return fn(*args)
+    return wrapper
+
+
 def test_requests_print_the_bytes_of_the_replaced_paths(tmp_path, monkeypatch):
     argvs = _requests(tmp_path)
-    new = _outputs(argvs)
+    kernel, oracle = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(weyl, "_star_with_exp", counted(weyl._star_with_exp, kernel))
+        new = _outputs(argvs)
     monkeypatch.setattr(WeylSymbol, "from_text", classmethod(lambda cls, text: loop_from_text(text)))
-    monkeypatch.setattr(weyl, "_star_with_exp", uncached_star_with_exp)
+    monkeypatch.setattr(weyl, "_star_with_exp", counted(oracle_prefactors, oracle))
     monkeypatch.setattr(cli, "_symbol_rows", loop_symbol_rows)
     monkeypatch.setattr(weyl, "_settle", loop_settle)
     old = _outputs(argvs)
+    # every exponential star of the requests ran through the per-entry oracle
+    assert len(oracle) == len(kernel) > 100
     assert [code for code, _ in new].count(0) > len(argvs) * 3 // 4
     for argv, a, b in zip(argvs, new, old):
         assert a == b, argv
@@ -500,14 +689,13 @@ def test_requests_print_the_bytes_of_the_replaced_paths(tmp_path, monkeypatch):
 
 def test_metric_residual_builds_one_derivative_table(monkeypatch):
     # star(H^dag, eta^2) and star(eta^2, H) share the derivatives of eta^2
-    degrees = []
-    table = weyl._exp_deriv_table
-    monkeypatch.setattr(weyl, "_exp_deriv_table",
-                        lambda p, e, smax: degrees.append(smax) or table(p, e, smax))
+    heights = []
+    table = weyl._exp_table
+    monkeypatch.setattr(weyl, "_exp_table", lambda p, e, h: heights.append(h) or table(p, e, h))
     H = models.x4_nonhermitian_symbol(1.3, 0.7)
     eta_squared = ExpPolySymbol.exp(models.x4_generator(1.3, 0.7) * 2)  # a wrong metric
     residual = metric.metric_residual(H, eta_squared)
-    assert degrees == [H.total_degree()]
-    expected = (uncached_star_with_exp(H.conjugate(), eta_squared, True)
-                - uncached_star_with_exp(H, eta_squared, False))
+    assert len(heights) == 1
+    expected = (_star_with_exp(H.conjugate(), eta_squared, True)
+                - _star_with_exp(H, eta_squared, False))
     assert residual.terms and [p for p, _ in residual.terms] == [p for p, _ in expected.terms]

@@ -381,6 +381,52 @@ def test_derivatives_refuse_a_coefficient_that_overflows(derive):
         derive()
 
 
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda: WeylSymbol({(2, 0): 1.0, (1, 1): 2.0}).diff_x(-1),
+        lambda: WeylSymbol({(2, 0): 1.0, (1, 1): 2.0}).diff_p(-2),
+        lambda: ExpPolySymbol.exp(WeylSymbol.monomial(2, 0, 0.3), prefactor=WeylSymbol.p()).diff_x(-1),
+        lambda: ExpPolySymbol.exp(WeylSymbol.monomial(2, 0, 0.3), prefactor=WeylSymbol.p()).diff_p(-1),
+    ],
+    ids=["diff_x", "diff_p", "exp_diff_x", "exp_diff_p"],
+)
+def test_negative_derivative_orders_are_refused(derive):
+    # diff_x(-1) once read the last row back (here 2), diff_p(-2) returned
+    # the symbol, and an ExpPolySymbol returned itself
+    with pytest.raises(ValueError, match=re.escape("derivative order must be non-negative, got -")):
+        derive()
+
+
+def test_an_exponential_star_whose_table_outgrows_max_degree_is_refused(monkeypatch):
+    # p^2 * e^E reads e^-E d_x^2 e^E = E_x^2 + E_xx, of degree 198 for
+    # E = x^100/2: the table once overflowed converting 171!/k! to a float
+    H = WeylSymbol({(0, 2): 0.5, (4, 0): 0.5})
+    factor = ExpPolySymbol.exp(WeylSymbol({(100, 0): 0.5}))
+
+    def step(*args):
+        raise AssertionError("a table past MAX_DEGREE was built")
+
+    monkeypatch.setattr(weyl, "_exp_step", step, raising=False)
+    message = re.escape("result degrees up to (198, 0) exceed MAX_DEGREE = 170")
+    for product in (lambda: star(H, factor), lambda: star(factor, H),
+                    lambda: weyl.intertwining_residual(H, factor, H)):
+        with pytest.raises(ValueError, match=message):
+            product()
+
+
+def test_the_table_holds_only_the_orders_the_polynomial_reaches():
+    # x^6 + p pairs d_x e^E with its d_p and nothing else with d_x^a e^E,
+    # a > 1, so the table stops at d_x e^E (degree 39), and the products are
+    # the closed forms x^6 + p -+ 20i x^39; the whole triangle a + b <= 6
+    # once reached degree 195 at d_x^5 e^E and overflowed differentiating it
+    f = WeylSymbol({(6, 0): 1.0, (0, 1): 1.0})
+    factor = ExpPolySymbol.exp(WeylSymbol({(40, 0): 1.0}))
+    left, right = star(f, factor).terms[0][0], star(factor, f).terms[0][0]
+    assert left == f + WeylSymbol({(39, 0): -20j})
+    assert right == f + WeylSymbol({(39, 0): 20j})
+
+
 DEGREES = st.tuples(st.sampled_from((0, 1, 2, -1, 171)), st.sampled_from((0, 1, 2)))
 PARTS = st.sampled_from(
     (1.0, -2.5, 0.0, -0.0, 0.1, 1e308, -1e308, 1.5e308, 1e-320, math.inf, -math.inf, math.nan)
