@@ -174,12 +174,13 @@ def gauge_residual(h0, pulse, t):
     which carry the length-frame Hamiltonian into the velocity and
     Kramers-Henneberger frames.  Each side is an independent Moyal
     product (polynomial times exponential against exponential times
-    polynomial), so the returned ExpPolySymbol differences vanish only
-    if the translations have the right sign and size.
+    polynomial), so the returned residuals, one exponential term each whose
+    prefactor is the difference of the two sides, vanish only if the
+    translations have the right sign and size.
     """
     ints = field_integrals(pulse, t)
-    velocity_gauge = ExpPolySymbol.exp(WeylSymbol.monomial(1, 0, 1j * ints.b))
-    kramers_gauge = ExpPolySymbol.exp(WeylSymbol.monomial(0, 1, -1j * ints.c))
+    velocity_gauge = ExpPolySymbol(WeylSymbol.monomial(1, 0, 1j * ints.b))
+    kramers_gauge = ExpPolySymbol(WeylSymbol.monomial(0, 1, -1j * ints.c))
     res_velocity = intertwining_residual(h0, velocity_gauge, h0.shift_p(ints.b))
     res_kramers = intertwining_residual(h0, kramers_gauge, h0.shift_x(ints.c))
     return res_velocity, res_kramers

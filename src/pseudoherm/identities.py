@@ -143,7 +143,7 @@ def _chk_swanson_compose(rng):
 def _chk_swanson_metric_position(rng):
     alpha, g = _swanson_draw(rng)
     pair = models.swanson_pair(2, 2, alpha, g)
-    residual = metric.metric_residual(pair.H, ExpPolySymbol.exp(WeylSymbol({(2, 0): g})))
+    residual = metric.metric_residual(pair.H, ExpPolySymbol(WeylSymbol({(2, 0): g})))
     err = residual.max_abs_coeff()
     return err <= 1e-10 * max(1.0, pair.H.max_abs()), f"max_err={err:.3g}"
 
@@ -152,7 +152,7 @@ def _chk_swanson_metric_momentum(rng):
     alpha, g = _swanson_draw(rng)
     pair = models.swanson_pair(2, 2, alpha, g)
     residual = metric.metric_residual(
-        pair.H, ExpPolySymbol.exp(WeylSymbol({(0, 2): -g / alpha}))
+        pair.H, ExpPolySymbol(WeylSymbol({(0, 2): -g / alpha}))
     )
     err = residual.max_abs_coeff()
     return err <= 1e-10 * max(1.0, pair.H.max_abs()), f"max_err={err:.3g}"

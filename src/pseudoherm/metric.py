@@ -167,14 +167,14 @@ def observable_map(observable, q, max_order=32):
 
 
 def metric_residual(H, eta_squared):
-    """Pseudo-Hermiticity defect star(H^dag, eta^2) - star(eta^2, H).
+    """Pseudo-Hermiticity defect star(H^dag, eta^2) - star(eta^2, H) for eta^2 = P e^q.
 
-    Each term of eta^2 keeps its exponent, and its two prefactors subtract
-    as polynomials (weyl.intertwining_residual), so one residual builds one
-    derivative table of eta^2.
+    Both products keep the exponent q, so the defect is one term whose
+    prefactor is the difference of theirs (weyl.intertwining_residual),
+    and one residual builds one derivative table of eta^2.
     """
     if isinstance(eta_squared, WeylSymbol):
-        raise TypeError("eta_squared must be an ExpPolySymbol; use ExpPolySymbol.exp")
+        raise TypeError("eta_squared must be an ExpPolySymbol; use ExpPolySymbol(q)")
     return intertwining_residual(hermitian_conjugate(H), eta_squared, H)
 
 
@@ -239,12 +239,13 @@ def _levenberg_marquardt(fun, c, max_evals):
     return c
 
 
-def solve_metric_ansatz(H, exponent_monomials, initial=None, tol=1e-10, max_tries=5):
+def solve_metric_ansatz(H, exponent_monomials, tol=1e-10, max_tries=5):
     """Find real coefficients c_k with eta^2 = exp(sum c_k m_k) killing the residual.
 
-    The residual prefactor is evaluated on a fixed seeded set of sample
-    points and driven to zero by Levenberg-Marquardt (Moré, LNM 630, 1978)
-    with a forward-difference Jacobian, step sqrt(eps) max(1, |c_k|).  An
+    The prefactor of the one-term residual is evaluated on a fixed seeded
+    set of sample points and driven to zero by Levenberg-Marquardt (Moré,
+    LNM 630, 1978) with a forward-difference Jacobian, step
+    sqrt(eps) max(1, |c_k|).  The first attempt starts at zero.  An
     attempt stops at an exactly zero sampled residual, when the cost stops
     falling, at a non-finite residual, or after 20 (K + 1) residual
     evaluations for K monomials.  Its end point is re-verified
@@ -268,30 +269,18 @@ def solve_metric_ansatz(H, exponent_monomials, initial=None, tol=1e-10, max_trie
         raise ValueError(f"tol must be non-negative, got {tol}")
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
-    if initial is None:
-        x0 = np.zeros(len(keys))
-    else:
-        x0 = np.asarray(initial, dtype=float)
-        if x0.shape != (len(keys),):
-            raise ValueError(f"initial needs {len(keys)} coefficients, got shape {x0.shape}")
-        if not np.isfinite(x0).all():
-            raise ValueError("initial coefficients must be finite")
+    x0 = np.zeros(len(keys))
 
     rng = np.random.default_rng(20240817)
     n_pts = max(10, 3 * len(keys) + 6)
     pts = rng.uniform(-1.6, 1.6, size=(n_pts, 2))
 
     def build(c):
-        return ExpPolySymbol.exp(WeylSymbol(zip(keys, c)))
+        return ExpPolySymbol(WeylSymbol(zip(keys, c)))
 
     def resid_vec(c):
-        # a single-exponent ansatz leaves a single-exponent residual, so
-        # the prefactors can be combined before sampling
-        residual = metric_residual(H, build(c))
-        combined = WeylSymbol.zero()
-        for prefactor, _ in residual.terms:
-            combined = combined + prefactor
-        vals = np.asarray(combined.evaluate(pts[:, 0], pts[:, 1]), dtype=complex)
+        prefactor = metric_residual(H, build(c)).prefactor
+        vals = np.asarray(prefactor.evaluate(pts[:, 0], pts[:, 1]), dtype=complex)
         return np.column_stack([vals.real, vals.imag]).ravel()
 
     scale = max(1.0, H.max_abs())

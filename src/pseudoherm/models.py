@@ -355,7 +355,7 @@ def minus_x4_chain(alpha, g):
         raise RuntimeError("quartic chain: BCH non-Hermitian symbol deviates from closed form")
     if not _matches_closed_form(pair.h, x4_hermitian_symbol(alpha, g), h0):
         raise RuntimeError("quartic chain: BCH Hermitian symbol deviates from closed form")
-    eta_squared = ExpPolySymbol.exp(q)
+    eta_squared = ExpPolySymbol(q)
     residual = metric_residual(pair.H, eta_squared)
     scale = max(1.0, pair.H.max_abs())
     if residual.max_abs_coeff() > 1e-10 * scale:

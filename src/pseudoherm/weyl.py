@@ -47,11 +47,12 @@ np.bincount over a cached flat index.  Maps, tensor-kernel plans and
 indices share one least-recently-used cache of at most CACHE_BYTES
 (16 MiB); the tensor kernel's scratch buffer is apart from it.
 
-A polynomial times an exponential term P e^E is e^E times sum_k w_k D_k
-(x) T_k over the Moyal orders k: D_k a derivative of the polynomial, T_k
-one of e^-E d_x^a d_p^b (P e^E), held in one derivative table per term
-that the ExpPolySymbol keeps, and the sum over k is one einsum for the
-values and one for the magnitudes, for one product or for the two of
+An ExpPolySymbol is one exponential term P e^E, the form of every metric
+e^q and gauge frame here.  A polynomial times P e^E is e^E times
+sum_k w_k D_k (x) T_k over the Moyal orders k: D_k a derivative of the
+polynomial, T_k one of e^-E d_x^a d_p^b (P e^E), held in the derivative
+table that the ExpPolySymbol keeps, and the sum over k is one einsum for
+the values and one for the magnitudes, for one product or for the two of
 intertwining_residual at once.
 """
 
@@ -643,9 +644,6 @@ class WeylSymbol:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        return self * (1.0 / complex(scalar))
-
     def __eq__(self, other):
         if not isinstance(other, WeylSymbol):
             return NotImplemented
@@ -794,110 +792,47 @@ def _refusal(text, lines, rows):
 
 
 class ExpPolySymbol:
-    """Sum of terms (polynomial prefactor) * exp(polynomial exponent).
+    """One exponential term P e^E: a polynomial prefactor P times the
+    exponential of a polynomial exponent E, both WeylSymbols.
 
-    Closed under differentiation, multiplication by a WeylSymbol, and
-    star products with a WeylSymbol on either side.  Canonical form
-    merges terms whose exponents are equal coefficient for coefficient
-    (exponents that differ only by rounding stay separate terms) and
-    drops zero prefactors.
-
-    Each term P e^E keeps the derivative tables of _exp_table that its star
-    products have built, one per set of derivative orders: the two products
-    of metric_residual, H^dag * e^q and e^q * H, read the same orders of
-    e^q, so they share one table.
+    A star product with a WeylSymbol on either side keeps the exponent
+    and changes the prefactor.  The term keeps the derivative tables of
+    _exp_table that its star products have built, one per set of
+    derivative orders: the two products of metric_residual, H^dag * e^q and
+    e^q * H, read the same orders of e^q, so they share one table.
     """
 
-    __slots__ = ("_terms", "_tables")
+    __slots__ = ("prefactor", "exponent", "_tables")
 
-    def __init__(self, terms):
-        merged = []
-        for prefactor, exponent in terms:
-            if isinstance(prefactor, (int, float, complex)):
-                prefactor = WeylSymbol.constant(prefactor)
-            if not isinstance(prefactor, WeylSymbol) or not isinstance(exponent, WeylSymbol):
-                raise TypeError("ExpPolySymbol terms are (WeylSymbol, WeylSymbol) pairs")
-            if prefactor.is_zero():
-                continue
-            for entry in merged:
-                if entry[1] == exponent:
-                    entry[0] = entry[0] + prefactor
-                    break
-            else:
-                merged.append([prefactor, exponent])
-        self._terms = tuple((p, e) for p, e in merged if not p.is_zero())
+    def __init__(self, exponent, prefactor=1.0):
+        if isinstance(prefactor, (int, float, complex)):
+            prefactor = _ONE if prefactor == 1 else WeylSymbol.constant(prefactor)
+        if not isinstance(prefactor, WeylSymbol) or not isinstance(exponent, WeylSymbol):
+            raise TypeError("ExpPolySymbol takes a WeylSymbol exponent and prefactor")
+        self.prefactor = prefactor
+        self.exponent = exponent
         self._tables = {}
 
-    def _derivative_tables(self, heights):
-        """Each term's _exp_table for the column heights (an int array), built once per heights."""
+    def _derivative_table(self, heights):
+        """The _exp_table for the column heights (an int array), built once per heights."""
         key = heights.tobytes()
-        tables = self._tables.get(key)
-        if tables is None:
-            heights = heights.tolist()
-            tables = self._tables[key] = [_exp_table(p._c, e._c, heights) for p, e in self._terms]
-        return tables
-
-    @classmethod
-    def exp(cls, exponent, prefactor=1.0):
-        return cls([(prefactor, exponent)])
-
-    @property
-    def terms(self):
-        return list(self._terms)
+        table = self._tables.get(key)
+        if table is None:
+            table = _exp_table(self.prefactor._c, self.exponent._c, heights.tolist())
+            self._tables[key] = table
+        return table
 
     def max_abs_coeff(self):
-        if not self._terms:
-            return 0.0
-        return max(p.max_abs() for p, _ in self._terms)
-
-    def is_zero(self, tol=0.0):
-        return self.max_abs_coeff() <= tol
-
-    def __add__(self, other):
-        if isinstance(other, ExpPolySymbol):
-            return ExpPolySymbol(list(self._terms) + list(other._terms))
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, ExpPolySymbol):
-            return self + (-other)
-        return NotImplemented
-
-    def __neg__(self):
-        return ExpPolySymbol([(-p, e) for p, e in self._terms])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex, WeylSymbol)):
-            return ExpPolySymbol([(p * other, e) for p, e in self._terms])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def diff_x(self, order=1):
-        terms = list(self._terms)
-        for _ in range(_order(order)):
-            terms = [(p.diff_x() + p * e.diff_x(), e) for p, e in terms]
-        return ExpPolySymbol(terms)
-
-    def diff_p(self, order=1):
-        terms = list(self._terms)
-        for _ in range(_order(order)):
-            terms = [(p.diff_p() + p * e.diff_p(), e) for p, e in terms]
-        return ExpPolySymbol(terms)
-
-    def evaluate(self, x, p):
-        total = 0j
-        for pref, expo in self._terms:
-            total = total + pref.evaluate(x, p) * np.exp(expo.evaluate(x, p))
-        return total
+        return self.prefactor.max_abs()
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        return " + ".join(f"({p})*exp({e})" for p, e in self._terms)
+        return f"({self.prefactor})*exp({self.exponent})"
 
     def __repr__(self):
         return f"ExpPolySymbol({self})"
+
+
+_ONE = WeylSymbol.one()
 
 
 def _order(order):
@@ -1038,20 +973,20 @@ def _exp_star_plan(*products):
 
 @_quiet
 def _star_with_exp(products, factor):
-    """The prefactors of the products of an ExpPolySymbol factor with
-    polynomials: for each (poly, poly_left) of products, those of
-    poly * factor (poly_left) or factor * poly, one WeylSymbol per term of
-    factor, zero ones kept.
+    """The prefactors of the products of an ExpPolySymbol factor P e^E with
+    polynomials: for each (poly, poly_left) of products, that of
+    poly * factor (poly_left) or factor * poly, one WeylSymbol each, zero
+    ones kept.
 
-    Each term P e^E keeps its exponent; its prefactor becomes
+    Each product keeps the exponent E; its prefactor is
     sum_k w_k D_k (x) T_k over the Moyal orders of _exp_star_plan.  For all
     products at once, the derivatives D_k of the polynomials come from one
-    gather and the entries T_k of the term's _exp_table from one take, and
-    the sum is one einsum over k for the values and one for the
+    gather and the entries T_k of the factor's _exp_table from one take,
+    and the sum is one einsum over k for the values and one for the
     magnitudes, each scattered to (a + c, b + d); _settle floors each
     product's prefactor.
     """
-    out = [[WeylSymbol._wrap(_EMPTY)] * len(factor.terms) for _ in products]
+    out = [WeylSymbol._wrap(_EMPTY)] * len(products)
     live = [(s, poly._c, poly_left) for s, (poly, poly_left) in enumerate(products) if poly._c.size]
     if not live:
         return out
@@ -1059,26 +994,24 @@ def _star_with_exp(products, factor):
         _exp_star_plan, *((*c.shape, (c != 0).tobytes(), poly_left) for _, c, poly_left in live)
     )
     d = np.concatenate([c.ravel() for _, c, _ in live])[flat] * mult_x * mult_p
-    abs_d = np.abs(d)
-    for term, table in enumerate(factor._derivative_tables(heights)):
-        t = table[entry]
-        values = _scatter(np.einsum("sk,skab,skcd->sabcd", w, d, t))
-        mags = _scatter(np.einsum("sk,skab,skcd->sabcd", abs_w, abs_d, np.abs(t)))
-        for (s, _, _), v, m in zip(live, values, mags):
-            out[s][term] = _settle(v, m)
+    t = factor._derivative_table(heights)[entry]
+    values = _scatter(np.einsum("sk,skab,skcd->sabcd", w, d, t))
+    mags = _scatter(np.einsum("sk,skab,skcd->sabcd", abs_w, np.abs(d), np.abs(t)))
+    for (s, _, _), v, m in zip(live, values, mags):
+        out[s] = _settle(v, m)
     return out
 
 
 def intertwining_residual(left, factor, right):
     """left * factor - factor * right, for polynomials left and right and an ExpPolySymbol factor.
 
-    Both products keep each term's exponent, so each term's two prefactors
-    subtract as polynomials, with the floors of WeylSymbol addition.  The
-    two products run as one batch and read one derivative table of each
-    term of factor.
+    Both products keep the exponent, so the residual is one term whose
+    prefactor is the difference of the two products' prefactors, with the
+    floors of WeylSymbol subtraction.  The two products run as one batch
+    and read one derivative table of factor.
     """
-    lefts, rights = _star_with_exp([(left, True), (right, False)], factor)
-    return ExpPolySymbol([(p - q, e) for p, q, (_, e) in zip(lefts, rights, factor.terms)])
+    lhs, rhs = _star_with_exp([(left, True), (right, False)], factor)
+    return ExpPolySymbol(factor.exponent, lhs - rhs)
 
 
 @_quiet
@@ -1086,9 +1019,9 @@ def star(f, g):
     """Moyal star product.
 
     Polynomial times polynomial gives a WeylSymbol; a polynomial on
-    either side of an exponential-times-polynomial value gives an
-    ExpPolySymbol with the same exponent.  Star products of two
-    exponential values are not supported.
+    either side of an ExpPolySymbol P e^E gives an ExpPolySymbol with the
+    same exponent.  Star products of two exponential terms are not
+    supported.
     """
     f_exp = isinstance(f, ExpPolySymbol)
     g_exp = isinstance(g, ExpPolySymbol)
@@ -1097,8 +1030,8 @@ def star(f, g):
     if f_exp and g_exp:
         raise TypeError("star product of two exponential symbols is not supported")
     poly, factor = (g, f) if f_exp else (f, g)
-    prefactors, = _star_with_exp([(poly, not f_exp)], factor)
-    return ExpPolySymbol(zip(prefactors, (e for _, e in factor.terms)))
+    prefactor, = _star_with_exp([(poly, not f_exp)], factor)
+    return ExpPolySymbol(factor.exponent, prefactor)
 
 
 @_quiet

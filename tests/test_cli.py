@@ -220,6 +220,32 @@ def test_bad_parameter_value(capsys):
     assert "invalid value" in err
 
 
+HUGE = "1" + "0" * 400  # 10**400, past the largest float
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wedges", "--N", HUGE],
+        ["contour", "--kind", "z1", "--N", HUGE],
+        ["contour", "--kind", "z2", "--N", HUGE],
+        ["spiked", "--n", HUGE, "--m", "0"],
+        ["transition", "--n", HUGE],
+    ],
+    ids=["wedges", "contour_z1", "contour_z2", "spiked", "transition"],
+)
+def test_an_integer_past_the_largest_float_is_a_numeric_failure(argv):
+    # each once ended in an uncaught OverflowError converting the int to a float
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "pseudoherm.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+
+
 def test_format_csv_only(capsys, tmp_path):
     # csv is the only output, so neither a flag nor a config key selects it
     code, out, err = invoke(capsys, ["wedges", "--N", "4", "--format", "csv"])

@@ -125,9 +125,8 @@ def test_x4_chain_closed_forms():
     assert h.coefficient(0, 2) == pytest.approx(1.0 - g * g, abs=1e-14)
     assert h.coefficient(0, 0) == pytest.approx(-alpha + g * g * alpha, abs=1e-14)
     # metric exponent is the generator itself
-    pref, expo = chain.eta_squared.terms[0]
-    assert expo.distance(chain.pair.q) == 0.0
-    assert pref.distance(WeylSymbol.one()) == 0.0
+    assert chain.eta_squared.exponent.distance(chain.pair.q) == 0.0
+    assert chain.eta_squared.prefactor.distance(WeylSymbol.one()) == 0.0
 
 
 def _relative_floor(sym, rel=1e-12):
