@@ -23,10 +23,6 @@ from . import dynamics, metric, models, stokes, weyl
 from .models import GridSpec, SpikedHOModel
 from .weyl import ExpPolySymbol, WeylSymbol
 
-def _max_coeff_diff(a, b):
-    return a.distance(b)
-
-
 def _random_symbol(rng, degree=2, complex_coeffs=True):
     terms = {}
     for dx in range(degree + 1):
@@ -39,9 +35,7 @@ def _random_symbol(rng, degree=2, complex_coeffs=True):
 
 
 def _chk_canonical_commutator(rng):
-    err = _max_coeff_diff(
-        weyl.star_commutator(WeylSymbol.x(), WeylSymbol.p()), WeylSymbol.constant(1j)
-    )
+    err = weyl.star_commutator(WeylSymbol.x(), WeylSymbol.p()).distance(WeylSymbol.constant(1j))
     return err == 0.0, f"max_err={err:.3g}"
 
 
@@ -49,7 +43,7 @@ def _chk_quadratic_commutator(rng):
     x2 = WeylSymbol.monomial(2, 0)
     p2 = WeylSymbol.monomial(0, 2)
     expected = WeylSymbol({(1, 1): 4j})
-    err = _max_coeff_diff(weyl.star_commutator(x2, p2), expected)
+    err = weyl.star_commutator(x2, p2).distance(expected)
     return err < 1e-15, f"max_err={err:.3g}"
 
 
@@ -59,23 +53,21 @@ def _chk_star_associativity(rng):
         f, g, k = (_random_symbol(rng) for _ in range(3))
         left = weyl.star(weyl.star(f, g), k)
         right = weyl.star(f, weyl.star(g, k))
-        worst = max(worst, _max_coeff_diff(left, right))
+        worst = max(worst, left.distance(right))
     return worst <= 1e-12, f"max_err={worst:.3g}"
 
 
 def _chk_conjugation_antihomomorphism(rng):
     f, g = _random_symbol(rng), _random_symbol(rng)
-    left = weyl.hermitian_conjugate(weyl.star(f, g))
-    right = weyl.star(weyl.hermitian_conjugate(g), weyl.hermitian_conjugate(f))
-    err = _max_coeff_diff(left, right)
+    left = weyl.star(f, g).conjugate()
+    right = weyl.star(g.conjugate(), f.conjugate())
+    err = left.distance(right)
     return err <= 1e-12, f"max_err={err:.3g}"
 
 
 def _chk_identity_substitution(rng):
     poly = _random_symbol(rng)
-    err = _max_coeff_diff(
-        weyl.compose_weyl(poly, WeylSymbol.x(), WeylSymbol.p()), poly
-    )
+    err = weyl.compose_weyl(poly, WeylSymbol.x(), WeylSymbol.p()).distance(poly)
     return err <= 1e-12, f"max_err={err:.3g}"
 
 
@@ -108,8 +100,8 @@ def _chk_swanson_ladder(rng):
         c1 = metric.nfold_commutator(q, h0, 1)
         c2 = metric.nfold_commutator(q, h0, 2)
         c3 = metric.nfold_commutator(q, h0, 3)
-        worst = max(worst, _max_coeff_diff(c1, WeylSymbol({(m - 1, 1): 2j * g})))
-        worst = max(worst, _max_coeff_diff(c2, WeylSymbol({(2 * m - 2, 0): -4 * g * g})))
+        worst = max(worst, c1.distance(WeylSymbol({(m - 1, 1): 2j * g})))
+        worst = max(worst, c2.distance(WeylSymbol({(2 * m - 2, 0): -4 * g * g})))
         worst = max(worst, c3.max_abs())
     return worst <= 1e-12, f"max_err={worst:.3g}"
 
@@ -122,8 +114,8 @@ def _chk_swanson_closed_forms(rng):
         h0 = models.swanson_seed(n, alpha)
         h_expected = h0 + WeylSymbol({(2 * m - 2, 0): 0.5 * g * g})
         H_expected = h0 + WeylSymbol({(m - 1, 1): -1j * g})
-        worst = max(worst, _max_coeff_diff(pair.h, h_expected))
-        worst = max(worst, _max_coeff_diff(pair.H, H_expected))
+        worst = max(worst, pair.h.distance(h_expected))
+        worst = max(worst, pair.H.distance(H_expected))
     return worst <= 1e-12, f"max_err={worst:.3g}"
 
 
@@ -133,10 +125,7 @@ def _chk_swanson_compose(rng):
         alpha, g = _swanson_draw(rng)
         pair = models.swanson_pair(n, m, alpha, g)
         P = WeylSymbol.p() + WeylSymbol({(m - 1, 0): -1j * g})
-        worst = max(
-            worst,
-            _max_coeff_diff(weyl.compose_weyl(pair.h, WeylSymbol.x(), P), pair.H),
-        )
+        worst = max(worst, weyl.compose_weyl(pair.h, WeylSymbol.x(), P).distance(pair.H))
     return worst <= 1e-12, f"max_err={worst:.3g}"
 
 
@@ -165,15 +154,9 @@ def _chk_swanson_observables(rng):
         q = models.swanson_generator(m, g)
         X = metric.observable_map(WeylSymbol.x(), q)
         P = metric.observable_map(WeylSymbol.p(), q)
-        worst = max(worst, _max_coeff_diff(X, WeylSymbol.x()))
-        worst = max(
-            worst,
-            _max_coeff_diff(P, WeylSymbol.p() + WeylSymbol({(m - 1, 0): -1j * g})),
-        )
-        worst = max(
-            worst,
-            _max_coeff_diff(weyl.star_commutator(X, P), WeylSymbol.constant(1j)),
-        )
+        worst = max(worst, X.distance(WeylSymbol.x()))
+        worst = max(worst, P.distance(WeylSymbol.p() + WeylSymbol({(m - 1, 0): -1j * g})))
+        worst = max(worst, weyl.star_commutator(X, P).distance(WeylSymbol.constant(1j)))
     return worst <= 1e-12, f"max_err={worst:.3g}"
 
 
@@ -182,14 +165,8 @@ def _chk_quartic_chain(rng):
     for _ in range(2):
         alpha, g = _swanson_draw(rng)
         chain = models.minus_x4_chain(alpha, g)
-        worst = max(
-            worst,
-            _max_coeff_diff(chain.pair.H, models.x4_nonhermitian_symbol(alpha, g)),
-        )
-        worst = max(
-            worst,
-            _max_coeff_diff(chain.pair.h, models.x4_hermitian_symbol(alpha, g)),
-        )
+        worst = max(worst, chain.pair.H.distance(models.x4_nonhermitian_symbol(alpha, g)))
+        worst = max(worst, chain.pair.h.distance(models.x4_hermitian_symbol(alpha, g)))
     return worst <= 1e-12, f"max_err={worst:.3g}"
 
 
@@ -198,12 +175,10 @@ def _chk_quartic_observable(rng):
     q = models.x4_generator(alpha, g)
     X = metric.observable_map(WeylSymbol.x(), q)
     expected = WeylSymbol({(1, 0): 1.0, (0, 2): 0.5j * g / alpha, (0, 0): -1j * g})
-    err = _max_coeff_diff(X, expected)
+    err = X.distance(expected)
     P = metric.observable_map(WeylSymbol.p(), q)
-    err = max(err, _max_coeff_diff(P, WeylSymbol.p()))
-    err = max(
-        err, _max_coeff_diff(weyl.star_commutator(X, P), WeylSymbol.constant(1j))
-    )
+    err = max(err, P.distance(WeylSymbol.p()))
+    err = max(err, weyl.star_commutator(X, P).distance(WeylSymbol.constant(1j)))
     return err <= 1e-12, f"max_err={err:.3g}"
 
 
@@ -211,7 +186,7 @@ def _chk_pt_classification(rng):
     even = models.swanson_pair(2, 2, 0.7, 0.3).H
     odd = models.swanson_pair(2, 3, 0.7, 0.3).H
     sym = _random_symbol(rng)
-    involution = _max_coeff_diff(weyl.pt_transform(weyl.pt_transform(sym)), sym)
+    involution = weyl.pt_transform(weyl.pt_transform(sym)).distance(sym)
     ok = weyl.is_pt_symmetric(even) and not weyl.is_pt_symmetric(odd)
     return ok and involution <= 1e-15, f"involution_err={involution:.3g}"
 

@@ -24,7 +24,6 @@ import numpy as np
 from .weyl import (
     ExpPolySymbol,
     WeylSymbol,
-    hermitian_conjugate,
     intertwining_residual,
     star_commutator,
 )
@@ -175,7 +174,7 @@ def metric_residual(H, eta_squared):
     """
     if isinstance(eta_squared, WeylSymbol):
         raise TypeError("eta_squared must be an ExpPolySymbol; use ExpPolySymbol(q)")
-    return intertwining_residual(hermitian_conjugate(H), eta_squared, H)
+    return intertwining_residual(H.conjugate(), eta_squared, H)
 
 
 @dataclass(frozen=True)

@@ -23,20 +23,20 @@ drops rounding residue when an operation passes summed magnitudes; trims;
 and refuses a degree above MAX_DEGREE (its factorial weights overflow
 double precision), so that every symbol, built, parsed or computed,
 prints to a file that parses back.  The operations that sum terms (+, -,
-the pointwise product, star, star_commutator, shifts) pass the summed
-magnitude of the terms that fed each coefficient, and the gate drops a
-coefficient only when it is at most RESIDUE_ULPS machine epsilons times
-that sum: rounding residue of a cancellation, not physics.  A genuine
-coefficient survives however small it is next to the others, and one
-that cancels in exact arithmetic ends at exact zero, so is_zero() detects
-terminating series.  The constructor, the parser, scalar multiples and
-derivatives drop only exact zeros.  ZERO_THRESHOLD is a tolerance for
-comparisons (isclose, is_hermitian, is_pt_symmetric), never for storage.
-The operations and the gate run with numpy's warnings off: an overflow
-is refused by the gate's ValueError alone.  A product whose (deg_x,
-deg_p, deg_x, deg_p) work tensor would exceed MAX_TENSOR entries raises
-ValueError too.  Negation, conjugation, pt_transform and fourier_swap
-only flip signs or relabel degrees, and wrap their arrays as they are.
+star, star_commutator, shifts) pass the summed magnitude of the terms
+that fed each coefficient, and the gate drops a coefficient only when it
+is at most RESIDUE_ULPS machine epsilons times that sum: rounding residue
+of a cancellation, not physics.  A genuine coefficient survives however
+small it is next to the others, and one that cancels in exact arithmetic
+ends at exact zero, so is_zero() detects terminating series.  The
+constructor, the parser and scalar multiples drop only exact zeros.
+ZERO_THRESHOLD is a tolerance for comparisons (isclose, is_pt_symmetric),
+never for storage.  The operations and the gate run with numpy's
+warnings off: an overflow is refused by the gate's ValueError alone.  A
+product whose (deg_x, deg_p, deg_x, deg_p) work tensor would exceed
+MAX_TENSOR entries raises ValueError too.  Negation, conjugation,
+pt_transform and fourier_swap only flip signs or relabel degrees, and
+wrap their arrays as they are.
 
 The Moyal product has two kernels, chosen by the size of the boxes.  When
 its linear map of f (x) g has at most MAX_MAP entries (every product up to
@@ -50,8 +50,8 @@ indices share one least-recently-used cache of at most CACHE_BYTES
 An ExpPolySymbol is one exponential term P e^E, the form of every metric
 e^q and gauge frame here.  A polynomial times P e^E is e^E times
 sum_k w_k D_k (x) T_k over the Moyal orders k: D_k a derivative of the
-polynomial, T_k one of e^-E d_x^a d_p^b (P e^E), held in the derivative
-table that the ExpPolySymbol keeps, and the sum over k is one einsum for
+polynomial, T_k one of e^-E d_x^a d_p^b (P e^E), held in one derivative
+table built per batch of products, and the sum over k is one einsum for
 the values and one for the magnitudes, for one product or for the two of
 intertwining_residual at once.
 """
@@ -153,14 +153,6 @@ def _falling(n):
     return np.array([[math.perm(i, k) for k in range(n)] for i in range(n)], dtype=float)
 
 
-def _derivative(c, u, v):
-    """Coefficients of d_x^u d_p^v of the symbol with coefficient array c."""
-    na, nb = c.shape
-    if u >= na or v >= nb:
-        return _EMPTY
-    return c[u:, v:] * _falling(na)[u:, u, None] * _falling(nb)[v:, v]
-
-
 def _padded_sum(a, b):
     """a + b over the union of their boxes, with the summed magnitudes |a| + |b|."""
     if a.shape == b.shape:
@@ -250,14 +242,6 @@ def _check_tensor(na, nb, nc, nd):
             f"product of a {na}x{nb} and a {nc}x{nd} coefficient box exceeds "
             f"{MAX_TENSOR} tensor entries"
         )
-
-
-def _convolve(a, b):
-    """Pointwise product of two coefficient arrays (a 2-D convolution)."""
-    if a.size == 0 or b.size == 0:
-        return _EMPTY
-    _check_tensor(*a.shape, *b.shape)
-    return _scatter(np.multiply.outer(a, b))
 
 
 @functools.lru_cache(maxsize=None)
@@ -563,10 +547,6 @@ class WeylSymbol:
 
     # -- inspection --------------------------------------------------------
 
-    @property
-    def terms(self):
-        return dict(self.items())
-
     def items(self):
         """The nonzero terms ((deg_x, deg_p), coefficient), sorted by degrees."""
         dx, dp, c = self.arrays()
@@ -583,19 +563,11 @@ class WeylSymbol:
             return complex(self._c[deg_x, deg_p])
         return 0j
 
-    def total_degree(self):
-        dx, dp = np.nonzero(self._c)
-        return int((dx + dp).max(initial=0))
-
     def max_abs(self):
         return float(np.abs(self._c).max(initial=0.0))
 
     def is_zero(self, tol=0.0):
         return self._c.size == 0 or self.max_abs() <= tol
-
-    def is_hermitian(self, tol=ZERO_THRESHOLD):
-        scale = max(1.0, self.max_abs())
-        return float(np.abs(self._c.imag).max(initial=0.0)) <= tol * scale
 
     @_quiet
     def distance(self, other):
@@ -626,20 +598,14 @@ class WeylSymbol:
     def __sub__(self, other):
         return self + (-other if isinstance(other, WeylSymbol) else -complex(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return WeylSymbol._wrap(-self._c)
 
     @_quiet
     def __mul__(self, other):
-        """Pointwise (commutative) product; use star() for operator products."""
+        """Scalar multiple; use star() for operator products."""
         if isinstance(other, (int, float, complex)):
             return _settle(self._c * complex(other))
-        if isinstance(other, WeylSymbol):
-            a, b = self._c, other._c
-            return _settle(_convolve(a, b), _convolve(np.abs(a), np.abs(b)).real)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -651,15 +617,7 @@ class WeylSymbol:
 
     __hash__ = None
 
-    # -- calculus ----------------------------------------------------------
-
-    @_quiet
-    def diff_x(self, order=1):
-        return _settle(_derivative(self._c, _order(order), 0))
-
-    @_quiet
-    def diff_p(self, order=1):
-        return _settle(_derivative(self._c, 0, _order(order)))
+    # -- shifts, conjugation and values ----------------------------------
 
     @_quiet
     def _shift(self, a, axis):
@@ -796,13 +754,10 @@ class ExpPolySymbol:
     exponential of a polynomial exponent E, both WeylSymbols.
 
     A star product with a WeylSymbol on either side keeps the exponent
-    and changes the prefactor.  The term keeps the derivative tables of
-    _exp_table that its star products have built, one per set of
-    derivative orders: the two products of metric_residual, H^dag * e^q and
-    e^q * H, read the same orders of e^q, so they share one table.
+    and changes the prefactor.
     """
 
-    __slots__ = ("prefactor", "exponent", "_tables")
+    __slots__ = ("prefactor", "exponent")
 
     def __init__(self, exponent, prefactor=1.0):
         if isinstance(prefactor, (int, float, complex)):
@@ -811,16 +766,6 @@ class ExpPolySymbol:
             raise TypeError("ExpPolySymbol takes a WeylSymbol exponent and prefactor")
         self.prefactor = prefactor
         self.exponent = exponent
-        self._tables = {}
-
-    def _derivative_table(self, heights):
-        """The _exp_table for the column heights (an int array), built once per heights."""
-        key = heights.tobytes()
-        table = self._tables.get(key)
-        if table is None:
-            table = _exp_table(self.prefactor._c, self.exponent._c, heights.tolist())
-            self._tables[key] = table
-        return table
 
     def max_abs_coeff(self):
         return self.prefactor.max_abs()
@@ -835,18 +780,7 @@ class ExpPolySymbol:
 _ONE = WeylSymbol.one()
 
 
-def _order(order):
-    """A derivative order, refused with ValueError when negative."""
-    if order < 0:
-        raise ValueError(f"derivative order must be non-negative, got {order}")
-    return order
-
-
 # -- module-level operations ----------------------------------------------
-
-
-def hermitian_conjugate(f):
-    return f.conjugate()
 
 
 def _reach(c):
@@ -862,9 +796,10 @@ def _exp_step(q, w, ramp, out):
     d is the first derivative along x, with ramp = [[1], [2], ..., [h - 1]],
     or along p, with ramp = [1, 2, ..., k - 1]; w, given as its nonzero
     terms (c, e, w_ce) in reverse C order, multiplies pointwise.  From a
-    zero `out`, each coefficient sums its product terms in the order
-    _convolve sums them and then adds the derivative.  The terms a product
-    would carry past the box are zero when the box holds the result.
+    zero `out`, each coefficient sums its product terms in the order the
+    oracle tests/test_symbol_oracles.py::_convolve sums them and then adds
+    the derivative.  The terms a product would carry past the box are zero
+    when the box holds the result.
     """
     h, k = q.shape[1:]
     for c, e, w_ce in w:
@@ -994,7 +929,7 @@ def _star_with_exp(products, factor):
         _exp_star_plan, *((*c.shape, (c != 0).tobytes(), poly_left) for _, c, poly_left in live)
     )
     d = np.concatenate([c.ravel() for _, c, _ in live])[flat] * mult_x * mult_p
-    t = factor._derivative_table(heights)[entry]
+    t = _exp_table(factor.prefactor._c, factor.exponent._c, heights.tolist())[entry]
     values = _scatter(np.einsum("sk,skab,skcd->sabcd", w, d, t))
     mags = _scatter(np.einsum("sk,skab,skcd->sabcd", abs_w, np.abs(d), np.abs(t)))
     for (s, _, _), v, m in zip(live, values, mags):

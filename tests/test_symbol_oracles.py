@@ -132,24 +132,42 @@ def test_refusals_name_the_line(text, message):
 # The exponential star as it was before the array kernel, kept as its oracle:
 # a dict of derivative arrays, one entry at a time, and the orders of the
 # Moyal series gathered by a Python loop.  It builds its table for each
-# product (where the kernel keeps one on the ExpPolySymbol); otherwise it
-# is unchanged.
+# product (where the kernel builds one per batch of products); otherwise it
+# is unchanged.  _derivative and _convolve are the coefficient derivative
+# and pointwise product that the library dropped with WeylSymbol.diff_x,
+# diff_p and the symbol-by-symbol `*`; weyl._exp_step sums its product
+# terms in _convolve's order.
+
+
+def _derivative(c, u, v):
+    """Coefficients of d_x^u d_p^v of the symbol with coefficient array c."""
+    na, nb = c.shape
+    if u >= na or v >= nb:
+        return weyl._EMPTY
+    return c[u:, v:] * weyl._falling(na)[u:, u, None] * weyl._falling(nb)[v:, v]
+
+
+def _convolve(a, b):
+    """Pointwise product of two coefficient arrays (a 2-D convolution)."""
+    if a.size == 0 or b.size == 0:
+        return weyl._EMPTY
+    return weyl._scatter(np.multiply.outer(a, b))
 
 
 def _exp_deriv_table(prefactor, exponent, smax):
     """e^-E d_x^a d_p^b (P e^E) for a + b <= smax, as coefficient arrays keyed (a, b)."""
-    wx = weyl._derivative(exponent, 1, 0)
-    wp = weyl._derivative(exponent, 0, 1)
+    wx = _derivative(exponent, 1, 0)
+    wp = _derivative(exponent, 0, 1)
     tab = {(0, 0): prefactor}
     for total in range(1, smax + 1):
         for a in range(total + 1):
             b = total - a
             if b > 0:
                 q = tab[(a, b - 1)]
-                tab[(a, b)] = weyl._padded_sum(weyl._derivative(q, 0, 1), weyl._convolve(q, wp))[0]
+                tab[(a, b)] = weyl._padded_sum(_derivative(q, 0, 1), _convolve(q, wp))[0]
             else:
                 q = tab[(a - 1, 0)]
-                tab[(a, b)] = weyl._padded_sum(weyl._derivative(q, 1, 0), weyl._convolve(q, wx))[0]
+                tab[(a, b)] = weyl._padded_sum(_derivative(q, 1, 0), _convolve(q, wx))[0]
     return tab
 
 
@@ -161,12 +179,13 @@ def _star_with_exp(poly, factor, poly_left):
     of P e^E taken from the table, all (u, v) in one weighted batch of
     pointwise products.
     """
-    smax = poly.total_degree()
+    dx, dp = np.nonzero(poly._c)
+    smax = int((dx + dp).max(initial=0))
     orders = [(u, s - u) for s in range(smax + 1) for u in range(s + 1)]
     tab = _exp_deriv_table(factor.prefactor._c, factor.exponent._c, smax)
     weights, left, right = [], [], []
     for u, v in orders:
-        d = weyl._derivative(poly._c, *((u, v) if poly_left else (v, u)))
+        d = _derivative(poly._c, *((u, v) if poly_left else (v, u)))
         if not d.any():
             continue
         weights.append((0.5j) ** u * (-0.5j) ** v / (math.factorial(u) * math.factorial(v)))
@@ -501,7 +520,6 @@ def test_kernel_caches_hold_at_most_16_mib():
         g = WeylSymbol._wrap(_random(rng, (nc, nd)))
         weyl.star(f, g)
         weyl.star_commutator(f, g)
-        f * g
     cache = weyl._CACHE
     held = [value if isinstance(value, tuple) else (value,) for value, _ in cache._entries.values()]
     assert cache.nbytes == sum(a.nbytes for arrays in held for a in arrays) <= weyl.CACHE_BYTES
