@@ -2,7 +2,9 @@
 
 Every subcommand writes a `# key=value` block with the fully resolved
 configuration, a header row, then data rows with floats at 12
-significant digits, so identical invocations produce identical bytes.
+significant digits.  Identical invocations produce identical bytes for
+the same numpy SIMD target and BLAS kernel; otherwise the last printed
+digits can move (up to 1.35e-10 relative, measured on `propagate`).
 Parameters may come from a `key=value` config file (`--config`), with
 command-line flags taking precedence; unknown keys are rejected.
 
@@ -433,19 +435,18 @@ def _run_metric_solve(v, canon):
     return extra, "deg_x,deg_p,coefficient", rows, 0
 
 
-def _run_swanson(v, canon):
-    pair = models.swanson_pair(v["n"], v["m"], v["alpha"], v["g"])
-    sym = {"h": pair.h, "H": pair.H, "q": pair.q}[v["which"]]
+def _pair_rows(pair, which):
+    # the metric is eta^2 = exp(q), so its exponent is the generator
+    sym = {"h": pair.h, "H": pair.H, "q": pair.q, "eta2_exponent": pair.q}[which]
     return [], "deg_x,deg_p,re,im", _symbol_rows(sym), 0
+
+
+def _run_swanson(v, canon):
+    return _pair_rows(models.swanson_pair(v["n"], v["m"], v["alpha"], v["g"]), v["which"])
 
 
 def _run_x4(v, canon):
-    chain = models.minus_x4_chain(v["alpha"], v["g"])
-    if v["which"] == "eta2_exponent":
-        sym = chain.eta_squared.exponent
-    else:
-        sym = {"h": chain.pair.h, "H": chain.pair.H, "q": chain.pair.q}[v["which"]]
-    return [], "deg_x,deg_p,re,im", _symbol_rows(sym), 0
+    return _pair_rows(models.minus_x4_chain(v["alpha"], v["g"]), v["which"])
 
 
 def _run_spiked(v, canon):
@@ -650,7 +651,7 @@ _SUBCOMMANDS = {
             Param("which", "choice", "H", choices=("h", "H", "q")),
         ],
         run=_run_swanson,
-        help="oscillator family symbols",
+        help="oscillator family symbols, in closed form (verify-all checks them against the BCH ladder)",
     ),
     "spiked": Subcommand(
         params=[
@@ -674,10 +675,11 @@ _SUBCOMMANDS = {
         params=[
             Param("alpha", "float"),
             Param("g", "float"),
-            Param("which", "choice", "H", choices=("h", "H", "q", "eta2_exponent")),
+            Param("which", "choice", "H", choices=("h", "H", "q", "eta2_exponent"),
+                  help="eta2_exponent is q: the metric is eta^2 = exp(q)"),
         ],
         run=_run_x4,
-        help="quartic chain symbols",
+        help="quartic chain symbols, in closed form (verify-all checks them against the BCH ladder)",
     ),
     "spectrum": Subcommand(
         params=[

@@ -106,17 +106,40 @@ def _chk_swanson_ladder(rng):
     return worst <= 1e-12, f"max_err={worst:.3g}"
 
 
+def _matches_closed_form(got, expected, seed, rtol=1e-12):
+    """Coefficientwise |got - expected| <= rtol * max(|got|, |expected|, |seed|).
+
+    Each coefficient is held to its own size and that of the seed term
+    it corrects, never to the largest coefficient, so a genuine term
+    far below the others (g^2 p^4/(4 alpha) at g = 1e-7) must be there.
+    """
+    keys = {k for k, _ in got.items()} | {k for k, _ in expected.items()}
+    for key in keys:
+        a, b = got.coefficient(*key), expected.coefficient(*key)
+        if abs(a - b) > rtol * max(abs(a), abs(b), abs(seed.coefficient(*key))):
+            return False
+    return True
+
+
+def _bch_against_closed_form(h0, closed):
+    """(largest coefficient distance, coefficientwise match) of the BCH pair
+    that the generator closed.q builds on the seed h0, against the
+    closed-form pair the models module returns."""
+    bch = metric.hermitian_pair_from_q(h0, closed.q, closed.ell)
+    sides = ((bch.h, closed.h), (bch.H, closed.H))
+    err = max(got.distance(expected) for got, expected in sides)
+    return err, all(_matches_closed_form(got, expected, h0) for got, expected in sides)
+
+
 def _chk_swanson_closed_forms(rng):
-    worst = 0.0
+    worst, ok = 0.0, True
     for n, m in ((2, 2), (4, 2), (2, 3)):
         alpha, g = _swanson_draw(rng)
-        pair = models.swanson_pair(n, m, alpha, g)
-        h0 = models.swanson_seed(n, alpha)
-        h_expected = h0 + WeylSymbol({(2 * m - 2, 0): 0.5 * g * g})
-        H_expected = h0 + WeylSymbol({(m - 1, 1): -1j * g})
-        worst = max(worst, pair.h.distance(h_expected))
-        worst = max(worst, pair.H.distance(H_expected))
-    return worst <= 1e-12, f"max_err={worst:.3g}"
+        err, matches = _bch_against_closed_form(
+            models.swanson_seed(n, alpha), models.swanson_pair(n, m, alpha, g)
+        )
+        worst, ok = max(worst, err), ok and matches
+    return ok and worst <= 1e-12, f"max_err={worst:.3g}"
 
 
 def _chk_swanson_compose(rng):
@@ -161,13 +184,16 @@ def _chk_swanson_observables(rng):
 
 
 def _chk_quartic_chain(rng):
-    worst = 0.0
+    # the closed forms against the BCH ladder, and eta^2 = exp(q) as their metric
+    worst, ok = 0.0, True
     for _ in range(2):
         alpha, g = _swanson_draw(rng)
-        chain = models.minus_x4_chain(alpha, g)
-        worst = max(worst, chain.pair.H.distance(models.x4_nonhermitian_symbol(alpha, g)))
-        worst = max(worst, chain.pair.h.distance(models.x4_hermitian_symbol(alpha, g)))
-    return worst <= 1e-12, f"max_err={worst:.3g}"
+        closed = models.minus_x4_chain(alpha, g)
+        err, matches = _bch_against_closed_form(models.x4_seed(alpha), closed)
+        residual = metric.metric_residual(closed.H, ExpPolySymbol(closed.q)).max_abs_coeff()
+        worst = max(worst, err)
+        ok = ok and matches and residual <= 1e-10 * max(1.0, closed.H.max_abs())
+    return ok and worst <= 1e-12, f"max_err={worst:.3g}"
 
 
 def _chk_quartic_observable(rng):

@@ -4,7 +4,9 @@ Three families are covered: the generalized Swanson models (x^n
 oscillator seed with an x^m similarity generator), the spiked harmonic
 oscillator on the half line with closed-form Laguerre eigenfunctions,
 and the quartic chain that connects a shifted harmonic seed through a
-p^3 generator to a Hamiltonian with a -x^4 interaction.  A tridiagonal
+p^3 generator to a Hamiltonian with a -x^4 interaction.  The Swanson and
+quartic pairs are returned in closed form; their BCH ladders terminate,
+and verify-all checks the closed forms against them.  A tridiagonal
 finite-difference eigensolver provides spectra for symbols c p^2 + V(x)
 and for the spiked 1/x^2 special form; a symbol polynomial in p goes to
 the grid through its weyl.fourier_swap image.
@@ -18,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metric import SimilarityPair, hermitian_pair_from_q, metric_residual
-from .weyl import ExpPolySymbol, WeylSymbol
+from .metric import SimilarityPair
+from .weyl import WeylSymbol
 
 
 # -- generalized Swanson family -------------------------------------------
@@ -39,37 +41,20 @@ def swanson_generator(m, g):
 
 
 def swanson_pair(n, m, alpha, g):
-    """Similarity pair for the generalized Swanson family.
+    """Similarity pair of the generalized Swanson family, in closed form.
 
     The commutator ladder of q = (2g/m) x^m on the seed is closed: the
     first commutator is 2ig p x^(m-1), the second -4g^2 x^(2m-2), and the
-    third vanishes identically, so the series terminates at ell = 2 for
-    every (n, m).  The BCH pair is checked coefficient by coefficient
-    against its closed forms h = seed + (g^2/2) x^(2m-2) and
-    H = seed - ig p x^(m-1).
+    third vanishes identically, so the BCH series terminates at ell = 2
+    for every (n, m) and sums to h = seed + (g^2/2) x^(2m-2) and
+    H = seed - ig x^(m-1) p.  Those closed forms are returned; verify-all
+    (oscillator_pair_closed_forms) checks them against the BCH ladder.
     """
     h0 = swanson_seed(n, alpha)
-    pair = hermitian_pair_from_q(h0, swanson_generator(m, g), 2)
+    q = swanson_generator(m, g)
     h = h0 + WeylSymbol({(2 * m - 2, 0): 0.5 * g * g})
     H = h0 + WeylSymbol({(m - 1, 1): -1j * g})
-    if not (_matches_closed_form(pair.h, h, h0) and _matches_closed_form(pair.H, H, h0)):
-        raise RuntimeError("Swanson pair deviates from its closed form")
-    return pair
-
-
-def _matches_closed_form(got, expected, seed, rtol=1e-12):
-    """Coefficientwise |got - expected| <= rtol * max(|got|, |expected|, |seed|).
-
-    Each coefficient is held to its own size and that of the seed term
-    it corrects, never to the largest coefficient, so a genuine term
-    far below the others (g^2 p^4/(4 alpha) at g = 1e-7) must be there.
-    """
-    keys = {k for k, _ in got.items()} | {k for k, _ in expected.items()}
-    for key in keys:
-        a, b = got.coefficient(*key), expected.coefficient(*key)
-        if abs(a - b) > rtol * max(abs(a), abs(b), abs(seed.coefficient(*key))):
-            return False
-    return True
+    return SimilarityPair(h=h, H=H, q=q, ell=2)
 
 
 # -- spiked harmonic oscillator -------------------------------------------
@@ -335,32 +320,17 @@ def x4_isospectral_quartic(g):
     return WeylSymbol({(0, 2): 1.0, (4, 0): 4.0 * g * g, (1, 0): -2.0 * g})
 
 
-@dataclass(frozen=True)
-class X4Chain:
-    pair: SimilarityPair
-    eta_squared: ExpPolySymbol
-
-
 def minus_x4_chain(alpha, g):
-    """Full chain for the -x^4 family: similarity pair plus metric.
+    """Similarity pair of the -x^4 chain, in closed form.
 
-    Asserts that the BCH pair reproduces both closed-form symbols,
-    coefficient by coefficient, and that the exponential metric exp(q)
-    annihilates the residual.
+    The BCH series of q = x4_generator on the seed terminates at ell = 2
+    and sums to x4_hermitian_symbol and x4_nonhermitian_symbol; the metric
+    is eta^2 = exp(q).  verify-all (quartic_chain_closed_forms) checks the
+    closed forms against the BCH ladder and the metric residual of exp(q).
     """
-    h0 = x4_seed(alpha)
+    H = x4_nonhermitian_symbol(alpha, g)  # its x4_seed refuses alpha <= 0 first
     q = x4_generator(alpha, g)
-    pair = hermitian_pair_from_q(h0, q, 2)
-    if not _matches_closed_form(pair.H, x4_nonhermitian_symbol(alpha, g), h0):
-        raise RuntimeError("quartic chain: BCH non-Hermitian symbol deviates from closed form")
-    if not _matches_closed_form(pair.h, x4_hermitian_symbol(alpha, g), h0):
-        raise RuntimeError("quartic chain: BCH Hermitian symbol deviates from closed form")
-    eta_squared = ExpPolySymbol(q)
-    residual = metric_residual(pair.H, eta_squared)
-    scale = max(1.0, pair.H.max_abs())
-    if residual.max_abs_coeff() > 1e-10 * scale:
-        raise RuntimeError("quartic chain: metric residual does not vanish")
-    return X4Chain(pair=pair, eta_squared=eta_squared)
+    return SimilarityPair(h=x4_hermitian_symbol(alpha, g), H=H, q=q, ell=2)
 
 
 # -- finite-difference spectra --------------------------------------------

@@ -595,6 +595,28 @@ def test_x4_subcommand_exponent(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["swanson", "--n", "2", "--m", "2", "--alpha", "1"], ["0,2,0.5,0", "2,0,5e+205,0"]),
+        (["x4", "--alpha", "1"],
+         ["0,0,1e+206,0", "0,1,-0.5,0", "0,2,-1e+206,0", "0,4,2.5e+205,0", "2,0,1,0"]),
+    ],
+    ids=["swanson", "x4"],
+)
+def test_large_coupling_prints_the_closed_forms(capsys, argv, rows):
+    # the symbols are closed forms: at g = 1e103 every coefficient is
+    # finite, where summing the BCH ladder once overflowed in its
+    # termination check [q, c2] (from g ~ 3.6e102) and exited 1
+    code, out, err = invoke(capsys, argv + ["--g", "1e103", "--which", "h"])
+    assert (code, err) == (0, "")
+    assert data_rows(out) == ("deg_x,deg_p,re,im", rows)
+    # at g = 1e155, g^2/2 overflows and the symbol constructor refuses it
+    code, out, err = invoke(capsys, argv + ["--g", "1e155", "--which", "h"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: non-finite coefficient")
+
+
 def test_spiked_subcommand(capsys):
     code, out, _ = invoke(capsys, ["spiked", "--n", "2", "--m", "3", "--xi", "0.5"])
     assert code == 0

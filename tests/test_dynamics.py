@@ -12,7 +12,9 @@ checked against the Crank-Nicolson Richardson limit, the first-order
 amplitude on the grid's own levels, exact zero-field level phases, and
 its own Strang steps taken one at a time (direct_loop): on the old step
 grid within a period and over many periods, and on the cuts it documents
-(cut_times) for drawn pulses, snapshots and switch-off times.
+(cut_times) for drawn pulses, snapshots and switch-off times; its
+whole-period jumps against explicit products of the period operator,
+also where two quasi-energies nearly coincide.
 """
 import functools
 import itertools
@@ -896,6 +898,41 @@ def test_eigenbasis_period_power_is_unitary():
     assert np.max(np.abs(U - propagator([0.0, 0.5 * period, period]))) <= 1e-12
     assert np.max(np.abs(propagator([0.0, 3.0 * period]) - U @ U @ U)) <= 1e-12
     assert np.max(np.abs(U - np.diag(np.diag(U)))) > 1e-2  # the field mixes the levels
+
+
+def test_floquet_power_survives_nearly_degenerate_quasi_energies():
+    # two levels in resonance (E1 - E0 = omega) make the field-free U_P a
+    # multiple of the identity, and a field of 1e-9 splits its eigenphases
+    # by about 1e-9: eigenvectors from np.linalg.eig are then far from
+    # orthonormal, while the whole-period jump must stay the q-th power of
+    # U_P and keep the norm
+    omega = 2.0
+    period = 2.0 * math.pi / omega
+    grid = GridSpec(-1.0, 1.0, 16)
+    x = grid.coordinates()
+    vectors = np.column_stack([np.ones_like(x), x])
+    vectors /= np.sqrt(grid.step * np.sum(vectors**2, axis=0))
+    system = models.EigenSystem(eigenvalues=np.array([0.0, omega]), eigenvectors=vectors, grid=grid)
+    pulse = Pulse(E0=1e-9, omega=omega, tau=1e6)
+    dt = period / 50.0
+
+    U = np.array([eigenbasis_propagate(system, pulse, e, dt, [0.0, period])[-1] for e in np.eye(2)]).T
+    phases = np.angle(np.linalg.eigvals(U))
+    assert 0.0 < abs(phases[1] - phases[0]) < 1e-8
+    assert np.max(np.abs(U - np.diag(np.diag(U)))) > 1e-11  # the field couples the levels
+
+    # the explicit products gather rounding of about q eps (5e-13 at q = 1000)
+    counts = [1, 2, 7, 100, 1000]
+    c0 = np.array([0.6, 0.8j])
+    got = eigenbasis_propagate(system, pulse, c0, dt, period * np.array([0] + counts))[1:]
+    c, done, expected = c0.astype(complex), 0, []
+    for q in counts:
+        for _ in range(q - done):
+            c = U @ c
+        done = q
+        expected.append(c)
+    assert np.max(np.abs(got - np.array(expected))) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(got, axis=1) - 1.0)) <= 1e-13
 
 
 def test_eigenbasis_free_tail_is_the_exact_level_phases():

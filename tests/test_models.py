@@ -19,9 +19,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
-from pseudoherm import metric, models
+from pseudoherm import identities, metric, models
 from pseudoherm.models import GridSpec, SpikedHOModel
-from pseudoherm.weyl import WeylSymbol, compose_weyl, fourier_swap, is_pt_symmetric
+from pseudoherm.weyl import ExpPolySymbol, WeylSymbol, compose_weyl, fourier_swap, is_pt_symmetric
 
 
 def reference_wavefunction(model, n, x):
@@ -43,23 +43,33 @@ def reference_wavefunction(model, n, x):
 # -- gauged oscillator family ---------------------------------------------
 
 
+def bch_swanson(n, m, alpha, g):
+    """The Swanson pair summed from its BCH ladder, which models returns in closed form."""
+    return metric.hermitian_pair_from_q(models.swanson_seed(n, alpha), models.swanson_generator(m, g), 2)
+
+
+def bch_x4(alpha, g):
+    """The -x^4 pair summed from its BCH ladder, which models returns in closed form."""
+    return metric.hermitian_pair_from_q(models.x4_seed(alpha), models.x4_generator(alpha, g), 2)
+
+
 def test_swanson_pair_quadratic_closed_form():
     alpha, g = 1.3, 0.4
-    pair = models.swanson_pair(2, 2, alpha, g)
     expect_h = WeylSymbol({(0, 2): 0.5, (2, 0): 0.5 * alpha + 0.5 * g * g})
     expect_H = WeylSymbol({(0, 2): 0.5, (2, 0): 0.5 * alpha, (1, 1): -1j * g})
-    assert pair.h.isclose(expect_h, tol=1e-13)
-    assert pair.H.isclose(expect_H, tol=1e-13)
-    assert pair.ell == 2
+    for pair in (bch_swanson(2, 2, alpha, g), models.swanson_pair(2, 2, alpha, g)):
+        assert pair.h.isclose(expect_h, tol=1e-13)
+        assert pair.H.isclose(expect_H, tol=1e-13)
+        assert pair.ell == 2
 
 
 def test_swanson_pair_cubic_generator():
     alpha, g = 0.9, 0.25
-    pair = models.swanson_pair(2, 3, alpha, g)
     expect_h = WeylSymbol({(0, 2): 0.5, (2, 0): 0.5 * alpha, (4, 0): 0.5 * g * g})
     expect_H = WeylSymbol({(0, 2): 0.5, (2, 0): 0.5 * alpha, (2, 1): -1j * g})
-    assert pair.h.isclose(expect_h, tol=1e-13)
-    assert pair.H.isclose(expect_H, tol=1e-13)
+    for pair in (bch_swanson(2, 3, alpha, g), models.swanson_pair(2, 3, alpha, g)):
+        assert pair.h.isclose(expect_h, tol=1e-13)
+        assert pair.H.isclose(expect_H, tol=1e-13)
 
 
 def test_swanson_pair_general_shape():
@@ -67,22 +77,24 @@ def test_swanson_pair_general_shape():
     for n, m in [(2, 2), (2, 3), (4, 2), (3, 4), (6, 5)]:
         alpha = float(rng.uniform(0.2, 2.0))
         g = float(rng.uniform(0.05, 0.8))
-        pair = models.swanson_pair(n, m, alpha, g)
         expect_h = models.swanson_seed(n, alpha) + WeylSymbol(
             {(2 * m - 2, 0): 0.5 * g * g}
         )
         expect_H = models.swanson_seed(n, alpha) + WeylSymbol({(m - 1, 1): -1j * g})
-        assert pair.h.isclose(expect_h, tol=1e-12)
-        assert pair.H.isclose(expect_H, tol=1e-12)
+        closed = models.swanson_pair(n, m, alpha, g)
+        for pair in (bch_swanson(n, m, alpha, g), closed):
+            assert pair.h.isclose(expect_h, tol=1e-12)
+            assert pair.H.isclose(expect_H, tol=1e-12)
+        assert closed.q.distance(models.swanson_generator(m, g)) == 0.0
         # both the real x^n seed and the i g x^(m-1) p term survive the
         # combined parity flip and conjugation only at even powers
-        assert is_pt_symmetric(pair.H) == (n % 2 == 0 and m % 2 == 0)
+        assert is_pt_symmetric(closed.H) == (n % 2 == 0 and m % 2 == 0)
 
 
 def test_swanson_zero_coupling_collapses():
-    pair = models.swanson_pair(2, 2, 1.1, 0.0)
-    assert pair.h.isclose(models.swanson_seed(2, 1.1), tol=0.0)
-    assert pair.H.isclose(models.swanson_seed(2, 1.1), tol=0.0)
+    for pair in (bch_swanson(2, 2, 1.1, 0.0), models.swanson_pair(2, 2, 1.1, 0.0)):
+        assert pair.h.isclose(models.swanson_seed(2, 1.1), tol=0.0)
+        assert pair.H.isclose(models.swanson_seed(2, 1.1), tol=0.0)
 
 
 def test_swanson_substitution_routes():
@@ -116,17 +128,19 @@ def test_swanson_validation():
 
 def test_x4_chain_closed_forms():
     alpha, g = 1.0, 0.1
-    chain = models.minus_x4_chain(alpha, g)
-    H = chain.pair.H
-    assert H.coefficient(1, 2) == pytest.approx(1j * g, abs=1e-14)
-    assert H.coefficient(1, 0) == pytest.approx(-2j * alpha * g, abs=1e-14)
-    h = chain.pair.h
-    assert h.coefficient(0, 4) == pytest.approx(g * g / (4 * alpha), abs=1e-14)
-    assert h.coefficient(0, 2) == pytest.approx(1.0 - g * g, abs=1e-14)
-    assert h.coefficient(0, 0) == pytest.approx(-alpha + g * g * alpha, abs=1e-14)
-    # metric exponent is the generator itself
-    assert chain.eta_squared.exponent.distance(chain.pair.q) == 0.0
-    assert chain.eta_squared.prefactor.distance(WeylSymbol.one()) == 0.0
+    closed = models.minus_x4_chain(alpha, g)
+    for pair in (bch_x4(alpha, g), closed):
+        H = pair.H
+        assert H.coefficient(1, 2) == pytest.approx(1j * g, abs=1e-14)
+        assert H.coefficient(1, 0) == pytest.approx(-2j * alpha * g, abs=1e-14)
+        h = pair.h
+        assert h.coefficient(0, 4) == pytest.approx(g * g / (4 * alpha), abs=1e-14)
+        assert h.coefficient(0, 2) == pytest.approx(1.0 - g * g, abs=1e-14)
+        assert h.coefficient(0, 0) == pytest.approx(-alpha + g * g * alpha, abs=1e-14)
+    # the metric is eta^2 = exp(q), with q the generator itself
+    assert closed.q.distance(models.x4_generator(alpha, g)) == 0.0
+    residual = metric.metric_residual(closed.H, ExpPolySymbol(closed.q))
+    assert residual.max_abs_coeff() <= 1e-14
 
 
 def _relative_floor(sym, rel=1e-12):
@@ -140,36 +154,38 @@ def test_small_coupling_keeps_the_induced_terms(monkeypatch):
     assert h.coefficient(0, 4) == pytest.approx(2.5e-15, rel=1e-15)
     assert h.coefficient(0, 2) == pytest.approx(1.0 - 1e-14, rel=1e-15)
     assert h.coefficient(0, 0) == pytest.approx(-1.0 + 1e-14, rel=1e-15)
-    chain = models.minus_x4_chain(1.0, 1e-7)
-    assert chain.pair.h.coefficient(0, 4) == pytest.approx(2.5e-15, rel=1e-14)
-    pair = models.swanson_pair(2, 3, 0.5, 1e-7)
-    assert pair.h.coefficient(4, 0) == pytest.approx(5e-15, rel=1e-14)
-    # a pair that lost them (a storage floor relative to the largest
-    # coefficient did) no longer passes the coefficientwise closed-form check
-    bch = models.hermitian_pair_from_q
+    assert bch_x4(1.0, 1e-7).h.coefficient(0, 4) == pytest.approx(2.5e-15, rel=1e-14)
+    assert bch_swanson(2, 3, 0.5, 1e-7).h.coefficient(4, 0) == pytest.approx(5e-15, rel=1e-14)
+    assert models.swanson_pair(2, 3, 0.5, 1e-7).h.coefficient(4, 0) == pytest.approx(5e-15, rel=1e-15)
+    x4_case = (models.x4_seed(1.0), models.minus_x4_chain(1.0, 1e-7))
+    swanson_case = (models.swanson_seed(2, 0.5), models.swanson_pair(2, 3, 0.5, 1e-7))
+    for seed, closed in (x4_case, swanson_case):
+        assert identities._bch_against_closed_form(seed, closed)[1]
+    # a ladder that lost them (a storage floor relative to the largest
+    # coefficient did) no longer passes verify-all's coefficientwise check,
+    # though its largest coefficient distance is far below that check's 1e-12
+    bch = metric.hermitian_pair_from_q
 
     def floored(h0, q, ell):
         pair = bch(h0, q, ell)
         return metric.SimilarityPair(h=_relative_floor(pair.h), H=pair.H, q=q, ell=ell)
 
-    monkeypatch.setattr(models, "hermitian_pair_from_q", floored)
-    assert _relative_floor(chain.pair.h).coefficient(0, 4) == 0
-    with pytest.raises(RuntimeError, match="Hermitian symbol deviates"):
-        models.minus_x4_chain(1.0, 1e-7)
-    with pytest.raises(RuntimeError, match="Swanson pair deviates"):
-        models.swanson_pair(2, 3, 0.5, 1e-7)
+    assert _relative_floor(bch_x4(1.0, 1e-7).h).coefficient(0, 4) == 0
+    monkeypatch.setattr(metric, "hermitian_pair_from_q", floored)
+    for seed, closed in (x4_case, swanson_case):
+        err, matches = identities._bch_against_closed_form(seed, closed)
+        assert err <= 1e-14 and not matches
 
 
 def test_x4_zero_coupling():
-    chain = models.minus_x4_chain(1.3, 0.0)
-    assert chain.pair.h.isclose(models.x4_seed(1.3), tol=0.0)
-    assert chain.pair.H.isclose(models.x4_seed(1.3), tol=0.0)
+    for pair in (bch_x4(1.3, 0.0), models.minus_x4_chain(1.3, 0.0)):
+        assert pair.h.isclose(models.x4_seed(1.3), tol=0.0)
+        assert pair.H.isclose(models.x4_seed(1.3), tol=0.0)
 
 
 def test_x4_dressed_position():
     alpha, g = 1.2, 0.3
-    chain = models.minus_x4_chain(alpha, g)
-    mapped = metric.observable_map(WeylSymbol.x(), chain.pair.q)
+    mapped = metric.observable_map(WeylSymbol.x(), models.minus_x4_chain(alpha, g).q)
     expect = WeylSymbol(
         {(1, 0): 1.0, (0, 2): 0.5j * g / alpha, (0, 0): -1j * g}
     )

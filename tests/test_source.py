@@ -132,3 +132,17 @@ def test_only_weyl_reaches_inside_a_symbol(path):
         elif isinstance(node, ast.Attribute) and node.attr in ("_c", "_wrap"):
             reached.append(node.attr)
     assert reached == []
+
+
+def test_models_take_only_the_pair_type_from_metric():
+    # the Swanson and -x^4 pairs are closed forms; the BCH ladder and the
+    # metric residual that check them run in verify-all, not per request
+    tree = ast.parse((SOURCE / "models.py").read_text(), filename="models.py")
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "metric":
+            taken += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # the module itself: import pseudoherm.metric, from . import metric
+            taken += [alias.name for alias in node.names if alias.name.split(".")[-1] == "metric"]
+    assert taken == ["SimilarityPair"]

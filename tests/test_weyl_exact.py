@@ -280,7 +280,8 @@ def test_swanson_ladder_exact(n, m, alpha, g):
     assert chain[3] == {}
     assert h == combine((1, h0), (1, symbol({(2 * m - 2, 0): g * g / 2})))
     assert H == combine((1, h0), (1, symbol({(m - 1, 1): (0, -g)})))
-    assert_pair_matches(models.swanson_pair(n, m, float(alpha), float(g)), h0)
+    seed, q = models.swanson_seed(n, float(alpha)), models.swanson_generator(m, float(g))
+    assert_pair_matches(metric.hermitian_pair_from_q(seed, q, 2), h0)
 
 
 @pytest.mark.parametrize("alpha,g", SMALL_AND_MODERATE)
@@ -292,10 +293,12 @@ def test_x4_ladder_exact(alpha, g):
     assert H == combine((1, h0), (1, symbol({(1, 2): (0, g), (1, 0): (0, -2 * alpha * g)})))
     induced = symbol({(0, 4): g * g / (4 * alpha), (0, 2): -g * g, (0, 0): g * g * alpha})
     assert h == combine((1, h0), (1, induced))
-    chain_f = models.minus_x4_chain(float(alpha), float(g))
-    assert_pair_matches(chain_f.pair, h0)
+    pair = metric.hermitian_pair_from_q(
+        models.x4_seed(float(alpha)), models.x4_generator(float(alpha), float(g)), 2
+    )
+    assert_pair_matches(pair, h0)
     # the induced quartic term is there at any coupling, to the rounding of q
-    assert chain_f.pair.h.coefficient(0, 4) == pytest.approx(float(g * g / (4 * alpha)), rel=1e-14)
+    assert pair.h.coefficient(0, 4) == pytest.approx(float(g * g / (4 * alpha)), rel=1e-14)
 
 
 # -- the small-product map -------------------------------------------------
