@@ -26,11 +26,16 @@ because symbol requests are many and small:
   `_ARRAY_ROWS` terms prints with one `"%d,%d,%.12g,%.12g"` format per row
   (adding 0.0 first turns -0 into 0).  The `transition` and `contour`
   tables, whose row counts scale with a flag, and larger symbol tables go
-  through `_float_cells`, an array kernel that prints the same bytes as
-  `_fmt` for every float64.  The other small tables (`spectrum`,
-  `propagate`, `verify-all`, the config block) call `_fmt` per value: the
-  kernel's fixed cost, some 70 numpy calls, is more than `_fmt` spends on
-  a few dozen values.
+  through one row writer (`_csv_blocks`).  Per block of rows it prints
+  all the float fields with one call of `_float_cells`, an array kernel
+  that gives the bytes of `_fmt` for every float64, NUL-padded to cells
+  that keep only the 4-byte words some value of the block uses; it places
+  every field in one byte buffer shaped like the rows and drops the NULs
+  in one pass.  Blocks go to the output as they are built, so a table of
+  millions of rows never sits in memory whole.  The other small tables
+  (`spectrum`, `propagate`, `verify-all`, the config block) call `_fmt`
+  per value: the kernel's fixed cost, some 70 numpy calls, is more than
+  `_fmt` spends on a few dozen values.
 
 `verify-all` runs the ordered identity checks of `pseudoherm.identities`
 (the table the test suite also runs) and prints one PASS/FAIL row each.
@@ -78,9 +83,13 @@ def _fmt(value):
 # _TIE_BAND of a half-integer, zeros (-0 prints "0"), non-finite values
 # and |v| outside that range go through `_fmt` itself.  The digits of m
 # are then placed by tables keyed by e and the index of m's last nonzero
-# digit, after the sign.
+# digit, after the sign.  A value's text is nine 4-byte words: sign (1),
+# head (3), tail (3) and exponent (2), NUL-padded.  A call keeps only the
+# words that some value of its array uses, so a block of positive
+# fixed-form values gets narrow cells; a slow-path text is left-packed
+# into them, and the cells widen only when such a text does not fit.
+# `_csv_blocks` places the cells in rows and drops the NULs.
 
-_CELL = 36  # bytes per value: sign (4), head (12), tail (12), exponent (8)
 _ROW_BLOCK = 8192  # table rows built per pass, so memory does not grow with the table
 _TIE_BAND = 1e-3  # covers the 2.3e-4 scaling error with room to spare
 _E_LO, _E_HI = -300, 300
@@ -122,12 +131,12 @@ del _groups
 _EXPONENT_TEXT = np.array(
     [f"e{e:+03d}" if e < -4 or e >= 12 else "" for e in range(_E_LO, _E_HI + 1)],
     dtype="S8",
-).view(np.uint32).reshape(-1, 2)
+).view(np.uint32).reshape(-1, 2).T.copy()
 
 
 def _float_cells(values):
-    """`_fmt` of each float64 in `values` (flattened), as rows of _CELL
-    NUL-padded bytes."""
+    """`_fmt` of each float64 in `values` (flattened), as rows of
+    NUL-padded bytes, all of one width: a multiple of 4 up to 36."""
     v = np.asarray(values, dtype=np.float64).ravel()
     a = np.abs(v)
     fast = (a > 1e-280) & (a < 1e280)
@@ -160,33 +169,53 @@ def _float_cells(values):
     digits = np.take(_DIGITS4, groups)
     head = digits & np.take(_HEAD_MASK, key, axis=1) | np.take(_HEAD_TEXT, key, axis=1)
     tail = digits & np.take(_TAIL_MASK, key, axis=1)
-    out = np.empty((v.size, _CELL // 4), np.uint32)
-    out[:, 0] = (v < 0).view(np.uint8) * np.uint8(ord("-"))
-    for k in range(3):
-        out[:, 1 + k] = head[k]
-        out[:, 4 + k] = tail[k]
-    out[:, 7:] = np.take(_EXPONENT_TEXT, e - _E_LO, axis=0)
-    out = out.view(np.uint8)
+    exponent = np.take(_EXPONENT_TEXT, e - _E_LO, axis=1)
+    words = [(v < 0).view(np.uint8) * np.uint32(ord("-")), *head, *tail, *exponent]
     slow = np.flatnonzero(~fast)
+    width = 0
     if slow.size:
         unique, inverse = np.unique(v[slow], return_inverse=True)
-        text = np.array([_fmt(x) for x in unique.tolist()], dtype=f"S{_CELL}")
-        out[slow] = text.view(np.uint8).reshape(-1, _CELL)[inverse]
+        text = [_fmt(x) for x in unique.tolist()]
+        width = -(-max(map(len, text)) // 4)
+        for word in words:
+            word[slow] = 0  # their texts replace these cells whole
+    words = [w for w in words if np.bitwise_or.reduce(w)]
+    width = max(width, len(words))
+    out = np.empty((v.size, width), np.uint32)
+    for k, word in enumerate(words):
+        out[:, k] = word
+    out[:, len(words):] = 0  # room that only the slow texts use
+    out = out.view(np.uint8)
+    if slow.size:
+        out[slow] = np.array(text, dtype=f"S{4 * width}").view(np.uint8).reshape(-1, 4 * width)[inverse]
     return out
 
 
-def _csv_text(columns):
-    """CSV rows, joined by newlines, from NUL-padded uint8 cell matrices
-    (one per column, one row per table row)."""
-    buf = np.zeros((columns[0].shape[0], sum(c.shape[1] + 1 for c in columns)), np.uint8)
-    end = 0
-    for column in columns:
-        start, end = end, end + column.shape[1]
-        buf[:, start:end] = column
-        buf[:, end] = ord(",")
-        end += 1
-    buf[:, -1] = ord("\n")
-    return buf[buf != 0].tobytes()[:-1].decode("ascii")
+def _csv_blocks(fields, size, width=1):
+    """The rows of a CSV table, as texts of up to _ROW_BLOCK rows joined by
+    newlines.  Row i * width + c holds, for each field in order, the cell
+    at [i, c] of the field broadcast to (size, width).  A float64 field
+    has shape (size, 1) or (size, width) and prints as `_fmt` prints it;
+    a uint8 field holds NUL-padded text cells along its last axis."""
+    per_block = max(1, _ROW_BLOCK // width)
+    for i in range(0, size, per_block):
+        block = [f[i:i + per_block] if f.shape[0] == size else f for f in fields]
+        cells = _float_cells(np.concatenate([f.ravel() for f in block if f.dtype != np.uint8]))
+        for k, f in enumerate(block):
+            if f.dtype != np.uint8:
+                block[k], cells = cells[:f.size].reshape(f.shape + (-1,)), cells[f.size:]
+        buf = np.empty((min(per_block, size - i), width, sum(f.shape[-1] + 1 for f in block)), np.uint8)
+        start = 0
+        for f in block:
+            # each cell copied as one item: numpy loops over cells, not bytes
+            cell = f"V{f.shape[-1]}"
+            np.ndarray(buf.shape[:2], cell, buf, start, buf.strides[:2])[...] = f.view(cell)[..., 0]
+            start += f.shape[-1]
+            buf[:, :, start] = ord(",")
+            start += 1
+        buf[:, :, -1] = ord("\n")
+        buf[-1, -1, -1] = 0  # the last row's newline comes from the caller
+        yield buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
 # -- parameter table -------------------------------------------------------
@@ -314,14 +343,15 @@ def _read_symbol(path):
         raise ValueError(f"symbol file {path}: {exc}") from None
 
 
-# Symbol tables of at least _ARRAY_ROWS terms print through _float_cells, whose
+# Symbol tables of at least _ARRAY_ROWS terms print through _csv_blocks, whose
 # fixed cost is more than one "%.12g" format per row spends on fewer rows (the
-# two cross at 150-190 rows on a 2-vCPU x86-64).  Degrees print from a table
-# of their text; no symbol holds a degree above MAX_DEGREE.
+# two cross at 150-220 rows of complex coefficients on a 2-vCPU x86-64).
+# Degrees print from a table of their text; no symbol holds a degree above
+# MAX_DEGREE.
 _ARRAY_ROWS = 160
 _SYMBOL_ROW = "%d,%d,%.12g,%.12g"
 _DEGREE_CELLS = np.array([str(k) for k in range(weyl.MAX_DEGREE + 1)], dtype="S3")
-_DEGREE_CELLS = _DEGREE_CELLS.view(np.uint8).reshape(-1, 3)
+_DEGREE_CELLS = _DEGREE_CELLS.view(np.uint8).reshape(-1, 1, 3)
 
 
 def _symbol_rows(sym):
@@ -331,8 +361,8 @@ def _symbol_rows(sym):
         c = c + 0.0  # -0 prints as 0, as in _fmt
         terms = zip(dx.tolist(), dp.tolist(), c.real.tolist(), c.imag.tolist())
         return [_SYMBOL_ROW % term for term in terms]
-    cells = _float_cells(np.column_stack([c.real, c.imag])).reshape(-1, 2, _CELL)
-    return [_csv_text([_DEGREE_CELLS[dx], _DEGREE_CELLS[dp], cells[:, 0], cells[:, 1]])]
+    fields = [_DEGREE_CELLS[dx], _DEGREE_CELLS[dp], c.real[:, None], c.imag[:, None]]
+    return list(_csv_blocks(fields, dx.size))
 
 
 # -- subcommand runners ----------------------------------------------------
@@ -362,11 +392,7 @@ def _run_contour(v, canon):
     zs = stokes.contour_point(contour, xs)
     admissible = stokes.contour_admissible(contour, v["N"])
     extra = [f"# admissible={'true' if admissible else 'false'}"]
-    points = np.stack([xs, zs.real, zs.imag], axis=1)
-    rows = []
-    for i in range(0, xs.size, _ROW_BLOCK):
-        cells = _float_cells(points[i:i + _ROW_BLOCK]).reshape(-1, 3, _CELL)
-        rows.append(_csv_text([cells[:, 0], cells[:, 1], cells[:, 2]]))
+    rows = _csv_blocks([xs[:, None], zs.real[:, None], zs.imag[:, None]], xs.size)
     return extra, "x,re_z,im_z", rows, 0
 
 
@@ -513,23 +539,16 @@ def _run_transition(v, canon):
     curves = dynamics.transition_sweep(
         model, v["n"], v["m"], v["E0"], lo, hi, steps, v["tau"], xi_sorted
     )
-    # row i * width + c is (omega_i, xi_c, P_c(omega_i)): a block formats
-    # its omegas once, with their probabilities, and tiles the xi cells
+    # row i * width + c is (omega_i, xi_c, P_c(omega_i)): each omega is
+    # formatted once, and the xi cells once for the whole table
     width = len(curves)
     xi_cells = np.array([_fmt(curve.xi) for curve in curves], dtype="S")
-    xi_cells = xi_cells.view(np.uint8).reshape(width, -1)
-    per_block = max(1, _ROW_BLOCK // width)
-    rows = []
-    for i in range(0, steps, per_block):
-        block = [curves[0].omega[i:i + per_block]]
-        block += [curve.probability[i:i + per_block] for curve in curves]
-        cells = _float_cells(np.column_stack(block)).reshape(block[0].size, width + 1, _CELL)
-        rows.append(_csv_text([
-            np.repeat(cells[:, 0], width, axis=0),
-            np.tile(xi_cells, (block[0].size, 1)),
-            cells[:, 1:].reshape(-1, _CELL),
-        ]))
-    return [], "omega,xi,probability", rows, 0
+    fields = [
+        curves[0].omega[:, None],
+        xi_cells.view(np.uint8).reshape(1, width, -1),
+        np.column_stack([curve.probability for curve in curves]),
+    ]
+    return [], "omega,xi,probability", _csv_blocks(fields, steps, width), 0
 
 
 def _run_propagate(v, canon):
@@ -890,17 +909,29 @@ def run(argv=None):
     lines += [f"# {key}={canon[key]}" for key in sorted(canon)]
     lines += extra
     lines.append(header)
-    lines += rows
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        try:
-            Path(out_path).write_text(text)
-        except OSError as exc:
-            print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+    if not out_path:
+        _write(sys.stdout, lines, rows)
+        return code
+    try:
+        with Path(out_path).open("w") as stream:
+            _write(stream, lines, rows)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return 1
     return code
+
+
+def _write(stream, lines, rows):
+    """Write the head lines and the rows, each text followed by a newline.
+    A list of rows goes out in one write; any other iterable (the row
+    blocks of a large table) one text at a time, as each is built."""
+    if isinstance(rows, list):
+        stream.write("\n".join(lines + rows) + "\n")
+        return
+    stream.write("\n".join(lines) + "\n")
+    for text in rows:
+        stream.write(text)
+        stream.write("\n")
 
 
 def main():

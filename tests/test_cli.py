@@ -317,6 +317,51 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert target.read_text() == out
 
 
+def test_out_file_of_several_row_blocks_matches_stdout(capsys, tmp_path):
+    argv = ["contour", "--kind", "z2", "--N", "4", "--samples", str(2 * cli._ROW_BLOCK + 1)]
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0
+    target = tmp_path / "contour.csv"
+    assert run(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == out
+
+
+def test_unwritable_out_file_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "contour.csv"
+    with pytest.raises(OSError) as refused:
+        target.write_text("")
+    code, out, err = invoke(capsys, ["contour", "--kind", "z2", "--N", "4", "--out", str(target)])
+    assert (code, out, err) == (1, "", f"error: cannot write {target}: {refused.value}\n")
+
+
+def test_large_out_file_is_written_a_block_at_a_time(tmp_path):
+    # 10^6 contour rows, 44 MB: the rows go to the file as they are built,
+    # so a fresh interpreter's peak RSS grows by less than twice the file
+    # (joining the table into one text first took three times it)
+    target = tmp_path / "contour.csv"
+    argv = ["contour", "--kind", "z1", "--N", "4", "--samples", "1000000", "--out", str(target)]
+    probe = (
+        "import resource\n"
+        "from pseudoherm import cli\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"assert cli.run({argv!r}) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    # Linux carries a process's peak RSS across exec, so the probe starts
+    # from a small interpreter, not straight from this one
+    launch = f"import subprocess, sys; subprocess.run([sys.executable, '-c', {probe!r}], check=True)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", launch], env=env, capture_output=True, text=True, check=True
+    )
+    growth = int(result.stdout) * 1024  # ru_maxrss counts KiB on Linux
+    size = target.stat().st_size
+    assert size > 40e6
+    assert growth < 2 * size
+
+
 def test_config_echo_block(capsys):
     code, out, _ = invoke(capsys, ["wedges", "--N", "4"])
     assert code == 0

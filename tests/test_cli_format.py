@@ -1,8 +1,10 @@
 """The array formatter of the CLI against `_fmt`, its one definition.
 
 `cli._float_cells` must print every float64 with the bytes `cli._fmt`
-gives it (Python's '%.12g', -0 as 0), and the `transition` and `contour`
-tables built from it must equal the rows of the per-value `_fmt` loop.
+gives it (Python's '%.12g', -0 as 0) in cells cut to the words its
+values use, and the `transition` and `contour` tables that the row writer
+`cli._csv_blocks` builds from it must equal the rows of the per-value
+`_fmt` loop.
 """
 import contextlib
 import io
@@ -16,7 +18,8 @@ from pseudoherm.models import SpikedHOModel
 
 
 def _printed(values):
-    return cli._csv_text([cli._float_cells(values)]).split("\n")
+    values = np.asarray(values, dtype=np.float64)
+    return "\n".join(cli._csv_blocks([values[:, None]], values.size)).split("\n")
 
 
 def _assert_matches_fmt(values):
@@ -104,6 +107,48 @@ def test_both_sides_of_the_fixed_exponent_switch():
     _assert_matches_fmt(np.concatenate([values, -values]))
 
 
+def _blocks(*blocks):
+    """Values that fill one row block each, in order (the last may be short)."""
+    rng = np.random.default_rng(len(blocks))
+    return np.concatenate([rng.choice(np.asarray(b, dtype=np.float64), cli._ROW_BLOCK) for b in blocks])
+
+
+@pytest.mark.parametrize("values", [
+    # fixed form, then exponent form, then integers: each block its own words
+    _blocks(np.linspace(1.0, 9.99, 997), np.geomspace(1e-30, 1e-20, 991), np.arange(1.0, 50.0)),
+    # negative values in the middle block only
+    _blocks(np.linspace(0.5, 2.5, 13), -np.geomspace(1e-9, 1e9, 101), np.linspace(0.5, 2.5, 13)),
+    # three-digit exponents in the last block only
+    _blocks(np.geomspace(1e-50, 1e50, 89), np.geomspace(1e-50, 1e50, 89),
+            [1e-100, -2.5e-123, 3.25e200, -1.75e-299, 1e280, 1e-280]),
+], ids=["word_sets", "negative_block", "three_digit_exponents"])
+def test_consecutive_blocks_that_need_different_cells(values):
+    widths = {cli._float_cells(values[i:i + cli._ROW_BLOCK]).shape[1]
+              for i in range(0, values.size, cli._ROW_BLOCK)}
+    assert len(widths) > 1  # the blocks really are cut to different widths
+    _assert_matches_fmt(values)
+
+
+def test_slow_texts_widen_the_narrowed_cells():
+    # 1 and 2 need one word; the tie, -0, the non-finite values and |v|
+    # outside 1e+-280 print through _fmt, in texts of up to 13 bytes
+    fast = [1.0, 2.0]
+    slow = [1234567890.125, -0.0, -math.inf, math.nan, -1.5e-300, 2.5e299, -123456789012.5]
+    assert cli._float_cells(fast).shape[1] == 4
+    assert cli._float_cells(fast + slow).shape[1] == 16
+    assert cli._float_cells(slow[:4]).shape[1] == 16  # no fast word at all
+    _assert_matches_fmt(fast + slow)
+    _assert_matches_fmt(slow[1:4])
+
+
+def test_fixed_form_cells_are_narrowed():
+    # d.ddddddddddd uses the first head word and the three tail words: no
+    # sign, no exponent, so 16 of the 36 bytes a cell can take
+    values = np.random.default_rng(7).uniform(1.0, 9.99, 1000)
+    assert cli._float_cells(values).shape[1] == 16
+    _assert_matches_fmt(values)
+
+
 # -- whole tables against the per-value loop --------------------------------
 
 
@@ -128,7 +173,14 @@ TRANSITIONS = [
 ]
 
 
-@pytest.mark.parametrize("E0,omega,xi,tau", TRANSITIONS)
+# omega steps around a row block, for one xi value and for sixteen
+BLOCK_EDGES = [
+    ("1e-3", f"1.5:2.5:{cli._ROW_BLOCK // len(xi) + d}", ",".join(xi), "20")
+    for xi in (["0.5"], [str(0.25 * k - 2) for k in range(16)]) for d in (-1, 0, 1)
+]
+
+
+@pytest.mark.parametrize("E0,omega,xi,tau", TRANSITIONS + BLOCK_EDGES)
 def test_transition_rows_equal_the_per_value_loop(E0, omega, xi, tau):
     argv = ["transition", "--E0", E0, "--omega", omega, "--xi", xi, "--tau", tau,
             "--lambda", "0.5", "--alpha", "0.2", "--n", "2", "--m", "3"]
@@ -146,11 +198,20 @@ def test_transition_rows_equal_the_per_value_loop(E0, omega, xi, tau):
     assert _stdout(argv) == expected
 
 
+def _contour_rows(kind, samples):
+    contour = stokes.Contour.hyperbola(a=1.0, N=5) if kind == "z1" else stokes.Contour.sqrt_bend()
+    xs = np.linspace(-13.7, 13.7, samples)
+    zs = stokes.contour_point(contour, xs)
+    return [f"{cli._fmt(x)},{cli._fmt(z.real)},{cli._fmt(z.imag)}" for x, z in zip(xs, zs)]
+
+
 @pytest.mark.parametrize("kind", ["z1", "z2"])
 def test_contour_rows_equal_the_per_value_loop(kind):
     argv = ["contour", "--kind", kind, "--N", "5", "--samples", "2001", "--xspan", "13.7"]
-    contour = stokes.Contour.hyperbola(a=1.0, N=5) if kind == "z1" else stokes.Contour.sqrt_bend()
-    xs = np.linspace(-13.7, 13.7, 2001)
-    zs = stokes.contour_point(contour, xs)
-    expected = [f"{cli._fmt(x)},{cli._fmt(z.real)},{cli._fmt(z.imag)}" for x, z in zip(xs, zs)]
-    assert _stdout(argv) == expected
+    assert _stdout(argv) == _contour_rows(kind, 2001)
+
+
+@pytest.mark.parametrize("samples", [1, cli._ROW_BLOCK + 1])
+def test_contour_of_one_row_and_of_a_row_past_the_block(samples):
+    argv = ["contour", "--kind", "z1", "--N", "5", "--samples", str(samples), "--xspan", "13.7"]
+    assert _stdout(argv) == _contour_rows("z1", samples)

@@ -662,9 +662,12 @@ def loop_symbol_rows(sym):
 
 
 
-@pytest.mark.parametrize("shape", [(1, cli._ARRAY_ROWS - 1), (13, 13), (weyl.MAX_DEGREE + 1, 1)])
+@pytest.mark.parametrize(
+    "shape", [(1, cli._ARRAY_ROWS - 1), (13, 13), (weyl.MAX_DEGREE + 1, 1), (1, cli._ARRAY_ROWS)]
+)
 def test_symbol_rows_print_the_bytes_of_the_fmt_rows(shape):
-    # below _ARRAY_ROWS, past it, and up to the last degree a symbol can hold
+    # below _ARRAY_ROWS, past it, up to the last degree a symbol can hold,
+    # and exactly _ARRAY_ROWS terms, the first table the row writer prints
     c = _random(np.random.default_rng(shape[0]), shape)
     c[-1, -1] = complex(-0.0, 1e-300)
     c[0, 0] = complex(1.5, -0.0)
