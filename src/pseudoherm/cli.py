@@ -56,7 +56,7 @@ import numpy as np
 from . import dynamics, identities, metric, models, stokes, weyl
 from .metric import MetricConvergenceError, TerminationError
 from .models import GridSpec, SpikedHOModel
-from .weyl import ExpPolySymbol, WeylSymbol
+from .weyl import WeylSymbol
 
 
 class CliUsageError(Exception):
@@ -79,9 +79,10 @@ def _fmt(value):
 # mantissa m = rint(q).  The power of ten is correctly rounded, and so is
 # the product, so q is within 2.3e-4 of the exact |v| 10^(11-e), and m is
 # the mantissa of Python's correctly rounded dtoa (Gay, AT&T NA Manuscript
-# 90-10, 1990) unless q lies that close to a half-integer.  Values within
-# _TIE_BAND of a half-integer, zeros (-0 prints "0"), non-finite values
-# and |v| outside that range go through `_fmt` itself.  The digits of m
+# 90-10, 1990) unless q lies that close to a half-integer.  A zero takes
+# m = 0 and e = 0, which print "0" for either sign.  Values within
+# _TIE_BAND of a half-integer, non-finite values and other |v| outside
+# that range go through `_fmt` itself.  The digits of m
 # are then placed by tables keyed by e and the index of m's last nonzero
 # digit, after the sign.  A value's text is nine 4-byte words: sign (1),
 # head (3), tail (3) and exponent (2), NUL-padded.  A call keeps only the
@@ -139,8 +140,9 @@ def _float_cells(values):
     NUL-padded bytes, all of one width: a multiple of 4 up to 36."""
     v = np.asarray(values, dtype=np.float64).ravel()
     a = np.abs(v)
+    zero = a == 0.0
     fast = (a > 1e-280) & (a < 1e280)
-    a[~fast] = 1.0
+    a[~fast] = 1.0  # e = 0 for a zero
     e = np.floor(np.log10(a)).astype(np.intp)
     q = a * np.take(_POW10, 11 - _E_LO - e)
     off = np.flatnonzero((q < 1e11) | (q >= 1e12))  # log10 one off near 10^k
@@ -149,6 +151,8 @@ def _float_cells(values):
         q[off] = a[off] * np.take(_POW10, 11 - _E_LO - e[off])
     m = np.rint(q)
     fast &= np.abs(q - np.floor(q) - 0.5) > _TIE_BAND
+    fast |= zero
+    m[zero] = 0.0
     carry = np.flatnonzero(m == 1e12)  # rounded up to the next power of ten
     if carry.size:
         e[carry] += 1
@@ -434,18 +438,16 @@ def _run_metric_verify(v, canon):
     _check_tol(v)
     H = _read_symbol(v["hamiltonian"])
     exponent = _read_symbol(v["exponent"])
-    residual = metric.metric_residual(H, ExpPolySymbol(exponent))
-    worst = residual.max_abs_coeff()
+    residual = metric.metric_residual(H, exponent)
+    worst = residual.max_abs()
     scale = max(1.0, H.max_abs())
     passed = worst <= v["tol"] * scale
     extra = [
         f"# residual_max_abs={_fmt(worst)}",
         f"# passed={'true' if passed else 'false'}",
     ]
-    # the residual is one exponential term, so its term column is always 0
-    rows = [
-        f"0,{dx},{dp},{_fmt(c.real)},{_fmt(c.imag)}" for (dx, dp), c in residual.prefactor.items()
-    ]
+    # the residual is one polynomial, so its term column is always 0
+    rows = [f"0,{dx},{dp},{_fmt(c.real)},{_fmt(c.imag)}" for (dx, dp), c in residual.items()]
     return extra, "term,deg_x,deg_p,re,im", rows, 0 if passed else 1
 
 

@@ -36,7 +36,7 @@ from .models import (
     spiked_energy,
     spiked_matrix_element,
 )
-from .weyl import ExpPolySymbol, WeylSymbol, intertwining_residual
+from .weyl import WeylSymbol, intertwining_residual
 
 
 @dataclass(frozen=True)
@@ -174,15 +174,16 @@ def gauge_residual(h0, pulse, t):
     which carry the length-frame Hamiltonian into the velocity and
     Kramers-Henneberger frames.  Each side is an independent Moyal
     product (polynomial times exponential against exponential times
-    polynomial), so the returned residuals, one exponential term each whose
-    prefactor is the difference of the two sides, vanish only if the
-    translations have the right sign and size.
+    polynomial).  The residuals are the two polynomials R with
+    h0 * e^E - e^E * h0' = R e^E (weyl.intertwining_residual), h0' the
+    translated h0; they vanish only if the translations have the right
+    sign and size.
     """
     ints = field_integrals(pulse, t)
-    velocity_gauge = ExpPolySymbol(WeylSymbol.monomial(1, 0, 1j * ints.b))
-    kramers_gauge = ExpPolySymbol(WeylSymbol.monomial(0, 1, -1j * ints.c))
-    res_velocity = intertwining_residual(h0, velocity_gauge, h0.shift_p(ints.b))
-    res_kramers = intertwining_residual(h0, kramers_gauge, h0.shift_x(ints.c))
+    velocity_exponent = WeylSymbol.monomial(1, 0, 1j * ints.b)
+    kramers_exponent = WeylSymbol.monomial(0, 1, -1j * ints.c)
+    res_velocity = intertwining_residual(h0, velocity_exponent, h0.shift_p(ints.b))
+    res_kramers = intertwining_residual(h0, kramers_exponent, h0.shift_x(ints.c))
     return res_velocity, res_kramers
 
 
@@ -511,7 +512,7 @@ def eigenbasis_propagate(system, pulse, c0, dt, times):
     P, at tau, and at P once the run is longer than that.  The segments of
     that period serve every period, and whole periods are jumped with the
     power U_P^q of their product, taken from its complex Schur form U_P =
-    Z T Z^H: U_P is unitary, so T is diagonal to rounding and U_P^q = Z
+    Z T Z^H, formed at the first jump: U_P is unitary, so T is diagonal to rounding and U_P^q = Z
     diag(exp(i q arg T_kk)) Z^H.  That pays while the period holds at least
     two steps per segment and its segment matrices fit in _HELD_ENTRIES;
     otherwise, and for a gaussian envelope, P = inf: the cuts are the times
@@ -526,8 +527,6 @@ def eigenbasis_propagate(system, pulse, c0, dt, times):
     MAX_STEPS steps, phases that overflow, and, with E0 > 0, omega dt >= pi
     (fewer than two steps per field period), in that order.
     """
-    from scipy.linalg import schur
-
     energies = np.asarray(system.eigenvalues, dtype=float)
     vectors = system.eigenvectors
     grid = system.grid
@@ -584,8 +583,6 @@ def eigenbasis_propagate(system, pulse, c0, dt, times):
         # every period reuses the segments: hold them all, and jump whole
         # periods with the power of their product
         segments = build(bounds[:-1], lengths, counts.astype(int))
-        schur_form, Z = schur(functools.reduce(lambda acc, S: S @ acc, segments), output="complex")
-        angles = np.angle(np.diag(schur_form))
         stream = itertools.cycle(segments)
     else:
         # each segment is used once, in order: form them a batch at a time
@@ -597,12 +594,19 @@ def eigenbasis_propagate(system, pulse, c0, dt, times):
 
     out = np.empty((times.size, K), dtype=complex)
     at_period, at_cut = 0, 0  # c is the state after at_period periods and at_cut segments
+    Z = None
     for row, (q, j) in enumerate(zip(whole.astype(int).tolist(), index.tolist())):
         if q > at_period and at_cut > 0:
             for S in itertools.islice(stream, lengths.size - at_cut):
                 c = S @ c
             at_period, at_cut = at_period + 1, 0
         if q > at_period:
+            if Z is None:  # the first jump: the Schur form of the period's product
+                from scipy.linalg import schur
+
+                period_product = functools.reduce(lambda acc, S: S @ acc, segments)
+                schur_form, Z = schur(period_product, output="complex")
+                angles = np.angle(np.diag(schur_form))
             c = Z @ (np.exp(1j * (q - at_period) * angles) * (Z.conj().T @ c))
             at_period = q
         for S in itertools.islice(stream, j - at_cut):

@@ -21,12 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .weyl import (
-    ExpPolySymbol,
-    WeylSymbol,
-    intertwining_residual,
-    star_commutator,
-)
+from .weyl import WeylSymbol, intertwining_residual, star_commutator
 
 class TerminationError(RuntimeError):
     """A commutator chain required to terminate did not."""
@@ -165,22 +160,24 @@ def observable_map(observable, q, max_order=32):
     return series.value
 
 
-def metric_residual(H, eta_squared):
-    """Pseudo-Hermiticity defect star(H^dag, eta^2) - star(eta^2, H) for eta^2 = P e^q.
+def metric_residual(H, q):
+    """Pseudo-Hermiticity defect of the metric eta^2 = e^q: the polynomial R with
 
-    Both products keep the exponent q, so the defect is one term whose
-    prefactor is the difference of theirs (weyl.intertwining_residual),
-    and one residual builds one derivative table of eta^2.
+        star(H^dag, e^q) - star(e^q, H) = R e^q
+
+    (weyl.intertwining_residual), which vanishes exactly when
+    H^dag eta^2 = eta^2 H.  One residual builds one derivative table of e^q.
     """
-    if isinstance(eta_squared, WeylSymbol):
-        raise TypeError("eta_squared must be an ExpPolySymbol; use ExpPolySymbol(q)")
-    return intertwining_residual(H.conjugate(), eta_squared, H)
+    return intertwining_residual(H.conjugate(), q, H)
 
 
 @dataclass(frozen=True)
 class MetricAnsatzSolution:
+    """A fitted metric eta^2 = e^exponent, its exponent's coefficients by
+    monomial, and the largest coefficient of its metric_residual."""
+
     coefficients: dict
-    eta_squared: ExpPolySymbol
+    exponent: WeylSymbol
     residual_norm: float
 
 
@@ -241,13 +238,13 @@ def _levenberg_marquardt(fun, c, max_evals):
 def solve_metric_ansatz(H, exponent_monomials, tol=1e-10, max_tries=5):
     """Find real coefficients c_k with eta^2 = exp(sum c_k m_k) killing the residual.
 
-    The prefactor of the one-term residual is evaluated on a fixed seeded
-    set of sample points and driven to zero by Levenberg-Marquardt (Moré,
-    LNM 630, 1978) with a forward-difference Jacobian, step
-    sqrt(eps) max(1, |c_k|).  The first attempt starts at zero.  An
-    attempt stops at an exactly zero sampled residual, when the cost stops
-    falling, at a non-finite residual, or after 20 (K + 1) residual
-    evaluations for K monomials.  Its end point is re-verified
+    The polynomial R of metric_residual(H, sum c_k m_k) is evaluated on a
+    fixed seeded set of sample points and driven to zero by
+    Levenberg-Marquardt (Moré, LNM 630, 1978) with a forward-difference
+    Jacobian, step sqrt(eps) max(1, |c_k|).  The first attempt starts at
+    zero.  An attempt stops at an exactly zero sampled residual, when the
+    cost stops falling, at a non-finite residual, or after 20 (K + 1)
+    residual evaluations for K monomials.  Its end point is re-verified
     coefficientwise through metric_residual; a failed attempt restarts
     from a seeded normal draw, and after max_tries attempts
     MetricConvergenceError reports the best one.
@@ -275,11 +272,11 @@ def solve_metric_ansatz(H, exponent_monomials, tol=1e-10, max_tries=5):
     pts = rng.uniform(-1.6, 1.6, size=(n_pts, 2))
 
     def build(c):
-        return ExpPolySymbol(WeylSymbol(zip(keys, c)))
+        return WeylSymbol(zip(keys, c))
 
     def resid_vec(c):
-        prefactor = metric_residual(H, build(c)).prefactor
-        vals = np.asarray(prefactor.evaluate(pts[:, 0], pts[:, 1]), dtype=complex)
+        residual = metric_residual(H, build(c))
+        vals = np.asarray(residual.evaluate(pts[:, 0], pts[:, 1]), dtype=complex)
         return np.column_stack([vals.real, vals.imag]).ravel()
 
     scale = max(1.0, H.max_abs())
@@ -290,13 +287,13 @@ def solve_metric_ansatz(H, exponent_monomials, tol=1e-10, max_tries=5):
         with np.errstate(over="ignore", invalid="ignore"):
             c = _levenberg_marquardt(resid_vec, x0, max_evals)
         residual = metric_residual(H, build(c))
-        norm = residual.max_abs_coeff()
+        norm = residual.max_abs()
         if best is None or norm < best[0]:
             best = (norm, c)
         if norm <= tol * scale:
             coefficients = {k: float(v) for k, v in zip(keys, c)}
             return MetricAnsatzSolution(
-                coefficients=coefficients, eta_squared=build(c), residual_norm=float(norm)
+                coefficients=coefficients, exponent=build(c), residual_norm=float(norm)
             )
         x0 = rng.normal(scale=0.5 + attempt, size=len(keys))
     raise MetricConvergenceError(

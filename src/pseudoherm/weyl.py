@@ -47,13 +47,13 @@ np.bincount over a cached flat index.  Maps, tensor-kernel plans and
 indices share one least-recently-used cache of at most CACHE_BYTES
 (16 MiB); the tensor kernel's scratch buffer is apart from it.
 
-An ExpPolySymbol is one exponential term P e^E, the form of every metric
-e^q and gauge frame here.  A polynomial times P e^E is e^E times
-sum_k w_k D_k (x) T_k over the Moyal orders k: D_k a derivative of the
-polynomial, T_k one of e^-E d_x^a d_p^b (P e^E), held in one derivative
-table built per batch of products, and the sum over k is one einsum for
-the values and one for the magnitudes, for one product or for the two of
-intertwining_residual at once.
+Every exponential here is a pure one, e^E for a polynomial exponent E: a
+metric e^q or a gauge frame e^{ibx}, e^{-icp}.  It is passed as E alone.
+A polynomial times e^E is e^E times sum_k w_k D_k (x) T_k over the Moyal
+orders k: D_k a derivative of the polynomial, T_k one of
+e^-E d_x^a d_p^b e^E, held in one derivative table built per batch of
+products, and the sum over k is one einsum for the values and one for
+the magnitudes, for the two products of intertwining_residual at once.
 """
 
 from __future__ import annotations
@@ -526,10 +526,6 @@ class WeylSymbol:
         return cls()
 
     @classmethod
-    def one(cls):
-        return cls({(0, 0): 1.0})
-
-    @classmethod
     def constant(cls, c):
         return cls({(0, 0): c})
 
@@ -749,37 +745,6 @@ def _refusal(text, lines, rows):
     raise AssertionError("from_text refused a text without a fault")
 
 
-class ExpPolySymbol:
-    """One exponential term P e^E: a polynomial prefactor P times the
-    exponential of a polynomial exponent E, both WeylSymbols.
-
-    A star product with a WeylSymbol on either side keeps the exponent
-    and changes the prefactor.
-    """
-
-    __slots__ = ("prefactor", "exponent")
-
-    def __init__(self, exponent, prefactor=1.0):
-        if isinstance(prefactor, (int, float, complex)):
-            prefactor = _ONE if prefactor == 1 else WeylSymbol.constant(prefactor)
-        if not isinstance(prefactor, WeylSymbol) or not isinstance(exponent, WeylSymbol):
-            raise TypeError("ExpPolySymbol takes a WeylSymbol exponent and prefactor")
-        self.prefactor = prefactor
-        self.exponent = exponent
-
-    def max_abs_coeff(self):
-        return self.prefactor.max_abs()
-
-    def __str__(self):
-        return f"({self.prefactor})*exp({self.exponent})"
-
-    def __repr__(self):
-        return f"ExpPolySymbol({self})"
-
-
-_ONE = WeylSymbol.one()
-
-
 # -- module-level operations ----------------------------------------------
 
 
@@ -810,16 +775,16 @@ def _exp_step(q, w, ramp, out):
         out[:, :, :-1] += q[:, :, 1:] * ramp
 
 
-def _exp_table(prefactor, exponent, heights):
-    """T[a, b] = e^-E d_x^a d_p^b (P e^E) for P = prefactor and E = exponent,
-    at every a < heights[b], as one (n, h, k) stack: column after column,
-    so that T[a, b] sits at a + heights[0] + ... + heights[b - 1].
+def _exp_table(exponent, heights):
+    """T[a, b] = e^-E d_x^a d_p^b e^E for E = exponent, at every a < heights[b],
+    as one (n, h, k) stack: column after column, so that T[a, b] sits at
+    a + heights[0] + ... + heights[b - 1].
 
     The heights do not grow with b, so the entries form a down-set: with
     (a, b) they hold every (a', b') <= (a, b).  Column b = 0 comes in
     steps of d_x + E_x, one entry at a time; then each column comes from
     the one before in one step of d_p + E_p over all its rows, so
-    T[a, b] = (d_p + E_p)^b (d_x + E_x)^a P.  The entries share the box of
+    T[a, b] = (d_p + E_p)^b (d_x + E_x)^a 1.  The entries share the box of
     the largest: a step grows a box by the degrees of E_x (or E_p).  A box
     past MAX_DEGREE raises _settle's ValueError before the table is
     allocated.
@@ -831,13 +796,13 @@ def _exp_table(prefactor, exponent, heights):
     wp = [(i, j - 1, e * j) for i, j, e in terms if j]
     gx, gp = ([max(t[axis] for t in w) if w else 0 for axis in (0, 1)] for w in (wx, wp))
     box = [
-        n + max((h - 1) * gx[axis] + b * gp[axis] for b, h in enumerate(heights))
-        for axis, n in enumerate(prefactor.shape)
+        1 + max((h - 1) * gx[axis] + b * gp[axis] for b, h in enumerate(heights))
+        for axis in (0, 1)
     ]
     _check_degrees(box)
     starts = [0, *accumulate(heights)]
     table = np.zeros((starts[-1], *box), dtype=complex)
-    table[0, : prefactor.shape[0], : prefactor.shape[1]] = prefactor
+    table[0, 0, 0] = 1.0
     ramp_x, ramp_p = np.arange(1.0, box[0])[:, None], np.arange(1.0, box[1])
     # without E_x (E_p) a step only differentiates, and box[0] (box[1]) of them leave zero
     for a in range(1, heights[0] if wx else min(heights[0], box[0])):
@@ -849,18 +814,18 @@ def _exp_table(prefactor, exponent, heights):
 
 
 def _exp_star_plan(*products):
-    """The gathers and weights of the exponential stars of one factor with
+    """The gathers and weights of the stars of one exponential e^E with
     polynomials, each given as (na, nb, support, poly_left): its (na, nb)
     box holds nonzero terms where `support` (the bytes of a bool array)
-    says, and it multiplies the factor from the left (poly_left) or from
-    the right.
+    says, and it multiplies e^E from the left (poly_left) or from the
+    right.
 
     The Moyal order (u, v) pairs d_x^u d_p^v of the left factor with
     d_x^v d_p^u of the right one at weight (i/2)^u/u! (-i/2)^v/v!.  Product
     s keeps the orders whose derivative of its polynomial is not zero, by
     u + v and then u, padded with zero weights to the count K of the
     longest: D[s, k], the derivative d_x^u d_p^v of its polynomial (d_x^v
-    d_p^u to the right of the factor), is coefficients[flat] * mult_x *
+    d_p^u to the right of e^E), is coefficients[flat] * mult_x *
     mult_p, where `coefficients` holds the raveled polynomials one after
     the other, and it is zero past its box.  It meets the table entry
     T[v, u] (T[u, v] to the right), which `entry` locates in the stack of
@@ -907,19 +872,17 @@ def _exp_star_plan(*products):
 
 
 @_quiet
-def _star_with_exp(products, factor):
-    """The prefactors of the products of an ExpPolySymbol factor P e^E with
-    polynomials: for each (poly, poly_left) of products, that of
-    poly * factor (poly_left) or factor * poly, one WeylSymbol each, zero
-    ones kept.
+def _star_with_exp(products, exponent):
+    """The products of e^E, for E = exponent, with polynomials, as their
+    polynomial parts: for each (poly, poly_left) of products, the R with
+    poly * e^E = R e^E (poly_left) or e^E * poly = R e^E, one WeylSymbol
+    each, zero ones kept.
 
-    Each product keeps the exponent E; its prefactor is
-    sum_k w_k D_k (x) T_k over the Moyal orders of _exp_star_plan.  For all
-    products at once, the derivatives D_k of the polynomials come from one
-    gather and the entries T_k of the factor's _exp_table from one take,
-    and the sum is one einsum over k for the values and one for the
-    magnitudes, each scattered to (a + c, b + d); _settle floors each
-    product's prefactor.
+    R is sum_k w_k D_k (x) T_k over the Moyal orders of _exp_star_plan.
+    For all products at once, the derivatives D_k of the polynomials come
+    from one gather and the entries T_k of the _exp_table of E from one
+    take, and the sum is one einsum over k for the values and one for the
+    magnitudes, each scattered to (a + c, b + d); _settle floors each R.
     """
     out = [WeylSymbol._wrap(_EMPTY)] * len(products)
     live = [(s, poly._c, poly_left) for s, (poly, poly_left) in enumerate(products) if poly._c.size]
@@ -929,7 +892,7 @@ def _star_with_exp(products, factor):
         _exp_star_plan, *((*c.shape, (c != 0).tobytes(), poly_left) for _, c, poly_left in live)
     )
     d = np.concatenate([c.ravel() for _, c, _ in live])[flat] * mult_x * mult_p
-    t = _exp_table(factor.prefactor._c, factor.exponent._c, heights.tolist())[entry]
+    t = _exp_table(exponent._c, heights.tolist())[entry]
     values = _scatter(np.einsum("sk,skab,skcd->sabcd", w, d, t))
     mags = _scatter(np.einsum("sk,skab,skcd->sabcd", abs_w, np.abs(d), np.abs(t)))
     for (s, _, _), v, m in zip(live, values, mags):
@@ -937,36 +900,22 @@ def _star_with_exp(products, factor):
     return out
 
 
-def intertwining_residual(left, factor, right):
-    """left * factor - factor * right, for polynomials left and right and an ExpPolySymbol factor.
+def intertwining_residual(left, exponent, right):
+    """The polynomial R with left * e^E - e^E * right = R e^E, for
+    polynomials left and right and E = exponent.
 
-    Both products keep the exponent, so the residual is one term whose
-    prefactor is the difference of the two products' prefactors, with the
+    R is the difference of the two products' polynomial parts, with the
     floors of WeylSymbol subtraction.  The two products run as one batch
-    and read one derivative table of factor.
+    and read one derivative table of e^E.
     """
-    lhs, rhs = _star_with_exp([(left, True), (right, False)], factor)
-    return ExpPolySymbol(factor.exponent, lhs - rhs)
+    lhs, rhs = _star_with_exp([(left, True), (right, False)], exponent)
+    return lhs - rhs
 
 
 @_quiet
 def star(f, g):
-    """Moyal star product.
-
-    Polynomial times polynomial gives a WeylSymbol; a polynomial on
-    either side of an ExpPolySymbol P e^E gives an ExpPolySymbol with the
-    same exponent.  Star products of two exponential terms are not
-    supported.
-    """
-    f_exp = isinstance(f, ExpPolySymbol)
-    g_exp = isinstance(g, ExpPolySymbol)
-    if not f_exp and not g_exp:
-        return _settle(*_moyal(f._c, g._c))
-    if f_exp and g_exp:
-        raise TypeError("star product of two exponential symbols is not supported")
-    poly, factor = (g, f) if f_exp else (f, g)
-    prefactor, = _star_with_exp([(poly, not f_exp)], factor)
-    return ExpPolySymbol(factor.exponent, prefactor)
+    """Moyal star product of two polynomial symbols."""
+    return _settle(*_moyal(f._c, g._c))
 
 
 @_quiet

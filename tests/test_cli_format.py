@@ -130,8 +130,9 @@ def test_consecutive_blocks_that_need_different_cells(values):
 
 
 def test_slow_texts_widen_the_narrowed_cells():
-    # 1 and 2 need one word; the tie, -0, the non-finite values and |v|
-    # outside 1e+-280 print through _fmt, in texts of up to 13 bytes
+    # 1 and 2 need one word; the tie, the non-finite values and |v|
+    # outside 1e+-280 print through _fmt, in texts of up to 13 bytes, and
+    # -0 prints "0" among them
     fast = [1.0, 2.0]
     slow = [1234567890.125, -0.0, -math.inf, math.nan, -1.5e-300, 2.5e299, -123456789012.5]
     assert cli._float_cells(fast).shape[1] == 4
@@ -139,6 +140,21 @@ def test_slow_texts_widen_the_narrowed_cells():
     assert cli._float_cells(slow[:4]).shape[1] == 16  # no fast word at all
     _assert_matches_fmt(fast + slow)
     _assert_matches_fmt(slow[1:4])
+
+
+def test_zeros_print_without_fmt(monkeypatch):
+    # +-0 take the mantissa 0 at exponent 0 on the array path: a block of
+    # zeros once made one _fmt call through np.unique
+    calls = []
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda value: calls.append(value) or fmt(value))
+    zeros = np.array([0.0, -0.0] * 50)
+    cells = cli._float_cells(zeros)
+    mixed = _printed([1.5, -0.0, 2.5e-7, 0.0, -3.0])
+    assert calls == []
+    assert cells.shape[1] == 4
+    assert set(cells.tobytes().split(b"\0")) == {b"0", b""}
+    assert mixed == ["1.5", "0", "2.5e-07", "0", "-3"]
 
 
 def test_fixed_form_cells_are_narrowed():

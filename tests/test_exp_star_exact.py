@@ -1,16 +1,16 @@
-"""Exact oracle for the exponential star: sympy derivatives of P e^E.
+"""Exact oracle for the exponential star: sympy derivatives of e^E.
 
-The derivative table of an exponential term P e^E is
+The derivative table of an exponential e^E is
 
-    T_ab = e^-E d_x^a d_p^b (P e^E),
+    T_ab = e^-E d_x^a d_p^b e^E,
 
-a polynomial, and the Moyal series of a polynomial f against P e^E is
+a polynomial, and the Moyal series of a polynomial f against e^E is
 
-    f * (P e^E) = sum_uv (i/2)^u/u! (-i/2)^v/v! (d_x^u d_p^v f)(d_x^v d_p^u (P e^E)),
-    (P e^E) * f = sum_uv (i/2)^u/u! (-i/2)^v/v! (d_x^u d_p^v (P e^E))(d_x^v d_p^u f),
+    f * e^E = sum_uv (i/2)^u/u! (-i/2)^v/v! (d_x^u d_p^v f)(d_x^v d_p^u e^E),
+    e^E * f = sum_uv (i/2)^u/u! (-i/2)^v/v! (d_x^u d_p^v e^E)(d_x^v d_p^u f),
 
-each e^E times a polynomial.  sympy differentiates P e^E itself, with
-rational P, E and f, so neither the recursion of the table nor the
+each e^E times a polynomial.  sympy differentiates e^E itself, with
+rational E and f, so neither the recursion of the table nor the
 bookkeeping of the Moyal orders enters the reference.  The float kernel
 must land within ULPS machine epsilons of the exact coefficients, scaled by
 the largest exact coefficient of the entry or product compared.
@@ -23,7 +23,7 @@ import pytest
 import sympy as sp
 
 from pseudoherm import weyl
-from pseudoherm.weyl import ExpPolySymbol, WeylSymbol, star
+from pseudoherm.weyl import WeylSymbol
 
 x, p = sp.symbols("x p")
 R = sp.Rational
@@ -31,7 +31,6 @@ ULPS = 8
 EPS = np.finfo(float).eps
 ORDER = 6  # table entries a + b <= ORDER
 
-P = 1 + x - 2 * p
 EXPONENTS = {
     "x": R(2, 7) * x**3 - R(1, 3) * x,
     "p": R(1, 5) * p**2 + R(1, 2) * p,
@@ -55,15 +54,15 @@ def coefficients(expr):
 
 @functools.lru_cache(maxsize=None)
 def exact_derivative(kind, a, b):
-    """e^-E d_x^a d_p^b (P e^E), a polynomial, from sympy's own derivative."""
+    """e^-E d_x^a d_p^b e^E, a polynomial, from sympy's own derivative."""
     E = EXPONENTS[kind]
-    return sp.expand(sp.diff(P * sp.exp(E), x, a, p, b) * sp.exp(-E))
+    return sp.expand(sp.diff(sp.exp(E), x, a, p, b) * sp.exp(-E))
 
 
 def exact_star(kind, f, poly_left):
-    """The prefactor of f * (P e^E) (poly_left) or (P e^E) * f, from the Moyal series."""
+    """The polynomial R with f * e^E = R e^E (poly_left) or e^E * f = R e^E, from the Moyal series."""
     E = EXPONENTS[kind]
-    G = P * sp.exp(E)
+    G = sp.exp(E)
     top = sp.Poly(f, x, p).total_degree()
     total = 0
     for u in range(top + 1):
@@ -89,7 +88,7 @@ def worst_ulps(got, exact):
 def table_errors(kind):
     """worst_ulps of each entry of the kernel's table, every a + b <= ORDER."""
     heights = [ORDER + 1 - b for b in range(ORDER + 1)]
-    table = weyl._exp_table(to_symbol(P)._c, to_symbol(EXPONENTS[kind])._c, heights)
+    table = weyl._exp_table(to_symbol(EXPONENTS[kind])._c, heights)
     entries = [(a, b) for b, h in enumerate(heights) for a in range(h)]  # the table's order
     assert len(table) == len(entries)
     return {
@@ -107,11 +106,8 @@ def test_derivative_table_matches_sympy(kind):
 @pytest.mark.parametrize("kind", sorted(EXPONENTS))
 @pytest.mark.parametrize("poly_left", [True, False])
 def test_exponential_star_matches_the_moyal_series(kind, poly_left):
-    factor = ExpPolySymbol(to_symbol(EXPONENTS[kind]), prefactor=to_symbol(P))
-    f = to_symbol(F)
-    product = star(f, factor) if poly_left else star(factor, f)
-    assert product.exponent == to_symbol(EXPONENTS[kind])
-    assert worst_ulps(dict(product.prefactor.items()), coefficients(exact_star(kind, F, poly_left))) <= ULPS
+    product, = weyl._star_with_exp([(to_symbol(F), poly_left)], to_symbol(EXPONENTS[kind]))
+    assert worst_ulps(dict(product.items()), coefficients(exact_star(kind, F, poly_left))) <= ULPS
 
 
 def flipped_p_steps(step):
@@ -125,7 +121,6 @@ def flipped_p_steps(step):
 def test_the_oracle_sees_a_flipped_sign_of_e_p(kind):
     with mock.patch.object(weyl, "_exp_step", flipped_p_steps(weyl._exp_step)):
         errors = table_errors(kind)
-        factor = ExpPolySymbol(to_symbol(EXPONENTS[kind]), prefactor=to_symbol(P))
-        prefactor = star(to_symbol(F), factor).prefactor
+        product, = weyl._star_with_exp([(to_symbol(F), True)], to_symbol(EXPONENTS[kind]))
     assert max(errors.values()) > 1e10
-    assert worst_ulps(dict(prefactor.items()), coefficients(exact_star(kind, F, True))) > 1e10
+    assert worst_ulps(dict(product.items()), coefficients(exact_star(kind, F, True))) > 1e10

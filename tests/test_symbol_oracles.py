@@ -32,7 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudoherm import cli, metric, models, weyl
-from pseudoherm.weyl import ExpPolySymbol, WeylSymbol
+from pseudoherm.weyl import WeylSymbol
 
 # -- the per-line parser -----------------------------------------------------
 
@@ -154,11 +154,11 @@ def _convolve(a, b):
     return weyl._scatter(np.multiply.outer(a, b))
 
 
-def _exp_deriv_table(prefactor, exponent, smax):
-    """e^-E d_x^a d_p^b (P e^E) for a + b <= smax, as coefficient arrays keyed (a, b)."""
+def _exp_deriv_table(exponent, smax):
+    """e^-E d_x^a d_p^b e^E for a + b <= smax, as coefficient arrays keyed (a, b)."""
     wx = _derivative(exponent, 1, 0)
     wp = _derivative(exponent, 0, 1)
-    tab = {(0, 0): prefactor}
+    tab = {(0, 0): np.ones((1, 1), dtype=complex)}
     for total in range(1, smax + 1):
         for a in range(total + 1):
             b = total - a
@@ -171,18 +171,17 @@ def _exp_deriv_table(prefactor, exponent, smax):
     return tab
 
 
-def _star_with_exp(poly, factor, poly_left):
-    """poly * factor (poly_left) or factor * poly, for an ExpPolySymbol factor P e^E.
+def _star_with_exp(poly, exponent, poly_left):
+    """The polynomial R with poly * e^E = R e^E (poly_left) or e^E * poly = R e^E.
 
-    The product keeps the exponent E; its prefactor becomes
-    sum_uv w_uv (d_x^u d_p^v left)(d_x^v d_p^u right) with the derivatives
-    of P e^E taken from the table, all (u, v) in one weighted batch of
-    pointwise products.
+    R is sum_uv w_uv (d_x^u d_p^v left)(d_x^v d_p^u right) with the
+    derivatives of e^E taken from the table, all (u, v) in one weighted
+    batch of pointwise products.
     """
     dx, dp = np.nonzero(poly._c)
     smax = int((dx + dp).max(initial=0))
     orders = [(u, s - u) for s in range(smax + 1) for u in range(s + 1)]
-    tab = _exp_deriv_table(factor.prefactor._c, factor.exponent._c, smax)
+    tab = _exp_deriv_table(exponent._c, smax)
     weights, left, right = [], [], []
     for u, v in orders:
         d = _derivative(poly._c, *((u, v) if poly_left else (v, u)))
@@ -191,7 +190,7 @@ def _star_with_exp(poly, factor, poly_left):
         weights.append((0.5j) ** u * (-0.5j) ** v / (math.factorial(u) * math.factorial(v)))
         left.append(d)
         right.append(tab[(v, u) if poly_left else (u, v)])
-    return ExpPolySymbol(factor.exponent, _weighted_products(weights, left, right))
+    return _weighted_products(weights, left, right)
 
 
 def _stack(arrays):
@@ -212,17 +211,16 @@ def _weighted_products(weights, left, right):
     return weyl._settle(values, mags)
 
 
-def oracle_prefactors(products, factor):
-    """The prefactor of the per-entry star for each (poly, poly_left) of
-    products, zero ones kept: weyl._star_with_exp's contract, for
-    monkeypatching."""
-    return [_star_with_exp(poly, factor, poly_left).prefactor for poly, poly_left in products]
+def oracle_products(products, exponent):
+    """The per-entry star for each (poly, poly_left) of products, zero ones
+    kept: weyl._star_with_exp's contract, for monkeypatching."""
+    return [_star_with_exp(poly, exponent, poly_left) for poly, poly_left in products]
 
 
-def oracle_table(prefactor, exponent, heights):
+def oracle_table(exponent, heights):
     """_exp_deriv_table's entries in the layout of weyl._exp_table: T[a, b]
     for a < heights[b], column after column."""
-    tab = _exp_deriv_table(prefactor, exponent, max(h - 1 + b for b, h in enumerate(heights)))
+    tab = _exp_deriv_table(exponent, max(h - 1 + b for b, h in enumerate(heights)))
     entries = [tab[a, b] for b, h in enumerate(heights) for a in range(h)]
     box = (max(e.shape[0] for e in entries), max(e.shape[1] for e in entries))
     table = np.zeros((len(entries), *box), dtype=complex)
@@ -231,8 +229,8 @@ def oracle_table(prefactor, exponent, heights):
     return table
 
 
-def floored_sums(star, products, factor):
-    """The (values, magnitudes) that star(products, factor) passes to _settle,
+def floored_sums(star, products, exponent):
+    """The (values, magnitudes) that star(products, exponent) passes to _settle,
     one pair per product."""
     sums = []
     settle = weyl._settle
@@ -243,7 +241,7 @@ def floored_sums(star, products, factor):
         return settle(values, mags)
 
     with mock.patch.object(weyl, "_settle", recording):
-        star(products, factor)
+        star(products, exponent)
     return sums
 
 
@@ -274,8 +272,8 @@ def test_array_star_matches_the_per_entry_star(seed, polys, kind):
     """The exponential star's array kernel against the per-entry star it replaced.
 
     Each draw multiplies one or two polynomials, of degree 0 to 6, from
-    either side with an ExpPolySymbol whose exponent lies in x, in p or in
-    both; two products run as one batch of the kernel.
+    either side with an exponential e^E whose exponent E lies in x, in p
+    or in both; two products run as one batch of the kernel.
     The polynomials' derivatives, the einsum over the Moyal orders, the
     scatter and the floor keep the per-entry star's order of operations:
     given the per-entry derivative table, the kernel gives its bits.  The
@@ -288,23 +286,17 @@ def test_array_star_matches_the_per_entry_star(seed, polys, kind):
     rng = np.random.default_rng(seed)
     products = [(WeylSymbol._wrap(weyl._trim(_dense(rng, degree) * (rng.random((degree + 1,) * 2) < 0.7))),
                  poly_left) for degree, poly_left in polys]
-    prefactor = WeylSymbol._wrap(_dense(rng, int(rng.integers(0, 3))))
     exponent = _exponent(rng, kind)
-
-    def factor():
-        # a new factor for each star, so that no call reads a table another built
-        return ExpPolySymbol(exponent, prefactor)
-
-    expected = oracle_prefactors(products, factor())
+    expected = oracle_products(products, exponent)
 
     with mock.patch.object(weyl, "_exp_table", oracle_table):
-        same_table = weyl._star_with_exp(products, factor())
+        same_table = weyl._star_with_exp(products, exponent)
     assert [(p._c.shape, p._c.tobytes()) for p in same_table] == \
         [(p._c.shape, p._c.tobytes()) for p in expected]
 
-    own = floored_sums(weyl._star_with_exp, products, factor())
-    per_entry = floored_sums(oracle_prefactors, products, factor())
-    # a zero polynomial gives a zero prefactor unfloored
+    own = floored_sums(weyl._star_with_exp, products, exponent)
+    per_entry = floored_sums(oracle_products, products, exponent)
+    # a zero polynomial gives a zero product unfloored
     live = sum(1 for poly, _ in products if poly._c.size)
     assert len(own) == len(per_entry) == live
     for (values, mags), (old_values, _) in zip(own, per_entry):
@@ -675,6 +667,19 @@ def test_symbol_rows_print_the_bytes_of_the_fmt_rows(shape):
     assert "\n".join(rows) == "\n".join(loop_symbol_rows(WeylSymbol._wrap(c)))
     assert len(rows) == (1 if c.size >= cli._ARRAY_ROWS else c.size)
 
+
+def test_a_real_symbol_table_prints_the_bytes_of_the_fmt_rows():
+    # _ARRAY_ROWS real terms, the first real table the row writer prints:
+    # its imaginary column is all zeros, some of them -0
+    c = np.random.default_rng(29).standard_normal((1, cli._ARRAY_ROWS)) + 0j
+    c[0, ::7] = complex(-1.25, -0.0)
+    sym = WeylSymbol._wrap(c)
+    rows = cli._symbol_rows(sym)
+    assert len(rows) == 1
+    assert rows[0] == "\n".join(loop_symbol_rows(sym))
+    assert rows[0].count(",0\n") == cli._ARRAY_ROWS - 1
+
+
 def counted(fn, calls):
     """fn, appending its name to `calls` at each call."""
     def wrapper(*args):
@@ -690,7 +695,7 @@ def test_requests_print_the_bytes_of_the_replaced_paths(tmp_path, monkeypatch):
         patch.setattr(weyl, "_star_with_exp", counted(weyl._star_with_exp, kernel))
         new = _outputs(argvs)
     monkeypatch.setattr(WeylSymbol, "from_text", classmethod(lambda cls, text: loop_from_text(text)))
-    monkeypatch.setattr(weyl, "_star_with_exp", counted(oracle_prefactors, oracle))
+    monkeypatch.setattr(weyl, "_star_with_exp", counted(oracle_products, oracle))
     monkeypatch.setattr(cli, "_symbol_rows", loop_symbol_rows)
     monkeypatch.setattr(weyl, "_settle", loop_settle)
     old = _outputs(argvs)
@@ -702,14 +707,13 @@ def test_requests_print_the_bytes_of_the_replaced_paths(tmp_path, monkeypatch):
 
 
 def test_metric_residual_builds_one_derivative_table(monkeypatch):
-    # star(H^dag, eta^2) and star(eta^2, H) share the derivatives of eta^2
+    # star(H^dag, e^q) and star(e^q, H) share the derivatives of e^q
     heights = []
     table = weyl._exp_table
-    monkeypatch.setattr(weyl, "_exp_table", lambda p, e, h: heights.append(h) or table(p, e, h))
+    monkeypatch.setattr(weyl, "_exp_table", lambda e, h: heights.append(h) or table(e, h))
     H = models.x4_nonhermitian_symbol(1.3, 0.7)
-    eta_squared = ExpPolySymbol(models.x4_generator(1.3, 0.7) * 2)  # a wrong metric
-    residual = metric.metric_residual(H, eta_squared)
+    q = models.x4_generator(1.3, 0.7) * 2  # a wrong metric
+    residual = metric.metric_residual(H, q)
     assert len(heights) == 1
-    expected = (_star_with_exp(H.conjugate(), eta_squared, True).prefactor
-                - _star_with_exp(H, eta_squared, False).prefactor)
-    assert not expected.is_zero() and residual.prefactor == expected
+    expected = _star_with_exp(H.conjugate(), q, True) - _star_with_exp(H, q, False)
+    assert not expected.is_zero() and residual == expected

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from pseudoherm import weyl
 from pseudoherm.weyl import (
-    ExpPolySymbol,
     WeylSymbol,
     compose_weyl,
     fourier_swap,
@@ -134,7 +133,7 @@ def test_star_matches_operator_product():
 def test_star_with_constants_and_identity():
     rng = np.random.default_rng(3)
     f = random_symbol(rng)
-    one = WeylSymbol.one()
+    one = WeylSymbol.constant(1.0)
     assert star(f, one).isclose(f, tol=0.0)
     assert star(one, f).isclose(f, tol=0.0)
     assert star(f, WeylSymbol.constant(2.5)).isclose(f * 2.5, tol=0.0)
@@ -244,7 +243,7 @@ def test_rounding_floor_is_per_coefficient():
     assert dict(sym.items()) == {(0, 0): 1.0 + 0j, (1, 0): 5e-13 + 0j}
     assert dict(WeylSymbol({(0, 0): 1e-30}).items()) == {(0, 0): 1e-30 + 0j}
     # a sum keeps a small genuine term beside a large one ...
-    assert (WeylSymbol.one() + WeylSymbol.x() * 1e-20).coefficient(1, 0) == 1e-20
+    assert (WeylSymbol.constant(1.0) + WeylSymbol.x() * 1e-20).coefficient(1, 0) == 1e-20
     # ... and drops what is at most RESIDUE_ULPS eps of the magnitudes that fed it
     a = WeylSymbol({(0, 0): 0.1 + 0.2, (1, 0): 1.0})
     b = WeylSymbol({(0, 0): -0.3, (1, 0): 1e-14})
@@ -279,15 +278,20 @@ def test_from_text_tolerates_csv():
         WeylSymbol.from_text("1 0 2.0\n")
 
 
+def exp_star(poly, exponent, poly_left=True):
+    """The polynomial R with poly * e^E = R e^E (poly_left) or e^E * poly = R e^E."""
+    return weyl._star_with_exp([(poly, poly_left)], exponent)[0]
+
+
 def test_exp_symbol_derivatives_match_numeric():
-    # the derivative table's entries T[1, 0] and T[0, 1] are e^-E d_x (P e^E)
-    # and e^-E d_p (P e^E); heights [2, 1] lay them out as T[0, 0], T[1, 0], T[0, 1]
-    prefactor, exponent = WeylSymbol.p(), WeylSymbol({(2, 0): 0.3, (1, 1): 0.2})
-    table = weyl._exp_table(prefactor._c, exponent._c, [2, 1])
+    # the derivative table's entries T[1, 0] and T[0, 1] are e^-E d_x e^E
+    # and e^-E d_p e^E; heights [2, 1] lay them out as T[0, 0], T[1, 0], T[0, 1]
+    exponent = WeylSymbol({(2, 0): 0.3, (1, 1): 0.2, (0, 3): -0.1})
+    table = weyl._exp_table(exponent._c, [2, 1])
     d_x, d_p = (WeylSymbol._wrap(weyl._trim(t)) for t in table[1:])
 
     def value(x, p):
-        return prefactor.evaluate(x, p) * np.exp(exponent.evaluate(x, p))
+        return np.exp(exponent.evaluate(x, p))
 
     x0, p0 = 0.7, -1.1
     eps = 1e-6
@@ -301,33 +305,22 @@ def test_exp_symbol_derivatives_match_numeric():
 def test_exp_symbol_star_closed_forms():
     # hand-derived: only the first derivative survives against exp(g x^2)
     g = 0.3
-    E = ExpPolySymbol(WeylSymbol.monomial(2, 0, g))
+    E = WeylSymbol.monomial(2, 0, g)
     x = WeylSymbol.x()
     p = WeylSymbol.p()
 
-    assert star(x, E).prefactor.distance(x) < 1e-15
+    assert exp_star(x, E).distance(x) < 1e-15
+    assert exp_star(p, E).distance(p - WeylSymbol.monomial(1, 0, 1j * g)) < 1e-15
+    assert exp_star(p, E, poly_left=False).distance(p + WeylSymbol.monomial(1, 0, 1j * g)) < 1e-15
 
-    res = star(p, E)
-    assert res.prefactor.distance(p - WeylSymbol.monomial(1, 0, 1j * g)) < 1e-15
-    assert res.exponent.distance(WeylSymbol.monomial(2, 0, g)) == 0.0
-
-    pref = star(E, p).prefactor
-    assert pref.distance(p + WeylSymbol.monomial(1, 0, 1j * g)) < 1e-15
-
-    pref = star(WeylSymbol.p(2), E).prefactor
+    product = exp_star(WeylSymbol.p(2), E)
     expect = (
         WeylSymbol.p(2)
         - WeylSymbol.monomial(1, 1, 2j * g)
         - WeylSymbol.monomial(2, 0, g * g)
         - WeylSymbol.constant(0.5 * g)
     )
-    assert pref.distance(expect) < 1e-14
-
-
-def test_exp_exp_star_unsupported():
-    E = ExpPolySymbol(WeylSymbol.monomial(2, 0, 0.1))
-    with pytest.raises(TypeError):
-        star(E, E)
+    assert product.distance(expect) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -359,16 +352,16 @@ def test_degree_keys_that_are_not_finite_are_refused_by_name(key):
 @pytest.mark.parametrize(
     "derive",
     [
-        # p * e^E reads d_x e^E = 170e307 x^169 e^E, and e^E * x reads d_p (P e^E)
-        lambda: star(WeylSymbol.p(), ExpPolySymbol(WeylSymbol({(170, 0): 1e307}))),
-        lambda: star(ExpPolySymbol(WeylSymbol.x(), prefactor=WeylSymbol({(0, 170): 1e307})), WeylSymbol.x()),
+        # p * e^E reads d_x e^E = 170e307 x^169 e^E, and e^E * x reads d_p e^E
+        lambda: exp_star(WeylSymbol.p(), WeylSymbol({(170, 0): 1e307})),
+        lambda: exp_star(WeylSymbol.x(), WeylSymbol({(0, 170): 1e307}), poly_left=False),
     ],
     ids=["exp_diff_x", "exp_diff_p"],
 )
 def test_derivatives_refuse_a_coefficient_that_overflows(derive):
     # an overflowed derivative once came back as inf+nanj, which to_text
     # wrote and from_text then refused; the products reach d_x and d_p of
-    # P e^E through its derivative table
+    # e^E through its derivative table
     with pytest.raises(ValueError, match="non-finite"):
         derive()
 
@@ -377,15 +370,15 @@ def test_an_exponential_star_whose_table_outgrows_max_degree_is_refused(monkeypa
     # p^2 * e^E reads e^-E d_x^2 e^E = E_x^2 + E_xx, of degree 198 for
     # E = x^100/2: the table once overflowed converting 171!/k! to a float
     H = WeylSymbol({(0, 2): 0.5, (4, 0): 0.5})
-    factor = ExpPolySymbol(WeylSymbol({(100, 0): 0.5}))
+    E = WeylSymbol({(100, 0): 0.5})
 
     def step(*args):
         raise AssertionError("a table past MAX_DEGREE was built")
 
     monkeypatch.setattr(weyl, "_exp_step", step, raising=False)
     message = re.escape("result degrees up to (198, 0) exceed MAX_DEGREE = 170")
-    for product in (lambda: star(H, factor), lambda: star(factor, H),
-                    lambda: weyl.intertwining_residual(H, factor, H)):
+    for product in (lambda: exp_star(H, E), lambda: exp_star(H, E, poly_left=False),
+                    lambda: weyl.intertwining_residual(H, E, H)):
         with pytest.raises(ValueError, match=message):
             product()
 
@@ -396,8 +389,8 @@ def test_the_table_holds_only_the_orders_the_polynomial_reaches():
     # the closed forms x^6 + p -+ 20i x^39; the whole triangle a + b <= 6
     # once reached degree 195 at d_x^5 e^E and overflowed differentiating it
     f = WeylSymbol({(6, 0): 1.0, (0, 1): 1.0})
-    factor = ExpPolySymbol(WeylSymbol({(40, 0): 1.0}))
-    left, right = star(f, factor).prefactor, star(factor, f).prefactor
+    E = WeylSymbol({(40, 0): 1.0})
+    left, right = exp_star(f, E), exp_star(f, E, poly_left=False)
     assert left == f + WeylSymbol({(39, 0): -20j})
     assert right == f + WeylSymbol({(39, 0): 20j})
 
@@ -469,6 +462,6 @@ def test_coefficient_whose_modulus_overflows_is_rejected():
     with pytest.raises(ValueError, match="modulus overflows"):
         WeylSymbol({(0, 2): huge, (0, 0): 1.0})
     edge = WeylSymbol({(0, 0): complex(1e308, 1e308)})
-    assert star(edge, WeylSymbol.one()) == edge
+    assert star(edge, WeylSymbol.constant(1.0)) == edge
     with pytest.raises(ValueError, match="modulus overflows"):
         star(WeylSymbol.constant(1e308), WeylSymbol.constant(complex(1.5, 1.5)))
