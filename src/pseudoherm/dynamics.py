@@ -9,12 +9,14 @@ connect the length, velocity and Kramers-Henneberger frames; the same
 factors assemble the Gordon-Volkov propagator used by the strong-field
 first-order step.  Transition probabilities for the spiked oscillator
 come from the first-order amplitude with either the canonical dressed
-position coupling or the raw-x coupling mediated by the metric.  Driven
-grid propagation runs Strang steps in the grid Hamiltonian's lowest levels
+position coupling or the raw-x coupling mediated by the metric; a
+frequency sweep returns them as one (xi, omega) array.  Driven grid
+propagation runs Strang steps in the grid Hamiltonian's lowest levels
 with exact level phases (eigenbasis_propagate, propagate_level): the steps
-of one field period are multiplied into step operators by a pairwise tree,
-whole periods are jumped by powers of the period's operator (Floquet), and
-after the pulse the levels only turn by their phases.  No command runs
+of each segment of the run are multiplied into one operator by a pairwise
+tree, whole field periods are jumped by powers of the period's operator
+(Floquet), taken on its orthonormalized eigenvectors, and after the pulse
+the levels only turn by their phases.  No command runs
 crank_nicolson_propagate: it is the tests' independent second method, and
 it stays public because the benchmark tracer counts its steps.
 """
@@ -253,19 +255,6 @@ def first_order_transition(model, n, m, pulse, t, coupling="canonical_X"):
     return _check_finite("the first-order probability", probability)
 
 
-@dataclass(frozen=True)
-class TransitionCurve:
-    omega: np.ndarray
-    probability: np.ndarray
-    n: int
-    m: int
-    xi: float
-    E0: float
-    tau: float
-    lam: float
-    alpha: float
-
-
 def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     """Frequency sweep of the raw-x first-order probability per xi.
 
@@ -276,15 +265,15 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     p_squared dressed element <n|x + 2i xi p|m> = (1 - 4 lam (n - m) xi)
     <n|x|m> follows from it, for alpha > -1/2 only.  The closed-form field
     integral is taken once over the frequency grid, and P(omega, xi) for
-    all curves as one numpy broadcast over (len(xi_list), steps).  The
-    sweep runs in the calling thread and is deterministic.  Output order
-    follows xi_list.  A probability |<n|X|m> int exp(i delta s) E(s) ds|^2
-    above 1 anywhere (or not finite) is outside perturbation theory and
-    raises ValueError, as do n == m (on the diagonal first order gives a
-    survival probability, which can exceed 1; first_order_transition
-    returns it), a dressed element that leaves double precision, a carrier
-    phase (omega_hi + |E_n - E_m|) tau that does, and more than MAX_POINTS
-    (omega, xi) points.
+    all curves as one numpy broadcast.  Returns (omegas, probabilities):
+    the frequencies, and the probabilities shaped (len(xi_list), steps),
+    one row per xi in xi_list order.  A probability
+    |<n|X|m> int exp(i delta s) E(s) ds|^2 above 1 anywhere (or not finite)
+    is outside perturbation theory and raises ValueError, as do n == m
+    (on the diagonal first order gives a survival probability, which can
+    exceed 1; first_order_transition returns it), a dressed element that
+    leaves double precision, a carrier phase (omega_hi + |E_n - E_m|) tau
+    that does, and more than MAX_POINTS (omega, xi) points.
     """
     if n == m:
         raise ValueError(f"the sweep needs two distinct levels, got n = m = {n}")
@@ -316,20 +305,7 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
             f"first-order probability {worst:.6g} breaks the perturbative bound P <= 1; "
             "lower E0 or tau"
         )
-    return [
-        TransitionCurve(
-            omega=omegas.copy(),
-            probability=row,
-            n=n,
-            m=m,
-            xi=float(xi),
-            E0=E0,
-            tau=tau,
-            lam=model.lam,
-            alpha=model.alpha,
-        )
-        for xi, row in zip(xis, probs)
-    ]
+    return omegas, probs
 
 
 # -- grid propagators ------------------------------------------------------
@@ -511,16 +487,19 @@ def eigenbasis_propagate(system, pulse, c0, dt, times):
     cuts lie in its first period: at every time's phase (t - times[0]) mod
     P, at tau, and at P once the run is longer than that.  The segments of
     that period serve every period, and whole periods are jumped with the
-    power U_P^q of their product, taken from its complex Schur form U_P =
-    Z T Z^H, formed at the first jump: U_P is unitary, so T is diagonal to rounding and U_P^q = Z
-    diag(exp(i q arg T_kk)) Z^H.  That pays while the period holds at least
+    power U_P^q of their product.  At the first jump the eigenvectors of U_P
+    (np.linalg.eig) are made orthonormal by a QR factorization, Z; U_P is
+    unitary, so Z^H U_P Z is diagonal to rounding, and U_P^q = Z diag(exp(i
+    q theta_k)) Z^H with theta_k = arg (Z^H U_P Z)_kk, in which the phase
+    of each column of Z cancels.  That pays while the period holds at least
     two steps per segment and its segment matrices fit in _HELD_ENTRIES;
     otherwise, and for a gaussian envelope, P = inf: the cuts are the times
-    and tau, and each segment is formed when the state reaches it.  The
-    state is advanced segment by segment, so a run within its first period
-    takes the steps of one span per pair of times and differs from stepping
-    them one by one only by rounding.  The norm |c| is conserved to rounding
-    (each segment is put back on the unitary group).
+    and tau, and each segment is used once.  The segments are formed a
+    batch at a time, in order; a periodic run holds them and cycles through
+    them.  The state is advanced segment by segment, so a run within its
+    first period takes the steps of one span per pair of times and differs
+    from stepping them one by one only by rounding.  The norm |c| is
+    conserved to rounding (each segment is put back on the unitary group).
 
     ValueError for a c0 of the wrong shape or not finite, times that are
     empty, not finite, negative or descending, dt <= 0, more than
@@ -579,18 +558,14 @@ def eigenbasis_propagate(system, pulse, c0, dt, times):
         )
 
     build = functools.partial(_segment_operators, energies, Q, xi, pulse)
-    if whole[-1] > 0:
-        # every period reuses the segments: hold them all, and jump whole
-        # periods with the power of their product
-        segments = build(bounds[:-1], lengths, counts.astype(int))
+    batch = max(1, _TREE_ENTRIES // (K * K))
+    stream = itertools.chain.from_iterable(
+        build(bounds[i : i + batch], lengths[i : i + batch], counts[i : i + batch].astype(int))
+        for i in range(0, lengths.size, batch)
+    )
+    if whole[-1] > 0:  # every period reuses the segments: hold them all
+        segments = list(stream)
         stream = itertools.cycle(segments)
-    else:
-        # each segment is used once, in order: form them a batch at a time
-        batch = max(1, _TREE_ENTRIES // (K * K))
-        stream = itertools.chain.from_iterable(
-            build(bounds[i : i + batch], lengths[i : i + batch], counts[i : i + batch].astype(int))
-            for i in range(0, lengths.size, batch)
-        )
 
     out = np.empty((times.size, K), dtype=complex)
     at_period, at_cut = 0, 0  # c is the state after at_period periods and at_cut segments
@@ -601,12 +576,10 @@ def eigenbasis_propagate(system, pulse, c0, dt, times):
                 c = S @ c
             at_period, at_cut = at_period + 1, 0
         if q > at_period:
-            if Z is None:  # the first jump: the Schur form of the period's product
-                from scipy.linalg import schur
-
+            if Z is None:  # the first jump: the period's product on orthonormal eigenvectors
                 period_product = functools.reduce(lambda acc, S: S @ acc, segments)
-                schur_form, Z = schur(period_product, output="complex")
-                angles = np.angle(np.diag(schur_form))
+                Z = np.linalg.qr(np.linalg.eig(period_product)[1])[0]
+                angles = np.angle(np.diag(Z.conj().T @ period_product @ Z))
             c = Z @ (np.exp(1j * (q - at_period) * angles) * (Z.conj().T @ c))
             at_period = q
         for S in itertools.islice(stream, j - at_cut):

@@ -321,14 +321,13 @@ def _chk_first_order_zero_field(rng):
 
 def _chk_transition_peak(rng):
     model = SpikedHOModel(lam=0.5, alpha=0.2)
-    curves = dynamics.transition_sweep(
+    omegas, (probability,) = dynamics.transition_sweep(
         model, 2, 3, 0.005, 1.8, 2.2, 21, 20 * math.pi, [0.0]
     )
-    curve = curves[0]
-    peak = curve.omega[int(np.argmax(curve.probability))]
-    step = curve.omega[1] - curve.omega[0]
-    ok = abs(peak - 2.0) <= step + 1e-12 and float(np.max(curve.probability)) <= 1.0
-    return ok, f"peak_omega={peak:.6g} max_P={float(np.max(curve.probability)):.3g}"
+    peak = omegas[int(np.argmax(probability))]
+    step = omegas[1] - omegas[0]
+    ok = abs(peak - 2.0) <= step + 1e-12 and float(np.max(probability)) <= 1.0
+    return ok, f"peak_omega={peak:.6g} max_P={float(np.max(probability)):.3g}"
 
 
 def _chk_eigenbasis_norm(rng):

@@ -109,13 +109,14 @@ def hermitian_pair_from_q(h0, q, ell):
             f"commutator chain does not terminate: order {ell + 1} is nonzero",
             order=ell + 1,
         )
+    eulers = euler_numbers((ell + 1) // 2)  # once for every weight
     h = h0
     for n in range(1, ell // 2 + 1):
-        weight = ((-1) ** n) * euler_numbers(n)[-1] / (4 ** n * math.factorial(2 * n))
+        weight = ((-1) ** n) * eulers[n - 1] / (4 ** n * math.factorial(2 * n))
         h = h + weight * chain[2 * n]
     H = h0
     for n in range(1, (ell + 1) // 2 + 1):
-        weight = float(kappa(2 * n - 1)) / math.factorial(2 * n - 1)
+        weight = float(_kappa(2 * n - 1, eulers)) / math.factorial(2 * n - 1)
         H = H - weight * chain[2 * n - 1]
     return SimilarityPair(h=h, H=H, q=q, ell=ell)
 

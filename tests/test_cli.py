@@ -9,12 +9,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pseudoherm import cli, dynamics, identities, models
+from pseudoherm import cli, dynamics, identities, metric, models
 from pseudoherm.cli import run
 from pseudoherm.models import SpikedHOModel
 from pseudoherm.weyl import WeylSymbol
@@ -263,6 +264,23 @@ def test_domain_error_exit_code(capsys):
     code, _, err = invoke(capsys, ["wedges", "--N", "1"])
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        np.linalg.LinAlgError("singular"),  # a ValueError
+        metric.TerminationError("chain did not end", order=3),  # a RuntimeError
+        metric.MetricConvergenceError("no fit", best_residual=1.0),  # a RuntimeError
+    ],
+    ids=type,
+)
+def test_numeric_failures_of_a_runner_exit_1(capsys, monkeypatch, error):
+    def fail(values, canon):
+        raise error
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "wedges", replace(cli._SUBCOMMANDS["wedges"], run=fail))
+    assert invoke(capsys, ["wedges", "--N", "4"]) == (1, "", f"error: {error}\n")
 
 
 # -- config files ----------------------------------------------------------

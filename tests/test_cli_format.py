@@ -202,14 +202,14 @@ def test_transition_rows_equal_the_per_value_loop(E0, omega, xi, tau):
             "--lambda", "0.5", "--alpha", "0.2", "--n", "2", "--m", "3"]
     lo, hi, steps = omega.split(":")
     xis = sorted(float(x) for x in xi.split(","))
-    curves = dynamics.transition_sweep(
+    omegas, probabilities = dynamics.transition_sweep(
         SpikedHOModel(lam=0.5, alpha=0.2), 2, 3, float(E0), float(lo), float(hi), int(steps),
         float(tau), xis,
     )
     expected = [
-        f"{cli._fmt(w)},{cli._fmt(curve.xi)},{cli._fmt(curve.probability[i])}"
-        for i, w in enumerate(curves[0].omega.tolist())
-        for curve in curves
+        f"{cli._fmt(w)},{cli._fmt(x)},{cli._fmt(row[i])}"
+        for i, w in enumerate(omegas.tolist())
+        for x, row in zip(xis, probabilities.tolist())
     ]
     assert _stdout(argv) == expected
 

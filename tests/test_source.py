@@ -17,41 +17,33 @@ def _imported_modules(tree):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
-def test_library_imports_nothing_from_scipy_integrate(path):
+# SciPy modules and names the library does not import, each with why
+BANNED_SCIPY = (
     # every integral the library prints is a closed form or a fixed rule;
     # the adaptive quad and solve_ivp serve the tests only, as oracles
-    tree = ast.parse(path.read_text(), filename=str(path))
-    adaptive = [
-        name for name in _imported_modules(tree)
-        if name == "scipy.integrate" or name.startswith("scipy.integrate.")
-    ]
-    assert adaptive == []
-
-
-@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
-def test_library_imports_nothing_from_scipy_optimize(path):
+    "scipy.integrate",
     # metric-solve's least-squares fit is a short numpy Levenberg-Marquardt;
     # importing scipy.optimize for it more than doubled the symbolic cold start
-    tree = ast.parse(path.read_text(), filename=str(path))
-    optimize = [
-        name for name in _imported_modules(tree)
-        if name == "scipy.optimize" or name.startswith("scipy.optimize.")
-    ]
-    assert optimize == []
-
+    "scipy.optimize",
+    # numpy.fft gives the same bits for the strong-field transforms, and
+    # importing scipy.fft cost every cold start of the strong-field step 35-105 ms
+    "scipy.fft",
+    # the Floquet power diagonalizes the period's operator with numpy's eig
+    # and qr; the Schur form would load scipy.linalg for a run that jumps
+    "scipy.linalg.schur",
+)
 
 
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
-def test_library_imports_nothing_from_scipy_fft(path):
-    # numpy.fft gives the same bits for the strong-field transforms, and
-    # importing scipy.fft cost every cold start of the strong-field step 35-105 ms
+@pytest.mark.parametrize("banned", BANNED_SCIPY)
+def test_library_imports_no_banned_scipy(banned, path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    fft = [
+    found = [
         name for name in _imported_modules(tree)
-        if name == "scipy.fft" or name.startswith("scipy.fft.")
+        if name == banned or name.startswith(f"{banned}.")
     ]
-    assert fft == []
+    assert found == []
+
 
 def test_only_dynamics_imports_scipy_special():
     # wofz (the gaussian pulse's Faddeeva primitive) is the one special
