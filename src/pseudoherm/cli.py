@@ -527,7 +527,7 @@ def _run_spectrum(v, canon):
             hamiltonian, grid, v["levels"], refinements=v["refine"]
         )
     else:
-        values = models.hermitian_spectrum(hamiltonian, grid, v["levels"]).eigenvalues
+        values = models.hermitian_spectrum(hamiltonian, grid, v["levels"])[0]
     rows = [f"{n},{_fmt(val)}" for n, val in enumerate(values)]
     return [], "n,energy", rows, 0
 

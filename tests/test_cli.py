@@ -889,6 +889,17 @@ def test_propagate_refuses_a_carrier_the_step_cannot_resolve(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("E0", ["1e12", "1e300"])
+def test_propagate_refuses_a_coupling_the_step_cannot_resolve(capsys, E0):
+    # a coupling phase dt E0 max|xi| >= pi per step fills the top level with
+    # noise; growing the basis to the whole default grid took over a minute and
+    # printed noise populations, so the run is refused at its first basis
+    code, out, err = invoke(capsys, ["propagate", "--T", "0.05", "--E0", E0])
+    assert code == 1
+    assert out == ""
+    assert "coupling phase dt E0 max|xi|" in err and ">= pi" in err
+
+
 def test_only_verify_all_builds_the_random_generator(capsys, monkeypatch, tmp_path):
     f = write_symbol(tmp_path / "f.sym", {(2, 1): 1.0, (0, 0): 0.5j})
     g = write_symbol(tmp_path / "g.sym", {(1, 2): 1.0})
@@ -1031,8 +1042,8 @@ def test_verify_all_eigenbasis_rows_catch_a_drifting_propagator(capsys, monkeypa
     # sees a growing norm, the stationary row any drift from exp(-i E_0 T)
     exact = dynamics.eigenbasis_propagate
 
-    def drifting(system, pulse, c0, dt, times):
-        out = exact(system, pulse, c0, dt, times)
+    def drifting(energies, coupling, pulse, c0, dt, times):
+        out = exact(energies, coupling, pulse, c0, dt, times)
         steps = [round((t - times[0]) / dt) for t in times]
         return out * np.power(factor, steps)[:, None]
 

@@ -12,14 +12,14 @@ checked against the Crank-Nicolson Richardson limit, the first-order
 amplitude on the grid's own levels, exact zero-field level phases, and
 its own Strang steps taken one at a time (direct_loop): on the old step
 grid within a period and over many periods, and on the cuts it documents
-(cut_times) for drawn pulses, snapshots and switch-off times; its
+(cut_times) for drawn pulses, snapshots and switch-off times, on grid
+levels and on seeded random energies and couplings that no grid gave; its
 whole-period jumps against explicit products of the period operator,
 also where two quasi-energies nearly coincide.
 """
 import functools
 import itertools
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -527,12 +527,12 @@ def test_sweep_rejects_results_beyond_first_order():
 def test_crank_nicolson_stationary_phase():
     grid = GridSpec(-8.0, 8.0, 400)
     ho = WeylSymbol.p(2) * 0.5 + WeylSymbol.x(2) * 0.5
-    es = models.hermitian_spectrum(ho, grid, 1)
-    psi0 = es.eigenvectors[:, 0].astype(complex)
+    energies, vectors = models.hermitian_spectrum(ho, grid, 1)
+    psi0 = vectors[:, 0].astype(complex)
     off = Pulse(E0=0.0, omega=1.0, tau=1.0)
     T = 2.0
     psi = crank_nicolson_propagate(ho, off, grid, psi0, 1e-3, T)
-    expect = psi0 * np.exp(-1j * es.eigenvalues[0] * T)
+    expect = psi0 * np.exp(-1j * energies[0] * T)
     assert np.max(np.abs(psi - expect)) < 1e-6
     assert grid_norm(psi, grid) == pytest.approx(grid_norm(psi0, grid), abs=1e-12)
 
@@ -540,10 +540,10 @@ def test_crank_nicolson_stationary_phase():
 def test_crank_nicolson_second_order_in_dt():
     grid = GridSpec(-8.0, 8.0, 400)
     ho = WeylSymbol.p(2) * 0.5 + WeylSymbol.x(2) * 0.5
-    es = models.hermitian_spectrum(ho, grid, 1)
-    psi0 = es.eigenvectors[:, 0].astype(complex)
+    energies, vectors = models.hermitian_spectrum(ho, grid, 1)
+    psi0 = vectors[:, 0].astype(complex)
     off = Pulse(E0=0.0, omega=1.0, tau=1.0)
-    expect = psi0 * np.exp(-1j * es.eigenvalues[0] * 2.0)
+    expect = psi0 * np.exp(-1j * energies[0] * 2.0)
     coarse = np.max(np.abs(crank_nicolson_propagate(ho, off, grid, psi0, 1e-3, 2.0) - expect))
     fine = np.max(np.abs(crank_nicolson_propagate(ho, off, grid, psi0, 5e-4, 2.0) - expect))
     assert 3.5 < coarse / fine < 4.5
@@ -581,12 +581,12 @@ def test_crank_nicolson_eigenvectors_pick_up_the_cayley_factor():
     # ((1 - i E dt/2) / (1 + i E dt/2))^steps per level
     grid = GridSpec(-8.0, 8.0, 400)
     h0 = WeylSymbol.p(2) * 0.5 + WeylSymbol.x(2) * 0.5
-    es = models.hermitian_spectrum(h0, grid, 2)
+    energies, vectors = models.hermitian_spectrum(h0, grid, 2)
     off = Pulse(E0=0.0, omega=1.0, tau=1.0)
     dt, steps = 1e-3, 1500
     for level in range(2):
-        psi0 = es.eigenvectors[:, level].astype(complex)
-        energy = es.eigenvalues[level]
+        psi0 = vectors[:, level].astype(complex)
+        energy = energies[level]
         psi = crank_nicolson_propagate(h0, off, grid, psi0, dt, dt * steps)
         cayley = ((1.0 - 0.5j * energy * dt) / (1.0 + 0.5j * energy * dt)) ** steps
         assert np.max(np.abs(psi - cayley * psi0)) < 1e-10
@@ -595,7 +595,7 @@ def test_crank_nicolson_eigenvectors_pick_up_the_cayley_factor():
     # the band is tridiagonal: a p^4 term is refused
     quartic = h0 + WeylSymbol.p(4) * 0.02
     with pytest.raises(ValueError, match="fourier_swap"):
-        crank_nicolson_propagate(quartic, off, grid, es.eigenvectors[:, 0], dt, dt)
+        crank_nicolson_propagate(quartic, off, grid, vectors[:, 0], dt, dt)
 
 
 def strang_split_step(psi0, lam, pulse, grid, dt, T):
@@ -648,13 +648,13 @@ def cn_richardson(E0, omega, T, m=2, n=3):
     Richardson limit of the two finest with the ratio of successive
     differences (4 for a second-order method).
     """
-    system = models.hermitian_spectrum(SPIKED, ORACLE_GRID, max(m, n) + 1)
+    _, vectors = models.hermitian_spectrum(SPIKED, ORACLE_GRID, max(m, n) + 1)
     pulse = Pulse(E0=E0, omega=omega, tau=T)
-    start = system.eigenvectors[:, m].astype(complex)
+    start = vectors[:, m].astype(complex)
     pops = []
     for dt in (0.002, 0.001, 0.0005):
         psi = crank_nicolson_propagate(SPIKED, pulse, ORACLE_GRID, start, dt, T)
-        pops.append(abs(ORACLE_GRID.step * np.vdot(system.eigenvectors[:, n], psi)) ** 2)
+        pops.append(abs(ORACLE_GRID.step * np.vdot(vectors[:, n], psi)) ** 2)
     ratio = (pops[0] - pops[1]) / (pops[1] - pops[2])
     return pops[2] + (pops[2] - pops[1]) / 3.0, ratio
 
@@ -681,8 +681,7 @@ def test_truncation_rule_grows_the_basis_under_a_strong_field():
     assert abs(abs(c[-1, 3]) ** 2 - limit) <= 1e-6 * limit
     # the rule's first try, a fixed max(n, m) + 5 levels, misses the same
     # bound, and its top level shows it
-    system = models.hermitian_spectrum(SPIKED, ORACLE_GRID, 8)
-    fixed = eigenbasis_propagate(system, pulse, np.eye(8)[2], 0.001, [0.0, 5.0])
+    fixed = eigenbasis_propagate(*grid_levels(SPIKED, ORACLE_GRID, 8), pulse, np.eye(8)[2], 0.001, [0.0, 5.0])
     assert np.max(np.abs(fixed[:, -1]) ** 2) > TRUNCATION_POPULATION
     assert abs(abs(fixed[-1, 3]) ** 2 - limit) > 1e-6 * limit
 
@@ -692,8 +691,7 @@ def test_eigenbasis_weak_field_matches_first_order_on_grid_levels():
     # first order, with the grid's own levels and element; the remainder
     # is first order in E0 relative (the diagonal elements shift phases)
     E0, omega, T = 1e-5, 1.8, 5.0
-    system = models.hermitian_spectrum(SPIKED, ORACLE_GRID, 4)
-    vectors, energies = system.eigenvectors, system.eigenvalues
+    energies, vectors = models.hermitian_spectrum(SPIKED, ORACLE_GRID, 4)
     x = ORACLE_GRID.step * vectors[:, 3] @ (ORACLE_GRID.coordinates() * vectors[:, 2])
     delta = energies[3] - energies[2]
     plus = (np.exp(1j * (delta + omega) * T) - 1.0) / (1j * (delta + omega))
@@ -706,13 +704,13 @@ def test_eigenbasis_weak_field_matches_first_order_on_grid_levels():
 
 
 def test_eigenbasis_zero_field_keeps_exact_level_phases():
-    system = models.hermitian_spectrum(SPIKED, ORACLE_GRID, 6)
+    energies, coupling = grid_levels(SPIKED, ORACLE_GRID, 6)
     off = Pulse(E0=0.0, omega=1.0, tau=1.0)
     c0 = (np.arange(6) + 1.0) * np.exp(0.3j * np.arange(6))
     c0 /= np.linalg.norm(c0)
     times = np.array([0.0, 0.7, 5.0])
-    c = eigenbasis_propagate(system, off, c0, 1e-3, times)
-    expected = c0 * np.exp(-1j * np.outer(times, system.eigenvalues))
+    c = eigenbasis_propagate(energies, coupling, off, c0, 1e-3, times)
+    expected = c0 * np.exp(-1j * np.outer(times, energies))
     assert np.max(np.abs(c - expected)) < 1e-12
 
 
@@ -720,12 +718,12 @@ def test_eigenbasis_split_clock_matches_one_run():
     # the pulse ends inside the run, and the second leg starts its clock
     # at times[0] = 1.2
     pulse = Pulse(E0=0.05, omega=1.9, tau=1.5)
-    system = models.hermitian_spectrum(SPIKED, ORACLE_GRID, 10)
+    levels = grid_levels(SPIKED, ORACLE_GRID, 10)
     c0 = np.eye(10)[2]
-    whole = eigenbasis_propagate(system, pulse, c0, 1e-3, [0.0, 2.0])
-    first = eigenbasis_propagate(system, pulse, c0, 1e-3, [0.0, 1.2])
-    second = eigenbasis_propagate(system, pulse, first[-1], 1e-3, [1.2, 2.0])
-    snapshots = eigenbasis_propagate(system, pulse, c0, 1e-3, [0.0, 1.2, 2.0])
+    whole = eigenbasis_propagate(*levels, pulse, c0, 1e-3, [0.0, 2.0])
+    first = eigenbasis_propagate(*levels, pulse, c0, 1e-3, [0.0, 1.2])
+    second = eigenbasis_propagate(*levels, pulse, first[-1], 1e-3, [1.2, 2.0])
+    snapshots = eigenbasis_propagate(*levels, pulse, c0, 1e-3, [0.0, 1.2, 2.0])
     assert np.array_equal(snapshots[1:], np.vstack([first[-1], second[-1]]))
     assert np.max(np.abs(whole[-1] - second[-1])) < 1e-12
     assert abs(whole[-1, 3]) > 1e-3
@@ -771,23 +769,23 @@ def test_a_run_that_jumps_no_period_forms_no_schur_form(monkeypatch):
 
 def test_eigenbasis_validation():
     grid = GridSpec(0.0, 14.0, 100)
-    system = models.hermitian_spectrum(SPIKED, grid, 6)
+    levels = grid_levels(SPIKED, grid, 6)
     pulse = Pulse(E0=0.01, omega=2.0, tau=1.0)
     c0 = np.eye(6)[0]
     for dt in (0.0, -1e-3, math.nan):
         with pytest.raises(ValueError, match="dt > 0"):
-            eigenbasis_propagate(system, pulse, c0, dt, [0.0, 1.0])
+            eigenbasis_propagate(*levels, pulse, c0, dt, [0.0, 1.0])
         with pytest.raises(ValueError, match="dt > 0"):
             propagate_level(SPIKED, pulse, grid, 0, 1, dt, 0.1)
     for times in ([1.0, 0.5], [-1.0, 0.0], [0.0, math.inf], []):
         with pytest.raises(ValueError, match="times"):
-            eigenbasis_propagate(system, pulse, c0, 1e-3, times)
+            eigenbasis_propagate(*levels, pulse, c0, 1e-3, times)
     with pytest.raises(ValueError, match="shape"):
-        eigenbasis_propagate(system, pulse, c0[:-1], 1e-3, [0.0, 1.0])
+        eigenbasis_propagate(*levels, pulse, c0[:-1], 1e-3, [0.0, 1.0])
     with pytest.raises(ValueError, match="c0 must be finite"):
-        eigenbasis_propagate(system, pulse, np.full(6, math.nan), 1e-3, [0.0, 1.0])
+        eigenbasis_propagate(*levels, pulse, np.full(6, math.nan), 1e-3, [0.0, 1.0])
     with pytest.raises(ValueError, match="steps"):
-        eigenbasis_propagate(system, pulse, c0, 1e-12, [0.0, 1e3])
+        eigenbasis_propagate(*levels, pulse, c0, 1e-12, [0.0, 1e3])
     for T in (-1.0, math.inf):
         with pytest.raises(ValueError, match="T >= 0"):
             propagate_level(SPIKED, pulse, grid, 0, 1, 1e-3, T)
@@ -806,16 +804,41 @@ def test_eigenbasis_validation():
     assert np.array_equal(times, np.zeros(4)) and np.array_equal(c, np.tile(np.eye(6)[0], (4, 1)))
 
 
-def direct_loop(system, pulse, c0, dt, times):
+def test_propagate_level_refuses_a_coupling_phase_the_steps_cannot_resolve(monkeypatch):
+    # E0 = 1e12 at dt = 1e-3 turns each step's coupling phase dt E0 max|xi|
+    # to about 7e9: the top level fills with noise, and growing K took the
+    # whole grid into noise (over a minute on 1400 points).  The rule refuses
+    # after the first basis, without a second solve
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return models.hermitian_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "hermitian_spectrum", counted)
+    for E0 in (1e12, 1e300):
+        solves.clear()
+        with pytest.raises(ValueError, match=r"coupling phase dt E0 max\|xi\| = \S+ of one step is >= pi"):
+            propagate_level(SPIKED, Pulse(E0=E0, omega=1.8, tau=0.05), ORACLE_GRID, 2, 3, 1e-3, 0.05)
+        assert len(solves) == 1
+
+
+def grid_levels(h0, grid, K):
+    """The lowest K levels of h0 on the grid and their coupling X = h V^T diag(x) V."""
+    energies, vectors = models.hermitian_spectrum(h0, grid, K)
+    return energies, grid.step * (vectors.T * grid.coordinates()) @ vectors
+
+
+def direct_loop(energies, coupling, pulse, c0, dt, times):
     """Oracle of eigenbasis_propagate: its Strang steps taken one at a time.
 
     max(1, round(span/dt)) steps per span between the times, with the field
     at the step midpoints; in the frame d = Q^T exp(-i E s/2) c each step is
-    one elementwise field phase and one product with G = Q^T exp(-i E s) Q.
-    This is the kernel as it ran before it multiplied step operators.
+    one elementwise field phase and one product with G = Q^T exp(-i E s) Q,
+    X = Q diag(xi) Q^T.  This is the kernel as it ran before it multiplied
+    step operators.
     """
-    energies, vectors, grid = system.eigenvalues, system.eigenvectors, system.grid
-    xi, Q = np.linalg.eigh(grid.step * (vectors.T * grid.coordinates()) @ vectors)
+    xi, Q = np.linalg.eigh(coupling)
     c = np.array(c0, dtype=complex)
     out = [c]
     for start, span in zip(times[:-1], np.diff(times)):
@@ -865,9 +888,9 @@ def cut_times(pulse, times, dt):
 
 @functools.lru_cache(maxsize=None)
 def oracle_levels(K):
-    """The lowest K levels on ORACLE_GRID, cut from one solve of twelve."""
-    system = models.hermitian_spectrum(SPIKED, ORACLE_GRID, 12)
-    return replace(system, eigenvalues=system.eigenvalues[:K], eigenvectors=system.eigenvectors[:, :K])
+    """The lowest K levels on ORACLE_GRID and their coupling, cut from one solve of twelve."""
+    energies, coupling = grid_levels(SPIKED, ORACLE_GRID, 12)
+    return energies[:K], coupling[:K, :K]
 
 
 def test_eigenbasis_matches_the_direct_loop_within_the_first_period():
@@ -876,8 +899,8 @@ def test_eigenbasis_matches_the_direct_loop_within_the_first_period():
     pulse = Pulse(E0=0.05, omega=1.8, tau=100.0)
     c0 = np.eye(8)[2]
     times = np.linspace(0.3, 0.3 + 0.95 * 2.0 * math.pi / 1.8, 11)
-    c = eigenbasis_propagate(oracle_levels(8), pulse, c0, 1e-3, times)
-    assert np.max(np.abs(c - direct_loop(oracle_levels(8), pulse, c0, 1e-3, times))) <= 1e-12
+    c = eigenbasis_propagate(*oracle_levels(8), pulse, c0, 1e-3, times)
+    assert np.max(np.abs(c - direct_loop(*oracle_levels(8), pulse, c0, 1e-3, times))) <= 1e-12
 
 
 @pytest.mark.parametrize("periods, tau_periods", [(20.0, 20.0), (12.5, 20.0), (12.5, 7.3)])
@@ -887,14 +910,14 @@ def test_eigenbasis_populations_match_the_direct_loop_over_many_periods(periods,
     # mid-run; the loop's own step grid differs, so only the O(s^2)
     # splitting error of the cuts separates the two
     grid = GridSpec(0.0, 14.0, 1400)
-    system = models.hermitian_spectrum(SPIKED, grid, 12)
+    levels = grid_levels(SPIKED, grid, 12)
     period = 2.0 * math.pi / 1.8
     pulse = Pulse(E0=0.005, omega=1.8, tau=tau_periods * period)
     times = np.linspace(0.0, periods * period, 51)
     c0 = np.eye(12)[2]
-    got = np.abs(eigenbasis_propagate(system, pulse, c0, 1e-3, times)[1:, 3]) ** 2
+    got = np.abs(eigenbasis_propagate(*levels, pulse, c0, 1e-3, times)[1:, 3]) ** 2
     loop_times = np.unique(np.append(times, min(pulse.tau, times[-1])))
-    loop = direct_loop(system, pulse, c0, 1e-3, loop_times)[np.searchsorted(loop_times, times[1:])]
+    loop = direct_loop(*levels, pulse, c0, 1e-3, loop_times)[np.searchsorted(loop_times, times[1:])]
     expected = np.abs(loop[:, 3]) ** 2
     assert np.max(np.abs(got - expected) / expected) <= 1e-9
 
@@ -905,10 +928,10 @@ def test_eigenbasis_period_power_is_unitary():
     # halves, and a run of three periods is U_P cubed
     pulse = Pulse(E0=0.3, omega=2.0, tau=100.0)
     period = 2.0 * math.pi / 2.0
-    system = oracle_levels(8)
+    levels = oracle_levels(8)
 
     def propagator(times):
-        return np.array([eigenbasis_propagate(system, pulse, e, 1e-3, times)[-1] for e in np.eye(8)]).T
+        return np.array([eigenbasis_propagate(*levels, pulse, e, 1e-3, times)[-1] for e in np.eye(8)]).T
 
     U = propagator([0.0, period])
     assert np.max(np.abs(U.conj().T @ U - np.eye(8))) <= 1e-12
@@ -929,11 +952,11 @@ def test_floquet_power_survives_nearly_degenerate_quasi_energies():
     x = grid.coordinates()
     vectors = np.column_stack([np.ones_like(x), x])
     vectors /= np.sqrt(grid.step * np.sum(vectors**2, axis=0))
-    system = models.EigenSystem(eigenvalues=np.array([0.0, omega]), eigenvectors=vectors, grid=grid)
+    levels = np.array([0.0, omega]), grid.step * (vectors.T * x) @ vectors
     pulse = Pulse(E0=1e-9, omega=omega, tau=1e6)
     dt = period / 50.0
 
-    U = np.array([eigenbasis_propagate(system, pulse, e, dt, [0.0, period])[-1] for e in np.eye(2)]).T
+    U = np.array([eigenbasis_propagate(*levels, pulse, e, dt, [0.0, period])[-1] for e in np.eye(2)]).T
     phases = np.angle(np.linalg.eigvals(U))
     assert 0.0 < abs(phases[1] - phases[0]) < 1e-8
     assert np.max(np.abs(U - np.diag(np.diag(U)))) > 1e-11  # the field couples the levels
@@ -941,7 +964,7 @@ def test_floquet_power_survives_nearly_degenerate_quasi_energies():
     # the explicit products gather rounding of about q eps (5e-13 at q = 1000)
     counts = [1, 2, 7, 100, 1000]
     c0 = np.array([0.6, 0.8j])
-    got = eigenbasis_propagate(system, pulse, c0, dt, period * np.array([0] + counts))[1:]
+    got = eigenbasis_propagate(*levels, pulse, c0, dt, period * np.array([0] + counts))[1:]
     c, done, expected = c0.astype(complex), 0, []
     for q in counts:
         for _ in range(q - done):
@@ -954,16 +977,17 @@ def test_floquet_power_survives_nearly_degenerate_quasi_energies():
 
 def test_eigenbasis_free_tail_is_the_exact_level_phases():
     pulse = Pulse(E0=0.2, omega=1.9, tau=1.3)
-    system = oracle_levels(10)
+    energies, coupling = oracle_levels(10)
     times = np.array([0.0, 0.4, 1.3, 1.7, 4.0, 60.0])
-    c = eigenbasis_propagate(system, pulse, np.eye(10)[2], 1e-3, times)
-    phases = np.exp(-1j * np.outer(times[3:] - 1.3, system.eigenvalues))
+    c = eigenbasis_propagate(energies, coupling, pulse, np.eye(10)[2], 1e-3, times)
+    phases = np.exp(-1j * np.outer(times[3:] - 1.3, energies))
     assert np.max(np.abs(c[3:] - phases * c[2])) <= 1e-15
     assert abs(c[2, 3]) > 1e-3
     # a tail whose phases E_k (t - tau) overflow is refused, though its
     # steps of dt would not overflow
     with pytest.raises(ValueError, match="overflow"):
-        eigenbasis_propagate(system, Pulse(E0=0.0, omega=1.9, tau=1.3), np.eye(10)[2], 1.1e300, [0.0, 1e308])
+        eigenbasis_propagate(energies, coupling, Pulse(E0=0.0, omega=1.9, tau=1.3), np.eye(10)[2], 1.1e300,
+                             [0.0, 1e308])
 
 
 @pytest.mark.parametrize("periods", [0.9, 2.6])
@@ -973,25 +997,95 @@ def test_eigenbasis_small_blocks_and_batches_keep_the_result(monkeypatch, period
     # batches; only the order of the rounding changes
     monkeypatch.setattr(dynamics, "_TREE_ENTRIES", 2 * 5 * 5)
     pulse = Pulse(E0=0.3, omega=1.8, tau=100.0)
-    system, c0 = oracle_levels(5), np.eye(5)[1]
+    levels, c0 = oracle_levels(5), np.eye(5)[1]
     times = np.linspace(0.0, periods * 2.0 * math.pi / 1.8, 12).tolist()
     cuts = cut_times(pulse, times, 0.01)
-    expected = direct_loop(system, pulse, c0, 0.01, cuts)[np.searchsorted(cuts, times)]
-    assert np.max(np.abs(eigenbasis_propagate(system, pulse, c0, 0.01, times) - expected)) <= 1e-12
+    expected = direct_loop(*levels, pulse, c0, 0.01, cuts)[np.searchsorted(cuts, times)]
+    assert np.max(np.abs(eigenbasis_propagate(*levels, pulse, c0, 0.01, times) - expected)) <= 1e-12
 
 
 def test_eigenbasis_drops_the_period_when_its_segments_would_not_fit(monkeypatch):
     # with no room to hold a segment matrix, a run over several periods is
     # cut at its times alone and takes the direct loop's steps
     pulse = Pulse(E0=0.3, omega=2.0, tau=100.0)
-    system, c0 = oracle_levels(6), np.eye(6)[1]
+    levels, c0 = oracle_levels(6), np.eye(6)[1]
     times = [0.0, 0.7 * math.pi, 2.3 * math.pi]
-    periodic = eigenbasis_propagate(system, pulse, c0, 0.01, times)
+    periodic = eigenbasis_propagate(*levels, pulse, c0, 0.01, times)
     monkeypatch.setattr(dynamics, "_HELD_ENTRIES", 0)
-    plain = eigenbasis_propagate(system, pulse, c0, 0.01, times)
-    assert np.max(np.abs(plain - direct_loop(system, pulse, c0, 0.01, times))) <= 1e-12
+    plain = eigenbasis_propagate(*levels, pulse, c0, 0.01, times)
+    assert np.max(np.abs(plain - direct_loop(*levels, pulse, c0, 0.01, times))) <= 1e-12
     # the period's cuts give another step grid
     assert np.max(np.abs(periodic - plain)) > 1e-9
+
+
+def random_levels(seed, K=6):
+    """Seeded level energies in [0, 8) and a real symmetric coupling with
+    normal entries: a basis that no grid gave."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((K, K))
+    return 8.0 * rng.random(K), 0.5 * (A + A.T)
+
+
+_P18 = 2.0 * math.pi / 1.8  # the period at omega = 1.8
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "times, tau, jumps",
+    [
+        (np.linspace(0.3, 0.3 + 0.9 * _P18, 7).tolist(), 100.0, False),  # within the first period
+        ([0.0, 1.1, 2.5 * _P18, 4.0 * _P18], 3.2 * _P18, True),  # the pulse ends mid-run
+        ([0.0, 0.4 * _P18, 3.4 * _P18, 9.4 * _P18], 100.0, True),  # whole periods jumped
+    ],
+    ids=["first-period", "pulse-ends", "floquet"],
+)
+def test_eigenbasis_matches_the_direct_loop_on_a_basis_that_is_not_a_grid(
+    monkeypatch, seed, times, tau, jumps
+):
+    # the kernel reads only energies and a coupling: a dense random X has a
+    # Q with no structure a grid basis would lend it, and the direct loop
+    # on the kernel's cuts must agree to rounding
+    eig_calls = []
+    eig = np.linalg.eig
+
+    def counted(matrix):
+        eig_calls.append(matrix.shape)
+        return eig(matrix)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    levels = random_levels(seed)
+    pulse = Pulse(E0=0.3, omega=1.8, tau=tau, phase_kind="cosine")
+    c0 = np.exp(0.7j * np.arange(6)) / math.sqrt(6.0)
+    got = eigenbasis_propagate(*levels, pulse, c0, 0.01, times)
+    assert len(eig_calls) == int(jumps)  # U_P is diagonalized once when whole periods are jumped
+    cuts = cut_times(pulse, times, 0.01)
+    expected = direct_loop(*levels, pulse, c0, 0.01, cuts)[np.searchsorted(cuts, times)]
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    assert np.max(np.abs(np.abs(got[-1]) - np.abs(c0))) > 1e-2  # the field moves the populations
+
+
+def test_eigenbasis_refuses_a_coupling_that_is_not_real_symmetric():
+    energies, coupling = random_levels(1)
+    pulse = Pulse(E0=0.3, omega=1.8, tau=1.0)
+    asymmetric = coupling.copy()
+    asymmetric[0, 1] += 1e-6
+    cases = [
+        (energies, coupling[:, :5], r"\(6, 6\) coupling"),
+        (energies, coupling[:5, :5], r"\(6, 6\) coupling"),
+        (energies.reshape(2, 3), coupling, "1-D energies"),
+        (energies, asymmetric, "coupling must be symmetric"),
+    ]
+    for bad in (math.nan, math.inf):
+        broken = coupling.copy()
+        broken[2, 3] = broken[3, 2] = bad
+        cases.append((energies, broken, "coupling must be finite"))
+    for E, X, match in cases:
+        with pytest.raises(ValueError, match=match):
+            eigenbasis_propagate(E, X, pulse, np.eye(6)[0], 0.01, [0.0, 1.0])
+    # rounding-level asymmetry, as a grid product h V^T diag(x) V leaves, is accepted
+    rounded = coupling.copy()
+    rounded[0, 1] *= 1.0 + 4.0 * np.finfo(float).eps
+    eigenbasis_propagate(energies, rounded, pulse, np.eye(6)[0], 0.01, [0.0, 1.0])
 
 
 @st.composite
@@ -1046,15 +1140,15 @@ def test_eigenbasis_matches_the_direct_loop_on_its_cuts(phase_kind, K, E0, run):
     # every period, so the Floquet powers, the segment products and the
     # free tail must reproduce it to rounding
     pulse = Pulse(E0=E0, omega=run["omega"], tau=run["tau"], phase_kind=phase_kind)
-    system, times, dt = oracle_levels(K), run["times"], run["dt"]
+    levels, times, dt = oracle_levels(K), run["times"], run["dt"]
     c0 = np.full(K, 1.0 / math.sqrt(K))
     if run["omega"] * dt >= math.pi:
         with pytest.raises(ValueError, match="fewer than two steps per field period"):
-            eigenbasis_propagate(system, pulse, c0, dt, times)
+            eigenbasis_propagate(*levels, pulse, c0, dt, times)
         return
-    got = eigenbasis_propagate(system, pulse, c0, dt, times)
+    got = eigenbasis_propagate(*levels, pulse, c0, dt, times)
     cuts = cut_times(pulse, times, dt)
-    expected = direct_loop(system, pulse, c0, dt, cuts)[np.searchsorted(cuts, times)]
+    expected = direct_loop(*levels, pulse, c0, dt, cuts)[np.searchsorted(cuts, times)]
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 

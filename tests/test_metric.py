@@ -422,6 +422,17 @@ def _oscillator_matrix(sym, n):
     return out[:n, :n]
 
 
+def _x4_chain_frames(n):
+    """The x4 chain at alpha = 1, g = 0.1 on n oscillator states: its pair,
+    the left and right eigenvectors L = R^-1 and R of M(H), columns by
+    ascending level, and the eigenvectors psi of M(h)."""
+    pair = models.minus_x4_chain(1.0, 0.1)
+    energies, R = np.linalg.eig(_oscillator_matrix(pair.H, n))
+    R = R[:, np.argsort(energies.real)]
+    _, psi = np.linalg.eigh(_oscillator_matrix(pair.h, n))
+    return pair, np.linalg.inv(R), R, psi
+
+
 # o by name: x^1, x^2, and 2xp, the Weyl symbol of xp + px
 OBSERVABLES = {1: WeylSymbol.x(1), 2: WeylSymbol.x(2), "xp+px": WeylSymbol.monomial(1, 1, 2.0)}
 
@@ -437,13 +448,8 @@ def test_observable_map_matches_biorthogonal_expectations(n, name, lowest):
     # diag(L M(O) R) of O = observable_map(o, q) in H's right eigenvectors R
     # (L = R^-1) equal <psi|M(o)|psi> in h's eigenvectors: no metric and no
     # series enter the reference, and q -> -q must miss it
-    alpha, g = 1.0, 0.1
-    pair = models.minus_x4_chain(alpha, g)
+    pair, L, R, psi = _x4_chain_frames(n)
     o = OBSERVABLES[name]
-    energies, R = np.linalg.eig(_oscillator_matrix(pair.H, n))
-    R = R[:, np.argsort(energies.real)]
-    L = np.linalg.inv(R)
-    _, psi = np.linalg.eigh(_oscillator_matrix(pair.h, n))
     expected = np.einsum("in,ij,jn->n", psi.conj(), _oscillator_matrix(o, n), psi)[:6]
     assert np.abs(expected[:3] - lowest).max() < 1e-6
 
@@ -453,3 +459,27 @@ def test_observable_map_matches_biorthogonal_expectations(n, name, lowest):
     assert np.abs(metric_expectations(pair.q) - expected).max() <= 1e-11  # 2.5e-14 seen
     # 0.35, 0.28 and 0.68 seen for x, x^2 and xp + px
     assert np.abs(metric_expectations(-pair.q) - expected).max() > 0.1
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_observable_map_keeps_the_coupling_products(n):
+    # a biorthogonal basis is free up to a diagonal similarity, whose
+    # invariants are the diagonal and the products X_nm X_mn.  In the 8
+    # lowest states the products of X = observable_map(x, q) in H's
+    # eigenvectors equal x_nm x_mn in h's: H + E(t) X and h + E(t) x then
+    # give the same populations for every field E(t).  The products are up
+    # to 3.6 here, and not zero
+    pair, L, R, psi = _x4_chain_frames(n)
+    x = WeylSymbol.x(1)
+    x_h = (psi.conj().T @ _oscillator_matrix(x, n) @ psi)[:8, :8]
+    off = ~np.eye(8, dtype=bool)
+    expected = (x_h * x_h.T)[off]
+    assert np.abs(expected).max() > 1.0
+
+    def products(o):
+        X = (L @ _oscillator_matrix(o, n) @ R)[:8, :8]
+        return (X * X.T)[off]
+
+    assert np.abs(products(observable_map(x, pair.q)) - expected).max() <= 1e-11  # 6.4e-14 seen
+    # the raw x is the wrong coupling: 0.025 seen (0.072 with the diagonal)
+    assert np.abs(products(x) - expected).max() > 0.01

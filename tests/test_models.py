@@ -596,20 +596,20 @@ def test_banded_matches_dense_tridiagonal():
         if i + 1 < n:
             dense[i, i + 1] = dense[i + 1, i] = -1.0 / h**2
     ref = np.linalg.eigvalsh(dense)[:5]
-    got = models.hermitian_spectrum(ho, grid, 5).eigenvalues
+    got, _ = models.hermitian_spectrum(ho, grid, 5)
     assert np.max(np.abs(ref - got)) < 1e-8
 
 
 def test_harmonic_levels_and_refinement():
     grid = GridSpec(-8.0, 8.0, 600)
     ho = WeylSymbol.p(2) + WeylSymbol.x(2)
-    es = models.hermitian_spectrum(ho, grid, 6)
+    energies, vectors = models.hermitian_spectrum(ho, grid, 6)
     exact = 2.0 * np.arange(6) + 1.0
-    assert np.max(np.abs(es.eigenvalues - exact)) < 1e-2
+    assert np.max(np.abs(energies - exact)) < 1e-2
     refined = models.refined_eigenvalues(ho, grid, 6, refinements=2)
     assert np.max(np.abs(refined - exact)) < 1e-6
     # eigenvectors come back orthonormal in the grid inner product
-    gram = es.eigenvectors.T @ es.eigenvectors * grid.step
+    gram = vectors.T @ vectors * grid.step
     assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
 
@@ -618,7 +618,7 @@ def test_harmonic_convergence_order():
     errs = []
     for pts in (300, 601, 1203):
         gg = GridSpec(-8.0, 8.0, pts)
-        e0 = models.hermitian_spectrum(ho, gg, 1).eigenvalues[0]
+        (e0,), _ = models.hermitian_spectrum(ho, gg, 1)
         errs.append(abs(e0 - 1.0))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for order in orders:
@@ -646,7 +646,7 @@ def test_spiked_grid_rejects_negative_alpha():
     # alpha = 0 (potential -1/(4 x^2)) still solves; the x^(1/2) edge
     # behaviour converges slowly, but the level spacing 4 lam is sharp
     zero = SpikedHOModel(lam=1.0, alpha=0.0)
-    levels = models.hermitian_spectrum(zero, GridSpec(0.0, 10.0, 800), 3).eigenvalues
+    levels, _ = models.hermitian_spectrum(zero, GridSpec(0.0, 10.0, 800), 3)
     exact = [models.spiked_energy(zero, n) for n in range(3)]
     assert levels == pytest.approx(exact, abs=0.35)
     assert np.diff(levels) == pytest.approx([4.0, 4.0], abs=0.05)
@@ -694,13 +694,13 @@ def test_hermitian_spectrum_matches_eig_banded_bitwise(hamiltonian, grid, k):
     bisected = eigvalsh_tridiagonal(
         d, e, select="i", select_range=(0, k - 1), tol=2.0 * lapack.dlamch("S")
     )
-    got = models.hermitian_spectrum(hamiltonian, grid, k)
-    assert np.max(np.abs(got.eigenvalues - values)) <= 2.0 * unit
-    assert np.max(np.abs(got.eigenvalues - bisected)) <= 2.0 * unit
-    unit_vectors = got.eigenvectors * math.sqrt(grid.step)
-    residuals = tridiagonal_residuals(d, e, got.eigenvalues, unit_vectors)
+    energies, grid_vectors = models.hermitian_spectrum(hamiltonian, grid, k)
+    assert np.max(np.abs(energies - values)) <= 2.0 * unit
+    assert np.max(np.abs(energies - bisected)) <= 2.0 * unit
+    unit_vectors = grid_vectors * math.sqrt(grid.step)
+    residuals = tridiagonal_residuals(d, e, energies, unit_vectors)
     assert np.max(residuals) <= models.RESIDUAL_ULPS * unit
-    gram = grid.step * got.eigenvectors.T @ got.eigenvectors
+    gram = grid.step * grid_vectors.T @ grid_vectors
     assert np.max(np.abs(gram - np.eye(k))) <= 64 * np.finfo(float).eps
     gap = np.min(np.diff(bisected))
     assert np.max(np.abs(unit_vectors - vectors)) <= 0.1 * unit / gap
@@ -734,7 +734,7 @@ def test_tridiagonal_residual_gate_can_refuse(monkeypatch):
     # with no tolerance at all the full-precision pass misses the gate as
     # well, and the solve raises instead of returning its pairs
     model, grid = SpikedHOModel(lam=0.5, alpha=0.2), GridSpec(0.0, 14.0, 400)
-    assert models.hermitian_spectrum(model, grid, 5).eigenvalues.size == 5
+    assert models.hermitian_spectrum(model, grid, 5)[0].size == 5
     monkeypatch.setattr(models, "RESIDUAL_ULPS", 0)
     with pytest.raises(np.linalg.LinAlgError, match="residual"):
         models.hermitian_spectrum(model, grid, 5)
@@ -747,7 +747,7 @@ def test_refined_eigenvalues_refuse_levels_put_out_of_order():
     # reorders them (it printed -6.05e292, 1.82e293, -4.66e294)
     h = fourier_swap(models.x4_hermitian_symbol(1e-300, 0.1))
     grid = GridSpec(-6.0, 6.0, 64)
-    assert np.all(np.diff(models.hermitian_spectrum(h, grid, 3).eigenvalues) > 0)
+    assert np.all(np.diff(models.hermitian_spectrum(h, grid, 3)[0]) > 0)
     with pytest.raises(ValueError, match="out of order"):
         models.refined_eigenvalues(h, grid, 3, refinements=1)
 
@@ -805,7 +805,7 @@ def test_quartic_momentum_symbol_solves_through_its_fourier_image():
     grid = GridSpec(-8.0, 8.0, 400)
     with pytest.raises(ValueError, match="fourier_swap"):
         models.hermitian_spectrum(h, grid, 3)
-    levels = models.hermitian_spectrum(fourier_swap(h), grid, 3).eigenvalues
+    levels, _ = models.hermitian_spectrum(fourier_swap(h), grid, 3)
     assert np.all(np.diff(levels) > 0)
 
 
@@ -816,12 +816,12 @@ def test_quartic_momentum_symbol_solves_through_its_fourier_image():
     ],
 )
 def test_hermitian_spectrum_upper_levels_match_the_full_solve(hamiltonian, grid):
-    full = models.hermitian_spectrum(hamiltonian, grid, 9)
-    upper = models.hermitian_spectrum(hamiltonian, grid, 9, first=5)
-    assert upper.eigenvalues == pytest.approx(full.eigenvalues[5:], rel=1e-14)
+    full_energies, full_vectors = models.hermitian_spectrum(hamiltonian, grid, 9)
+    energies, vectors = models.hermitian_spectrum(hamiltonian, grid, 9, first=5)
+    assert energies == pytest.approx(full_energies[5:], rel=1e-14)
     # the same vectors up to sign
-    signs = np.sign(np.sum(upper.eigenvectors * full.eigenvectors[:, 5:], axis=0))
-    assert np.max(np.abs(upper.eigenvectors * signs - full.eigenvectors[:, 5:])) < 1e-9
+    signs = np.sign(np.sum(vectors * full_vectors[:, 5:], axis=0))
+    assert np.max(np.abs(vectors * signs - full_vectors[:, 5:])) < 1e-9
     for first in (-1, 9):
         with pytest.raises(ValueError, match="first"):
             models.hermitian_spectrum(hamiltonian, grid, 9, first=first)

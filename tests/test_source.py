@@ -138,3 +138,27 @@ def test_models_take_only_the_pair_type_from_metric():
             # the module itself: import pseudoherm.metric, from . import metric
             taken += [alias.name for alias in node.names if alias.name.split(".")[-1] == "metric"]
     assert taken == ["SimilarityPair"]
+
+
+def test_the_propagation_kernel_names_no_grid():
+    # eigenbasis_propagate takes level energies and a coupling in whatever
+    # basis the caller holds, so a closed-form basis calls it as the grid
+    # path does: neither it nor a module function it reaches names a grid
+    tree = ast.parse((SOURCE / "dynamics.py").read_text(), filename="dynamics.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, pending = set(), ["eigenbasis_propagate"]
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending += [
+                node.id for node in ast.walk(functions[name])
+                if isinstance(node, ast.Name) and node.id in functions
+            ]
+    assert {"_segment_operators", "_tree_product", "_period_cuts"} <= reached
+    named = sorted(
+        (name, ast.unparse(node)) for name in reached for node in ast.walk(functions[name])
+        if (isinstance(node, ast.Name) and node.id == "GridSpec")
+        or (isinstance(node, ast.Attribute) and node.attr in ("step", "coordinates"))
+    )
+    assert named == []
