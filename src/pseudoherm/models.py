@@ -1,4 +1,4 @@
-"""Worked model families with real spectra and their grid spectra.
+"""Worked model families with real spectra, and their spectra.
 
 Three families are covered: the generalized Swanson models (x^n
 oscillator seed with an x^m similarity generator), the spiked harmonic
@@ -6,10 +6,12 @@ oscillator on the half line with closed-form Laguerre eigenfunctions,
 and the quartic chain that connects a shifted harmonic seed through a
 p^3 generator to a Hamiltonian with a -x^4 interaction.  The Swanson and
 quartic pairs are returned in closed form; their BCH ladders terminate,
-and verify-all checks the closed forms against them.  A tridiagonal
-finite-difference eigensolver provides spectra for symbols c p^2 + V(x)
-and for the spiked 1/x^2 special form; a symbol polynomial in p goes to
-the grid through its weyl.fourier_swap image.
+and verify-all checks the closed forms against them.  The spiked levels
+are closed forms too.  oscillator_levels gives the levels of any
+Hermitian polynomial symbol that is bounded below, from its exact matrix
+in a scaled oscillator basis.  A tridiagonal finite-difference
+eigensolver gives the levels and grid vectors of symbols c p^2 + V(x)
+and of the spiked 1/x^2 special form, which the grid propagation needs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metric import SimilarityPair
-from .weyl import WeylSymbol
+from .weyl import WeylSymbol, oscillator_matrix
 
 
 # -- generalized Swanson family -------------------------------------------
@@ -333,6 +335,102 @@ def minus_x4_chain(alpha, g):
     return SimilarityPair(h=x4_hermitian_symbol(alpha, g), H=H, q=q, ell=2)
 
 
+# -- oscillator-basis spectra ---------------------------------------------
+
+
+# Bases of more states are refused before any matrix is built: a dense
+# eigvalsh of this size takes about 0.3 s, and the chain's levels converge
+# in 48 to 108 states.
+MAX_BASIS = 1024
+# Two successive bases agree on a level E to LEVEL_TOL max(1, |E|).
+LEVEL_TOL = 1e-10
+_BASIS_START = 32
+_BASIS_GROWTH = 1.5
+
+
+def _confining_powers(symbol):
+    """The positive even pure powers of a Hermitian symbol that is bounded
+    below, as the arrays (deg_x, c_x, deg_p, c_p): c_x x^deg_x, c_p p^deg_p.
+
+    The test is sufficient, not necessary: the top pure powers c_x x^(2n)
+    and c_p p^(2m) must be even with c_x, c_p > 0, and every other term
+    x^a p^b must have a/(2n) + b/(2m) < 1, so that Young's inequality
+    bounds it by a fraction of c_x x^(2n) + c_p p^(2m) plus a constant.
+    """
+    if not symbol.conjugate().isclose(symbol):
+        raise ValueError("the oscillator-basis levels need a Hermitian symbol (real coefficients)")
+    dx, dp, c = symbol.arrays()
+    c = c.real
+    pure_x, pure_p = (dp == 0) & (dx > 0), (dx == 0) & (dp > 0)
+    if pure_x.any() and pure_p.any():
+        top_x, top_p = dx[pure_x].max(), dp[pure_p].max()
+        tops = (pure_x & (dx == top_x)) | (pure_p & (dp == top_p))
+        weight = dx / top_x + dp / top_p
+        even = (top_x % 2 == 0) and (top_p % 2 == 0)
+        if even and (c[tops] > 0).all() and (weight[~tops] < 1).all():
+            keep = (c > 0) & ((dx + dp) % 2 == 0)
+            return dx[pure_x & keep], c[pure_x & keep], dp[pure_p & keep], c[pure_p & keep]
+    raise ValueError(
+        "the symbol is not bounded below: its top pure powers of x and p must be even with "
+        "positive coefficients and outweigh every other term"
+    )
+
+
+def oscillator_levels(symbol, k):
+    """The k lowest levels of the Weyl-ordered operator of a Hermitian,
+    confining polynomial symbol, ascending.
+
+    The levels are the eigvalsh values of weyl.oscillator_matrix, exact on
+    its block.  The scale s is one of (c_p/c_x)^(1/(2m+2n)) over the
+    positive even pure powers c_p p^(2m) and c_x x^(2n) of the symbol: the
+    one whose first basis, of max(32, 2k) states, gives the lowest sum of
+    the k lowest Ritz values, which bound the levels from above.  (The
+    top pure powers alone give a scale that settles 8 levels of the x4h
+    chain at alpha = 1 only at 546 states for g = 0.05, and 1228 for
+    g = 0.01; this rule settles them at 48.)  The basis then grows by
+    the factor 1.5 until two successive bases agree on every level E to
+    LEVEL_TOL max(1, |E|).  ValueError for k < 1, a symbol that is not
+    Hermitian or not bounded below (_confining_powers), a scale or an entry
+    that leaves double precision, and a basis above MAX_BASIS states,
+    refused before it is built.
+    """
+    if k < 1:
+        raise ValueError("the number of levels must be positive")
+    size = max(_BASIS_START, 2 * k)
+    if size > MAX_BASIS:
+        raise ValueError(f"{k} levels need a basis of {size} states, above MAX_BASIS = {MAX_BASIS}")
+    x_deg, x_coeff, p_deg, p_coeff = _confining_powers(symbol)
+    scales = set()
+    for n, cx in zip(x_deg.tolist(), x_coeff.tolist()):
+        for m, cp in zip(p_deg.tolist(), p_coeff.tolist()):
+            scale = (cp / cx) ** (1.0 / (n + m))
+            if not 0.0 < scale < math.inf:
+                raise ValueError(
+                    f"the oscillator scale of p^{m} and x^{n}, ({cp:g}/{cx:g})^(1/{n + m}), "
+                    "leaves double precision"
+                )
+            scales.add(scale)
+
+    def lowest(scale, size):
+        matrix = oscillator_matrix(symbol, size, scale)
+        if not matrix.imag.any():  # no odd power of p: the real solve is twice as fast
+            matrix = matrix.real
+        return np.linalg.eigvalsh(matrix)[:k]
+
+    scale, previous = min(((s, lowest(s, size)) for s in sorted(scales)), key=lambda t: t[1].sum())
+    while True:
+        size = int(size * _BASIS_GROWTH)
+        if size > MAX_BASIS:
+            raise ValueError(
+                f"the {k} lowest levels do not settle to {LEVEL_TOL:g} within "
+                f"MAX_BASIS = {MAX_BASIS} oscillator states"
+            )
+        levels = lowest(scale, size)
+        if (np.abs(levels - previous) <= LEVEL_TOL * np.maximum(1.0, np.abs(levels))).all():
+            return levels
+        previous = levels
+
+
 # -- finite-difference spectra --------------------------------------------
 
 
@@ -394,10 +492,10 @@ def _symbol_grid_parts(hamiltonian, grid):
         elif dx == 0 and dp == 2:
             c2 = c
         else:
-            swap = "; a symbol polynomial in p plus c x^2 goes as its weyl.fourier_swap image"
             raise ValueError(
                 "the grid is tridiagonal and takes x-polynomial terms plus p^2 only; "
-                f"got term x^{dx} p^{dp}{swap if dx == 0 else ''}"
+                f"got term x^{dx} p^{dp} (models.oscillator_levels takes any "
+                "confining polynomial symbol)"
             )
     if c2 == 0.0:
         raise ValueError("grid Hamiltonian symbols need a p^2 term")
@@ -459,6 +557,10 @@ def hermitian_spectrum(hamiltonian, grid, k, first=0):
     _tridiagonal_eigenpairs, whose pairs meet a residual gate of
     RESIDUAL_ULPS * eps * |T|, the accuracy a backward-stable solver can
     promise (|T| is the largest absolute row sum), or raise LinAlgError.
+
+    Its callers are dynamics.propagate_level, behind `propagate` and the
+    verify-all rows eigenbasis_norm and eigenbasis_stationary_state, and
+    that last row's reference phase; `spectrum` solves no grid.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -553,6 +655,10 @@ def refined_eigenvalues(hamiltonian, grid, k, refinements=2):
     the result is not extrapolated: lambda = 1, alpha = 0 on [0, 10] with
     refinements = 2 gives 2.14032, 2.12975 and 2.11976 for the ground
     level at N = 400, 800 and 1600 points, where the exact level is 2.
+
+    No library path calls it: `spectrum` prints closed-form and
+    oscillator-basis levels, and the tests keep it as the second method
+    they are checked against.
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")

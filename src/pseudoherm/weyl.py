@@ -34,9 +34,8 @@ ZERO_THRESHOLD is a tolerance for comparisons (isclose, is_pt_symmetric),
 never for storage.  The operations and the gate run with numpy's
 warnings off: an overflow is refused by the gate's ValueError alone.  A
 product whose (deg_x, deg_p, deg_x, deg_p) work tensor would exceed
-MAX_TENSOR entries raises ValueError too.  Negation, conjugation,
-pt_transform and fourier_swap only flip signs or relabel degrees, and
-wrap their arrays as they are.
+MAX_TENSOR entries raises ValueError too.  Negation, conjugation and
+pt_transform only flip signs, and wrap their arrays as they are.
 
 The Moyal product has two kernels, chosen by the size of the boxes.  When
 its linear map of f (x) g has at most MAX_MAP entries (every product up to
@@ -962,11 +961,44 @@ def is_pt_symmetric(f, tol=ZERO_THRESHOLD):
     return pt_transform(f).isclose(f, tol)
 
 
-def fourier_swap(f):
-    """Relabel (x, p) -> (-p, x), the symbol action of the Fourier transform.
+# -- oscillator-basis matrices ------------------------------------------------
 
-    The map is linear symplectic, so Weyl quantization is covariant under
-    it and the transformed symbol represents a unitarily equivalent
-    (isospectral) operator.
+
+@_quiet
+def oscillator_matrix(f, n, scale=1.0):
+    """The kept n x n block of the Weyl-ordered operator of f in the
+    oscillator basis of scale s: x = s (a + a^+)/sqrt 2 and
+    p = i (a^+ - a)/(sqrt 2 s), so that [x, p] = i.
+
+    A monomial x^a p^b is McCoy's 2^-a sum_k C(a, k) x^k p^b x^(a-k)
+    (N. H. McCoy, Proc. Natl. Acad. Sci. 18 (1932) 674).  Its products run
+    on the scale-1 matrices in a basis deg + 2 states larger than the
+    block, deg the total degree of f, so that no path of ladder steps
+    between two kept states leaves the basis and the block is exact; the
+    scale enters each monomial as the factor s^(a - b).  A complex (n, n)
+    array; ValueError for a scale that is not finite and positive, and
+    for an entry that leaves double precision.
     """
-    return WeylSymbol._wrap(np.ascontiguousarray(_parity_x(f._c).T))
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"the oscillator scale must be finite and positive, got {scale!r}")
+    dx, dp, c = f.arrays()
+    size = n + int((dx + dp).max(initial=0)) + 2
+    half = np.diag(np.sqrt(np.arange(1.0, size) / 2.0), 1)  # a / sqrt 2
+    x_powers, d_powers = [np.eye(size)], [np.eye(size)]
+    for _ in range(int(dx.max(initial=0))):
+        x_powers.append(x_powers[-1] @ (half + half.T))
+    for _ in range(int(dp.max(initial=0))):
+        d_powers.append(d_powers[-1] @ (half.T - half))  # p = i s^-1 (a^+ - a)/sqrt 2
+    out = np.zeros((n, n), dtype=complex)
+    for a, b, coeff in zip(dx.tolist(), dp.tolist(), c.tolist()):
+        if a == 0 or b == 0:
+            block = (x_powers[a] if b == 0 else d_powers[b])[:n, :n]
+        else:
+            block = sum(
+                math.comb(a, k) * (x_powers[k][:n] @ d_powers[b] @ x_powers[a - k][:, :n])
+                for k in range(a + 1)
+            ) / 2.0 ** a
+        out += (coeff * _TURNS[b % 4] * np.float64(scale) ** (a - b)) * block
+    if not np.isfinite(out).all():
+        raise ValueError(f"an oscillator-basis entry leaves double precision at scale {scale:g}")
+    return out

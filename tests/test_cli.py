@@ -7,6 +7,7 @@ algebra tests).
 """
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 from dataclasses import replace
@@ -74,8 +75,8 @@ def _modules_after(argvs):
     exit 0): its scipy modules as a printed list, whether it has imported
     argparse, and the stdout of the runs.
 
-    Every subcommand but three is probed for both.  `spectrum`, `propagate`
-    and `verify-all` load scipy.linalg, whose array-API shim imports
+    Every subcommand but two is probed for both.  `propagate` and
+    `verify-all` load scipy.linalg, whose array-API shim imports
     numpy.testing, and with it unittest and argparse, so neither probe can
     tell anything about the CLI there."""
     probe = (
@@ -125,8 +126,14 @@ def test_symbol_commands_load_no_scipy(tmp_path):
 
 def test_spiked_and_transition_load_no_scipy():
     # the matrix elements come from a Jacobi matrix in numpy; scipy.special's
-    # Gauss-Laguerre nodes once cost a one-shot transition about 340 ms of import
+    # Gauss-Laguerre nodes once cost a one-shot transition about 340 ms of import.
+    # spectrum's levels are closed forms or numpy eigvalsh values: its banded
+    # grid solve once loaded scipy.linalg on every request
     argvs = [["spiked", "--n", "2", "--m", "3"], ["transition"], ["transition", "--tau=40"]]
+    argvs += [
+        ["spectrum", "--model", model, "--grid", "-6,6,200", "--levels", "3", "--refine", "1"]
+        for model in ("spiked", "x4h", "xt4")
+    ]
     assert _modules_after(argvs)[:2] == ("[]", False)
 
 
@@ -739,8 +746,8 @@ def test_spectrum_subcommand(capsys):
     assert code == 0
     header, rows = data_rows(out)
     assert header == "n,energy"
-    energies = [float(r.split(",")[1]) for r in rows]
-    assert energies == pytest.approx([1.2, 3.2, 5.2], abs=5e-2)
+    # the defaults lambda = 0.5, alpha = 0.2 in closed form, lam(4n + 2 alpha + 2)
+    assert rows == ["0,1.2", "1,3.2", "2,5.2"]
     code, _, err = invoke(
         capsys,
         ["spectrum", "--model", "spiked", "--grid", "0,12,400", "--levels", "3",
@@ -751,23 +758,36 @@ def test_spectrum_subcommand(capsys):
 
 
 def test_spectrum_spiked_negative_alpha_is_rejected(capsys):
-    # the grid would print the alpha = 0.7 levels for alpha = -0.7
-    code, out, err = invoke(
-        capsys,
-        ["spectrum", "--model", "spiked", "--params", "lambda=1,alpha=-0.7",
-         "--grid", "0,10,400", "--levels", "3"],
-    )
-    assert code == 1
-    assert out == ""
-    assert "alpha >= 0" in err
+    # the model's domain is alpha > -1
+    for alpha in ("-1", "-1.5"):
+        code, out, err = invoke(
+            capsys,
+            ["spectrum", "--model", "spiked", "--params", f"lambda=1,alpha={alpha}",
+             "--grid", "0,10,400", "--levels", "3"],
+        )
+        assert (code, out) == (1, "")
+        assert "alpha must exceed -1" in err
+
+
+def test_spectrum_spiked_prints_the_closed_form_levels(capsys):
+    # at alpha = 0 the grid converged like 1/log N and printed 2.14032 for
+    # the ground level 2; at alpha = -0.7 it refused, though the levels
+    # lam(4n + 2 alpha + 2) of the x^(alpha + 1/2) branch exist
+    argv = ["spectrum", "--model", "spiked", "--params", "lambda=1,alpha=0",
+            "--grid", "0,10,400", "--levels", "2"]
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0
+    assert data_rows(out) == ("n,energy", ["0,2", "1,6"])
     code, out, _ = invoke(
         capsys,
-        ["spectrum", "--model", "spiked", "--params", "lambda=1,alpha=0",
-         "--grid", "0,10,400", "--levels", "3"],
+        ["spectrum", "--model", "spiked", "--params", "lambda=1.3,alpha=-0.7",
+         "--grid", "0,10,400", "--levels", "4"],
     )
     assert code == 0
-    _, rows = data_rows(out)
-    assert len(rows) == 3
+    energies = [float(row.split(",")[1]) for row in data_rows(out)[1]]
+    exact = [Fraction("1.3") * (4 * n + 2 * Fraction("-0.7") + 2) for n in range(4)]
+    # 12 printed digits: within 5e-12 relative
+    assert energies == pytest.approx([float(e) for e in exact], rel=5e-12, abs=0)
 
 
 def test_propagate_negative_alpha_is_rejected(capsys):
@@ -800,7 +820,7 @@ def test_spectrum_model_parameter_override(capsys):
     _, rows = data_rows(out)
     energies = [float(r.split(",")[1]) for r in rows]
     # lam(4n + 2 alpha + 2) = 3, 7
-    assert energies == pytest.approx([3.0, 7.0], abs=1e-1)
+    assert energies == [3.0, 7.0]
 
 
 def test_transition_subcommand_ordering_and_values(capsys):
@@ -946,6 +966,49 @@ def test_unrepresentable_model_parameters_exit_1(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "model, grid, refine",
+    [("spiked", "0,14,1000000000000", "0"), ("xt4", "-6,6,200", str(10**20)),
+     ("x4h", "5,-5,3", "2")],
+)
+def test_spectrum_grid_and_refine_change_no_number(capsys, model, grid, refine):
+    # the levels come from no grid: a grid of 1e12 points, 1e20 refinements
+    # or a reversed 3-point grid (each refused while the grid was solved)
+    # print the rows of an ordinary grid, and only the echo differs
+    argv = ["spectrum", "--model", model, "--levels", "4"]
+    code, out, _ = invoke(capsys, argv + ["--grid", grid, "--refine", refine])
+    assert code == 0
+    assert (comment_map(out)["grid"], comment_map(out)["refine"]) == (grid, refine)
+    code, plain, _ = invoke(capsys, argv + ["--grid", "-8,8,1000", "--refine", "0"])
+    assert code == 0
+    assert data_rows(out) == data_rows(plain)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--model", "spiked", "--levels", "0"], "--levels must lie in [1, 1024], got 0"),
+        (["--model", "x4h", "--levels", "-3"], "--levels must lie in [1, 1024], got -3"),
+        (["--model", "xt4", "--levels", str(10**20)], f"got {10**20}"),
+        (["--model", "spiked", "--levels", str(2**63)], f"got {2**63}"),
+        (["--model", "x4h", "--levels", "1024"], "basis of 2048 states, above MAX_BASIS"),
+        # p^4/x^2 = 2.5e297/1e-300 overflows: the chain spans more than a double
+        (["--model", "x4h", "--params", "alpha=1e-300"], "leaves double precision"),
+        # 4 g^2 x^4 underflows to 0, which leaves p^2 - 2 g x
+        (["--model", "xt4", "--params", "g=1e-300"], "not bounded below"),
+        (["--model", "spiked", "--params", "lambda=1e300,alpha=1e300"],
+         "the levels leave double precision"),
+    ],
+)
+def test_spectrum_refusals_exit_1(capsys, argv, message):
+    argv = ["spectrum", "--grid", "-6,6,200"] + argv
+    if "--levels" not in argv:
+        argv += ["--levels", "3"]
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_spectrum_negative_refine_is_usage_error(capsys):
     code, out, err = invoke(
         capsys,
@@ -960,10 +1023,8 @@ def test_spectrum_negative_refine_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["spectrum", "--model", "spiked", "--grid", f"0,14,{10**12}", "--levels", "3"],
-        ["spectrum", "--model", "xt4", "--grid", "-6,6,200", "--levels", "2",
-         "--refine", str(10**20)],
         ["propagate", "--grid", f"0,14,{10**12}", "--T", "0.1"],
+        ["propagate", "--grid", f"0,14,{models.MAX_POINTS + 1}", "--T", "0.1"],
     ],
 )
 def test_grid_above_max_points_exits_1(capsys, argv):

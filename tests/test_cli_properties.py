@@ -167,14 +167,15 @@ def spectrum_argvs(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(spectrum_argvs())
-# accepted runs of every model, two refined, each run on every pass
+# accepted runs of every model, each run on every pass
 @example(["spectrum", "--model", "spiked", "--grid", "0,14,200", "--levels", "6",
           "--refine", "2"])
 @example(["spectrum", "--model", "x4h", "--grid", "-8,8,200", "--levels", "3",
           "--refine", "1", "--params", "g=1e-300"])
 @example(["spectrum", "--model", "xt4", "--grid", "-5,5,16", "--levels", "1",
           "--params", "g=1e-300"])
-# refinement that puts the levels out of order is refused, whatever else is drawn
+# the chain at alpha = 1e-300, whose grid refinement once put the levels out of
+# order, is refused: its oscillator scale (p^4/x^2 = 2.5e297/1e-300) overflows
 @example(["spectrum", "--model", "x4h", "--grid", "-6,6,64", "--levels", "3",
           "--refine", "1", "--params", "alpha=1e-300"])
 def test_spectrum_never_raises_and_prints_ascending_levels(argv):

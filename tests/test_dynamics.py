@@ -594,7 +594,7 @@ def test_crank_nicolson_eigenvectors_pick_up_the_cayley_factor():
         assert abs(cayley - np.exp(-1j * energy * dt * steps)) < 1e-5
     # the band is tridiagonal: a p^4 term is refused
     quartic = h0 + WeylSymbol.p(4) * 0.02
-    with pytest.raises(ValueError, match="fourier_swap"):
+    with pytest.raises(ValueError, match="oscillator_levels"):
         crank_nicolson_propagate(quartic, off, grid, vectors[:, 0], dt, dt)
 
 

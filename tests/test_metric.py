@@ -29,7 +29,7 @@ from pseudoherm.metric import (
     observable_map,
     solve_metric_ansatz,
 )
-from pseudoherm.weyl import WeylSymbol
+from pseudoherm.weyl import WeylSymbol, oscillator_matrix
 
 
 def zigzag_secant(count):
@@ -400,36 +400,15 @@ def test_solve_metric_ansatz_overflow_ends_in_convergence_error(residual_calls):
 # -- observable_map against biorthogonal eigenvectors, with no metric ---------
 
 
-def _oscillator_matrix(sym, n):
-    """The kept n x n block of the Weyl-ordered operator of `sym` in the
-    oscillator basis of scale 1 (x = (a + a^+)/sqrt 2, p = i (a^+ - a)/sqrt 2).
-
-    A monomial x^k p^m is McCoy's 2^-k sum_j C(k, j) x^j p^m x^(k-j) (Proc.
-    Natl. Acad. Sci. 18 (1932) 674), taken deg + 2 states past the block so
-    that the block is exact.
-    """
-    dx, dp, c = sym.arrays()
-    size = n + int((dx + dp).max()) + 2
-    a = np.diag(np.sqrt(np.arange(1.0, size)), 1)
-    xs, ps = [np.eye(size)], [np.eye(size)]
-    for _ in range(int(dx.max())):
-        xs.append(xs[-1] @ (a + a.T) / math.sqrt(2.0))
-    for _ in range(int(dp.max())):
-        ps.append(ps[-1] @ (1j * (a.T - a) / math.sqrt(2.0)))
-    out = np.zeros((size, size), dtype=complex)
-    for k, m, ckm in zip(dx.tolist(), dp.tolist(), c.tolist()):
-        out += ckm / 2**k * sum(math.comb(k, j) * xs[j] @ ps[m] @ xs[k - j] for j in range(k + 1))
-    return out[:n, :n]
-
-
 def _x4_chain_frames(n):
-    """The x4 chain at alpha = 1, g = 0.1 on n oscillator states: its pair,
-    the left and right eigenvectors L = R^-1 and R of M(H), columns by
-    ascending level, and the eigenvectors psi of M(h)."""
+    """The x4 chain at alpha = 1, g = 0.1 on n oscillator states of scale
+    1 (M = weyl.oscillator_matrix): its pair, the left and right
+    eigenvectors L = R^-1 and R of M(H), columns by ascending level, and
+    the eigenvectors psi of M(h)."""
     pair = models.minus_x4_chain(1.0, 0.1)
-    energies, R = np.linalg.eig(_oscillator_matrix(pair.H, n))
+    energies, R = np.linalg.eig(oscillator_matrix(pair.H, n))
     R = R[:, np.argsort(energies.real)]
-    _, psi = np.linalg.eigh(_oscillator_matrix(pair.h, n))
+    _, psi = np.linalg.eigh(oscillator_matrix(pair.h, n))
     return pair, np.linalg.inv(R), R, psi
 
 
@@ -450,11 +429,11 @@ def test_observable_map_matches_biorthogonal_expectations(n, name, lowest):
     # series enter the reference, and q -> -q must miss it
     pair, L, R, psi = _x4_chain_frames(n)
     o = OBSERVABLES[name]
-    expected = np.einsum("in,ij,jn->n", psi.conj(), _oscillator_matrix(o, n), psi)[:6]
+    expected = np.einsum("in,ij,jn->n", psi.conj(), oscillator_matrix(o, n), psi)[:6]
     assert np.abs(expected[:3] - lowest).max() < 1e-6
 
     def metric_expectations(q):
-        return np.diag(L @ _oscillator_matrix(observable_map(o, q), n) @ R)[:6]
+        return np.diag(L @ oscillator_matrix(observable_map(o, q), n) @ R)[:6]
 
     assert np.abs(metric_expectations(pair.q) - expected).max() <= 1e-11  # 2.5e-14 seen
     # 0.35, 0.28 and 0.68 seen for x, x^2 and xp + px
@@ -471,13 +450,13 @@ def test_observable_map_keeps_the_coupling_products(n):
     # to 3.6 here, and not zero
     pair, L, R, psi = _x4_chain_frames(n)
     x = WeylSymbol.x(1)
-    x_h = (psi.conj().T @ _oscillator_matrix(x, n) @ psi)[:8, :8]
+    x_h = (psi.conj().T @ oscillator_matrix(x, n) @ psi)[:8, :8]
     off = ~np.eye(8, dtype=bool)
     expected = (x_h * x_h.T)[off]
     assert np.abs(expected).max() > 1.0
 
     def products(o):
-        X = (L @ _oscillator_matrix(o, n) @ R)[:8, :8]
+        X = (L @ oscillator_matrix(o, n) @ R)[:8, :8]
         return (X * X.T)[off]
 
     assert np.abs(products(observable_map(x, pair.q)) - expected).max() <= 1e-11  # 6.4e-14 seen

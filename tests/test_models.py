@@ -12,6 +12,7 @@ band norm.
 import functools
 import math
 import re
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -21,7 +22,14 @@ from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
 from pseudoherm import identities, metric, models
 from pseudoherm.models import GridSpec, SpikedHOModel
-from pseudoherm.weyl import WeylSymbol, compose_weyl, fourier_swap, is_pt_symmetric
+from pseudoherm.weyl import WeylSymbol, compose_weyl, is_pt_symmetric, oscillator_matrix
+
+
+def fourier_swap(f):
+    """Relabel (x, p) -> (-p, x): the symbol of the Fourier-transformed
+    operator, isospectral with f, and for a symbol polynomial in p plus
+    c x^2 a form c p^2 + V(x) that the tridiagonal grid takes."""
+    return WeylSymbol({(dp, dx): c * (-1) ** dx for (dx, dp), c in f.items()})
 
 
 def reference_wavefunction(model, n, x):
@@ -783,9 +791,9 @@ def test_grid_hamiltonian_validation():
 @pytest.mark.parametrize(
     "symbol, message",
     [
-        (WeylSymbol.p(4) + WeylSymbol.x(2), "fourier_swap"),
-        (WeylSymbol.p(2) * 0.5 + WeylSymbol.p(4) * 0.02 + WeylSymbol.x(2) * 0.5, "fourier_swap"),
-        (WeylSymbol.p(6) + WeylSymbol.p(2), "fourier_swap"),
+        (WeylSymbol.p(4) + WeylSymbol.x(2), "oscillator_levels"),
+        (WeylSymbol.p(2) * 0.5 + WeylSymbol.p(4) * 0.02 + WeylSymbol.x(2) * 0.5, "oscillator_levels"),
+        (WeylSymbol.p(6) + WeylSymbol.p(2), "oscillator_levels"),
         (WeylSymbol.x(2), "p\\^2 term"),
         (WeylSymbol.x(4) - WeylSymbol.x(1), "p\\^2 term"),
     ],
@@ -803,7 +811,7 @@ def test_grid_hamiltonian_takes_p_squared_and_a_potential_only(symbol, message):
 def test_quartic_momentum_symbol_solves_through_its_fourier_image():
     h = models.x4_hermitian_symbol(1.0, 0.3)
     grid = GridSpec(-8.0, 8.0, 400)
-    with pytest.raises(ValueError, match="fourier_swap"):
+    with pytest.raises(ValueError, match="oscillator_levels"):
         models.hermitian_spectrum(h, grid, 3)
     levels, _ = models.hermitian_spectrum(fourier_swap(h), grid, 3)
     assert np.all(np.diff(levels) > 0)
@@ -859,3 +867,98 @@ def test_spiked_elements_outside_double_precision_are_rejected(lam, alpha, n, me
     # the largest level whose factorial a double holds still works
     edge = models.spiked_matrix_element(SpikedHOModel(lam=0.5, alpha=0.2), "position", 170, 3)
     assert math.isfinite(edge.real) and edge.real != 0.0
+
+
+# -- oscillator-basis levels ------------------------------------------------
+
+
+CHAIN_PARAMS = [(1.0, 0.1), (0.7, 0.3), (1.5, 0.45), (0.5, 0.05)]
+
+
+@pytest.mark.parametrize("alpha, g", CHAIN_PARAMS)
+def test_oscillator_levels_are_the_eigenvalues_of_the_nonhermitian_chain(alpha, g):
+    # the paper's H = eta^-1 h eta on the spectrum, with no metric computed:
+    # eigvals of the map of the non-Hermitian H (80 states, scale 1) are
+    # the Hermitian h's levels, real to rounding (1.2e-12 seen)
+    levels = models.oscillator_levels(models.x4_hermitian_symbol(alpha, g), 6)
+    values = np.linalg.eigvals(oscillator_matrix(models.x4_nonhermitian_symbol(alpha, g), 80))
+    values = values[np.argsort(values.real)][:6]
+    assert np.abs(values - levels).max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [models.x4_hermitian_symbol(a, g) for a, g in CHAIN_PARAMS]
+    + [models.x4_isospectral_quartic(g) for g in (0.2, 0.5, 1.0)],
+)
+def test_oscillator_levels_match_a_300_state_solve(symbol):
+    # the growth rule stops where two bases agree to LEVEL_TOL; a fixed
+    # 300-state basis at scale 1 agrees to 5.5e-11 (xt4 at g = 1)
+    levels = models.oscillator_levels(symbol, 8)
+    reference = np.linalg.eigvalsh(oscillator_matrix(symbol, 300))[:8]
+    assert np.all(np.abs(levels - reference) <= 10 * models.LEVEL_TOL * np.maximum(1.0, np.abs(reference)))
+
+
+@pytest.mark.parametrize(
+    "symbol, grid",
+    [
+        (fourier_swap(models.x4_hermitian_symbol(1.0, 0.1)), GridSpec(-8.0, 8.0, 1000)),
+        (fourier_swap(models.x4_hermitian_symbol(1.5, 0.45)), GridSpec(-8.0, 8.0, 1000)),
+        (models.x4_isospectral_quartic(0.3), GridSpec(-6.0, 6.0, 1000)),
+        (models.x4_isospectral_quartic(0.8), GridSpec(-6.0, 6.0, 1000)),
+    ],
+)
+def test_oscillator_levels_agree_with_the_refined_grid(symbol, grid):
+    # a second method: the FD grid with Richardson over 1000, 2001 and 4003
+    # points.  Its levels move from the finest grid by a correction of
+    # 1e-6 to 4e-4 and land within 1e-3 of it on the oscillator levels
+    # (1.1e-4 of it seen); the Fourier relabel of x4h is isospectral
+    levels = models.oscillator_levels(symbol, 6)
+    refined = models.refined_eigenvalues(symbol, grid, 6, refinements=2)
+    finest = models.hermitian_spectrum(symbol, replace(grid, points=4 * grid.points + 3), 6)[0]
+    assert np.all(np.abs(refined - levels) <= 1e-3 * np.abs(refined - finest))
+
+
+def test_oscillator_levels_of_quadratic_symbols_are_exact():
+    # p^2 + 4 x^2 and the Fourier-related 2.25 p^2 + x^2 - 3 x: levels
+    # omega (2n + 1) + shift, the scale candidate is the exact oscillator
+    # length, and the first basis already holds the levels to rounding
+    levels = models.oscillator_levels(WeylSymbol.p(2) + WeylSymbol.x(2) * 4.0, 5)
+    assert levels == pytest.approx(2.0 * (2 * np.arange(5) + 1), rel=1e-14, abs=0)
+    shifted = WeylSymbol({(0, 2): 2.25, (2, 0): 1.0, (1, 0): -3.0})
+    # 2.25 p^2 + (x - 3/2)^2 - 9/4
+    levels = models.oscillator_levels(shifted, 5)
+    assert levels == pytest.approx(1.5 * (2 * np.arange(5) + 1) - 2.25, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "symbol, k, message",
+    [
+        (models.x4_nonhermitian_symbol(1.0, 0.1), 3, "Hermitian symbol"),
+        # no pure power of p, an odd top power, a negative top power, and
+        # a mixed term x^2 p^2 that p^2 + x^4 does not outweigh (1/2 + 1 > 1)
+        (WeylSymbol.x(2), 3, "not bounded below"),
+        (WeylSymbol.p(2) + WeylSymbol.x(3), 3, "not bounded below"),
+        (WeylSymbol.p(2) - WeylSymbol.x(4) + WeylSymbol.x(2), 3, "not bounded below"),
+        (WeylSymbol.p(2) + WeylSymbol.x(4) + WeylSymbol.monomial(2, 2, 0.1), 3, "not bounded below"),
+        (models.x4_isospectral_quartic(1e-300), 3, "not bounded below"),
+        (WeylSymbol.p(2) + WeylSymbol.x(2), 0, "must be positive"),
+        (WeylSymbol.p(2) + WeylSymbol.x(2), 10**20, "above MAX_BASIS"),
+        (WeylSymbol.p(2) + WeylSymbol.x(2), 2**63, "above MAX_BASIS"),
+        # p^4 / x^2 = 2.5e297 / 1e-300 overflows
+        (models.x4_hermitian_symbol(1e-300, 0.1), 3, "leaves double precision"),
+        (WeylSymbol.p(2) * 1e-300 + WeylSymbol.x(2) * 1e300, 3, "leaves double precision"),
+    ],
+)
+def test_oscillator_levels_refusals(symbol, k, message):
+    with pytest.raises(ValueError, match=message):
+        models.oscillator_levels(symbol, k)
+
+
+def test_oscillator_levels_refuse_levels_that_do_not_settle_below_the_cap(monkeypatch):
+    # xt4 at g = 0.5 settles at 72 states; a cap of 60 stops the growth first
+    symbol = models.x4_isospectral_quartic(0.5)
+    assert models.oscillator_levels(symbol, 3).size == 3
+    monkeypatch.setattr(models, "MAX_BASIS", 60)
+    with pytest.raises(ValueError, match="do not settle"):
+        models.oscillator_levels(symbol, 3)

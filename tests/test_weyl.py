@@ -19,7 +19,6 @@ from pseudoherm import weyl
 from pseudoherm.weyl import (
     WeylSymbol,
     compose_weyl,
-    fourier_swap,
     is_pt_symmetric,
     pt_transform,
     star,
@@ -199,6 +198,11 @@ def test_pt_transform():
     rng = np.random.default_rng(13)
     f = random_symbol(rng)
     assert pt_transform(pt_transform(f)).isclose(f, tol=0.0)
+
+
+def fourier_swap(f):
+    """Relabel (x, p) -> (-p, x), the symbol action of the Fourier transform."""
+    return WeylSymbol({(dp, dx): c * (-1) ** dx for (dx, dp), c in f.items()})
 
 
 def test_fourier_swap_basics():
@@ -465,3 +469,42 @@ def test_coefficient_whose_modulus_overflows_is_rejected():
     assert star(edge, WeylSymbol.constant(1.0)) == edge
     with pytest.raises(ValueError, match="modulus overflows"):
         star(WeylSymbol.constant(1e308), WeylSymbol.constant(complex(1.5, 1.5)))
+
+
+# -- oscillator-basis matrices ----------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.6, 1.7])
+def test_oscillator_matrix_maps_star_to_the_matrix_product(scale):
+    # M(f * g) = M(f) M(g) on the kept block: every block is exact, and one
+    # of a degree-3 g reaches 3 states past it (6e-16 relative seen)
+    rng = np.random.default_rng(29)
+    n = 20
+    for _ in range(4):
+        f, g = random_symbol(rng, n_terms=8), random_symbol(rng, n_terms=8)
+        lhs = weyl.oscillator_matrix(star(f, g), n, scale)
+        rhs = weyl.oscillator_matrix(f, n + 3, scale) @ weyl.oscillator_matrix(g, n + 3, scale)
+        assert np.abs(lhs - rhs[:n, :n]).max() <= 1e-13 * np.abs(lhs).max()
+
+
+def test_oscillator_matrix_scale_and_ladder():
+    # x = s (a + a^+)/sqrt 2 and p = i (a^+ - a)/(sqrt 2 s): at s = omega^-1/2
+    # p^2 + omega^2 x^2 is diagonal with the levels omega (2n + 1)
+    omega = 3.0
+    m = weyl.oscillator_matrix(WeylSymbol.p(2) + WeylSymbol.x(2) * omega ** 2, 6, omega ** -0.5)
+    assert np.abs(m - np.diag(omega * (2 * np.arange(6) + 1))).max() <= 1e-14
+    x = weyl.oscillator_matrix(WeylSymbol.x(), 4, 2.0)
+    p = weyl.oscillator_matrix(WeylSymbol.p(), 4, 2.0)
+    assert x[0, 1] == pytest.approx(math.sqrt(2.0), rel=1e-15) and x[0, 0] == 0
+    assert p[1, 0] == pytest.approx(1j / (2.0 * math.sqrt(2.0)), rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+def test_oscillator_matrix_refuses_a_scale_that_is_not_positive_and_finite(scale):
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        weyl.oscillator_matrix(WeylSymbol.x(2), 4, scale)
+
+
+def test_oscillator_matrix_refuses_an_entry_that_overflows():
+    with pytest.raises(ValueError, match="leaves double precision at scale 1e\\+100"):
+        weyl.oscillator_matrix(WeylSymbol.x(4) * 1e10, 4, 1e100)
