@@ -1025,6 +1025,8 @@ def test_spectrum_negative_refine_is_usage_error(capsys):
     [
         ["propagate", "--grid", f"0,14,{10**12}", "--T", "0.1"],
         ["propagate", "--grid", f"0,14,{models.MAX_POINTS + 1}", "--T", "0.1"],
+        # a count past int64 is refused by the same bound, not by numpy
+        ["propagate", "--grid", f"-1,14,{2**63}", "--T", "0.1"],
     ],
 )
 def test_grid_above_max_points_exits_1(capsys, argv):
