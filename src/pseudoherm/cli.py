@@ -22,20 +22,20 @@ because symbol requests are many and small:
   reads a file again only when that fails, so messages name the path as
   before (`_read_text`).
 - Rows.  Floats print as Python's `'%.12g'` (`_fmt`, the one definition of
-  the format), with -0 printed as 0.  A symbol table of fewer than
-  `_ARRAY_ROWS` terms prints with one `"%d,%d,%.12g,%.12g"` format per row
-  (adding 0.0 first turns -0 into 0).  The `transition` and `contour`
-  tables, whose row counts scale with a flag, and larger symbol tables go
-  through one row writer (`_csv_blocks`).  Per block of rows it prints
-  all the float fields with one call of `_float_cells`, an array kernel
-  that gives the bytes of `_fmt` for every float64, NUL-padded to cells
-  that keep only the 4-byte words some value of the block uses; it places
-  every field in one byte buffer shaped like the rows and drops the NULs
-  in one pass.  Blocks go to the output as they are built, so a table of
-  millions of rows never sits in memory whole.  The other small tables
-  (`spectrum`, `propagate`, `verify-all`, the config block) call `_fmt`
-  per value: the kernel's fixed cost, some 70 numpy calls, is more than
-  `_fmt` spends on a few dozen values.
+  the format), with -0 printed as 0.  The `transition` and `contour`
+  tables, whose row counts a flag sets, go through one row writer
+  (`_csv_blocks`); every other table formats row by row.  Per block of
+  rows the writer prints all the float fields with one call of
+  `_float_cells`, an array kernel that gives the bytes of `_fmt` for every
+  float64, NUL-padded to cells that keep only the 4-byte words some value
+  of the block uses; it places every field in one byte buffer shaped like
+  the rows and drops the NULs in one pass.  Blocks go to the output as
+  they are built, so a table of millions of rows never sits in memory
+  whole.  A symbol table prints with one `"%d,%d,%.12g,%.12g"` format per
+  row (`_symbol_rows`; adding 0.0 first turns -0 into 0), and the other
+  small tables (`spectrum`, `propagate`, `verify-all`, the config block)
+  call `_fmt` per value: the writer's fixed cost, some 70 numpy calls, is
+  more than these spend on tables below about 450 rows.
 
 `spectrum` solves no grid.  It prints the spiked model's closed-form
 levels lam(4n + 2 alpha + 2), on the whole domain alpha > -1, and the x4h
@@ -354,26 +354,12 @@ def _read_symbol(path):
         raise ValueError(f"symbol file {path}: {exc}") from None
 
 
-# Symbol tables of at least _ARRAY_ROWS terms print through _csv_blocks, whose
-# fixed cost is more than one "%.12g" format per row spends on fewer rows (the
-# two cross at 150-220 rows of complex coefficients on a 2-vCPU x86-64).
-# Degrees print from a table of their text; no symbol holds a degree above
-# MAX_DEGREE.
-_ARRAY_ROWS = 160
-_SYMBOL_ROW = "%d,%d,%.12g,%.12g"
-_DEGREE_CELLS = np.array([str(k) for k in range(weyl.MAX_DEGREE + 1)], dtype="S3")
-_DEGREE_CELLS = _DEGREE_CELLS.view(np.uint8).reshape(-1, 1, 3)
-
-
 def _symbol_rows(sym):
     """One CSV row per term, in (deg_x, deg_p) order."""
     dx, dp, c = sym.arrays()
-    if dx.size < _ARRAY_ROWS:
-        c = c + 0.0  # -0 prints as 0, as in _fmt
-        terms = zip(dx.tolist(), dp.tolist(), c.real.tolist(), c.imag.tolist())
-        return [_SYMBOL_ROW % term for term in terms]
-    fields = [_DEGREE_CELLS[dx], _DEGREE_CELLS[dp], c.real[:, None], c.imag[:, None]]
-    return list(_csv_blocks(fields, dx.size))
+    c = c + 0.0  # -0 prints as 0, as in _fmt
+    terms = zip(dx.tolist(), dp.tolist(), c.real.tolist(), c.imag.tolist())
+    return ["%d,%d,%.12g,%.12g" % term for term in terms]
 
 
 # -- subcommand runners ----------------------------------------------------
@@ -454,7 +440,7 @@ def _run_metric_verify(v, canon):
         f"# passed={'true' if passed else 'false'}",
     ]
     # the residual is one polynomial, so its term column is always 0
-    rows = [f"0,{dx},{dp},{_fmt(c.real)},{_fmt(c.imag)}" for (dx, dp), c in residual.items()]
+    rows = ["0," + row for row in _symbol_rows(residual)]
     return extra, "term,deg_x,deg_p,re,im", rows, 0 if passed else 1
 
 
@@ -558,6 +544,8 @@ def _run_propagate(v, canon):
     for name in ("m", "n", "snapshots"):
         if v[name] < 0:
             raise CliUsageError(f"--{name} must be non-negative")
+    if v["snapshots"] < 1:  # zero intervals would print the initial state alone
+        raise CliUsageError("--snapshots must be at least 1")
     model = SpikedHOModel(lam=v["lambda"], alpha=v["alpha"])
     grid = GridSpec(x_min=v["grid"][0], x_max=v["grid"][1], points=v["grid"][2])
     pulse = dynamics.Pulse(E0=v["E0"], omega=v["omega"], tau=v["tau"])
@@ -708,7 +696,7 @@ _SUBCOMMANDS = {
             Param("model", "choice", choices=("spiked", "x4h", "xt4")),
             Param("params", "kv", "", help="model parameters k=v,..."),
             Param("grid", "grid", help="xmin,xmax,points; parsed and ignored"),
-            Param("levels", "int"),
+            Param("levels", "int", help=f"lowest levels printed, 1 to {models.MAX_BASIS}"),
             Param("refine", "int", "0", help="non-negative; parsed and ignored"),
         ],
         run=_run_spectrum,
@@ -741,7 +729,7 @@ _SUBCOMMANDS = {
             Param("grid", "grid", "0,14,1400"),
             Param("dt", "float", "0.001", help="Strang step"),
             Param("T", "optfloat", "", help="final time (defaults to tau)"),
-            Param("snapshots", "int", "50"),
+            Param("snapshots", "int", "50", help="intervals of [0, T] between printed times, at least 1"),
         ],
         run=_run_propagate,
         help="driven grid propagation with norm and population tracking: Strang "

@@ -507,7 +507,8 @@ def eigenbasis_propagate(energies, coupling, pulse, c0, dt, times):
     ValueError for energies that are not 1-D, a coupling that is not K x K,
     not finite or not symmetric (to 1e-12 of its largest entry), a c0 of
     the wrong shape or not finite, times that are empty, not finite,
-    negative or descending, dt <= 0, more than MAX_STEPS steps, phases
+    negative or descending, a table of more than MAX_POINTS entries
+    (times x K), dt <= 0, more than MAX_STEPS steps, phases
     that overflow, and, with E0 > 0, omega dt >= pi (fewer than two steps
     per field period), in that order.
     """
@@ -529,6 +530,8 @@ def eigenbasis_propagate(energies, coupling, pulse, c0, dt, times):
         raise ValueError("times must be a non-empty 1-D array")
     if not np.all(np.isfinite(times)) or times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be finite, non-negative and ascending")
+    if times.size * K > MAX_POINTS:
+        raise ValueError(f"the snapshot table holds more than {MAX_POINTS} entries")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("need dt > 0")
     spans = np.diff(times)
@@ -622,6 +625,8 @@ def propagate_level(h0_spec, pulse, grid, m, n, dt, T, snapshots=1):
     at omega = 2 on 400 points over T = 5, against a Crank-Nicolson
     Richardson limit).
 
+    ValueError for snapshots < 1, and for a table of more than MAX_POINTS
+    entries, (snapshots + 1) K at the first K, before any is allocated.
     Before K grows, ValueError when the coupling phase of one step,
     dt E0 max|xi_k|, is at least pi: such steps cannot resolve the
     coupling, and a larger K would only fill with noise.
@@ -630,16 +635,20 @@ def propagate_level(h0_spec, pulse, grid, m, n, dt, T, snapshots=1):
         raise ValueError("need a finite T >= 0")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("need dt > 0")
-    if snapshots < 0 or m < 0 or n < 0:
-        raise ValueError("snapshots and levels must be non-negative")
+    if m < 0 or n < 0:
+        raise ValueError("levels must be non-negative")
+    if snapshots < 1:
+        raise ValueError("need at least 1 snapshot interval")
     if max(m, n) >= grid.points:
         raise ValueError(f"levels {m} and {n} must lie below the grid size {grid.points}")
     if snapshots + T / dt > MAX_STEPS:
         raise ValueError(f"more than {MAX_STEPS} steps; raise dt or shorten the run")
-    times = np.linspace(0.0, T, snapshots + 1)
     need = max(m, n) + 1
     margin = 4
     K = min(need + margin, grid.points)
+    if (snapshots + 1) * K > MAX_POINTS:
+        raise ValueError(f"the snapshot table holds more than {MAX_POINTS} entries")
+    times = np.linspace(0.0, T, snapshots + 1)
     energies, vectors = hermitian_spectrum(h0_spec, grid, K)
     while True:
         coupling = grid.step * (vectors.T * grid.coordinates()) @ vectors

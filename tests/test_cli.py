@@ -886,6 +886,26 @@ def test_propagate_negative_counts_are_usage_errors(capsys, flag):
     assert f"{flag} must be non-negative" in err
 
 
+def test_propagate_needs_one_snapshot_interval(capsys):
+    # zero intervals printed the initial state alone under the echoed T
+    argv = ["propagate", "--grid", "0,12,300", "--T", "0.5", "--snapshots", "0"]
+    code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--snapshots must be at least 1" in err
+
+
+def test_propagate_refuses_a_snapshot_table_above_max_points(capsys):
+    # levels 2 and 3 start at K = 8: MAX_POINTS // 8 intervals make a table
+    # of 8 entries more than MAX_POINTS, refused before it is allocated
+    argv = ["propagate", "--grid", "0,12,300", "--T", "0.05",
+            "--snapshots", str(models.MAX_POINTS // 8)]
+    code, out, err = invoke(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"more than {models.MAX_POINTS} entries" in err
+
+
 def test_propagate_zero_step_is_rejected_before_rounding(capsys):
     code, out, err = invoke(capsys, ["propagate", "--dt", "0", "--T", "0.1"])
     assert code == 1

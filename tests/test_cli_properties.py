@@ -20,7 +20,8 @@ returns 0, 1 or 2 without raising (numpy warnings are errors under the
 test configuration); an error prints nothing on stdout; exit 0 prints only
 finite numbers (for `propagate` every population and for `transition`
 every probability in [0, 1], for `spectrum` one ascending energy per
-level); and the same argv prints the same bytes twice.  Every number of a
+level), and `propagate`'s last time is the T its head echoes; and the
+same argv prints the same bytes twice.  Every number of a
 `transition` or `contour` table, which the array formatter prints, reads
 back to the same string through `cli._fmt`.  Symbol files are drawn into a
 temporary directory: up to four terms of degree <= 3 with ordinary or
@@ -126,6 +127,7 @@ def _invoke(argv):
           "--E0", "0"])
 @example(["propagate", "--T", "1e-300", "--grid", "0,14,16", "--alpha", "0", "--omega", "1e300",
           "--E0", "0"])
+# zero snapshot intervals are a usage error: they printed only t = 0 under the echoed T
 @example(["propagate", "--T", "0.02", "--grid", "1e-300,14,64", "--tau", "1e-300",
           "--snapshots", "0"])
 # a driven run whose step cannot resolve the carrier (omega dt >= pi) exits 1
@@ -141,6 +143,8 @@ def test_propagate_never_raises_and_prints_only_valid_rows(argv):
     assert "nan" not in out and "inf" not in out
     lines = [line for line in out.splitlines() if not line.startswith("#")]
     assert lines[0] == "t,norm,population_n"
+    # the last row is the final time the head echoes
+    assert lines[-1].split(",")[0] == out.split("# T=", 1)[1].split("\n", 1)[0]
     for row in lines[1:]:
         t, norm, population = (float(cell) for cell in row.split(","))
         assert math.isfinite(t) and math.isfinite(norm)

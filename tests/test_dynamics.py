@@ -20,6 +20,7 @@ also where two quasi-energies nearly coincide.
 import functools
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -796,12 +797,35 @@ def test_eigenbasis_validation():
     for dt, snapshots in ((1e-300, 1), (1e-3, 10**20)):
         with pytest.raises(ValueError, match="steps"):
             propagate_level(SPIKED, pulse, grid, 0, 1, dt, 0.1, snapshots)
+    with pytest.raises(ValueError, match="at least 1 snapshot"):
+        propagate_level(SPIKED, pulse, grid, 0, 1, 1e-3, 0.1, 0)
     huge = Pulse(E0=1e300, omega=2.0, tau=1.0)
     with pytest.raises(ValueError, match="overflow"):
         propagate_level(SPIKED, huge, grid, 0, 1, 1e300, 1e300)
     # a zero-length run leaves every snapshot at the initial level
     times, c = propagate_level(SPIKED, pulse, grid, 0, 1, 1e-3, 0.0, 3)
     assert np.array_equal(times, np.zeros(4)) and np.array_equal(c, np.tile(np.eye(6)[0], (4, 1)))
+
+
+def test_a_snapshot_table_above_max_points_is_refused_before_allocation():
+    # one time past the bound: with K = 6 the table would hold
+    # (MAX_POINTS // 6 + 1) x 6 entries, 160 MB of complex values
+    grid = GridSpec(0.0, 14.0, 100)
+    levels = grid_levels(SPIKED, grid, 6)
+    pulse = Pulse(E0=0.01, omega=2.0, tau=1.0)
+    times = np.linspace(0.0, 1.0, models.MAX_POINTS // 6 + 1)
+    with pytest.raises(ValueError, match=f"more than {models.MAX_POINTS} entries"):
+        eigenbasis_propagate(*levels, pulse, np.eye(6)[0], 1e-3, times)
+    # levels 0 and 1 start at K = 6; the refusal comes before the times
+    # (13 MB) and the first levels are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"more than {models.MAX_POINTS} entries"):
+            propagate_level(SPIKED, pulse, grid, 0, 1, 1e-3, 0.1, models.MAX_POINTS // 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_propagate_level_refuses_a_coupling_phase_the_steps_cannot_resolve(monkeypatch):

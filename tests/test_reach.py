@@ -3,9 +3,10 @@
 A fresh interpreter calls sys.setprofile before it imports pseudoherm, so
 that what runs at import counts, and then runs REQUESTS through cli.run
 and the strong-field calls of STRONG_FIELD_PULSES: each subcommand at its
-defaults (required flags set), help, a unique flag prefix, a config file,
-two symbol files the parser refuses, and the library call the benchmark
-makes directly.  Every top-level function and method of src/pseudoherm
+defaults (required flags set), the command's and a subcommand's help, a
+unique flag prefix, a config file, a table written to --out, two symbol
+files the parser refuses, and the library call the benchmark makes
+directly.  Every top-level function and method of src/pseudoherm
 that no call enters must stand in UNREACHED with the reason it stays; one
 that is missing fails the test until a request reaches it, it is listed,
 or it is deleted.  An entry that is reached, or names no function, fails
@@ -53,7 +54,8 @@ INPUT_FILES = {
     "config": "N = 4  # potential exponent\n",
 }
 
-# (argv, exit code); {name} stands for the path of INPUT_FILES[name]
+# (argv, exit code); {name} stands for the path of INPUT_FILES[name], and
+# {out} for a file the requests may write
 REQUESTS = [
     (["wedges", "--N", "4"], 0),
     (["contour", "--kind", "z1", "--N", "4"], 0),
@@ -75,6 +77,8 @@ REQUESTS = [
     (["propagate"], 0),
     (["verify-all"], 0),
     (["-h"], 0),
+    (["star", "-h"], 0),
+    (["contour", "--kind", "z1", "--N", "4", "--out", "{out}"], 0),  # the bytes of request 1
     (["wedges", "--config", "{config}"], 0),
     (["star", "--f", "{nan}", "--g", "{g}"], 1),
     (["star", "--f", "{malformed}", "--g", "{g}"], 1),
@@ -101,10 +105,12 @@ import pseudoherm
 from pseudoherm import cli, dynamics, models
 
 job = json.loads(sys.argv[1])
-codes = []
+codes, stdouts = [], []
 for argv in job["requests"]:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         codes.append(cli.run(argv))
+    stdouts.append(stdout.getvalue())
 grid = models.GridSpec(x_min=-20.0, x_max=20.0, points=256)
 x = grid.coordinates()
 psi0, potential = np.exp(-0.5 * x * x) + 0j, 0.01 * x * x
@@ -118,7 +124,7 @@ reached = [
     for code in entered
     if os.path.dirname(code.co_filename) == package
 ]
-json.dump({"package": package, "codes": codes, "reached": reached}, sys.stdout)
+json.dump({"package": package, "codes": codes, "stdouts": stdouts, "reached": reached}, sys.stdout)
 """
 
 
@@ -144,12 +150,14 @@ def _definitions():
 
 @pytest.fixture(scope="module")
 def profile(tmp_path_factory):
-    """(exit codes of REQUESTS, definitions no call entered)."""
+    """(exit codes of REQUESTS, their stdout texts, the --out file's text,
+    definitions no call entered)."""
     work = tmp_path_factory.mktemp("reach")
     paths = {}
     for name, text in INPUT_FILES.items():
         paths[name] = str(work / f"{name}.txt")
         Path(paths[name]).write_text(text)
+    paths["out"] = str(work / "out.csv")
     requests = [[arg.format(**paths) for arg in argv] for argv, _ in REQUESTS]
     job = json.dumps({"requests": requests, "pulses": STRONG_FIELD_PULSES})
     path = os.pathsep.join([str(SOURCE.parent), os.environ.get("PYTHONPATH", "")])
@@ -166,22 +174,29 @@ def profile(tmp_path_factory):
         for qualname, (file, name, lines) in _definitions().items()
         if not any((file, line, name) in reached for line in lines)
     }
-    return out["codes"], unreached
+    return out["codes"], out["stdouts"], Path(paths["out"]).read_text(), unreached
 
 
 def test_every_request_exits_as_expected(profile):
-    codes, _ = profile
+    codes, _, _, _ = profile
     assert codes == [code for _, code in REQUESTS]
 
 
+def test_out_holds_the_bytes_of_stdout(profile):
+    _, stdouts, written, _ = profile
+    out = next(i for i, (argv, _) in enumerate(REQUESTS) if "--out" in argv)
+    assert stdouts[out] == ""
+    assert written == stdouts[1] and written.startswith("# command=contour\n")
+
+
 def test_every_function_is_reached_or_has_a_reason(profile):
-    _, unreached = profile
+    _, _, _, unreached = profile
     missing = sorted(unreached - UNREACHED.keys())
     assert not missing, f"no request enters {', '.join(missing)}: reach, list or delete each"
 
 
 def test_every_allowlist_entry_is_a_function_no_request_reaches(profile):
-    _, unreached = profile
+    _, _, _, unreached = profile
     gone = sorted(UNREACHED.keys() - _definitions().keys())
     assert not gone, f"UNREACHED names no function: {', '.join(gone)}"
     reached = sorted(UNREACHED.keys() - unreached - set(gone))

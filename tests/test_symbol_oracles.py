@@ -654,30 +654,25 @@ def loop_symbol_rows(sym):
 
 
 
-@pytest.mark.parametrize(
-    "shape", [(1, cli._ARRAY_ROWS - 1), (13, 13), (weyl.MAX_DEGREE + 1, 1), (1, cli._ARRAY_ROWS)]
-)
+@pytest.mark.parametrize("shape", [(1, 159), (13, 13), (weyl.MAX_DEGREE + 1, 1), (1, 160)])
 def test_symbol_rows_print_the_bytes_of_the_fmt_rows(shape):
-    # below _ARRAY_ROWS, past it, up to the last degree a symbol can hold,
-    # and exactly _ARRAY_ROWS terms, the first table the row writer prints
+    # tables of one x degree, a square one and one up to the last x degree a
+    # symbol can hold
     c = _random(np.random.default_rng(shape[0]), shape)
     c[-1, -1] = complex(-0.0, 1e-300)
     c[0, 0] = complex(1.5, -0.0)
     rows = cli._symbol_rows(WeylSymbol._wrap(c))
     assert "\n".join(rows) == "\n".join(loop_symbol_rows(WeylSymbol._wrap(c)))
-    assert len(rows) == (1 if c.size >= cli._ARRAY_ROWS else c.size)
 
 
 def test_a_real_symbol_table_prints_the_bytes_of_the_fmt_rows():
-    # _ARRAY_ROWS real terms, the first real table the row writer prints:
-    # its imaginary column is all zeros, some of them -0
-    c = np.random.default_rng(29).standard_normal((1, cli._ARRAY_ROWS)) + 0j
+    # a real table: its imaginary column is all zeros, some of them -0
+    c = np.random.default_rng(29).standard_normal((1, 160)) + 0j
     c[0, ::7] = complex(-1.25, -0.0)
     sym = WeylSymbol._wrap(c)
-    rows = cli._symbol_rows(sym)
-    assert len(rows) == 1
-    assert rows[0] == "\n".join(loop_symbol_rows(sym))
-    assert rows[0].count(",0\n") == cli._ARRAY_ROWS - 1
+    text = "\n".join(cli._symbol_rows(sym))
+    assert text == "\n".join(loop_symbol_rows(sym))
+    assert text.count(",0\n") == 159
 
 
 def counted(fn, calls):
