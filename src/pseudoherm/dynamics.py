@@ -5,15 +5,17 @@ envelope, switched on over [0, tau].  The running field integrals
 
     b(t) = int E,   c(t) = int b,   d(t) = (1/2) int b^2
 
-connect the length, velocity and Kramers-Henneberger frames; the same
-factors assemble the Gordon-Volkov propagator used by the strong-field
-first-order step.  Transition probabilities for the spiked oscillator
-come from the first-order amplitude with either the canonical dressed
-position coupling or the raw-x coupling mediated by the metric; a
-frequency sweep returns them as one (xi, omega) array.  Driven
+connect the length, velocity and Kramers-Henneberger frames;
+field_integrals is their one entry, over a time or an array of times.
+The same factors assemble the Gordon-Volkov propagator used by the
+strong-field first-order step.  Transition probabilities for the spiked
+oscillator come from the first-order amplitude with either the canonical
+dressed position coupling or the raw-x coupling mediated by the metric;
+a frequency sweep returns them as one (xi, omega) array.  Driven
 propagation runs Strang steps with exact level phases on plain arrays:
 eigenbasis_propagate takes the K level energies and the K x K real
-symmetric coupling between the levels, in any basis, and reads no grid;
+symmetric coupling between the levels, in any basis, and reads no grid,
+and it refuses steps too coarse for the field's period or its coupling;
 propagate_level forms both from the grid Hamiltonian's lowest levels and
 grows K.  The steps of each segment of the run are multiplied into one
 operator by a pairwise tree, whole field periods are jumped by powers of
@@ -75,13 +77,6 @@ class Pulse:
             raise ValueError(f"unknown envelope {self.envelope!r}")
 
 
-@dataclass(frozen=True)
-class FieldIntegrals:
-    b: float
-    c: float
-    d: float
-
-
 def field_value(pulse, t):
     """Field at time t (scalar or array); zero outside [0, tau]."""
     t_arr = np.asarray(t, dtype=float)
@@ -116,11 +111,6 @@ def _rectangular_integrals(pulse, times):
     return np.array([b, c + b * rest, d + 0.5 * b * b * rest])
 
 
-def field_integrals(pulse, t):
-    """Running integrals (b, c, d) of the field up to time t >= 0."""
-    return FieldIntegrals(*_field_integral_table(pulse, [t])[:, 0].tolist())
-
-
 _MAX_PANELS, _PANEL_BLOCK = 2**16, 2**12  # gaussian c, d panels: refused above, run per block
 
 
@@ -132,13 +122,15 @@ def _gauss_panel():
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf and NaN are refused below
-def _field_integral_table(pulse, times):
-    """(b, c, d) rows at each of the finite times >= 0, in the given order.
+def field_integrals(pulse, t):
+    """Running integrals (b, c, d) of the field up to each finite time t >= 0.
 
-    Closed forms, but a gaussian envelope's c and d take _gauss_panel on b, b^2
-    over the window of [0, tau] within 8.5 widths of the center (env > eps; b
-    is constant outside it), (omega/6 + 1/width) panels per unit time."""
-    times = np.asarray(times, dtype=float)
+    t is a time or an array of times; the result stacks b, c and d on its
+    first axis, shape (3,) + shape(t).  Closed forms, but a gaussian
+    envelope's c and d take _gauss_panel on b, b^2 over the window of
+    [0, tau] within 8.5 widths of the center (env > eps; b is constant
+    outside it), (omega/6 + 1/width) panels per unit time, cut at each t."""
+    times = np.asarray(t, dtype=float)
     if not np.all((times >= 0) & (times < math.inf)):
         raise ValueError("field integrals are defined for finite t >= 0")
     if pulse.envelope == "rectangular":
@@ -153,7 +145,7 @@ def _field_integral_table(pulse, times):
         if not panels <= _MAX_PANELS:
             raise ValueError(f"the gaussian pulse needs more than {_MAX_PANELS} quadrature panels")
         inside = np.clip(times, lo, hi)
-        edges = np.sort(np.concatenate([np.linspace(lo, hi, math.ceil(panels) + 1), inside]))
+        edges = np.sort(np.concatenate([np.linspace(lo, hi, math.ceil(panels) + 1), inside.ravel()]))
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
         nodes, weights = _gauss_panel()
         sums = np.zeros((2, edges.size))
@@ -184,11 +176,11 @@ def gauge_residual(h0, pulse, t):
     translated h0; they vanish only if the translations have the right
     sign and size.
     """
-    ints = field_integrals(pulse, t)
-    velocity_exponent = WeylSymbol.monomial(1, 0, 1j * ints.b)
-    kramers_exponent = WeylSymbol.monomial(0, 1, -1j * ints.c)
-    res_velocity = intertwining_residual(h0, velocity_exponent, h0.shift_p(ints.b))
-    res_kramers = intertwining_residual(h0, kramers_exponent, h0.shift_x(ints.c))
+    b, c, _ = field_integrals(pulse, t).tolist()
+    velocity_exponent = WeylSymbol.monomial(1, 0, 1j * b)
+    kramers_exponent = WeylSymbol.monomial(0, 1, -1j * c)
+    res_velocity = intertwining_residual(h0, velocity_exponent, h0.shift_p(b))
+    res_kramers = intertwining_residual(h0, kramers_exponent, h0.shift_x(c))
     return res_velocity, res_kramers
 
 
@@ -223,16 +215,6 @@ def _gaussian_phase_integral(pulse, kappa, s):
     return (math.sqrt(0.5 * math.pi) * pulse.width * (T[0] - T[1:])).reshape(np.shape(s))
 
 
-def _oscillatory_field_integral(pulse, delta, t):
-    """int_0^min(t,tau) exp(i delta s) E(s) ds."""
-    tc = min(t, pulse.tau)
-    if tc <= 0:
-        return 0j
-    gaussian = functools.partial(_gaussian_phase_integral, pulse)
-    envelope = gaussian if pulse.envelope == "gaussian" else _phase_integral_flat
-    return _carrier_field_integral(pulse.E0, pulse.omega, pulse.phase_kind, delta, tc, envelope)
-
-
 def _first_order_probability(diagonal, element, integral):
     """|delta_nm - i <n|X|m> int exp(i delta s) E(s) ds|^2, broadcasting."""
     return np.abs((1.0 if diagonal else 0.0) - 1j * element * integral) ** 2
@@ -244,7 +226,8 @@ def first_order_transition(model, n, m, pulse, t, coupling="canonical_X"):
 
     coupling "canonical_X" uses the dressed position element (equal to
     the bare one between dressed states), "raw_x_via_eta" the metric
-    conjugated raw-x element of the model variant.
+    conjugated raw-x element of the model variant.  ValueError for an
+    unknown coupling and a t that is not finite and >= 0.
     """
     if coupling == "canonical_X":
         element = spiked_matrix_element(model, "position", n, m)
@@ -252,8 +235,15 @@ def first_order_transition(model, n, m, pulse, t, coupling="canonical_X"):
         element = spiked_matrix_element(model, "mapped_position", n, m)
     else:
         raise ValueError(f"unknown coupling {coupling!r}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("the transition probability is defined for finite t >= 0")
     delta = spiked_energy(model, n) - spiked_energy(model, m)
-    integral = _oscillatory_field_integral(pulse, delta, t)
+    tc = min(t, pulse.tau)  # the integral int_0^tc exp(i delta s) E(s) ds
+    integral = 0j
+    if tc > 0:
+        gaussian = functools.partial(_gaussian_phase_integral, pulse)
+        envelope = gaussian if pulse.envelope == "gaussian" else _phase_integral_flat
+        integral = _carrier_field_integral(pulse.E0, pulse.omega, pulse.phase_kind, delta, tc, envelope)
     probability = float(_first_order_probability(n == m, element, integral))
     return _check_finite("the first-order probability", probability)
 
@@ -274,7 +264,8 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     |<n|X|m> int exp(i delta s) E(s) ds|^2 above 1 anywhere (or not finite)
     is outside perturbation theory and raises ValueError, as do n == m
     (on the diagonal first order gives a survival probability, which can
-    exceed 1; first_order_transition returns it), a dressed element that
+    exceed 1; first_order_transition returns it), an xi_list that is empty
+    or not 1-D, a dressed element that
     leaves double precision, a carrier phase (omega_hi + |E_n - E_m|) tau
     that does, and more than MAX_POINTS (omega, xi) points.
     """
@@ -288,6 +279,8 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     xis = np.asarray(xi_list, dtype=float)
     if not np.all(np.isfinite(xis)):
         raise ValueError("xi values must be finite")
+    if xis.ndim != 1 or xis.size == 0:
+        raise ValueError("xi_list must be a 1-D list of at least one xi")
     if steps * xis.size > MAX_POINTS:
         raise ValueError(f"the sweep holds more than {MAX_POINTS} (omega, xi) points")
     omegas = np.linspace(omega_lo, omega_hi, steps)
@@ -504,19 +497,20 @@ def eigenbasis_propagate(energies, coupling, pulse, c0, dt, times):
     from stepping them one by one only by rounding.  The norm |c| is
     conserved to rounding (each segment is put back on the unitary group).
 
-    ValueError for energies that are not 1-D, a coupling that is not K x K,
-    not finite or not symmetric (to 1e-12 of its largest entry), a c0 of
-    the wrong shape or not finite, times that are empty, not finite,
-    negative or descending, a table of more than MAX_POINTS entries
-    (times x K), dt <= 0, more than MAX_STEPS steps, phases
-    that overflow, and, with E0 > 0, omega dt >= pi (fewer than two steps
-    per field period), in that order.
+    ValueError for energies that are empty or not 1-D, a coupling that is
+    not K x K, not finite or not symmetric (to 1e-12 of its largest entry),
+    a c0 of the wrong shape or not finite, times that are empty, not
+    finite, negative or descending, a table of more than MAX_POINTS entries
+    (times x K), dt <= 0, more than MAX_STEPS steps, phases that overflow,
+    and, with E0 > 0, omega dt >= pi (fewer than two steps per field
+    period) and a coupling phase dt E0 max|xi_k| >= pi (such steps cannot
+    resolve the coupling), in that order.
     """
     energies = np.asarray(energies, dtype=float)
     coupling = np.asarray(coupling, dtype=float)
     K = energies.size
-    if energies.ndim != 1 or coupling.shape != (K, K):
-        raise ValueError(f"need 1-D energies and a ({K}, {K}) coupling")
+    if energies.ndim != 1 or K == 0 or coupling.shape != (K, K):
+        raise ValueError(f"need non-empty 1-D energies and a ({K}, {K}) coupling")
     _check_finite("coupling", coupling)
     # h V^T diag(x) V is symmetric only to a few ulps
     if np.any(np.abs(coupling - coupling.T) > 1e-12 * np.max(np.abs(coupling))):
@@ -538,7 +532,7 @@ def eigenbasis_propagate(energies, coupling, pulse, c0, dt, times):
     if float(spans.sum()) / dt + spans.size > MAX_STEPS:
         raise ValueError(f"more than {MAX_STEPS} steps; raise dt or shorten the run")
     xi, Q = np.linalg.eigh(coupling)
-
+    xi_max = float(np.max(np.abs(xi)))
     start = times[0]
     stop = min(max(pulse.tau if pulse.E0 > 0 else 0.0, start), times[-1])
     driven = times[times <= stop]
@@ -560,13 +554,19 @@ def eigenbasis_propagate(energies, coupling, pulse, c0, dt, times):
         spans = spans[spans > 0]
         sizes = np.concatenate([spans / np.maximum(1.0, np.round(spans / dt)), lengths / counts])
         # |E_k| + |E(t) xi_k| stays below this, since |E(t)| <= E0
-        rate = float(np.max(np.abs(energies))) + float(np.max(np.abs(xi))) * pulse.E0
+        rate = float(np.max(np.abs(energies))) + xi_max * pulse.E0
         tail = (times[-1] - stop) * float(np.max(np.abs(energies)))
         if not (math.isfinite(tail) and np.all(np.isfinite(sizes * rate))):
             raise ValueError("the step phases dt (E_k + E(t) xi_k) overflow double precision")
     if pulse.E0 > 0 and not pulse.omega * dt < math.pi:
         raise ValueError(
             f"omega dt = {pulse.omega * dt:.6g} >= pi: fewer than two steps per field period; lower dt"
+        )
+    phase = dt * pulse.E0 * xi_max
+    if pulse.E0 > 0 and not phase < math.pi:
+        raise ValueError(
+            f"the coupling phase dt E0 max|xi| = {phase:.6g} of one step is >= pi: "
+            "the steps cannot resolve the field's coupling; lower dt or E0"
         )
 
     build = functools.partial(_segment_operators, energies, Q, xi, pulse)
@@ -625,11 +625,12 @@ def propagate_level(h0_spec, pulse, grid, m, n, dt, T, snapshots=1):
     at omega = 2 on 400 points over T = 5, against a Crank-Nicolson
     Richardson limit).
 
-    ValueError for snapshots < 1, and for a table of more than MAX_POINTS
-    entries, (snapshots + 1) K at the first K, before any is allocated.
-    Before K grows, ValueError when the coupling phase of one step,
-    dt E0 max|xi_k|, is at least pi: such steps cannot resolve the
-    coupling, and a larger K would only fill with noise.
+    ValueError for a T, dt, level or snapshot count out of its domain, more
+    than MAX_STEPS steps and a table of more than MAX_POINTS entries,
+    (snapshots + 1) K at the first K, in that order and before any is
+    allocated; then for each refusal of eigenbasis_propagate, on every
+    basis.  max|xi_k| grows with K, so a coupling phase dt E0 max|xi_k| >=
+    pi is refused on the first basis or on the grown one that reaches it.
     """
     if not (math.isfinite(T) and T >= 0):
         raise ValueError("need a finite T >= 0")
@@ -658,12 +659,6 @@ def propagate_level(h0_spec, pulse, grid, m, n, dt, T, snapshots=1):
         top = float(np.max(np.abs(coefficients[:, -1]) ** 2))
         if top <= TRUNCATION_POPULATION or K == grid.points:
             return times, coefficients
-        phase = dt * pulse.E0 * float(np.max(np.abs(np.linalg.eigvalsh(coupling))))
-        if not phase < math.pi:
-            raise ValueError(
-                f"the coupling phase dt E0 max|xi| = {phase:.6g} of one step is >= pi: "
-                "the steps cannot resolve the field's coupling; lower dt or E0"
-            )
         margin *= 2
         kept, K = K, min(need + margin, grid.points)
         more_energies, more_vectors = hermitian_spectrum(h0_spec, grid, K, first=kept)
@@ -734,12 +729,11 @@ def gordon_volkov_propagate(psi, pulse, grid, t, t_prime):
     if not (math.isfinite(t) and math.isfinite(t_prime)):
         raise ValueError("t and t_prime must be finite")
     _check_finite("psi", psi)
-    at_start = field_integrals(pulse, t_prime)
-    at_end = field_integrals(pulse, t)
+    (b0, b1), (c0, c1), (d0, d1) = field_integrals(pulse, [t_prime, t])
     coords = grid.coordinates()
-    coeffs = _to_k(psi * _unit_phase(at_start.b * coords), grid)
-    coeffs *= _volkov_phase(grid, t - t_prime, at_end.c - at_start.c, at_end.d - at_start.d)
-    return _from_k(coeffs, grid) * _unit_phase(-at_end.b * coords)
+    coeffs = _to_k(psi * _unit_phase(b0 * coords), grid)
+    coeffs *= _volkov_phase(grid, t - t_prime, c1 - c0, d1 - d0)
+    return _from_k(coeffs, grid) * _unit_phase(-b1 * coords)
 
 
 def first_order_strong_field(psi0, potential_on_grid, pulse, grid, t, n_quad=128):
@@ -748,7 +742,7 @@ def first_order_strong_field(psi0, potential_on_grid, pulse, grid, t, n_quad=128
     psi(t) = U_GV(t,0) psi0 - i int_0^t U_GV(t,s) V U_GV(s,0) psi0 ds
     with the time integral by composite Simpson on n_quad intervals
     (rounded up to even), weights w_j.  The field integrals are tabulated
-    once, at the nodes and t, by _field_integral_table.
+    once, at the nodes and t, by field_integrals.
     In the k representation of gordon_volkov_propagate, b, c and d vanish
     at 0, so U_GV(s_j,0) is exp(-i b_j x - i d_j) F^-1 Q_j F with
     Q_j = exp(-i k^2 s_j/2 + i k c_j), and U_GV(t,s_j) is
@@ -761,7 +755,8 @@ def first_order_strong_field(psi0, potential_on_grid, pulse, grid, t, n_quad=128
     One forward transform, one batched inverse and one batched forward
     transform over the nodes, taken in blocks of at most
     _NODE_BLOCK_ENTRIES table entries, and one inverse transform.
-    ValueError for non-finite t, psi0 or potential, t < 0 and n_quad < 1.
+    ValueError for non-finite t, psi0 or potential, t < 0, n_quad < 1 and
+    more than MAX_POINTS nodes, before any is allocated.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     potential = np.asarray(potential_on_grid, dtype=float)
@@ -773,14 +768,16 @@ def first_order_strong_field(psi0, potential_on_grid, pulse, grid, t, n_quad=128
         raise ValueError("t must be finite")
     if n_quad < 1:
         raise ValueError("n_quad must be at least 1")
+    n_quad += n_quad % 2
+    if n_quad + 1 > MAX_POINTS:
+        raise ValueError(f"more than {MAX_POINTS} quadrature nodes; lower n_quad")
     _check_finite("psi0", psi0)
     _check_finite("potential", potential)
     if t == 0:
         return psi0.copy()
-    n_quad += n_quad % 2
     ds = t / n_quad
     nodes = ds * np.arange(n_quad + 1)
-    b, c, d = _field_integral_table(pulse, np.append(nodes, t))
+    b, c, d = field_integrals(pulse, np.append(nodes, t))
     shifts = c[:-1]
     weights = np.where(np.arange(n_quad + 1) % 2, 4.0, 2.0)
     weights[[0, -1]] = 1.0

@@ -558,9 +558,8 @@ def hermitian_spectrum(hamiltonian, grid, k, first=0):
     RESIDUAL_ULPS * eps * |T|, the accuracy a backward-stable solver can
     promise (|T| is the largest absolute row sum), or raise LinAlgError.
 
-    Its callers are dynamics.propagate_level, behind `propagate` and the
-    verify-all rows eigenbasis_norm and eigenbasis_stationary_state, and
-    that last row's reference phase; `spectrum` solves no grid.
+    Its one caller is dynamics.propagate_level, behind `propagate`;
+    `spectrum` and `verify-all` solve no grid.
     """
     if k < 1:
         raise ValueError("k must be positive")

@@ -75,10 +75,10 @@ def _modules_after(argvs):
     exit 0): its scipy modules as a printed list, whether it has imported
     argparse, and the stdout of the runs.
 
-    Every subcommand but two is probed for both.  `propagate` and
-    `verify-all` load scipy.linalg, whose array-API shim imports
-    numpy.testing, and with it unittest and argparse, so neither probe can
-    tell anything about the CLI there."""
+    Every subcommand but one is probed for both.  `propagate` loads
+    scipy.linalg, whose array-API shim imports numpy.testing, and with it
+    unittest and argparse, so neither probe can tell anything about the
+    CLI there."""
     probe = (
         "import io, sys, contextlib\n"
         "from pseudoherm import cli\n"
@@ -128,8 +128,9 @@ def test_spiked_and_transition_load_no_scipy():
     # the matrix elements come from a Jacobi matrix in numpy; scipy.special's
     # Gauss-Laguerre nodes once cost a one-shot transition about 340 ms of import.
     # spectrum's levels are closed forms or numpy eigvalsh values: its banded
-    # grid solve once loaded scipy.linalg on every request
-    argvs = [["spiked", "--n", "2", "--m", "3"], ["transition"], ["transition", "--tau=40"]]
+    # grid solve once loaded scipy.linalg on every request, and so did
+    # verify-all's eigenbasis rows before they took the closed-form levels
+    argvs = [["spiked", "--n", "2", "--m", "3"], ["transition"], ["transition", "--tau=40"], ["verify-all"]]
     argvs += [
         ["spectrum", "--model", model, "--grid", "-6,6,200", "--levels", "3", "--refine", "1"]
         for model in ("spiked", "x4h", "xt4")

@@ -17,6 +17,7 @@ levels and on seeded random energies and couplings that no grid gave; its
 whole-period jumps against explicit products of the period operator,
 also where two quasi-energies nearly coincide.
 """
+import bisect
 import functools
 import itertools
 import math
@@ -141,11 +142,7 @@ def test_field_integrals_match_quadrature():
         (Pulse(E0=0.4, omega=2.1, tau=5.0, phase_kind="cosine"), 12.0),
     ]
     for pulse, t in cases:
-        got = field_integrals(pulse, t)
-        b, c, d = quad_cascade(pulse, t)
-        assert got.b == pytest.approx(b, abs=1e-9)
-        assert got.c == pytest.approx(c, abs=1e-9)
-        assert got.d == pytest.approx(d, abs=1e-9)
+        assert np.max(np.abs(field_integrals(pulse, t) - quad_cascade(pulse, t))) <= 1e-9
 
 
 def test_field_integrals_gaussian_envelope():
@@ -153,6 +150,7 @@ def test_field_integrals_gaussian_envelope():
         E0=0.5, omega=2.0, tau=10.0, envelope="gaussian", center=5.0, width=1.5
     )
     got = field_integrals(pulse, 7.0)
+    assert got.shape == (3,)
 
     def rhs(s, y):
         e = field_value(pulse, s)
@@ -160,23 +158,20 @@ def test_field_integrals_gaussian_envelope():
 
     sol = solve_ivp(rhs, (0.0, 7.0), [0.0, 0.0, 0.0], method="Radau",
                     rtol=1e-11, atol=1e-13)
-    assert got.b == pytest.approx(sol.y[0, -1], abs=1e-8)
-    assert got.c == pytest.approx(sol.y[1, -1], abs=1e-8)
-    assert got.d == pytest.approx(sol.y[2, -1], abs=1e-8)
+    assert np.max(np.abs(got - sol.y[:, -1])) <= 1e-8
 
 
 def test_field_integrals_edge_cases():
     pulse = Pulse(E0=0.5, omega=2.0, tau=3.0)
-    zero = field_integrals(pulse, 0.0)
-    assert (zero.b, zero.c, zero.d) == (0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        field_integrals(pulse, -0.5)
+    assert field_integrals(pulse, 0.0).tolist() == [0.0, 0.0, 0.0]
+    for t in (-0.5, [1.0, -0.5]):
+        with pytest.raises(ValueError):
+            field_integrals(pulse, t)
     # after the pulse b freezes while c and d keep growing linearly
-    end = field_integrals(pulse, 3.0)
-    later = field_integrals(pulse, 5.0)
-    assert later.b == pytest.approx(end.b, abs=1e-14)
-    assert later.c == pytest.approx(end.c + 2.0 * end.b, abs=1e-12)
-    assert later.d == pytest.approx(end.d + 0.5 * end.b**2 * 2.0, abs=1e-12)
+    (b, b_later), (c, c_later), (d, d_later) = field_integrals(pulse, [3.0, 5.0])
+    assert b_later == pytest.approx(b, abs=1e-14)
+    assert c_later == pytest.approx(c + 2.0 * b, abs=1e-12)
+    assert d_later == pytest.approx(d + 0.5 * b**2 * 2.0, abs=1e-12)
 
 
 def _mp_field_integrals(pulse, times, delta):
@@ -273,11 +268,24 @@ def test_gaussian_field_integrals_match_mpmath(phase_kind, center, width):
     bound = _oracle_bound(pulse)
     times = (2.1, 4.8)  # below and above tau
     for t, (b, c, d, phase) in zip(times, _mp_field_integrals(pulse, times, _delta_3_2())):
-        got = field_integrals(pulse, t)
-        assert abs(got.b - b) <= bound
-        assert abs(got.c - c) <= bound
-        assert abs(got.d - d) <= bound
+        assert np.max(np.abs(field_integrals(pulse, t) - [b, c, d])) <= bound
         _check_first_order_3_2(pulse, t, phase, bound)
+
+
+@pytest.mark.parametrize("envelope", ["rectangular", "gaussian"])
+def test_field_integrals_over_an_array_match_each_time(envelope):
+    # one call over many times gives each time's values: the rectangular
+    # closed forms bit for bit, the gaussian panels (cut at every time) to rounding
+    shape = {"envelope": "gaussian", "center": 2.0, "width": 0.7} if envelope == "gaussian" else {}
+    pulse = Pulse(E0=0.4, omega=1.3, tau=4.0, phase_kind="cosine", **shape)
+    times = np.array([[0.0, 0.3, 1.9], [2.0, 4.0, 6.5]])
+    table = field_integrals(pulse, times)
+    assert table.shape == (3, 2, 3)
+    each = np.stack([field_integrals(pulse, t) for t in times.ravel()], axis=1).reshape(table.shape)
+    if envelope == "rectangular":
+        assert np.array_equal(table, each)
+    else:
+        assert np.max(np.abs(table - each)) <= 1e-15 * np.max(np.abs(table))
 
 
 @pytest.mark.parametrize("width", [0.05, 0.005, 1e-4, 1e-6])
@@ -290,10 +298,7 @@ def test_narrow_gaussian_pulse_keeps_its_area(width):
     bound = _oracle_bound(pulse)
     times = (2.0, 4.0)
     for t, (b, c, d, phase) in zip(times, _mp_field_integrals(pulse, times, _delta_3_2())):
-        got = field_integrals(pulse, t)
-        assert abs(got.b - area) <= bound
-        assert abs(got.c - c) <= bound
-        assert abs(got.d - d) <= bound
+        assert np.max(np.abs(field_integrals(pulse, t) - [area, c, d])) <= bound
         assert _check_first_order_3_2(pulse, t, phase, bound) > 0.0
 
 
@@ -326,7 +331,7 @@ def test_pulse_results_are_finite_or_refused(envelope, phase_kind, E0, omega, ta
     xs = GAUSSIAN_GRID.coordinates()
     psi = gaussian_packet(xs, 1.5, 0.0, 0.3)
     calls = (
-        lambda: list(vars(field_integrals(pulse, t)).values()),
+        lambda: field_integrals(pulse, t),
         lambda: first_order_transition(GAUSSIAN_MODEL, 3, 2, pulse, t),
         lambda: gordon_volkov_propagate(psi, pulse, GAUSSIAN_GRID, t, 0.5 * t),
         lambda: first_order_strong_field(psi, 0.1 * xs**2, pulse, GAUSSIAN_GRID, t, n_quad=4),
@@ -341,7 +346,7 @@ def test_pulse_results_are_finite_or_refused(envelope, phase_kind, E0, omega, ta
 
 def _gauge_scale(h0, pulse, t):
     # the translated symbols carry coefficients up to c(t)^deg
-    return max(1.0, h0.shift_x(field_integrals(pulse, t).c).max_abs())
+    return max(1.0, h0.shift_x(float(field_integrals(pulse, t)[1])).max_abs())
 
 
 def test_gauge_residuals_vanish():
@@ -365,19 +370,19 @@ def test_gauge_identity_fails_with_flipped_translation():
     # leave a residual of the size of the translation, so the check can fail
     pulse = Pulse(E0=0.6, omega=1.7, tau=12.0)
     t = 9.0
-    ints = field_integrals(pulse, t)
-    assert abs(ints.b) > 0.1 and abs(ints.c) > 1.0
+    b, c, _ = field_integrals(pulse, t).tolist()
+    assert abs(b) > 0.1 and abs(c) > 1.0
     quartic = WeylSymbol.p(2) * 0.5 + WeylSymbol.x(4) * 0.3 + WeylSymbol.x(1) * 0.1
-    velocity = WeylSymbol.monomial(1, 0, 1j * ints.b)
-    kramers = WeylSymbol.monomial(0, 1, -1j * ints.c)
-    flipped_v = intertwining_residual(quartic, velocity, quartic.shift_p(-ints.b))
-    flipped_k = intertwining_residual(quartic, kramers, quartic.shift_x(-ints.c))
+    velocity = WeylSymbol.monomial(1, 0, 1j * b)
+    kramers = WeylSymbol.monomial(0, 1, -1j * c)
+    flipped_v = intertwining_residual(quartic, velocity, quartic.shift_p(-b))
+    flipped_k = intertwining_residual(quartic, kramers, quartic.shift_x(-c))
     scale = _gauge_scale(quartic, pulse, t)
     assert flipped_v.max_abs() > 1e-3 * scale
     assert flipped_k.max_abs() > 1e-3 * scale
     # h0(x, p + b) - h0(x, p - b) = 2 b p, so the flipped velocity residual
     # is exp(i b x) * 2 b p = exp(i b x) (2 b p + O(b^2)): largest coefficient 2|b|
-    assert flipped_v.max_abs() == pytest.approx(2.0 * abs(ints.b), rel=1e-12)
+    assert flipped_v.max_abs() == pytest.approx(2.0 * abs(b), rel=1e-12)
     res_v, res_k = gauge_residual(quartic, pulse, t)
     assert res_v.max_abs() < 1e-12 * scale
     assert res_k.max_abs() < 1e-12 * scale
@@ -404,6 +409,16 @@ def test_first_order_zero_field():
     off = Pulse(E0=0.0, omega=1.5, tau=10.0)
     assert first_order_transition(model, 2, 2, off, 5.0) == 1.0
     assert first_order_transition(model, 3, 2, off, 5.0) == 0.0
+
+
+@pytest.mark.parametrize("t", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("n", [2, 3])
+def test_first_order_refuses_a_time_that_is_not_finite_and_non_negative(n, t):
+    # min(nan, tau) is nan and a negative t skips the integral: both used to
+    # return the zero-field probability, 1 on the diagonal and 0 off it
+    pulse = Pulse(E0=0.01, omega=2.0, tau=10.0)
+    with pytest.raises(ValueError, match="finite t >= 0"):
+        first_order_transition(SpikedHOModel(lam=0.5, alpha=0.2), n, 2, pulse, t)
 
 
 def test_first_order_quadratic_field_scaling():
@@ -497,6 +512,9 @@ def test_sweep_validation():
             transition_sweep(model, 3, 2, E0, lo, hi, 5, tau, [0.0])
     with pytest.raises(ValueError, match="finite"):
         transition_sweep(model, 3, 2, 0.01, 1.7, 2.3, 5, 30.0, [0.0, math.nan])
+    for xi_list in ([], 0.5, [[0.0, 0.7]]):
+        with pytest.raises(ValueError, match="xi_list must be a 1-D list of at least one xi"):
+            transition_sweep(model, 3, 2, 0.01, 1.7, 2.3, 5, 30.0, xi_list)
     below_half = SpikedHOModel(lam=0.5, alpha=-0.7)
     with pytest.raises(ValueError, match="alpha > -1/2"):
         transition_sweep(below_half, 3, 2, 0.01, 1.7, 2.3, 5, 30.0, [0.0])
@@ -831,8 +849,8 @@ def test_a_snapshot_table_above_max_points_is_refused_before_allocation():
 def test_propagate_level_refuses_a_coupling_phase_the_steps_cannot_resolve(monkeypatch):
     # E0 = 1e12 at dt = 1e-3 turns each step's coupling phase dt E0 max|xi|
     # to about 7e9: the top level fills with noise, and growing K took the
-    # whole grid into noise (over a minute on 1400 points).  The rule refuses
-    # after the first basis, without a second solve
+    # whole grid into noise (over a minute on 1400 points).  The kernel
+    # refuses on the first basis, without a second solve
     solves = []
 
     def counted(*args, **kwargs):
@@ -847,17 +865,65 @@ def test_propagate_level_refuses_a_coupling_phase_the_steps_cannot_resolve(monke
         assert len(solves) == 1
 
 
+def test_propagate_level_refuses_a_coupling_phase_that_a_grown_basis_reaches(monkeypatch):
+    # max|xi| grows with K (the eigenvalues of X interlace): the first basis,
+    # K = 8, steps a coupling phase below pi and fills its top level, and
+    # the grown one, K = 12, reaches pi and is refused
+    dt = 0.01
+    coupling = grid_levels(SPIKED, ORACLE_GRID, 12)[1]
+    first, grown = (np.max(np.abs(np.linalg.eigvalsh(coupling[:k, :k]))) for k in (8, 12))
+    E0 = math.pi / (dt * math.sqrt(first * grown))
+    assert dt * E0 * first < math.pi <= dt * E0 * grown
+    runs = []
+
+    def counted(energies, *args):
+        runs.append(len(energies))
+        return eigenbasis_propagate(energies, *args)
+
+    monkeypatch.setattr(dynamics, "eigenbasis_propagate", counted)
+    with pytest.raises(ValueError, match=r"coupling phase dt E0 max\|xi\| = \S+ of one step is >= pi"):
+        propagate_level(SPIKED, Pulse(E0=E0, omega=1.8, tau=1.0), ORACLE_GRID, 2, 3, dt, 1.0)
+    assert runs == [8, 12]
+
+
+def test_the_kernel_refuses_a_coupling_phase_of_pi_or_more():
+    # dt E0 max|xi| just above pi is refused by eigenbasis_propagate itself,
+    # whoever calls it; just below pi the steps run
+    energies, coupling = oracle_levels(6)
+    dt = 0.01
+    at_pi = math.pi / (dt * np.max(np.abs(np.linalg.eigvalsh(coupling))))
+    c0 = np.eye(6)[2]
+    above = Pulse(E0=at_pi * (1.0 + 1e-9), omega=1.8, tau=0.1)
+    with pytest.raises(ValueError, match=r"coupling phase dt E0 max\|xi\| = 3.14159 of one step is >= pi"):
+        eigenbasis_propagate(energies, coupling, above, c0, dt, [0.0, 0.1])
+    below = Pulse(E0=at_pi * (1.0 - 1e-9), omega=1.8, tau=0.1)
+    c = eigenbasis_propagate(energies, coupling, below, c0, dt, [0.0, 0.1])
+    assert np.max(np.abs(np.linalg.norm(c, axis=1) - 1.0)) <= 1e-12
+
+
+def test_propagate_level_takes_no_eigensolve_of_its_own(monkeypatch):
+    # the levels come from hermitian_spectrum and xi from the kernel's one
+    # eigh: growing K runs no eigvalsh of the coupling
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagate_level ran eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    pulse = Pulse(E0=1.0, omega=1.8, tau=1.0)
+    _, c = propagate_level(SPIKED, pulse, GridSpec(0.0, 14.0, 400), 2, 3, 0.001, 1.0)
+    assert c.shape[1] > 8
+
+
 def grid_levels(h0, grid, K):
     """The lowest K levels of h0 on the grid and their coupling X = h V^T diag(x) V."""
     energies, vectors = models.hermitian_spectrum(h0, grid, K)
     return energies, grid.step * (vectors.T * grid.coordinates()) @ vectors
 
 
-def direct_loop(energies, coupling, pulse, c0, dt, times):
+def direct_loop(energies, coupling, pulse, c0, dt, times, steps=None):
     """Oracle of eigenbasis_propagate: its Strang steps taken one at a time.
 
-    max(1, round(span/dt)) steps per span between the times, with the field
-    at the step midpoints; in the frame d = Q^T exp(-i E s/2) c each step is
+    steps[i] steps over the span from times[i] to times[i + 1] (by default
+    max(1, round(span/dt))), with the field at the step midpoints; in the frame d = Q^T exp(-i E s/2) c each step is
     one elementwise field phase and one product with G = Q^T exp(-i E s) Q,
     X = Q diag(xi) Q^T.  This is the kernel as it ran before it multiplied
     step operators.
@@ -865,9 +931,10 @@ def direct_loop(energies, coupling, pulse, c0, dt, times):
     xi, Q = np.linalg.eigh(coupling)
     c = np.array(c0, dtype=complex)
     out = [c]
-    for start, span in zip(times[:-1], np.diff(times)):
+    if steps is None:
+        steps = [max(1, round(span / dt)) for span in np.diff(times)]
+    for start, span, n_steps in zip(times[:-1], np.diff(times), steps):
         if span > 0:
-            n_steps = max(1, round(span / dt))
             step = span / n_steps
             half = np.exp(-0.5j * step * energies)
             G = (Q.T * (half * half)) @ Q
@@ -881,15 +948,20 @@ def direct_loop(energies, coupling, pulse, c0, dt, times):
 
 
 def cut_times(pulse, times, dt):
-    """The times, and where eigenbasis_propagate cuts the run between them.
+    """Where eigenbasis_propagate cuts the run between the times, and the steps of each cut.
 
-    The field ends at stop = tau (clipped to the run).  Before it, a
-    rectangular pulse of period P is cut in every period at each time's
-    phase (t - t0) mod P and at the period's start, if the run passes its
-    first period and the cuts leave that period at least two steps of about
-    dt per segment; otherwise the run is cut at the times and stop alone.
-    (The kernel also drops the period when its segment matrices would not
-    fit in _HELD_ENTRIES, which no run here comes near.)
+    Returns (cuts, steps): the times and the cuts, ascending, and the
+    number of steps over each span between them.  The field ends at stop =
+    tau (clipped to the run).  Before it, a rectangular pulse of period P
+    is cut in every period at each time's phase (t - t0) mod P and at the
+    period's start, if the run passes its first period and the cuts leave
+    that period at least two steps of about dt per segment; otherwise the
+    run is cut at the times and stop alone.  (The kernel also drops the
+    period when its segment matrices would not fit in _HELD_ENTRIES, which
+    no run here comes near.)  A span takes max(1, round(length/dt)) steps,
+    and in a periodic run a span before stop takes the steps of its segment
+    of the first period, as the kernel does in every period: a later
+    period's span can round to the other side of a half step.
     """
     start = times[0]
     stop = min(max(pulse.tau if pulse.E0 > 0 else 0.0, start), times[-1])
@@ -899,7 +971,8 @@ def cut_times(pulse, times, dt):
     periodic = stop - start >= period
     if periodic:
         edges = [start + phase for phase in phases] + [start + period]
-        periodic = 2 * (len(edges) - 1) <= sum(max(1, round((b - a) / dt)) for a, b in zip(edges, edges[1:]))
+        counts = [max(1, round((b - a) / dt)) for a, b in zip(edges, edges[1:])]
+        periodic = 2 * len(counts) <= sum(counts)
     if not periodic:
         period = math.inf
     cuts = set(times) | {stop}
@@ -907,7 +980,15 @@ def cut_times(pulse, times, dt):
     while start + q * period < stop:
         cuts |= {start + q * period + phase for phase in phases if start + q * period + phase < stop}
         q += 1
-    return sorted(cuts)
+    cuts = sorted(cuts)
+    steps = []
+    for a, b in zip(cuts, cuts[1:]):
+        if periodic and b <= stop:
+            phase = (0.5 * (a + b) - start) % period
+            steps.append(counts[bisect.bisect_right(phases, phase) - 1])
+        else:
+            steps.append(max(1, round((b - a) / dt)))
+    return cuts, steps
 
 
 @functools.lru_cache(maxsize=None)
@@ -1023,8 +1104,8 @@ def test_eigenbasis_small_blocks_and_batches_keep_the_result(monkeypatch, period
     pulse = Pulse(E0=0.3, omega=1.8, tau=100.0)
     levels, c0 = oracle_levels(5), np.eye(5)[1]
     times = np.linspace(0.0, periods * 2.0 * math.pi / 1.8, 12).tolist()
-    cuts = cut_times(pulse, times, 0.01)
-    expected = direct_loop(*levels, pulse, c0, 0.01, cuts)[np.searchsorted(cuts, times)]
+    cuts, steps = cut_times(pulse, times, 0.01)
+    expected = direct_loop(*levels, pulse, c0, 0.01, cuts, steps)[np.searchsorted(cuts, times)]
     assert np.max(np.abs(eigenbasis_propagate(*levels, pulse, c0, 0.01, times) - expected)) <= 1e-12
 
 
@@ -1082,8 +1163,8 @@ def test_eigenbasis_matches_the_direct_loop_on_a_basis_that_is_not_a_grid(
     c0 = np.exp(0.7j * np.arange(6)) / math.sqrt(6.0)
     got = eigenbasis_propagate(*levels, pulse, c0, 0.01, times)
     assert len(eig_calls) == int(jumps)  # U_P is diagonalized once when whole periods are jumped
-    cuts = cut_times(pulse, times, 0.01)
-    expected = direct_loop(*levels, pulse, c0, 0.01, cuts)[np.searchsorted(cuts, times)]
+    cuts, steps = cut_times(pulse, times, 0.01)
+    expected = direct_loop(*levels, pulse, c0, 0.01, cuts, steps)[np.searchsorted(cuts, times)]
     assert np.max(np.abs(got - expected)) <= 1e-12
     assert np.max(np.abs(np.abs(got[-1]) - np.abs(c0))) > 1e-2  # the field moves the populations
 
@@ -1106,6 +1187,9 @@ def test_eigenbasis_refuses_a_coupling_that_is_not_real_symmetric():
     for E, X, match in cases:
         with pytest.raises(ValueError, match=match):
             eigenbasis_propagate(E, X, pulse, np.eye(6)[0], 0.01, [0.0, 1.0])
+    # no level at all is refused by name, not by numpy's empty reduction
+    with pytest.raises(ValueError, match=r"non-empty 1-D energies and a \(0, 0\) coupling"):
+        eigenbasis_propagate(np.zeros(0), np.zeros((0, 0)), pulse, np.zeros(0), 0.01, [0.0, 1.0])
     # rounding-level asymmetry, as a grid product h V^T diag(x) V leaves, is accepted
     rounded = coupling.copy()
     rounded[0, 1] *= 1.0 + 4.0 * np.finfo(float).eps
@@ -1131,6 +1215,7 @@ def driven_runs(draw):
             "times": times}
 
 
+_P1 = 2.0 * math.pi  # the period at omega = 1
 _P2 = 2.0  # the period at omega = pi
 _NEXT_BELOW_P2 = math.nextafter(_P2, 0.0)
 
@@ -1159,6 +1244,11 @@ _NEXT_BELOW_P2 = math.nextafter(_P2, 0.0)
                                                "times": np.linspace(0.2, 0.2 + 3.7 * 2.0 * math.pi / 1.8, 9).tolist()})
 # fewer than two steps per field period: refused
 @example(phase_kind="sine", K=4, E0=0.3, run={"omega": 1.8, "tau": 9.0, "dt": 2.0, "times": [0.0, 5.0]})
+# segments of a step and a half: the third period's spans measure
+# 1.4999999999999984 and 1.5000000000000018 steps, and take the first
+# period's two steps each
+@example(phase_kind="sine", K=2, E0=0.5, run={"omega": 1.0, "tau": 3.5 * _P1, "dt": _P1 / 6.0,
+                                               "times": [0.0, 1.75 * _P1, 3.5 * _P1]})
 def test_eigenbasis_matches_the_direct_loop_on_its_cuts(phase_kind, K, E0, run):
     # the direct loop stepped over the kernel's cuts takes the same steps in
     # every period, so the Floquet powers, the segment products and the
@@ -1170,9 +1260,13 @@ def test_eigenbasis_matches_the_direct_loop_on_its_cuts(phase_kind, K, E0, run):
         with pytest.raises(ValueError, match="fewer than two steps per field period"):
             eigenbasis_propagate(*levels, pulse, c0, dt, times)
         return
+    if dt * E0 * np.max(np.abs(np.linalg.eigvalsh(levels[1]))) >= math.pi:
+        with pytest.raises(ValueError, match="coupling phase"):
+            eigenbasis_propagate(*levels, pulse, c0, dt, times)
+        return
     got = eigenbasis_propagate(*levels, pulse, c0, dt, times)
-    cuts = cut_times(pulse, times, dt)
-    expected = direct_loop(*levels, pulse, c0, dt, cuts)[np.searchsorted(cuts, times)]
+    cuts, steps = cut_times(pulse, times, dt)
+    expected = direct_loop(*levels, pulse, c0, dt, cuts, steps)[np.searchsorted(cuts, times)]
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
@@ -1213,13 +1307,13 @@ def test_gordon_volkov_ehrenfest():
     pulse = Pulse(E0=0.4, omega=1.1, tau=30.0, phase_kind="cosine")
     t = 2.7
     psi = gordon_volkov_propagate(psi0, pulse, grid, t, 0.0)
-    ints = field_integrals(pulse, t)
+    b, c, _ = field_integrals(pulse, t).tolist()
     k = 2.0 * math.pi * np.fft.fftfreq(grid.points, d=grid.step)
     ft = np.fft.fft(psi)
     p_mean = np.real(np.sum(np.conj(ft) * k * ft) / np.sum(np.abs(ft) ** 2))
-    assert p_mean == pytest.approx(p0 - ints.b, abs=1e-12)
+    assert p_mean == pytest.approx(p0 - b, abs=1e-12)
     x_mean = np.real(np.sum(np.conj(psi) * xs * psi) * grid.step)
-    assert x_mean == pytest.approx(x0 + p0 * t - ints.c, abs=1e-12)
+    assert x_mean == pytest.approx(x0 + p0 * t - c, abs=1e-12)
 
 
 def test_gordon_volkov_free_packet_spreading():
@@ -1296,6 +1390,42 @@ def test_strong_field_zero_potential_reduces_to_laser_only():
     # odd quadrature counts are rounded up instead of failing
     small = first_order_strong_field(psi0, np.zeros(grid.points), pulse, grid, t, n_quad=3)
     assert np.max(np.abs(small - base)) < 1e-14
+
+
+def test_gordon_volkov_takes_both_ends_from_one_field_integral_call(monkeypatch):
+    calls = []
+
+    def counted(pulse, t):
+        calls.append(np.shape(t))
+        return field_integrals(pulse, t)
+
+    monkeypatch.setattr(dynamics, "field_integrals", counted)
+    grid = GridSpec(-20.0, 20.0, 128)
+    psi = gaussian_packet(grid.coordinates(), 1.5, 0.0, 0.3)
+    for envelope in ({}, {"envelope": "gaussian", "center": 1.5, "width": 0.5}):
+        calls.clear()
+        pulse = Pulse(E0=0.3, omega=1.2, tau=3.0, **envelope)
+        gordon_volkov_propagate(psi, pulse, grid, 2.0, 0.5)
+        assert calls == [(2,)]
+
+
+def test_strong_field_refuses_a_node_table_past_max_points_before_allocation():
+    # n_quad = MAX_POINTS, or MAX_POINTS - 1 rounded up to even, asks for
+    # MAX_POINTS + 1 nodes, each a row of the node, weight and field tables:
+    # refused before any of them is made
+    grid = GridSpec(-20.0, 20.0, 128)
+    psi = gaussian_packet(grid.coordinates(), 1.5, 0.0, 0.3)
+    potential = np.zeros(grid.points)
+    pulse = Pulse(E0=0.3, omega=1.2, tau=3.0)
+    tracemalloc.start()
+    try:
+        for n_quad in (models.MAX_POINTS, models.MAX_POINTS - 1):
+            with pytest.raises(ValueError, match=f"more than {models.MAX_POINTS} quadrature nodes"):
+                first_order_strong_field(psi, potential, pulse, grid, 1.0, n_quad=n_quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_strong_field_matches_dense_dyson_oracle():

@@ -400,65 +400,96 @@ def test_solve_metric_ansatz_overflow_ends_in_convergence_error(residual_calls):
 # -- observable_map against biorthogonal eigenvectors, with no metric ---------
 
 
-def _x4_chain_frames(n):
-    """The x4 chain at alpha = 1, g = 0.1 on n oscillator states of scale
-    1 (M = weyl.oscillator_matrix): its pair, the left and right
-    eigenvectors L = R^-1 and R of M(H), columns by ascending level, and
-    the eigenvectors psi of M(h)."""
-    pair = models.minus_x4_chain(1.0, 0.1)
+X4_CHAIN = models.minus_x4_chain(1.0, 0.1)
+# q = g x^2 commutes with x, so x and x^2 map to themselves: p carries the test.
+# h = p^2/2 + (1.09/2) x^2 is an oscillator of frequency sqrt(1.09)
+SWANSON = models.swanson_pair(2, 2, 1.0, 0.3)
+
+
+def _frames(pair, n):
+    """A pair on n oscillator states of scale 1 (M = weyl.oscillator_matrix):
+    the left and right eigenvectors L = R^-1 and R of M(H), columns by
+    ascending level, and the eigenvectors psi of M(h)."""
     energies, R = np.linalg.eig(oscillator_matrix(pair.H, n))
     R = R[:, np.argsort(energies.real)]
     _, psi = np.linalg.eigh(oscillator_matrix(pair.h, n))
-    return pair, np.linalg.inv(R), R, psi
+    return np.linalg.inv(R), R, psi
 
 
-# o by name: x^1, x^2, and 2xp, the Weyl symbol of xp + px
-OBSERVABLES = {1: WeylSymbol.x(1), 2: WeylSymbol.x(2), "xp+px": WeylSymbol.monomial(1, 1, 2.0)}
+# (pair, o) by name: on the x4 chain (alpha = 1, g = 0.1) x^1, x^2 and 2xp,
+# the Weyl symbol of xp + px; on the Swanson pair (2, 2) (alpha = 1, g = 0.3)
+# p^2 and 2xp
+OBSERVABLES = {
+    1: (X4_CHAIN, WeylSymbol.x(1)),
+    2: (X4_CHAIN, WeylSymbol.x(2)),
+    "xp+px": (X4_CHAIN, WeylSymbol.monomial(1, 1, 2.0)),
+    "swanson-p2": (SWANSON, WeylSymbol.p(2)),
+    "swanson-xp+px": (SWANSON, WeylSymbol.monomial(1, 1, 2.0)),
+}
 
 
 @pytest.mark.parametrize("n", [40, 80])
 @pytest.mark.parametrize(
     "name, lowest",
-    # the lowest three <psi|M(o)|psi>, frozen from a solve at n = 200
-    [(1, [0.0] * 3), (2, [0.499609, 1.502538, 2.512836]), ("xp+px", [0.0] * 3)],
+    # the lowest three <psi|M(o)|psi>: on the x4 chain frozen from a solve at
+    # n = 200, on the Swanson pair the oscillator's (k + 1/2) sqrt(1.09) for p^2
+    [
+        (1, [0.0] * 3),
+        (2, [0.499609, 1.502538, 2.512836]),
+        ("xp+px", [0.0] * 3),
+        ("swanson-p2", [(k + 0.5) * math.sqrt(1.09) for k in range(3)]),
+        ("swanson-xp+px", [0.0] * 3),
+    ],
 )
 def test_observable_map_matches_biorthogonal_expectations(n, name, lowest):
-    # for the x4 chain at alpha = 1, g = 0.1, the metric expectations
-    # diag(L M(O) R) of O = observable_map(o, q) in H's right eigenvectors R
-    # (L = R^-1) equal <psi|M(o)|psi> in h's eigenvectors: no metric and no
-    # series enter the reference, and q -> -q must miss it
-    pair, L, R, psi = _x4_chain_frames(n)
-    o = OBSERVABLES[name]
+    # the metric expectations diag(L M(O) R) of O = observable_map(o, q) in
+    # H's right eigenvectors R (L = R^-1) equal <psi|M(o)|psi> in h's
+    # eigenvectors: no metric and no series enter the reference, and
+    # q -> -q must miss it
+    pair, o = OBSERVABLES[name]
+    L, R, psi = _frames(pair, n)
     expected = np.einsum("in,ij,jn->n", psi.conj(), oscillator_matrix(o, n), psi)[:6]
     assert np.abs(expected[:3] - lowest).max() < 1e-6
 
     def metric_expectations(q):
         return np.diag(L @ oscillator_matrix(observable_map(o, q), n) @ R)[:6]
 
-    assert np.abs(metric_expectations(pair.q) - expected).max() <= 1e-11  # 2.5e-14 seen
-    # 0.35, 0.28 and 0.68 seen for x, x^2 and xp + px
+    # 4e-14 seen on the x4 chain, 1.8e-13 on the Swanson pair
+    assert np.abs(metric_expectations(pair.q) - expected).max() <= 1e-11
+    # 0.35, 0.28 and 0.68 seen for x, x^2 and xp + px on the x4 chain,
+    # 1.90 and 6.32 for p^2 and xp + px on the Swanson pair
     assert np.abs(metric_expectations(-pair.q) - expected).max() > 0.1
 
 
-@pytest.mark.parametrize("n", [40, 80])
-def test_observable_map_keeps_the_coupling_products(n):
+# (pair, o) by family: the field couples through O = observable_map(o, q)
+COUPLINGS = {"x4": (X4_CHAIN, WeylSymbol.x(1)), "swanson": (SWANSON, WeylSymbol.p(1))}
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("x4", 40), ("x4", 80), ("swanson", 40), ("swanson", 80)],
+    ids=["40", "80", "swanson-40", "swanson-80"],
+)
+def test_observable_map_keeps_the_coupling_products(family, n):
     # a biorthogonal basis is free up to a diagonal similarity, whose
-    # invariants are the diagonal and the products X_nm X_mn.  In the 8
-    # lowest states the products of X = observable_map(x, q) in H's
-    # eigenvectors equal x_nm x_mn in h's: H + E(t) X and h + E(t) x then
-    # give the same populations for every field E(t).  The products are up
-    # to 3.6 here, and not zero
-    pair, L, R, psi = _x4_chain_frames(n)
-    x = WeylSymbol.x(1)
-    x_h = (psi.conj().T @ oscillator_matrix(x, n) @ psi)[:8, :8]
+    # invariants are the diagonal and the products O_nm O_mn.  In the 8
+    # lowest states the products of O = observable_map(o, q) in H's
+    # eigenvectors equal o_nm o_mn in h's: H + E(t) O and h + E(t) o then
+    # give the same populations for every field E(t).  The products reach
+    # 3.6 here, and are not zero
+    pair, o = COUPLINGS[family]
+    L, R, psi = _frames(pair, n)
+    o_h = (psi.conj().T @ oscillator_matrix(o, n) @ psi)[:8, :8]
     off = ~np.eye(8, dtype=bool)
-    expected = (x_h * x_h.T)[off]
+    expected = (o_h * o_h.T)[off]
     assert np.abs(expected).max() > 1.0
 
-    def products(o):
-        X = (L @ oscillator_matrix(o, n) @ R)[:8, :8]
-        return (X * X.T)[off]
+    def products(op):
+        O = (L @ oscillator_matrix(op, n) @ R)[:8, :8]
+        return (O * O.T)[off]
 
-    assert np.abs(products(observable_map(x, pair.q)) - expected).max() <= 1e-11  # 6.4e-14 seen
-    # the raw x is the wrong coupling: 0.025 seen (0.072 with the diagonal)
-    assert np.abs(products(x) - expected).max() > 0.01
+    # 3.7e-14 seen on the x4 chain, 1.2e-13 on the Swanson pair
+    assert np.abs(products(observable_map(o, pair.q)) - expected).max() <= 1e-11
+    # the raw o is the wrong coupling: 0.025 seen for x on the x4 chain
+    # (0.072 with the diagonal), 0.302 for p on the Swanson pair
+    assert np.abs(products(o) - expected).max() > 0.01

@@ -162,3 +162,10 @@ def test_the_propagation_kernel_names_no_grid():
         or (isinstance(node, ast.Attribute) and node.attr in ("step", "coordinates"))
     )
     assert named == []
+
+
+def test_verify_all_solves_no_grid():
+    # the eigenbasis rows run the kernel on the closed-form spiked levels
+    # and their exact <k|x|l>: no identity names the grid path
+    tree = ast.parse((SOURCE / "identities.py").read_text(), filename="identities.py")
+    assert {"propagate_level", "hermitian_spectrum"} & set(_identifiers(tree)) == set()
