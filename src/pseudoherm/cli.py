@@ -44,6 +44,7 @@ exact matrix in a scaled oscillator basis, converged to 1e-10 max(1, |E|).
 Its `--grid` and `--refine` flags remain only because the benchmark's
 spectrum requests pass them: they are parsed (a malformed value or a
 negative `--refine` is a usage error) and echoed, and change no number.
+`--grid` is optional; left out, or given empty, it echoes as `# grid=`.
 
 `verify-all` runs the ordered identity checks of `pseudoherm.identities`
 (the table the test suite also runs) and prints one PASS/FAIL row each.
@@ -273,7 +274,9 @@ def _parse_value(param, raw):
         if kind == "range":
             lo_s, hi_s, n_s = raw.split(":")
             return (_finite(lo_s), _finite(hi_s), int(n_s))
-        if kind == "grid":
+        if kind == "optgrid" and raw == "":
+            return None
+        if kind in ("grid", "optgrid"):
             lo_s, hi_s, n_s = raw.split(",")
             return (_finite(lo_s), _finite(hi_s), int(n_s))
         if kind == "pairs":
@@ -322,8 +325,8 @@ def _canonical(param, value):
         return ",".join(_fmt(v) for v in value)
     if kind == "range":
         return f"{_fmt(value[0])}:{_fmt(value[1])}:{value[2]}"
-    if kind == "grid":
-        return f"{_fmt(value[0])},{_fmt(value[1])},{value[2]}"
+    if kind in ("grid", "optgrid"):
+        return "" if value is None else f"{_fmt(value[0])},{_fmt(value[1])},{value[2]}"
     if kind == "pairs":
         return ";".join(f"{dx},{dp}" for dx, dp in value)
     if kind == "kv":
@@ -695,7 +698,7 @@ _SUBCOMMANDS = {
         params=[
             Param("model", "choice", choices=("spiked", "x4h", "xt4")),
             Param("params", "kv", "", help="model parameters k=v,..."),
-            Param("grid", "grid", help="xmin,xmax,points; parsed and ignored"),
+            Param("grid", "optgrid", "", help="xmin,xmax,points, or left out; parsed and ignored"),
             Param("levels", "int", help=f"lowest levels printed, 1 to {models.MAX_BASIS}"),
             Param("refine", "int", "0", help="non-negative; parsed and ignored"),
         ],

@@ -460,7 +460,8 @@ def eigenbasis_propagate(energies, coupling, pulse, c0, dt, times):
 
     energies are the K level energies E_k and coupling the K x K real
     symmetric matrix X of the field's operator between the levels, in
-    whatever basis the caller holds (propagate_level forms it on a grid).
+    whatever basis the caller holds (propagate_level forms it on a grid,
+    and models.spiked_basis on the spiked model's closed-form levels).
     The state is carried as its K level coefficients c, starting from c0
     at times[0] (which also offsets the pulse clock), and the coefficients
     are returned at every entry of the ascending times, one row each.

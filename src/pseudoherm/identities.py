@@ -330,18 +330,10 @@ def _chk_transition_peak(rng):
     return ok, f"peak_omega={peak:.6g} max_P={float(np.max(probability)):.3g}"
 
 
-def _spiked_levels(model, K):
-    """The K lowest closed-form levels of the spiked model and their exact <k|x|l>."""
-    energies = [models.spiked_energy(model, k) for k in range(K)]
-    coupling = [[models.spiked_matrix_element(model, "position", k, l).real for l in range(K)]
-                for k in range(K)]
-    return energies, coupling
-
-
 def _chk_eigenbasis_norm(rng):
     model = SpikedHOModel(lam=0.5, alpha=0.2)
     pulse = dynamics.Pulse(E0=0.01, omega=2.0, tau=3.0)
-    c = dynamics.eigenbasis_propagate(*_spiked_levels(model, 5), pulse, np.eye(5)[0], 0.01, [0.0, 3.0])
+    c = dynamics.eigenbasis_propagate(*models.spiked_basis(model, 5), pulse, np.eye(5)[0], 0.01, [0.0, 3.0])
     drift = float(np.max(np.abs(np.linalg.norm(c, axis=1) - 1.0)))
     return drift <= 1e-10, f"norm_drift={drift:.3g}"
 
@@ -350,7 +342,7 @@ def _chk_eigenbasis_stationary_state(rng):
     # without a field the ground level only turns by its exact phase exp(-i E_0 T)
     model = SpikedHOModel(lam=0.5, alpha=0.2)
     pulse = dynamics.Pulse(E0=0.0, omega=2.0, tau=3.0)
-    c = dynamics.eigenbasis_propagate(*_spiked_levels(model, 5), pulse, np.eye(5)[0], 0.005, [0.0, 2.0])
+    c = dynamics.eigenbasis_propagate(*models.spiked_basis(model, 5), pulse, np.eye(5)[0], 0.005, [0.0, 2.0])
     err = float(abs(c[-1, 0] - np.exp(-1j * models.spiked_energy(model, 0) * 2.0)))
     return err <= 1e-8, f"phase_err={err:.3g}"
 

@@ -7,9 +7,10 @@ and the quartic chain that connects a shifted harmonic seed through a
 p^3 generator to a Hamiltonian with a -x^4 interaction.  The Swanson and
 quartic pairs are returned in closed form; their BCH ladders terminate,
 and verify-all checks the closed forms against them.  The spiked levels
-are closed forms too.  oscillator_levels gives the levels of any
-Hermitian polynomial symbol that is bounded below, from its exact matrix
-in a scaled oscillator basis.  A tridiagonal finite-difference
+are closed forms too; spiked_basis gives K of them and their K x K
+position block from one Laguerre recurrence pass.  oscillator_levels
+gives the levels of any Hermitian polynomial symbol that is bounded
+below, from its exact matrix in a scaled oscillator basis.  A tridiagonal finite-difference
 eigensolver gives the levels and grid vectors of symbols c p^2 + V(x)
 and of the spiked 1/x^2 special form, which the grid propagation needs.
 """
@@ -178,27 +179,36 @@ def _laguerre_jacobi(k, weight_exponent):
     return 2.0 * j + (weight_exponent + 1.0), np.sqrt(j[1:] * (j[1:] + weight_exponent))
 
 
-def _laguerre_product(n, m, a, weight_exponent):
-    """int_0^inf u^b e^(-u) L_n^a L_m^a du / Gamma(b + 1), b = weight_exponent,
-    exactly.
+def _laguerre_rows(size, count, a, weight_exponent):
+    """The rows L_k^a(J) e1, k < count, on the size-point Jacobi matrix J of
+    u^b e^(-u), b = weight_exponent, as a (count, size) array.
 
-    L_n^a(J) e1 and L_m^a(J) e1 come from the three-term recurrence with
-    tridiagonal matrix-vector products on the (n+m)//2 + 1 point Jacobi
-    matrix J of u^b e^(-u), which makes e1' L_n^a(J) L_m^a(J) e1 the Gauss
-    rule of a degree n + m polynomial: no nodes, weights or eigensolve.
+    They come from the three-term recurrence with tridiagonal
+    matrix-vector products, so that e1' L_n^a(J) L_m^a(J) e1 = rows[n] @
+    rows[m] is the Gauss rule of a degree n + m polynomial, exact while
+    n + m <= 2 size - 1: no nodes, weights or eigensolve.
     """
-    d, e = _laguerre_jacobi((n + m) // 2 + 1, weight_exponent)
-    prev, cur = np.zeros(d.size), np.zeros(d.size)
-    cur[0] = 1.0
-    levels = [cur]
-    for j in range(max(n, m)):
+    d, e = _laguerre_jacobi(size, weight_exponent)
+    rows = np.zeros((count, size))
+    rows[0, 0] = 1.0
+    prev, cur = np.zeros(size), rows[0]
+    for j in range(count - 1):
         # L_(j+1) = ((2j + 1 + a - u) L_j - (j + a) L_(j-1)) / (j + 1)
         applied = d * cur
         applied[:-1] += e * cur[1:]
         applied[1:] += e * cur[:-1]
-        prev, cur = cur, ((2 * j + 1 + a) * cur - applied - (j + a) * prev) / (j + 1)
-        levels.append(cur)
-    return float(levels[n] @ levels[m])
+        rows[j + 1] = ((2 * j + 1 + a) * cur - applied - (j + a) * prev) / (j + 1)
+        prev, cur = cur, rows[j + 1]
+    return rows
+
+
+def _position_factors(model):
+    """(Gamma(alpha + 3/2), lam^(alpha + 3/2)), the mass and the scale of
+    every <n|x|m>; ValueError when either leaves double precision."""
+    a = model.alpha
+    mass = _spiked_factor(model, "Gamma(alpha+3/2)", lambda: math.gamma(a + 1.5))
+    lam_power = _spiked_factor(model, "lam^(alpha+3/2)", lambda: model.lam ** (a + 1.5))
+    return mass, lam_power
 
 
 def _spiked_position(model, n, m):
@@ -209,16 +219,38 @@ def _spiked_position(model, n, m):
         <n|x|m> = (-1)^(n+m) N_n N_m / (2 lam^(a+3/2))
                   int u^(a+1/2) e^(-u) L_n^a L_m^a du,
 
-    and the integral is Gamma(a + 3/2) times _laguerre_product.
+    and the integral is Gamma(a + 3/2) times the product of the rows n and
+    m of _laguerre_rows on the (n+m)//2 + 1 point rule of u^(a+1/2) e^(-u).
     """
     if n < 0 or m < 0:
         raise ValueError("levels must be non-negative")
     a = model.alpha
     sign = -1.0 if (n + m) % 2 else 1.0
     scale = 0.5 * sign * _spiked_norm(model, n) * _spiked_norm(model, m)
-    mass = _spiked_factor(model, "Gamma(alpha+3/2)", lambda: math.gamma(a + 1.5))
-    lam_power = _spiked_factor(model, "lam^(alpha+3/2)", lambda: model.lam ** (a + 1.5))
-    return scale * mass * _laguerre_product(n, m, a, a + 0.5) / lam_power
+    mass, lam_power = _position_factors(model)
+    rows = _laguerre_rows((n + m) // 2 + 1, max(n, m) + 1, a, a + 0.5)
+    return scale * mass * float(rows[n] @ rows[m]) / lam_power
+
+
+def spiked_basis(model, K):
+    """(energies, coupling) of the K lowest closed-form levels: the
+    lam(4k + 2 alpha + 2) and the real symmetric block of the <k|x|l>,
+
+        X = 1/2 Gamma(alpha + 3/2) lam^-(alpha+3/2) D Phi Phi' D,
+
+    with Phi the K rows of _laguerre_rows on the K-point rule of
+    u^(alpha+1/2) e^(-u) and D = diag((-1)^k N_k).  It is exact: the rule
+    integrates degree 2K - 1, the products have degree at most 2K - 2.
+    ValueError for K outside [1, 171], before anything is built, and
+    where a level norm or a factor of X leaves double precision.
+    """
+    if not 1 <= K <= _MAX_LEVEL + 1:
+        raise ValueError(f"the basis needs 1 to {_MAX_LEVEL + 1} levels, got {K}")
+    energies = np.array([spiked_energy(model, k) for k in range(K)])
+    signed_norms = np.array([(-1) ** k * _spiked_norm(model, k) for k in range(K)])
+    mass, lam_power = _position_factors(model)
+    phi = signed_norms[:, None] * _laguerre_rows(K, K, model.alpha, model.alpha + 0.5)
+    return energies, (0.5 * mass / lam_power) * (phi @ phi.T)
 
 
 def _momentum_rate(model, n, m):
@@ -269,7 +301,8 @@ def spiked_matrix_element(model, op_kind, n, m, position=None):
     term phi_n(0) phi_m(0) keeps p from being Hermitian, so the momentum
     element and the p_squared mapped position raise ValueError there.  A
     caller that already holds <n|x|m> passes it as position, and no
-    integral is done.
+    integral is done.  spiked_basis gives the whole block of the K lowest
+    levels from one pass, where K^2 calls would each run their own.
     """
     if op_kind not in ("position", "momentum", "mapped_position"):
         raise ValueError(f"unknown op_kind {op_kind!r}")

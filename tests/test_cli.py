@@ -990,16 +990,18 @@ def test_unrepresentable_model_parameters_exit_1(capsys, argv, message):
 @pytest.mark.parametrize(
     "model, grid, refine",
     [("spiked", "0,14,1000000000000", "0"), ("xt4", "-6,6,200", str(10**20)),
-     ("x4h", "5,-5,3", "2")],
+     ("x4h", "5,-5,3", "2"), ("xt4", None, "0")],
 )
 def test_spectrum_grid_and_refine_change_no_number(capsys, model, grid, refine):
-    # the levels come from no grid: a grid of 1e12 points, 1e20 refinements
-    # or a reversed 3-point grid (each refused while the grid was solved)
-    # print the rows of an ordinary grid, and only the echo differs
+    # the levels come from no grid: a grid of 1e12 points, 1e20 refinements,
+    # a reversed 3-point grid (each refused while the grid was solved) or
+    # no --grid at all print the rows of an ordinary grid, and only the
+    # echo differs
     argv = ["spectrum", "--model", model, "--levels", "4"]
-    code, out, _ = invoke(capsys, argv + ["--grid", grid, "--refine", refine])
+    flags = [] if grid is None else ["--grid", grid]
+    code, out, _ = invoke(capsys, argv + flags + ["--refine", refine])
     assert code == 0
-    assert (comment_map(out)["grid"], comment_map(out)["refine"]) == (grid, refine)
+    assert (comment_map(out)["grid"], comment_map(out)["refine"]) == (grid or "", refine)
     code, plain, _ = invoke(capsys, argv + ["--grid", "-8,8,1000", "--refine", "0"])
     assert code == 0
     assert data_rows(out) == data_rows(plain)

@@ -153,8 +153,9 @@ def test_propagate_never_raises_and_prints_only_valid_rows(argv):
 
 @st.composite
 def spectrum_argvs(draw):
-    # model, grid and levels are required; --refine and one --params entry
-    # (a known key, or an unknown one) are drawn or left at their defaults
+    # model and levels are required and a grid is always drawn; --refine and
+    # one --params entry (a known key, or an unknown one) are drawn or left
+    # at their defaults
     model = draw(st.sampled_from(sorted(cli._SPECTRUM_DEFAULTS)))
     accepted = ("0,14,64", "0,8,200", "0,14,16") if model == "spiked" else (
         "-6,6,64", "-8,8,200", "-5,5,16")

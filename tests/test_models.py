@@ -466,11 +466,13 @@ def mp_spiked_elements(lam, alpha, n, m):
 def test_spiked_matrix_elements_match_gamma_sums(alpha):
     for lam in (0.3, 1.5):
         model = SpikedHOModel(lam=lam, alpha=alpha)
+        block = models.spiked_basis(model, 8)[1]
         for n in range(8):
             for m in range(8):
                 pos, mom = mp_spiked_elements(lam, alpha, n, m)
                 got = models.spiked_matrix_element(model, "position", n, m)
                 assert abs(got - pos) <= 3e-13 * abs(pos), (lam, n, m)
+                assert abs(block[n, m] - pos) <= 3e-13 * abs(pos), (lam, n, m)
                 if mom is None:
                     continue
                 got = models.spiked_matrix_element(model, "momentum", n, m)
@@ -492,7 +494,8 @@ def test_laguerre_jacobi_rule_is_orthogonal(a):
             norms = math.exp(
                 0.5 * (gammaln(n + a + 1) - gammaln(n + 1) + gammaln(m + a + 1) - gammaln(m + 1))
             )
-            got = math.gamma(a + 1) * models._laguerre_product(n, m, a, a)
+            rows = models._laguerre_rows((n + m) // 2 + 1, max(n, m) + 1, a, a)
+            got = math.gamma(a + 1) * float(rows[n] @ rows[m])
             assert abs(got / norms - (1.0 if n == m else 0.0)) <= 1e-13, (n, m)
 
 
@@ -519,12 +522,47 @@ def scipy_gauss_laguerre_position(lam, alpha, n, m):
 )
 def test_spiked_position_matches_the_scipy_rule_at_high_levels(lam, alpha, pairs):
     # |<n|x|m>| <= sqrt(<x^2>_n <x^2>_m), with <x^2>_n = (2n + alpha + 1)/lam
+    # the block of max(pair) + 1 levels, one recurrence pass, is held to the same bound
     model = SpikedHOModel(lam=lam, alpha=alpha)
+    block = models.spiked_basis(model, max(max(pair) for pair in pairs) + 1)[1]
     for n, m in pairs:
         got = models.spiked_matrix_element(model, "position", n, m)
         ref = scipy_gauss_laguerre_position(lam, alpha, n, m)
         bound = 1e-13 * math.sqrt((2 * n + alpha + 1) * (2 * m + alpha + 1)) / lam
         assert abs(got - ref) <= bound, (n, m)
+        assert abs(block[n, m] - ref) <= bound, (n, m)
+
+
+@pytest.mark.parametrize("alpha", [0.2, -0.5, -0.9, 1.3])
+def test_spiked_basis_matches_the_elements(alpha):
+    # in full at K = 1, 2 and 40, and sampled at K = 171 where the level
+    # norms stay in double precision (alpha = 1.3 leaves it at level 170)
+    model = SpikedHOModel(lam=0.5, alpha=alpha)
+    blocks = [(K, [(k, l) for k in range(K) for l in range(K)]) for K in (1, 2, 40)]
+    if alpha < 1:
+        blocks.append((171, [(170, 3), (0, 170), (100, 101), (85, 86), (170, 170)]))
+    for K, entries in blocks:
+        energies, block = models.spiked_basis(model, K)
+        assert energies.tolist() == [models.spiked_energy(model, k) for k in range(K)]
+        assert block.shape == (K, K) and (block == block.T).all()
+        scale = np.max(np.abs(block))
+        for k, l in entries:
+            element = models.spiked_matrix_element(model, "position", k, l).real
+            assert abs(block[k, l] - element) <= 1e-15 * scale, (K, k, l)
+
+
+@pytest.mark.parametrize(
+    "alpha, K, message",
+    [
+        (0.2, 0, "1 to 171 levels, got 0"),
+        (0.2, 172, "1 to 171 levels, got 172"),
+        # 166! / Gamma(172) overflows: the level norms keep their own refusal
+        (5.0, 171, "level-166 normalization"),
+    ],
+)
+def test_spiked_basis_refusals(alpha, K, message):
+    with pytest.raises(ValueError, match=message):
+        models.spiked_basis(SpikedHOModel(lam=0.5, alpha=alpha), K)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, -0.7])
