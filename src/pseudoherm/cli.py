@@ -34,8 +34,11 @@ because symbol requests are many and small:
   whole.  A symbol table prints with one `"%d,%d,%.12g,%.12g"` format per
   row (`_symbol_rows`; adding 0.0 first turns -0 into 0), and the other
   small tables (`spectrum`, `propagate`, `verify-all`, the config block)
-  call `_fmt` per value: the writer's fixed cost, some 70 numpy calls, is
-  more than these spend on tables below about 450 rows.
+  call `_fmt` per value.  The writer's fixed cost, some 80 numpy calls on
+  tiny arrays (about 50 us for a one-row table on a 2-vCPU x86-64), is
+  what that loop spends on some 25 rows of three floats: `spectrum` and
+  `verify-all` print fewer at their defaults, and on `propagate`'s 51 rows
+  the difference is below 0.3% of the run.
 
 `spectrum` solves no grid.  It prints the spiked model's closed-form
 levels lam(4n + 2 alpha + 2), on the whole domain alpha > -1, and the x4h
@@ -87,17 +90,20 @@ def _fmt(value):
 # mantissa m = rint(q).  The power of ten is correctly rounded, and so is
 # the product, so q is within 2.3e-4 of the exact |v| 10^(11-e), and m is
 # the mantissa of Python's correctly rounded dtoa (Gay, AT&T NA Manuscript
-# 90-10, 1990) unless q lies that close to a half-integer.  A zero takes
-# m = 0 and e = 0, which print "0" for either sign.  Values within
-# _TIE_BAND of a half-integer, non-finite values and other |v| outside
-# that range go through `_fmt` itself.  The digits of m
-# are then placed by tables keyed by e and the index of m's last nonzero
-# digit, after the sign.  A value's text is nine 4-byte words: sign (1),
-# head (3), tail (3) and exponent (2), NUL-padded.  A call keeps only the
-# words that some value of its array uses, so a block of positive
-# fixed-form values gets narrow cells; a slow-path text is left-packed
-# into them, and the cells widen only when such a text does not fit.
-# `_csv_blocks` places the cells in rows and drops the NULs.
+# 90-10, 1990) unless q lies that close to a half-integer.  One combined
+# test picks out every value this misses: q within _TIE_BAND of a
+# half-integer, e one off near 10^k (log10 rounds), m carried up to
+# 10^12, and |v| outside the range, zeros included.  A zero takes m = 0
+# and e = 0, which print "0" for either sign; the others go through `_fmt`
+# itself.  A value's text is nine 4-byte words: sign (1), head (3), tail
+# (3) and exponent (2), NUL-padded.  m's digits, four to a word, are
+# masked into the head and tail, and the rest of the text added, by one
+# column of the _LAYOUT tables, keyed by e and the index of m's last
+# nonzero digit.  A call keeps only the words that some value of its
+# array fills, so a block of positive fixed-form values gets narrow cells;
+# a `_fmt` text is left-packed into them, and the cells widen only when
+# such a text does not fit.  `_csv_blocks` places the cells in rows and
+# drops the NULs.
 
 _ROW_BLOCK = 8192  # table rows built per pass, so memory does not grow with the table
 _TIE_BAND = 1e-3  # covers the 2.3e-4 scaling error with room to spare
@@ -106,14 +112,14 @@ _POW10 = np.array([float(f"1e{k}") for k in range(_E_LO, _E_HI + 1)])
 
 
 def _digit_tables():
-    """Masks and literals of the head and tail byte ranges, by layout key.
+    """Masks and literals of the head and tail byte ranges, by digit layout.
 
-    Digit j of the mantissa sits at byte j of both 12-byte ranges.  Key
+    Digit j of the mantissa sits at byte j of both 12-byte ranges.  Layout
     12 (p + 4) + keep stands for a point after digit p (p = -4..11) and a
     last printed digit keep.  The head holds digits 0..p and then "." if
     a digit follows; for p < 0 (fixed form below 1) it holds the lead "0."
     and -p - 1 zeros instead.  The tail holds digits p + 1..keep.  Each
-    table is (3, 192) uint32: four digits to a word, one column per key.
+    table is (3, 192) uint32: four digits to a word, one column per layout.
     """
     j = np.arange(12)
     p = np.arange(-4, 12)[:, None, None]
@@ -128,7 +134,35 @@ def _digit_tables():
     )
 
 
-_HEAD_MASK, _HEAD_TEXT, _TAIL_MASK = _digit_tables()
+def _layout_tables():
+    """The digit masks and the texts of a value's nine words, by key
+    13 (e - _E_LO) + last + 1, one column each.
+
+    e is the decimal exponent and last the index of the mantissa's last
+    nonzero digit (-1 for m = 0).  '%.12g' prints the fixed form for -4 <=
+    e < 12 with the point after digit p = e, else d.ddd (p = 0) and an
+    exponent; the integer digits always print, so the digits up to keep =
+    max(last, p) do.  The mask is (6, keys) for the head and tail words
+    and the text (9, keys) for all nine (the sign word is 0 here).  The
+    last key, _BLANK, is 0 throughout: it marks a value whose text `_fmt`
+    gives.
+    """
+    head_mask, head_text, tail_mask = _digit_tables()
+    e = np.arange(_E_LO, _E_HI + 1)[:, None]
+    p = np.where((e >= -4) & (e < 12), e, 0)
+    layout = (np.maximum(np.arange(-1, 12), p) + 12 * (p + 4)).ravel()
+    exponent = [f"e{k:+03d}" if k < -4 or k >= 12 else "" for k in range(_E_LO, _E_HI + 1)]
+    exponent = np.array(exponent, dtype="S8").view(np.uint32).reshape(-1, 2).repeat(13, axis=0)
+    mask = np.zeros((6, layout.size + 1), np.uint32)
+    mask[:3, :-1], mask[3:, :-1] = head_mask[:, layout], tail_mask[:, layout]
+    text = np.zeros((9, layout.size + 1), np.uint32)
+    text[1:4, :-1], text[7:, :-1] = head_text[:, layout], exponent.T
+    return mask, text
+
+
+_LAYOUT_MASK, _LAYOUT_TEXT = _layout_tables()
+_BLANK = _LAYOUT_TEXT.shape[1] - 1
+_KEY_BASE = 1 - 13 * _E_LO  # key = 13 e + last + _KEY_BASE
 _groups = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
 _DIGITS4 = (_groups + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 # entry 10000 k + g: index in the mantissa of the last nonzero digit of g as
@@ -136,11 +170,8 @@ _DIGITS4 = (_groups + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 _LAST4 = np.where(_groups.any(1), 3 - np.argmax(_groups[:, ::-1] != 0, axis=1), -1)
 _LAST4 = np.where(_LAST4 >= 0, _LAST4 + np.array([[0], [4], [8]]), -1).astype(np.int8).ravel()
 _GROUP_BASE = np.array([[0], [10000], [20000]])
+_GROUP_DIV = np.array([[10**8], [10**4], [1]])
 del _groups
-_EXPONENT_TEXT = np.array(
-    [f"e{e:+03d}" if e < -4 or e >= 12 else "" for e in range(_E_LO, _E_HI + 1)],
-    dtype="S8",
-).view(np.uint32).reshape(-1, 2).T.copy()
 
 
 def _float_cells(values):
@@ -148,58 +179,42 @@ def _float_cells(values):
     NUL-padded bytes, all of one width: a multiple of 4 up to 36."""
     v = np.asarray(values, dtype=np.float64).ravel()
     a = np.abs(v)
-    zero = a == 0.0
     fast = (a > 1e-280) & (a < 1e280)
     a[~fast] = 1.0  # e = 0 for a zero
     e = np.floor(np.log10(a)).astype(np.intp)
-    q = a * np.take(_POW10, 11 - _E_LO - e)
-    off = np.flatnonzero((q < 1e11) | (q >= 1e12))  # log10 one off near 10^k
-    if off.size:
-        e[off] += np.where(q[off] < 1e11, -1, 1)
-        q[off] = a[off] * np.take(_POW10, 11 - _E_LO - e[off])
+    q = a * _POW10[(11 - _E_LO) - e]
     m = np.rint(q)
-    fast &= np.abs(q - np.floor(q) - 0.5) > _TIE_BAND
-    fast |= zero
-    m[zero] = 0.0
-    carry = np.flatnonzero(m == 1e12)  # rounded up to the next power of ten
-    if carry.size:
-        e[carry] += 1
-        m[carry] = 1e11
+    # the one test for the values the digits below would get wrong
+    redo = slow = (~(fast & (q >= 1e11) & (m < 1e12) & (np.abs(q - m) < 0.5 - _TIE_BAND))).nonzero()[0]
+    if redo.size:
+        m[redo] = 0.0  # a zero prints "0" at e = 0, for either sign
+        slow = redo[v[redo] != 0.0]  # the others print through _fmt
     # m's digits in three groups of four, and the index of its last nonzero one
-    groups = np.empty((3, v.size))
-    groups[0] = np.floor(m / 1e8)
-    m -= groups[0] * 1e8
-    groups[1] = np.floor(m / 1e4)
-    groups[2] = m - groups[1] * 1e4
-    groups = groups.astype(np.intp)
-    last = np.take(_LAST4, groups + _GROUP_BASE).max(axis=0)
-    # '%.12g' layout: fixed form for -4 <= e < 12 with the point after digit
-    # e, else d.ddd and an exponent; the integer digits always print
-    p = np.where((e >= -4) & (e < 12), e, 0)
-    key = np.maximum(last, p) + 12 * (p + 4)
-
-    digits = np.take(_DIGITS4, groups)
-    head = digits & np.take(_HEAD_MASK, key, axis=1) | np.take(_HEAD_TEXT, key, axis=1)
-    tail = digits & np.take(_TAIL_MASK, key, axis=1)
-    exponent = np.take(_EXPONENT_TEXT, e - _E_LO, axis=1)
-    words = [(v < 0).view(np.uint8) * np.uint32(ord("-")), *head, *tail, *exponent]
-    slow = np.flatnonzero(~fast)
-    width = 0
+    groups = m.astype(np.int64) // _GROUP_DIV
+    groups[1:] -= 10**4 * groups[:-1]
+    key = 13 * e + _LAST4[groups + _GROUP_BASE].max(axis=0) + _KEY_BASE
+    negative = v < 0
     if slow.size:
-        unique, inverse = np.unique(v[slow], return_inverse=True)
-        text = [_fmt(x) for x in unique.tolist()]
-        width = -(-max(map(len, text)) // 4)
-        for word in words:
-            word[slow] = 0  # their texts replace these cells whole
-    words = [w for w in words if np.bitwise_or.reduce(w)]
-    width = max(width, len(words))
+        key[slow] = _BLANK  # their texts replace these cells whole
+        negative[slow] = False
+        text = [_fmt(x) for x in v[slow].tolist()]
+    words = _LAYOUT_TEXT.take(key, axis=1)
+    digits = _DIGITS4.take(groups)
+    mask = _LAYOUT_MASK.take(key, axis=1)
+    words[1:4] |= digits & mask[:3]
+    np.bitwise_and(digits, mask[3:], out=words[4:7])
+    if negative.any():
+        words[0] = negative.view(np.uint8) * np.uint32(ord("-"))
+    kept = np.bitwise_or.reduce(words, axis=1).nonzero()[0]
+    width = len(kept)
+    if slow.size:
+        width = max(width, -(-max(map(len, text)) // 4))
     out = np.empty((v.size, width), np.uint32)
-    for k, word in enumerate(words):
-        out[:, k] = word
-    out[:, len(words):] = 0  # room that only the slow texts use
+    out[:, :len(kept)] = words[kept].T
+    out[:, len(kept):] = 0  # room that only the _fmt texts use
     out = out.view(np.uint8)
     if slow.size:
-        out[slow] = np.array(text, dtype=f"S{4 * width}").view(np.uint8).reshape(-1, 4 * width)[inverse]
+        out[slow] = np.array(text, dtype=f"S{4 * width}").view(np.uint8).reshape(-1, 4 * width)
     return out
 
 
@@ -216,16 +231,15 @@ def _csv_blocks(fields, size, width=1):
         for k, f in enumerate(block):
             if f.dtype != np.uint8:
                 block[k], cells = cells[:f.size].reshape(f.shape + (-1,)), cells[f.size:]
-        buf = np.empty((min(per_block, size - i), width, sum(f.shape[-1] + 1 for f in block)), np.uint8)
+        # every byte outside the cells is a separator: a comma, or the row's newline
+        buf = np.full((min(per_block, size - i), width, sum(f.shape[-1] + 1 for f in block)), ord(","), np.uint8)
+        buf[:, :, -1] = ord("\n")
         start = 0
         for f in block:
             # each cell copied as one item: numpy loops over cells, not bytes
             cell = f"V{f.shape[-1]}"
-            np.ndarray(buf.shape[:2], cell, buf, start, buf.strides[:2])[...] = f.view(cell)[..., 0]
-            start += f.shape[-1]
-            buf[:, :, start] = ord(",")
-            start += 1
-        buf[:, :, -1] = ord("\n")
+            buf[:, :, start:start + f.shape[-1]].view(cell)[...] = f.view(cell)
+            start += f.shape[-1] + 1
         buf[-1, -1, -1] = 0  # the last row's newline comes from the caller
         yield buf.tobytes().translate(None, b"\0").decode("ascii")
 

@@ -184,16 +184,27 @@ def gauge_residual(h0, pulse, t):
     return res_velocity, res_kramers
 
 
+_EPS = np.finfo(float).eps
+_CARRIER_SIGNS = np.array([1.0, -1.0])  # the carrier's wavenumbers are delta +- omega
+
+
 def _phase_integral_flat(mu, tc):
-    """int_0^tc exp(i mu s) ds for scalar or array mu, continuous through mu = 0."""
+    """int_0^tc exp(i mu s) ds for scalar or array mu, continuous through mu = 0.
+
+    That is tc exp(i h) sinc(h / pi) with h = mu tc / 2, the sinc written out
+    as np.sinc takes it: sin(pi x) / (pi x), with eps for a zero pi x."""
     half = 0.5 * np.asarray(mu, dtype=float) * tc
-    return tc * np.exp(1j * half) * np.sinc(half / math.pi)
+    x = math.pi * (half / math.pi)
+    x = np.where(x, x, _EPS)
+    return tc * np.exp(1j * half) * (np.sin(x) / x)
 
 
 def _carrier_field_integral(E0, omega, phase_kind, delta, tc, envelope=_phase_integral_flat):
-    """int_0^tc exp(i delta s) E(s) ds from envelope(mu, tc) = int_0^tc exp(i mu s) env(s) ds."""
-    plus = envelope(delta + omega, tc)
-    minus = envelope(delta - omega, tc)
+    """int_0^tc exp(i delta s) E(s) ds from envelope(mu, tc) = int_0^tc exp(i mu s) env(s) ds.
+
+    The carrier's two wavenumbers delta +- omega (omega a float or an array)
+    go to the envelope as one array, stacked on a new first axis."""
+    plus, minus = envelope(delta + np.multiply.outer(_CARRIER_SIGNS, omega), tc)
     if phase_kind == "sine":
         return E0 / 2j * (plus - minus)
     return 0.5 * E0 * (plus + minus)
@@ -202,22 +213,31 @@ def _carrier_field_integral(E0, omega, phase_kind, delta, tc, envelope=_phase_in
 def _gaussian_phase_integral(pulse, kappa, s):
     """int_0^s exp(i kappa u) env(u) du under the gaussian envelope, s in [0, tau].
 
-    -sqrt(pi/2) width exp(i kappa u) env(u) w(y + i x) is an antiderivative
-    (x = (u - center)/(sqrt2 width), y = kappa width/sqrt2, w the Faddeeva
-    function); w(z) = 2 exp(-z^2) - w(-z) keeps every term bounded for x < 0
-    (Poppe and Wijers, ACM TOMS 16 (1990) 38).  env(u) is 0 where |x| >= 40."""
+    kappa is a wavenumber or an array of them; the result has the shape of
+    kappa followed by that of s.  -sqrt(pi/2) width exp(i kappa u) env(u)
+    w(y + i x) is an antiderivative (x = (u - center)/(sqrt2 width), y =
+    kappa width/sqrt2, w the Faddeeva function); w(z) = 2 exp(-z^2) - w(-z)
+    keeps every term bounded for x < 0 (Poppe and Wijers, ACM TOMS 16 (1990)
+    38).  env(u) is 0 where |x| >= 40."""
     from scipy.special import wofz
+    kappa = np.asarray(kappa, dtype=float)[..., None]
     y, u = kappa * pulse.width / math.sqrt(2.0), np.append(0.0, s)
     x = np.clip((u - pulse.center) / (math.sqrt(2.0) * pulse.width), -40.0, 40.0)
     sign = np.where(x < 0.0, -1.0, 1.0)
     edge = np.exp(1j * kappa * u - x * x) * wofz(sign * (y + 1j * x))
     T = (1.0 - sign) * np.exp(1j * kappa * pulse.center - y * y) + sign * edge
-    return (math.sqrt(0.5 * math.pi) * pulse.width * (T[0] - T[1:])).reshape(np.shape(s))
+    area = math.sqrt(0.5 * math.pi) * pulse.width * (T[..., :1] - T[..., 1:])
+    return area.reshape(kappa.shape[:-1] + np.shape(s))
 
 
 def _first_order_probability(diagonal, element, integral):
-    """|delta_nm - i <n|X|m> int exp(i delta s) E(s) ds|^2, broadcasting."""
-    return np.abs((1.0 if diagonal else 0.0) - 1j * element * integral) ** 2
+    """|delta_nm - i <n|X|m> int exp(i delta s) E(s) ds|^2, broadcasting.
+
+    Off the diagonal that is |<n|X|m> int ...|^2: a factor -i changes no
+    modulus, so no array is formed for it."""
+    if diagonal:
+        return np.abs(1.0 - 1j * element * integral) ** 2
+    return np.abs(element * integral) ** 2
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
@@ -257,12 +277,15 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     [H, x] = -2ip gives <n|p|m> = 2i lam (n - m) <n|x|m>, so every curve's
     p_squared dressed element <n|x + 2i xi p|m> = (1 - 4 lam (n - m) xi)
     <n|x|m> follows from it, for alpha > -1/2 only.  The closed-form field
-    integral is taken once over the frequency grid, and P(omega, xi) for
-    all curves as one numpy broadcast.  Returns (omegas, probabilities):
-    the frequencies, and the probabilities shaped (len(xi_list), steps),
-    one row per xi in xi_list order.  A probability
-    |<n|X|m> int exp(i delta s) E(s) ds|^2 above 1 anywhere (or not finite)
-    is outside perturbation theory and raises ValueError, as do n == m
+    integral is taken once over the frequency grid, its two envelopes at
+    delta +- omega as one stacked array, and P(omega, xi) = |<n|X|m> int
+    exp(i delta s) E(s) ds|^2 for all curves as one numpy broadcast; the
+    rest of the work, the checks below, <n|x|m> (a few steps of the
+    Laguerre recurrence) and the dressing, does not grow with the table.
+    Returns (omegas, probabilities): the frequencies, and the
+    probabilities shaped (len(xi_list), steps), one row per xi in xi_list
+    order.  A probability above 1 anywhere (or not finite) is outside
+    perturbation theory and raises ValueError, as do n == m
     (on the diagonal first order gives a survival probability, which can
     exceed 1; first_order_transition returns it), an xi_list that is empty
     or not 1-D, a dressed element that
@@ -277,7 +300,7 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
         raise ValueError("need omega_lo < omega_hi, both finite")
     Pulse(E0=E0, omega=omega_lo, tau=tau)  # E0 >= 0, tau > 0, omega_lo > 0, all finite
     xis = np.asarray(xi_list, dtype=float)
-    if not np.all(np.isfinite(xis)):
+    if not np.isfinite(xis).all():
         raise ValueError("xi values must be finite")
     if xis.ndim != 1 or xis.size == 0:
         raise ValueError("xi_list must be a 1-D list of at least one xi")
@@ -295,7 +318,7 @@ def transition_sweep(model, n, m, E0, omega_lo, omega_hi, steps, tau, xi_list):
     with np.errstate(over="ignore", invalid="ignore"):
         integral = _carrier_field_integral(E0, omegas, "sine", delta, tau)
         probs = _first_order_probability(False, element, integral)
-        worst = float(np.max(probs))
+        worst = float(probs.max())
     if not worst <= 1.0:
         raise ValueError(
             f"first-order probability {worst:.6g} breaks the perturbative bound P <= 1; "

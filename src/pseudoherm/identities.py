@@ -347,6 +347,27 @@ def _chk_eigenbasis_stationary_state(rng):
     return err <= 1e-8, f"phase_err={err:.3g}"
 
 
+def _chk_eigenbasis_first_order(rng):
+    # a weak field drives level 2 of the closed-form basis; each other level's
+    # amplitude, with its phase exp(-i E_n T) taken off, is the complex first
+    # order -i <n|x|2> int_0^T exp(i delta s) E(s) ds, <n|x|2> from
+    # spiked_matrix_element.  The gap is the second order and the Strang
+    # error, 1.2e-4 E0 here, so the bound is 1e-2 E0; a wrong block (Phi'
+    # Phi for Phi Phi', or D without its signs) is off by 0.086 E0 or more
+    model = SpikedHOModel(lam=0.5, alpha=0.2)
+    E0, T = 1e-4, 3.0
+    pulse = dynamics.Pulse(E0=E0, omega=2.0, tau=T)
+    energies, coupling = models.spiked_basis(model, 5)
+    c = dynamics.eigenbasis_propagate(energies, coupling, pulse, np.eye(5)[2], 0.05, [0.0, T])[-1]
+    worst = 0.0
+    for n in (0, 1, 3, 4):
+        delta = models.spiked_energy(model, n) - models.spiked_energy(model, 2)
+        integral = dynamics._carrier_field_integral(E0, pulse.omega, pulse.phase_kind, delta, T)
+        first = -1j * models.spiked_matrix_element(model, "position", n, 2) * integral
+        worst = max(worst, abs(np.exp(1j * energies[n] * T) * c[n] - first))
+    return worst <= 1e-2 * E0, f"max_amplitude_gap={worst:.3g}"
+
+
 def _gaussian_state(grid, center, sigma):
     x = grid.coordinates()
     psi = np.exp(-((x - center) ** 2) / (4.0 * sigma ** 2)).astype(complex)
@@ -470,6 +491,7 @@ CHECKS = [
     ("transition_peak_and_bound", _chk_transition_peak),
     ("eigenbasis_norm", _chk_eigenbasis_norm),
     ("eigenbasis_stationary_state", _chk_eigenbasis_stationary_state),
+    ("eigenbasis_first_order", _chk_eigenbasis_first_order),
     ("gordon_volkov_identity", _chk_gordon_volkov_identity),
     ("gordon_volkov_norm", _chk_gordon_volkov_norm),
     ("free_packet_spreading", _chk_free_spreading),

@@ -195,9 +195,10 @@ def _laguerre_rows(size, count, a, weight_exponent):
     for j in range(count - 1):
         # L_(j+1) = ((2j + 1 + a - u) L_j - (j + a) L_(j-1)) / (j + 1)
         applied = d * cur
-        applied[:-1] += e * cur[1:]
-        applied[1:] += e * cur[:-1]
-        rows[j + 1] = ((2 * j + 1 + a) * cur - applied - (j + a) * prev) / (j + 1)
+        below, above = applied[:-1], applied[1:]  # views, added to in place
+        below += e * cur[1:]
+        above += e * cur[:-1]
+        np.divide((2 * j + 1 + a) * cur - applied - (j + a) * prev, j + 1, out=rows[j + 1])
         prev, cur = cur, rows[j + 1]
     return rows
 
