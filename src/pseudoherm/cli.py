@@ -17,7 +17,12 @@ because symbol requests are many and small:
   flag, an exact name beats a prefix, and a repeated flag keeps its last
   value.  `-h`/`--help` prints the help built from the `Param` table
   (`_help`).  Any other token, and a flag that is unknown, ambiguous or
-  without a value, is a usage error.
+  without a value, is a usage error.  Each flag's text then goes through
+  the parse of its kind, and its value back through the kind's echo, the
+  two read from one entry of the `_KINDS` table (`_value`).  A flag whose
+  default is empty may be left empty: its value is then None and its echo
+  empty (`propagate --T`, `spectrum --grid` and `--params`).  Every other
+  flag refuses an empty value as a usage error.
 - Files.  Symbol and config files are read with a plain open(); pathlib
   reads a file again only when that fails, so messages name the path as
   before (`_read_text`).
@@ -31,14 +36,14 @@ because symbol requests are many and small:
   of the block uses; it places every field in one byte buffer shaped like
   the rows and drops the NULs in one pass.  Blocks go to the output as
   they are built, so a table of millions of rows never sits in memory
-  whole.  A symbol table prints with one `"%d,%d,%.12g,%.12g"` format per
-  row (`_symbol_rows`; adding 0.0 first turns -0 into 0), and the other
-  small tables (`spectrum`, `propagate`, `verify-all`, the config block)
-  call `_fmt` per value.  The writer's fixed cost, some 80 numpy calls on
-  tiny arrays (about 50 us for a one-row table on a 2-vCPU x86-64), is
-  what that loop spends on some 25 rows of three floats: `spectrum` and
-  `verify-all` print fewer at their defaults, and on `propagate`'s 51 rows
-  the difference is below 0.3% of the run.
+  whole.  The other tables (the symbol tables of `_symbol_rows`,
+  `spectrum`, `propagate`, `verify-all`, the config block) call `_fmt` per
+  value.  The writer's fixed cost, 36 calls of numpy functions and methods
+  and about as many array operators and index expressions on tiny arrays
+  (about 47 us for a one-row table on a 2-vCPU x86-64), is what that loop
+  spends on some 30 rows of three floats: `spectrum` prints fewer at its
+  defaults, `verify-all` prints text, and on `propagate`'s 51 rows the
+  difference is below 0.3% of the run.
 
 `spectrum` solves no grid.  It prints the spiked model's closed-form
 levels lam(4n + 2 alpha + 2), on the whole domain alpha > -1, and the x4h
@@ -47,7 +52,7 @@ exact matrix in a scaled oscillator basis, converged to 1e-10 max(1, |E|).
 Its `--grid` and `--refine` flags remain only because the benchmark's
 spectrum requests pass them: they are parsed (a malformed value or a
 negative `--refine` is a usage error) and echoed, and change no number.
-`--grid` is optional; left out, or given empty, it echoes as `# grid=`.
+`--grid` may be left out, and then echoes as `# grid=`.
 
 `verify-all` runs the ordered identity checks of `pseudoherm.identities`
 (the table the test suite also runs) and prints one PASS/FAIL row each.
@@ -75,11 +80,9 @@ class CliUsageError(Exception):
 
 
 def _fmt(value):
-    """The one definition of how the CLI prints a float."""
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # normalize -0
-    return f"{value:.12g}"
+    """The one definition of how the CLI prints a real number: as a float
+    to 12 significant digits, and -0 as 0 (adding 0.0 turns -0 into 0)."""
+    return f"{value + 0.0:.12g}"
 
 
 # -- array formatting ------------------------------------------------------
@@ -251,9 +254,13 @@ def _csv_blocks(fields, size, width=1):
 class Param:
     name: str
     kind: str
-    default: str | None = None  # None means required
+    default: str | None = None  # None means required; "" optional, read as None
     choices: tuple = ()
     help: str = ""
+
+    def __post_init__(self):  # so an unknown kind fails at import, not in a request
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown parameter kind {self.kind!r}")
 
 
 def _finite(raw):
@@ -263,89 +270,83 @@ def _finite(raw):
     return value
 
 
-def _parse_value(param, raw):
-    kind = param.kind
+def _path(raw):
+    if raw == "":
+        raise ValueError("empty value")
+    return raw
+
+
+def _floatlist(raw):
+    vals = [_finite(tok) for tok in raw.split(",") if tok.strip() != ""]
+    if not vals:
+        raise ValueError("empty list")
+    return vals
+
+
+def _triple(parts):
+    """(lo, hi, n) of the three texts of a range or a grid."""
+    lo_s, hi_s, n_s = parts
+    return (_finite(lo_s), _finite(hi_s), int(n_s))
+
+
+def _pairs(raw):
+    pairs = []
+    for chunk in raw.split(";"):
+        if chunk.strip() == "":
+            continue
+        dx_s, dp_s = chunk.split(",")
+        pair = (int(dx_s), int(dp_s))
+        if pair in pairs:
+            raise ValueError(f"repeated pair {dx_s.strip()},{dp_s.strip()}")
+        pairs.append(pair)
+    if not pairs:
+        raise ValueError("empty pair list")
+    return pairs
+
+
+def _kv(raw):
+    out = {}
+    for chunk in raw.split(","):
+        if chunk.strip() == "":
+            continue
+        key, _, val = chunk.partition("=")
+        if not _:
+            raise ValueError(f"expected key=value, got {chunk!r}")
+        if key.strip() in out:
+            raise ValueError(f"repeated key {key.strip()}")
+        out[key.strip()] = _finite(val)
+    return out
+
+
+# kind -> (parse, echo): parse turns a flag's text into its value or raises,
+# and echo gives the value's text in the `# key=value` block
+_KINDS = {
+    "int": (int, str),
+    "float": (_finite, _fmt),
+    "path": (_path, str),
+    "choice": (str, str),  # _value checks the text against the Param's choices
+    "floatlist": (_floatlist, lambda v: ",".join(map(_fmt, v))),
+    "range": (lambda raw: _triple(raw.split(":")), lambda v: f"{_fmt(v[0])}:{_fmt(v[1])}:{v[2]}"),
+    "grid": (lambda raw: _triple(raw.split(",")), lambda v: f"{_fmt(v[0])},{_fmt(v[1])},{v[2]}"),
+    "pairs": (_pairs, lambda v: ";".join(f"{dx},{dp}" for dx, dp in v)),
+    "kv": (_kv, lambda v: ",".join(f"{k}={_fmt(x)}" for k, x in sorted(v.items()))),
+}
+
+
+def _value(param, raw):
+    """(value, echo) of a flag's text.  Where the default is empty, an
+    empty text is None and echoes empty; any other text goes through the
+    kind's parse, and a text it refuses is a usage error."""
+    if raw == "" == param.default:
+        return None, ""
+    parse, echo = _KINDS[param.kind]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return _finite(raw)
-        if kind == "optfloat":
-            return None if raw == "" else _finite(raw)
-        if kind == "path":
-            if raw == "":
-                raise ValueError("empty value")
-            return raw
-        if kind == "choice":
-            if raw not in param.choices:
-                raise ValueError(f"must be one of {', '.join(param.choices)}")
-            return raw
-        if kind == "floatlist":
-            vals = [_finite(tok) for tok in raw.split(",") if tok.strip() != ""]
-            if not vals:
-                raise ValueError("empty list")
-            return vals
-        if kind == "range":
-            lo_s, hi_s, n_s = raw.split(":")
-            return (_finite(lo_s), _finite(hi_s), int(n_s))
-        if kind == "optgrid" and raw == "":
-            return None
-        if kind in ("grid", "optgrid"):
-            lo_s, hi_s, n_s = raw.split(",")
-            return (_finite(lo_s), _finite(hi_s), int(n_s))
-        if kind == "pairs":
-            pairs = []
-            for chunk in raw.split(";"):
-                if chunk.strip() == "":
-                    continue
-                dx_s, dp_s = chunk.split(",")
-                pair = (int(dx_s), int(dp_s))
-                if pair in pairs:
-                    raise ValueError(f"repeated pair {dx_s.strip()},{dp_s.strip()}")
-                pairs.append(pair)
-            if not pairs:
-                raise ValueError("empty pair list")
-            return pairs
-        if kind == "kv":
-            out = {}
-            for chunk in raw.split(","):
-                if chunk.strip() == "":
-                    continue
-                key, _, val = chunk.partition("=")
-                if not _:
-                    raise ValueError(f"expected key=value, got {chunk!r}")
-                if key.strip() in out:
-                    raise ValueError(f"repeated key {key.strip()}")
-                out[key.strip()] = _finite(val)
-            return out
-    except CliUsageError:
-        raise
+        if param.choices and raw not in param.choices:
+            raise ValueError(f"must be one of {', '.join(param.choices)}")
+        value = parse(raw)
     except Exception as exc:
         raise CliUsageError(f"invalid value for --{param.name}: {raw!r} ({exc})") from None
-    raise CliUsageError(f"unknown parameter kind {kind!r}")
-
-
-def _canonical(param, value):
-    kind = param.kind
-    if kind == "int":
-        return str(value)
-    if kind == "float":
-        return _fmt(value)
-    if kind == "optfloat":
-        return "" if value is None else _fmt(value)
-    if kind in ("path", "choice"):
-        return value
-    if kind == "floatlist":
-        return ",".join(_fmt(v) for v in value)
-    if kind == "range":
-        return f"{_fmt(value[0])}:{_fmt(value[1])}:{value[2]}"
-    if kind in ("grid", "optgrid"):
-        return "" if value is None else f"{_fmt(value[0])},{_fmt(value[1])},{value[2]}"
-    if kind == "pairs":
-        return ";".join(f"{dx},{dp}" for dx, dp in value)
-    if kind == "kv":
-        return ",".join(f"{k}={_fmt(v)}" for k, v in sorted(value.items()))
-    raise CliUsageError(f"unknown parameter kind {kind!r}")
+    return value, echo(value)
 
 
 def _read_text(path):
@@ -374,9 +375,8 @@ def _read_symbol(path):
 def _symbol_rows(sym):
     """One CSV row per term, in (deg_x, deg_p) order."""
     dx, dp, c = sym.arrays()
-    c = c + 0.0  # -0 prints as 0, as in _fmt
     terms = zip(dx.tolist(), dp.tolist(), c.real.tolist(), c.imag.tolist())
-    return ["%d,%d,%.12g,%.12g" % term for term in terms]
+    return [f"{a},{b},{_fmt(re)},{_fmt(im)}" for a, b, re, im in terms]
 
 
 # -- subcommand runners ----------------------------------------------------
@@ -515,13 +515,14 @@ def _run_spectrum(v, canon):
     if v["refine"] < 0:
         raise CliUsageError("--refine must be non-negative")
     defaults = dict(_SPECTRUM_DEFAULTS[v["model"]])
-    for key in v["params"]:
+    params = v["params"] or {}  # None: --params left empty
+    for key in params:
         if key not in defaults:
             known = ", ".join(sorted(defaults))
             raise CliUsageError(
                 f"unknown model parameter {key!r} for {v['model']} (known: {known})"
             )
-    defaults.update(v["params"])
+    defaults.update(params)
     canon["params"] = ",".join(f"{k}={_fmt(val)}" for k, val in sorted(defaults.items()))
     k = v["levels"]
     if not 1 <= k <= models.MAX_BASIS:
@@ -712,7 +713,7 @@ _SUBCOMMANDS = {
         params=[
             Param("model", "choice", choices=("spiked", "x4h", "xt4")),
             Param("params", "kv", "", help="model parameters k=v,..."),
-            Param("grid", "optgrid", "", help="xmin,xmax,points, or left out; parsed and ignored"),
+            Param("grid", "grid", "", help="xmin,xmax,points, or left out; parsed and ignored"),
             Param("levels", "int", help=f"lowest levels printed, 1 to {models.MAX_BASIS}"),
             Param("refine", "int", "0", help="non-negative; parsed and ignored"),
         ],
@@ -745,7 +746,7 @@ _SUBCOMMANDS = {
             Param("tau", "float", _TAU_OFFRES),
             Param("grid", "grid", "0,14,1400"),
             Param("dt", "float", "0.001", help="Strang step"),
-            Param("T", "optfloat", "", help="final time (defaults to tau)"),
+            Param("T", "float", "", help="final time (defaults to tau)"),
             Param("snapshots", "int", "50", help="intervals of [0, T] between printed times, at least 1"),
         ],
         run=_run_propagate,
@@ -881,23 +882,14 @@ def run(argv=None):
                 raise CliUsageError(f"unknown config key {key!r} for subcommand {name}")
         out_path = flags["out"] or config.get("out")
 
-        values = {}
-        canon = {}
+        values, canon = {}, {}
         for param in spec.params:
             raw = flags[param.name]
             if raw is None:
-                raw = config.get(param.name)
-            if raw is None:
-                raw = param.default
+                raw = config.get(param.name, param.default)
             if raw is None:
                 raise CliUsageError(f"missing required parameter --{param.name}")
-            values[param.name] = _parse_value(param, raw)
-            canon[param.name] = _canonical(param, values[param.name])
-    except CliUsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+            values[param.name], canon[param.name] = _value(param, raw)
         extra, header, rows, code = spec.run(values, canon)
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

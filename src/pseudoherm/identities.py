@@ -23,14 +23,14 @@ from . import dynamics, metric, models, stokes, weyl
 from .models import GridSpec, SpikedHOModel
 from .weyl import WeylSymbol
 
-def _random_symbol(rng, degree=2, complex_coeffs=True):
+
+def _random_symbol(rng):
+    """A quadratic symbol with complex normal coefficients, drawn real part
+    then imaginary part, term by term in (deg_x, deg_p) order."""
     terms = {}
-    for dx in range(degree + 1):
-        for dp in range(degree + 1 - dx):
-            c = rng.standard_normal()
-            if complex_coeffs:
-                c = c + 1j * rng.standard_normal()
-            terms[(dx, dp)] = c
+    for dx in range(3):
+        for dp in range(3 - dx):
+            terms[(dx, dp)] = rng.standard_normal() + 1j * rng.standard_normal()
     return WeylSymbol(terms)
 
 
@@ -106,8 +106,8 @@ def _chk_swanson_ladder(rng):
     return worst <= 1e-12, f"max_err={worst:.3g}"
 
 
-def _matches_closed_form(got, expected, seed, rtol=1e-12):
-    """Coefficientwise |got - expected| <= rtol * max(|got|, |expected|, |seed|).
+def _matches_closed_form(got, expected, seed):
+    """Coefficientwise |got - expected| <= 1e-12 max(|got|, |expected|, |seed|).
 
     Each coefficient is held to its own size and that of the seed term
     it corrects, never to the largest coefficient, so a genuine term
@@ -116,7 +116,7 @@ def _matches_closed_form(got, expected, seed, rtol=1e-12):
     keys = {k for k, _ in got.items()} | {k for k, _ in expected.items()}
     for key in keys:
         a, b = got.coefficient(*key), expected.coefficient(*key)
-        if abs(a - b) > rtol * max(abs(a), abs(b), abs(seed.coefficient(*key))):
+        if abs(a - b) > 1e-12 * max(abs(a), abs(b), abs(seed.coefficient(*key))):
             return False
     return True
 

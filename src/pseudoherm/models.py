@@ -592,8 +592,9 @@ def hermitian_spectrum(hamiltonian, grid, k, first=0):
     RESIDUAL_ULPS * eps * |T|, the accuracy a backward-stable solver can
     promise (|T| is the largest absolute row sum), or raise LinAlgError.
 
-    Its one caller is dynamics.propagate_level, behind `propagate`;
-    `spectrum` and `verify-all` solve no grid.
+    Its callers are dynamics.propagate_level, behind `propagate`, and
+    refined_eigenvalues, which no subcommand calls; `spectrum` and
+    `verify-all` solve no grid.
     """
     if k < 1:
         raise ValueError("k must be positive")

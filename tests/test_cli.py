@@ -229,6 +229,85 @@ def test_bad_parameter_value(capsys):
     assert "invalid value" in err
 
 
+# edge texts of each parameter kind, accepted and refused; a choice flag
+# also takes each of its choices
+KIND_TEXTS = {
+    "int": ["0", "-3", " 7 ", "+12", "1_000", str(10**20), "1.5", "x", "1" * 5000],
+    "float": ["0", "-0", "1e-300", "-1e300", " 2.5 ", "1_0.5", "1e400", "nan", "-inf", "x"],
+    "path": ["a.txt", " ", "dir/", "-"],
+    "choice": ["none", " "],
+    "floatlist": ["0,0.5,1", ",-0,", "1,,2", ",", "1,nan", "1;2"],
+    "range": ["1.5:2.5:200", "-1e-300:1e300:-1", "1:2", "1:2:3:4", "1:2:x", "1:inf:3"],
+    "grid": ["0,14,1400", "5,-5,0", "0,14", "0,14,1.5", "0,1e400,3"],
+    "pairs": ["2,0", "2,0;0,2;", ";1,1", "1,1;1,1", "1", ";"],
+    "kv": ["alpha=0.5,g=1", ",g=-0,", "alpha", "a=1,a=2", "a=nan", ","],
+}
+PARAMS = [(name, p) for name, spec in cli._SUBCOMMANDS.items() for p in spec.params]
+EMPTY_DEFAULTS = {("propagate", "T"), ("spectrum", "grid"), ("spectrum", "params")}
+
+
+def test_every_kind_of_the_table_has_a_flag_and_edge_texts():
+    assert {p.kind for _, p in PARAMS} == set(cli._KINDS) == set(KIND_TEXTS)
+    assert {(name, p.name) for name, p in PARAMS if p.default == ""} == EMPTY_DEFAULTS
+    # an unknown kind fails when the table is built, never in a request
+    with pytest.raises(ValueError, match="unknown parameter kind 'optfloat'"):
+        cli.Param("T", "optfloat", "")
+
+
+@pytest.mark.parametrize("name, param", PARAMS, ids=[f"{n}-{p.name}" for n, p in PARAMS])
+def test_every_echo_parses_back_to_itself(name, param):
+    texts = KIND_TEXTS[param.kind] + list(param.choices)
+    if param.default is not None:
+        texts.append(param.default)
+    accepted = 0
+    for text in texts:
+        try:
+            value, echo = cli._value(param, text)
+        except cli.CliUsageError as exc:
+            assert str(exc).startswith(f"invalid value for --{param.name}: {text!r} (")
+            continue
+        accepted += 1
+        assert cli._value(param, echo)[1] == echo, text
+        assert (value is None) == (text == "" == param.default), text
+    assert accepted, "no text of the kind is accepted"
+
+
+@pytest.mark.parametrize("name, param", PARAMS, ids=[f"{n}-{p.name}" for n, p in PARAMS])
+def test_an_empty_value_is_none_only_where_the_default_is_empty(name, param):
+    if (name, param.name) in EMPTY_DEFAULTS:
+        assert cli._value(param, "") == (None, "")
+    else:
+        with pytest.raises(cli.CliUsageError, match=f"^invalid value for --{param.name}: '' "):
+            cli._value(param, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["propagate", "--grid", ""], "invalid value for --grid: '' "
+         "(not enough values to unpack (expected 3, got 1))"),
+        (["transition", "--xi", ""], "invalid value for --xi: '' (empty list)"),
+        (["spiked", "--n", "1", "--m", ""], "invalid value for --m: '' "),
+        (["star", "--f", "", "--g", "g"], "invalid value for --f: '' (empty value)"),
+        (["contour", "--kind", "", "--N", "4"], "invalid value for --kind: '' (must be one of z1, z2)"),
+    ],
+)
+def test_an_empty_value_of_a_flag_with_a_default_or_none_is_a_usage_error(capsys, argv, message):
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {message}")
+
+
+def test_empty_params_and_grid_read_as_left_out(capsys, tmp_path):
+    argv = ["spectrum", "--model", "x4h", "--levels", "2"]
+    code, plain, _ = invoke(capsys, argv)
+    assert code == 0 and "# grid=\n" in plain and "# params=alpha=1,g=0.1\n" in plain
+    assert invoke(capsys, argv + ["--params", "", "--grid", ""]) == (0, plain, "")
+    config = tmp_path / "spectrum.cfg"
+    config.write_text("params =\ngrid=\n")
+    assert invoke(capsys, argv + ["--config", str(config)]) == (0, plain, "")
+
+
 HUGE = "1" + "0" * 400  # 10**400, past the largest float
 
 
@@ -328,6 +407,15 @@ def test_malformed_config_line(capsys, tmp_path):
 def test_missing_config_file(capsys, tmp_path):
     code, _, _ = invoke(capsys, ["wedges", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2
+
+
+def test_a_config_file_that_is_not_utf8_exits_1(capsys, tmp_path):
+    # it once escaped cli.run as an uncaught UnicodeDecodeError
+    config = tmp_path / "binary.cfg"
+    config.write_bytes(b"N = 4\n\xd0\x00\n")
+    code, out, err = invoke(capsys, ["wedges", "--config", str(config)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 'utf-8' codec can't decode")
 
 
 # -- output plumbing -------------------------------------------------------

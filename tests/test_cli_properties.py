@@ -62,8 +62,6 @@ def _flag(kind, choices=()):
         return st.sampled_from(EDGE_FLOATS)
     if kind == "int":
         return st.sampled_from(EDGE_INTS)
-    if kind == "optfloat":
-        return st.sampled_from(FINAL_TIMES)
     if kind == "choice":
         return st.sampled_from(tuple(choices) + ("none",))
     if kind == "floatlist":
@@ -91,7 +89,9 @@ def _flag(kind, choices=()):
 def _edge_flags(draw, params, names):
     argv = []
     for name in names:
-        argv += [f"--{name}", draw(_flag(params[name].kind, params[name].choices))]
+        # propagate's final time keeps to FINAL_TIMES, so an accepted run is short
+        flag = st.sampled_from(FINAL_TIMES) if name == "T" else _flag(params[name].kind, params[name].choices)
+        argv += [f"--{name}", draw(flag)]
     return argv
 
 

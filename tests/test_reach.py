@@ -73,6 +73,7 @@ REQUESTS = [
     (["spectrum", "--model", "x4h", "--grid", "-8,8,400", "--levels", "3", "--refine", "1"], 0),
     (["spectrum", "--model", "xt4", "--grid", "-8,8,400", "--levels", "3"], 0),
     (["spectrum", "--model", "spiked", "--grid", "0,14,400", "--levels", "3"], 0),
+    (["spectrum", "--model", "spiked", "--params", "alpha=0.5", "--levels", "3"], 0),  # no --grid
     (["transition"], 0),
     (["propagate"], 0),
     (["verify-all"], 0),
