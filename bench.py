@@ -1,5 +1,5 @@
 """Wall times of the pseudoherm command line and of the kernels behind its
-transition table, written to one JSON file.
+transition and symbol tables, written to one JSON file.
 
     python bench.py --out BENCH.json         # about ten seconds
     python bench.py --out b.json --tiny      # three repeats of each, a few seconds
@@ -16,9 +16,13 @@ quartiles q1 and q3 of the repeats:
 - `kernels`: the transition sweep per (omega, xi) point at 200 x 3 (the
   `transition` defaults) and 20000 x 8, the float formatter `_float_cells`
   per value at 3, 800 and 9555 values, and the row writer `_csv_blocks`
-  per row of the default `transition` table, all in nanoseconds;
+  per row of the default `transition` table, all in nanoseconds; the star
+  product of two dense symbols of total degree 2 (the map kernel) and 10
+  (the tensor kernel), in microseconds, and `_symbol_rows` per row of the
+  degree-10 product's 231 rows, in nanoseconds;
 - `machine` and `commit`: CPU count, Python and numpy versions, numpy's
   SIMD baseline, dispatch targets and the features found on this CPU, the
+  BLAS build numpy was configured with and any `OPENBLAS_CORETYPE`, the
   BLAS and OpenMP thread variables as the environment has them, and the
   git commit of the tree (with a flag for uncommitted changes).
 
@@ -43,7 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from pseudoherm import cli, dynamics  # noqa: E402
+from pseudoherm import cli, dynamics, weyl  # noqa: E402
 from pseudoherm.models import SpikedHOModel  # noqa: E402
 
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -88,7 +92,7 @@ def _figure(call, unit, per, tiny):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
-    scale = (1e9 if unit.startswith("ns") else 1.0) / per
+    scale = {"ns": 1e9, "us": 1e6}.get(unit[:2], 1.0) / per
     q1, median, q3 = (float(t) * scale for t in np.percentile(times, [25, 50, 75]))
     return {"unit": unit, "median": median, "q1": q1, "q3": q3, "repeats": repeats}
 
@@ -134,7 +138,21 @@ def kernel_figures(tiny):
     fields = [omegas[:, None], xi_cells, probabilities.T]
     call = lambda: list(cli._csv_blocks(fields, 200, 3))  # noqa: E731
     out["csv_blocks_200x3"] = _figure(call, "ns/row", 600, tiny)
+    # dense symbols of total degree 2 and 10: the map and the tensor kernel
+    rng = np.random.default_rng(2006)
+    for degree in (2, 10):
+        f, g = (_dense_symbol(rng, degree) for _ in range(2))
+        out[f"star_deg{degree}"] = _figure(lambda: weyl.star(f, g), "us/product", 1, tiny)
+    product = weyl.star(f, g)
+    rows = len(cli._symbol_rows(product))
+    out[f"symbol_rows_{rows}"] = _figure(lambda: cli._symbol_rows(product), "ns/row", rows, tiny)
     return out
+
+
+def _dense_symbol(rng, degree):
+    """Every monomial of total degree <= degree, with complex normal coefficients."""
+    keys = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    return weyl.WeylSymbol(zip(keys, rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))))
 
 
 def machine():
@@ -142,6 +160,7 @@ def machine():
         from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x
         from numpy.core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
@@ -150,6 +169,8 @@ def machine():
         "simd_baseline": list(__cpu_baseline__),
         "simd_dispatch": list(__cpu_dispatch__),
         "cpu_features": sorted(name for name, found in __cpu_features__.items() if found),
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
         "thread_variables": {name: os.environ.get(name) for name in THREAD_VARIABLES},
     }
 

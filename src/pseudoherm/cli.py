@@ -26,9 +26,9 @@ because symbol requests are many and small:
 - Files.  Symbol and config files are read with a plain open(); pathlib
   reads a file again only when that fails, so messages name the path as
   before (`_read_text`).
-- Rows.  Floats print as Python's `'%.12g'` (`_fmt`, the one definition of
-  the format), with -0 printed as 0.  The `transition` and `contour`
-  tables, whose row counts a flag sets, go through one row writer
+- Rows.  Floats print as Python's `'%.12g'` (`_FLOAT`, read by `_fmt`, the
+  one definition of the format), with -0 printed as 0.  The `transition`
+  and `contour` tables, whose row counts a flag sets, go through one row writer
   (`_csv_blocks`); every other table formats row by row.  Per block of
   rows the writer prints all the float fields with one call of
   `_float_cells`, an array kernel that gives the bytes of `_fmt` for every
@@ -36,10 +36,12 @@ because symbol requests are many and small:
   of the block uses; it places every field in one byte buffer shaped like
   the rows and drops the NULs in one pass.  Blocks go to the output as
   they are built, so a table of millions of rows never sits in memory
-  whole.  The other tables (the symbol tables of `_symbol_rows`,
-  `spectrum`, `propagate`, `verify-all`, the config block) call `_fmt` per
-  value.  The writer's fixed cost, 36 calls of numpy functions and methods
-  and about as many array operators and index expressions on tiny arrays
+  whole.  The symbol tables (`_symbol_rows`) print each row with one `%`
+  of a row format built from `_FLOAT`, the format spec that `_fmt` reads,
+  on parts whose -0 one numpy `+ 0.0` has folded.  The other tables
+  (`spectrum`, `propagate`, `verify-all`, the config block) call `_fmt`
+  per value.  The writer's fixed cost, 36 calls of numpy functions and
+  methods and about as many array operators and index expressions on tiny arrays
   (about 47 us for a one-row table on a 2-vCPU x86-64), is what that loop
   spends on some 30 rows of three floats: `spectrum` prints fewer at its
   defaults, `verify-all` prints text, and on `propagate`'s 51 rows the
@@ -79,10 +81,13 @@ class CliUsageError(Exception):
     """Bad parameter value or unknown configuration key."""
 
 
+_FLOAT = "%.12g"  # the one spelling of the float format, read by _fmt and _SYMBOL_ROW
+
+
 def _fmt(value):
     """The one definition of how the CLI prints a real number: as a float
     to 12 significant digits, and -0 as 0 (adding 0.0 turns -0 into 0)."""
-    return f"{value + 0.0:.12g}"
+    return _FLOAT % (value + 0.0)
 
 
 # -- array formatting ------------------------------------------------------
@@ -372,11 +377,15 @@ def _read_symbol(path):
         raise ValueError(f"symbol file {path}: {exc}") from None
 
 
+_SYMBOL_ROW = f"%d,%d,{_FLOAT},{_FLOAT}"
+
+
 def _symbol_rows(sym):
-    """One CSV row per term, in (deg_x, deg_p) order."""
+    """One CSV row per term, in (deg_x, deg_p) order, each the bytes of
+    _fmt of its parts: one % per row, the parts' -0 folded by one + 0.0."""
     dx, dp, c = sym.arrays()
-    terms = zip(dx.tolist(), dp.tolist(), c.real.tolist(), c.imag.tolist())
-    return [f"{a},{b},{_fmt(re)},{_fmt(im)}" for a, b, re, im in terms]
+    terms = zip(dx.tolist(), dp.tolist(), (c.real + 0.0).tolist(), (c.imag + 0.0).tolist())
+    return [_SYMBOL_ROW % term for term in terms]
 
 
 # -- subcommand runners ----------------------------------------------------
@@ -799,7 +808,7 @@ def _help(name):
 def _read_config(path):
     try:
         text = _read_text(path)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:  # missing, unreadable or not text
         raise CliUsageError(f"cannot read config file {path}: {exc}") from None
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):

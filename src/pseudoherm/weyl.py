@@ -41,10 +41,12 @@ The Moyal product has two kernels, chosen by the size of the boxes.  When
 its linear map of f (x) g has at most MAX_MAP entries (every product up to
 5x5 * 5x5) it is one cached real matrix, applied as two matrix products;
 larger boxes go through a tensor kernel whose work grows with the boxes
-rather than with the map.  Coefficient scatters (a + c, b + d) are one
-np.bincount over a cached flat index.  Maps, tensor-kernel plans and
-indices share one least-recently-used cache of at most CACHE_BYTES
-(16 MiB); the tensor kernel's scratch buffer is apart from it.
+rather than with the map, and which forms the summed magnitudes only when
+a cached bound on them does not settle every coefficient.  Coefficient
+scatters (a + c, b + d) are one np.bincount over a cached flat index.
+Maps, tensor-kernel plans, bounds and indices share one
+least-recently-used cache of at most CACHE_BYTES (16 MiB); the tensor
+kernel's scratch buffer is apart from it.
 
 Every exponential here is a pure one, e^E for a polynomial exponent E: a
 metric e^q or a gauge frame e^{ibx}, e^{-icp}.  It is passed as E alone.
@@ -109,10 +111,11 @@ def _settle(values, mags=None):
     A NaN or infinite coefficient, or one whose modulus overflows, raises
     ValueError, before the floor: an overflowed value beside an overflowed
     magnitude would pass for residue.  With `mags`, the summed magnitudes
-    of the terms that fed each coefficient, rounding residue goes (|c| <=
-    RESIDUE_ULPS eps * mags); a NaN magnitude keeps its coefficient (a
-    map's matrix product turns an infinite |f_ab| |g_cd| into 0 * inf = NaN
-    in every output it does not feed).  The array is trimmed, so without
+    of the terms that fed each coefficient (or, from the tensor kernel, a
+    bound on them that drops the same coefficients), rounding residue goes
+    (|c| <= RESIDUE_ULPS eps * mags); a NaN magnitude keeps its coefficient
+    (a map's matrix product turns an infinite |f_ab| |g_cd| into
+    0 * inf = NaN in every output it does not feed).  The array is trimmed, so without
     `mags` only exact zeros go, and a degree above MAX_DEGREE raises
     ValueError, so that every symbol is one a symbol file can hold.
     """
@@ -405,16 +408,25 @@ def _moyal_blocks(nb, nc, odd_only):
     return blocks
 
 
-def _moyal_by_tensor(f, g, odd_only):
+def _moyal_by_tensor(f, g, odd_only, magnitude_plane=False):
     """The Moyal product of two coefficient boxes through the packed (b, c, a, d) tensor.
 
-    Four steps: the u part as one matrix product of Hankel windows of f and
-    g (odd and even u in turn with odd_only), giving the real part, the
-    imaginary part and the magnitude |f| x |g| as three planes; one take
-    per plane into the (row, class, a' d') layout; one real matrix product
-    of the v blocks with it; one bincount per plane to (a + c, b + d).  The
+    Four steps per plane: the u part as one matrix product of Hankel
+    windows of f and g (odd and even u in turn with odd_only); one take per
+    plane into the (row, class, a' d') layout; one real matrix product of
+    the v blocks with it; one bincount per plane to (a + c, b + d).  The
     planes live in a reused scratch buffer, 3 (1 + k) na nb nc nd doubles
     for k u products, and the blocks' output overwrites the u product.
+
+    The real and imaginary planes come first.  The magnitude plane, the
+    same steps on |f| x |g|, is formed only when the floor of _settle may
+    need it: when some coefficient is nonzero and at most _RESIDUE times
+    _magnitude_bound (2 max|f| max|g| S), or when that bound overflows.
+    Otherwise every coefficient is exactly 0, which the floor zeroes
+    whatever the magnitudes, or above _RESIDUE times a bound that is at
+    least its magnitude, which the floor keeps; so the bound is returned
+    in place of the magnitudes and no coefficient settles differently.
+    With magnitude_plane the plane is always formed.
     """
     na, nb = f.shape
     nc, nd = g.shape
@@ -429,35 +441,70 @@ def _moyal_by_tensor(f, g, odd_only):
 
     # u orders of each product: all of them, or the odd then the even ones
     orders = (slice(1, None, 2), slice(0, None, 2)) if odd_only else (slice(None),)
+    factors = [(lhs[:, us].conj(), np.ascontiguousarray(rhs[:, us])) for us in orders]
     size = na * nb * nc * nd
     work = _scratch(3 * (1 + len(orders)) * size)
     planes = work[: 3 * size].reshape(3, size)  # re, im, magnitude
     packed = work[3 * size :].reshape(3, len(orders), size)
-    for half, us in enumerate(orders):
-        left, right = lhs[:, us].conj(), np.ascontiguousarray(rhs[:, us])
+    n1, n2 = blocks.shape[:2]
+    h, w = na + nc - 1, nb + nd - 1
+
+    def sums(kind):
+        """The (a + c, b + d) sums of planes[kind], once the u products fill packed[kind]."""
+        np.matmul(
+            blocks,
+            packed[kind].reshape(-1, len(orders) * n2, n1, na * nd).transpose(0, 2, 1, 3),
+            out=planes[kind].reshape(-1, n2, n1, na * nd).transpose(0, 2, 1, 3),
+        )
+        return [np.bincount(scatter, plane, h * w).reshape(h, w) for plane in planes[kind]]
+
+    for half, (left, right) in enumerate(factors):
         # over (re, im) pairs, conj(L) gives Re(L R) and i conj(L) gives Im(L R)
         np.matmul(
             np.concatenate((left, 1j * left)).view(float),
             right.view(float).T,
             out=planes[:2].reshape(2 * nb * na, nc * nd),
         )
+        np.take(planes[0], gather, out=packed[0, half], mode="clip")
+        np.take(planes[1], gather, out=packed[1, half], mode="clip")
+    re, im = sums(slice(0, 2))
+    values = (re + 1j * im) * turn_out
+    if not magnitude_plane:
+        # building S runs this kernel on the same scratch buffer; the
+        # magnitude plane below writes every scratch entry before it reads it
+        bound = _magnitude_bound(f, g, odd_only)
+        moduli = np.abs(values)
+        if bound is not None and not np.count_nonzero(moduli[moduli <= _RESIDUE * bound]):
+            return values, bound
+    for half, (left, right) in enumerate(factors):
         np.matmul(np.abs(left), np.abs(right).T, out=planes[2].reshape(nb * na, nc * nd))
-        for plane, into in zip(planes, packed):
-            np.take(plane, gather, out=into[half], mode="clip")
+        np.take(planes[2], gather, out=packed[2, half], mode="clip")
+    (mag,) = sums(slice(2, 3))
+    return values, mag
 
-    n1, n2 = blocks.shape[:2]
-    np.matmul(
-        blocks,
-        packed.reshape(3, -1, n1, na * nd).transpose(0, 2, 1, 3),
-        out=planes.reshape(3, n2, n1, na * nd).transpose(0, 2, 1, 3),
-    )
-    h, w = na + nc - 1, nb + nd - 1
-    re, im, mag = (np.bincount(scatter, plane, h * w).reshape(h, w) for plane in planes)
-    return (re + 1j * im) * turn_out, mag
+
+def _tensor_bound(na, nb, nc, nd, odd_only):
+    """S, the tensor kernel's magnitude plane of two all-ones boxes of the
+    given shapes: the summed weights of the terms that feed each output
+    coefficient."""
+    ones = (np.ones(shape, dtype=complex) for shape in ((na, nb), (nc, nd)))
+    return _moyal_by_tensor(*ones, odd_only, magnitude_plane=True)[1]
+
+
+def _magnitude_bound(f, g, odd_only):
+    """2 max|f| max|g| S (S of _tensor_bound, cached), at least the tensor
+    kernel's magnitude plane of the product of f and g: each term's
+    |f_ab| |g_cd| is at most max|f| max|g|, and the factor 2 covers the
+    rounding of the sums.  None when max|f| max|g| overflows."""
+    scale = 2.0 * np.maximum.reduce(np.abs(f), axis=None) * np.maximum.reduce(np.abs(g), axis=None)
+    if not math.isfinite(scale):
+        return None
+    return scale * _CACHE(_tensor_bound, *f.shape, *g.shape, odd_only)
 
 
 def _moyal(f, g, odd_only=False):
-    """Moyal product of two coefficient arrays, with per-coefficient summed magnitudes.
+    """Moyal product of two coefficient arrays, with per-coefficient summed magnitudes
+    (or, from the tensor kernel, a bound on them that settles alike).
 
     f * g = exp((i/2) d_x1 d_p2) exp(-(i/2) d_p1 d_x2) f(x1, p1) g(x2, p2)
     at x1 = x2, p1 = p2.  The kernel follows the size of the boxes: a
@@ -470,6 +517,13 @@ def _moyal(f, g, odd_only=False):
     against 58-59 us, and 6x6 * 6x6 105-139 us against 74-96 us: the
     tensor kernel wins from 6x6, where MAX_MAP ends (one 6x6 map would
     take 2.4 MiB; MAX_MAP keeps one within 1 MiB).
+
+    The map forms its magnitudes on every call, in one small matrix
+    product that costs less than a bound would.  The tensor kernel returns
+    in their place a bound that settles every coefficient alike whenever
+    the bound clears the floor (_moyal_by_tensor): dense products of
+    degrees 6-10 do, those of degrees 12-16 mostly form the magnitude
+    plane.
 
     With odd_only only the odd orders u + v are kept, doubled: that is
     f * g - g * f, which never forms the even orders that cancel in the

@@ -12,7 +12,8 @@ SUBCOMMANDS = ["wedges", "contour", "star", "kappa", "bch", "metric-verify", "me
 KERNELS = {
     "transition_sweep_200x3": "ns/point", "transition_sweep_20000x8": "ns/point",
     "float_cells_3": "ns/value", "float_cells_800": "ns/value", "float_cells_9555": "ns/value",
-    "csv_blocks_200x3": "ns/row",
+    "csv_blocks_200x3": "ns/row", "star_deg2": "us/product", "star_deg10": "us/product",
+    "symbol_rows_231": "ns/row",
 }
 
 

@@ -409,13 +409,14 @@ def test_missing_config_file(capsys, tmp_path):
     assert code == 2
 
 
-def test_a_config_file_that_is_not_utf8_exits_1(capsys, tmp_path):
-    # it once escaped cli.run as an uncaught UnicodeDecodeError
+def test_a_config_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    # it once escaped cli.run as an uncaught UnicodeDecodeError, then exited 1;
+    # like an unreadable config it is a usage error
     config = tmp_path / "binary.cfg"
     config.write_bytes(b"N = 4\n\xd0\x00\n")
     code, out, err = invoke(capsys, ["wedges", "--config", str(config)])
-    assert (code, out) == (1, "")
-    assert err.startswith("error: 'utf-8' codec can't decode")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: cannot read config file {config}: 'utf-8' codec can't decode")
 
 
 # -- output plumbing -------------------------------------------------------

@@ -378,7 +378,7 @@ def test_map_and_tensor_kernels_agree(shape, odd_only, monkeypatch):
     rng = np.random.default_rng(sum(shape) + odd_only)
     f, g = _random(rng, shape[:2]), _random(rng, shape[2:])
     values, mags = weyl._moyal_by_map(f, g, odd_only)
-    tensor_values, tensor_mags = weyl._moyal_by_tensor(f, g, odd_only)
+    tensor_values, tensor_mags = weyl._moyal_by_tensor(f, g, odd_only, magnitude_plane=True)
     assert np.all(np.abs(values - tensor_values) <= weyl._RESIDUE * tensor_mags)
     np.testing.assert_allclose(mags, tensor_mags, rtol=1e-14, atol=0)
     # _moyal takes the map exactly when it has at most MAX_MAP entries
@@ -468,10 +468,64 @@ def test_packed_kernel_matches_the_sweep(odd_only):
     boxes = _tensor_boxes(rng, 60) + [(17, 17, 17, 17), (1, 17, 17, 1)]
     for shape in boxes:
         f, g = _random(rng, shape[:2]), _random(rng, shape[2:])
-        values, mags = weyl._moyal_by_tensor(f, g, odd_only)
+        values, mags = weyl._moyal_by_tensor(f, g, odd_only, magnitude_plane=True)
         sweep_values, sweep_mags = sweep_moyal_by_tensor(f, g, odd_only)
         assert np.all(np.abs(values - sweep_values) <= weyl._RESIDUE * mags), shape
         np.testing.assert_allclose(mags, sweep_mags, rtol=1e-14, atol=0, err_msg=str(shape))
+
+
+def _bits(sym):
+    """The coefficient array of a symbol, down to the sign of each zero."""
+    return sym._c.shape, sym._c.tobytes()
+
+
+def _skip_boxes(rng):
+    """Pairs of boxes from 6 x 6 to 17 x 17 that must take the tensor kernel:
+    random dense ones, then inputs on which the magnitude plane must be
+    formed: x-only symbols (whose commutator is exactly zero) and products
+    whose (0, 0) coefficient cancels to rounding residue."""
+    pairs = [(_random(rng, shape[:2]), _random(rng, shape[2:])) for shape in rng.integers(6, 18, (12, 4))]
+    pairs += [(_random(rng, (n, 1)), _random(rng, (m, 1))) for n, m in ((17, 17), (9, 16))]
+    for n in (6, 11, 17):
+        f, g = _random(rng, (n, n)), _random(rng, (n, n))
+        # (f * g)_00 = sum_uv f_uv g_vu (i/2)^u (-i/2)^v u! v!: cancel it through g_00
+        u, v = np.indices((n, n))
+        weights = (0.5j) ** u * (-0.5j) ** v * weyl._falling(n)[u, u] * weyl._falling(n)[v, v]
+        g[0, 0] -= (f * g.T * weights).sum() / f[0, 0]
+        pairs.append((f, g))
+    return pairs
+
+
+@pytest.mark.parametrize("odd_only", [False, True])
+def test_skipping_the_magnitude_plane_moves_no_bit(odd_only, monkeypatch):
+    rng = np.random.default_rng(39 + odd_only)
+    op = weyl.star_commutator if odd_only else weyl.star
+    pairs = _skip_boxes(rng)
+    skipped = [op(WeylSymbol._wrap(f), WeylSymbol._wrap(g)) for f, g in pairs]
+    bounds = [weyl._moyal_by_tensor(f, g, odd_only)[1] for f, g in pairs]
+    planes = [weyl._moyal_by_tensor(f, g, odd_only, magnitude_plane=True)[1] for f, g in pairs]
+    kernel = weyl._moyal_by_tensor
+    monkeypatch.setattr(weyl, "_moyal_by_tensor", lambda f, g, odd: kernel(f, g, odd, magnitude_plane=True))
+    formed = [op(WeylSymbol._wrap(f), WeylSymbol._wrap(g)) for f, g in pairs]
+    assert [_bits(a) for a in skipped] == [_bits(b) for b in formed]
+    taken = [not np.array_equal(bound, plane) for bound, plane in zip(bounds, planes)]
+    # the random dense pairs take the bound; a cancelled coefficient forms the plane
+    assert all(taken[:12]) and not any(taken[-3:]), taken
+    assert all(np.all(bound >= plane) for bound, plane in zip(bounds, planes))
+
+
+@pytest.mark.parametrize("odd_only", [False, True])
+def test_the_cached_bound_dominates_the_magnitude_plane_where_it_is_tight(odd_only):
+    # every entry of f of modulus 0.5 and of g of modulus 3: the magnitude
+    # plane is then max|f| max|g| S to rounding, and the bound twice it
+    rng = np.random.default_rng(17 + odd_only)
+    for shape in [*rng.integers(6, 18, (8, 4)), (17, 17, 17, 17), (1, 17, 17, 1)]:
+        f, g = (modulus * np.exp(2j * np.pi * rng.random(tuple(box)))
+                for modulus, box in ((0.5, shape[:2]), (3.0, shape[2:])))
+        bound = weyl._magnitude_bound(f, g, odd_only)
+        _, mags = weyl._moyal_by_tensor(f, g, odd_only, magnitude_plane=True)
+        assert np.all(bound >= mags), shape
+        np.testing.assert_allclose(bound, 2.0 * mags, rtol=1e-13, atol=0, err_msg=str(shape))
 
 
 def test_kernel_scratch_holds_at_most_nine_tensors(monkeypatch):
@@ -661,6 +715,13 @@ def test_symbol_rows_print_the_bytes_of_the_fmt_rows(shape):
     c = _random(np.random.default_rng(shape[0]), shape)
     c[-1, -1] = complex(-0.0, 1e-300)
     c[0, 0] = complex(1.5, -0.0)
+    # values at the edges of '%.12g': the switch to exponent form at 1e-5
+    # and 1e12, a carry to 1e+12, twelve digits, and -0 in both parts (a
+    # term that is no term); each with either sign
+    edges = [1e-05, 0.0001, 1e+16, 999999999999.5, 123456789012]
+    c.flat[1:6] = [complex(x, -x) for x in edges]
+    c.flat[6:11] = [complex(-x, x) for x in edges[::-1]]
+    c.flat[11] = complex(-0.0, -0.0)
     rows = cli._symbol_rows(WeylSymbol._wrap(c))
     assert "\n".join(rows) == "\n".join(loop_symbol_rows(WeylSymbol._wrap(c)))
 

@@ -189,8 +189,10 @@ def test_tensor_products_with_a_constant_are_exact(scale):
     f = rng.standard_normal((17, 17)) + 1j * rng.standard_normal((17, 17))
     c = np.array([[scale]], dtype=complex)
     assert map_entries(17, 17, 1, 1) > MAX_MAP
-    for values, mags in (weyl._moyal(f, c), weyl._moyal(c, f)):
-        assert np.array_equal(values, f * scale)
+    for a, b in ((f, c), (c, f)):
+        values, _ = weyl._moyal(a, b)
+        plane_values, mags = weyl._moyal_by_tensor(a, b, False, magnitude_plane=True)
+        assert np.array_equal(values, f * scale) and np.array_equal(plane_values, values)
         assert np.array_equal(mags, np.abs(f) * abs(scale))
 
 
@@ -201,8 +203,10 @@ def test_tensor_commutators_of_x_only_symbols_are_exactly_zero():
     for na, nc in ((33, 33), (41, 33), (7, 171)):
         assert map_entries(na, 1, nc, 1) > MAX_MAP
         f, g = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)) for n in (na, nc))
-        values, mags = weyl._moyal(f, g, odd_only=True)
+        values, _ = weyl._moyal(f, g, odd_only=True)
+        plane_values, mags = weyl._moyal_by_tensor(f, g, True, magnitude_plane=True)
         assert values.shape == (na + nc - 1, 1)
+        assert np.array_equal(plane_values, values)
         assert not values.any() and not mags.any()
 
 
