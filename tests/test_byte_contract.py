@@ -2,15 +2,16 @@
 tests/byte_contract.json records.
 
 The corpus is the requests and strong-field calls of test_reach, then the
-requests of perfbench/workloads.build(workload, 1, ".") for every
-workload, all run in one fresh interpreter through workloads.execute, as
+requests of perfbench/workloads.build(workload, seed, ".") for every
+workload and each seed of SEEDS, all run in one fresh interpreter through workloads.execute, as
 the benchmark runs them.  The interpreter works in a temporary directory
 that holds every input file, and each request names its files by paths
 relative to it, so that what the symbol subcommands echo does not depend
 on where the directory is.
 
 For each request the manifest holds its exit code and the SHA-256 of its
-stdout and its stderr; for a strong-field call, the SHA-256 of the state's
+stdout and its stderr (a workload request is keyed `workload/rid`, with
+`@seed` appended past seed 1); for a strong-field call, the SHA-256 of the state's
 bytes in place of stdout.  It also holds bench.machine() of the machine
 that wrote it.  The last printed digits may move between numpy SIMD
 targets and BLAS kernels, so on a machine whose record differs in a field
@@ -42,7 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench  # noqa: E402
 from test_reach import INPUT_FILES, REQUESTS, STRONG_FIELD_PULSES  # noqa: E402
 
-SEED = 1
+SEEDS = (1, 2, 3)  # seeds 2 and 3 draw other symbols, pulses and levels
 CONTRACT_FIELDS = ("python", "numpy", "simd_baseline", "simd_dispatch", "cpu_features", "blas",
                    "openblas_coretype")
 
@@ -61,20 +62,29 @@ for path, text in job["files"].items():
 grid = dict(x_min=-20.0, x_max=20.0, points=256)
 x = models.GridSpec(**grid).coordinates()
 psi0, potential = np.exp(-0.5 * x * x) + 0j, 0.01 * x * x
-requests = [("reach-%02d" % i, workloads.Request("", "", "", argv=argv))
-            for i, argv in enumerate(job["requests"])]
-requests += [("reach-strong-field-%d" % i, workloads.Request("", "", "", call=dict(
-                 grid, t=1.0, n_quad=16, pulse=pulse, psi0=psi0, potential=potential)))
-             for i, pulse in enumerate(job["pulses"])]
-for workload in workloads.WORKLOADS:
-    requests += [(workload + "/" + req.rid, req) for req in workloads.build(workload, job["seed"], ".")]
 lib = SimpleNamespace(cli=cli, dynamics=dynamics, models=models)
 sha = lambda data: hashlib.sha256(data).hexdigest()
 out = {}
-for rid, req in requests:
-    _, code, output, error = workloads.execute(req, lib)
-    out[rid] = {"code": code, "stdout" if req.argv is not None else "state": sha(output),
-                "stderr": sha(error.encode()), "request": req.describe()}
+
+
+def execute(requests):
+    for rid, req in requests:
+        _, code, output, error = workloads.execute(req, lib)
+        out[rid] = {"code": code, "stdout" if req.argv is not None else "state": sha(output),
+                    "stderr": sha(error.encode()), "request": req.describe()}
+
+
+execute([("reach-%02d" % i, workloads.Request("", "", "", argv=argv))
+         for i, argv in enumerate(job["requests"])])
+execute([("reach-strong-field-%d" % i, workloads.Request("", "", "", call=dict(
+             grid, t=1.0, n_quad=16, pulse=pulse, psi0=psi0, potential=potential)))
+         for i, pulse in enumerate(job["pulses"])])
+# a seed's build rewrites the symbol files of the one before, so each seed
+# runs before the next is built
+for seed in job["seeds"]:
+    tag = "" if seed == 1 else "@%d" % seed
+    for workload in workloads.WORKLOADS:
+        execute([(workload + "/" + req.rid + tag, req) for req in workloads.build(workload, seed, ".")])
 json.dump(out, sys.stdout)
 """
 
@@ -88,7 +98,7 @@ def run_corpus(workdir):
         "files": {paths[name]: text for name, text in INPUT_FILES.items()},
         "requests": [[arg.format(**paths) for arg in argv] for argv, _ in REQUESTS],
         "pulses": STRONG_FIELD_PULSES,
-        "seed": SEED,
+        "seeds": SEEDS,
     }
     path = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
