@@ -10,16 +10,18 @@ repeated calls, after one untimed call, and reported as the median and the
 quartiles q1 and q3 of the repeats:
 
 - `subcommands`: each subcommand at its defaults (required flags set, on
-  small symbol files written to a temporary directory), in seconds from
-  the call of `cli.run` to its return, the last byte written to an
-  in-memory stdout;
+  small symbol files written to a temporary directory), and `propagate`
+  at a scaled-up 20000 snapshots, in seconds from the call of `cli.run`
+  to its return, the last byte written to an in-memory stdout;
 - `kernels`: the transition sweep per (omega, xi) point at 200 x 3 (the
   `transition` defaults) and 20000 x 8, the float formatter `_float_cells`
   per value at 3, 800 and 9555 values, and the row writer `_csv_blocks`
   per row of the default `transition` table, all in nanoseconds; the star
   product of two dense symbols of total degree 2 (the map kernel) and 10
-  (the tensor kernel), in microseconds, and `_symbol_rows` per row of the
-  degree-10 product's 231 rows, in nanoseconds;
+  (the tensor kernel), in microseconds, and the table entry `_table` per
+  row of the products of two dense symbols of degree 6 and 10 (91 and 231
+  rows, below `_WRITER_ROWS`: one `%` per row) and 12 (325 rows, the row
+  writer), in nanoseconds;
 - `machine` and `commit`: CPU count, Python and numpy versions, numpy's
   SIMD baseline, dispatch targets and the features found on this CPU, the
   BLAS build numpy was configured with and any `OPENBLAS_CORETYPE`, the
@@ -60,7 +62,7 @@ SYMBOLS = {
     "h": "0 2 0.5 0\n1 1 0 -0.2\n2 0 0.25 0\n",  # swanson --n 2 --m 2 --alpha 0.5 --g 0.2
 }
 
-# each subcommand at its defaults; {name} is the path of SYMBOLS[name]
+# each subcommand at its defaults, and propagate scaled up; {name} is the path of SYMBOLS[name]
 SUBCOMMANDS = {
     "wedges": ["wedges", "--N", "4"],
     "contour": ["contour", "--kind", "z1", "--N", "4"],
@@ -75,6 +77,7 @@ SUBCOMMANDS = {
     "spectrum": ["spectrum", "--model", "x4h", "--levels", "3"],
     "transition": ["transition"],
     "propagate": ["propagate"],
+    "propagate --snapshots 20000": ["propagate", "--snapshots", "20000"],
     "verify-all": ["verify-all"],
 }
 
@@ -143,9 +146,11 @@ def kernel_figures(tiny):
     for degree in (2, 10):
         f, g = (_dense_symbol(rng, degree) for _ in range(2))
         out[f"star_deg{degree}"] = _figure(lambda: weyl.star(f, g), "us/product", 1, tiny)
-    product = weyl.star(f, g)
-    rows = len(cli._symbol_rows(product))
-    out[f"symbol_rows_{rows}"] = _figure(lambda: cli._symbol_rows(product), "ns/row", rows, tiny)
+    # symbol tables on either side of _WRITER_ROWS: products of degree 12, 20 and 24
+    for degree in (6, 10, 12):
+        dx, dp, c = weyl.star(*(_dense_symbol(rng, degree) for _ in range(2))).arrays()
+        call = lambda: list(cli._table("ddgg", dx, dp, c.real, c.imag))  # noqa: E731
+        out[f"table_{dx.size}"] = _figure(call, "ns/row", dx.size, tiny)
     return out
 
 

@@ -27,25 +27,27 @@ because symbol requests are many and small:
   reads a file again only when that fails, so messages name the path as
   before (`_read_text`).
 - Rows.  Floats print as Python's `'%.12g'` (`_FLOAT`, read by `_fmt`, the
-  one definition of the format), with -0 printed as 0.  The `transition`
-  and `contour` tables, whose row counts a flag sets, go through one row writer
-  (`_csv_blocks`); every other table formats row by row.  Per block of
-  rows the writer prints all the float fields with one call of
-  `_float_cells`, an array kernel that gives the bytes of `_fmt` for every
-  float64, NUL-padded to cells that keep only the 4-byte words some value
-  of the block uses; it places every field in one byte buffer shaped like
-  the rows and drops the NULs in one pass.  Blocks go to the output as
-  they are built, so a table of millions of rows never sits in memory
-  whole.  The symbol tables (`_symbol_rows`) print each row with one `%`
-  of a row format built from `_FLOAT`, the format spec that `_fmt` reads,
-  on parts whose -0 one numpy `+ 0.0` has folded.  The other tables
-  (`spectrum`, `propagate`, `verify-all`, the config block) call `_fmt`
-  per value.  The writer's fixed cost, 36 calls of numpy functions and
-  methods and about as many array operators and index expressions on tiny arrays
-  (about 47 us for a one-row table on a 2-vCPU x86-64), is what that loop
-  spends on some 30 rows of three floats: `spectrum` prints fewer at its
-  defaults, `verify-all` prints text, and on `propagate`'s 51 rows the
-  difference is below 0.3% of the run.
+  one definition of the format), with -0 printed as 0.  Every table but
+  `transition`'s goes through one entry, `_table(kinds, *columns)`, with a
+  letter per column: 'd' for an integer, 'g' for a float, 's' for text.
+  Below `_WRITER_ROWS` rows (256, set by timing both ways inside whole
+  requests) it prints each row with one `%` of a format built from `_FLOAT`,
+  on float columns whose -0 one numpy `+ 0.0` has folded, and returns the
+  list of rows.  From there on it hands the columns to the row writer
+  (`_csv_blocks`) as float64 fields and NUL-padded text cells, and returns
+  the writer's blocks.  `transition` calls the writer itself, to print
+  its (omega, xi) table by broadcasting: each omega and each xi text is
+  formatted once for the whole table.  Per block of rows the writer
+  prints all the float fields with one call of `_float_cells`, an array
+  kernel that gives the bytes of `_fmt` for every float64, NUL-padded to
+  cells that keep only the 4-byte words some value of the block uses; it
+  places every field in one byte buffer shaped like the rows and drops
+  the NULs in one pass.  Blocks go to the output as they are built, so a
+  table of millions of rows never sits in memory whole.  Timed alone in
+  a warm loop on a 2-vCPU x86-64, the writer takes about 45 us for one
+  row of one float and 57 us for one row of a symbol table's four
+  columns, and then about half a microsecond a row, where the `%` loop
+  takes nearly one; inside a request it gains less, hence the 256.
 
 `spectrum` solves no grid.  It prints the spiked model's closed-form
 levels lam(4n + 2 alpha + 2), on the whole domain alpha > -1, and the x4h
@@ -81,7 +83,7 @@ class CliUsageError(Exception):
     """Bad parameter value or unknown configuration key."""
 
 
-_FLOAT = "%.12g"  # the one spelling of the float format, read by _fmt and _SYMBOL_ROW
+_FLOAT = "%.12g"  # the one spelling of the float format, read by _fmt and _table
 
 
 def _fmt(value):
@@ -235,7 +237,7 @@ def _csv_blocks(fields, size, width=1):
     per_block = max(1, _ROW_BLOCK // width)
     for i in range(0, size, per_block):
         block = [f[i:i + per_block] if f.shape[0] == size else f for f in fields]
-        cells = _float_cells(np.concatenate([f.ravel() for f in block if f.dtype != np.uint8]))
+        cells = _float_cells(np.concatenate([f.ravel() for f in block if f.dtype != np.uint8] or [np.empty(0)]))
         for k, f in enumerate(block):
             if f.dtype != np.uint8:
                 block[k], cells = cells[:f.size].reshape(f.shape + (-1,)), cells[f.size:]
@@ -377,15 +379,36 @@ def _read_symbol(path):
         raise ValueError(f"symbol file {path}: {exc}") from None
 
 
-_SYMBOL_ROW = f"%d,%d,{_FLOAT},{_FLOAT}"
+# Tables of this many rows or more go to _csv_blocks.  Timed inside whole
+# requests (cli.run with _table held to one path, interleaved, medians of
+# 300, one BLAS thread, 2-vCPU x86-64), row loop/writer in us: star products
+# of 153, 231 and 325 rows 594/620, 911/935, 1544/1546; contour tables of
+# 128, 201, 256 and 400 rows 182/169, 233/193, 299/206, 442/276.  So symbol
+# tables cross near 300 rows and three float columns below 200.  (Timed
+# alone in a warm loop, the writer crosses earlier: near 170 rows for
+# symbol tables.)
+_WRITER_ROWS = 256
 
 
-def _symbol_rows(sym):
-    """One CSV row per term, in (deg_x, deg_p) order, each the bytes of
-    _fmt of its parts: one % per row, the parts' -0 folded by one + 0.0."""
-    dx, dp, c = sym.arrays()
-    terms = zip(dx.tolist(), dp.tolist(), (c.real + 0.0).tolist(), (c.imag + 0.0).tolist())
-    return [_SYMBOL_ROW % term for term in terms]
+def _table(kinds, *columns):
+    """The rows of a CSV table whose columns are the equal-length sequences
+    `columns`, one letter of `kinds` each: 'd' an integer printed by '%d'
+    (below 1e12 in size), 'g' a float printed as `_fmt` prints it, 's' a
+    value printed by '%s' (ASCII text on the writer's path).
+
+    Below _WRITER_ROWS rows a list of texts, one % per row of a format
+    built from _FLOAT, on float columns whose -0 one numpy + 0.0 has
+    folded; else the blocks of _csv_blocks, which print every number
+    column as float64 (an integer below 1e12 prints as '%d' does) and
+    take the text columns as NUL-padded ASCII cells."""
+    size = len(columns[0])
+    if size < _WRITER_ROWS:
+        row = ("%" + ",%".join(kinds)).replace("%g", _FLOAT)
+        cells = [np.add(c, 0.0).tolist() if k == "g" else np.asarray(c).tolist() if k == "d" else c
+                 for k, c in zip(kinds, columns)]
+        return [row % cell for cell in zip(*cells)]
+    return _csv_blocks([np.array(c, dtype="S").view(np.uint8).reshape(size, 1, -1) if k == "s"
+                        else np.asarray(c, np.float64)[:, None] for k, c in zip(kinds, columns)], size)
 
 
 # -- subcommand runners ----------------------------------------------------
@@ -394,10 +417,9 @@ def _symbol_rows(sym):
 def _run_wedges(v, canon):
     pair = stokes.wedges(v["N"])
     anti = stokes.anti_stokes(v["N"])
-    rows = [
-        f"left,{_fmt(pair.left.theta_lo)},{_fmt(pair.left.theta_hi)},{_fmt(anti.left)}",
-        f"right,{_fmt(pair.right.theta_lo)},{_fmt(pair.right.theta_hi)},{_fmt(anti.right)}",
-    ]
+    sides = (pair.left, pair.right)
+    rows = _table("sggg", ("left", "right"), [w.theta_lo for w in sides], [w.theta_hi for w in sides],
+                  (anti.left, anti.right))
     return [], "side,theta_lo,theta_hi,theta_anti_stokes", rows, 0
 
 
@@ -415,8 +437,7 @@ def _run_contour(v, canon):
     zs = stokes.contour_point(contour, xs)
     admissible = stokes.contour_admissible(contour, v["N"])
     extra = [f"# admissible={'true' if admissible else 'false'}"]
-    rows = _csv_blocks([xs[:, None], zs.real[:, None], zs.imag[:, None]], xs.size)
-    return extra, "x,re_z,im_z", rows, 0
+    return extra, "x,re_z,im_z", _table("ggg", xs, zs.real, zs.imag), 0
 
 
 def _run_star(v, canon):
@@ -426,15 +447,16 @@ def _run_star(v, canon):
         out = weyl.star(f_sym, g_sym)
     else:
         out = weyl.star_commutator(f_sym, g_sym)
-    return [], "deg_x,deg_p,re,im", _symbol_rows(out), 0
+    dx, dp, c = out.arrays()
+    return [], "deg_x,deg_p,re,im", _table("ddgg", dx, dp, c.real, c.imag), 0
 
 
 def _run_kappa(v, canon):
     if not 1 <= v["upto"] <= 401:  # about 0.2 s of exact arithmetic at the top
         raise CliUsageError("--upto must lie in [1, 401]")
     eulers = metric.euler_numbers((v["upto"] + 1) // 2)  # once for every row
-    rows = [f"{n},{metric._kappa(n, eulers)}" for n in range(1, v["upto"] + 1, 2)]
-    return [], "n,kappa", rows, 0
+    orders = range(1, v["upto"] + 1, 2)
+    return [], "n,kappa", _table("ds", orders, [metric._kappa(n, eulers) for n in orders]), 0
 
 
 def _run_bch(v, canon):
@@ -445,7 +467,8 @@ def _run_bch(v, canon):
         f"# terminated={'true' if series.terminated else 'false'}",
         f"# order={series.order}",
     ]
-    return extra, "deg_x,deg_p,re,im", _symbol_rows(series.value), 0
+    dx, dp, c = series.value.arrays()
+    return extra, "deg_x,deg_p,re,im", _table("ddgg", dx, dp, c.real, c.imag), 0
 
 
 def _check_tol(v):
@@ -466,7 +489,8 @@ def _run_metric_verify(v, canon):
         f"# passed={'true' if passed else 'false'}",
     ]
     # the residual is one polynomial, so its term column is always 0
-    rows = ["0," + row for row in _symbol_rows(residual)]
+    dx, dp, c = residual.arrays()
+    rows = _table("dddgg", 0 * dx, dx, dp, c.real, c.imag)
     return extra, "term,deg_x,deg_p,re,im", rows, 0 if passed else 1
 
 
@@ -475,17 +499,17 @@ def _run_metric_solve(v, canon):
     H = _read_symbol(v["hamiltonian"])
     solution = metric.solve_metric_ansatz(H, v["monomials"], tol=v["tol"])
     extra = [f"# residual_norm={_fmt(solution.residual_norm)}"]
-    rows = [
-        f"{dx},{dp},{_fmt(solution.coefficients[(dx, dp)])}"
-        for dx, dp in sorted(solution.coefficients)
-    ]
+    keys = sorted(solution.coefficients)
+    dx, dp = np.array(keys).T
+    rows = _table("ddg", dx, dp, [solution.coefficients[key] for key in keys])
     return extra, "deg_x,deg_p,coefficient", rows, 0
 
 
 def _pair_rows(pair, which):
     # the metric is eta^2 = exp(q), so its exponent is the generator
     sym = {"h": pair.h, "H": pair.H, "q": pair.q, "eta2_exponent": pair.q}[which]
-    return [], "deg_x,deg_p,re,im", _symbol_rows(sym), 0
+    dx, dp, c = sym.arrays()
+    return [], "deg_x,deg_p,re,im", _table("ddgg", dx, dp, c.real, c.imag), 0
 
 
 def _run_swanson(v, canon):
@@ -504,12 +528,10 @@ def _run_spiked(v, canon):
         f"# energy_n={_fmt(models.spiked_energy(model, v['n']))}",
         f"# energy_m={_fmt(models.spiked_energy(model, v['m']))}",
     ]
-    rows = []
     position = models.spiked_matrix_element(model, "position", v["n"], v["m"])
-    for op_kind in ("position", "momentum", "mapped_position"):
-        val = models.spiked_matrix_element(model, op_kind, v["n"], v["m"], position)
-        rows.append(f"{op_kind},{_fmt(val.real)},{_fmt(val.imag)}")
-    return extra, "op_kind,re,im", rows, 0
+    op_kinds = ("position", "momentum", "mapped_position")
+    vals = np.array([models.spiked_matrix_element(model, op, v["n"], v["m"], position) for op in op_kinds])
+    return extra, "op_kind,re,im", _table("sgg", op_kinds, vals.real, vals.imag), 0
 
 
 _SPECTRUM_DEFAULTS = {
@@ -546,8 +568,7 @@ def _run_spectrum(v, canon):
         values = models.oscillator_levels(models.x4_isospectral_quartic(defaults["g"]), k)
     if not all(math.isfinite(value) for value in values):
         raise ValueError("the levels leave double precision")
-    rows = [f"{n},{_fmt(val)}" for n, val in enumerate(values)]
-    return [], "n,energy", rows, 0
+    return [], "n,energy", _table("dg", range(k), values), 0
 
 
 def _run_transition(v, canon):
@@ -583,11 +604,7 @@ def _run_propagate(v, canon):
     )
     norms = np.linalg.norm(coefficients, axis=1)
     populations = np.abs(coefficients[:, v["n"]]) ** 2
-    rows = [
-        f"{_fmt(t)},{_fmt(norm)},{_fmt(population)}"
-        for t, norm, population in zip(times.tolist(), norms.tolist(), populations.tolist())
-    ]
-    return [], "t,norm,population_n", rows, 0
+    return [], "t,norm,population_n", _table("ggg", times, norms, populations), 0
 
 
 def _run_verify_all(v, canon):
@@ -604,8 +621,8 @@ def _run_verify_all(v, canon):
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         if not ok:
             failures += 1
-        rows.append(f"{name},{'PASS' if ok else 'FAIL'},{detail}")
-    return [], "check,status,detail", rows, 0 if failures == 0 else 1
+        rows.append((name, "PASS" if ok else "FAIL", detail))
+    return [], "check,status,detail", _table("sss", *zip(*rows)), 0 if failures == 0 else 1
 
 
 # -- dispatch table --------------------------------------------------------

@@ -8,12 +8,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SUBCOMMANDS = ["wedges", "contour", "star", "kappa", "bch", "metric-verify", "metric-solve",
-               "swanson", "spiked", "x4", "spectrum", "transition", "propagate", "verify-all"]
+               "swanson", "spiked", "x4", "spectrum", "transition", "propagate",
+               "propagate --snapshots 20000", "verify-all"]
 KERNELS = {
     "transition_sweep_200x3": "ns/point", "transition_sweep_20000x8": "ns/point",
     "float_cells_3": "ns/value", "float_cells_800": "ns/value", "float_cells_9555": "ns/value",
     "csv_blocks_200x3": "ns/row", "star_deg2": "us/product", "star_deg10": "us/product",
-    "symbol_rows_231": "ns/row",
+    "table_91": "ns/row", "table_231": "ns/row", "table_325": "ns/row",
 }
 
 

@@ -4,11 +4,16 @@
 gives it (Python's '%.12g', -0 as 0) in cells cut to the words its
 values use, and the `transition` and `contour` tables that the row writer
 `cli._csv_blocks` builds from it must equal the rows of the per-value
-`_fmt` loop.
+`_fmt` loop.  Every other table goes through `cli._table`, which must print
+each cell as '%d', `_fmt` or '%s' does on both of its paths: one `%` per
+row below `_WRITER_ROWS` rows, the row writer from there on.
 """
 import contextlib
 import io
 import math
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +236,57 @@ def test_contour_rows_equal_the_per_value_loop(kind):
 def test_contour_of_one_row_and_of_a_row_past_the_block(samples):
     argv = ["contour", "--kind", "z1", "--N", "5", "--samples", str(samples), "--xspan", "13.7"]
     assert _stdout(argv) == _contour_rows("z1", samples)
+
+
+# -- the table entry on both of its paths -------------------------------------
+
+# the kinds strings the runners pass to _table, read from the source so
+# that a new one is tested as soon as a runner uses it
+RUNNER_KINDS = sorted(set(re.findall(r'_table\("(\w+)"', Path(cli.__file__).read_text())))
+EDGES = [1e-05, 0.0001, 1e+16, 999999999999.5, 123456789012]
+TEXTS = ["left", "PASS", "raised ValueError: x", "", "1/2", Fraction(-17, 8)]
+
+
+def _column(kind, size, rng):
+    """A column of `size` cells with the edge values of its kind."""
+    if kind == "d":
+        # degrees up to the largest a symbol holds, and integers up to 12 digits
+        values = (np.arange(size) * 7 % 171).tolist()
+        values[:5] = [170, 0, -1, 123456789012, 999999999999]
+        return np.array(values)
+    if kind == "g":
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+        values[:12] = EDGES + [-x for x in EDGES] + [-0.0, 0.0]
+        return values
+    return [TEXTS[i % len(TEXTS)] for i in range(size)]
+
+
+def _per_value(kinds, columns):
+    cell = {"d": lambda x: "%d" % x, "g": cli._fmt, "s": lambda x: "%s" % x}
+    return [",".join(cell[k](x) for k, x in zip(kinds, row)) for row in zip(*columns)]
+
+
+def test_every_runner_passes_kinds_of_the_three_letters():
+    assert len(RUNNER_KINDS) >= 8
+    assert all(set(kinds) <= set("dgs") for kinds in RUNNER_KINDS)
+
+
+@pytest.mark.parametrize("size", [cli._WRITER_ROWS - 1, cli._WRITER_ROWS, cli._WRITER_ROWS + 1])
+@pytest.mark.parametrize("kinds", RUNNER_KINDS)
+def test_table_prints_the_per_value_cells_on_both_paths(kinds, size):
+    rng = np.random.default_rng(size)
+    columns = [_column(k, size, rng) for k in kinds]
+    # numbers as the runners pass them: arrays, and lists for every other table
+    if size % 2:
+        columns = [c if k == "s" else c.tolist() for k, c in zip(kinds, columns)]
+    rows = cli._table(kinds, *columns)
+    assert isinstance(rows, list) == (size < cli._WRITER_ROWS)
+    assert "\n".join(rows).split("\n") == _per_value(kinds, columns)
+
+
+def test_a_table_at_the_row_count_streams_and_one_below_it_does_not():
+    below = cli._table("dg", range(cli._WRITER_ROWS - 1), np.ones(cli._WRITER_ROWS - 1))
+    at = cli._table("dg", range(cli._WRITER_ROWS), np.ones(cli._WRITER_ROWS))
+    assert type(below) is list
+    assert iter(at) is at
+    assert cli._table("sgg", (), [], []) == []

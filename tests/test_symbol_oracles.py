@@ -707,6 +707,16 @@ def loop_symbol_rows(sym):
     return [f"{dx},{dp},{cli._fmt(c.real)},{cli._fmt(c.imag)}" for (dx, dp), c in sorted(sym.items())]
 
 
+def loop_table(kinds, *columns):
+    """The per-value rows `cli._table` replaced: '%d', `_fmt` or '%s' of each cell."""
+    cell = {"d": "%d".__mod__, "g": cli._fmt, "s": "%s".__mod__}
+    return [",".join(cell[k](x) for k, x in zip(kinds, row)) for row in zip(*columns)]
+
+
+def symbol_table(sym):
+    dx, dp, c = sym.arrays()
+    return cli._table("ddgg", dx, dp, c.real, c.imag)
+
 
 @pytest.mark.parametrize("shape", [(1, 159), (13, 13), (weyl.MAX_DEGREE + 1, 1), (1, 160)])
 def test_symbol_rows_print_the_bytes_of_the_fmt_rows(shape):
@@ -722,7 +732,7 @@ def test_symbol_rows_print_the_bytes_of_the_fmt_rows(shape):
     c.flat[1:6] = [complex(x, -x) for x in edges]
     c.flat[6:11] = [complex(-x, x) for x in edges[::-1]]
     c.flat[11] = complex(-0.0, -0.0)
-    rows = cli._symbol_rows(WeylSymbol._wrap(c))
+    rows = symbol_table(WeylSymbol._wrap(c))
     assert "\n".join(rows) == "\n".join(loop_symbol_rows(WeylSymbol._wrap(c)))
 
 
@@ -731,7 +741,7 @@ def test_a_real_symbol_table_prints_the_bytes_of_the_fmt_rows():
     c = np.random.default_rng(29).standard_normal((1, 160)) + 0j
     c[0, ::7] = complex(-1.25, -0.0)
     sym = WeylSymbol._wrap(c)
-    text = "\n".join(cli._symbol_rows(sym))
+    text = "\n".join(symbol_table(sym))
     assert text == "\n".join(loop_symbol_rows(sym))
     assert text.count(",0\n") == 159
 
@@ -752,7 +762,7 @@ def test_requests_print_the_bytes_of_the_replaced_paths(tmp_path, monkeypatch):
         new = _outputs(argvs)
     monkeypatch.setattr(WeylSymbol, "from_text", classmethod(lambda cls, text: loop_from_text(text)))
     monkeypatch.setattr(weyl, "_star_with_exp", counted(oracle_products, oracle))
-    monkeypatch.setattr(cli, "_symbol_rows", loop_symbol_rows)
+    monkeypatch.setattr(cli, "_table", loop_table)
     monkeypatch.setattr(weyl, "_settle", loop_settle)
     old = _outputs(argvs)
     # every exponential star of the requests ran through the per-entry oracle
