@@ -1,25 +1,26 @@
 """The byte contract: a fixed corpus of requests prints the bytes that
 tests/byte_contract.json records.
 
-The corpus is the requests and strong-field calls of test_reach, then the
-requests of perfbench/workloads.build(workload, seed, ".") for every
-workload and each seed of SEEDS, all run in one fresh interpreter through workloads.execute, as
-the benchmark runs them.  The interpreter works in a temporary directory
-that holds every input file, and each request names its files by paths
-relative to it, so that what the symbol subcommands echo does not depend
-on where the directory is.
+The corpus is the requests and strong-field calls of test_reach, then
+the requests of perfbench/workloads.build(workload, seed, ".") for every
+workload and each seed of SEEDS, all run in one fresh interpreter
+through workloads.execute, as the benchmark runs them. The interpreter
+works in a temporary directory that holds every input file, and each
+request names its files by paths relative to it, so that what the symbol
+subcommands echo does not depend on where the directory is.
 
 For each request the manifest holds its exit code and the SHA-256 of its
 stdout and its stderr (a workload request is keyed `workload/rid`, with
-`@seed` appended past seed 1); for a strong-field call, the SHA-256 of the state's
-bytes in place of stdout.  It also holds bench.machine() of the machine
-that wrote it.  The last printed digits may move between numpy SIMD
-targets and BLAS kernels, so on a machine whose record differs in a field
-that can move printed bytes (CONTRACT_FIELDS: the Python and numpy
-versions, numpy's SIMD baseline, dispatch targets and CPU features, its
-BLAS build and OPENBLAS_CORETYPE) the test skips and names the fields that
-differ.  The other fields, such as the platform string with its kernel
-build and the thread variables, are kept as information only.
+`@seed` appended past seed 1); for a strong-field call, the SHA-256 of
+the state's bytes in place of stdout. It also holds bench.machine() of
+the machine that wrote it. The last printed digits may move between
+numpy SIMD targets and BLAS kernels, so on a machine whose record
+differs in a field that can move printed bytes (CONTRACT_FIELDS: the
+Python and numpy versions, numpy's SIMD baseline, dispatch targets and
+CPU features, its BLAS build and OPENBLAS_CORETYPE) the test skips and
+names the fields that differ. The other fields, such as the platform
+string with its kernel build and the thread variables, are kept as
+information only.
 
 A change that moves bytes on purpose rebuilds the manifest with
 
